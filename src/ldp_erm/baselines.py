@@ -88,13 +88,16 @@ def glm_baseline(data, flavor, iters: int = 10_000) -> Tuple[np.ndarray, float]:
     """Non-private optimum of a margin loss over the unit ball."""
     x, y = data.features, data.labels
     n = len(y)
+    # column i is y_i x_i; contiguous, so both products per iteration
+    # stream through it once
+    yx_t = np.ascontiguousarray((y[:, None] * x).T)
 
     def objective(w):
-        return float(np.mean(flavor.scalar_loss(y * (x @ w))))
+        return float(np.mean(flavor.scalar_loss(w @ yx_t)))
 
     def subgrad(w):
-        sg = np.asarray(flavor.scalar_subgrad(y * (x @ w)), dtype=float)
-        return (x.T @ (sg * y)) / n
+        sg = np.asarray(flavor.scalar_subgrad(w @ yx_t), dtype=float)
+        return (yx_t @ sg) / n
 
     constraint = BallConstraint.origin(x.shape[1], 1.0)
     return projected_subgradient(objective, subgrad, constraint, iters)

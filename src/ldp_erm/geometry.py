@@ -1,5 +1,6 @@
 """Feasible sets used by the optimizers: boxes and Euclidean balls."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class BallConstraint:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
+        # solvers project once or twice per step, so keep the centre array
+        object.__setattr__(self, "_center",
+                           np.asarray(self.center_point, dtype=float))
 
     @classmethod
     def origin(cls, dim: int, radius: float = 1.0) -> "BallConstraint":
@@ -52,15 +56,14 @@ class BallConstraint:
         return len(self.center_point)
 
     def center(self) -> np.ndarray:
-        return np.asarray(self.center_point, dtype=float)
+        return self._center.copy()
 
     def project(self, w: np.ndarray) -> np.ndarray:
-        c = self.center()
-        d = w - c
-        nrm = float(np.linalg.norm(d))
+        d = w - self._center
+        nrm = math.sqrt(d @ d)  # what np.linalg.norm computes for a vector
         if nrm <= self.radius:
             return np.asarray(w, dtype=float)
-        return c + d * (self.radius / nrm)
+        return self._center + d * (self.radius / nrm)
 
     def contains(self, w: np.ndarray, tol: float = 1e-9) -> bool:
         return float(np.linalg.norm(np.asarray(w) - self.center())) <= self.radius + tol

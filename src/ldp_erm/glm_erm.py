@@ -12,8 +12,9 @@ from the smoothed hinge derivative, and a general path for any convex
 loss's subgradient mixture per replica.
 """
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -23,8 +24,8 @@ from .errors import ParameterError, ProtocolError
 from .geometry import BallConstraint
 from .polyapprox import (SmoothedPlus, SubgradientSampler,
                          bernstein_deriv_coeffs, hbeta_deriv, hinge_sampler,
-                         sample_q_many)
-from .primitives import BITS_PER_REAL, PrivacyBudget, Transcript
+                         kink_locations, sample_q_many)
+from .primitives import PrivacyBudget, Transcript
 from .sigm import SigmSchedule, sigm_run
 
 # --- data and configuration ---------------------------------------------------
@@ -99,30 +100,19 @@ def replica_noise_stds(budget: PrivacyBudget, d: int) -> tuple:
 def glm_player_encode(record: tuple, budget: PrivacyBudget, d: int,
                       rng: np.random.Generator,
                       transcript: Optional[Transcript] = None) -> ReplicaMessage:
-    """Encode one record (x, y) into d(d+1)+1 independently noised replicas."""
+    """Encode one record (x, y) into d(d+1)+1 independently noised replicas.
+
+    A one-row call of the population encoder, so it draws the same noise in
+    the same order as player i of a population does.
+    """
     if d < 1:
         raise ParameterError(f"degree d must be >= 1, got {d}")
     x, y = record
     x = np.asarray(x, dtype=float)
-    y = float(y)
-    head_std, body_std = replica_noise_stds(budget, d)
-    m = d * (d + 1)
-    dim = x.shape[0]
-    if head_std == 0.0:
-        msg = ReplicaMessage(head_x=x.copy(), head_y=y,
-                             body_x=np.tile(x, (m, 1)),
-                             body_y=np.full(m, y))
-    else:
-        msg = ReplicaMessage(
-            head_x=x + rng.normal(0.0, head_std, dim),
-            head_y=y + float(rng.normal(0.0, head_std)),
-            body_x=x + rng.normal(0.0, body_std, (m, dim)),
-            body_y=y + rng.normal(0.0, body_std, m),
-        )
-    if transcript is not None:
-        reals = (m + 1) * (dim + 1)
-        transcript.add_bulk(1, reals * BITS_PER_REAL, reals)
-    return msg
+    head_x, head_y, body_x, body_y = _encode_population(
+        x[None, :], np.array([float(y)]), budget, d, rng, transcript)
+    return ReplicaMessage(head_x=head_x[0], head_y=float(head_y[0]),
+                          body_x=body_x[0], body_y=body_y[0])
 
 
 @dataclass(frozen=True)
@@ -134,6 +124,8 @@ class GradientOracleConfig:
     flavor: str  # "hinge" or "general-linear"
     coeffs: np.ndarray
     sampler: Optional[SubgradientSampler] = None
+    # c_j C(d, j), the weight of product block j; derived from coeffs
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -146,6 +138,13 @@ class GradientOracleConfig:
         if self.flavor == "general-linear" and self.sampler is None:
             raise ParameterError(
                 "general-linear flavor needs a subgradient sampler")
+        object.__setattr__(self, "weights", np.asarray(
+            self.coeffs, dtype=float) * _binom_row(self.d))
+
+    @property
+    def kinked(self) -> bool:
+        """Whether a gradient sample draws kink locations."""
+        return self.flavor == "general-linear" and not self.sampler.degenerate
 
 
 def hinge_oracle_config(d: int, beta: float) -> GradientOracleConfig:
@@ -180,6 +179,12 @@ def _binom_row(d: int) -> np.ndarray:
     return np.array([math.comb(d, j) for j in range(d + 1)], dtype=float)
 
 
+@lru_cache(maxsize=32)
+def _rising_mask(d: int) -> np.ndarray:
+    # entry l of block j enters the rising product when l < j
+    return np.arange(d)[None, :] < np.arange(d + 1)[:, None]
+
+
 def _check_replicas(message: ReplicaMessage, d: int):
     expect = d * (d + 1)
     if message.body_count != expect:
@@ -188,29 +193,44 @@ def _check_replicas(message: ReplicaMessage, d: int):
             f"degree-{d} oracle needs exactly {expect}")
 
 
-def _block_products(args: np.ndarray, d: int) -> float:
-    """sum_j C(d,j) * prod(first j of block j) * prod(1 - rest of block j).
+def _replica_products(args: np.ndarray, weights: np.ndarray,
+                      d: int) -> np.ndarray:
+    """sum_j weights[j] * prod(first j of block j) * prod(1 - rest of block j).
 
-    Block j is the slice [j*d, (j+1)*d); its first j entries enter the
-    rising product and the remaining d-j the falling one, so every replica
-    is consumed by exactly one factor.
+    The last axis of ``args`` holds the d(d+1) product arguments of one
+    sample, block j being the slice [j*d, (j+1)*d); its first j entries
+    enter the rising product and the remaining d-j the falling one, so every
+    replica is consumed by exactly one factor. Leading axes index samples.
     """
-    binom = _binom_row(d)
-    total = 0.0
-    for j in range(d + 1):
-        block = args[j * d:(j + 1) * d]
-        total += binom[j] * np.prod(block[:j]) * np.prod(1.0 - block[j:])
-    return total
+    blocks = args.reshape(args.shape[:-1] + (d + 1, d))
+    factors = np.where(_rising_mask(d), blocks, 1.0 - blocks)
+    return factors.prod(axis=-1) @ weights
 
 
-def _block_products_weighted(args: np.ndarray, coeffs: np.ndarray,
-                             d: int) -> float:
-    binom = _binom_row(d)
-    total = 0.0
-    for j in range(d + 1):
-        block = args[j * d:(j + 1) * d]
-        total += coeffs[j] * binom[j] * np.prod(block[:j]) * np.prod(1.0 - block[j:])
-    return total
+def _gradient_scalars(margins: np.ndarray, kinks: Optional[np.ndarray],
+                      cfg: GradientOracleConfig) -> np.ndarray:
+    """The factor multiplying y_0 x_0 in each gradient sample.
+
+    ``margins`` holds the body replicas' y_k <x_k, w> on its last axis and
+    ``kinks`` the matching kink locations (None unless ``cfg.kinked``).
+    """
+    if cfg.flavor == "hinge":
+        return _replica_products(margins, cfg.weights, cfg.d)
+    sampler = cfg.sampler
+    spread = sampler.upper - sampler.lower
+    midpoint = 0.5 * (sampler.upper + sampler.lower)
+    if sampler.degenerate:
+        return np.full(margins.shape[:-1], midpoint)
+    total = _replica_products(margins - kinks + 0.5, cfg.weights, cfg.d)
+    return spread * total + (midpoint - 0.5 * spread)
+
+
+def _message_gradient(w: np.ndarray, message: ReplicaMessage,
+                      kinks: Optional[np.ndarray],
+                      cfg: GradientOracleConfig) -> np.ndarray:
+    margins = message.body_y * (message.body_x @ np.asarray(w, dtype=float))
+    scalar = _gradient_scalars(margins, kinks, cfg)
+    return scalar * (message.head_y * message.head_x)
 
 
 def hinge_gradient_sample(w: np.ndarray, message: ReplicaMessage,
@@ -225,9 +245,7 @@ def hinge_gradient_sample(w: np.ndarray, message: ReplicaMessage,
     if cfg.flavor != "hinge":
         raise ParameterError("config is not for the hinge path")
     _check_replicas(message, cfg.d)
-    u = message.body_y * (message.body_x @ np.asarray(w, dtype=float))
-    total = _block_products_weighted(u, cfg.coeffs, cfg.d)
-    return total * message.head_y * message.head_x
+    return _message_gradient(w, message, None, cfg)
 
 
 def general_linear_gradient_sample(w: np.ndarray, message: ReplicaMessage,
@@ -239,23 +257,37 @@ def general_linear_gradient_sample(w: np.ndarray, message: ReplicaMessage,
     mixture, forms shifted product arguments u_k - s_k + 1/2, and scales by
     the derivative range: G = [(f'(1)-f'(-1)) * sum_j c_j C(d,j) t_j r_j +
     (f'(1)+f'(-1))/2 - (f'(1)-f'(-1))/2] * y_0 * x_0. For an affine loss
-    (degenerate mixture) the product term drops and the midpoint slope
-    multiplies the head direction alone.
+    (degenerate mixture) the product term drops, no kinks are drawn, and the
+    midpoint slope multiplies the head direction alone.
     """
     if cfg.flavor != "general-linear":
         raise ParameterError("config is not for the general-linear path")
     _check_replicas(message, cfg.d)
-    sampler = cfg.sampler
-    spread = sampler.upper - sampler.lower
-    midpoint = 0.5 * (sampler.upper + sampler.lower)
-    if sampler.degenerate:
-        return midpoint * message.head_y * message.head_x
-    s = sample_q_many(sampler, message.body_count, rng)
-    u = message.body_y * (message.body_x @ np.asarray(w, dtype=float))
-    args = u - s + 0.5
-    total = _block_products_weighted(args, cfg.coeffs, cfg.d)
-    scalar = spread * total + (midpoint - 0.5 * spread)
-    return scalar * message.head_y * message.head_x
+    kinks = (sample_q_many(cfg.sampler, message.body_count, rng)
+             if cfg.kinked else None)
+    return _message_gradient(w, message, kinks, cfg)
+
+
+def _replay_draws(rng: np.random.Generator, n: int, count: int, m: int,
+                  cfg: GradientOracleConfig) -> tuple:
+    """Rows and kink locations of ``count`` server-side gradient samples.
+
+    Draws in the order one sample at a time would: a row index from a
+    scalar ``integers`` call (a batched call would draw every row ahead of
+    the uniforms between them), then, for a kinked loss, m uniforms. The
+    kink locations of all samples are then found in one bisection.
+    """
+    rows = np.empty(count, dtype=np.intp)
+    if not cfg.kinked:
+        for t in range(count):
+            rows[t] = rng.integers(n)
+        return rows, None
+    lower, upper = cfg.sampler.lower, cfg.sampler.upper
+    u = np.empty((count, m))
+    for t in range(count):
+        rows[t] = rng.integers(n)
+        u[t] = rng.uniform(lower, upper, m)
+    return rows, kink_locations(cfg.sampler, u)
 
 
 # --- full protocol -------------------------------------------------------------
@@ -312,31 +344,31 @@ def empirical_risk(data: BallDataset, flavor: LossFlavor,
     return float(np.mean(flavor.scalar_loss(margins)))
 
 
-def _encode_population(data: BallDataset, budget: PrivacyBudget, d: int,
+def _encode_population(features: np.ndarray, labels: np.ndarray,
+                       budget: PrivacyBudget, d: int,
                        rng: np.random.Generator,
                        transcript: Optional[Transcript]) -> tuple:
     """Vectorized encoding of every player; one message each."""
-    n, dim = data.n, data.dim
+    n, dim = features.shape
     m = d * (d + 1)
     head_std, body_std = replica_noise_stds(budget, d)
     if head_std == 0.0:
-        head_x = data.features.copy()
-        head_y = data.labels.copy()
-        body_x = np.repeat(data.features[:, None, :], m, axis=1)
-        body_y = np.repeat(data.labels[:, None], m, axis=1)
+        head_x = features.copy()
+        head_y = labels.copy()
+        body_x = np.repeat(features[:, None, :], m, axis=1)
+        body_y = np.repeat(labels[:, None], m, axis=1)
     else:
-        head_x = data.features + rng.normal(0.0, head_std, (n, dim))
-        head_y = data.labels + rng.normal(0.0, head_std, n)
-        body_x = data.features[:, None, :] + rng.normal(0.0, body_std,
-                                                        (n, m, dim))
-        body_y = data.labels[:, None] + rng.normal(0.0, body_std, (n, m))
+        head_x = features + rng.normal(0.0, head_std, (n, dim))
+        head_y = labels + rng.normal(0.0, head_std, n)
+        body_x = features[:, None, :] + rng.normal(0.0, body_std,
+                                                   (n, m, dim))
+        body_y = labels[:, None] + rng.normal(0.0, body_std, (n, m))
     if transcript is not None:
-        reals = (m + 1) * (dim + 1)
-        transcript.add_bulk(n, reals * BITS_PER_REAL, reals)
+        transcript.add_bulk(n, reals_per=(m + 1) * (dim + 1))
     return head_x, head_y, body_x, body_y
 
 
-def _pilot_sigma(sample_grad: Callable, dim: int, n: int,
+def _pilot_sigma(gradients: Callable, replay: Callable, dim: int,
                  rng: np.random.Generator, probes: int = 8,
                  per_probe: int = 8) -> float:
     """Crude gradient-noise scale: spread of samples at a few probe points."""
@@ -344,8 +376,7 @@ def _pilot_sigma(sample_grad: Callable, dim: int, n: int,
     for _ in range(probes):
         v = rng.standard_normal(dim)
         w = v / max(1.0, np.linalg.norm(v))
-        grads = np.stack([sample_grad(w, int(rng.integers(n)), rng)
-                          for _ in range(per_probe)])
+        grads = gradients(w, *replay(per_probe))
         centered = grads - grads.mean(axis=0)
         worst = max(worst, float(np.sqrt(np.mean(np.sum(centered ** 2,
                                                         axis=1)))))
@@ -385,28 +416,33 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
         cfg = general_linear_oracle_config(d, beta, flavor.sampler)
 
     head_x, head_y, body_x, body_y = _encode_population(
-        data, budget, d, rng, transcript)
+        data.features, data.labels, budget, d, rng, transcript)
 
-    def message(i: int) -> ReplicaMessage:
-        return ReplicaMessage(head_x=head_x[i], head_y=float(head_y[i]),
-                              body_x=body_x[i], body_y=body_y[i])
+    # The server replays the frozen messages. Its randomness (rows and kink
+    # locations) does not depend on the iterate, so it is drawn up front.
+    n, dim, m = data.n, data.dim, d * (d + 1)
+    head = head_y[:, None] * head_x
 
-    def sample_grad(w, i, r):
-        if cfg.flavor == "hinge":
-            return hinge_gradient_sample(w, message(i), cfg, r)
-        return general_linear_gradient_sample(w, message(i), cfg, r)
+    def gradients(w, rows, kinks):
+        margins = body_y[rows] * (body_x[rows] @ w)
+        return _gradient_scalars(margins, kinks, cfg)[..., None] * head[rows]
 
-    n, dim = data.n, data.dim
-    sigma_hat = _pilot_sigma(sample_grad, dim, n, rng)
+    def replay(count):
+        return _replay_draws(rng, n, count, m, cfg)
+
+    sigma_hat = _pilot_sigma(gradients, replay, dim, rng)
     sigma = sigma_safety * sigma_hat
     constraint = BallConstraint.origin(dim, 1.0)
     schedule = SigmSchedule(sigma=sigma, radius=1.0,
                             smoothness=1.0 / beta, p_exponent=1)
 
-    def oracle(w, r):
-        return sample_grad(w, int(r.integers(n)), r)
-
     steps = iters if iters is not None else n
+    rows, kinks = replay(steps)
+    draws = zip(rows, itertools.repeat(None) if kinks is None else kinks)
+
+    def oracle(w, _rng):
+        return gradients(w, *next(draws))
+
     w_priv = sigm_run(oracle, constraint, schedule, steps, rng)
 
     err = empirical_risk(data, flavor, w_priv)
@@ -414,7 +450,6 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
         from .baselines import glm_baseline
         baseline_w, _ = glm_baseline(data, flavor)
     base_err = empirical_risk(data, flavor, baseline_w)
-    m = d * (d + 1)
     return GlmRunReport(
         w_priv=w_priv, err_empirical=err, baseline_err=base_err,
         excess=err - base_err, d=d, d_theory=d_theory, beta=beta,

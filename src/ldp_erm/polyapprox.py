@@ -313,30 +313,29 @@ def abs_sampler() -> SubgradientSampler:
 
 def sample_q_many(sampler: SubgradientSampler, size: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """Draw kink locations: u ~ U[f'(-1), f'(1)], then the maximal s with
-    f'(s) <= u, found by vectorized bisection to ~1e-14."""
+    """Draw kink locations: u ~ U[f'(-1), f'(1)], then ``kink_locations``."""
     if sampler.degenerate:
         raise ParameterError(
             "degenerate sampler (f'(-1) == f'(1)); the loss is affine and "
             "has no kink measure"
         )
-    u = rng.uniform(sampler.lower, sampler.upper, size)
-    out = np.ones(size)
+    return kink_locations(sampler,
+                          rng.uniform(sampler.lower, sampler.upper, size))
+
+
+def kink_locations(sampler: SubgradientSampler, u: np.ndarray) -> np.ndarray:
+    """The maximal s in [-1, 1] with f'(s) <= u, elementwise, for uniform
+    draws u of any shape; vectorized bisection to ~1e-14."""
+    u = np.asarray(u, dtype=float)
     at_top = u >= np.asarray(sampler.f_prime(1.0), dtype=float)
-    active = ~at_top
-    lo = np.full(size, -1.0)
-    hi = np.ones(size)
+    lo = np.full(u.shape, -1.0)
+    hi = np.ones(u.shape)
     for _ in range(48):
         mid = 0.5 * (lo + hi)
         le = np.asarray(sampler.f_prime(mid), dtype=float) <= u
         lo = np.where(le, mid, lo)
         hi = np.where(le, hi, mid)
-    out[active] = lo[active]
-    return out
-
-
-def sample_Q(sampler: SubgradientSampler, rng: np.random.Generator) -> float:
-    return float(sample_q_many(sampler, 1, rng)[0])
+    return np.where(at_top, 1.0, lo)
 
 
 def lemma40_reconstruct(sampler: SubgradientSampler, theta: float, m: int,

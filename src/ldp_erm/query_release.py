@@ -26,7 +26,7 @@ import scipy.fft
 from .errors import (ConfigurationError, ParameterError, QueryClassError,
                      SampleSizeWarning)
 from .polyapprox import OrPolynomial, build_or_polynomial, chebyshev_eval
-from .primitives import BITS_PER_REAL, PrivacyBudget, Transcript
+from .primitives import PrivacyBudget, Transcript
 
 # --- datasets -------------------------------------------------------------------
 
@@ -246,7 +246,7 @@ def marginals_release(data: BinaryDataset, k: int, gamma: float,
     sub_budget = budget.split(dim) if split_budget else budget
     means = _private_column_means(matrix + b, 2.0 * b, sub_budget, rng) - b
     if transcript is not None:
-        transcript.add_bulk(data.n, dim * BITS_PER_REAL, dim)
+        transcript.add_bulk(data.n, reals_per=dim)
     return MarginalCoefficientTable(values=means, alphas=alphas, p=p, k=k,
                                     t_k=orpoly.degree, gamma=gamma, bound=b)
 
@@ -368,7 +368,7 @@ def smooth_release(data: BoxDataset, t: int, budget: PrivacyBudget,
     means01 = _private_column_means((basis + 1.0) / 2.0, 1.0, budget, rng)
     if transcript is not None:
         dim = basis.shape[1]
-        transcript.add_bulk(data.n, dim * BITS_PER_REAL, dim)
+        transcript.add_bulk(data.n, reals_per=dim)
     return CosineCoefficientTable(values=2.0 * means01 - 1.0, p=data.dim, t=t)
 
 

@@ -65,20 +65,31 @@ class SigmSchedule:
         p = self.p_exponent
         return 2.0 ** ((5.0 - 2.0 * p) / 4.0) * p ** ((1.0 - 2.0 * p) / 2.0)
 
-    def alpha(self, i: int) -> float:
+    # The sequences take a scalar index or an integer array of them. A
+    # scalar runs as a one-element array, so it goes through the same numpy
+    # loops and the solver's precomputed arrays equal the scalar values.
+
+    def alpha(self, i):
         p = self.p_exponent
-        return ((i + p) / p) ** (p - 1) / self.a_const
+        k = np.atleast_1d(i)
+        return _like(i, ((k + p) / p) ** (p - 1) / self.a_const)
 
-    def beta(self, i: int) -> float:
+    def beta(self, i):
         p = self.p_exponent
-        growth = (i + p + 1) ** ((2.0 * p - 1.0) / 2.0)
-        return self.smoothness + self.b_const * self.sigma / self.radius * growth
+        growth = (np.atleast_1d(i) + p + 1.0) ** ((2.0 * p - 1.0) / 2.0)
+        return _like(i, self.smoothness
+                     + self.b_const * self.sigma / self.radius * growth)
 
-    def big_b(self, i: int) -> float:
-        return self.a_const * self.alpha(i) ** 2
+    def big_b(self, i):
+        return _like(i, self.a_const * self.alpha(np.atleast_1d(i)) ** 2)
 
-    def eta(self, i: int) -> float:
-        return self.alpha(i + 1) / self.big_b(i + 1)
+    def eta(self, i):
+        return self.alpha(np.add(i, 1)) / self.big_b(np.add(i, 1))
+
+
+def _like(index, values: np.ndarray):
+    """A float for a scalar index, the array for an array of them."""
+    return float(values[0]) if np.ndim(index) == 0 else values
 
 
 def sigm_run(oracle: GradientOracle, constraint: BallConstraint,
@@ -94,23 +105,40 @@ def sigm_run(oracle: GradientOracle, constraint: BallConstraint,
     """
     if iters < 1:
         raise ParameterError(f"need at least one iteration, got {iters}")
+    ks = np.arange(1, iters)
+    beta = schedule.beta(ks)
+    alpha_next = schedule.alpha(ks + 1)
+    b_next = schedule.big_b(ks + 1)
+    eta = alpha_next / b_next
+    # the running sum A_k, accumulated left to right as a scalar loop would
+    a_running = np.cumsum(np.concatenate(
+        ([schedule.alpha(0) + schedule.alpha(1)], alpha_next)))[1:]
+    steps = _scalar_rows(beta, eta, 1.0 - eta, alpha_next / beta,
+                         (a_running - b_next) / a_running, b_next / a_running,
+                         alpha_next)
+
     y = constraint.center()
     x = y.copy()
     grad_sum = schedule.alpha(1) * np.asarray(oracle(x, rng), dtype=float)
-    a_running = schedule.alpha(0) + schedule.alpha(1)
-    for k in range(1, iters):
-        beta_k = schedule.beta(k)
-        alpha_next = schedule.alpha(k + 1)
-        b_next = schedule.big_b(k + 1)
-        eta = alpha_next / b_next
+    for beta_k, eta_k, rest_k, step_k, keep_k, take_k, alpha_k in steps:
         z = constraint.project(-grad_sum / beta_k)
-        x = eta * z + (1.0 - eta) * y
+        x = eta_k * z + rest_k * y
         grad = np.asarray(oracle(x, rng), dtype=float)
-        x_hat = constraint.project(z - (alpha_next / beta_k) * grad)
-        w = eta * x_hat + (1.0 - eta) * y
-        a_running += alpha_next
-        y = ((a_running - b_next) / a_running) * y + (b_next / a_running) * w
-        grad_sum += alpha_next * grad
+        x_hat = constraint.project(z - step_k * grad)
+        w = eta_k * x_hat + rest_k * y
+        y = keep_k * y + take_k * w
+        grad_sum += alpha_k * grad
         if trace is not None:
             trace.append(y.copy())
     return y
+
+
+def _scalar_rows(*columns: np.ndarray, chunk: int = 1024):
+    """Yield tuples of Python floats, one per index, from equal-length arrays.
+
+    Python floats keep the loop's scalar arithmetic cheap; converting a
+    chunk at a time keeps at most ``chunk`` rows of them alive, where a whole
+    run's worth would hold several megabytes of small objects.
+    """
+    for lo in range(0, len(columns[0]), chunk):
+        yield from zip(*(c[lo:lo + chunk].tolist() for c in columns))

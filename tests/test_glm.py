@@ -8,7 +8,9 @@ import pytest
 
 from ldp_erm.datasets import generate_dataset
 from ldp_erm.errors import ParameterError, ProtocolError
-from ldp_erm.glm_erm import (BallDataset, ReplicaMessage, empirical_risk,
+from ldp_erm.geometry import BallConstraint
+from ldp_erm.glm_erm import (BallDataset, LossFlavor, ReplicaMessage,
+                             _binom_row, _replica_products, empirical_risk,
                              general_linear_gradient_sample,
                              general_linear_oracle_config, glm_erm_run,
                              glm_player_encode, hinge_flavor,
@@ -19,6 +21,7 @@ from ldp_erm.polyapprox import (SmoothedPlus, SubgradientSampler, abs_sampler,
                                 hinge_sampler, smoothed_plus_deriv)
 from ldp_erm.primitives import PrivacyBudget, Transcript
 from ldp_erm.rng import derived_rng
+from ldp_erm.sigm import SigmSchedule, sigm_run
 
 NOISELESS = PrivacyBudget(epsilon=float("inf"))
 LOG_TERM = math.log(1.25e5)  # log(1.25/delta) at delta = 1e-5
@@ -75,6 +78,23 @@ def test_encode_transcript_accounting():
     glm_player_encode((x, y), PrivacyBudget(epsilon=1.0, delta=1e-5), 3,
                       derived_rng(2), transcript=t)
     assert t.reals_per_player() == 13 * 5  # (d(d+1)+1) * (p+1)
+    assert t.bits_per_player() == 64 * 13 * 5
+
+
+def test_encode_player_draw_order():
+    # one player's message: head x, head y, body x, body y, drawn in turn
+    budget = PrivacyBudget(epsilon=1.0, delta=1e-5)
+    head_std, body_std = replica_noise_stds(budget, 3)
+    x, y = np.array([0.3, -0.2, 0.1]), 0.7
+    rng, ref = derived_rng(20), derived_rng(20)
+    for _ in range(3):
+        msg = glm_player_encode((x, y), budget, 3, rng)
+        assert np.array_equal(msg.head_x, x + ref.normal(0.0, head_std, 3))
+        assert msg.head_y == y + float(ref.normal(0.0, head_std))
+        assert np.array_equal(msg.body_x,
+                              x + ref.normal(0.0, body_std, (12, 3)))
+        assert np.array_equal(msg.body_y, y + ref.normal(0.0, body_std, 12))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_hinge_sample_d1_expansion():
@@ -91,6 +111,32 @@ def test_hinge_sample_d1_expansion():
                 + smoothed_plus_deriv(beta, 1.0) * u) * y * x
         got = hinge_gradient_sample(w, msg, cfg)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _per_block_products(args, coeffs, d):
+    # the block-by-block form of the replica product sum
+    binom = [math.comb(d, j) for j in range(d + 1)]
+    total = 0.0
+    for j in range(d + 1):
+        block = args[j * d:(j + 1) * d]
+        total += (coeffs[j] * binom[j] * np.prod(block[:j])
+                  * np.prod(1.0 - block[j:]))
+    return total
+
+
+def test_replica_products_match_per_block_form():
+    rng = derived_rng(21)
+    for d in range(1, 6):
+        m = d * (d + 1)
+        coeffs = rng.uniform(-1.0, 1.0, d + 1)
+        weights = coeffs * _binom_row(d)
+        for scale in (1.0, 30.0, 1e3):  # noised replicas reach ~1e3
+            args = rng.uniform(-scale, scale, (40, m))
+            batch = _replica_products(args, weights, d)
+            assert batch.shape == (40,)
+            for row, got in zip(args, batch):
+                want = _per_block_products(row, coeffs, d)
+                assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_hinge_sample_zero_label():
@@ -248,6 +294,73 @@ def test_run_single_player_is_defined():
     assert np.linalg.norm(rep.w_priv) <= 1.0 + 1e-9
     assert rep.iters == 1
     assert rep.d_theory >= rep.d
+
+
+def _replayed_run(data, flavor, budget, rng, d, iters):
+    # the server side of glm_erm_run, one message and one gradient sample
+    # at a time through the public per-message API (target_alpha = 1)
+    beta = 0.25
+    if flavor.name == "hinge":
+        cfg = hinge_oracle_config(d, beta)
+        sample = hinge_gradient_sample
+    else:
+        cfg = general_linear_oracle_config(d, beta, flavor.sampler)
+        sample = general_linear_gradient_sample
+    n, dim, m = data.n, data.dim, d * (d + 1)
+    head_std, body_std = replica_noise_stds(budget, d)
+    shapes = ((n, dim), n, (n, m, dim), (n, m))
+    stds = (head_std, head_std, body_std, body_std)
+    # a noiseless budget copies the records and draws nothing
+    noise = [rng.normal(0.0, std, shape) if head_std else np.zeros(shape)
+             for std, shape in zip(stds, shapes)]
+    x, y = data.features, data.labels
+    msgs = [ReplicaMessage(head_x=x[i] + noise[0][i],
+                           head_y=float(y[i] + noise[1][i]),
+                           body_x=x[i] + noise[2][i],
+                           body_y=y[i] + noise[3][i]) for i in range(n)]
+    worst = 0.0
+    for _ in range(8):
+        v = rng.standard_normal(dim)
+        w = v / max(1.0, np.linalg.norm(v))
+        grads = np.stack([sample(w, msgs[int(rng.integers(n))], cfg, rng)
+                          for _ in range(8)])
+        centered = grads - grads.mean(axis=0)
+        worst = max(worst, float(np.sqrt(np.mean(np.sum(centered ** 2,
+                                                        axis=1)))))
+    sigma = 4.0 * worst
+    schedule = SigmSchedule(sigma=sigma, radius=1.0, smoothness=1.0 / beta)
+    w_priv = sigm_run(lambda w, r: sample(w, msgs[int(r.integers(n))], cfg, r),
+                      BallConstraint.origin(dim, 1.0), schedule, iters, rng)
+    return w_priv, sigma
+
+
+# x^2/2: its kink locations are spread over [-1, 1], unlike the point
+# masses of the hinge and |.|, so every kink draw moves the gradient
+QUADRATIC_FLAVOR = LossFlavor(
+    name="general-linear", scalar_loss=lambda t: 0.5 * np.square(t),
+    scalar_subgrad=lambda t: np.asarray(t, dtype=float),
+    sampler=SubgradientSampler(lambda t: np.asarray(t, dtype=float),
+                               -1.0, 1.0))
+
+
+@pytest.mark.parametrize("flavor", [hinge_flavor(),
+                                    hinge_via_general_flavor(),
+                                    QUADRATIC_FLAVOR],
+                         ids=["hinge", "hinge-via-general", "quadratic"])
+@pytest.mark.parametrize("budget", [PrivacyBudget(epsilon=2.0, delta=1e-5),
+                                    NOISELESS], ids=["noised", "noiseless"])
+def test_run_matches_per_message_replay(flavor, budget):
+    data = generate_dataset({"family": "separable-two-class", "n": 60,
+                             "dim": 3, "margin": 0.1}, 22)
+    rng, ref = derived_rng(23), derived_rng(23)
+    rep = glm_erm_run(data, flavor, target_alpha=1.0, budget=budget, rng=rng,
+                      d_cap=2, iters=400, baseline_w=np.zeros(3))
+    want_w, want_sigma = _replayed_run(data, flavor, budget, ref, 2, 400)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rep.sigma == pytest.approx(want_sigma, rel=1e-12)
+    scale = float(np.max(np.abs(want_w)))
+    assert scale > 0.0
+    assert float(np.max(np.abs(rep.w_priv - want_w))) <= 1e-12 * scale
 
 
 def test_empirical_risk_matches_direct_mean():

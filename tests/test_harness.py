@@ -307,6 +307,36 @@ def test_partial_failures_recorded(tmp_path):
     assert "k=12" in by_status["ParameterError"][0]["error"]
 
 
+@pytest.mark.parametrize("mechanism, dataset, params", [
+    ("bernstein", {"family": "uniform-cube", "n": 200, "dim": 1},
+     {"k": 4}),
+    ("avg-bench", {"family": "uniform-cube", "n": 200, "dim": 1}, {}),
+    ("hinge", {"family": "separable-two-class", "n": 40, "dim": 2,
+               "margin": 0.1}, {"d_cap": 2, "epsilon": 2.0}),
+    ("general-linear", {"family": "separable-two-class", "n": 40, "dim": 2,
+                        "margin": 0.1}, {"d_cap": 2, "epsilon": 2.0}),
+    ("marginals", {"family": "bernoulli-bits", "n": 200, "dim": 4, "q": 0.3},
+     {"k": 2, "gamma": 0.2, "epsilon": 2.0}),
+    ("smooth-queries", {"family": "gaussian-ball-clipped", "n": 200,
+                        "dim": 2, "sigma": 0.4}, {"t": 3, "epsilon": 2.0}),
+])
+def test_real_valued_messages_count_64_bits_per_real(tmp_path, mechanism,
+                                                     dataset, params):
+    # each real of a message is counted once, at BITS_PER_REAL = 64 bits
+    cfg = ExperimentConfig(mechanism=mechanism, dataset=dataset,
+                           params=params, trials=1, seed=6,
+                           out=str(tmp_path / "run"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampleSizeWarning)
+        result = run_experiment(cfg)
+    assert result.failures == 0
+    with open(result.transcript_path) as fh:
+        (row,) = list(csv.DictReader(fh))
+    reals = float(row["reals_per_player"])
+    assert reals >= 1
+    assert float(row["bits_per_player"]) == 64 * reals
+
+
 def test_avg_bench_error_slope(tmp_path):
     cfg = ExperimentConfig(
         mechanism="avg-bench",

@@ -35,6 +35,39 @@ def test_schedule_identities_general_p():
         assert abs(sch.beta(i) - want_beta) < 1e-10 * max(1.0, want_beta)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_schedule_arrays_equal_scalar_values(p):
+    # the solver evaluates the schedule on index arrays up front
+    sch = SigmSchedule(sigma=0.7, radius=0.9, smoothness=2.0, p_exponent=p)
+    idx = np.arange(0, 5_000)
+    for name in ("alpha", "beta", "big_b", "eta"):
+        seq = getattr(sch, name)
+        got = seq(idx)
+        assert got.shape == idx.shape
+        assert isinstance(seq(3), float)
+        assert np.array_equal(got, [seq(int(i)) for i in idx])
+
+
+def test_ball_projection_off_origin():
+    center = np.array([2.0, -1.0, 0.5])
+    ball = BallConstraint(tuple(center), 0.5)
+    rng = derived_rng(4)
+    for _ in range(200):
+        w = center + rng.normal(0.0, 0.6, 3)
+        got = ball.project(w)
+        offset = w - center
+        if np.linalg.norm(offset) <= 0.5:
+            assert np.array_equal(got, w)
+        else:
+            want = center + 0.5 * offset / np.linalg.norm(offset)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+            assert abs(np.linalg.norm(got - center) - 0.5) <= 1e-15
+    assert np.array_equal(ball.center(), center)
+    ball.center()[0] = 9.0  # the returned centre is the caller's copy
+    assert np.array_equal(ball.center(), center)
+    assert np.array_equal(ball.project(center + 1e-3), center + 1e-3)
+
+
 def test_schedule_validation():
     with pytest.raises(ParameterError):
         SigmSchedule(sigma=-1.0, radius=1.0)
@@ -42,6 +75,42 @@ def test_schedule_validation():
         SigmSchedule(sigma=1.0, radius=0.0)
     with pytest.raises(ParameterError):
         SigmSchedule(sigma=0.0, radius=1.0, smoothness=0.0)  # no step scale
+
+
+def _scalar_loop_run(oracle, constraint, schedule, iters, rng, trace):
+    # the solver's step, with every schedule value taken from the scalar
+    # methods inside the loop
+    y = constraint.center()
+    x = y.copy()
+    grad_sum = schedule.alpha(1) * np.asarray(oracle(x, rng), dtype=float)
+    a_running = schedule.alpha(0) + schedule.alpha(1)
+    for k in range(1, iters):
+        beta_k = schedule.beta(k)
+        alpha_next = schedule.alpha(k + 1)
+        b_next = schedule.big_b(k + 1)
+        eta = alpha_next / b_next
+        z = constraint.project(-grad_sum / beta_k)
+        x = eta * z + (1.0 - eta) * y
+        grad = np.asarray(oracle(x, rng), dtype=float)
+        x_hat = constraint.project(z - (alpha_next / beta_k) * grad)
+        w = eta * x_hat + (1.0 - eta) * y
+        a_running += alpha_next
+        y = ((a_running - b_next) / a_running) * y + (b_next / a_running) * w
+        grad_sum += alpha_next * grad
+        trace.append(y.copy())
+    return y
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_run_equals_scalar_schedule_loop(p):
+    sch = SigmSchedule(sigma=0.4, radius=1.0, smoothness=1.0, p_exponent=p)
+    ball = BallConstraint((0.2, -0.1), 0.8)
+    noisy = lambda x, rng: x - WSTAR + rng.normal(0.0, 0.4, x.shape)
+    got, want = [], []
+    sigm_run(noisy, ball, sch, 300, derived_rng(8), trace=got)
+    _scalar_loop_run(noisy, ball, sch, 300, derived_rng(8), want)
+    assert len(got) == len(want) == 299
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_exact_quadratic_converges():
