@@ -13,7 +13,7 @@ from .errors import (ClippingWarning, ConfigurationError, EstimationError,
 from .geometry import BallConstraint, BoxConstraint
 from .primitives import (PrivacyBudget, Transcript, avg_error_bound,
                          ldp_avg_1d, ldp_avg_vec, onebit_decode,
-                         onebit_encode, onebit_encode_many)
+                         onebit_encode_many)
 from .polyapprox import (BernsteinOperatorSpec, ChebyshevSeries, SmoothedPlus,
                          build_or_polynomial, chebyshev_eval,
                          chebyshev_series_fit, iterated_bernstein_eval,
@@ -37,7 +37,7 @@ __all__ = [
     "ClippingWarning",
     "BoxConstraint", "BallConstraint",
     "PrivacyBudget", "Transcript", "ldp_avg_1d", "ldp_avg_vec",
-    "avg_error_bound", "onebit_encode", "onebit_encode_many", "onebit_decode",
+    "avg_error_bound", "onebit_encode_many", "onebit_decode",
     "BernsteinOperatorSpec", "iterated_bernstein_eval", "chebyshev_eval",
     "ChebyshevSeries", "chebyshev_series_fit", "SmoothedPlus",
     "build_or_polynomial", "lemma40_reconstruct",

@@ -25,15 +25,14 @@ from .geometry import BallConstraint, BoxConstraint
 from .polyapprox import (BernsteinOperatorSpec, iterated_basis_weights,
                          iterated_bernstein_eval)
 from .primitives import (PrivacyBudget, PublicRandomness, Transcript,
-                         ldp_avg_1d, onebit_decode, onebit_encode_many)
+                         check_onebit_epsilon, ldp_avg_1d, onebit_decode,
+                         onebit_encode_many)
 from .rng import TAG_BITS, TAG_PARTITION, derived_rng
 
 # loss(theta, rows) -> per-row loss values in [0, 1]
 GridLoss = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 Constraint = Union[BoxConstraint, BallConstraint]
-
-_ONEBIT_EPS_MAX = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -260,9 +259,7 @@ def alg3_run(data: CubeDataset, loss: GridLoss, cfg: GridProtocolConfig,
     """
     spec = cfg.spec
     eps = cfg.budget.epsilon
-    if not 0 < eps <= _ONEBIT_EPS_MAX:
-        raise ParameterError(
-            f"one-bit protocol requires 0 < eps <= ln 2, got {eps}")
+    check_onebit_epsilon(eps)
     grid = grid_points(spec.k, spec.p, cfg.grid_cap)
     n, gsize = data.n, len(grid)
     if n < spec.p * gsize * math.log(spec.k + 1):

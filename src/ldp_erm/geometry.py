@@ -21,9 +21,6 @@ class BoxConstraint:
     def project(self, w: np.ndarray) -> np.ndarray:
         return np.clip(w, self.lo, self.hi)
 
-    def contains(self, w: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.all(w >= self.lo - tol) and np.all(w <= self.hi + tol))
-
     @property
     def radius(self) -> float:
         # half-diameter in the Euclidean norm
@@ -64,6 +61,3 @@ class BallConstraint:
         if nrm <= self.radius:
             return np.asarray(w, dtype=float)
         return self._center + d * (self.radius / nrm)
-
-    def contains(self, w: np.ndarray, tol: float = 1e-9) -> bool:
-        return float(np.linalg.norm(np.asarray(w) - self.center())) <= self.radius + tol

@@ -8,6 +8,7 @@ CSV with one fixed superset schema across mechanisms; wall-clock numbers go
 to a separate log so the CSVs stay byte-reproducible.
 """
 
+import functools
 import itertools
 import json
 import os
@@ -15,7 +16,7 @@ import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,10 +32,8 @@ from .query_release import (BinaryDataset, BoxDataset, disjunction_truth,
                             marginals_answer, marginals_release,
                             smooth_release_and_answer)
 from .datasets import generate_dataset
-from .rng import TAG_TRIAL, derived_rng, derived_seed
-
-MECHANISMS = ("bernstein", "onebit", "hinge", "general-linear", "marginals",
-              "smooth-queries", "avg-bench")
+from .rng import (TAG_TRIAL, TAG_TRIAL_DATASET, TAG_TRIAL_MECHANISM,
+                  derived_rng, derived_seed)
 
 REPORT_COLUMNS = [
     "trial", "mechanism", "family", "n", "p", "k", "h", "d", "t", "beta",
@@ -46,15 +45,23 @@ REPORT_COLUMNS = [
 TRANSCRIPT_COLUMNS = ["trial", "mechanism", "n", "messages",
                       "bits_per_player", "reals_per_player"]
 
-_FAMILY_FOR = {
-    "bernstein": ("uniform-cube", "file"),
-    "onebit": ("uniform-cube", "file"),
-    "hinge": ("separable-two-class", "file"),
-    "general-linear": ("separable-two-class", "file"),
-    "marginals": ("bernoulli-bits", "file"),
-    "smooth-queries": ("gaussian-ball-clipped", "uniform-cube", "file"),
-    "avg-bench": ("uniform-cube", "file"),
-}
+# sweep keys that describe the data; every other sweep key is a param
+DATASET_SWEEP_KEYS = ("n", "dim", "margin", "q", "sigma")
+
+# params that count something; a config value must be integral
+INTEGER_PARAMS = frozenset({"k", "h", "t", "d_cap", "grid_cap", "iters"})
+
+
+def _is_integral(value) -> bool:
+    return not isinstance(value, bool) and (
+        isinstance(value, int)
+        or isinstance(value, float) and value.is_integer())
+
+
+def _check_count(name: str, value, least: int):
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigurationError(
+            f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,18 +76,48 @@ class ExperimentConfig:
     workers: Optional[int] = None
 
     def __post_init__(self):
-        if self.mechanism not in MECHANISMS:
+        if (not isinstance(self.mechanism, str)
+                or self.mechanism not in MECHANISMS):
             raise ConfigurationError(
                 f"unknown mechanism {self.mechanism!r}; known: "
                 f"{', '.join(MECHANISMS)}")
-        if self.trials < 0:
-            raise ConfigurationError(f"trials must be >= 0, got {self.trials}")
+        for name in ("dataset", "params", "sweep"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigurationError(
+                    f"{name} must be a JSON object, got "
+                    f"{getattr(self, name)!r}")
+        _check_count("trials", self.trials, 0)
+        _check_count("seed", self.seed, 0)
+        if self.workers is not None:
+            _check_count("workers", self.workers, 1)
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigurationError(f"out must be a path, got {self.out!r}")
+        mech = MECHANISMS[self.mechanism]
         family = self.dataset.get("family")
-        allowed = _FAMILY_FOR[self.mechanism]
-        if family not in allowed:
+        if family not in mech.families:
             raise ConfigurationError(
                 f"mechanism {self.mechanism!r} expects a dataset family in "
-                f"{allowed}, got {family!r}")
+                f"{mech.families}, got {family!r}")
+        for key, value in self.params.items():
+            self._check_param(key, [value])
+        for key, values in self.sweep.items():
+            if key not in DATASET_SWEEP_KEYS:
+                # a sweep entry that is not a list is rejected on expansion
+                self._check_param(
+                    key, values if isinstance(values, (list, tuple)) else [])
+
+    def _check_param(self, key: str, values):
+        defaults = MECHANISMS[self.mechanism].params
+        if key not in defaults:
+            raise ConfigurationError(
+                f"mechanism {self.mechanism!r} has no param {key!r}; "
+                f"accepted: {', '.join(sorted(defaults))}")
+        if key in INTEGER_PARAMS:
+            for value in values:
+                if not (_is_integral(value)
+                        or (value is None and defaults[key] is None)):
+                    raise ConfigurationError(
+                        f"param {key!r} must be an integer, got {value!r}")
 
 
 def load_config(path: str, mechanism: Optional[str] = None) -> ExperimentConfig:
@@ -92,6 +129,10 @@ def load_config(path: str, mechanism: Optional[str] = None) -> ExperimentConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigurationError(
+            f"config {path} must hold a JSON object, got "
+            f"{type(raw).__name__}")
     known = {"mechanism", "dataset", "params", "sweep", "trials", "seed",
              "out", "workers"}
     fields = {k: v for k, v in raw.items() if k in known}
@@ -119,12 +160,10 @@ def apply_set_overrides(cfg: ExperimentConfig, sets) -> ExperimentConfig:
         head, _, tail = key.partition(".")
         if head in mut and tail:
             mut[head][tail] = value
-        elif head in ("trials", "seed"):
-            mut[head] = int(value)
+        elif head in ("trials", "seed", "workers"):
+            mut[head] = value  # type-checked by ExperimentConfig
         elif head in ("out", "mechanism"):
             mut[head] = str(value)
-        elif head == "workers":
-            mut[head] = int(value)
         else:
             raise ConfigurationError(f"cannot override {key!r}")
     return replace(cfg, **mut)
@@ -184,65 +223,56 @@ def grid_loss_excess(name: str, data: CubeDataset, w: np.ndarray) -> float:
 
 
 # --- per-trial executors --------------------------------------------------------
+#
+# An executor runs one trial of its mechanism on the trial's dataset. It gets
+# the params merged over its table entry's defaults, the trial seed and the
+# trial's transcript, and returns the report fields it fills in. Library
+# calls go through this module's globals at call time, so that they can be
+# wrapped from outside (span tracing).
 
 
-def _float(x) -> float:
-    return float(x)
-
-
-def _trial_bernstein(cfg: ExperimentConfig, params: dict, seed: int,
-                     onebit: bool) -> tuple:
-    data = generate_dataset(params["dataset"], derived_seed(seed, 1))
+def _trial_grid(data, params: dict, seed: int, transcript: Transcript,
+                onebit: bool) -> dict:
     if not isinstance(data, CubeDataset):
         raise ConfigurationError("grid mechanisms need cube data")
-    loss_name = params.get("loss", "quadratic")
-    loss = make_grid_loss(loss_name)
-    k, h = int(params.get("k", 8)), int(params.get("h", 1))
+    loss = make_grid_loss(params["loss"])
+    k, h = int(params["k"]), int(params["h"])
     spec = BernsteinOperatorSpec(k=k, h=h, p=data.dim)
-    epsilon = _float(params.get("epsilon", 1.0))
-    budget = PrivacyBudget(epsilon=epsilon)
+    epsilon = float(params["epsilon"])
     gcfg = GridProtocolConfig(
-        spec=spec, budget=budget,
+        spec=spec, budget=PrivacyBudget(epsilon=epsilon),
         constraint=BoxConstraint(0.0, 1.0, data.dim),
-        grid_cap=int(params.get("grid_cap", 200_000)))
-    transcript = Transcript()
+        grid_cap=int(params["grid_cap"]))
     if onebit:
-        release = alg3_run(data, loss, gcfg, derived_seed(seed, 2),
+        release = alg3_run(data, loss, gcfg,
+                           derived_seed(seed, TAG_TRIAL_MECHANISM),
                            transcript=transcript)
-        mode = "onebit"
     else:
-        release = alg2_run(data, loss, gcfg, derived_rng(seed, 2),
+        release = alg2_run(data, loss, gcfg,
+                           derived_rng(seed, TAG_TRIAL_MECHANISM),
                            transcript=transcript)
-        mode = "laplace"
-    err = grid_loss_excess(loss_name, data, release.w_priv)
-    row = {"n": data.n, "p": data.dim, "k": k, "h": h, "epsilon": epsilon,
-           "mode": mode, "err_empirical": err,
-           "bits_per_player": transcript.bits_per_player()}
-    return row, transcript
+    err = grid_loss_excess(params["loss"], data, release.w_priv)
+    return {"p": data.dim, "k": k, "h": h, "epsilon": epsilon,
+            "mode": "onebit" if onebit else "laplace", "err_empirical": err,
+            "bits_per_player": transcript.bits_per_player()}
 
 
-def _trial_glm(cfg: ExperimentConfig, params: dict, seed: int,
-               general: bool) -> tuple:
-    data = generate_dataset(params["dataset"], derived_seed(seed, 1))
+def _trial_glm(data, params: dict, seed: int, transcript: Transcript,
+               general: bool) -> dict:
     flavor = hinge_via_general_flavor() if general else hinge_flavor()
-    epsilon = _float(params.get("epsilon", 1.0))
-    delta = _float(params.get("delta", 1e-5))
-    budget = PrivacyBudget(epsilon=epsilon, delta=delta)
-    transcript = Transcript()
+    epsilon, delta = float(params["epsilon"]), float(params["delta"])
     report = glm_erm_run(
         data, flavor,
-        target_alpha=_float(params.get("target_alpha", 1.0)),
-        budget=budget, rng=derived_rng(seed, 2),
-        d_cap=int(params.get("d_cap", 8)),
-        iters=params.get("iters"),
-        sigma_safety=_float(params.get("sigma_safety", 4.0)),
-        transcript=transcript)
-    row = {"n": data.n, "p": data.dim, "d": report.d, "beta": report.beta,
-           "epsilon": epsilon, "delta": delta, "flavor": report.flavor,
-           "err_empirical": report.err_empirical,
-           "baseline_err": report.baseline_err,
-           "reals_per_player": report.reals_per_player}
-    return row, transcript
+        target_alpha=float(params["target_alpha"]),
+        budget=PrivacyBudget(epsilon=epsilon, delta=delta),
+        rng=derived_rng(seed, TAG_TRIAL_MECHANISM),
+        d_cap=int(params["d_cap"]), iters=params["iters"],
+        sigma_safety=float(params["sigma_safety"]), transcript=transcript)
+    return {"p": data.dim, "d": report.d, "beta": report.beta,
+            "epsilon": epsilon, "delta": delta, "flavor": report.flavor,
+            "err_empirical": report.err_empirical,
+            "baseline_err": report.baseline_err,
+            "reals_per_player": report.reals_per_player}
 
 
 def _all_disjunction_queries(p: int, k: int):
@@ -253,27 +283,22 @@ def _all_disjunction_queries(p: int, k: int):
             yield y
 
 
-def _trial_marginals(cfg: ExperimentConfig, params: dict, seed: int) -> tuple:
-    data = generate_dataset(params["dataset"], derived_seed(seed, 1))
+def _trial_marginals(data, params: dict, seed: int,
+                     transcript: Transcript) -> dict:
     if not isinstance(data, BinaryDataset):
         raise ConfigurationError("marginals need binary data")
-    k = int(params.get("k", 2))
-    gamma = _float(params.get("gamma", 0.05))
-    epsilon = _float(params.get("epsilon", 1.0))
-    budget = PrivacyBudget(epsilon=epsilon)
-    transcript = Transcript()
+    k, gamma = int(params["k"]), float(params["gamma"])
+    epsilon = float(params["epsilon"])
     table = marginals_release(
-        data, k, gamma, budget, derived_rng(seed, 2),
-        split_budget=bool(params.get("split_budget", False)),
-        transcript=transcript)
+        data, k, gamma, PrivacyBudget(epsilon=epsilon),
+        derived_rng(seed, TAG_TRIAL_MECHANISM),
+        split_budget=bool(params["split_budget"]), transcript=transcript)
     worst = 0.0
     for y in _all_disjunction_queries(data.dim, k):
         ans = marginals_answer(table, y)
         worst = max(worst, abs(ans.value - disjunction_truth(data, y)))
-    row = {"n": data.n, "p": data.dim, "k": k, "gamma": gamma,
-           "epsilon": epsilon, "max_query_error": worst,
-           "reals_per_player": table.dimension}
-    return row, transcript
+    return {"p": data.dim, "k": k, "gamma": gamma, "epsilon": epsilon,
+            "max_query_error": worst, "reals_per_player": table.dimension}
 
 
 def _gaussian_kernel(center: np.ndarray, bandwidth: float):
@@ -284,74 +309,106 @@ def _gaussian_kernel(center: np.ndarray, bandwidth: float):
     return f
 
 
-def _trial_smooth(cfg: ExperimentConfig, params: dict, seed: int) -> tuple:
-    data = generate_dataset(params["dataset"], derived_seed(seed, 1))
+def _trial_smooth(data, params: dict, seed: int,
+                  transcript: Transcript) -> dict:
     if isinstance(data, CubeDataset):
         data = BoxDataset(data.rows)  # cube entries are inside the box
     if not isinstance(data, BoxDataset):
         raise ConfigurationError("smooth queries need box data")
-    t = int(params.get("t", 8))
-    epsilon = _float(params.get("epsilon", 1.0))
-    budget = PrivacyBudget(epsilon=epsilon)
-    center = np.asarray(params.get("center", [0.25] * data.dim), dtype=float)
-    bandwidths = [
-        _float(b) for b in params.get("bandwidths", [1.0, 0.5])]
-    queries = [_gaussian_kernel(center, b) for b in bandwidths]
-    transcript = Transcript()
+    t = int(params["t"])
+    epsilon = float(params["epsilon"])
+    center = params["center"]
+    if center is None:  # the default depends on the data's dimension
+        center = [0.25] * data.dim
+    center = np.asarray(center, dtype=float)
+    queries = [_gaussian_kernel(center, float(b))
+               for b in params["bandwidths"]]
     _, answers = smooth_release_and_answer(
-        data, t, budget, queries, derived_rng(seed, 2),
-        transcript=transcript)
+        data, t, PrivacyBudget(epsilon=epsilon), queries,
+        derived_rng(seed, TAG_TRIAL_MECHANISM), transcript=transcript)
     worst = 0.0
     for f, ans in zip(queries, answers):
         truth = float(np.mean(f(data.rows)))
         worst = max(worst, abs(ans.value - truth))
-    row = {"n": data.n, "p": data.dim, "t": t, "epsilon": epsilon,
-           "max_query_error": worst, "reals_per_player": t ** data.dim}
-    return row, transcript
+    return {"p": data.dim, "t": t, "epsilon": epsilon,
+            "max_query_error": worst, "reals_per_player": t ** data.dim}
 
 
-def _trial_avg_bench(cfg: ExperimentConfig, params: dict, seed: int) -> tuple:
-    data = generate_dataset(params["dataset"], derived_seed(seed, 1))
+def _trial_avg_bench(data, params: dict, seed: int,
+                     transcript: Transcript) -> dict:
     if not isinstance(data, CubeDataset) or data.dim != 1:
         raise ConfigurationError("avg-bench needs 1-d cube data")
     values = data.rows[:, 0]
-    epsilon = _float(params.get("epsilon", 1.0))
-    budget = PrivacyBudget(epsilon=epsilon)
-    transcript = Transcript()
-    a = ldp_avg_1d(values, 1.0, budget, derived_rng(seed, 2),
+    epsilon = float(params["epsilon"])
+    a = ldp_avg_1d(values, 1.0, PrivacyBudget(epsilon=epsilon),
+                   derived_rng(seed, TAG_TRIAL_MECHANISM),
                    transcript=transcript)
-    row = {"n": data.n, "p": 1, "epsilon": epsilon,
-           "err_empirical": abs(a - float(values.mean())),
-           "bits_per_player": transcript.bits_per_player()}
-    return row, transcript
+    return {"p": 1, "epsilon": epsilon,
+            "err_empirical": abs(a - float(values.mean())),
+            "bits_per_player": transcript.bits_per_player()}
+
+
+# --- the mechanism table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    """Everything the harness knows about one mechanism.
+
+    ``families`` are the dataset families it accepts, ``params`` the params
+    a config may set, with their defaults, and ``run`` its executor.
+    """
+
+    families: tuple
+    params: dict
+    run: Callable
+
+
+_GRID_PARAMS = {"loss": "quadratic", "k": 8, "h": 1, "epsilon": 1.0,
+                "grid_cap": 200_000}
+_GLM_PARAMS = {"epsilon": 1.0, "delta": 1e-5, "target_alpha": 1.0,
+               "d_cap": 8, "iters": None, "sigma_safety": 4.0}
+
+MECHANISMS = {
+    "bernstein": Mechanism(("uniform-cube", "file"), _GRID_PARAMS,
+                           functools.partial(_trial_grid, onebit=False)),
+    "onebit": Mechanism(("uniform-cube", "file"), _GRID_PARAMS,
+                        functools.partial(_trial_grid, onebit=True)),
+    "hinge": Mechanism(("separable-two-class", "file"), _GLM_PARAMS,
+                       functools.partial(_trial_glm, general=False)),
+    "general-linear": Mechanism(("separable-two-class", "file"), _GLM_PARAMS,
+                                functools.partial(_trial_glm, general=True)),
+    "marginals": Mechanism(
+        ("bernoulli-bits", "file"),
+        {"k": 2, "gamma": 0.05, "epsilon": 1.0, "split_budget": False},
+        _trial_marginals),
+    "smooth-queries": Mechanism(
+        ("gaussian-ball-clipped", "uniform-cube", "file"),
+        {"t": 8, "epsilon": 1.0, "center": None, "bandwidths": (1.0, 0.5)},
+        _trial_smooth),
+    "avg-bench": Mechanism(("uniform-cube", "file"), {"epsilon": 1.0},
+                           _trial_avg_bench),
+}
 
 
 def run_trial(cfg: ExperimentConfig, cell_params: dict, cell_index: int,
               trial: int) -> tuple:
     """Execute one (cell, trial) on its own derived stream; never raises."""
     seed = derived_seed(cfg.seed, TAG_TRIAL, cell_index, trial)
-    params = dict(cell_params)
-    params["dataset"] = params.pop("_dataset")
+    mech = MECHANISMS[cfg.mechanism]
+    params = {**mech.params, **cell_params}
+    dataset = params.pop("_dataset")
     started = time.perf_counter()
     base = {c: "" for c in REPORT_COLUMNS}
     base.update(trial=trial, mechanism=cfg.mechanism,
-                family=params["dataset"].get("family", ""), seed=seed,
+                family=dataset.get("family", ""), seed=seed,
                 status="ok", error="")
     try:
-        if cfg.mechanism in ("bernstein", "onebit"):
-            row, transcript = _trial_bernstein(cfg, params, seed,
-                                               cfg.mechanism == "onebit")
-        elif cfg.mechanism in ("hinge", "general-linear"):
-            row, transcript = _trial_glm(cfg, params, seed,
-                                         cfg.mechanism == "general-linear")
-        elif cfg.mechanism == "marginals":
-            row, transcript = _trial_marginals(cfg, params, seed)
-        elif cfg.mechanism == "smooth-queries":
-            row, transcript = _trial_smooth(cfg, params, seed)
-        else:
-            row, transcript = _trial_avg_bench(cfg, params, seed)
-        base.update(row)
-        trow = {"trial": trial, "mechanism": cfg.mechanism, "n": row.get("n", ""),
+        data = generate_dataset(dataset,
+                                derived_seed(seed, TAG_TRIAL_DATASET))
+        transcript = Transcript()
+        base.update(mech.run(data, params, seed, transcript), n=data.n)
+        trow = {"trial": trial, "mechanism": cfg.mechanism, "n": data.n,
                 "messages": transcript.n_messages,
                 "bits_per_player": transcript.bits_per_player(),
                 "reals_per_player": transcript.reals_per_player()}
@@ -378,7 +435,7 @@ def _expand_sweep(cfg: ExperimentConfig):
         params = dict(cfg.params)
         dataset = dict(cfg.dataset)
         for key, value in zip(keys, combo):
-            if key in ("n", "dim", "margin", "q", "sigma"):
+            if key in DATASET_SWEEP_KEYS:
                 dataset[key] = value
             else:
                 params[key] = value
@@ -440,9 +497,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     worker count and scheduling order cannot change any number. Failures
     are recorded per row and the run keeps going.
     """
+    cells = _expand_sweep(cfg)
     out_dir = cfg.out or os.path.join("runs", cfg.mechanism)
     os.makedirs(out_dir, exist_ok=True)
-    cells = _expand_sweep(cfg)
     tasks = [(cfg, cell, ci, trial)
              for ci, cell in enumerate(cells)
              for trial in range(cfg.trials)]

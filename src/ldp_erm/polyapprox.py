@@ -225,14 +225,6 @@ class SmoothedPlus:
         return float(out) if out.ndim == 0 else out
 
 
-def smoothed_plus_value(beta: float, x):
-    return SmoothedPlus(beta).value(x)
-
-
-def smoothed_plus_deriv(beta: float, x):
-    return SmoothedPlus(beta).deriv(x)
-
-
 def hbeta_value(beta: float, x):
     """Smooth surrogate of the plus function: (x + sqrt(x^2 + beta^2)) / 2."""
     if not beta > 0:

@@ -1,11 +1,11 @@
 """Local-randomizer building blocks.
 
-Every protocol in this package reduces to a handful of primitives: Laplace
-and Gaussian draws, a private scalar average (each player reports her value
-plus Laplace noise and the server takes the mean), a private vector average
-(each player reports one uniformly chosen coordinate, scaled by the
-dimension), and a one-bit randomizer in which players compare their value
-against a shared public Laplace draw and send a single Bernoulli bit.
+Every protocol in this package reduces to a handful of primitives: a
+private scalar average (each player reports her value plus Laplace noise
+and the server takes the mean), a private vector average (each player
+reports one uniformly chosen coordinate, scaled by the dimension), and a
+one-bit randomizer in which players compare their value against a shared
+public Laplace draw and send a single Bernoulli bit.
 
 API sketch::
 
@@ -19,7 +19,7 @@ API sketch::
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,33 +58,6 @@ class PrivacyBudget:
         return PrivacyBudget(self.epsilon / parts, self.delta / parts if self.delta else 0.0)
 
 
-@dataclass(frozen=True)
-class PlayerValue:
-    """One player's scalar input, with the public bound it lies in."""
-
-    value: float
-    bound: float = 1.0
-
-    def __post_init__(self):
-        if not self.bound > 0:
-            raise ParameterError(f"bound must be positive, got {self.bound}")
-        if not 0.0 <= self.value <= self.bound:
-            raise ParameterError(
-                f"value {self.value} outside [0, {self.bound}]"
-            )
-
-
-@dataclass(frozen=True)
-class BitMessage:
-    """A single-bit player message."""
-
-    bit: int
-
-    def __post_init__(self):
-        if self.bit not in (0, 1):
-            raise ParameterError(f"bit must be 0 or 1, got {self.bit}")
-
-
 class PublicRandomness:
     """Shared Laplace draws, materialized lazily from a seed.
 
@@ -112,65 +85,22 @@ class PublicRandomness:
 
 @dataclass
 class Transcript:
-    """Message accounting for one protocol run.
+    """Message accounting for one protocol run."""
 
-    Counters are always kept; the per-player row dump is optional because a
-    run with 10^6 players does not want a 10^6-row list by default.
-    """
-
-    collect_rows: bool = False
     n_messages: int = 0
     total_bits: float = 0.0
     total_reals: float = 0.0
-    rows: list = field(default_factory=list)
 
-    def add_bulk(self, n: int, bits_per: float = 0.0, reals_per: float = 0.0,
-                 payloads=None):
+    def add_bulk(self, n: int, bits_per: float = 0.0, reals_per: float = 0.0):
         self.n_messages += int(n)
         self.total_bits += float(n) * (bits_per + reals_per * BITS_PER_REAL)
         self.total_reals += float(n) * reals_per
-        if self.collect_rows:
-            base = len(self.rows)
-            for i in range(int(n)):
-                payload = "" if payloads is None else _format_payload(payloads[i])
-                self.rows.append((base + i, bits_per + reals_per * BITS_PER_REAL, payload))
 
     def bits_per_player(self) -> float:
         return self.total_bits / self.n_messages if self.n_messages else 0.0
 
     def reals_per_player(self) -> float:
         return self.total_reals / self.n_messages if self.n_messages else 0.0
-
-    def write_csv(self, path):
-        if not self.collect_rows:
-            raise EstimationError("transcript was not collecting rows")
-        with open(path, "w") as fh:
-            fh.write("player_index,message_bits,payload\n")
-            for idx, bits, payload in self.rows:
-                fh.write(f"{idx},{_fmt(bits)},{payload}\n")
-
-
-def _format_payload(payload) -> str:
-    arr = np.atleast_1d(np.asarray(payload, dtype=float))
-    return ";".join(repr(float(v)) for v in arr)
-
-
-def _fmt(x: float) -> str:
-    return repr(int(x)) if float(x).is_integer() else repr(float(x))
-
-
-def laplace_draw(scale: float, rng: np.random.Generator) -> float:
-    """One centered Laplace draw with the given scale (mean 0, variance 2*scale^2)."""
-    if not scale > 0:
-        raise ParameterError(f"Laplace scale must be positive, got {scale}")
-    return float(rng.laplace(0.0, scale))
-
-
-def gaussian_draw(sigma: float, rng: np.random.Generator) -> float:
-    """One centered Gaussian draw with standard deviation ``sigma``."""
-    if not sigma > 0:
-        raise ParameterError(f"Gaussian sigma must be positive, got {sigma}")
-    return float(rng.normal(0.0, sigma))
 
 
 def laplace_logpdf(z, loc: float, scale: float):
@@ -211,7 +141,7 @@ def ldp_avg_1d(values, bound: float, budget: PrivacyBudget, rng: np.random.Gener
     else:
         reports = values + rng.laplace(0.0, bound / budget.epsilon, n)
     if transcript is not None:
-        transcript.add_bulk(n, reals_per=1.0, payloads=reports if transcript.collect_rows else None)
+        transcript.add_bulk(n, reals_per=1.0)
     return float(reports.mean())
 
 
@@ -273,34 +203,24 @@ def _onebit_probs(values: np.ndarray, ys: np.ndarray, epsilon: float) -> np.ndar
     return 0.5 * np.exp(-epsilon * (np.abs(ys - values) - np.abs(ys)))
 
 
-def _check_onebit_epsilon(epsilon: float):
+def check_onebit_epsilon(epsilon: float):
+    """Reject an epsilon the one-bit encoder cannot honour."""
     if not 0 < epsilon <= _EPS_MAX + 1e-15:
         raise ParameterError(
-            f"one-bit protocol requires 0 < epsilon <= ln 2, got {epsilon}"
-        )
-
-
-def onebit_encode(value: PlayerValue, y: float, epsilon: float,
-                  rng: np.random.Generator) -> tuple[BitMessage, float]:
-    """Encode one player's value as a single bit against the public draw ``y``.
-
-    The acceptance probability ``p = exp(-epsilon * (|y - v| - |y|)) / 2``
-    lies in [exp(-epsilon)/2, exp(epsilon)/2], which stays inside [0, 1]
-    because epsilon <= ln 2. Returns the bit and the probability it was
-    drawn with.
-    """
-    _check_onebit_epsilon(epsilon)
-    if value.bound != 1.0:
-        raise ParameterError("one-bit inputs must carry bound 1")
-    p = float(_onebit_probs(np.float64(value.value), np.float64(y), epsilon))
-    bit = int(rng.random() < p)
-    return BitMessage(bit), p
+            f"one-bit protocol requires 0 < eps <= ln 2, got {epsilon}")
 
 
 def onebit_encode_many(values, ys, epsilon: float, rng: np.random.Generator,
                        transcript: Transcript | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``onebit_encode`` for a block of players."""
-    _check_onebit_epsilon(epsilon)
+    """Encode each player's value in [0, 1] as one bit against its public draw.
+
+    Player i sends 1 with probability
+    ``p_i = exp(-epsilon * (|y_i - v_i| - |y_i|)) / 2``, which lies in
+    [exp(-epsilon)/2, exp(epsilon)/2] and so stays inside [0, 1] because
+    epsilon <= ln 2. A single player is a one-element block. Returns the
+    bits and the probabilities they were drawn with.
+    """
+    check_onebit_epsilon(epsilon)
     values = np.asarray(values, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if values.shape != ys.shape:
@@ -309,8 +229,7 @@ def onebit_encode_many(values, ys, epsilon: float, rng: np.random.Generator,
     probs = _onebit_probs(values, ys, epsilon)
     bits = (rng.random(values.shape) < probs).astype(np.int8)
     if transcript is not None:
-        transcript.add_bulk(values.size, bits_per=1.0,
-                            payloads=bits if transcript.collect_rows else None)
+        transcript.add_bulk(values.size, bits_per=1.0)
     return bits, probs
 
 

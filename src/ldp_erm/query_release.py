@@ -118,9 +118,10 @@ def _multinomial_factors(alphas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _support_masks(alphas: np.ndarray) -> np.ndarray:
-    weights = 1 << np.arange(alphas.shape[1], dtype=np.int64)
-    return ((alphas > 0) * weights).sum(axis=1)
+def _support_masks(vectors: np.ndarray) -> np.ndarray:
+    """Bitmask of the nonzero entries along the last axis."""
+    weights = 1 << np.arange(vectors.shape[-1], dtype=np.int64)
+    return ((vectors > 0) * weights).sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,22 +153,26 @@ def _expansion_pieces(p: int, orpoly: OrPolynomial, dim_cap: int):
     return alphas, per_alpha
 
 
+def _expand_rows(rows: np.ndarray, alphas: np.ndarray,
+                 per_alpha: np.ndarray) -> np.ndarray:
+    """(n, D) matrix of the rows' coefficient vectors.
+
+    By the multinomial theorem the y^alpha coefficient of
+    p_k(sum_j y_j row_j) is a_{|alpha|} * |alpha|!/prod(alpha_j!) when
+    supp(alpha) is inside the row's support and 0 otherwise, where a_m are
+    the monomial coefficients of the count polynomial.
+    """
+    inside = (_support_masks(alphas)[None, :]
+              & ~_support_masks(rows)[:, None]) == 0
+    return np.where(inside, per_alpha[None, :], 0.0)
+
+
 def marginals_player_expand(row: np.ndarray, orpoly: OrPolynomial,
                             dim_cap: int = 200_000) -> np.ndarray:
-    """Coefficient vector of p_k(sum_j y_j row_j) as a polynomial in y.
-
-    By the multinomial theorem the y^alpha coefficient is
-    a_{|alpha|} * |alpha|!/prod(alpha_j!) when supp(alpha) is inside the
-    row's support and 0 otherwise, where a_m are the monomial coefficients
-    of the count polynomial.
-    """
+    """Coefficient vector of p_k(sum_j y_j row_j) as a polynomial in y."""
     row = np.asarray(row)
-    p = row.shape[0]
-    alphas, per_alpha = _expansion_pieces(p, orpoly, dim_cap)
-    row_mask = int(((row > 0) * (1 << np.arange(p, dtype=np.int64))).sum())
-    amask = _support_masks(alphas)
-    inside = (amask & ~row_mask) == 0
-    return np.where(inside, per_alpha, 0.0)
+    alphas, per_alpha = _expansion_pieces(row.shape[0], orpoly, dim_cap)
+    return _expand_rows(row[None, :], alphas, per_alpha)[0]
 
 
 def evaluate_expansion(coeffs: np.ndarray, alphas: np.ndarray,
@@ -236,13 +241,8 @@ def marginals_release(data: BinaryDataset, k: int, gamma: float,
             f"shape (~{floor:.2e}); released answers may be noisy",
             SampleSizeWarning, stacklevel=2)
 
-    amask = _support_masks(alphas)
-    weights = 1 << np.arange(p, dtype=np.int64)
-    row_masks = (data.rows * weights).sum(axis=1)
-    inside = (amask[None, :] & ~row_masks[:, None]) == 0
-    matrix = np.where(inside, per_alpha[None, :], 0.0)
-
-    b = float(np.max(np.abs(per_alpha)))
+    matrix = _expand_rows(data.rows, alphas, per_alpha)
+    b = coefficient_bound(orpoly, p, dim_cap)
     sub_budget = budget.split(dim) if split_budget else budget
     means = _private_column_means(matrix + b, 2.0 * b, sub_budget, rng) - b
     if transcript is not None:
@@ -268,10 +268,8 @@ def marginals_answer(table: MarginalCoefficientTable,
         raise QueryClassError(
             f"query selects {support} attributes but the release only "
             f"covers up to k = {table.k}")
-    weights = 1 << np.arange(table.p, dtype=np.int64)
-    ymask = int(((y > 0) * weights).sum())
-    amask = _support_masks(table.alphas)
-    raw = float(table.values[(amask & ~ymask) == 0].sum())
+    inside = (_support_masks(table.alphas) & ~_support_masks(y)) == 0
+    raw = float(table.values[inside].sum())
     return QueryAnswer(raw=raw, value=float(np.clip(raw, 0.0, 1.0)))
 
 

@@ -9,17 +9,17 @@ identical draws regardless of evaluation order or worker count.
 
 import numpy as np
 
-# Stream tags. Each (tag, *indices) pair names one independent stream.
-TAG_AVG = 1          # per-grid-point averaging noise
+# Stream tags. Under one seed, each (tag, *indices) pair names one
+# independent stream.
 TAG_PARTITION = 2    # player partition shuffles
 TAG_PUBLIC = 3       # public randomness (shared Laplace draws)
 TAG_BITS = 4         # player-side Bernoulli bits
-TAG_OPTIMIZER = 5    # multi-start / mirror-descent internal draws
 TAG_DATASET = 6      # synthetic dataset generation
-TAG_ENCODE = 7       # per-player privatization noise
-TAG_SERVER = 8       # server-side resampling (player indices, shift draws)
-TAG_BASELINE = 9     # non-private baseline solvers
 TAG_TRIAL = 10       # harness trial streams
+
+# Sub-streams of one harness trial's seed
+TAG_TRIAL_DATASET = 1     # the trial's dataset
+TAG_TRIAL_MECHANISM = 2   # the mechanism's own randomness
 
 
 def derived_rng(seed: int, *key: int) -> np.random.Generator:

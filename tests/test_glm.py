@@ -18,7 +18,7 @@ from ldp_erm.glm_erm import (BallDataset, LossFlavor, ReplicaMessage,
                              hinge_via_general_flavor, replica_noise_stds)
 from ldp_erm.polyapprox import (SmoothedPlus, SubgradientSampler, abs_sampler,
                                 bernstein_poly_eval, hbeta_deriv,
-                                hinge_sampler, smoothed_plus_deriv)
+                                hinge_sampler)
 from ldp_erm.primitives import PrivacyBudget, Transcript
 from ldp_erm.rng import derived_rng
 from ldp_erm.sigm import SigmSchedule, sigm_run
@@ -107,8 +107,8 @@ def test_hinge_sample_d1_expansion():
         w /= max(1.0, np.linalg.norm(w))
         msg = glm_player_encode((x, y), NOISELESS, 1, rng)
         u = y * float(w @ x)
-        want = (smoothed_plus_deriv(beta, 0.0) * (1 - u)
-                + smoothed_plus_deriv(beta, 1.0) * u) * y * x
+        want = (SmoothedPlus(beta).deriv(0.0) * (1 - u)
+                + SmoothedPlus(beta).deriv(1.0) * u) * y * x
         got = hinge_gradient_sample(w, msg, cfg)
         assert np.max(np.abs(got - want)) < 1e-12
 

@@ -168,12 +168,13 @@ def test_grid_loss_excess_oracle():
 # --- configuration ------------------------------------------------------------
 
 
-def _write_config(path, **overrides):
-    cfg = {"mechanism": "avg-bench",
+_CONFIG = {"mechanism": "avg-bench",
            "dataset": {"family": "uniform-cube", "n": 200, "dim": 1},
            "params": {"epsilon": 1.0}, "sweep": {}, "trials": 3, "seed": 5}
-    cfg.update(overrides)
-    path.write_text(json.dumps(cfg))
+
+
+def _write_config(path, **overrides):
+    path.write_text(json.dumps({**_CONFIG, **overrides}))
     return path
 
 
@@ -195,8 +196,42 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(mechanism="teleport", dataset={"family": "uniform-cube"})
     with pytest.raises(ConfigurationError):
+        ExperimentConfig(mechanism=["avg-bench"],
+                         dataset={"family": "uniform-cube"})
+    with pytest.raises(ConfigurationError):
         ExperimentConfig(mechanism="marginals",
                          dataset={"family": "uniform-cube", "n": 10})
+
+
+def test_config_rejects_undeclared_params():
+    dataset = {"family": "uniform-cube", "n": 10, "dim": 1}
+    with pytest.raises(ConfigurationError, match="accepted: epsilon$"):
+        ExperimentConfig(mechanism="avg-bench", dataset=dataset,
+                         params={"epsilonn": 5})
+    with pytest.raises(ConfigurationError, match="'epsilom'"):
+        ExperimentConfig(mechanism="avg-bench", dataset=dataset,
+                         sweep={"epsilom": [1.0, 2.0]})
+    with pytest.raises(ConfigurationError, match="'loss'"):
+        ExperimentConfig(mechanism="hinge",
+                         dataset={"family": "separable-two-class", "n": 10},
+                         params={"loss": "quartic"})
+    # data keys sweep the dataset, not the params
+    ExperimentConfig(mechanism="avg-bench", dataset=dataset,
+                     sweep={"n": [10, 20]})
+
+
+def test_config_rejects_nonintegral_counts():
+    cube = {"family": "uniform-cube", "n": 10, "dim": 1}
+    for params, sweep in [({"k": 8.7}, {}), ({"k": "8"}, {}),
+                          ({"k": True}, {}), ({}, {"h": [1, 2.5]})]:
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            ExperimentConfig(mechanism="bernstein", dataset=cube,
+                             params=params, sweep=sweep)
+    ExperimentConfig(mechanism="bernstein", dataset=cube,
+                     params={"k": 8.0, "grid_cap": 100})
+    ExperimentConfig(mechanism="hinge",
+                     dataset={"family": "separable-two-class", "n": 10},
+                     params={"iters": None}, sweep={"d_cap": [2, 3]})
 
 
 def test_set_overrides(tmp_path):
@@ -391,6 +426,35 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     code = cli.main(["marginals", "--config", str(bad)])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, argv", [
+    (_CONFIG, ["--seed", "-1"]),
+    (_CONFIG, ["--workers", "0"]),
+    (_CONFIG, ["--set", "trials=abc"]),
+    (_CONFIG, ["--set", "trials=2.5"]),
+    (_CONFIG, ["--set", "seed=1.5"]),
+    (_CONFIG, ["--set", "workers=2.5"]),
+    (_CONFIG, ["--set", "params.epsilonn=5"]),
+    (_CONFIG, ["--set", "sweep.epsilom=[1,2]"]),
+    (_CONFIG, ["--set", "sweep.epsilon=2"]),
+    (_CONFIG, ["--set", "mechanism=bernstein", "--set", "params.k=8.7"]),
+    ({**_CONFIG, "seed": -3}, []),
+    ({**_CONFIG, "trials": "2"}, []),
+    ({**_CONFIG, "dataset": "uniform-cube"}, []),
+    ({**_CONFIG, "params": [1.0]}, []),
+    ({**_CONFIG, "sweep": "epsilon"}, []),
+    ([_CONFIG], []),
+])
+def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    code = cli.main(["avg-bench", "--config", str(path), "--out", str(out),
+                     *argv])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any trial ran
 
 
 def test_cli_failures_are_exit_3(tmp_path, capsys):

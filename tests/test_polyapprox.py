@@ -16,8 +16,7 @@ from ldp_erm.polyapprox import (BernsteinOperatorSpec, ChebyshevSeries,
                                 chebyshev_series_fit, hbeta_deriv, hbeta_value,
                                 hinge_sampler, iterated_basis_weights,
                                 iterated_bernstein_eval, lemma40_reconstruct,
-                                sample_q_many, smoothed_plus_deriv,
-                                smoothed_plus_value)
+                                sample_q_many)
 from ldp_erm.rng import derived_rng
 
 
@@ -168,9 +167,9 @@ def test_smoothed_plus_derivative_fd():
     rng = derived_rng(3)
     beta = 0.3
     for x in rng.uniform(-1.5, 1.5, 100):
-        fd = (smoothed_plus_value(beta, x + 1e-6)
-              - smoothed_plus_value(beta, x - 1e-6)) / 2e-6
-        assert abs(smoothed_plus_deriv(beta, x) - fd) < 1e-6
+        fd = (SmoothedPlus(beta).value(x + 1e-6)
+              - SmoothedPlus(beta).value(x - 1e-6)) / 2e-6
+        assert abs(SmoothedPlus(beta).deriv(x) - fd) < 1e-6
 
 
 def test_hbeta_basics():
@@ -191,7 +190,7 @@ def test_hinge_deriv_is_shifted_hbeta_deriv():
     # constant, which is what lets the hinge ride the general pipeline
     beta = 0.17
     xs = derived_rng(5).uniform(-1, 1, 200)
-    lhs = smoothed_plus_deriv(beta, xs)
+    lhs = SmoothedPlus(beta).deriv(xs)
     rhs = hbeta_deriv(beta, xs - 0.5) - 1.0
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
