@@ -14,16 +14,16 @@ and minimizes it over the constraint set.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import (ClippingWarning, ConfigurationError, EstimationError,
                      ParameterError, SampleSizeWarning)
 from .geometry import BallConstraint, BoxConstraint
-from .polyapprox import (BernsteinOperatorSpec, iterated_basis_weights,
-                         iterated_bernstein_eval)
+from .polyapprox import (BernsteinOperatorSpec, contract_grid,
+                         iterated_basis_weights, iterated_bernstein_eval)
 from .primitives import (PrivacyBudget, PublicRandomness, Transcript,
                          check_onebit_epsilon, ldp_avg_1d, onebit_decode,
                          onebit_encode_many)
@@ -128,26 +128,51 @@ class BernsteinModel:
             raise ParameterError(
                 f"grid shape {self.grid_values.shape}, expected {expect}")
 
+    def values(self, ys) -> np.ndarray:
+        """Surrogate values at the rows of an (m, p) array, shape (m,)."""
+        return iterated_bernstein_eval(self.grid_values, self.spec,
+                                       np.asarray(ys, dtype=float))
+
+    def grads(self, ys) -> np.ndarray:
+        """Surrogate gradients at the rows of an (m, p) array, (m, p)."""
+        ys = np.asarray(ys, dtype=float)
+        k, h, p = self.spec.k, self.spec.h, self.spec.p
+        if ys.ndim != 2 or ys.shape[1] != p:
+            raise ParameterError(
+                f"points have shape {ys.shape}, expected (m, {p})")
+        m = len(ys)
+        ws = iterated_basis_weights(k, h, ys)
+        dws = iterated_basis_weights(k, h, ys, derivative=True)
+        # row block a differentiates along axis a: one contraction for all
+        rows = np.tile(ws, (p, 1, 1))
+        for a in range(p):
+            rows[a * m:(a + 1) * m, a] = dws[:, a]
+        return contract_grid(self.grid_values, rows).reshape(p, m).T
+
     def value(self, y) -> float:
-        return iterated_bernstein_eval(self.grid_values, self.spec, y)
+        return float(self.values(_one_row(y))[0])
 
     def __call__(self, y) -> float:
         return self.value(y)
 
     def grad(self, y) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        k, h, p = self.spec.k, self.spec.h, self.spec.p
-        ws = [iterated_basis_weights(k, h, float(y[j])) for j in range(p)]
-        dws = [iterated_basis_weights(k, h, float(y[j]), derivative=True)
-               for j in range(p)]
-        out = np.empty(p)
-        for axis in range(p):
-            cur = self.grid_values
-            for j in range(p):
-                vec = dws[j] if j == axis else ws[j]
-                cur = np.tensordot(vec, cur, axes=(0, 0))
-            out[axis] = float(cur)
-        return out
+        return self.grads(_one_row(y))[0]
+
+
+def _one_row(y) -> np.ndarray:
+    return np.atleast_1d(np.asarray(y, dtype=float))[None, :]
+
+
+@lru_cache(maxsize=None)
+def _sobol_starts(p: int, starts: int) -> np.ndarray:
+    """The first ``starts`` points of the unscrambled Sobol sequence in p-d."""
+    # scipy.stats takes longer to import than the rest of the package, and
+    # only the grid minimiser needs it
+    from scipy.stats import qmc
+    sob = qmc.Sobol(d=p, scramble=False)
+    raw = sob.random(max(2, 1 << max(1, (starts - 1).bit_length())))[:starts]
+    raw.setflags(write=False)
+    return raw
 
 
 def minimize_model(model: BernsteinModel, constraint: Constraint,
@@ -155,48 +180,49 @@ def minimize_model(model: BernsteinModel, constraint: Constraint,
     """Minimize the surrogate over a box or ball inside [0,1]^p.
 
     Projected gradient descent with backtracking from a low-discrepancy set
-    of starts, followed by coordinate line-search sweeps around the best
-    point. The surrogate is generally non-convex, so this is a best-effort
-    global search; it always returns a feasible point.
+    of starts plus the centre, followed by coordinate line-search sweeps
+    around the best point. The surrogate is generally non-convex, so this
+    is a best-effort global search; it always returns a feasible point.
+
+    All starts descend in lockstep, each with its own step: per iteration
+    one batched gradient and one batched value over the starts still
+    running. A step is accepted on a strict decrease (then grown by 1.25,
+    at most 1.0) and halved otherwise; a start stops once its step falls
+    below 1e-7 or after ``gd_iters`` iterations.
     """
     p = model.spec.p
-    sob = qmc.Sobol(d=p, scramble=False)
-    raw = sob.random(max(2, 1 << max(1, (starts - 1).bit_length())))[:starts]
-    cands = [constraint.project(r) for r in raw]
-    cands.append(np.asarray(constraint.center(), dtype=float))
+    xs = np.vstack([constraint.project(_sobol_starts(p, starts)),
+                    constraint.center()])
+    fs = model.values(xs)
+    step = np.full(len(xs), 0.25)
+    running = np.arange(len(xs))
+    for _ in range(gd_iters):
+        if not running.size:
+            break
+        x = xs[running]
+        x_new = constraint.project(
+            x - step[running, None] * model.grads(x))
+        f_new = model.values(x_new)
+        better = f_new < fs[running] - 1e-15
+        won, lost = running[better], running[~better]
+        xs[won], fs[won] = x_new[better], f_new[better]
+        step[won] = np.minimum(step[won] * 1.25, 1.0)
+        step[lost] *= 0.5
+        running = running[step[running] >= 1e-7]
+    best = int(np.argmin(fs))  # the first start among ties
+    best_x, best_f = xs[best], fs[best]
 
-    best_x, best_f = None, math.inf
-    for start in cands:
-        x = np.asarray(start, dtype=float)
-        f = model.value(x)
-        step = 0.25
-        for _ in range(gd_iters):
-            g = model.grad(x)
-            x_new = constraint.project(x - step * g)
-            f_new = model.value(x_new)
-            if f_new < f - 1e-15:
-                x, f = x_new, f_new
-                step = min(step * 1.25, 1.0)
-            else:
-                step *= 0.5
-                if step < 1e-7:
-                    break
-        if f < best_f:
-            best_x, best_f = x, f
-
-    # coordinate refinement around the champion
-    x = best_x
+    # coordinate refinement around the champion, 41 offsets per batch
     for width in (0.05, 0.005):
+        offsets = np.linspace(-width, width, 41)
         for axis in range(p):
-            offsets = np.linspace(-width, width, 41)
-            for t in offsets:
-                cand = x.copy()
-                cand[axis] += t
-                cand = constraint.project(cand)
-                f_cand = model.value(cand)
-                if f_cand < best_f:
-                    best_x, best_f = cand, f_cand
-            x = best_x
+            cands = np.repeat(best_x[None, :], len(offsets), axis=0)
+            cands[:, axis] += offsets
+            cands = constraint.project(cands)
+            f_cands = model.values(cands)
+            i = int(np.argmin(f_cands))
+            if f_cands[i] < best_f:
+                best_x, best_f = cands[i], f_cands[i]
     return best_x
 
 

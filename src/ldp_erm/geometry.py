@@ -19,6 +19,7 @@ class BoxConstraint:
             raise ValueError(f"empty box: lo={self.lo}, hi={self.hi}")
 
     def project(self, w: np.ndarray) -> np.ndarray:
+        """Clip a point, or each row of an (m, dim) array, into the box."""
         return np.clip(w, self.lo, self.hi)
 
     @property
@@ -56,8 +57,17 @@ class BallConstraint:
         return self._center.copy()
 
     def project(self, w: np.ndarray) -> np.ndarray:
+        """Project a point, or each row of an (m, dim) array, onto the ball."""
         d = w - self._center
-        nrm = math.sqrt(d @ d)  # what np.linalg.norm computes for a vector
-        if nrm <= self.radius:
-            return np.asarray(w, dtype=float)
-        return self._center + d * (self.radius / nrm)
+        if d.ndim == 1:
+            nrm = math.sqrt(d @ d)  # what np.linalg.norm computes for a vector
+            if nrm <= self.radius:
+                return np.asarray(w, dtype=float)
+            return self._center + d * (self.radius / nrm)
+        # a stack of 1 x dim @ dim x 1 products takes the same dot kernel
+        # per row as the 1-d path, so every row is projected bit-identically
+        nrm = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        out = np.array(w, dtype=float)
+        far = nrm > self.radius
+        out[far] = self._center + d[far] * (self.radius / nrm[far])[:, None]
+        return out

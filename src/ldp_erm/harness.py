@@ -162,8 +162,11 @@ def apply_set_overrides(cfg: ExperimentConfig, sets) -> ExperimentConfig:
             mut[head][tail] = value
         elif head in ("trials", "seed", "workers"):
             mut[head] = value  # type-checked by ExperimentConfig
-        elif head in ("out", "mechanism"):
+        elif head == "out":
             mut[head] = str(value)
+        elif head == "mechanism":
+            raise ConfigurationError(
+                "the mechanism is chosen on the command line, not by --set")
         else:
             raise ConfigurationError(f"cannot override {key!r}")
     return replace(cfg, **mut)
@@ -372,7 +375,9 @@ _GLM_PARAMS = {"epsilon": 1.0, "delta": 1e-5, "target_alpha": 1.0,
 MECHANISMS = {
     "bernstein": Mechanism(("uniform-cube", "file"), _GRID_PARAMS,
                            functools.partial(_trial_grid, onebit=False)),
-    "onebit": Mechanism(("uniform-cube", "file"), _GRID_PARAMS,
+    # one-bit messages need epsilon <= ln 2
+    "onebit": Mechanism(("uniform-cube", "file"),
+                        {**_GRID_PARAMS, "epsilon": 0.5},
                         functools.partial(_trial_grid, onebit=True)),
     "hinge": Mechanism(("separable-two-class", "file"), _GLM_PARAMS,
                        functools.partial(_trial_glm, general=False)),
@@ -481,13 +486,16 @@ class RunResult:
 
 def default_workers() -> int:
     env = os.environ.get("LDP_ERM_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(
-                f"LDP_ERM_WORKERS must be an integer, got {env!r}") from None
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(
+            f"LDP_ERM_WORKERS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -498,12 +506,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     are recorded per row and the run keeps going.
     """
     cells = _expand_sweep(cfg)
+    workers = cfg.workers if cfg.workers is not None else default_workers()
     out_dir = cfg.out or os.path.join("runs", cfg.mechanism)
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(cfg, cell, ci, trial)
              for ci, cell in enumerate(cells)
              for trial in range(cfg.trials)]
-    workers = cfg.workers if cfg.workers is not None else default_workers()
     results = []
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -63,37 +63,45 @@ def bernstein_basis(v: int, k: int, x):
     return float(out) if out.ndim == 0 else out
 
 
-def bernstein_basis_vector(k: int, x: float) -> np.ndarray:
-    """All k+1 basis values at x, computed by the degree recurrence."""
-    b = np.zeros(k + 1)
-    b[0] = 1.0
-    for deg in range(1, k + 1):
-        b[1:deg + 1] = b[1:deg + 1] * (1.0 - x) + b[0:deg] * x
-        b[0] *= 1.0 - x
+def _padded_basis(k: int, x: np.ndarray) -> np.ndarray:
+    # x.shape + (k+3,): a zero, the k+1 basis values at x, a zero
+    b = np.zeros(x.shape + (k + 3,))
+    b[..., 1] = 1.0
+    x = x[..., None]
+    omx = 1.0 - x
+    for _ in range(k):
+        # degree recurrence b_v <- b_v (1-x) + b_{v-1} x; the zero pads and
+        # the not yet reached entries stay zero
+        b[..., 1:-1] = b[..., 1:-1] * omx + b[..., :-2] * x
     return b
 
 
-def bernstein_basis_vector_deriv(k: int, x: float) -> np.ndarray:
-    """Derivatives of all k+1 basis polynomials at x."""
+def bernstein_basis_vector(k: int, x) -> np.ndarray:
+    """All k+1 basis values at x, computed by the degree recurrence.
+
+    A scalar x gives shape (k+1,); an array of x gives x.shape + (k+1,),
+    each point by the same elementwise recurrence.
+    """
+    return _padded_basis(k, np.asarray(x, dtype=float))[..., 1:-1]
+
+
+def bernstein_basis_vector_deriv(k: int, x) -> np.ndarray:
+    """Derivatives of all k+1 basis polynomials at x (shaped as above)."""
+    x = np.asarray(x, dtype=float)
     if k == 0:
-        return np.zeros(1)
-    lower = bernstein_basis_vector(k - 1, x)
-    d = np.zeros(k + 1)
-    d[0] = -k * lower[0]
-    d[k] = k * lower[k - 1]
-    for v in range(1, k):
-        d[v] = k * (lower[v - 1] - lower[v])
-    return d
+        return np.zeros(x.shape + (1,))
+    lower = _padded_basis(k - 1, x)
+    return k * (lower[..., :-1] - lower[..., 1:])
 
 
 @lru_cache(maxsize=64)
 def _node_matrix(k: int) -> np.ndarray:
     # N[u, v] = b_{v,k}(u / k): applying the operator to grid data is N @ data
     nodes = np.arange(k + 1) / k if k else np.zeros(1)
-    return np.stack([bernstein_basis_vector(k, x) for x in nodes])
+    return bernstein_basis_vector(k, nodes)
 
 
-def iterated_basis_weights(k: int, h: int, x: float,
+def iterated_basis_weights(k: int, h: int, x,
                            derivative: bool = False) -> np.ndarray:
     """Grid weights of the iterated operator along one axis.
 
@@ -101,7 +109,7 @@ def iterated_basis_weights(k: int, h: int, x: float,
     from expanding ``I - (I - B_k)^h`` into powers of the one-step operator:
     ``w(x) = sum_{i=1}^{h} C(h,i) (-1)^(i-1) b(x)^T N^(i-1)``.
     With ``derivative=True`` the basis vector is replaced by its derivative,
-    giving d/dx of the same weights.
+    giving d/dx of the same weights. An array of x gives x.shape + (k+1,).
     """
     base = (bernstein_basis_vector_deriv(k, x) if derivative
             else bernstein_basis_vector(k, x))
@@ -111,33 +119,55 @@ def iterated_basis_weights(k: int, h: int, x: float,
     cur = base
     acc = math.comb(h, 1) * cur
     for i in range(2, h + 1):
-        cur = cur @ mat
+        # one vector-matrix product per point, so a point's weights do not
+        # depend on how many points share the call
+        cur = np.matmul(cur[..., None, :], mat)[..., 0, :]
         acc = acc + (-1) ** (i - 1) * math.comb(h, i) * cur
     return acc
 
 
+def contract_grid(grid_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_v grid[v] * prod_j weights[i, j, v_j]`` for each row i.
+
+    ``grid_values`` has shape (k+1,) * p and ``weights`` shape (m, p, k+1),
+    one weight vector per row and axis; the result has shape (m,). Each row
+    is contracted by its own vector-matrix products, so a row's value does
+    not depend on the other rows.
+    """
+    m, p, size = weights.shape
+    cur = grid_values.reshape(1, -1)
+    for j in range(p):
+        cur = np.matmul(weights[:, j, None, :],
+                        cur.reshape(len(cur), size, -1)).reshape(m, -1)
+    return cur[:, 0]
+
+
 def iterated_bernstein_eval(grid_values: np.ndarray, spec: BernsteinOperatorSpec,
-                            y) -> float:
-    """Evaluate the iterated operator of gridded data at a point in [0,1]^p.
+                            y):
+    """Evaluate the iterated operator of gridded data at points in [0,1]^p.
 
     ``grid_values`` holds f on the uniform grid {0, 1/k, ..., 1}^p as an
     array of shape (k+1,) * p; the multivariate operator is the tensor
-    product of the per-axis weights.
+    product of the per-axis weights. A point of shape (p,) gives a float,
+    an (m, p) array of points gives shape (m,).
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = np.asarray(y, dtype=float)
     if grid_values.shape != (spec.k + 1,) * spec.p:
         raise ParameterError(
             f"grid shape {grid_values.shape} does not match spec {spec}"
         )
-    if y.shape != (spec.p,):
-        raise ParameterError(f"point has dim {y.shape}, expected ({spec.p},)")
-    if np.any(y < -1e-12) or np.any(y > 1.0 + 1e-12):
-        raise ParameterError(f"evaluation point {y} is outside [0, 1]^{spec.p}")
-    cur = grid_values
-    for j in range(spec.p):
-        w = iterated_basis_weights(spec.k, spec.h, float(y[j]))
-        cur = np.tensordot(w, cur, axes=(0, 0))
-    return float(cur)
+    rows = y.reshape(1, -1) if y.ndim <= 1 else y
+    if rows.ndim != 2 or rows.shape[1] != spec.p:
+        raise ParameterError(
+            f"points have shape {y.shape}, expected ({spec.p},) or "
+            f"(m, {spec.p})")
+    outside = np.any((rows < -1e-12) | (rows > 1.0 + 1e-12), axis=1)
+    if outside.any():
+        raise ParameterError(f"evaluation point {rows[outside][0]} is "
+                             f"outside [0, 1]^{spec.p}")
+    vals = contract_grid(grid_values,
+                         iterated_basis_weights(spec.k, spec.h, rows))
+    return float(vals[0]) if y.ndim <= 1 else vals
 
 
 # --- Chebyshev ---------------------------------------------------------------

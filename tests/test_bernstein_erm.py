@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from ldp_erm.bernstein_erm import (BernsteinModel, CubeDataset,
                                    GridProtocolConfig, alg2_run, alg3_run,
@@ -11,7 +12,7 @@ from ldp_erm.bernstein_erm import (BernsteinModel, CubeDataset,
 from ldp_erm.errors import (ClippingWarning, ConfigurationError,
                             EstimationError, ParameterError,
                             SampleSizeWarning)
-from ldp_erm.geometry import BoxConstraint
+from ldp_erm.geometry import BallConstraint, BoxConstraint
 from ldp_erm.harness import grid_loss_excess, make_grid_loss
 from ldp_erm.polyapprox import BernsteinOperatorSpec
 from ldp_erm.primitives import PrivacyBudget, Transcript
@@ -167,6 +168,101 @@ def test_model_gradient_matches_fd():
             e[ax] = 1e-6
             fd = (model(y + e) - model(y - e)) / 2e-6
             assert abs(g[ax] - fd) < 1e-5
+
+
+def _per_start_minimize(model, constraint, starts=32, gd_iters=120):
+    """The minimiser written one start and one point at a time."""
+    p = model.spec.p
+    sob = qmc.Sobol(d=p, scramble=False)
+    raw = sob.random(max(2, 1 << max(1, (starts - 1).bit_length())))[:starts]
+    cands = [constraint.project(r) for r in raw]
+    cands.append(np.asarray(constraint.center(), dtype=float))
+    best_x, best_f = None, math.inf
+    for start in cands:
+        x = np.asarray(start, dtype=float)
+        f = model.value(x)
+        step = 0.25
+        for _ in range(gd_iters):
+            x_new = constraint.project(x - step * model.grad(x))
+            f_new = model.value(x_new)
+            if f_new < f - 1e-15:
+                x, f = x_new, f_new
+                step = min(step * 1.25, 1.0)
+            else:
+                step *= 0.5
+                if step < 1e-7:
+                    break
+        if f < best_f:
+            best_x, best_f = x, f
+    x = best_x
+    for width in (0.05, 0.005):
+        for axis in range(p):
+            for t in np.linspace(-width, width, 41):
+                cand = x.copy()
+                cand[axis] += t
+                cand = constraint.project(cand)
+                f_cand = model.value(cand)
+                if f_cand < best_f:
+                    best_x, best_f = cand, f_cand
+            x = best_x
+    return best_x
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["box", "ball"])
+def test_minimize_matches_per_start_reference(p, h, shape):
+    k = 6 if p < 3 else 4
+    rng = derived_rng(11, p, h)
+    # a smooth bowl plus noise, like a released grid: several local minima
+    nodes = grid_points(k, p)
+    bowl = ((nodes - 0.4) ** 2).sum(axis=1)
+    grid = (bowl + 0.3 * rng.random(len(nodes))).reshape((k + 1,) * p)
+    model = BernsteinModel(BernsteinOperatorSpec(k=k, h=h, p=p), grid)
+    constraint = (BoxConstraint(0.0, 1.0, p) if shape == "box" else
+                  BallConstraint((0.6, 0.45, 0.55)[:p], 0.3))
+    want = _per_start_minimize(model, constraint)
+    got = minimize_model(model, constraint)
+    assert np.max(np.abs(got - want)) <= 1e-6
+    assert model(got) <= model(want) + 1e-9
+    # a row of a batched call is the one-row call, bit for bit, so the
+    # lockstep search retraces every start exactly
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("constraint", [
+    BoxConstraint(0.0, 1.0, 2), BallConstraint((0.6, 0.45), 0.3)])
+def test_minimize_flat_model_keeps_first_start(constraint):
+    # every start ties: no step, no refinement candidate improves strictly,
+    # so the first start (the first Sobol point, projected) wins
+    model = BernsteinModel(BernsteinOperatorSpec(k=4, h=2, p=2),
+                           np.zeros((5, 5)))
+    got = minimize_model(model, constraint)
+    assert np.array_equal(got, constraint.project(np.zeros(2)))
+
+
+def test_model_rows_equal_one_row_calls():
+    rng = derived_rng(12)
+    for p, h in ((1, 1), (2, 2), (3, 3)):
+        grid = rng.random((5,) * p)
+        model = BernsteinModel(BernsteinOperatorSpec(k=4, h=h, p=p), grid)
+        ys = rng.random((33, p))
+        values, grads = model.values(ys), model.grads(ys)
+        assert values.shape == (33,) and grads.shape == (33, p)
+        for y, v, g in zip(ys, values, grads):
+            assert v == model.value(y)
+            assert np.array_equal(g, model.grad(y))
+
+
+def test_model_rejects_points_outside_cube():
+    model = BernsteinModel(BernsteinOperatorSpec(k=4, h=2, p=2),
+                           np.zeros((5, 5)))
+    with pytest.raises(ParameterError):
+        model.value([0.5, 1.01])
+    with pytest.raises(ParameterError):
+        model.values(np.array([[0.5, 0.5], [-0.01, 0.5]]))
+    with pytest.raises(ParameterError):
+        model.grads(np.array([0.5, 0.5]))  # one point, not a row of points
 
 
 # --- one-bit protocol -------------------------------------------------------------

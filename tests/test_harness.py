@@ -342,6 +342,18 @@ def test_partial_failures_recorded(tmp_path):
     assert "k=12" in by_status["ParameterError"][0]["error"]
 
 
+def test_onebit_default_epsilon_runs(tmp_path):
+    # a onebit config that names no epsilon gets a valid one-bit budget
+    cfg = ExperimentConfig(
+        mechanism="onebit",
+        dataset={"family": "uniform-cube", "n": 2000, "dim": 1},
+        params={"k": 4}, trials=2, seed=3, out=str(tmp_path / "run"))
+    result = run_experiment(cfg)
+    assert result.failures == 0
+    assert [row["status"] for row in result.rows] == ["ok", "ok"]
+    assert all(float(row["epsilon"]) == 0.5 for row in result.rows)
+
+
 @pytest.mark.parametrize("mechanism, dataset, params", [
     ("bernstein", {"family": "uniform-cube", "n": 200, "dim": 1},
      {"k": 4}),
@@ -439,6 +451,8 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     (_CONFIG, ["--set", "sweep.epsilom=[1,2]"]),
     (_CONFIG, ["--set", "sweep.epsilon=2"]),
     (_CONFIG, ["--set", "mechanism=bernstein", "--set", "params.k=8.7"]),
+    (_CONFIG, ["--set", "mechanism=bernstein"]),
+    (_CONFIG, ["--set", "mechanism=avg-bench"]),
     ({**_CONFIG, "seed": -3}, []),
     ({**_CONFIG, "trials": "2"}, []),
     ({**_CONFIG, "dataset": "uniform-cube"}, []),
@@ -455,6 +469,22 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()  # rejected before any trial ran
+
+
+@pytest.mark.parametrize("env", ["0", "-2", "two"])
+def test_cli_rejects_bad_worker_env_with_exit_2(tmp_path, capsys,
+                                                monkeypatch, env):
+    monkeypatch.setenv("LDP_ERM_WORKERS", env)
+    path = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "run"
+    code = cli.main(["avg-bench", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert "LDP_ERM_WORKERS" in capsys.readouterr().err
+    assert not out.exists()
+    # an explicit worker count does not read the variable
+    code = cli.main(["avg-bench", "--config", str(path), "--out", str(out),
+                     "--workers", "1"])
+    assert code == 0
 
 
 def test_cli_failures_are_exit_3(tmp_path, capsys):

@@ -105,6 +105,41 @@ def test_point_validation():
         iterated_bernstein_eval(np.zeros(4), spec, [0.5])
 
 
+def test_batched_weights_rows_equal_scalar_calls():
+    xs = np.concatenate([[0.0, 1.0, 0.5], derived_rng(8).random(17)])
+    for k in (1, 4, 8):
+        for h in (1, 2, 3):
+            for derivative in (False, True):
+                rows = iterated_basis_weights(k, h, xs, derivative=derivative)
+                assert rows.shape == (len(xs), k + 1)
+                for x, row in zip(xs, rows):
+                    want = iterated_basis_weights(k, h, float(x),
+                                                  derivative=derivative)
+                    assert np.array_equal(row, want)
+        grid = iterated_basis_weights(k, 2, xs.reshape(4, 5, 1))
+        assert grid.shape == (4, 5, 1, k + 1)
+        assert np.array_equal(grid.reshape(len(xs), k + 1),
+                              iterated_basis_weights(k, 2, xs))
+
+
+def test_batched_eval_matches_points_and_validates():
+    spec = BernsteinOperatorSpec(k=3, h=2, p=2)
+    grid = derived_rng(9).random((4, 4))
+    ys = derived_rng(10).random((7, 2))
+    vals = iterated_bernstein_eval(grid, spec, ys)
+    assert vals.shape == (7,)
+    for y, v in zip(ys, vals):
+        assert v == iterated_bernstein_eval(grid, spec, y)
+    outside = ys.copy()
+    outside[4, 1] = 1.0 + 1e-9
+    with pytest.raises(ParameterError, match="outside"):
+        iterated_bernstein_eval(grid, spec, outside)
+    with pytest.raises(ParameterError):
+        iterated_bernstein_eval(grid, spec, ys[:, :1])
+    with pytest.raises(ParameterError):
+        iterated_bernstein_eval(grid, spec, ys.reshape(7, 2, 1))
+
+
 # --- Chebyshev ------------------------------------------------------------------
 
 

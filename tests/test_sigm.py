@@ -68,6 +68,19 @@ def test_ball_projection_off_origin():
     assert np.array_equal(ball.project(center + 1e-3), center + 1e-3)
 
 
+def test_ball_projection_rows_equal_one_row_projection():
+    rng = derived_rng(5)
+    for dim in (1, 2, 3, 5, 9):
+        center = rng.normal(0.0, 2.0, dim)
+        ball = BallConstraint(tuple(center), 0.7)
+        rows = center + rng.normal(0.0, 0.6, (50, dim))
+        rows[0] = center  # the centre itself stays put
+        got = ball.project(rows)
+        assert got.shape == rows.shape
+        for w, row in zip(rows, got):
+            assert np.array_equal(row, ball.project(w))
+
+
 def test_schedule_validation():
     with pytest.raises(ParameterError):
         SigmSchedule(sigma=-1.0, radius=1.0)
