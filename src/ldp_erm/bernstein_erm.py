@@ -66,6 +66,24 @@ class GridProtocolConfig:
     constraint: Optional[Constraint] = None
     grid_cap: int = 200_000
 
+    def __post_init__(self):
+        # the surrogate lives on [0, 1]^p: a feasible set reaching outside
+        # would fail only after every player had been encoded
+        c = self.constraint
+        if c is None:
+            return
+        if c.dim != self.spec.p:
+            raise ParameterError(
+                f"feasible set has dimension {c.dim}, expected {self.spec.p}")
+        if isinstance(c, BoxConstraint):
+            lo, hi = c.lo, c.hi
+        else:
+            centre = np.asarray(c.center_point, dtype=float)
+            lo, hi = centre.min() - c.radius, centre.max() + c.radius
+        if lo < 0.0 or hi > 1.0:
+            raise ParameterError(
+                f"feasible set {c} leaves [0, 1]^{self.spec.p}")
+
     def feasible_set(self) -> Constraint:
         if self.constraint is not None:
             return self.constraint

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .bernstein_erm import (CubeDataset, GridProtocolConfig, alg2_run,
-                            alg3_run)
+from .bernstein_erm import (CubeDataset, GridLoss, GridProtocolConfig,
+                            alg2_run, alg3_run)
 from .errors import ConfigurationError
 from .geometry import BoxConstraint
 from .glm_erm import glm_erm_run, hinge_flavor, hinge_via_general_flavor
@@ -51,6 +51,15 @@ DATASET_SWEEP_KEYS = ("n", "dim", "margin", "q", "sigma")
 # params that count something; a config value must be integral
 INTEGER_PARAMS = frozenset({"k", "h", "t", "d_cap", "grid_cap", "iters"})
 
+# params whose values must lie in a range: name -> (test, what it requires)
+PARAM_RANGES = {
+    "epsilon": (lambda v: v > 0, "a number > 0"),
+    "delta": (lambda v: 0 <= v < 1, "a number in [0, 1)"),
+}
+
+# dataset sizes a config may set; each must be an integer >= 1
+DATASET_SIZES = ("n", "dim")
+
 
 def _is_integral(value) -> bool:
     return not isinstance(value, bool) and (
@@ -62,6 +71,16 @@ def _check_count(name: str, value, least: int):
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigurationError(
             f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_range(name: str, value, test, wanted: str):
+    # executors take float(value), so a string such as "inf" is a number
+    try:
+        ok = not isinstance(value, bool) and test(float(value))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:  # also catches nan, which fails every comparison
+        raise ConfigurationError(f"{name} must be {wanted}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,13 +117,25 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"mechanism {self.mechanism!r} expects a dataset family in "
                 f"{mech.families}, got {family!r}")
+        for key in DATASET_SIZES:
+            if key in self.dataset:
+                self._check_size(key, [self.dataset[key]])
         for key, value in self.params.items():
             self._check_param(key, [value])
         for key, values in self.sweep.items():
-            if key not in DATASET_SWEEP_KEYS:
-                # a sweep entry that is not a list is rejected on expansion
-                self._check_param(
-                    key, values if isinstance(values, (list, tuple)) else [])
+            # a sweep entry that is not a list is rejected on expansion
+            values = values if isinstance(values, (list, tuple)) else []
+            if key in DATASET_SIZES:
+                self._check_size(key, values)
+            elif key not in DATASET_SWEEP_KEYS:
+                self._check_param(key, values)
+
+    @staticmethod
+    def _check_size(key: str, values):
+        for value in values:
+            if not (_is_integral(value) and value >= 1):
+                raise ConfigurationError(
+                    f"dataset {key!r} must be an integer >= 1, got {value!r}")
 
     def _check_param(self, key: str, values):
         defaults = MECHANISMS[self.mechanism].params
@@ -118,6 +149,10 @@ class ExperimentConfig:
                         or (value is None and defaults[key] is None)):
                     raise ConfigurationError(
                         f"param {key!r} must be an integer, got {value!r}")
+        if key in PARAM_RANGES:
+            test, wanted = PARAM_RANGES[key]
+            for value in values:
+                _check_range(f"param {key!r}", value, test, wanted)
 
 
 def load_config(path: str, mechanism: Optional[str] = None) -> ExperimentConfig:
@@ -177,11 +212,33 @@ def apply_set_overrides(cfg: ExperimentConfig, sets) -> ExperimentConfig:
 GRID_LOSSES = ("quadratic", "quartic", "flat")
 
 
-def make_grid_loss(name: str):
+def _power_loss(power: int) -> GridLoss:
+    """Per row, the mean over coordinates of (row_j - theta_j) ** power.
+
+    Accumulates one column at a time, so a call builds no n x p temporary
+    and reduces over no row axis. Up to p = 7 this adds in the order
+    numpy's row mean does and is bit-identical to it; from p = 8 numpy sums
+    rows pairwise and the two differ in the last bits (under 1e-15
+    relative).
+    """
+    def loss(theta, rows):
+        p = rows.shape[1]
+        acc = rows[:, 0] - theta[0]
+        acc **= power
+        for j in range(1, p):
+            col = rows[:, j] - theta[j]
+            col **= power
+            acc += col
+        acc /= p
+        return acc
+    return loss
+
+
+def make_grid_loss(name: str) -> GridLoss:
     if name == "quadratic":
-        return lambda theta, rows: ((rows - theta) ** 2).mean(axis=1)
+        return _power_loss(2)
     if name == "quartic":
-        return lambda theta, rows: ((rows - theta) ** 4).mean(axis=1)
+        return _power_loss(4)
     if name == "flat":
         return lambda theta, rows: np.full(rows.shape[0], 0.5)
     raise ConfigurationError(

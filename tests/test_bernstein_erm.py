@@ -1,6 +1,7 @@
 """Tests for the grid-release protocols (Laplace-per-point and one-bit)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,61 @@ def test_cube_dataset_validation():
         CubeDataset(np.array([[1.2]]))
     d = CubeDataset(np.array([[0.1], [0.9]]))
     assert d.n == 2 and d.dim == 1
+
+
+def test_config_rejects_feasible_set_outside_cube():
+    spec = BernsteinOperatorSpec(k=4, h=1, p=2)
+    budget = PrivacyBudget(epsilon=1.0)
+    for bad in (BallConstraint((0.5, 0.5), 0.8), BoxConstraint(-0.1, 1.0, 2),
+                BoxConstraint(0.0, 1.2, 2), BoxConstraint(0.0, 1.0, 3),
+                BallConstraint((0.5,), 0.2)):
+        with pytest.raises(ParameterError):
+            GridProtocolConfig(spec=spec, budget=budget, constraint=bad)
+    for good in (None, BoxConstraint(0.0, 1.0, 2),
+                 BallConstraint((0.6, 0.45), 0.3)):
+        GridProtocolConfig(spec=spec, budget=budget, constraint=good)
+
+
+# --- the named grid losses ----------------------------------------------------
+
+
+def _row_mean_loss(power):
+    """The named losses as a mean over the row axis of an n x p array."""
+    return lambda theta, rows: ((rows - theta) ** power).mean(axis=1)
+
+
+@pytest.mark.parametrize("name, power", [("quadratic", 2), ("quartic", 4)])
+@pytest.mark.parametrize("p", range(1, 10))
+def test_grid_loss_matches_row_mean(name, power, p):
+    rng = derived_rng(14, power, p)
+    rows = rng.random((500, p))
+    k = 4 if p <= 3 else 2 if p <= 6 else 1
+    thetas = np.vstack([rng.random((20, p)), grid_points(k, p)])
+    loss, ref = make_grid_loss(name), _row_mean_loss(power)
+    for theta in thetas:
+        got, want = loss(theta, rows), ref(theta, rows)
+        if p <= 7:  # numpy's row mean adds up to 7 terms in order
+            assert np.array_equal(got, want)
+        else:  # and pairwise from 8 on: the last bits may differ
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_grid_runs_equal_with_row_mean_loss(p):
+    k = 8 if p == 1 else 4
+    data = CubeDataset(derived_rng(15, p).random((3_000, p)))
+    cfg = _cfg(k=k, h=2, p=p, epsilon=0.5)
+    for name, power in (("quadratic", 2), ("quartic", 4)):
+        loss, ref = make_grid_loss(name), _row_mean_loss(power)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SampleSizeWarning)
+            pairs = [(alg2_run(data, f, cfg, derived_rng(16, p)),
+                      alg3_run(data, f, cfg, seed=17 + p))
+                     for f in (loss, ref)]
+        for got, want in zip(*pairs):
+            assert np.array_equal(got.grid_estimates, want.grid_estimates)
+            assert got.clipped == want.clipped
+            assert np.array_equal(got.w_priv, want.w_priv)
 
 
 def test_alg2_noiseless_quadratic_recovers_mean():

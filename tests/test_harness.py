@@ -173,6 +173,12 @@ _CONFIG = {"mechanism": "avg-bench",
            "params": {"epsilon": 1.0}, "sweep": {}, "trials": 3, "seed": 5}
 
 
+_HINGE_CONFIG = {"mechanism": "hinge",
+                 "dataset": {"family": "separable-two-class", "n": 200,
+                             "dim": 2},
+                 "trials": 1, "seed": 5}
+
+
 def _write_config(path, **overrides):
     path.write_text(json.dumps({**_CONFIG, **overrides}))
     return path
@@ -232,6 +238,35 @@ def test_config_rejects_nonintegral_counts():
     ExperimentConfig(mechanism="hinge",
                      dataset={"family": "separable-two-class", "n": 10},
                      params={"iters": None}, sweep={"d_cap": [2, 3]})
+
+
+def test_config_rejects_out_of_range_values():
+    cube = {"family": "uniform-cube", "n": 10, "dim": 1}
+    two_class = {"family": "separable-two-class", "n": 10, "dim": 2}
+    for params, sweep in [({"epsilon": -1.0}, {}), ({"epsilon": 0}, {}),
+                          ({"epsilon": "abc"}, {}),
+                          ({"epsilon": float("nan")}, {}),
+                          ({}, {"epsilon": [1.0, -1.0]})]:
+        with pytest.raises(ConfigurationError, match="'epsilon' must be"):
+            ExperimentConfig(mechanism="avg-bench", dataset=cube,
+                             params=params, sweep=sweep)
+    for params, sweep in [({"delta": 1.0}, {}), ({"delta": -1e-5}, {}),
+                          ({}, {"delta": [1e-5, 2.0]})]:
+        with pytest.raises(ConfigurationError, match="'delta' must be"):
+            ExperimentConfig(mechanism="hinge", dataset=two_class,
+                             params=params, sweep=sweep)
+    for dataset, sweep in [({**cube, "n": 0}, {}), ({**cube, "dim": 0}, {}),
+                           ({**cube, "n": 2.5}, {}), (cube, {"n": [10, 0]}),
+                           (cube, {"dim": [1, -1]})]:
+        with pytest.raises(ConfigurationError, match="must be an integer >= 1"):
+            ExperimentConfig(mechanism="avg-bench", dataset=dataset,
+                             sweep=sweep)
+    # the edges that stay allowed; "inf" is what --set params.epsilon=inf gives
+    for epsilon in (float("inf"), "inf", 1e-9):
+        ExperimentConfig(mechanism="bernstein", dataset=cube,
+                         params={"epsilon": epsilon})
+    ExperimentConfig(mechanism="hinge", dataset=two_class,
+                     params={"delta": 0.0}, sweep={"n": [1, 20.0]})
 
 
 def test_set_overrides(tmp_path):
@@ -459,12 +494,23 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     ({**_CONFIG, "params": [1.0]}, []),
     ({**_CONFIG, "sweep": "epsilon"}, []),
     ([_CONFIG], []),
+    (_CONFIG, ["--set", "params.epsilon=-1"]),
+    (_CONFIG, ["--set", "params.epsilon=0"]),
+    (_CONFIG, ["--set", "sweep.epsilon=[1,-1]"]),
+    (_CONFIG, ["--set", "dataset.n=0"]),
+    (_CONFIG, ["--set", "dataset.dim=0"]),
+    (_CONFIG, ["--set", "sweep.n=[200,0]"]),
+    (_CONFIG, ["--set", "sweep.dim=[0]"]),
+    ({**_HINGE_CONFIG, "params": {"delta": 1.0}}, []),
+    ({**_HINGE_CONFIG, "params": {"delta": -0.1}}, []),
+    ({**_HINGE_CONFIG, "sweep": {"delta": [1e-5, 1.5]}}, []),
 ])
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "run"
-    code = cli.main(["avg-bench", "--config", str(path), "--out", str(out),
+    mechanism = config["mechanism"] if isinstance(config, dict) else "avg-bench"
+    code = cli.main([mechanism, "--config", str(path), "--out", str(out),
                      *argv])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
