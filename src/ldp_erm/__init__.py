@@ -18,16 +18,17 @@ from .polyapprox import (BernsteinOperatorSpec, ChebyshevSeries, SmoothedPlus,
                          build_or_polynomial, chebyshev_eval,
                          chebyshev_series_fit, iterated_bernstein_eval,
                          lemma40_reconstruct)
-from .bernstein_erm import (CubeDataset, GridProtocolConfig, alg2_run,
-                            alg3_run, grid_points, recommended_k)
+from .datasets import (BallDataset, BinaryDataset, BoxDataset, CubeDataset,
+                       generate_dataset)
+from .bernstein_erm import (GridProtocolConfig, alg2_run, alg3_run,
+                            grid_points, recommended_k)
 from .sigm import SigmSchedule, sigm_run
-from .glm_erm import (BallDataset, GradientOracleConfig, glm_erm_run,
+from .glm_erm import (GradientOracleConfig, glm_erm_run,
                       glm_player_encode, hinge_flavor,
                       hinge_via_general_flavor)
-from .query_release import (BinaryDataset, BoxDataset, marginals_answer,
-                            marginals_release, smooth_query_coefficients,
-                            smooth_release, smooth_release_and_answer)
-from .datasets import generate_dataset
+from .query_release import (marginals_answer, marginals_release,
+                            smooth_query_coefficients, smooth_release,
+                            smooth_release_and_answer)
 from .harness import ExperimentConfig, load_config, run_experiment
 
 __all__ = [

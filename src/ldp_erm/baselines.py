@@ -15,29 +15,29 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import BallConstraint
 
+ITERS = 10_000  # steps of the reference solver
+EVAL_EVERY = 200  # steps between scorings of the averaged and raw iterates
 
-def projected_subgradient(objective: Callable, subgrad: Callable, constraint,
-                          iters: int = 10_000,
-                          eval_every: int = 200) -> Tuple[np.ndarray, float]:
+
+def projected_subgradient(objective: Callable, subgrad: Callable,
+                          constraint) -> Tuple[np.ndarray, float]:
     """Classic R/sqrt(t) projected subgradient with iterate averaging.
 
     Tracks the running average of the iterates and keeps whichever
     evaluated point (average or raw iterate) scored best; for 1-Lipschitz
-    convex objectives the returned value is within about R/sqrt(iters) of
-    the constrained optimum, i.e. ~1e-2 R at the default budget, and in
+    convex objectives the returned value is within about R/sqrt(ITERS) of
+    the constrained optimum, i.e. ~1e-2 R, and in
     practice much closer once averaging kicks in.
     """
-    if iters < 1:
-        raise ParameterError(f"need at least one iteration, got {iters}")
     radius = constraint.radius
     w = np.asarray(constraint.center(), dtype=float)
     avg = w.copy()
     best_w, best_f = w.copy(), float(objective(w))
-    for t in range(1, iters + 1):
+    for t in range(1, ITERS + 1):
         g = np.asarray(subgrad(w), dtype=float)
         w = constraint.project(w - (radius / math.sqrt(t)) * g)
         avg += (w - avg) / (t + 1)
-        if t % eval_every == 0 or t == iters:
+        if t % EVAL_EVERY == 0 or t == ITERS:
             for cand in (avg, w):
                 f = float(objective(cand))
                 if f < best_f:
@@ -84,7 +84,7 @@ def dense_grid_minimize(objective_many: Callable, constraint,
     return best_w, best_f
 
 
-def glm_baseline(data, flavor, iters: int = 10_000) -> Tuple[np.ndarray, float]:
+def glm_baseline(data, flavor) -> Tuple[np.ndarray, float]:
     """Non-private optimum of a margin loss over the unit ball."""
     x, y = data.features, data.labels
     n = len(y)
@@ -100,4 +100,4 @@ def glm_baseline(data, flavor, iters: int = 10_000) -> Tuple[np.ndarray, float]:
         return (yx_t @ sg) / n
 
     constraint = BallConstraint.origin(x.shape[1], 1.0)
-    return projected_subgradient(objective, subgrad, constraint, iters)
+    return projected_subgradient(objective, subgrad, constraint)

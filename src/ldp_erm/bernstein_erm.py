@@ -19,6 +19,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .datasets import CubeDataset
 from .errors import (ClippingWarning, ConfigurationError, EstimationError,
                      ParameterError, SampleSizeWarning)
 from .geometry import BallConstraint, BoxConstraint
@@ -34,29 +35,8 @@ GridLoss = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 Constraint = Union[BoxConstraint, BallConstraint]
 
-
-@dataclass(frozen=True)
-class CubeDataset:
-    """Player records as rows of an (n, d) array with entries in [0, 1]."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise ParameterError(
-                f"dataset must be a non-empty 2-d array, got shape {rows.shape}")
-        if rows.min() < -1e-12 or rows.max() > 1.0 + 1e-12:
-            raise ParameterError("dataset entries must lie in [0, 1]")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
+STARTS = 32  # the surrogate minimiser's low-discrepancy starts
+GD_ITERS = 120  # its descent iterations per start
 
 
 @dataclass(frozen=True)
@@ -182,19 +162,19 @@ def _one_row(y) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _sobol_starts(p: int, starts: int) -> np.ndarray:
-    """The first ``starts`` points of the unscrambled Sobol sequence in p-d."""
+def _sobol_starts(p: int) -> np.ndarray:
+    """The first ``STARTS`` points of the unscrambled Sobol sequence in p-d."""
     # scipy.stats takes longer to import than the rest of the package, and
     # only the grid minimiser needs it
     from scipy.stats import qmc
     sob = qmc.Sobol(d=p, scramble=False)
-    raw = sob.random(max(2, 1 << max(1, (starts - 1).bit_length())))[:starts]
+    raw = sob.random(max(2, 1 << max(1, (STARTS - 1).bit_length())))[:STARTS]
     raw.setflags(write=False)
     return raw
 
 
-def minimize_model(model: BernsteinModel, constraint: Constraint,
-                   starts: int = 32, gd_iters: int = 120) -> np.ndarray:
+def minimize_model(model: BernsteinModel,
+                   constraint: Constraint) -> np.ndarray:
     """Minimize the surrogate over a box or ball inside [0,1]^p.
 
     Projected gradient descent with backtracking from a low-discrepancy set
@@ -206,15 +186,15 @@ def minimize_model(model: BernsteinModel, constraint: Constraint,
     one batched gradient and one batched value over the starts still
     running. A step is accepted on a strict decrease (then grown by 1.25,
     at most 1.0) and halved otherwise; a start stops once its step falls
-    below 1e-7 or after ``gd_iters`` iterations.
+    below 1e-7 or after ``GD_ITERS`` iterations.
     """
     p = model.spec.p
-    xs = np.vstack([constraint.project(_sobol_starts(p, starts)),
+    xs = np.vstack([constraint.project(_sobol_starts(p)),
                     constraint.center()])
     fs = model.values(xs)
     step = np.full(len(xs), 0.25)
     running = np.arange(len(xs))
-    for _ in range(gd_iters):
+    for _ in range(GD_ITERS):
         if not running.size:
             break
         x = xs[running]

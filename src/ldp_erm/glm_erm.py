@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .datasets import BallDataset
 from .errors import ParameterError, ProtocolError
 from .geometry import BallConstraint
 from .polyapprox import (SmoothedPlus, SubgradientSampler,
@@ -28,41 +29,10 @@ from .polyapprox import (SmoothedPlus, SubgradientSampler,
 from .primitives import PrivacyBudget, Transcript
 from .sigm import SigmSchedule, sigm_run
 
+PILOT_PROBES = 8  # points at which the pilot noise estimate probes
+PILOT_SAMPLES = 8  # gradient samples it draws at each point
+
 # --- data and configuration ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BallDataset:
-    """Labelled records with ||x_i|| <= 1 and |y_i| <= 1."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.labels, dtype=float)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ParameterError(
-                f"features must be a non-empty 2-d array, got {x.shape}")
-        if y.shape != (x.shape[0],):
-            raise ParameterError(
-                f"labels shape {y.shape} does not match {x.shape[0]} rows")
-        norms = np.linalg.norm(x, axis=1)
-        if norms.max() > 1.0 + 1e-9:
-            raise ParameterError(
-                f"feature norms must be <= 1, max is {norms.max():.6f}")
-        if np.abs(y).max() > 1.0 + 1e-9:
-            raise ParameterError("labels must lie in [-1, 1]")
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "labels", y)
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
 
 
 @dataclass(frozen=True)
@@ -334,7 +304,6 @@ class GlmRunReport:
     beta: float
     sigma: float
     iters: int
-    reals_per_player: int
     flavor: str
 
 
@@ -369,14 +338,13 @@ def _encode_population(features: np.ndarray, labels: np.ndarray,
 
 
 def _pilot_sigma(gradients: Callable, replay: Callable, dim: int,
-                 rng: np.random.Generator, probes: int = 8,
-                 per_probe: int = 8) -> float:
+                 rng: np.random.Generator) -> float:
     """Crude gradient-noise scale: spread of samples at a few probe points."""
     worst = 0.0
-    for _ in range(probes):
+    for _ in range(PILOT_PROBES):
         v = rng.standard_normal(dim)
         w = v / max(1.0, np.linalg.norm(v))
-        grads = gradients(w, *replay(per_probe))
+        grads = gradients(w, *replay(PILOT_SAMPLES))
         centered = grads - grads.mean(axis=0)
         worst = max(worst, float(np.sqrt(np.mean(np.sum(centered ** 2,
                                                         axis=1)))))
@@ -453,5 +421,4 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     return GlmRunReport(
         w_priv=w_priv, err_empirical=err, baseline_err=base_err,
         excess=err - base_err, d=d, d_theory=d_theory, beta=beta,
-        sigma=sigma, iters=steps,
-        reals_per_player=(m + 1) * (dim + 1), flavor=flavor.name)
+        sigma=sigma, iters=steps, flavor=flavor.name)

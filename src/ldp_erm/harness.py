@@ -21,17 +21,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .bernstein_erm import (CubeDataset, GridLoss, GridProtocolConfig,
-                            alg2_run, alg3_run)
+from .bernstein_erm import GridLoss, GridProtocolConfig, alg2_run, alg3_run
+from .datasets import (DATA_KEYS, FAMILIES, KINDS, BallDataset,
+                       BinaryDataset, BoxDataset, CubeDataset, check_range,
+                       check_spec, generate_dataset, is_integral)
 from .errors import ConfigurationError
 from .geometry import BoxConstraint
 from .glm_erm import glm_erm_run, hinge_flavor, hinge_via_general_flavor
 from .polyapprox import BernsteinOperatorSpec
 from .primitives import PrivacyBudget, Transcript, ldp_avg_1d
-from .query_release import (BinaryDataset, BoxDataset, disjunction_truth,
-                            marginals_answer, marginals_release,
-                            smooth_release_and_answer)
-from .datasets import generate_dataset
+from .query_release import (disjunction_truth, marginals_answer,
+                            marginals_release, smooth_release_and_answer)
 from .rng import (TAG_TRIAL, TAG_TRIAL_DATASET, TAG_TRIAL_MECHANISM,
                   derived_rng, derived_seed)
 
@@ -45,9 +45,6 @@ REPORT_COLUMNS = [
 TRANSCRIPT_COLUMNS = ["trial", "mechanism", "n", "messages",
                       "bits_per_player", "reals_per_player"]
 
-# sweep keys that describe the data; every other sweep key is a param
-DATASET_SWEEP_KEYS = ("n", "dim", "margin", "q", "sigma")
-
 # params that count something; a config value must be integral
 INTEGER_PARAMS = frozenset({"k", "h", "t", "d_cap", "grid_cap", "iters"})
 
@@ -57,30 +54,11 @@ PARAM_RANGES = {
     "delta": (lambda v: 0 <= v < 1, "a number in [0, 1)"),
 }
 
-# dataset sizes a config may set; each must be an integer >= 1
-DATASET_SIZES = ("n", "dim")
-
-
-def _is_integral(value) -> bool:
-    return not isinstance(value, bool) and (
-        isinstance(value, int)
-        or isinstance(value, float) and value.is_integer())
-
 
 def _check_count(name: str, value, least: int):
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigurationError(
             f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _check_range(name: str, value, test, wanted: str):
-    # executors take float(value), so a string such as "inf" is a number
-    try:
-        ok = not isinstance(value, bool) and test(float(value))
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:  # also catches nan, which fails every comparison
-        raise ConfigurationError(f"{name} must be {wanted}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,31 +89,24 @@ class ExperimentConfig:
             _check_count("workers", self.workers, 1)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigurationError(f"out must be a path, got {self.out!r}")
-        mech = MECHANISMS[self.mechanism]
-        family = self.dataset.get("family")
-        if family not in mech.families:
-            raise ConfigurationError(
-                f"mechanism {self.mechanism!r} expects a dataset family in "
-                f"{mech.families}, got {family!r}")
-        for key in DATASET_SIZES:
-            if key in self.dataset:
-                self._check_size(key, [self.dataset[key]])
+        # a sweep entry that is not a list is rejected on expansion
+        lists = {key: values if isinstance(values, (list, tuple)) else []
+                 for key, values in self.sweep.items()}
+        # every dataset spec a trial will generate
+        records = MECHANISMS[self.mechanism].records
+        keys = [key for key in sorted(lists) if key in DATA_KEYS]
+        for combo in itertools.product(*(lists[key] for key in keys)):
+            record = check_spec({**self.dataset, **dict(zip(keys, combo))})
+            if record not in records:
+                raise ConfigurationError(
+                    f"mechanism {self.mechanism!r} consumes "
+                    f"{_accepted(records)}; this dataset gives "
+                    f"{record.__name__}")
         for key, value in self.params.items():
             self._check_param(key, [value])
-        for key, values in self.sweep.items():
-            # a sweep entry that is not a list is rejected on expansion
-            values = values if isinstance(values, (list, tuple)) else []
-            if key in DATASET_SIZES:
-                self._check_size(key, values)
-            elif key not in DATASET_SWEEP_KEYS:
+        for key, values in lists.items():
+            if key not in DATA_KEYS:
                 self._check_param(key, values)
-
-    @staticmethod
-    def _check_size(key: str, values):
-        for value in values:
-            if not (_is_integral(value) and value >= 1):
-                raise ConfigurationError(
-                    f"dataset {key!r} must be an integer >= 1, got {value!r}")
 
     def _check_param(self, key: str, values):
         defaults = MECHANISMS[self.mechanism].params
@@ -143,16 +114,26 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"mechanism {self.mechanism!r} has no param {key!r}; "
                 f"accepted: {', '.join(sorted(defaults))}")
-        if key in INTEGER_PARAMS:
-            for value in values:
-                if not (_is_integral(value)
-                        or (value is None and defaults[key] is None)):
-                    raise ConfigurationError(
-                        f"param {key!r} must be an integer, got {value!r}")
-        if key in PARAM_RANGES:
-            test, wanted = PARAM_RANGES[key]
-            for value in values:
-                _check_range(f"param {key!r}", value, test, wanted)
+        for value in values:
+            if key in INTEGER_PARAMS and not (
+                    is_integral(value)
+                    or (value is None and defaults[key] is None)):
+                raise ConfigurationError(
+                    f"param {key!r} must be an integer, got {value!r}")
+            if key in PARAM_RANGES:
+                check_range(f"param {key!r}", value, *PARAM_RANGES[key])
+            if isinstance(defaults[key], bool) and not isinstance(value, bool):
+                raise ConfigurationError(
+                    f"param {key!r} must be true or false, got {value!r}")
+            if key == "loss":
+                make_grid_loss(value)  # raises on an unknown name
+
+
+def _accepted(records) -> str:
+    families = [f for f, record in FAMILIES.items() if record in records]
+    kinds = [k for k, record in KINDS.items() if record in records]
+    return (f"{' or '.join(r.__name__ for r in records)} (dataset family "
+            f"{' or '.join(families)}, or file of kind {' or '.join(kinds)})")
 
 
 def load_config(path: str, mechanism: Optional[str] = None) -> ExperimentConfig:
@@ -284,17 +265,16 @@ def grid_loss_excess(name: str, data: CubeDataset, w: np.ndarray) -> float:
 
 # --- per-trial executors --------------------------------------------------------
 #
-# An executor runs one trial of its mechanism on the trial's dataset. It gets
-# the params merged over its table entry's defaults, the trial seed and the
-# trial's transcript, and returns the report fields it fills in. Library
-# calls go through this module's globals at call time, so that they can be
-# wrapped from outside (span tracing).
+# An executor runs one trial of its mechanism on the trial's dataset, which
+# holds records of a type its table entry consumes. It gets the params merged
+# over the entry's defaults, the trial seed and the trial's transcript, and
+# returns the report fields it measured; ``run_trial`` fills in the sizes and
+# the message accounting. Library calls go through this module's globals at
+# call time, so that they can be wrapped from outside (span tracing).
 
 
-def _trial_grid(data, params: dict, seed: int, transcript: Transcript,
-                onebit: bool) -> dict:
-    if not isinstance(data, CubeDataset):
-        raise ConfigurationError("grid mechanisms need cube data")
+def _trial_grid(data: CubeDataset, params: dict, seed: int,
+                transcript: Transcript, onebit: bool) -> dict:
     loss = make_grid_loss(params["loss"])
     k, h = int(params["k"]), int(params["h"])
     spec = BernsteinOperatorSpec(k=k, h=h, p=data.dim)
@@ -312,13 +292,12 @@ def _trial_grid(data, params: dict, seed: int, transcript: Transcript,
                            derived_rng(seed, TAG_TRIAL_MECHANISM),
                            transcript=transcript)
     err = grid_loss_excess(params["loss"], data, release.w_priv)
-    return {"p": data.dim, "k": k, "h": h, "epsilon": epsilon,
-            "mode": "onebit" if onebit else "laplace", "err_empirical": err,
-            "bits_per_player": transcript.bits_per_player()}
+    return {"k": k, "h": h, "epsilon": epsilon,
+            "mode": "onebit" if onebit else "laplace", "err_empirical": err}
 
 
-def _trial_glm(data, params: dict, seed: int, transcript: Transcript,
-               general: bool) -> dict:
+def _trial_glm(data: BallDataset, params: dict, seed: int,
+               transcript: Transcript, general: bool) -> dict:
     flavor = hinge_via_general_flavor() if general else hinge_flavor()
     epsilon, delta = float(params["epsilon"]), float(params["delta"])
     report = glm_erm_run(
@@ -328,11 +307,10 @@ def _trial_glm(data, params: dict, seed: int, transcript: Transcript,
         rng=derived_rng(seed, TAG_TRIAL_MECHANISM),
         d_cap=int(params["d_cap"]), iters=params["iters"],
         sigma_safety=float(params["sigma_safety"]), transcript=transcript)
-    return {"p": data.dim, "d": report.d, "beta": report.beta,
-            "epsilon": epsilon, "delta": delta, "flavor": report.flavor,
+    return {"d": report.d, "beta": report.beta, "epsilon": epsilon,
+            "delta": delta, "flavor": report.flavor,
             "err_empirical": report.err_empirical,
-            "baseline_err": report.baseline_err,
-            "reals_per_player": report.reals_per_player}
+            "baseline_err": report.baseline_err}
 
 
 def _all_disjunction_queries(p: int, k: int):
@@ -343,22 +321,19 @@ def _all_disjunction_queries(p: int, k: int):
             yield y
 
 
-def _trial_marginals(data, params: dict, seed: int,
+def _trial_marginals(data: BinaryDataset, params: dict, seed: int,
                      transcript: Transcript) -> dict:
-    if not isinstance(data, BinaryDataset):
-        raise ConfigurationError("marginals need binary data")
     k, gamma = int(params["k"]), float(params["gamma"])
     epsilon = float(params["epsilon"])
     table = marginals_release(
         data, k, gamma, PrivacyBudget(epsilon=epsilon),
         derived_rng(seed, TAG_TRIAL_MECHANISM),
-        split_budget=bool(params["split_budget"]), transcript=transcript)
+        split_budget=params["split_budget"], transcript=transcript)
     worst = 0.0
     for y in _all_disjunction_queries(data.dim, k):
         ans = marginals_answer(table, y)
         worst = max(worst, abs(ans.value - disjunction_truth(data, y)))
-    return {"p": data.dim, "k": k, "gamma": gamma, "epsilon": epsilon,
-            "max_query_error": worst, "reals_per_player": table.dimension}
+    return {"k": k, "gamma": gamma, "epsilon": epsilon, "max_query_error": worst}
 
 
 def _gaussian_kernel(center: np.ndarray, bandwidth: float):
@@ -371,10 +346,7 @@ def _gaussian_kernel(center: np.ndarray, bandwidth: float):
 
 def _trial_smooth(data, params: dict, seed: int,
                   transcript: Transcript) -> dict:
-    if isinstance(data, CubeDataset):
-        data = BoxDataset(data.rows)  # cube entries are inside the box
-    if not isinstance(data, BoxDataset):
-        raise ConfigurationError("smooth queries need box data")
+    data = BoxDataset(data.rows)  # cube entries are inside the box
     t = int(params["t"])
     epsilon = float(params["epsilon"])
     center = params["center"]
@@ -390,22 +362,19 @@ def _trial_smooth(data, params: dict, seed: int,
     for f, ans in zip(queries, answers):
         truth = float(np.mean(f(data.rows)))
         worst = max(worst, abs(ans.value - truth))
-    return {"p": data.dim, "t": t, "epsilon": epsilon,
-            "max_query_error": worst, "reals_per_player": t ** data.dim}
+    return {"t": t, "epsilon": epsilon, "max_query_error": worst}
 
 
-def _trial_avg_bench(data, params: dict, seed: int,
+def _trial_avg_bench(data: CubeDataset, params: dict, seed: int,
                      transcript: Transcript) -> dict:
-    if not isinstance(data, CubeDataset) or data.dim != 1:
+    if data.dim != 1:
         raise ConfigurationError("avg-bench needs 1-d cube data")
     values = data.rows[:, 0]
     epsilon = float(params["epsilon"])
     a = ldp_avg_1d(values, 1.0, PrivacyBudget(epsilon=epsilon),
                    derived_rng(seed, TAG_TRIAL_MECHANISM),
                    transcript=transcript)
-    return {"p": 1, "epsilon": epsilon,
-            "err_empirical": abs(a - float(values.mean())),
-            "bits_per_player": transcript.bits_per_player()}
+    return {"epsilon": epsilon, "err_empirical": abs(a - float(values.mean()))}
 
 
 # --- the mechanism table ----------------------------------------------------------
@@ -415,11 +384,12 @@ def _trial_avg_bench(data, params: dict, seed: int,
 class Mechanism:
     """Everything the harness knows about one mechanism.
 
-    ``families`` are the dataset families it accepts, ``params`` the params
-    a config may set, with their defaults, and ``run`` its executor.
+    ``records`` are the record types it consumes (the dataset families and
+    file kinds it accepts are those that give one), ``params`` the params a
+    config may set, with their defaults, and ``run`` its executor.
     """
 
-    families: tuple
+    records: tuple
     params: dict
     run: Callable
 
@@ -430,25 +400,24 @@ _GLM_PARAMS = {"epsilon": 1.0, "delta": 1e-5, "target_alpha": 1.0,
                "d_cap": 8, "iters": None, "sigma_safety": 4.0}
 
 MECHANISMS = {
-    "bernstein": Mechanism(("uniform-cube", "file"), _GRID_PARAMS,
+    "bernstein": Mechanism((CubeDataset,), _GRID_PARAMS,
                            functools.partial(_trial_grid, onebit=False)),
     # one-bit messages need epsilon <= ln 2
-    "onebit": Mechanism(("uniform-cube", "file"),
-                        {**_GRID_PARAMS, "epsilon": 0.5},
+    "onebit": Mechanism((CubeDataset,), {**_GRID_PARAMS, "epsilon": 0.5},
                         functools.partial(_trial_grid, onebit=True)),
-    "hinge": Mechanism(("separable-two-class", "file"), _GLM_PARAMS,
+    "hinge": Mechanism((BallDataset,), _GLM_PARAMS,
                        functools.partial(_trial_glm, general=False)),
-    "general-linear": Mechanism(("separable-two-class", "file"), _GLM_PARAMS,
+    "general-linear": Mechanism((BallDataset,), _GLM_PARAMS,
                                 functools.partial(_trial_glm, general=True)),
     "marginals": Mechanism(
-        ("bernoulli-bits", "file"),
+        (BinaryDataset,),
         {"k": 2, "gamma": 0.05, "epsilon": 1.0, "split_budget": False},
         _trial_marginals),
     "smooth-queries": Mechanism(
-        ("gaussian-ball-clipped", "uniform-cube", "file"),
+        (BoxDataset, CubeDataset),
         {"t": 8, "epsilon": 1.0, "center": None, "bandwidths": (1.0, 0.5)},
         _trial_smooth),
-    "avg-bench": Mechanism(("uniform-cube", "file"), {"epsilon": 1.0},
+    "avg-bench": Mechanism((CubeDataset,), {"epsilon": 1.0},
                            _trial_avg_bench),
 }
 
@@ -469,11 +438,12 @@ def run_trial(cfg: ExperimentConfig, cell_params: dict, cell_index: int,
         data = generate_dataset(dataset,
                                 derived_seed(seed, TAG_TRIAL_DATASET))
         transcript = Transcript()
-        base.update(mech.run(data, params, seed, transcript), n=data.n)
-        trow = {"trial": trial, "mechanism": cfg.mechanism, "n": data.n,
-                "messages": transcript.n_messages,
-                "bits_per_player": transcript.bits_per_player(),
+        measured = mech.run(data, params, seed, transcript)
+        sent = {"bits_per_player": transcript.bits_per_player(),
                 "reals_per_player": transcript.reals_per_player()}
+        base.update(measured, n=data.n, p=data.dim, **sent)
+        trow = {"trial": trial, "mechanism": cfg.mechanism, "n": data.n,
+                "messages": transcript.n_messages, **sent}
     except Exception as exc:  # recorded per-row; the sweep continues
         base.update(status=type(exc).__name__,
                     error=str(exc).replace(",", ";").replace("\n", " "))
@@ -497,7 +467,7 @@ def _expand_sweep(cfg: ExperimentConfig):
         params = dict(cfg.params)
         dataset = dict(cfg.dataset)
         for key, value in zip(keys, combo):
-            if key in DATASET_SWEEP_KEYS:
+            if key in DATA_KEYS:
                 dataset[key] = value
             else:
                 params[key] = value

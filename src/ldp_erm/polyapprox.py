@@ -397,10 +397,6 @@ class OrPolynomial:
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float),
                                                 self.coeffs)
 
-    @property
-    def max_abs_coeff(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
 
 def build_or_polynomial(k: int, gamma: float) -> OrPolynomial:
     """Low-degree approximation of the k-input OR on counts {0, 1, ..., k}.

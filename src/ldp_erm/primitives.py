@@ -79,9 +79,6 @@ class PublicRandomness:
         rng = derived_rng(self.seed, TAG_PUBLIC)
         return rng.laplace(0.0, self.scale, self.n)
 
-    def __repr__(self):
-        return f"PublicRandomness(seed={self.seed}, scale={self.scale}, n={self.n})"
-
 
 @dataclass
 class Transcript:

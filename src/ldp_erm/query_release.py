@@ -23,60 +23,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.fft
 
+from .datasets import BinaryDataset, BoxDataset
 from .errors import (ConfigurationError, ParameterError, QueryClassError,
                      SampleSizeWarning)
 from .polyapprox import OrPolynomial, build_or_polynomial, chebyshev_eval
 from .primitives import PrivacyBudget, Transcript
 
-# --- datasets -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BinaryDataset:
-    """Rows of bits, one player per row."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows)
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise ParameterError(
-                f"dataset must be a non-empty 2-d array, got {rows.shape}")
-        if not np.isin(rows, (0, 1)).all():
-            raise ParameterError("entries must be bits")
-        object.__setattr__(self, "rows", rows.astype(np.int64))
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-
-@dataclass(frozen=True)
-class BoxDataset:
-    """Rows in [-1, 1]^p, one player per row."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise ParameterError(
-                f"dataset must be a non-empty 2-d array, got {rows.shape}")
-        if np.abs(rows).max() > 1.0 + 1e-12:
-            raise ParameterError("entries must lie in [-1, 1]")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
+CAP = 200_000  # most entries of a coefficient vector or basis (one real each)
 
 
 @dataclass(frozen=True)
@@ -141,12 +94,12 @@ class MarginalCoefficientTable:
         return len(self.values)
 
 
-def _expansion_pieces(p: int, orpoly: OrPolynomial, dim_cap: int):
+def _expansion_pieces(p: int, orpoly: OrPolynomial, cap: int = CAP):
     dim = math.comb(p + orpoly.degree, orpoly.degree)
-    if dim > dim_cap:
+    if dim > cap:
         raise ConfigurationError(
             f"marginal expansion needs C({p}+{orpoly.degree},{orpoly.degree}) "
-            f"= {dim} coefficients, above the cap {dim_cap}")
+            f"= {dim} coefficients, above the cap {cap}")
     alphas = _multi_indices(p, orpoly.degree)
     factors = _multinomial_factors(alphas)
     per_alpha = orpoly.coeffs[alphas.sum(axis=1)] * factors
@@ -167,11 +120,11 @@ def _expand_rows(rows: np.ndarray, alphas: np.ndarray,
     return np.where(inside, per_alpha[None, :], 0.0)
 
 
-def marginals_player_expand(row: np.ndarray, orpoly: OrPolynomial,
-                            dim_cap: int = 200_000) -> np.ndarray:
+def marginals_player_expand(row: np.ndarray,
+                            orpoly: OrPolynomial) -> np.ndarray:
     """Coefficient vector of p_k(sum_j y_j row_j) as a polynomial in y."""
     row = np.asarray(row)
-    alphas, per_alpha = _expansion_pieces(row.shape[0], orpoly, dim_cap)
+    alphas, per_alpha = _expansion_pieces(row.shape[0], orpoly)
     return _expand_rows(row[None, :], alphas, per_alpha)[0]
 
 
@@ -183,10 +136,9 @@ def evaluate_expansion(coeffs: np.ndarray, alphas: np.ndarray,
     return float(coeffs @ powers)
 
 
-def coefficient_bound(orpoly: OrPolynomial, p: int,
-                      dim_cap: int = 200_000) -> float:
+def coefficient_bound(orpoly: OrPolynomial, p: int) -> float:
     """Largest possible |coefficient| over any record — a public quantity."""
-    _, per_alpha = _expansion_pieces(p, orpoly, dim_cap)
+    _, per_alpha = _expansion_pieces(p, orpoly)
     return float(np.max(np.abs(per_alpha)))
 
 
@@ -216,7 +168,7 @@ def _private_column_means(values: np.ndarray, bound: float,
 
 def marginals_release(data: BinaryDataset, k: int, gamma: float,
                       budget: PrivacyBudget, rng: np.random.Generator,
-                      dim_cap: int = 200_000, split_budget: bool = False,
+                      split_budget: bool = False,
                       transcript: Optional[Transcript] = None) -> MarginalCoefficientTable:
     """Privately average the players' expansion vectors.
 
@@ -232,7 +184,7 @@ def marginals_release(data: BinaryDataset, k: int, gamma: float,
         raise ParameterError(f"need 1 <= k <= p, got k={k}, p={data.dim}")
     orpoly = build_or_polynomial(k, gamma)
     p = data.dim
-    alphas, per_alpha = _expansion_pieces(p, orpoly, dim_cap)
+    alphas, per_alpha = _expansion_pieces(p, orpoly)
     dim = len(alphas)
     floor = _guarantee_n_floor(p, k, gamma, budget.epsilon)
     if data.n < floor:
@@ -242,7 +194,7 @@ def marginals_release(data: BinaryDataset, k: int, gamma: float,
             SampleSizeWarning, stacklevel=2)
 
     matrix = _expand_rows(data.rows, alphas, per_alpha)
-    b = coefficient_bound(orpoly, p, dim_cap)
+    b = coefficient_bound(orpoly, p)
     sub_budget = budget.split(dim) if split_budget else budget
     means = _private_column_means(matrix + b, 2.0 * b, sub_budget, rng) - b
     if transcript is not None:
@@ -298,20 +250,20 @@ class CosineCoefficientTable:
         return len(self.values)
 
 
-def _check_basis_cap(t: int, p: int, cap: int) -> int:
+def _check_basis_cap(t: int, p: int) -> int:
     if t < 1:
         raise ParameterError(f"degree bound t must be >= 1, got {t}")
     dim = t ** p
-    if dim > cap:
+    if dim > CAP:
         raise ConfigurationError(
-            f"basis needs t^p = {dim} entries, above the cap {cap}")
+            f"basis needs t^p = {dim} entries, above the cap {CAP}")
     return dim
 
 
-def _basis_matrix(rows: np.ndarray, t: int, cap: int) -> np.ndarray:
+def _basis_matrix(rows: np.ndarray, t: int) -> np.ndarray:
     """(n, t^p) matrix of products of per-axis Chebyshev values."""
     n, p = rows.shape
-    _check_basis_cap(t, p, cap)
+    _check_basis_cap(t, p)
     cur = np.ones((n, 1))
     for j in range(p):
         vj = np.stack([chebyshev_eval(r, rows[:, j]) for r in range(t)],
@@ -320,15 +272,13 @@ def _basis_matrix(rows: np.ndarray, t: int, cap: int) -> np.ndarray:
     return cur
 
 
-def smooth_player_basis(row: np.ndarray, t: int,
-                        cap: int = 200_000) -> np.ndarray:
+def smooth_player_basis(row: np.ndarray, t: int) -> np.ndarray:
     """One player's basis vector: products T_{v_1}(x_1)...T_{v_p}(x_p)."""
     row = np.atleast_1d(np.asarray(row, dtype=float))
-    return _basis_matrix(row[None, :], t, cap)[0]
+    return _basis_matrix(row[None, :], t)[0]
 
 
-def smooth_query_coefficients(f: Callable, t: int, p: int,
-                              cap: int = 200_000) -> np.ndarray:
+def smooth_query_coefficients(f: Callable, t: int, p: int) -> np.ndarray:
     """Tensor Chebyshev coefficients of f by nested cosine quadrature.
 
     Evaluates f on the p-fold grid of the t first-kind Chebyshev nodes per
@@ -337,7 +287,7 @@ def smooth_query_coefficients(f: Callable, t: int, p: int,
     Returns the flattened (C-order) coefficient vector aligned with the
     released basis table.
     """
-    dim = _check_basis_cap(t, p, cap)
+    dim = _check_basis_cap(t, p)
     nodes = np.cos(np.pi * (np.arange(t) + 0.5) / t)
     mesh = np.meshgrid(*([nodes] * p), indexing="ij")
     pts = np.stack(mesh, axis=-1).reshape(-1, p)
@@ -354,7 +304,7 @@ def smooth_query_coefficients(f: Callable, t: int, p: int,
 
 
 def smooth_release(data: BoxDataset, t: int, budget: PrivacyBudget,
-                   rng: np.random.Generator, cap: int = 200_000,
+                   rng: np.random.Generator,
                    transcript: Optional[Transcript] = None) -> CosineCoefficientTable:
     """Privately average every player's basis vector (one message each).
 
@@ -362,7 +312,7 @@ def smooth_release(data: BoxDataset, t: int, budget: PrivacyBudget,
     averaging primitive and shifted back, which leaves the noise scale
     matching a sensitivity-1 release per coordinate at the full budget.
     """
-    basis = _basis_matrix(data.rows, t, cap)
+    basis = _basis_matrix(data.rows, t)
     means01 = _private_column_means((basis + 1.0) / 2.0, 1.0, budget, rng)
     if transcript is not None:
         dim = basis.shape[1]
@@ -371,9 +321,9 @@ def smooth_release(data: BoxDataset, t: int, budget: PrivacyBudget,
 
 
 def answer_smooth_query(table: CosineCoefficientTable,
-                        f: Callable, cap: int = 200_000) -> QueryAnswer:
+                        f: Callable) -> QueryAnswer:
     """Answer one smooth query offline from the released table."""
-    coeffs = smooth_query_coefficients(f, table.t, table.p, cap)
+    coeffs = smooth_query_coefficients(f, table.t, table.p)
     raw = float(table.values @ coeffs)
     return QueryAnswer(raw=raw, value=raw)
 
@@ -382,11 +332,10 @@ def smooth_release_and_answer(data: BoxDataset, t: int,
                               budget: PrivacyBudget,
                               queries: Sequence[Callable],
                               rng: np.random.Generator,
-                              cap: int = 200_000,
                               transcript: Optional[Transcript] = None):
     """One private release, then every query answered from it."""
-    table = smooth_release(data, t, budget, rng, cap, transcript)
-    return table, [answer_smooth_query(table, f, cap) for f in queries]
+    table = smooth_release(data, t, budget, rng, transcript)
+    return table, [answer_smooth_query(table, f) for f in queries]
 
 
 def recommended_t(n: int, p: int, h: int, epsilon: float) -> int:

@@ -19,6 +19,8 @@ from .geometry import BallConstraint
 
 GradientOracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
+_CHUNK = 1024  # rows per conversion in _scalar_rows
+
 
 @dataclass(frozen=True)
 class SigmSchedule:
@@ -133,12 +135,12 @@ def sigm_run(oracle: GradientOracle, constraint: BallConstraint,
     return y
 
 
-def _scalar_rows(*columns: np.ndarray, chunk: int = 1024):
+def _scalar_rows(*columns: np.ndarray):
     """Yield tuples of Python floats, one per index, from equal-length arrays.
 
-    Python floats keep the loop's scalar arithmetic cheap; converting a
-    chunk at a time keeps at most ``chunk`` rows of them alive, where a whole
-    run's worth would hold several megabytes of small objects.
+    Python floats keep the loop's scalar arithmetic cheap; converting
+    ``_CHUNK`` rows at a time keeps at most that many of them alive, where a
+    whole run's worth would hold several megabytes of small objects.
     """
-    for lo in range(0, len(columns[0]), chunk):
-        yield from zip(*(c[lo:lo + chunk].tolist() for c in columns))
+    for lo in range(0, len(columns[0]), _CHUNK):
+        yield from zip(*(c[lo:lo + _CHUNK].tolist() for c in columns))

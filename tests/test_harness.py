@@ -110,6 +110,17 @@ def test_file_dataset(tmp_path):
     with pytest.raises(ConfigurationError):
         generate_dataset({"family": "file", "path": str(path),
                           "kind": "weird"}, 0)
+    bits = tmp_path / "bits.csv"
+    bits.write_text("0,1\n1,1\n")
+    data = generate_dataset({"family": "file", "path": str(bits),
+                             "kind": "binary"}, 0)
+    assert isinstance(data, BinaryDataset)
+    assert data.rows.tolist() == [[0, 1], [1, 1]]
+    # a non-bit is rejected, not truncated to 0
+    bits.write_text("0.7,1\n1,1\n")
+    with pytest.raises(ParameterError, match="bits"):
+        generate_dataset({"family": "file", "path": str(bits),
+                          "kind": "binary"}, 0)
 
 
 # --- baselines ---------------------------------------------------------------
@@ -177,6 +188,12 @@ _HINGE_CONFIG = {"mechanism": "hinge",
                  "dataset": {"family": "separable-two-class", "n": 200,
                              "dim": 2},
                  "trials": 1, "seed": 5}
+
+
+_MARGINALS_CONFIG = {"mechanism": "marginals",
+                     "dataset": {"family": "bernoulli-bits", "n": 200,
+                                 "dim": 4},
+                     "params": {"gamma": 0.2}, "trials": 1, "seed": 5}
 
 
 def _write_config(path, **overrides):
@@ -417,6 +434,11 @@ def test_real_valued_messages_count_64_bits_per_real(tmp_path, mechanism,
     reals = float(row["reals_per_player"])
     assert reals >= 1
     assert float(row["bits_per_player"]) == 64 * reals
+    # the report row carries the transcript's accounting, not a copy of it
+    with open(result.report_path) as fh:
+        (report,) = list(csv.DictReader(fh))
+    for column in ("bits_per_player", "reals_per_player"):
+        assert report[column] == row[column]
 
 
 def test_avg_bench_error_slope(tmp_path):
@@ -504,6 +526,11 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     ({**_HINGE_CONFIG, "params": {"delta": 1.0}}, []),
     ({**_HINGE_CONFIG, "params": {"delta": -0.1}}, []),
     ({**_HINGE_CONFIG, "sweep": {"delta": [1e-5, 1.5]}}, []),
+    ({**_MARGINALS_CONFIG, "params": {"split_budget": "no"}}, []),
+    (_MARGINALS_CONFIG, ["--set", "params.split_budget=no"]),
+    (_MARGINALS_CONFIG, ["--set", "sweep.split_budget=[false,1]"]),
+    ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "params.loss=cubic"]),
+    ({**_CONFIG, "mechanism": "onebit"}, ["--set", "sweep.loss=[\"flat\",3]"]),
 ])
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"
@@ -515,6 +542,76 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()  # rejected before any trial ran
+
+
+def _data_files(tmp_path):
+    cube = tmp_path / "cube.csv"
+    cube.write_text("0.1,0.2\n0.3,0.4\n")
+    bits = tmp_path / "bits.csv"
+    bits.write_text("0,1\n1,1\n")
+    return {"cube": str(cube), "bits": str(bits)}
+
+
+@pytest.mark.parametrize("mechanism, dataset", [
+    ("hinge", {"family": "file", "path": "cube"}),
+    ("marginals", {"family": "file", "path": "cube", "kind": "cube"}),
+    ("bernstein", {"family": "file", "path": "bits", "kind": "binary"}),
+    ("bernstein", {"family": "file"}),
+    ("bernstein", {"family": "file", "path": "missing"}),
+    ("bernstein", {"family": "file", "path": "cube", "kind": "weird"}),
+    ("avg-bench", {"family": "uniform-cube", "dim": 1}),
+    ("marginals", {"family": "bernoulli-bits", "n": 100, "dim": 4, "q": 1.5}),
+])
+def test_cli_rejects_unusable_dataset_with_exit_2(tmp_path, capsys,
+                                                  mechanism, dataset):
+    # each of these used to pass validation and then fail every trial
+    files = _data_files(tmp_path)
+    if "path" in dataset:
+        dataset = {**dataset, "path": files.get(dataset["path"],
+                                                str(tmp_path / "missing.csv"))}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mechanism": mechanism, "dataset": dataset,
+                                "trials": 1}))
+    out = tmp_path / "run"
+    code = cli.main([mechanism, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_file_kinds_match_mechanisms(tmp_path):
+    files = _data_files(tmp_path)
+    ball = tmp_path / "ball.csv"
+    np.savetxt(ball, np.array([[0.5, 0.1, 1.0], [0.2, -0.3, -1.0]] * 20),
+               delimiter=",")
+    for mechanism, dataset, params in [
+            ("hinge", {"path": str(ball), "kind": "ball"}, {"d_cap": 2}),
+            ("marginals", {"path": files["bits"], "kind": "binary"},
+             {"k": 1, "gamma": 0.2}),
+            ("smooth-queries", {"path": files["cube"]}, {"t": 2}),
+            ("smooth-queries", {"path": files["cube"], "kind": "box"},
+             {"t": 2})]:
+        cfg = ExperimentConfig(
+            mechanism=mechanism, dataset={"family": "file", **dataset},
+            params=params, trials=1, out=str(tmp_path / mechanism))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SampleSizeWarning)
+            assert run_experiment(cfg).failures == 0
+
+
+def test_dataset_sweep_checks_every_spec():
+    # a sweep may supply a spec key the dataset leaves out
+    ExperimentConfig(mechanism="avg-bench",
+                     dataset={"family": "uniform-cube", "dim": 1},
+                     sweep={"n": [10, 20]})
+    with pytest.raises(ConfigurationError, match="'q'"):
+        ExperimentConfig(mechanism="marginals",
+                         dataset={"family": "bernoulli-bits", "n": 10},
+                         sweep={"q": [0.3, 1.5]})
+    with pytest.raises(ConfigurationError, match="missing 'n'"):
+        ExperimentConfig(mechanism="avg-bench",
+                         dataset={"family": "uniform-cube"},
+                         sweep={"dim": [1]})
 
 
 @pytest.mark.parametrize("env", ["0", "-2", "two"])
