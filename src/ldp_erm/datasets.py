@@ -140,11 +140,17 @@ def check_spec(spec: dict) -> type:
     """The record type a dataset spec gives, or ``ConfigurationError``.
 
     Checks all that can be checked without the data: the family, a file's
-    ``path`` and ``kind``, the sizes ``n`` and ``dim`` and a bit probability
-    ``q``. Ranges of the other family parameters are checked on generation.
+    ``path`` and ``kind`` (and that it sets none of ``DATA_KEYS``), the
+    sizes ``n`` and ``dim`` and a bit probability ``q``. Ranges of the other
+    family parameters are checked on generation.
     """
     family = spec.get("family")
     if family == "file":
+        unused = [key for key in DATA_KEYS if key in spec]
+        if unused:
+            raise ConfigurationError(
+                f"a file dataset takes its records from the file; it has no "
+                f"{', '.join(map(repr, unused))} to set or sweep")
         path = spec.get("path")
         if not isinstance(path, str) or not os.path.isfile(path):
             raise ConfigurationError(

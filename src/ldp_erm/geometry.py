@@ -30,6 +30,10 @@ class BoxConstraint:
     def center(self) -> np.ndarray:
         return np.full(self.dim, 0.5 * (self.lo + self.hi))
 
+    def linear_minimizer(self, g: np.ndarray) -> np.ndarray:
+        """A corner of the box minimising <g, v>; ``hi`` where g_j <= 0."""
+        return np.where(g > 0, self.lo, self.hi)
+
 
 @dataclass(frozen=True)
 class BallConstraint:
@@ -55,6 +59,13 @@ class BallConstraint:
 
     def center(self) -> np.ndarray:
         return self._center.copy()
+
+    def linear_minimizer(self, g: np.ndarray) -> np.ndarray:
+        """The point of the ball minimising <g, v>; the centre when g = 0."""
+        nrm = math.sqrt(g @ g)
+        if nrm == 0.0:
+            return self.center()
+        return self._center - g * (self.radius / nrm)
 
     def project(self, w: np.ndarray) -> np.ndarray:
         """Project a point, or each row of an (m, dim) array, onto the ball."""

@@ -11,6 +11,7 @@ to a separate log so the CSVs stay byte-reproducible.
 import functools
 import itertools
 import json
+import math
 import os
 import subprocess
 import time
@@ -55,6 +56,23 @@ PARAM_RANGES = {
 }
 
 
+def _check_numbers(key: str, value, test, wanted: str):
+    """Reject a param value that is not a non-empty list of such numbers."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigurationError(
+            f"param {key!r} must be a non-empty list, got {value!r}")
+    for item in value:
+        check_range(f"each entry of param {key!r}", item, test, wanted)
+
+
+def _check_center(center, dim: int):
+    """A kernel centre is a point of the data space, or None for the default."""
+    if center is not None and len(center) != dim:
+        raise ConfigurationError(
+            f"param 'center' has {len(center)} coordinates; the data has "
+            f"dim {dim}")
+
+
 def _check_count(name: str, value, least: int):
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigurationError(
@@ -95,8 +113,10 @@ class ExperimentConfig:
         # every dataset spec a trial will generate
         records = MECHANISMS[self.mechanism].records
         keys = [key for key in sorted(lists) if key in DATA_KEYS]
-        for combo in itertools.product(*(lists[key] for key in keys)):
-            record = check_spec({**self.dataset, **dict(zip(keys, combo))})
+        specs = [{**self.dataset, **dict(zip(keys, combo))}
+                 for combo in itertools.product(*(lists[key] for key in keys))]
+        for spec in specs:
+            record = check_spec(spec)
             if record not in records:
                 raise ConfigurationError(
                     f"mechanism {self.mechanism!r} consumes "
@@ -107,6 +127,13 @@ class ExperimentConfig:
         for key, values in lists.items():
             if key not in DATA_KEYS:
                 self._check_param(key, values)
+        if "center" in MECHANISMS[self.mechanism].params:
+            # a file's dim is known only once it is read, in the executor
+            centers = lists.get("center", [self.params.get("center")])
+            for spec in specs:
+                if spec["family"] != "file":
+                    for center in centers:
+                        _check_center(center, int(spec.get("dim", 1)))
 
     def _check_param(self, key: str, values):
         defaults = MECHANISMS[self.mechanism].params
@@ -127,6 +154,10 @@ class ExperimentConfig:
                     f"param {key!r} must be true or false, got {value!r}")
             if key == "loss":
                 make_grid_loss(value)  # raises on an unknown name
+            if key == "bandwidths":
+                _check_numbers(key, value, lambda v: v > 0, "a number > 0")
+            if key == "center" and value is not None:
+                _check_numbers(key, value, math.isfinite, "a finite number")
 
 
 def _accepted(records) -> str:
@@ -350,6 +381,7 @@ def _trial_smooth(data, params: dict, seed: int,
     t = int(params["t"])
     epsilon = float(params["epsilon"])
     center = params["center"]
+    _check_center(center, data.dim)
     if center is None:  # the default depends on the data's dimension
         center = [0.25] * data.dim
     center = np.asarray(center, dtype=float)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -9,8 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ldp_erm.baselines import (dense_grid_minimize, glm_baseline,
-                               projected_subgradient)
+from grid_reference import dense_grid_minimize
+from ldp_erm import baselines
+from ldp_erm.baselines import glm_baseline, projected_subgradient
 from ldp_erm.bernstein_erm import CubeDataset
 from ldp_erm.datasets import generate_dataset, separable_two_class
 from ldp_erm.errors import (ConfigurationError, ParameterError,
@@ -166,6 +168,145 @@ def test_baseline_methods_cross_check():
         dense_grid_minimize(objective_many, BallConstraint((0.0,) * 3, 1.0))
 
 
+@pytest.mark.parametrize("n, dim, margin, seed", [
+    (300, 2, 0.05, 1), (2001, 3, 0.2, 4), (5000, 5, 0.05, 3),
+    (2000, 5, 0.45, 2), (1000, 5, 0.7, 6), (1000, 2, 0.9, 7),
+])
+def test_baseline_reaches_separable_optimum(n, dim, margin, seed):
+    # separable_two_class's docstring proves this optimum
+    data = generate_dataset({"family": "separable-two-class", "n": n,
+                             "dim": dim, "margin": margin}, seed)
+    _, f = glm_baseline(data, hinge_flavor())
+    assert abs(f - max(0.0, 0.5 - margin)) <= 1e-12
+
+
+def _recorded_bounds(monkeypatch, check=lambda *args: None):
+    # every certified_lower_bound the solver computes, after ``check(*args)``
+    bounds = []
+    certify = baselines.certified_lower_bound
+
+    def recorded(*args):
+        check(*args)
+        bounds.append(certify(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(baselines, "certified_lower_bound", recorded)
+    return bounds
+
+
+def _fixed_iters_subgradient(objective, subgrad, constraint):
+    # the solver as it was before the certified stop: always ITERS steps
+    radius = constraint.radius
+    w = np.asarray(constraint.center(), dtype=float)
+    avg = w.copy()
+    best_w, best_f = w.copy(), float(objective(w))
+    for t in range(1, baselines.ITERS + 1):
+        g = np.asarray(subgrad(w), dtype=float)
+        w = constraint.project(w - (radius / math.sqrt(t)) * g)
+        avg += (w - avg) / (t + 1)
+        if t % baselines.EVAL_EVERY == 0 or t == baselines.ITERS:
+            for cand in (avg, w):
+                f = float(objective(cand))
+                if f < best_f:
+                    best_w, best_f = cand.copy(), f
+    return best_w, best_f
+
+
+@pytest.mark.parametrize("kink, constraint", [
+    ((0.3,), BoxConstraint(0.0, 1.0, 1)),
+    ((0.31, -0.17), BallConstraint((0.0, 0.0), 1.0)),
+])
+def test_uncertified_baseline_run_is_unchanged(monkeypatch, kink, constraint):
+    # an interior kink, and a subgradient that is never 0 there: every
+    # certificate stays below the optimum, so the run takes all ITERS steps
+    kink = np.array(kink)
+
+    def objective(w):
+        return float(np.sum(np.abs(w - kink)))
+
+    def subgrad(w):
+        return np.where(w >= kink, 1.0, -1.0)
+
+    w_ref, f_ref = _fixed_iters_subgradient(objective, subgrad, constraint)
+    bounds = _recorded_bounds(monkeypatch)
+    w, f = projected_subgradient(objective, subgrad, constraint)
+    assert len(bounds) == 2 * baselines.ITERS // baselines.EVAL_EVERY
+    assert f == f_ref
+    assert np.array_equal(w, w_ref)
+
+
+# (f(w), a subgradient, f over the rows of an (M, 2) block) given a target;
+# the smooth ones certify at the first checkpoint, and so do the kinked ones
+# whose subgradient is constant near the optimum; a kinked one with a kink
+# through the optimum certifies only after many checkpoints
+_GRID_OBJECTIVES = {
+    "smooth": lambda t: (
+        lambda w: float(np.sum((w - t) ** 2) + 0.1 * np.sum(w ** 4)),
+        lambda w: 2.0 * (w - t) + 0.4 * w ** 3,
+        lambda b: np.sum((b - t) ** 2, axis=1) + 0.1 * np.sum(b ** 4, axis=1)),
+    "kinked": lambda t: (
+        lambda w: float(np.sum(np.abs(w - t))),
+        lambda w: np.sign(w - t),
+        lambda b: np.sum(np.abs(b - t), axis=1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GRID_OBJECTIVES))
+@pytest.mark.parametrize("constraint, target", [
+    (BallConstraint((0.0, 0.0), 1.0), (1.2, -0.9)),
+    (BallConstraint((0.0, 0.0), 1.0), (0.3, -0.2)),
+    (BoxConstraint(-1.0, 1.0, 2), (1.4, 0.4)),
+    (BoxConstraint(-1.0, 1.0, 2), (-1.3, 1.6)),
+])
+def test_certified_lower_bound_is_below_grid_optimum(monkeypatch, constraint,
+                                                     target, kind):
+    objective, subgrad, objective_many = _GRID_OBJECTIVES[kind](
+        np.array(target))
+
+    def taken_at_one_point(value, g, c, constraint):
+        assert value == objective(c)
+        assert np.array_equal(g, subgrad(c))
+
+    bounds = _recorded_bounds(monkeypatch, taken_at_one_point)
+    _, f = projected_subgradient(objective, subgrad, constraint)
+    _, f_grid = dense_grid_minimize(objective_many, constraint, step=2e-3)
+    assert bounds
+    # any lower bound on the constrained optimum is below the grid's best
+    assert max(bounds) <= f_grid + 1e-12
+    assert f - max(bounds) >= -1e-12
+
+
+@pytest.mark.parametrize("constraint", [
+    BallConstraint((0.2, -0.1, 0.4), 0.7), BoxConstraint(-0.5, 2.0, 3)])
+def test_linear_minimizer_minimises_over_the_set(constraint):
+    rng = derived_rng(42)
+    pts = constraint.project(constraint.center()
+                             + 3.0 * rng.standard_normal((2000, 3)))
+    for g in [*rng.standard_normal((5, 3)), np.array([0.0, 1.0, -2.0]),
+              np.zeros(3)]:
+        v = constraint.linear_minimizer(g)
+        assert np.allclose(constraint.project(v), v)  # feasible
+        assert g @ v <= (pts @ g).min() + 1e-12
+
+
+def test_glm_baseline_stops_at_first_checkpoint(monkeypatch):
+    # the benchmark's glm data shape; the full loop would take ITERS steps
+    data = generate_dataset({"family": "separable-two-class", "n": 2000,
+                             "dim": 5, "margin": 0.05}, 3)
+    calls = []
+    solve = baselines.projected_subgradient
+
+    def counted(objective, subgrad, constraint):
+        def counting(w):
+            calls.append(1)
+            return subgrad(w)
+        return solve(objective, counting, constraint)
+
+    monkeypatch.setattr(baselines, "projected_subgradient", counted)
+    glm_baseline(data, hinge_flavor())
+    assert len(calls) <= baselines.EVAL_EVERY + 3
+
+
 def test_grid_loss_excess_oracle():
     data = CubeDataset(derived_rng(41).random((300, 2)))
     w_opt = data.rows.mean(axis=0)
@@ -194,6 +335,12 @@ _MARGINALS_CONFIG = {"mechanism": "marginals",
                      "dataset": {"family": "bernoulli-bits", "n": 200,
                                  "dim": 4},
                      "params": {"gamma": 0.2}, "trials": 1, "seed": 5}
+
+
+_SMOOTH_CONFIG = {"mechanism": "smooth-queries",
+                  "dataset": {"family": "gaussian-ball-clipped", "n": 200,
+                              "dim": 2},
+                  "params": {"t": 2}, "trials": 1, "seed": 5}
 
 
 def _write_config(path, **overrides):
@@ -531,6 +678,17 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     (_MARGINALS_CONFIG, ["--set", "sweep.split_budget=[false,1]"]),
     ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "params.loss=cubic"]),
     ({**_CONFIG, "mechanism": "onebit"}, ["--set", "sweep.loss=[\"flat\",3]"]),
+    (_SMOOTH_CONFIG, ["--set", "params.center=[0.1]"]),
+    (_SMOOTH_CONFIG, ["--set", "sweep.center=[[0.1,0.2],[0.1]]"]),
+    (_SMOOTH_CONFIG, ["--set", "params.center=[0.1,0.2]",
+                      "--set", "sweep.dim=[2,3]"]),
+    (_SMOOTH_CONFIG, ["--set", "params.center=0.1"]),
+    (_SMOOTH_CONFIG, ["--set", "params.center=[0.1,\"a\"]"]),
+    (_SMOOTH_CONFIG, ["--set", "params.bandwidths=[0]"]),
+    (_SMOOTH_CONFIG, ["--set", "params.bandwidths=[0.5,-1]"]),
+    (_SMOOTH_CONFIG, ["--set", "sweep.bandwidths=[[0.5],[0]]"]),
+    (_SMOOTH_CONFIG, ["--set", "params.bandwidths=0.5"]),
+    (_SMOOTH_CONFIG, ["--set", "params.bandwidths=[]"]),
 ])
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"
@@ -561,6 +719,8 @@ def _data_files(tmp_path):
     ("bernstein", {"family": "file", "path": "cube", "kind": "weird"}),
     ("avg-bench", {"family": "uniform-cube", "dim": 1}),
     ("marginals", {"family": "bernoulli-bits", "n": 100, "dim": 4, "q": 1.5}),
+    ("bernstein", {"family": "file", "path": "cube", "n": 2}),
+    ("bernstein", {"family": "file", "path": "cube", "dim": 2}),
 ])
 def test_cli_rejects_unusable_dataset_with_exit_2(tmp_path, capsys,
                                                   mechanism, dataset):
@@ -612,6 +772,43 @@ def test_dataset_sweep_checks_every_spec():
         ExperimentConfig(mechanism="avg-bench",
                          dataset={"family": "uniform-cube"},
                          sweep={"dim": [1]})
+
+
+def test_file_dataset_rejects_data_key_sweep(tmp_path, capsys):
+    # the file fixes n; each cell would report the file's two rows
+    files = _data_files(tmp_path)
+    one_column = tmp_path / "one.csv"
+    one_column.write_text("0.1\n0.3\n")
+    config = {"mechanism": "avg-bench",
+              "dataset": {"family": "file", "path": str(one_column)},
+              "sweep": {"n": [10, 20, 30]}, "trials": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    code = cli.main(["avg-bench", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert "'n'" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigurationError, match="'q'"):
+        ExperimentConfig(mechanism="marginals",
+                         dataset={"family": "file", "path": files["bits"],
+                                  "kind": "binary"},
+                         sweep={"q": [0.3]})
+
+
+def test_smooth_center_checked_against_file_data(tmp_path):
+    # a file's dim is known only when it is read, so the trial fails
+    files = _data_files(tmp_path)
+    cfg = ExperimentConfig(
+        mechanism="smooth-queries",
+        dataset={"family": "file", "path": files["cube"]},
+        params={"t": 2, "center": [0.1]}, trials=1, out=str(tmp_path / "r"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampleSizeWarning)
+        result = run_experiment(cfg)
+    assert result.failures == 1
+    assert result.rows[0]["status"] == "ConfigurationError"
+    assert "dim 2" in result.rows[0]["error"]
 
 
 @pytest.mark.parametrize("env", ["0", "-2", "two"])
