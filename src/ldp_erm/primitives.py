@@ -88,9 +88,25 @@ class Transcript:
     total_bits: float = 0.0
     total_reals: float = 0.0
 
-    def add_bulk(self, n: int, bits_per: float = 0.0, reals_per: float = 0.0):
+    def add_bulk(self, n: int, *, reals_per: float = 0.0,
+                 protocol_bits_per: float = 0.0):
+        """Count ``n`` messages, each of ``reals_per`` reals and
+        ``protocol_bits_per`` further bits.
+
+        Each real is charged BITS_PER_REAL bits here, so ``protocol_bits_per``
+        holds only the bits that are not reals (a coordinate index, a
+        one-bit report).
+        """
+        for name, value in (("n", n), ("reals_per", reals_per),
+                            ("protocol_bits_per", protocol_bits_per)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ParameterError(
+                    f"{name} must be finite and >= 0, got {value}")
+        if n != int(n):
+            raise ParameterError(f"n must be a whole number, got {n}")
         self.n_messages += int(n)
-        self.total_bits += float(n) * (bits_per + reals_per * BITS_PER_REAL)
+        self.total_bits += float(n) * (protocol_bits_per
+                                       + reals_per * BITS_PER_REAL)
         self.total_reals += float(n) * reals_per
 
     def bits_per_player(self) -> float:
@@ -184,7 +200,8 @@ def ldp_avg_vec(vectors, bound: float, budget: PrivacyBudget, rng: np.random.Gen
         picked = picked + rng.laplace(0.0, bound / budget.epsilon, n)
     if transcript is not None:
         # one coordinate index plus one real per player
-        transcript.add_bulk(n, bits_per=math.ceil(math.log2(max(p, 2))), reals_per=1.0)
+        transcript.add_bulk(n, reals_per=1.0,
+                             protocol_bits_per=math.ceil(math.log2(max(p, 2))))
     sums = np.bincount(coords, weights=picked, minlength=p)
     return sums * (p / n)
 
@@ -226,7 +243,7 @@ def onebit_encode_many(values, ys, epsilon: float, rng: np.random.Generator,
     probs = _onebit_probs(values, ys, epsilon)
     bits = (rng.random(values.shape) < probs).astype(np.int8)
     if transcript is not None:
-        transcript.add_bulk(values.size, bits_per=1.0)
+        transcript.add_bulk(values.size, protocol_bits_per=1.0)
     return bits, probs
 
 

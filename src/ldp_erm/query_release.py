@@ -30,6 +30,7 @@ from .polyapprox import OrPolynomial, build_or_polynomial, chebyshev_eval
 from .primitives import PrivacyBudget, Transcript
 
 CAP = 200_000  # most entries of a coefficient vector or basis (one real each)
+BLOCK = 4096  # players whose vectors a release holds at once
 
 
 @dataclass(frozen=True)
@@ -153,17 +154,34 @@ def _guarantee_n_floor(p: int, k: int, gamma: float, epsilon: float,
                growth * log_term)
 
 
-def _private_column_means(values: np.ndarray, bound: float,
+def _private_column_means(rows_values: Callable[[int, int], np.ndarray],
+                          n: int, dim: int, bound: float,
                           budget: PrivacyBudget,
                           rng: np.random.Generator) -> np.ndarray:
-    """Laplace-noised per-column means of an (n, D) matrix in [0, bound]."""
-    if values.min() < -1e-9 or values.max() > bound + 1e-9:
-        raise ParameterError(
-            f"values outside [0, {bound}] cannot be averaged at this bound")
-    if budget.noiseless:
-        return values.mean(axis=0)
-    noisy = values + rng.laplace(0.0, bound / budget.epsilon, values.shape)
-    return noisy.mean(axis=0)
+    """Laplace-noised per-column means of n player vectors in [0, bound]^dim.
+
+    ``rows_values(lo, hi)`` gives the (hi - lo, dim) vectors of players lo
+    to hi - 1. They are encoded, range-checked, noised and summed BLOCK
+    players at a time, so memory stays O(BLOCK * dim) whatever n. The result
+    is bit-identical to one mean over the whole (n, dim) matrix: row-major
+    Laplace draws over consecutive blocks are the same stream as one (n, dim)
+    draw, and keeping the running total as row 0 of the buffer makes
+    ``np.add.reduce`` add the rows one after another in player order, as an
+    axis-0 sum does (adding per-block sums would not).
+    """
+    buf = np.empty((min(n, BLOCK) + 1, dim))
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        block = buf[1:hi - lo + 1]
+        block[...] = rows_values(lo, hi)
+        if block.min() < -1e-9 or block.max() > bound + 1e-9:
+            raise ParameterError(
+                f"values outside [0, {bound}] cannot be averaged at this bound")
+        if not budget.noiseless:
+            block += rng.laplace(0.0, bound / budget.epsilon, block.shape)
+        # the first block has no running total yet
+        buf[0] = np.add.reduce(buf[0 if lo else 1:hi - lo + 1], axis=0)
+    return buf[0] / n
 
 
 def marginals_release(data: BinaryDataset, k: int, gamma: float,
@@ -193,10 +211,11 @@ def marginals_release(data: BinaryDataset, k: int, gamma: float,
             f"shape (~{floor:.2e}); released answers may be noisy",
             SampleSizeWarning, stacklevel=2)
 
-    matrix = _expand_rows(data.rows, alphas, per_alpha)
     b = coefficient_bound(orpoly, p)
     sub_budget = budget.split(dim) if split_budget else budget
-    means = _private_column_means(matrix + b, 2.0 * b, sub_budget, rng) - b
+    means = _private_column_means(
+        lambda lo, hi: _expand_rows(data.rows[lo:hi], alphas, per_alpha) + b,
+        data.n, dim, 2.0 * b, sub_budget, rng) - b
     if transcript is not None:
         transcript.add_bulk(data.n, reals_per=dim)
     return MarginalCoefficientTable(values=means, alphas=alphas, p=p, k=k,
@@ -312,10 +331,11 @@ def smooth_release(data: BoxDataset, t: int, budget: PrivacyBudget,
     averaging primitive and shifted back, which leaves the noise scale
     matching a sensitivity-1 release per coordinate at the full budget.
     """
-    basis = _basis_matrix(data.rows, t)
-    means01 = _private_column_means((basis + 1.0) / 2.0, 1.0, budget, rng)
+    dim = _check_basis_cap(t, data.dim)
+    means01 = _private_column_means(
+        lambda lo, hi: (_basis_matrix(data.rows[lo:hi], t) + 1.0) / 2.0,
+        data.n, dim, 1.0, budget, rng)
     if transcript is not None:
-        dim = basis.shape[1]
         transcript.add_bulk(data.n, reals_per=dim)
     return CosineCoefficientTable(values=2.0 * means01 - 1.0, p=data.dim, t=t)
 

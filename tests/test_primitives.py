@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ldp_erm.errors import EstimationError, ParameterError, SampleSizeWarning
-from ldp_erm.primitives import (PrivacyBudget, PublicRandomness, Transcript,
-                                avg_error_bound, laplace_logpdf, ldp_avg_1d,
-                                ldp_avg_vec, onebit_decode, onebit_encode_many)
+from ldp_erm.primitives import (BITS_PER_REAL, PrivacyBudget, PublicRandomness,
+                                Transcript, avg_error_bound, laplace_logpdf,
+                                ldp_avg_1d, ldp_avg_vec, onebit_decode,
+                                onebit_encode_many)
 from ldp_erm.rng import derived_rng
 
 
@@ -202,9 +203,30 @@ def test_public_randomness_reproducible():
 
 def test_transcript_accounting():
     t = Transcript()
-    t.add_bulk(3, bits_per=1.0)
+    t.add_bulk(3, protocol_bits_per=1.0)
     assert t.n_messages == 3
     assert t.bits_per_player() == 1.0
+
+
+def test_transcript_reals_and_protocol_bits_are_separate():
+    t = Transcript()
+    t.add_bulk(2, reals_per=3.0, protocol_bits_per=5.0)
+    assert t.reals_per_player() == 3.0
+    assert t.bits_per_player() == 3.0 * BITS_PER_REAL + 5.0
+    with pytest.raises(TypeError):
+        t.add_bulk(2, 1.0)  # positional counts would hide which is which
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n": -1}, {"n": 2.5}, {"n": math.inf},
+    {"reals_per": -1.0}, {"reals_per": math.nan}, {"reals_per": math.inf},
+    {"protocol_bits_per": -0.5}, {"protocol_bits_per": math.nan},
+])
+def test_transcript_rejects_bad_counts(kwargs):
+    t = Transcript()
+    with pytest.raises(ParameterError):
+        t.add_bulk(**{"n": 4, **kwargs})
+    assert (t.n_messages, t.total_bits, t.total_reals) == (0, 0.0, 0.0)
 
 
 def test_identical_seeds_identical_transcripts():

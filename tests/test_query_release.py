@@ -1,6 +1,7 @@
 """Tests for the one-shot private release of disjunction and smooth queries."""
 
 import math
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -11,7 +12,9 @@ from ldp_erm.errors import ParameterError, QueryClassError, SampleSizeWarning
 from ldp_erm.harness import _gaussian_kernel
 from ldp_erm.polyapprox import build_or_polynomial
 from ldp_erm.primitives import PrivacyBudget, Transcript
-from ldp_erm.query_release import (BinaryDataset, BoxDataset, QueryAnswer,
+from ldp_erm.query_release import (BLOCK, BinaryDataset, BoxDataset,
+                                   QueryAnswer, _basis_matrix, _expand_rows,
+                                   _expansion_pieces, _private_column_means,
                                    answer_smooth_query, coefficient_bound,
                                    disjunction_truth, evaluate_expansion,
                                    marginals_answer, marginals_player_expand,
@@ -57,7 +60,6 @@ def test_expansion_matches_count_polynomial():
     p = 6
     for _ in range(5):
         row = (rng.random(p) < 0.5).astype(int)
-        from ldp_erm.query_release import _expansion_pieces
         alphas, _ = _expansion_pieces(p, orpoly, 200_000)
         coeffs = marginals_player_expand(row, orpoly)
         for _ in range(10):
@@ -79,7 +81,6 @@ def test_expansion_linear_class():
     orpoly = build_or_polynomial(1, 0.05)
     assert orpoly.degree == 1
     row = np.array([1, 0, 1])
-    from ldp_erm.query_release import _expansion_pieces
     alphas, _ = _expansion_pieces(3, orpoly, 200_000)
     coeffs = marginals_player_expand(row, orpoly)
     for alpha, c in zip(alphas, coeffs):
@@ -268,3 +269,107 @@ def test_release_csv_formats(tmp_path):
     assert lines[0] == "query_id,answer,raw_answer"
     assert lines[1] == "q0,1.0,1.25"
     assert lines[2] == "q1,0.0,-0.5"
+
+
+# --- streamed column means -----------------------------------------------------
+
+
+def _reference_column_means(values, bound, budget, rng):
+    """The whole-matrix column means the streamed releases must reproduce."""
+    if values.min() < -1e-9 or values.max() > bound + 1e-9:
+        raise ParameterError(
+            f"values outside [0, {bound}] cannot be averaged at this bound")
+    if budget.noiseless:
+        return values.mean(axis=0)
+    noisy = values + rng.laplace(0.0, bound / budget.epsilon, values.shape)
+    return noisy.mean(axis=0)
+
+
+STREAM_NS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]
+STREAM_BUDGETS = [PrivacyBudget(epsilon=2.0), NOISELESS]
+
+
+def _same_bits(a, b):
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("split_budget", [False, True])
+@pytest.mark.parametrize("budget", STREAM_BUDGETS, ids=["eps2", "noiseless"])
+@pytest.mark.parametrize("n", STREAM_NS)
+def test_streamed_marginals_match_whole_matrix(n, budget, split_budget):
+    p, k, gamma = 6, 2, 0.05
+    data = BinaryDataset((derived_rng(50, n).random((n, p)) < 0.3).astype(int))
+    rng, ref_rng = derived_rng(51, n), derived_rng(51, n)
+    table = _quiet_release(data, k, gamma, budget, rng,
+                           split_budget=split_budget)
+
+    orpoly = build_or_polynomial(k, gamma)
+    alphas, per_alpha = _expansion_pieces(p, orpoly)
+    b = coefficient_bound(orpoly, p)
+    sub = budget.split(len(alphas)) if split_budget else budget
+    ref = _reference_column_means(
+        _expand_rows(data.rows, alphas, per_alpha) + b, 2.0 * b, sub,
+        ref_rng) - b
+    assert _same_bits(table.values, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("budget", STREAM_BUDGETS, ids=["eps2", "noiseless"])
+@pytest.mark.parametrize("n", STREAM_NS)
+def test_streamed_smooth_matches_whole_matrix(n, budget):
+    t = 4
+    data = BoxDataset(np.clip(derived_rng(52, n).normal(0.0, 0.4, (n, 2)),
+                              -1.0, 1.0))
+    rng, ref_rng = derived_rng(53, n), derived_rng(53, n)
+    table = smooth_release(data, t, budget, rng)
+
+    ref01 = _reference_column_means((_basis_matrix(data.rows, t) + 1.0) / 2.0,
+                                    1.0, budget, ref_rng)
+    assert _same_bits(table.values, 2.0 * ref01 - 1.0)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [-0.5, 2.5])
+def test_streamed_range_check_reaches_last_block(bad):
+    # the only out-of-range entry sits in the last, partial block
+    n, dim, bound = 2 * BLOCK + 5, 3, 2.0
+
+    def rows_values(lo, hi):
+        vals = np.ones((hi - lo, dim))
+        if hi == n:
+            vals[-1, 1] = bad
+        return vals
+
+    for budget in STREAM_BUDGETS:
+        with pytest.raises(ParameterError):
+            _private_column_means(rows_values, n, dim, bound, budget,
+                                  derived_rng(54))
+
+
+def _traced_peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+PEAK_MIB = 48.0  # whole-matrix releases peaked at 378 and 146 MiB at these sizes
+
+
+def test_marginals_release_memory_is_per_block():
+    n, p = 100_000, 8
+    data = BinaryDataset((derived_rng(55).random((n, p)) < 0.3).astype(int))
+    peak = _traced_peak_mib(lambda: _quiet_release(
+        data, 2, 0.05, PrivacyBudget(epsilon=2.0), derived_rng(56)))
+    assert peak < PEAK_MIB
+
+
+def test_smooth_release_memory_is_per_block():
+    n, p = 100_000, 2
+    data = BoxDataset(np.clip(derived_rng(57).normal(0.0, 0.4, (n, p)),
+                              -1.0, 1.0))
+    peak = _traced_peak_mib(lambda: smooth_release(
+        data, 8, PrivacyBudget(epsilon=2.0), derived_rng(58)))
+    assert peak < PEAK_MIB
