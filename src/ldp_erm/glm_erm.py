@@ -4,7 +4,7 @@ Players Gaussian-noise many replicas of their record and send them once;
 the server turns each message into an unbiased sample of a polynomial
 surrogate gradient (a Bernstein form of the smoothed loss derivative
 evaluated via products over fresh replicas) and feeds the samples to the
-accelerated solver.
+averaged dual-averaging solver of ``sigm``.
 
 Two gradient paths exist: a dedicated hinge path whose coefficients come
 from the smoothed hinge derivative, and a general path for any convex
@@ -87,10 +87,9 @@ def glm_player_encode(record: tuple, budget: PrivacyBudget, d: int,
 
 @dataclass(frozen=True)
 class GradientOracleConfig:
-    """Degree, smoothing, and coefficient data of one gradient path."""
+    """Degree and coefficient data of one gradient path."""
 
     d: int
-    beta_smoothing: float
     flavor: str  # "hinge" or "general-linear"
     coeffs: np.ndarray
     sampler: Optional[SubgradientSampler] = None
@@ -120,8 +119,7 @@ class GradientOracleConfig:
 def hinge_oracle_config(d: int, beta: float) -> GradientOracleConfig:
     """Coefficients c_j = (smoothed hinge)'(j/d) for the dedicated path."""
     coeffs = bernstein_deriv_coeffs(SmoothedPlus(beta).deriv, d)
-    return GradientOracleConfig(d=d, beta_smoothing=beta, flavor="hinge",
-                                coeffs=coeffs)
+    return GradientOracleConfig(d=d, flavor="hinge", coeffs=coeffs)
 
 
 def general_linear_oracle_config(d: int, beta: float,
@@ -136,8 +134,7 @@ def general_linear_oracle_config(d: int, beta: float,
     """
     coeffs = bernstein_deriv_coeffs(
         lambda v: hbeta_deriv(beta, v - 0.5), d)
-    return GradientOracleConfig(d=d, beta_smoothing=beta,
-                                flavor="general-linear", coeffs=coeffs,
+    return GradientOracleConfig(d=d, flavor="general-linear", coeffs=coeffs,
                                 sampler=sampler)
 
 
@@ -401,8 +398,7 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     sigma_hat = _pilot_sigma(gradients, replay, dim, rng)
     sigma = sigma_safety * sigma_hat
     constraint = BallConstraint.origin(dim, 1.0)
-    schedule = SigmSchedule(sigma=sigma, radius=1.0,
-                            smoothness=1.0 / beta, p_exponent=1)
+    schedule = SigmSchedule(sigma=sigma, radius=1.0, smoothness=1.0 / beta)
 
     steps = iters if iters is not None else n
     rows, kinks = replay(steps)

@@ -127,13 +127,15 @@ class ExperimentConfig:
         for key, values in lists.items():
             if key not in DATA_KEYS:
                 self._check_param(key, values)
-        if "center" in MECHANISMS[self.mechanism].params:
+        mech = MECHANISMS[self.mechanism]
+        if mech.check_data is not None:
+            # the values each param takes in some trial
+            values = {key: lists.get(key, [self.params.get(key, default)])
+                      for key, default in mech.params.items()}
             # a file's dim is known only once it is read, in the executor
-            centers = lists.get("center", [self.params.get("center")])
             for spec in specs:
                 if spec["family"] != "file":
-                    for center in centers:
-                        _check_center(center, int(spec.get("dim", 1)))
+                    mech.check_data(int(spec.get("dim", 1)), values)
 
     def _check_param(self, key: str, values):
         defaults = MECHANISMS[self.mechanism].params
@@ -397,6 +399,17 @@ def _trial_smooth(data, params: dict, seed: int,
     return {"t": t, "epsilon": epsilon, "max_query_error": worst}
 
 
+def _check_smooth_data(dim: int, values: dict):
+    for center in values["center"]:
+        _check_center(center, dim)
+
+
+def _check_avg_bench_data(dim: int, values: dict):
+    if dim != 1:
+        raise ConfigurationError(
+            f"avg-bench needs 1-d cube data; the dataset has dim {dim}")
+
+
 def _trial_avg_bench(data: CubeDataset, params: dict, seed: int,
                      transcript: Transcript) -> dict:
     if data.dim != 1:
@@ -419,11 +432,15 @@ class Mechanism:
     ``records`` are the record types it consumes (the dataset families and
     file kinds it accepts are those that give one), ``params`` the params a
     config may set, with their defaults, and ``run`` its executor.
+    ``check_data``, if set, rejects synthetic data the mechanism cannot run
+    on; it gets the data's ``dim`` and, per param, the list of values the
+    param takes in some trial. File data is checked by the executor.
     """
 
     records: tuple
     params: dict
     run: Callable
+    check_data: Optional[Callable] = None
 
 
 _GRID_PARAMS = {"loss": "quadratic", "k": 8, "h": 1, "epsilon": 1.0,
@@ -448,9 +465,9 @@ MECHANISMS = {
     "smooth-queries": Mechanism(
         (BoxDataset, CubeDataset),
         {"t": 8, "epsilon": 1.0, "center": None, "bandwidths": (1.0, 0.5)},
-        _trial_smooth),
+        _trial_smooth, _check_smooth_data),
     "avg-bench": Mechanism((CubeDataset,), {"epsilon": 1.0},
-                           _trial_avg_bench),
+                           _trial_avg_bench, _check_avg_bench_data),
 }
 
 

@@ -363,29 +363,3 @@ def recommended_t(n: int, p: int, h: int, epsilon: float) -> int:
     if n < 1 or p < 1 or h < 1 or not epsilon > 0:
         raise ParameterError("need n, p, h >= 1 and epsilon > 0")
     return max(1, round((math.sqrt(n) * epsilon) ** (2.0 / (5 * p + 2 * h))))
-
-
-# --- release files --------------------------------------------------------------
-
-
-def write_release_csv(path, mechanism: str, table, epsilon: float, n: int,
-                      seed: int):
-    """Header (mechanism, p, order, gamma, epsilon, n, seed) + coefficients."""
-    if isinstance(table, MarginalCoefficientTable):
-        order, gamma = table.k, table.gamma
-    else:
-        order, gamma = table.t, ""
-    lines = ["mechanism,p,order,gamma,epsilon,n,seed",
-             f"{mechanism},{table.p},{order},{gamma},{epsilon},{n},{seed}",
-             "index,coefficient"]
-    lines += [f"{i},{v!r}" for i, v in enumerate(table.values)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_answers_csv(path, answers: Sequence[tuple]):
-    """Rows of (query_id, QueryAnswer) as query_id,answer,raw_answer."""
-    lines = ["query_id,answer,raw_answer"]
-    lines += [f"{qid},{ans.value!r},{ans.raw!r}" for qid, ans in answers]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

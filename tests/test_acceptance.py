@@ -226,7 +226,7 @@ def test_criterion_06_sigm():
     wstar = np.array([0.3, -0.4])
     ball = BallConstraint((0.0, 0.0), 1.0)
 
-    sch = SigmSchedule(sigma=0.0, radius=1.0, smoothness=1.0, p_exponent=1)
+    sch = SigmSchedule(sigma=0.0, radius=1.0, smoothness=1.0)
     y = sigm_run(lambda x, rng: x - wstar, ball, sch, 500, derived_rng(0))
     gap = 0.5 * float(np.sum((y - wstar) ** 2))
     assert gap <= 1e-3

@@ -689,6 +689,8 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     (_SMOOTH_CONFIG, ["--set", "sweep.bandwidths=[[0.5],[0]]"]),
     (_SMOOTH_CONFIG, ["--set", "params.bandwidths=0.5"]),
     (_SMOOTH_CONFIG, ["--set", "params.bandwidths=[]"]),
+    (_CONFIG, ["--set", "dataset.dim=2"]),
+    (_CONFIG, ["--set", "sweep.dim=[1,2]"]),
 ])
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"

@@ -21,8 +21,7 @@ from ldp_erm.query_release import (BLOCK, BinaryDataset, BoxDataset,
                                    marginals_release, recommended_t,
                                    smooth_player_basis,
                                    smooth_query_coefficients, smooth_release,
-                                   smooth_release_and_answer,
-                                   write_answers_csv, write_release_csv)
+                                   smooth_release_and_answer)
 from ldp_erm.rng import derived_rng
 
 NOISELESS = PrivacyBudget(epsilon=float("inf"))
@@ -249,26 +248,6 @@ def test_recommended_t():
     assert recommended_t(10_000, 2, 3, 2.0) <= recommended_t(10 ** 8, 2, 3, 2.0)
     with pytest.raises(ParameterError):
         recommended_t(0, 2, 3, 2.0)
-
-
-def test_release_csv_formats(tmp_path):
-    data = BinaryDataset(np.ones((5, 3), dtype=int))
-    table = _quiet_release(data, 2, 0.1, NOISELESS, derived_rng(34))
-    rel = tmp_path / "release.csv"
-    write_release_csv(rel, "marginals", table, 2.0, 5, 0)
-    lines = rel.read_text().splitlines()
-    assert lines[0] == "mechanism,p,order,gamma,epsilon,n,seed"
-    assert lines[1] == "marginals,3,2,0.1,2.0,5,0"
-    assert lines[2] == "index,coefficient"
-    assert len(lines) == 3 + table.dimension
-
-    ans = tmp_path / "answers.csv"
-    write_answers_csv(ans, [("q0", QueryAnswer(raw=1.25, value=1.0)),
-                            ("q1", QueryAnswer(raw=-0.5, value=0.0))])
-    lines = ans.read_text().splitlines()
-    assert lines[0] == "query_id,answer,raw_answer"
-    assert lines[1] == "q0,1.0,1.25"
-    assert lines[2] == "q1,0.0,-0.5"
 
 
 # --- streamed column means -----------------------------------------------------

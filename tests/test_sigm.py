@@ -1,4 +1,4 @@
-"""Tests for the accelerated inexact-gradient solver and its schedule."""
+"""Tests for the averaged dual-averaging solver and its schedule."""
 
 import numpy as np
 import pytest
@@ -16,36 +16,14 @@ def exact_oracle(x, rng):
     return x - WSTAR
 
 
-def test_schedule_p1_collapses():
-    sch = SigmSchedule(sigma=0.0, radius=1.0, smoothness=1.0, p_exponent=1)
-    assert sch.alpha(3) == 1.0
-    assert sch.eta(3) == 1.0
-    assert sum(sch.alpha(i) for i in range(4)) == 4.0  # A_3
-    assert sch.big_b(7) == 1.0
-
-
-def test_schedule_identities_general_p():
-    sch = SigmSchedule(sigma=0.7, radius=0.9, smoothness=2.0, p_exponent=2)
-    idx = np.unique(np.geomspace(1, 10_000, 60).astype(int))
-    for i in idx:
-        i = int(i)
-        assert abs(sch.big_b(i) - sch.a_const * sch.alpha(i) ** 2) < 1e-10
-        assert abs(sch.eta(i) - sch.alpha(i + 1) / sch.big_b(i + 1)) < 1e-12
-        want_beta = 2.0 + sch.b_const * 0.7 / 0.9 * (i + 3) ** 1.5
-        assert abs(sch.beta(i) - want_beta) < 1e-10 * max(1.0, want_beta)
-
-
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_schedule_arrays_equal_scalar_values(p):
-    # the solver evaluates the schedule on index arrays up front
-    sch = SigmSchedule(sigma=0.7, radius=0.9, smoothness=2.0, p_exponent=p)
+def test_schedule_arrays_equal_scalar_values():
+    # the solver evaluates the schedule on an index array up front
+    sch = SigmSchedule(sigma=0.7, radius=0.9, smoothness=2.0)
     idx = np.arange(0, 5_000)
-    for name in ("alpha", "beta", "big_b", "eta"):
-        seq = getattr(sch, name)
-        got = seq(idx)
-        assert got.shape == idx.shape
-        assert isinstance(seq(3), float)
-        assert np.array_equal(got, [seq(int(i)) for i in idx])
+    got = sch.beta(idx)
+    assert got.shape == idx.shape
+    assert isinstance(sch.beta(3), float)
+    assert np.array_equal(got, [sch.beta(int(i)) for i in idx])
 
 
 def test_ball_projection_off_origin():
@@ -90,17 +68,37 @@ def test_schedule_validation():
         SigmSchedule(sigma=0.0, radius=1.0, smoothness=0.0)  # no step scale
 
 
-def _scalar_loop_run(oracle, constraint, schedule, iters, rng, trace):
-    # the solver's step, with every schedule value taken from the scalar
-    # methods inside the loop
+def _general_p_schedule(sch, p):
+    # alpha, beta and B of the general-exponent SIGM schedule, each taken
+    # one index at a time through a one-element array
+    a = 2.0 ** ((p - 1) / 2.0)
+    b = 2.0 ** ((5.0 - 2.0 * p) / 4.0) * p ** ((1.0 - 2.0 * p) / 2.0)
+
+    def alpha(i):
+        return float((((np.atleast_1d(i) + p) / p) ** (p - 1) / a)[0])
+
+    def beta(i):
+        growth = (np.atleast_1d(i) + p + 1.0) ** ((2.0 * p - 1.0) / 2.0)
+        return float((sch.smoothness + b * sch.sigma / sch.radius * growth)[0])
+
+    def big_b(i):
+        return a * alpha(i) ** 2
+
+    return alpha, beta, big_b
+
+
+def _general_p_loop_run(oracle, constraint, schedule, iters, rng, trace):
+    # the general-exponent SIGM loop at p = 1, with its extrapolation and
+    # prox-point blends, every schedule value taken inside the loop
+    alpha, beta, big_b = _general_p_schedule(schedule, 1)
     y = constraint.center()
     x = y.copy()
-    grad_sum = schedule.alpha(1) * np.asarray(oracle(x, rng), dtype=float)
-    a_running = schedule.alpha(0) + schedule.alpha(1)
+    grad_sum = alpha(1) * np.asarray(oracle(x, rng), dtype=float)
+    a_running = alpha(0) + alpha(1)
     for k in range(1, iters):
-        beta_k = schedule.beta(k)
-        alpha_next = schedule.alpha(k + 1)
-        b_next = schedule.big_b(k + 1)
+        beta_k = beta(k)
+        alpha_next = alpha(k + 1)
+        b_next = big_b(k + 1)
         eta = alpha_next / b_next
         z = constraint.project(-grad_sum / beta_k)
         x = eta * z + (1.0 - eta) * y
@@ -114,20 +112,25 @@ def _scalar_loop_run(oracle, constraint, schedule, iters, rng, trace):
     return y
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_run_equals_scalar_schedule_loop(p):
-    sch = SigmSchedule(sigma=0.4, radius=1.0, smoothness=1.0, p_exponent=p)
+@pytest.mark.parametrize("oracle", [
+    lambda x, rng: x - WSTAR + rng.normal(0.0, 0.4, x.shape),
+    exact_oracle,
+], ids=["noisy", "exact"])
+def test_run_equals_scalar_schedule_loop(oracle):
+    sch = SigmSchedule(sigma=0.4, radius=1.0, smoothness=1.0)
     ball = BallConstraint((0.2, -0.1), 0.8)
-    noisy = lambda x, rng: x - WSTAR + rng.normal(0.0, 0.4, x.shape)
     got, want = [], []
-    sigm_run(noisy, ball, sch, 300, derived_rng(8), trace=got)
-    _scalar_loop_run(noisy, ball, sch, 300, derived_rng(8), want)
+    rng_got, rng_want = derived_rng(8), derived_rng(8)
+    y_got = sigm_run(oracle, ball, sch, 300, rng_got, trace=got)
+    y_want = _general_p_loop_run(oracle, ball, sch, 300, rng_want, want)
     assert len(got) == len(want) == 299
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(y_got, y_want)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 def test_exact_quadratic_converges():
-    sch = SigmSchedule(sigma=0.0, radius=1.0, smoothness=1.0, p_exponent=1)
+    sch = SigmSchedule(sigma=0.0, radius=1.0, smoothness=1.0)
     y = sigm_run(exact_oracle, BALL, sch, 500, derived_rng(0))
     gap = 0.5 * np.sum((y - WSTAR) ** 2)
     assert gap <= 1e-3
