@@ -141,8 +141,8 @@ def check_spec(spec: dict) -> type:
 
     Checks all that can be checked without the data: the family, a file's
     ``path`` and ``kind`` (and that it sets none of ``DATA_KEYS``), the
-    sizes ``n`` and ``dim`` and a bit probability ``q``. Ranges of the other
-    family parameters are checked on generation.
+    sizes ``n`` and ``dim``, a bit probability ``q``, a separation
+    ``margin`` and a Gaussian scale ``sigma``.
     """
     family = spec.get("family")
     if family == "file":
@@ -174,6 +174,13 @@ def check_spec(spec: dict) -> type:
     if family == "bernoulli-bits":
         check_range("bit probability 'q'", spec.get("q", 0.5),
                     lambda q: 0.0 <= q <= 1.0, "a number in [0, 1]")
+    if family == "separable-two-class":
+        check_range("separation 'margin'", spec.get("margin", 0.2),
+                    lambda margin: 0.0 < margin < 1.0, "a number in (0, 1)")
+    if family == "gaussian-ball-clipped":
+        check_range("Gaussian scale 'sigma'", spec.get("sigma", 0.5),
+                    lambda sigma: math.isfinite(sigma) and sigma > 0.0,
+                    "a finite number > 0")
     return FAMILIES[family]
 
 

@@ -27,7 +27,7 @@ from .polyapprox import (SmoothedPlus, SubgradientSampler,
                          bernstein_deriv_coeffs, hbeta_deriv, hinge_sampler,
                          kink_locations, sample_q_many)
 from .primitives import PrivacyBudget, Transcript
-from .sigm import SigmSchedule, sigm_run
+from .sigm import _CHUNK, SigmSchedule, sigm_run
 
 PILOT_PROBES = 8  # points at which the pilot noise estimate probes
 PILOT_SAMPLES = 8  # gradient samples it draws at each point
@@ -147,9 +147,17 @@ def _binom_row(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _rising_mask(d: int) -> np.ndarray:
-    # entry l of block j enters the rising product when l < j
-    return np.arange(d)[None, :] < np.arange(d + 1)[:, None]
+def _fold(d: int) -> tuple:
+    """(signs, offsets, halves) of the d(d+1) product arguments of a sample.
+
+    Entry l of block j enters the rising product, as t, when l < j and the
+    falling one, as 1 - t, otherwise. Folding the sign into the argument
+    makes every factor offset + (sign * t): -0.0 + t is t and 1 + (-t) is
+    1 - t, bit for bit, signed zeros included. ``halves`` is sign * 1/2.
+    """
+    rising = (np.arange(d)[None, :] < np.arange(d + 1)[:, None]).ravel()
+    signs = np.where(rising, 1.0, -1.0)
+    return signs, np.where(rising, -0.0, 1.0), 0.5 * signs
 
 
 def _check_replicas(message: ReplicaMessage, d: int):
@@ -160,18 +168,19 @@ def _check_replicas(message: ReplicaMessage, d: int):
             f"degree-{d} oracle needs exactly {expect}")
 
 
-def _replica_products(args: np.ndarray, weights: np.ndarray,
+def _replica_products(signed_args: np.ndarray, weights: np.ndarray,
                       d: int) -> np.ndarray:
     """sum_j weights[j] * prod(first j of block j) * prod(1 - rest of block j).
 
-    The last axis of ``args`` holds the d(d+1) product arguments of one
-    sample, block j being the slice [j*d, (j+1)*d); its first j entries
-    enter the rising product and the remaining d-j the falling one, so every
-    replica is consumed by exactly one factor. Leading axes index samples.
+    The last axis of ``signed_args`` holds the d(d+1) product arguments t of
+    one sample times their ``_fold`` signs, block j being the slice
+    [j*d, (j+1)*d); its first j entries enter the rising product and the
+    remaining d-j the falling one, so every replica is consumed by exactly
+    one factor. Leading axes index samples.
     """
-    blocks = args.reshape(args.shape[:-1] + (d + 1, d))
-    factors = np.where(_rising_mask(d), blocks, 1.0 - blocks)
-    return factors.prod(axis=-1) @ weights
+    factors = _fold(d)[1] + signed_args
+    blocks = factors.reshape(signed_args.shape[:-1] + (d + 1, d))
+    return np.multiply.reduce(blocks, axis=-1) @ weights
 
 
 def _gradient_scalars(margins: np.ndarray, kinks: Optional[np.ndarray],
@@ -179,7 +188,9 @@ def _gradient_scalars(margins: np.ndarray, kinks: Optional[np.ndarray],
     """The factor multiplying y_0 x_0 in each gradient sample.
 
     ``margins`` holds the body replicas' y_k <x_k, w> on its last axis and
-    ``kinks`` the matching kink locations (None unless ``cfg.kinked``).
+    ``kinks`` the matching kink locations (None unless ``cfg.kinked``),
+    both times the ``_fold`` signs: the product argument
+    -((u - s) + 1/2) is (-u - (-s)) + (-1/2) exactly.
     """
     if cfg.flavor == "hinge":
         return _replica_products(margins, cfg.weights, cfg.d)
@@ -188,14 +199,19 @@ def _gradient_scalars(margins: np.ndarray, kinks: Optional[np.ndarray],
     midpoint = 0.5 * (sampler.upper + sampler.lower)
     if sampler.degenerate:
         return np.full(margins.shape[:-1], midpoint)
-    total = _replica_products(margins - kinks + 0.5, cfg.weights, cfg.d)
+    total = _replica_products(margins - kinks + _fold(cfg.d)[2], cfg.weights,
+                              cfg.d)
     return spread * total + (midpoint - 0.5 * spread)
 
 
 def _message_gradient(w: np.ndarray, message: ReplicaMessage,
                       kinks: Optional[np.ndarray],
                       cfg: GradientOracleConfig) -> np.ndarray:
-    margins = message.body_y * (message.body_x @ np.asarray(w, dtype=float))
+    signs = _fold(cfg.d)[0]
+    margins = (signs * message.body_y) * (message.body_x
+                                          @ np.asarray(w, dtype=float))
+    if kinks is not None:
+        kinks = signs * kinks
     scalar = _gradient_scalars(margins, kinks, cfg)
     return scalar * (message.head_y * message.head_x)
 
@@ -239,22 +255,34 @@ def _replay_draws(rng: np.random.Generator, n: int, count: int, m: int,
                   cfg: GradientOracleConfig) -> tuple:
     """Rows and kink locations of ``count`` server-side gradient samples.
 
-    Draws in the order one sample at a time would: a row index from a
-    scalar ``integers`` call (a batched call would draw every row ahead of
-    the uniforms between them), then, for a kinked loss, m uniforms. The
-    kink locations of all samples are then found in one bisection.
+    Draws in the order one sample at a time would: a row index from an
+    ``integers`` call, then, for a kinked loss, m uniforms. Without kinks
+    the rows are drawn in one batched call, which takes the same values
+    from the generator in the same order as ``count`` scalar calls and
+    leaves it in the same state. With kinks each row needs its own scalar
+    call, or every row would be drawn ahead of the uniforms between them;
+    the kink locations of all samples are then found in one bisection.
     """
-    rows = np.empty(count, dtype=np.intp)
     if not cfg.kinked:
-        for t in range(count):
-            rows[t] = rng.integers(n)
-        return rows, None
+        return rng.integers(n, size=count), None
+    rows = np.empty(count, dtype=np.intp)
     lower, upper = cfg.sampler.lower, cfg.sampler.upper
     u = np.empty((count, m))
     for t in range(count):
         rows[t] = rng.integers(n)
         u[t] = rng.uniform(lower, upper, m)
     return rows, kink_locations(cfg.sampler, u)
+
+
+def _draw_stream(rows: np.ndarray, kinks: Optional[np.ndarray]):
+    """Yield (row as a Python int, kink row or None), one per sample.
+
+    Rows are converted ``_CHUNK`` at a time, so no whole-run list is held.
+    """
+    for lo in range(0, len(rows), _CHUNK):
+        block = rows[lo:lo + _CHUNK].tolist()
+        yield from zip(block, itertools.repeat(None) if kinks is None
+                       else kinks[lo:lo + _CHUNK])
 
 
 # --- full protocol -------------------------------------------------------------
@@ -385,15 +413,21 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
 
     # The server replays the frozen messages. Its randomness (rows and kink
     # locations) does not depend on the iterate, so it is drawn up front.
+    # Labels and kinks carry the product signs (see _fold) from here on.
     n, dim, m = data.n, data.dim, d * (d + 1)
     head = head_y[:, None] * head_x
+    signs = _fold(d)[0]
+    body_y *= signs
 
     def gradients(w, rows, kinks):
         margins = body_y[rows] * (body_x[rows] @ w)
         return _gradient_scalars(margins, kinks, cfg)[..., None] * head[rows]
 
     def replay(count):
-        return _replay_draws(rng, n, count, m, cfg)
+        rows, kinks = _replay_draws(rng, n, count, m, cfg)
+        if kinks is not None:
+            kinks *= signs
+        return rows, kinks
 
     sigma_hat = _pilot_sigma(gradients, replay, dim, rng)
     sigma = sigma_safety * sigma_hat
@@ -401,11 +435,12 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     schedule = SigmSchedule(sigma=sigma, radius=1.0, smoothness=1.0 / beta)
 
     steps = iters if iters is not None else n
-    rows, kinks = replay(steps)
-    draws = zip(rows, itertools.repeat(None) if kinks is None else kinks)
+    draws = _draw_stream(*replay(steps))
 
     def oracle(w, _rng):
-        return gradients(w, *next(draws))
+        row, kinks = next(draws)
+        margins = body_y[row] * (body_x[row] @ w)
+        return _gradient_scalars(margins, kinks, cfg) * head[row]
 
     w_priv = sigm_run(oracle, constraint, schedule, steps, rng)
 

@@ -1,6 +1,7 @@
 """Tests for the replica-encoding gradient oracles and the full private
 margin-loss fit."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from ldp_erm.datasets import generate_dataset
 from ldp_erm.errors import ParameterError, ProtocolError
 from ldp_erm.geometry import BallConstraint
+from ldp_erm import glm_erm
 from ldp_erm.glm_erm import (BallDataset, LossFlavor, ReplicaMessage,
-                             _binom_row, _replica_products, empirical_risk,
+                             _binom_row, _encode_population, _fold,
+                             _pilot_sigma, _replica_products, empirical_risk,
                              general_linear_gradient_sample,
                              general_linear_oracle_config, glm_erm_run,
                              glm_player_encode, hinge_flavor,
@@ -18,7 +21,7 @@ from ldp_erm.glm_erm import (BallDataset, LossFlavor, ReplicaMessage,
                              hinge_via_general_flavor, replica_noise_stds)
 from ldp_erm.polyapprox import (SmoothedPlus, SubgradientSampler, abs_sampler,
                                 bernstein_poly_eval, hbeta_deriv,
-                                hinge_sampler)
+                                hinge_sampler, kink_locations)
 from ldp_erm.primitives import PrivacyBudget, Transcript
 from ldp_erm.rng import derived_rng
 from ldp_erm.sigm import SigmSchedule, sigm_run
@@ -132,7 +135,7 @@ def test_replica_products_match_per_block_form():
         weights = coeffs * _binom_row(d)
         for scale in (1.0, 30.0, 1e3):  # noised replicas reach ~1e3
             args = rng.uniform(-scale, scale, (40, m))
-            batch = _replica_products(args, weights, d)
+            batch = _replica_products(args * _fold(d)[0], weights, d)
             assert batch.shape == (40,)
             for row, got in zip(args, batch):
                 want = _per_block_products(row, coeffs, d)
@@ -369,3 +372,113 @@ def test_empirical_risk_matches_direct_mean():
     w = np.array([0.5, 0.1])
     direct = np.mean(np.maximum(0.0, 0.5 - data.labels * (data.features @ w)))
     assert empirical_risk(data, hinge_flavor(), w) == pytest.approx(direct)
+
+
+# 0.3 t: f'(-1) == f'(1), so the sampler is degenerate and draws no kinks
+AFFINE_FLAVOR = LossFlavor(
+    name="general-linear", scalar_loss=lambda t: 0.3 * np.asarray(t),
+    scalar_subgrad=lambda t: np.full(np.shape(t), 0.3),
+    sampler=SubgradientSampler(lambda t: np.full(np.shape(t), 0.3), 0.3, 0.3))
+
+
+def _unfolded_scalars(margins, kinks, cfg):
+    # the gradient scalar with unsigned arguments: t or 1 - t by a mask
+    d = cfg.d
+    rising = np.arange(d)[None, :] < np.arange(d + 1)[:, None]
+
+    def products(args):
+        blocks = args.reshape(args.shape[:-1] + (d + 1, d))
+        return np.where(rising, blocks, 1.0 - blocks).prod(axis=-1) @ cfg.weights
+
+    if cfg.flavor == "hinge":
+        return products(margins)
+    sampler = cfg.sampler
+    spread = sampler.upper - sampler.lower
+    midpoint = 0.5 * (sampler.upper + sampler.lower)
+    if sampler.degenerate:
+        return np.full(margins.shape[:-1], midpoint)
+    return spread * products(margins - kinks + 0.5) + (midpoint - 0.5 * spread)
+
+
+def _scalar_replay(rng, n, count, m, cfg):
+    # one scalar row draw per sample, each followed by its kink uniforms
+    rows = np.empty(count, dtype=np.intp)
+    u = np.empty((count, m)) if cfg.kinked else None
+    for t in range(count):
+        rows[t] = rng.integers(n)
+        if u is not None:
+            u[t] = rng.uniform(cfg.sampler.lower, cfg.sampler.upper, m)
+    return rows, None if u is None else kink_locations(cfg.sampler, u)
+
+
+def _unfolded_run(data, flavor, budget, rng, d):
+    # glm_erm_run at target_alpha = 1, sample by sample through the scalar
+    # replay and the unsigned gradient scalars
+    beta = 0.25
+    cfg = (hinge_oracle_config(d, beta) if flavor.name == "hinge" else
+           general_linear_oracle_config(d, beta, flavor.sampler))
+    head_x, head_y, body_x, body_y = _encode_population(
+        data.features, data.labels, budget, d, rng, None)
+    n, dim, m = data.n, data.dim, d * (d + 1)
+    head = head_y[:, None] * head_x
+
+    def gradients(w, rows, kinks):
+        margins = body_y[rows] * (body_x[rows] @ w)
+        return _unfolded_scalars(margins, kinks, cfg)[..., None] * head[rows]
+
+    def replay(count):
+        return _scalar_replay(rng, n, count, m, cfg)
+
+    sigma = 4.0 * _pilot_sigma(gradients, replay, dim, rng)
+    schedule = SigmSchedule(sigma=sigma, radius=1.0, smoothness=1.0 / beta)
+    rows, kinks = replay(n)
+    draws = zip(rows, itertools.repeat(None) if kinks is None else kinks)
+    w_priv = sigm_run(lambda w, _rng: gradients(w, *next(draws)),
+                      BallConstraint.origin(dim, 1.0), schedule, n, rng)
+    return w_priv, sigma
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("flavor", [hinge_flavor(),
+                                    hinge_via_general_flavor(),
+                                    QUADRATIC_FLAVOR, AFFINE_FLAVOR],
+                         ids=["hinge", "hinge-via-general", "quadratic",
+                              "affine"])
+def test_run_equals_unfolded_sample_by_sample_oracle(flavor, d):
+    data = generate_dataset({"family": "separable-two-class", "n": 300,
+                             "dim": 3, "margin": 0.1}, 24)
+    budget = PrivacyBudget(epsilon=2.0, delta=1e-5)
+    rng, ref = derived_rng(25, d), derived_rng(25, d)
+    rep = glm_erm_run(data, flavor, target_alpha=1.0, budget=budget, rng=rng,
+                      d_cap=d, baseline_w=np.zeros(3))
+    want_w, want_sigma = _unfolded_run(data, flavor, budget, ref, d)
+    assert rep.d == d
+    assert rep.sigma == want_sigma
+    assert np.array_equal(rep.w_priv, want_w)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [7, 5000, 20000, 2 ** 33])
+def test_batched_row_draws_equal_scalar_draws(n):
+    # _replay_draws batches the rows of an unkinked loss on this equality
+    rng, ref = derived_rng(26, n % 1000), derived_rng(26, n % 1000)
+    rows = rng.integers(n, size=20_000)
+    assert rows.tolist() == [int(ref.integers(n)) for _ in range(20_000)]
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_run_calls_solver_once_through_module_binding(monkeypatch):
+    # tracing wraps glm_erm.sigm_run, so the run must look the name up there
+    calls = []
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[3])
+        return sigm_run(*args, **kwargs)
+
+    monkeypatch.setattr(glm_erm, "sigm_run", counting_run)
+    data = generate_dataset({"family": "separable-two-class", "n": 50,
+                             "dim": 2, "margin": 0.1}, 27)
+    glm_erm_run(data, hinge_flavor(), target_alpha=1.0,
+                budget=PrivacyBudget(epsilon=2.0, delta=1e-5),
+                rng=derived_rng(27), d_cap=2, baseline_w=np.zeros(2))
+    assert calls == [50]

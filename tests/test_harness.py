@@ -691,6 +691,10 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     (_SMOOTH_CONFIG, ["--set", "params.bandwidths=[]"]),
     (_CONFIG, ["--set", "dataset.dim=2"]),
     (_CONFIG, ["--set", "sweep.dim=[1,2]"]),
+    (_HINGE_CONFIG, ["--set", "dataset.margin=0"]),
+    (_HINGE_CONFIG, ["--set", "sweep.margin=[0.2,1]"]),
+    (_SMOOTH_CONFIG, ["--set", "dataset.sigma=0"]),
+    (_SMOOTH_CONFIG, ["--set", "sweep.sigma=[0.4,\"inf\"]"]),
 ])
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"

@@ -6,7 +6,7 @@ import pytest
 from ldp_erm.errors import ParameterError
 from ldp_erm.geometry import BallConstraint
 from ldp_erm.rng import derived_rng
-from ldp_erm.sigm import SigmSchedule, sigm_run
+from ldp_erm.sigm import _CHUNK, SigmSchedule, sigm_run
 
 WSTAR = np.array([0.3, -0.4])  # ||w*|| = 0.5
 BALL = BallConstraint((0.0, 0.0), 1.0)
@@ -127,6 +127,47 @@ def test_run_equals_scalar_schedule_loop(oracle):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert np.array_equal(y_got, y_want)
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+def _step_loop_run(oracle, constraint, schedule, iters, rng, trace):
+    # one step at a time: query, prox point and average, all in the loop;
+    # also counts the dual-averaging points that fell outside the ball
+    ks = np.arange(1, iters)
+    beta = schedule.beta(ks)
+    a_k = ks + 2.0
+    steps = zip(beta.tolist(), (1.0 / beta).tolist(),
+                ((a_k - 1.0) / a_k).tolist(), (1.0 / a_k).tolist())
+    y = constraint.center()
+    grad_sum = np.array(oracle(y, rng), dtype=float)
+    outside = 0
+    for beta_k, step_k, keep_k, take_k in steps:
+        dual = -grad_sum / beta_k
+        z = constraint.project(dual)
+        outside += not np.array_equal(z, dual)
+        grad = np.asarray(oracle(z, rng), dtype=float)
+        x_hat = constraint.project(z - step_k * grad)
+        y = keep_k * y + take_k * x_hat
+        grad_sum += grad
+        trace.append(y.copy())
+    return y, outside
+
+
+@pytest.mark.parametrize("iters", [1, 2, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17])
+def test_run_equals_step_at_a_time_loop(iters):
+    # the blocked query and prox/average passes compute the same floats
+    sch = SigmSchedule(sigma=0.6, radius=0.5, smoothness=1.0)
+    ball = BallConstraint((0.2, -0.1), 0.5)  # holds WSTAR
+    oracle = lambda x, rng: x - WSTAR + rng.normal(0.0, 3.0, x.shape)
+    got, want = [], []
+    rng_got, rng_want = derived_rng(9, iters), derived_rng(9, iters)
+    y_got = sigm_run(oracle, ball, sch, iters, rng_got, trace=got)
+    y_want, outside = _step_loop_run(oracle, ball, sch, iters, rng_want, want)
+    assert len(got) == len(want) == iters - 1
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(y_got, y_want)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    if iters > 100:  # both branches of the projection were taken
+        assert 0 < outside < iters - 1
 
 
 def test_exact_quadratic_converges():
