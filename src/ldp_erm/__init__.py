@@ -14,10 +14,9 @@ from .geometry import BallConstraint, BoxConstraint
 from .primitives import (PrivacyBudget, Transcript, avg_error_bound,
                          ldp_avg_1d, ldp_avg_vec, onebit_decode,
                          onebit_encode_many)
-from .polyapprox import (BernsteinOperatorSpec, ChebyshevSeries, SmoothedPlus,
+from .polyapprox import (BernsteinOperatorSpec, SmoothedPlus,
                          build_or_polynomial, chebyshev_eval,
-                         chebyshev_series_fit, iterated_bernstein_eval,
-                         lemma40_reconstruct)
+                         iterated_bernstein_eval, lemma40_reconstruct)
 from .datasets import (BallDataset, BinaryDataset, BoxDataset, CubeDataset,
                        generate_dataset)
 from .bernstein_erm import (GridProtocolConfig, alg2_run, alg3_run,
@@ -40,8 +39,7 @@ __all__ = [
     "PrivacyBudget", "Transcript", "ldp_avg_1d", "ldp_avg_vec",
     "avg_error_bound", "onebit_encode_many", "onebit_decode",
     "BernsteinOperatorSpec", "iterated_bernstein_eval", "chebyshev_eval",
-    "ChebyshevSeries", "chebyshev_series_fit", "SmoothedPlus",
-    "build_or_polynomial", "lemma40_reconstruct",
+    "SmoothedPlus", "build_or_polynomial", "lemma40_reconstruct",
     "CubeDataset", "GridProtocolConfig", "alg2_run", "alg3_run",
     "grid_points", "recommended_k",
     "SigmSchedule", "sigm_run",

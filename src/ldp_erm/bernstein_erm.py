@@ -47,6 +47,7 @@ class GridProtocolConfig:
     grid_cap: int = 200_000
 
     def __post_init__(self):
+        check_grid_dim(self.spec.p)
         # the surrogate lives on [0, 1]^p: a feasible set reaching outside
         # would fail only after every player had been encoded
         c = self.constraint
@@ -161,14 +162,45 @@ def _one_row(y) -> np.ndarray:
     return np.atleast_1d(np.asarray(y, dtype=float))[None, :]
 
 
+# Direction integers m_1..m_5 of the first 40 Sobol dimensions (Joe & Kuo
+# 2008, new-joe-kuo-6.21201); the first 2^5 = STARTS points use no others
+_SOBOL_M = (
+    (1, 1, 1, 1, 1), (1, 3, 5, 15, 17), (1, 3, 3, 9, 29), (1, 3, 1, 5, 31),
+    (1, 1, 1, 11, 31), (1, 1, 3, 3, 25), (1, 3, 5, 13, 11), (1, 1, 5, 5, 17),
+    (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1), (1, 1, 1, 3, 11),
+    (1, 3, 5, 5, 31), (1, 3, 3, 9, 7), (1, 1, 1, 15, 21), (1, 3, 1, 13, 27),
+    (1, 1, 1, 15, 7), (1, 3, 1, 15, 13), (1, 1, 5, 5, 19), (1, 3, 7, 11, 23),
+    (1, 3, 7, 13, 13), (1, 1, 3, 13, 7), (1, 3, 5, 9, 1), (1, 3, 1, 13, 9),
+    (1, 3, 1, 5, 27), (1, 1, 5, 11, 19), (1, 3, 5, 3, 3), (1, 1, 7, 13, 1),
+    (1, 3, 7, 5, 13), (1, 1, 3, 9, 25), (1, 3, 5, 13, 23), (1, 3, 7, 3, 13),
+    (1, 3, 1, 3, 5), (1, 1, 5, 5, 23), (1, 1, 7, 7, 1), (1, 1, 7, 9, 13),
+    (1, 3, 3, 5, 3), (1, 3, 1, 15, 31), (1, 3, 5, 15, 31), (1, 3, 1, 11, 11),
+)
+MAX_DIM = len(_SOBOL_M)  # the largest p the grid protocols run
+
+
+def check_grid_dim(p: int):
+    """Reject a grid protocol dimension the minimiser has no starts for."""
+    if p > MAX_DIM:
+        raise ConfigurationError(
+            f"grid protocols run at dimension p <= {MAX_DIM}, got p = {p}")
+
+
 @lru_cache(maxsize=None)
 def _sobol_starts(p: int) -> np.ndarray:
-    """The first ``STARTS`` points of the unscrambled Sobol sequence in p-d."""
-    # scipy.stats takes longer to import than the rest of the package, and
-    # only the grid minimiser needs it
-    from scipy.stats import qmc
-    sob = qmc.Sobol(d=p, scramble=False)
-    raw = sob.random(max(2, 1 << max(1, (STARTS - 1).bit_length())))[:STARTS]
+    """The first ``STARTS`` points of the unscrambled Sobol sequence in p-d.
+
+    Point i XORs the direction numbers m_j / 2^j of the bits set in the
+    Gray code of i, so every coordinate is a multiple of 1/32.
+    """
+    check_grid_dim(p)
+    bits = STARTS.bit_length() - 1
+    # direction numbers as numerators over 2^bits, one row per bit
+    v = np.array(_SOBOL_M[:p]).T << np.arange(bits - 1, -1, -1)[:, None]
+    i = np.arange(STARTS)
+    gray = i ^ (i >> 1)
+    used = (gray[:, None] >> np.arange(bits)) & 1
+    raw = np.bitwise_xor.reduce(used[:, :, None] * v, axis=1) / STARTS
     raw.setflags(write=False)
     return raw
 

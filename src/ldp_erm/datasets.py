@@ -117,6 +117,13 @@ KINDS = {"cube": CubeDataset, "box": BoxDataset, "binary": BinaryDataset,
 
 # spec keys that describe generated data; a sweep over one varies the dataset
 DATA_KEYS = ("n", "dim", "margin", "q", "sigma")
+# the data keys each family reads
+FAMILY_KEYS = {
+    "uniform-cube": ("n", "dim"),
+    "gaussian-ball-clipped": ("n", "dim", "sigma"),
+    "separable-two-class": ("n", "dim", "margin"),
+    "bernoulli-bits": ("n", "dim", "q"),
+}
 
 
 def is_integral(value) -> bool:
@@ -140,9 +147,10 @@ def check_spec(spec: dict) -> type:
     """The record type a dataset spec gives, or ``ConfigurationError``.
 
     Checks all that can be checked without the data: the family, a file's
-    ``path`` and ``kind`` (and that it sets none of ``DATA_KEYS``), the
-    sizes ``n`` and ``dim``, a bit probability ``q``, a separation
-    ``margin`` and a Gaussian scale ``sigma``.
+    ``path`` and ``kind`` (and that it sets none of ``DATA_KEYS``), that a
+    family's spec sets only the data keys the family reads, the sizes ``n``
+    and ``dim``, a bit probability ``q``, a separation ``margin`` and a
+    Gaussian scale ``sigma``.
     """
     family = spec.get("family")
     if family == "file":
@@ -164,6 +172,13 @@ def check_spec(spec: dict) -> type:
         raise ConfigurationError(
             f"unknown dataset family {family!r}; known: "
             f"{', '.join(FAMILIES)}, file")
+    unused = [key for key in DATA_KEYS
+              if key in spec and key not in FAMILY_KEYS[family]]
+    if unused:
+        raise ConfigurationError(
+            f"dataset family {family!r} reads only "
+            f"{', '.join(map(repr, FAMILY_KEYS[family]))}; it has no "
+            f"{', '.join(map(repr, unused))} to set or sweep")
     if "n" not in spec:
         raise ConfigurationError("dataset spec is missing 'n'")
     for key in ("n", "dim"):

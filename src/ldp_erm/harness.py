@@ -22,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .bernstein_erm import GridLoss, GridProtocolConfig, alg2_run, alg3_run
+from .bernstein_erm import (GridLoss, GridProtocolConfig, alg2_run, alg3_run,
+                            check_grid_dim)
 from .datasets import (DATA_KEYS, FAMILIES, KINDS, BallDataset,
                        BinaryDataset, BoxDataset, CubeDataset, check_range,
                        check_spec, generate_dataset, is_integral)
@@ -399,6 +400,10 @@ def _trial_smooth(data, params: dict, seed: int,
     return {"t": t, "epsilon": epsilon, "max_query_error": worst}
 
 
+def _check_grid_data(dim: int, values: dict):
+    check_grid_dim(dim)
+
+
 def _check_smooth_data(dim: int, values: dict):
     for center in values["center"]:
         _check_center(center, dim)
@@ -450,10 +455,12 @@ _GLM_PARAMS = {"epsilon": 1.0, "delta": 1e-5, "target_alpha": 1.0,
 
 MECHANISMS = {
     "bernstein": Mechanism((CubeDataset,), _GRID_PARAMS,
-                           functools.partial(_trial_grid, onebit=False)),
+                           functools.partial(_trial_grid, onebit=False),
+                           _check_grid_data),
     # one-bit messages need epsilon <= ln 2
     "onebit": Mechanism((CubeDataset,), {**_GRID_PARAMS, "epsilon": 0.5},
-                        functools.partial(_trial_grid, onebit=True)),
+                        functools.partial(_trial_grid, onebit=True),
+                        _check_grid_data),
     "hinge": Mechanism((BallDataset,), _GLM_PARAMS,
                        functools.partial(_trial_glm, general=False)),
     "general-linear": Mechanism((BallDataset,), _GLM_PARAMS,

@@ -5,9 +5,9 @@ Four families live here:
 * Bernstein operators on [0, 1]^p, including the iterated (higher-order)
   variant ``B^(h) = I - (I - B_k)^h`` whose grid weights the private ERM
   protocols release.
-* Chebyshev polynomials and truncated Chebyshev series fitted by cosine
-  quadrature, plus the growth branch ``cosh(n * arccosh(x))`` outside
-  [-1, 1] that the disjunction polynomial construction relies on.
+* Chebyshev polynomials, including the growth branch
+  ``cosh(n * arccosh(x))`` outside [-1, 1] that the disjunction
+  polynomial construction relies on.
 * Smoothed surrogates for the hinge and plus functions and the Bernstein
   coefficient grids of their derivatives.
 * A sampler for the measure that writes a 1-Lipschitz convex loss as a
@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from .errors import EstimationError, ParameterError
 
@@ -188,41 +187,6 @@ def chebyshev_eval(n: int, x):
     lo = x < -1.0
     out[lo] = (-1.0) ** n * np.cosh(n * np.arccosh(-x[lo]))
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class ChebyshevSeries:
-    """A truncated Chebyshev expansion, evaluated by Clenshaw recursion."""
-
-    coef: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        return len(self.coef) - 1
-
-    def __call__(self, x):
-        return np.polynomial.chebyshev.chebval(x, self.coef)
-
-
-def chebyshev_series_fit(f: Callable, n: int) -> ChebyshevSeries:
-    """Degree-n Chebyshev coefficients of f by cosine quadrature.
-
-    Samples f at the n+1 Chebyshev extrema cos(pi*j/n) and applies a type-I
-    cosine transform; the result interpolates f and reproduces polynomials
-    of degree <= n exactly.
-    """
-    if n < 0:
-        raise ParameterError(f"degree must be >= 0, got {n}")
-    if n == 0:
-        return ChebyshevSeries(np.array([float(f(0.0))]))
-    nodes = np.cos(np.pi * np.arange(n + 1) / n)
-    vals = np.asarray(f(nodes), dtype=float)
-    if vals.shape != nodes.shape:
-        vals = np.array([float(f(x)) for x in nodes])
-    c = scipy.fft.dct(vals, type=1) / n
-    c[0] /= 2.0
-    c[n] /= 2.0
-    return ChebyshevSeries(c)
 
 
 # --- smoothed plus / hinge surrogates ---------------------------------------

@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .datasets import BinaryDataset, BoxDataset
 from .errors import (ConfigurationError, ParameterError, QueryClassError,
@@ -300,25 +299,29 @@ def smooth_player_basis(row: np.ndarray, t: int) -> np.ndarray:
 def smooth_query_coefficients(f: Callable, t: int, p: int) -> np.ndarray:
     """Tensor Chebyshev coefficients of f by nested cosine quadrature.
 
-    Evaluates f on the p-fold grid of the t first-kind Chebyshev nodes per
-    axis and applies a type-II cosine transform along every axis; exact for
-    polynomials of per-axis degree below t, and near-minimax for smooth f.
-    Returns the flattened (C-order) coefficient vector aligned with the
-    released basis table.
+    Evaluates f on the p-fold grid of the t first-kind Chebyshev nodes x_j
+    per axis and applies a type-II cosine transform along every axis: the
+    coefficient of T_r is (2/t) sum_j f(x_j) T_r(x_j), halved for r = 0.
+    Exact for polynomials of per-axis degree below t, and near-minimax for
+    smooth f. Returns the flattened (C-order) coefficient vector aligned
+    with the released basis table.
     """
     dim = _check_basis_cap(t, p)
-    nodes = np.cos(np.pi * (np.arange(t) + 0.5) / t)
+    angles = np.pi * (np.arange(t) + 0.5) / t
+    nodes = np.cos(angles)
     mesh = np.meshgrid(*([nodes] * p), indexing="ij")
     pts = np.stack(mesh, axis=-1).reshape(-1, p)
     vals = np.asarray(f(pts), dtype=float)
     if vals.shape != (dim,):
         vals = np.array([float(f(pt)) for pt in pts])
-    grid = vals.reshape((t,) * p)
-    coef = scipy.fft.dctn(grid, type=2) / (t ** p)
-    for axis in range(p):
-        sl = [slice(None)] * p
-        sl[axis] = 0
-        coef[tuple(sl)] /= 2.0
+    # transform[r, j] = (2/t) T_r(x_j), with row 0 halved
+    transform = np.cos(np.arange(t)[:, None] * angles) * (2.0 / t)
+    transform[0] /= 2.0
+    coef = vals.reshape((t,) * p)
+    for _ in range(p):
+        # contracts the first axis and appends the transformed one, so
+        # after p steps the axes are back in order
+        coef = np.tensordot(coef, transform, axes=([0], [1]))
     return coef.reshape(-1)
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from ldp_erm.bernstein_erm import (BernsteinModel, CubeDataset,
-                                   GridProtocolConfig, alg2_run, alg3_run,
-                                   grid_points, minimize_model, recommended_k)
+from ldp_erm.bernstein_erm import (MAX_DIM, BernsteinModel, CubeDataset,
+                                   GridProtocolConfig, _sobol_starts,
+                                   alg2_run, alg3_run, grid_points,
+                                   minimize_model, recommended_k)
 from ldp_erm.errors import (ClippingWarning, ConfigurationError,
                             EstimationError, ParameterError,
                             SampleSizeWarning)
@@ -262,6 +263,21 @@ def _per_start_minimize(model, constraint, starts=32, gd_iters=120):
                     best_x, best_f = cand, f_cand
             x = best_x
     return best_x
+
+
+@pytest.mark.parametrize("p", range(1, MAX_DIM + 1))
+def test_sobol_starts_match_scipy(p):
+    want = qmc.Sobol(d=p, scramble=False).random(32)
+    got = _sobol_starts(p)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_grid_dimension_above_table_rejected_up_front():
+    assert MAX_DIM == 40
+    with pytest.raises(ConfigurationError, match="p <= 40"):
+        _cfg(k=1, p=MAX_DIM + 1)
+    with pytest.raises(ConfigurationError, match="p <= 40"):
+        _sobol_starts(MAX_DIM + 1)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from ldp_erm.errors import (ConfigurationError, ParameterError,
                             SampleSizeWarning)
 from ldp_erm.geometry import BallConstraint, BoxConstraint
 from ldp_erm.glm_erm import BallDataset, hinge_flavor
-from ldp_erm.harness import (REPORT_COLUMNS, TRANSCRIPT_COLUMNS,
+from ldp_erm.harness import (MECHANISMS, REPORT_COLUMNS, TRANSCRIPT_COLUMNS,
                              ExperimentConfig, apply_set_overrides,
                              grid_loss_excess, load_config, make_grid_loss,
                              run_experiment, _expand_sweep)
@@ -695,6 +697,14 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     (_HINGE_CONFIG, ["--set", "sweep.margin=[0.2,1]"]),
     (_SMOOTH_CONFIG, ["--set", "dataset.sigma=0"]),
     (_SMOOTH_CONFIG, ["--set", "sweep.sigma=[0.4,\"inf\"]"]),
+    (_CONFIG, ["--set", "dataset.margin=5", "--set", "dataset.q=7"]),
+    (_CONFIG, ["--set", "sweep.sigma=[0.5]"]),
+    (_HINGE_CONFIG, ["--set", "dataset.q=0.5"]),
+    (_MARGINALS_CONFIG, ["--set", "sweep.margin=[0.2]"]),
+    (_SMOOTH_CONFIG, ["--set", "dataset.margin=0.2"]),
+    ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "dataset.dim=41"]),
+    ({**_CONFIG, "mechanism": "onebit", "params": {}},
+     ["--set", "sweep.dim=[2,41]"]),
 ])
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"
@@ -706,6 +716,13 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()  # rejected before any trial ran
+
+
+def test_unused_data_key_rejected_with_family_keys():
+    with pytest.raises(ConfigurationError) as err:
+        ExperimentConfig("avg-bench", {**_CONFIG["dataset"], "margin": 5})
+    assert "'uniform-cube' reads only 'n', 'dim'" in str(err.value)
+    assert "'margin'" in str(err.value)
 
 
 def _data_files(tmp_path):
@@ -853,3 +870,59 @@ def test_console_script_installed(tmp_path):
          str(path), "--out", str(tmp_path / "run"), "--trials", "1"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_WITHOUT_SCIPY = r"""
+import importlib.abc
+import json
+import sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+import ldp_erm
+from ldp_erm.harness import ExperimentConfig, run_experiment
+
+statuses = {}
+for mechanism, dataset, params in json.loads(sys.argv[2]):
+    result = run_experiment(ExperimentConfig(
+        mechanism, dataset, params, trials=1, seed=3,
+        out=f"{sys.argv[1]}/{mechanism}"))
+    statuses[mechanism] = [row["status"] for row in result.rows]
+print(json.dumps({"statuses": statuses,
+                  "scipy": [m for m in sys.modules if m.startswith("scipy")]}))
+"""
+
+
+def test_every_mechanism_runs_without_scipy(tmp_path):
+    cube = {"family": "uniform-cube", "n": 2000, "dim": 1}
+    ball = {"family": "separable-two-class", "n": 200, "dim": 2}
+    runs = [
+        ("bernstein", cube, {"k": 2}),
+        ("onebit", cube, {"k": 2}),
+        ("hinge", ball, {"d_cap": 2}),
+        ("general-linear", ball, {"d_cap": 2}),
+        ("marginals", {"family": "bernoulli-bits", "n": 200, "dim": 4},
+         {"k": 1, "gamma": 0.2}),
+        ("smooth-queries",
+         {"family": "gaussian-ball-clipped", "n": 200, "dim": 2}, {"t": 2}),
+        ("avg-bench", cube, {}),
+    ]
+    assert sorted(run[0] for run in runs) == sorted(MECHANISMS)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path),
+         json.dumps(runs)],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["statuses"] == {run[0]: ["ok"] for run in runs}
+    assert result["scipy"] == []

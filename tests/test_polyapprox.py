@@ -7,13 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from chebyshev_reference import ChebyshevSeries, chebyshev_series_fit
 from ldp_erm.errors import ParameterError
-from ldp_erm.polyapprox import (BernsteinOperatorSpec, ChebyshevSeries,
-                                SmoothedPlus, SubgradientSampler, abs_sampler,
+from ldp_erm.polyapprox import (BernsteinOperatorSpec, SmoothedPlus,
+                                SubgradientSampler, abs_sampler,
                                 bernstein_basis, bernstein_basis_vector,
                                 bernstein_deriv_coeffs, bernstein_poly_eval,
                                 build_or_polynomial, chebyshev_eval,
-                                chebyshev_series_fit, hbeta_deriv, hbeta_value,
+                                hbeta_deriv, hbeta_value,
                                 hinge_sampler, iterated_basis_weights,
                                 iterated_bernstein_eval, lemma40_reconstruct,
                                 sample_q_many)

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from ldp_erm.errors import ParameterError, QueryClassError, SampleSizeWarning
 from ldp_erm.harness import _gaussian_kernel
@@ -185,6 +186,21 @@ def test_coefficients_recover_monomials():
     want = np.zeros(16)
     want[5] = 1.0  # (1, 1)
     assert np.max(np.abs(c - want)) < 1e-12
+
+
+@pytest.mark.parametrize("t, p", [(8, 2), (4, 3), (16, 2), (8, 1)])
+def test_coefficients_match_scipy_dctn(t, p):
+    f = _gaussian_kernel(np.linspace(0.3, -0.2, p), 0.6)
+    nodes = np.cos(np.pi * (np.arange(t) + 0.5) / t)
+    mesh = np.meshgrid(*([nodes] * p), indexing="ij")
+    grid = f(np.stack(mesh, axis=-1))
+    want = scipy.fft.dctn(grid, type=2) / t ** p
+    for axis in range(p):
+        first = [slice(None)] * p
+        first[axis] = 0
+        want[tuple(first)] /= 2.0
+    got = smooth_query_coefficients(f, t, p)
+    assert np.max(np.abs(got - want.reshape(-1))) <= 1e-14
 
 
 def test_gaussian_kernel_fit():
