@@ -151,9 +151,6 @@ class BernsteinModel:
     def value(self, y) -> float:
         return float(self.values(_one_row(y))[0])
 
-    def __call__(self, y) -> float:
-        return self.value(y)
-
     def grad(self, y) -> np.ndarray:
         return self.grads(_one_row(y))[0]
 

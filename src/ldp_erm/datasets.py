@@ -117,13 +117,15 @@ KINDS = {"cube": CubeDataset, "box": BoxDataset, "binary": BinaryDataset,
 
 # spec keys that describe generated data; a sweep over one varies the dataset
 DATA_KEYS = ("n", "dim", "margin", "q", "sigma")
-# the data keys each family reads
-FAMILY_KEYS = {
-    "uniform-cube": ("n", "dim"),
-    "gaussian-ball-clipped": ("n", "dim", "sigma"),
-    "separable-two-class": ("n", "dim", "margin"),
-    "bernoulli-bits": ("n", "dim", "q"),
-}
+# the data keys each family reads, with their defaults; ``n`` has none
+FAMILY_DEFAULTS = {family: {"n": None, "dim": 1, **own} for family, own in (
+    ("uniform-cube", {}), ("gaussian-ball-clipped", {"sigma": 0.5}),
+    ("separable-two-class", {"margin": 0.2}), ("bernoulli-bits", {"q": 0.5}))}
+
+
+def spec_value(spec: dict, key: str):
+    """A synthetic spec's value of a data key, or its family's default."""
+    return spec.get(key, FAMILY_DEFAULTS[spec["family"]][key])
 
 
 def is_integral(value) -> bool:
@@ -173,27 +175,27 @@ def check_spec(spec: dict) -> type:
             f"unknown dataset family {family!r}; known: "
             f"{', '.join(FAMILIES)}, file")
     unused = [key for key in DATA_KEYS
-              if key in spec and key not in FAMILY_KEYS[family]]
+              if key in spec and key not in FAMILY_DEFAULTS[family]]
     if unused:
         raise ConfigurationError(
             f"dataset family {family!r} reads only "
-            f"{', '.join(map(repr, FAMILY_KEYS[family]))}; it has no "
+            f"{', '.join(map(repr, FAMILY_DEFAULTS[family]))}; it has no "
             f"{', '.join(map(repr, unused))} to set or sweep")
     if "n" not in spec:
         raise ConfigurationError("dataset spec is missing 'n'")
     for key in ("n", "dim"):
-        value = spec.get(key, 1)
+        value = spec_value(spec, key)
         if not (is_integral(value) and value >= 1):
             raise ConfigurationError(
                 f"dataset {key!r} must be an integer >= 1, got {value!r}")
     if family == "bernoulli-bits":
-        check_range("bit probability 'q'", spec.get("q", 0.5),
+        check_range("bit probability 'q'", spec_value(spec, "q"),
                     lambda q: 0.0 <= q <= 1.0, "a number in [0, 1]")
     if family == "separable-two-class":
-        check_range("separation 'margin'", spec.get("margin", 0.2),
+        check_range("separation 'margin'", spec_value(spec, "margin"),
                     lambda margin: 0.0 < margin < 1.0, "a number in (0, 1)")
     if family == "gaussian-ball-clipped":
-        check_range("Gaussian scale 'sigma'", spec.get("sigma", 0.5),
+        check_range("Gaussian scale 'sigma'", spec_value(spec, "sigma"),
                     lambda sigma: math.isfinite(sigma) and sigma > 0.0,
                     "a finite number > 0")
     return FAMILIES[family]
@@ -247,18 +249,18 @@ def generate_dataset(spec: dict, seed: int):
             raise ConfigurationError(
                 "ball dataset files need feature columns plus a label column")
         return BallDataset(features=rows[:, :-1], labels=rows[:, -1])
-    n, dim = int(spec["n"]), int(spec.get("dim", 1))
+    n, dim = int(spec["n"]), int(spec_value(spec, "dim"))
     rng = derived_rng(seed, TAG_DATASET)
     if family == "uniform-cube":
         return CubeDataset(rng.random((n, dim)))
     if family == "gaussian-ball-clipped":
-        sigma = float(spec.get("sigma", 0.5))
+        sigma = float(spec_value(spec, "sigma"))
         x = rng.normal(0.0, sigma, (n, dim))
         norms = np.linalg.norm(x, axis=1)
         x *= np.minimum(1.0, 1.0 / np.maximum(norms, 1e-300))[:, None]
         return BoxDataset(x)
     if family == "separable-two-class":
-        margin = float(spec.get("margin", 0.2))
+        margin = float(spec_value(spec, "margin"))
         return separable_two_class(n, dim, margin, rng)
-    q = float(spec.get("q", 0.5))
+    q = float(spec_value(spec, "q"))
     return BinaryDataset((rng.random((n, dim)) < q).astype(np.int64))

@@ -26,7 +26,8 @@ from .bernstein_erm import (GridLoss, GridProtocolConfig, alg2_run, alg3_run,
                             check_grid_dim)
 from .datasets import (DATA_KEYS, FAMILIES, KINDS, BallDataset,
                        BinaryDataset, BoxDataset, CubeDataset, check_range,
-                       check_spec, generate_dataset, is_integral)
+                       check_spec, generate_dataset, is_integral,
+                       spec_value)
 from .errors import ConfigurationError
 from .geometry import BoxConstraint
 from .glm_erm import glm_erm_run, hinge_flavor, hinge_via_general_flavor
@@ -64,14 +65,6 @@ def _check_numbers(key: str, value, test, wanted: str):
             f"param {key!r} must be a non-empty list, got {value!r}")
     for item in value:
         check_range(f"each entry of param {key!r}", item, test, wanted)
-
-
-def _check_center(center, dim: int):
-    """A kernel centre is a point of the data space, or None for the default."""
-    if center is not None and len(center) != dim:
-        raise ConfigurationError(
-            f"param 'center' has {len(center)} coordinates; the data has "
-            f"dim {dim}")
 
 
 def _check_count(name: str, value, least: int):
@@ -133,10 +126,10 @@ class ExperimentConfig:
             # the values each param takes in some trial
             values = {key: lists.get(key, [self.params.get(key, default)])
                       for key, default in mech.params.items()}
-            # a file's dim is known only once it is read, in the executor
+            # a file's dim is known only once it is read, in run_trial
             for spec in specs:
                 if spec["family"] != "file":
-                    mech.check_data(int(spec.get("dim", 1)), values)
+                    mech.check_data(int(spec_value(spec, "dim")), values)
 
     def _check_param(self, key: str, values):
         defaults = MECHANISMS[self.mechanism].params
@@ -384,7 +377,6 @@ def _trial_smooth(data, params: dict, seed: int,
     t = int(params["t"])
     epsilon = float(params["epsilon"])
     center = params["center"]
-    _check_center(center, data.dim)
     if center is None:  # the default depends on the data's dimension
         center = [0.25] * data.dim
     center = np.asarray(center, dtype=float)
@@ -405,8 +397,12 @@ def _check_grid_data(dim: int, values: dict):
 
 
 def _check_smooth_data(dim: int, values: dict):
+    # a kernel centre is a point of the data space, or None for the default
     for center in values["center"]:
-        _check_center(center, dim)
+        if center is not None and len(center) != dim:
+            raise ConfigurationError(
+                f"param 'center' has {len(center)} coordinates; the data "
+                f"has dim {dim}")
 
 
 def _check_avg_bench_data(dim: int, values: dict):
@@ -417,8 +413,6 @@ def _check_avg_bench_data(dim: int, values: dict):
 
 def _trial_avg_bench(data: CubeDataset, params: dict, seed: int,
                      transcript: Transcript) -> dict:
-    if data.dim != 1:
-        raise ConfigurationError("avg-bench needs 1-d cube data")
     values = data.rows[:, 0]
     epsilon = float(params["epsilon"])
     a = ldp_avg_1d(values, 1.0, PrivacyBudget(epsilon=epsilon),
@@ -437,9 +431,10 @@ class Mechanism:
     ``records`` are the record types it consumes (the dataset families and
     file kinds it accepts are those that give one), ``params`` the params a
     config may set, with their defaults, and ``run`` its executor.
-    ``check_data``, if set, rejects synthetic data the mechanism cannot run
-    on; it gets the data's ``dim`` and, per param, the list of values the
-    param takes in some trial. File data is checked by the executor.
+    ``check_data``, if set, rejects data the mechanism cannot run on, given
+    the data's ``dim`` and, per param, the list of values it takes in some
+    trial. It runs up front on every synthetic spec, and in ``run_trial``
+    on each trial's data, which is the one check of file data.
     """
 
     records: tuple
@@ -493,6 +488,9 @@ def run_trial(cfg: ExperimentConfig, cell_params: dict, cell_index: int,
     try:
         data = generate_dataset(dataset,
                                 derived_seed(seed, TAG_TRIAL_DATASET))
+        if mech.check_data is not None:
+            mech.check_data(data.dim,
+                            {key: [params[key]] for key in mech.params})
         transcript = Transcript()
         measured = mech.run(data, params, seed, transcript)
         sent = {"bits_per_player": transcript.bits_per_player(),

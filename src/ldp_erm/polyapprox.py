@@ -5,14 +5,13 @@ Four families live here:
 * Bernstein operators on [0, 1]^p, including the iterated (higher-order)
   variant ``B^(h) = I - (I - B_k)^h`` whose grid weights the private ERM
   protocols release.
-* Chebyshev polynomials, including the growth branch
-  ``cosh(n * arccosh(x))`` outside [-1, 1] that the disjunction
-  polynomial construction relies on.
+* Chebyshev polynomials T_n, by the trigonometric branches (cosh outside
+  [-1, 1]), and the low-degree polynomial approximating OR on counts,
+  which is built from the monomial coefficients of one T_d.
 * Smoothed surrogates for the hinge and plus functions and the Bernstein
   coefficient grids of their derivatives.
 * A sampler for the measure that writes a 1-Lipschitz convex loss as a
-  mixture of absolute-value kinks plus an affine part, together with the
-  Monte-Carlo reconstruction used to validate it.
+  mixture of absolute-value kinks plus an affine part.
 """
 
 import math
@@ -42,24 +41,6 @@ class BernsteinOperatorSpec:
             raise ParameterError(f"iteration order h must be >= 1, got {self.h}")
         if self.p < 1:
             raise ParameterError(f"dimension p must be >= 1, got {self.p}")
-
-    @property
-    def grid_size(self) -> int:
-        return (self.k + 1) ** self.p
-
-    @property
-    def weight_l1_bound(self) -> float:
-        # sum_v |w_v(y)| never exceeds (2^h - 1)^p at any y
-        return float((2 ** self.h - 1) ** self.p)
-
-
-def bernstein_basis(v: int, k: int, x):
-    """Basis polynomial ``C(k,v) x^v (1-x)^(k-v)``; valid for any real x."""
-    if not 0 <= v <= k:
-        raise ParameterError(f"basis index v={v} outside 0..{k}")
-    x = np.asarray(x, dtype=float)
-    out = math.comb(k, v) * x ** v * (1.0 - x) ** (k - v)
-    return float(out) if out.ndim == 0 else out
 
 
 def _padded_basis(k: int, x: np.ndarray) -> np.ndarray:
@@ -219,15 +200,6 @@ class SmoothedPlus:
         return float(out) if out.ndim == 0 else out
 
 
-def hbeta_value(beta: float, x):
-    """Smooth surrogate of the plus function: (x + sqrt(x^2 + beta^2)) / 2."""
-    if not beta > 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * (x + np.sqrt(x * x + beta ** 2))
-    return float(out) if out.ndim == 0 else out
-
-
 def hbeta_deriv(beta: float, x):
     if not beta > 0:
         raise ParameterError(f"beta must be positive, got {beta}")
@@ -241,25 +213,6 @@ def bernstein_deriv_coeffs(deriv: Callable, d: int) -> np.ndarray:
     if d < 1:
         raise ParameterError(f"degree d must be >= 1, got {d}")
     return np.asarray([float(deriv(j / d)) for j in range(d + 1)])
-
-
-def bernstein_poly_eval(coeffs: np.ndarray, x):
-    """Evaluate sum_j c_j C(d,j) x^j (1-x)^(d-j).
-
-    The form is a faithful approximation only on [0, 1]; it extrapolates
-    (and can blow up) outside, which callers evaluating at signed margins
-    need to keep in mind.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    d = len(coeffs) - 1
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)[..., None]
-    j = np.arange(d + 1)
-    binom = np.array([math.comb(d, jj) for jj in j], dtype=float)
-    terms = coeffs * binom * x ** j * (1.0 - x) ** (d - j)
-    out = terms.sum(axis=-1)
-    return float(out[0]) if scalar else out
 
 
 # --- subgradient mixture sampler ---------------------------------------------
@@ -292,11 +245,6 @@ def hinge_sampler() -> SubgradientSampler:
     return SubgradientSampler(fp, -1.0, 0.0)
 
 
-def abs_sampler() -> SubgradientSampler:
-    fp = lambda x: np.where(np.asarray(x, dtype=float) < 0.0, -1.0, 1.0)
-    return SubgradientSampler(fp, -1.0, 1.0)
-
-
 def sample_q_many(sampler: SubgradientSampler, size: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Draw kink locations: u ~ U[f'(-1), f'(1)], then ``kink_locations``."""
@@ -322,27 +270,6 @@ def kink_locations(sampler: SubgradientSampler, u: np.ndarray) -> np.ndarray:
         lo = np.where(le, mid, lo)
         hi = np.where(le, hi, mid)
     return np.where(at_top, 1.0, lo)
-
-
-def lemma40_reconstruct(sampler: SubgradientSampler, theta: float, m: int,
-                        rng: np.random.Generator, anchor_value: float = 0.0,
-                        anchor_point: float = 0.0) -> float:
-    """Monte-Carlo check that the loss equals its kink-mixture representation.
-
-    Estimates ``A * E|theta - s| + B * theta + c`` with
-    A = (f'(1) - f'(-1)) / 2, B = (f'(1) + f'(-1)) / 2, and c fitted so the
-    reconstruction matches ``anchor_value`` at ``anchor_point`` (f(0) at 0 by
-    default). The same draws serve the anchor and the query point, which
-    cancels most of the Monte-Carlo error. Verification oracle only.
-    """
-    a_coef = 0.5 * (sampler.upper - sampler.lower)
-    b_coef = 0.5 * (sampler.upper + sampler.lower)
-    if sampler.degenerate:
-        return b_coef * theta + anchor_value - b_coef * anchor_point
-    s = sample_q_many(sampler, m, rng)
-    c = anchor_value - a_coef * float(np.mean(np.abs(anchor_point - s))) \
-        - b_coef * anchor_point
-    return a_coef * float(np.mean(np.abs(theta - s))) + b_coef * theta + c
 
 
 # --- disjunction polynomial ---------------------------------------------------

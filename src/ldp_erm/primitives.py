@@ -1,11 +1,10 @@
 """Local-randomizer building blocks.
 
-Every protocol in this package reduces to a handful of primitives: a
-private scalar average (each player reports her value plus Laplace noise
-and the server takes the mean), a private vector average (each player
-reports one uniformly chosen coordinate, scaled by the dimension), and a
-one-bit randomizer in which players compare their value against a shared
-public Laplace draw and send a single Bernoulli bit.
+Besides the privacy budget and the message accounting every mechanism
+uses, two local randomizers live here: a private scalar average (each
+player reports her value plus Laplace noise and the server takes the
+mean), and a one-bit randomizer in which players compare their value
+against a shared public Laplace draw and send a single Bernoulli bit.
 
 API sketch::
 
@@ -18,12 +17,11 @@ API sketch::
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, ParameterError, SampleSizeWarning
+from .errors import EstimationError, ParameterError
 from .rng import derived_rng, TAG_PUBLIC
 
 BITS_PER_REAL = 64  # accounting convention for real-valued messages
@@ -116,12 +114,6 @@ class Transcript:
         return self.total_reals / self.n_messages if self.n_messages else 0.0
 
 
-def laplace_logpdf(z, loc: float, scale: float):
-    """Log density of Laplace(loc, scale) at z. Used by likelihood-ratio checks."""
-    z = np.asarray(z, dtype=float)
-    return -np.abs(z - loc) / scale - np.log(2.0 * scale)
-
-
 def _check_values(values: np.ndarray, bound: float):
     if not bound > 0:
         raise ParameterError(f"bound must be positive, got {bound}")
@@ -161,49 +153,6 @@ def ldp_avg_1d(values, bound: float, budget: PrivacyBudget, rng: np.random.Gener
 def avg_error_bound(bound: float, n: int, epsilon: float, beta: float) -> float:
     """High-probability error bound for ``ldp_avg_1d`` at confidence 1 - beta."""
     return 2.0 * bound * math.sqrt(math.log(2.0 / beta)) / (math.sqrt(n) * epsilon)
-
-
-def ldp_avg_vec(vectors, bound: float, budget: PrivacyBudget, rng: np.random.Generator,
-                beta: float = 0.05, transcript: Transcript | None = None) -> np.ndarray:
-    """Private coordinate-wise mean of vectors in [0, bound]^p at O(1) player cost.
-
-    Each player draws one coordinate index uniformly, privatizes that single
-    entry with the full epsilon, and the server rescales by ``p``:
-    ``a_j = (p / n) * sum_{i : j_i = j} (v_{i,j} + Lap(bound / epsilon))``.
-    The estimate of every coordinate is unbiased; the max-coordinate error is
-    O(bound * p * sqrt(log(p / beta)) / (sqrt(n) * epsilon)).
-
-    Emits a SampleSizeWarning when ``n`` is below the accuracy thresholds
-    ``n >= 8 p log(8 p / beta)`` or ``sqrt(n) >= (12 / epsilon) sqrt(log(32 / beta))``.
-    """
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim != 2 or vectors.size == 0:
-        raise ParameterError("vectors must be a non-empty (n, p) array")
-    _check_values(vectors.reshape(-1), bound)
-    n, p = vectors.shape
-    if n < 8 * p * math.log(8 * p / beta):
-        warnings.warn(
-            f"n={n} is below the vector-averaging threshold "
-            f"8*p*log(8p/beta)={8 * p * math.log(8 * p / beta):.0f}; "
-            "the error guarantee does not apply",
-            SampleSizeWarning,
-        )
-    if not budget.noiseless and math.sqrt(n) < (12.0 / budget.epsilon) * math.sqrt(math.log(32.0 / beta)):
-        warnings.warn(
-            f"sqrt(n)={math.sqrt(n):.1f} is below (12/eps)*sqrt(log(32/beta)); "
-            "the error guarantee does not apply",
-            SampleSizeWarning,
-        )
-    coords = rng.integers(0, p, size=n)
-    picked = vectors[np.arange(n), coords]
-    if not budget.noiseless:
-        picked = picked + rng.laplace(0.0, bound / budget.epsilon, n)
-    if transcript is not None:
-        # one coordinate index plus one real per player
-        transcript.add_bulk(n, reals_per=1.0,
-                             protocol_bits_per=math.ceil(math.log2(max(p, 2))))
-    sums = np.bincount(coords, weights=picked, minlength=p)
-    return sums * (p / n)
 
 
 # --- one-bit protocol -------------------------------------------------------

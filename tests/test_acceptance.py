@@ -13,13 +13,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from formula_reference import (abs_sampler, bernstein_poly_eval,
+                               laplace_logpdf, lemma40_reconstruct)
 from ldp_erm.baselines import glm_baseline
 from ldp_erm.bernstein_erm import (CubeDataset, GridProtocolConfig, alg2_run,
                                    alg3_run)
 from ldp_erm.datasets import generate_dataset
 from ldp_erm.errors import SampleSizeWarning
 from ldp_erm.geometry import BallConstraint
-from ldp_erm.glm_erm import (general_linear_gradient_sample,
+from ldp_erm.glm_erm import (_encode_population, _fold, _gradient_scalars,
+                             general_linear_gradient_sample,
                              general_linear_oracle_config, glm_erm_run,
                              glm_player_encode, hinge_flavor,
                              hinge_gradient_sample, hinge_oracle_config,
@@ -27,13 +30,12 @@ from ldp_erm.glm_erm import (general_linear_gradient_sample,
 from ldp_erm.harness import (ExperimentConfig, grid_loss_excess, load_config,
                              make_grid_loss, run_experiment, _gaussian_kernel)
 from ldp_erm.polyapprox import (BernsteinOperatorSpec, SmoothedPlus,
-                                SubgradientSampler, abs_sampler,
-                                bernstein_poly_eval, hinge_sampler,
-                                iterated_bernstein_eval, lemma40_reconstruct,
+                                SubgradientSampler, hinge_sampler,
+                                iterated_bernstein_eval, kink_locations,
                                 sample_q_many)
 from ldp_erm.primitives import (PrivacyBudget, PublicRandomness, Transcript,
-                                avg_error_bound, laplace_logpdf, ldp_avg_1d,
-                                onebit_decode, onebit_encode_many)
+                                avg_error_bound, ldp_avg_1d, onebit_decode,
+                                onebit_encode_many)
 from ldp_erm.query_release import (BinaryDataset, BoxDataset,
                                    answer_smooth_query, disjunction_truth,
                                    marginals_answer, marginals_release,
@@ -270,11 +272,18 @@ def test_criterion_07_glm_oracles():
     w = np.array([0.4, 0.4, -0.1])
     u = y_lab * float(w @ x)
     want_h = bernstein_poly_eval(cfg_h.coeffs, u) * y_lab * x
-    rng = derived_rng(2007)
-    samples = np.empty((reps, 3))
-    for i in range(reps):
-        msg = glm_player_encode((x, y_lab), budget, d, rng)
-        samples[i] = hinge_gradient_sample(w, msg, cfg_h)
+    signs = _fold(d)[0]
+
+    def replayed(rng):
+        # reps encodings of the one record: their body margins at w, times
+        # the product signs (see glm_erm._fold), and their heads y_0 x_0
+        head_x, head_y, body_x, body_y = _encode_population(
+            np.tile(x, (reps, 1)), np.full(reps, y_lab), budget, d, rng,
+            None)
+        return (signs * body_y) * (body_x @ w), head_y[:, None] * head_x
+
+    margins, heads = replayed(derived_rng(2007))
+    samples = _gradient_scalars(margins, None, cfg_h)[:, None] * heads
     se_h = samples.std(axis=0) / math.sqrt(reps)
     z_h = float(np.max(np.abs(samples.mean(axis=0) - want_h) / se_h))
     assert z_h <= 3.0
@@ -287,9 +296,11 @@ def test_criterion_07_glm_oracles():
     pbar = np.mean(bernstein_poly_eval(cfg_g.coeffs, u - sgrid + 0.5))
     want_g = (2.0 * pbar - 1.0) * y_lab * x
     rng = derived_rng(2008)
-    for i in range(reps):
-        msg = glm_player_encode((x, y_lab), budget, d, rng)
-        samples[i] = general_linear_gradient_sample(w, msg, cfg_g, rng)
+    margins, heads = replayed(rng)
+    kinks = kink_locations(ident, rng.uniform(ident.lower, ident.upper,
+                                              margins.shape))
+    samples = (_gradient_scalars(margins, signs * kinks, cfg_g)[:, None]
+               * heads)
     se_g = samples.std(axis=0) / math.sqrt(reps)
     z_g = float(np.max(np.abs(samples.mean(axis=0) - want_g) / se_g))
     assert z_g <= 3.0

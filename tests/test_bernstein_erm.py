@@ -143,8 +143,9 @@ def test_alg2_quartic_private_excess():
 
 def test_alg2_budget_split_accounting():
     cfg = _cfg(k=8, p=1, epsilon=2.0)
-    per_point = cfg.budget.split(cfg.spec.grid_size)
-    assert abs(per_point.epsilon * cfg.spec.grid_size - 2.0) < 1e-12
+    size = (cfg.spec.k + 1) ** cfg.spec.p
+    per_point = cfg.budget.split(size)
+    assert abs(per_point.epsilon * size - 2.0) < 1e-12
 
 
 def test_alg2_transcript_one_message_per_player():
@@ -168,7 +169,7 @@ def test_alg2_noiseless_surrogate_decomposition():
     assert np.max(np.abs(release.grid_estimates - emp_grid)) == 0.0
     ys = np.linspace(0, 1, 301)
     emp = np.array([((rows - y) ** 2).mean() for y in ys])
-    fit = np.array([release.model(np.array([y])) for y in ys])
+    fit = np.array([release.model.value(np.array([y])) for y in ys])
     assert np.max(np.abs(fit - emp)) <= 0.04  # ~ sup|f''|/(4k) for k=8
 
 
@@ -197,7 +198,7 @@ def test_minimize_quadratic_fit():
     model = BernsteinModel(BernsteinOperatorSpec(k=k, h=1, p=1), grid)
     w = minimize_model(model, BoxConstraint(0.0, 1.0, 1))
     dense = np.linspace(0, 1, 1001)
-    oracle = dense[np.argmin([model(np.array([y])) for y in dense])]
+    oracle = dense[np.argmin([model.value(np.array([y])) for y in dense])]
     assert abs(w[0] - 0.3) < 0.02
     assert abs(w[0] - oracle) < 2e-3
 
@@ -209,8 +210,8 @@ def test_minimize_tied_minima_returns_a_minimizer():
     model = BernsteinModel(BernsteinOperatorSpec(k=k, h=1, p=1), grid)
     w = minimize_model(model, BoxConstraint(0.0, 1.0, 1))
     dense = np.linspace(0, 1, 2001)
-    best = min(model(np.array([y])) for y in dense)
-    assert model(w) <= best + 1e-9
+    best = min(model.value(np.array([y])) for y in dense)
+    assert model.value(w) <= best + 1e-9
 
 
 def test_model_gradient_matches_fd():
@@ -223,7 +224,7 @@ def test_model_gradient_matches_fd():
         for ax in range(2):
             e = np.zeros(2)
             e[ax] = 1e-6
-            fd = (model(y + e) - model(y - e)) / 2e-6
+            fd = (model.value(y + e) - model.value(y - e)) / 2e-6
             assert abs(g[ax] - fd) < 1e-5
 
 
@@ -296,7 +297,7 @@ def test_minimize_matches_per_start_reference(p, h, shape):
     want = _per_start_minimize(model, constraint)
     got = minimize_model(model, constraint)
     assert np.max(np.abs(got - want)) <= 1e-6
-    assert model(got) <= model(want) + 1e-9
+    assert model.value(got) <= model.value(want) + 1e-9
     # a row of a batched call is the one-row call, bit for bit, so the
     # lockstep search retraces every start exactly
     assert np.array_equal(got, want)

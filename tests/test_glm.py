@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from formula_reference import abs_sampler, bernstein_poly_eval
 from ldp_erm.datasets import generate_dataset
 from ldp_erm.errors import ParameterError, ProtocolError
 from ldp_erm.geometry import BallConstraint
@@ -19,9 +20,8 @@ from ldp_erm.glm_erm import (BallDataset, LossFlavor, ReplicaMessage,
                              glm_player_encode, hinge_flavor,
                              hinge_gradient_sample, hinge_oracle_config,
                              hinge_via_general_flavor, replica_noise_stds)
-from ldp_erm.polyapprox import (SmoothedPlus, SubgradientSampler, abs_sampler,
-                                bernstein_poly_eval, hbeta_deriv,
-                                hinge_sampler, kink_locations)
+from ldp_erm.polyapprox import (SmoothedPlus, SubgradientSampler,
+                                hbeta_deriv, hinge_sampler, kink_locations)
 from ldp_erm.primitives import PrivacyBudget, Transcript
 from ldp_erm.rng import derived_rng
 from ldp_erm.sigm import SigmSchedule, sigm_run

@@ -834,6 +834,19 @@ def test_smooth_center_checked_against_file_data(tmp_path):
     assert "dim 2" in result.rows[0]["error"]
 
 
+def test_avg_bench_dim_checked_against_file_data(tmp_path):
+    # the same check_data as a synthetic spec, run on the trial's data
+    files = _data_files(tmp_path)
+    cfg = ExperimentConfig(
+        mechanism="avg-bench",
+        dataset={"family": "file", "path": files["cube"]},
+        trials=1, out=str(tmp_path / "r"))
+    result = run_experiment(cfg)
+    assert result.failures == 1
+    assert result.rows[0]["status"] == "ConfigurationError"
+    assert "the dataset has dim 2" in result.rows[0]["error"]
+
+
 @pytest.mark.parametrize("env", ["0", "-2", "two"])
 def test_cli_rejects_bad_worker_env_with_exit_2(tmp_path, capsys,
                                                 monkeypatch, env):

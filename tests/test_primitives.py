@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ldp_erm.errors import EstimationError, ParameterError, SampleSizeWarning
+from formula_reference import laplace_logpdf
+from ldp_erm.errors import EstimationError, ParameterError
 from ldp_erm.primitives import (BITS_PER_REAL, PrivacyBudget, PublicRandomness,
-                                Transcript, avg_error_bound, laplace_logpdf,
-                                ldp_avg_1d, ldp_avg_vec, onebit_decode,
-                                onebit_encode_many)
+                                Transcript, avg_error_bound, ldp_avg_1d,
+                                onebit_decode, onebit_encode_many)
 from ldp_erm.rng import derived_rng
 
 
@@ -73,36 +73,6 @@ def test_avg_unbiased_replay():
     # noise std per replay is sqrt(2)/(eps*sqrt(n)) = 0.2; mean of 10^4
     # replays should sit within ~4 standard errors of the truth
     assert abs(reps.mean() - values.mean()) <= 4 * 0.2 / 100
-
-
-def test_avg_vec_constant_signal():
-    vecs = np.tile([0.2, 0.8, 0.5], (50_000, 1))
-    out = ldp_avg_vec(vecs, 1.0, PrivacyBudget(epsilon=2.0), derived_rng(31))
-    assert np.max(np.abs(out - [0.2, 0.8, 0.5])) < 0.05
-
-
-def test_avg_vec_uniform_deviation():
-    budget = PrivacyBudget(epsilon=1.0)
-    hits = 0
-    for trial in range(100):
-        rng = derived_rng(32, trial)
-        vecs = rng.random((100_000, 4))
-        out = ldp_avg_vec(vecs, 1.0, budget, rng)
-        if np.max(np.abs(out - vecs.mean(axis=0))) <= 0.05:
-            hits += 1
-    assert hits >= 90
-
-
-def test_avg_vec_warns_on_small_n():
-    vecs = derived_rng(33).random((10, 4))
-    with pytest.warns(SampleSizeWarning):
-        ldp_avg_vec(vecs, 1.0, PrivacyBudget(epsilon=1.0), derived_rng(34))
-
-
-def test_avg_vec_shape_errors():
-    with pytest.raises(ParameterError):
-        ldp_avg_vec(np.zeros((0, 3)), 1.0, PrivacyBudget(epsilon=1.0),
-                    derived_rng(0))
 
 
 # --- one-bit protocol ---------------------------------------------------------

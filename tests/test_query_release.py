@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from formula_reference import evaluate_expansion
 from ldp_erm.errors import ParameterError, QueryClassError, SampleSizeWarning
 from ldp_erm.harness import _gaussian_kernel
 from ldp_erm.polyapprox import build_or_polynomial
@@ -17,10 +18,8 @@ from ldp_erm.query_release import (BLOCK, BinaryDataset, BoxDataset,
                                    QueryAnswer, _basis_matrix, _expand_rows,
                                    _expansion_pieces, _private_column_means,
                                    answer_smooth_query, coefficient_bound,
-                                   disjunction_truth, evaluate_expansion,
-                                   marginals_answer, marginals_player_expand,
+                                   disjunction_truth, marginals_answer,
                                    marginals_release, recommended_t,
-                                   smooth_player_basis,
                                    smooth_query_coefficients, smooth_release,
                                    smooth_release_and_answer)
 from ldp_erm.rng import derived_rng
@@ -60,8 +59,8 @@ def test_expansion_matches_count_polynomial():
     p = 6
     for _ in range(5):
         row = (rng.random(p) < 0.5).astype(int)
-        alphas, _ = _expansion_pieces(p, orpoly, 200_000)
-        coeffs = marginals_player_expand(row, orpoly)
+        alphas, per_alpha = _expansion_pieces(p, orpoly, 200_000)
+        coeffs = _expand_rows(row[None], alphas, per_alpha)[0]
         for _ in range(10):
             y = rng.random(p)
             s = float(y @ row)
@@ -71,7 +70,8 @@ def test_expansion_matches_count_polynomial():
 
 def test_expansion_zero_row_is_zero_vector():
     orpoly = build_or_polynomial(2, 0.05)
-    coeffs = marginals_player_expand(np.zeros(4, dtype=int), orpoly)
+    row = np.zeros(4, dtype=int)
+    coeffs = _expand_rows(row[None], *_expansion_pieces(4, orpoly))[0]
     assert np.array_equal(coeffs, np.zeros_like(coeffs))
 
 
@@ -81,8 +81,8 @@ def test_expansion_linear_class():
     orpoly = build_or_polynomial(1, 0.05)
     assert orpoly.degree == 1
     row = np.array([1, 0, 1])
-    alphas, _ = _expansion_pieces(3, orpoly, 200_000)
-    coeffs = marginals_player_expand(row, orpoly)
+    alphas, per_alpha = _expansion_pieces(3, orpoly, 200_000)
+    coeffs = _expand_rows(row[None], alphas, per_alpha)[0]
     for alpha, c in zip(alphas, coeffs):
         if tuple(alpha) in {(1, 0, 0), (0, 0, 1)}:
             assert c == pytest.approx(1.0)
@@ -167,8 +167,8 @@ def test_transcript_counts_marginal_messages():
 
 
 def test_smooth_basis_values():
-    assert smooth_player_basis(np.array([0.3]), 1) == pytest.approx([1.0])
-    v = smooth_player_basis(np.array([0.3, -0.7]), 3)
+    assert _basis_matrix(np.array([[0.3]]), 1)[0] == pytest.approx([1.0])
+    v = _basis_matrix(np.array([[0.3, -0.7]]), 3)[0]
     x1, x2 = 0.3, -0.7
     # C-order: index = 3*v1 + v2
     want = [1.0, x2, 2 * x2 ** 2 - 1, x1, x1 * x2, x1 * (2 * x2 ** 2 - 1),
@@ -186,6 +186,12 @@ def test_coefficients_recover_monomials():
     want = np.zeros(16)
     want[5] = 1.0  # (1, 1)
     assert np.max(np.abs(c - want)) < 1e-12
+
+
+def test_coefficients_reject_a_query_of_one_point():
+    # a query maps an (m, p) array of points to m values
+    with pytest.raises(ParameterError, match="expected"):
+        smooth_query_coefficients(lambda pt: pt.sum(), 4, 2)
 
 
 @pytest.mark.parametrize("t, p", [(8, 2), (4, 3), (16, 2), (8, 1)])
@@ -208,7 +214,7 @@ def test_gaussian_kernel_fit():
     c = smooth_query_coefficients(f, 8, 2)
     rng = derived_rng(100)
     pts = rng.uniform(-1, 1, size=(1000, 2))
-    approx = np.array([float(c @ smooth_player_basis(pt, 8)) for pt in pts])
+    approx = _basis_matrix(pts, 8) @ c
     assert np.max(np.abs(approx - f(pts))) <= 1e-3
 
 
