@@ -3,7 +3,7 @@
 Two protocols share the same shape: every player contributes privatized
 evaluations of the loss on a uniform grid of parameter points, the server
 averages them into grid estimates, fits the iterated Bernstein surrogate,
-and minimizes it over the constraint set.
+and minimizes it over [0, 1]^p.
 
 * ``alg2_run``: each player sends one Laplace-noised real per grid point,
   with the budget split evenly across the grid (basic composition).
@@ -35,40 +35,9 @@ GridLoss = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 Constraint = Union[BoxConstraint, BallConstraint]
 
+GRID_CAP = 200_000  # most grid points a protocol evaluates per player
 STARTS = 32  # the surrogate minimiser's low-discrepancy starts
 GD_ITERS = 120  # its descent iterations per start
-
-
-@dataclass(frozen=True)
-class GridProtocolConfig:
-    spec: BernsteinOperatorSpec
-    budget: PrivacyBudget
-    constraint: Optional[Constraint] = None
-    grid_cap: int = 200_000
-
-    def __post_init__(self):
-        check_grid_dim(self.spec.p)
-        # the surrogate lives on [0, 1]^p: a feasible set reaching outside
-        # would fail only after every player had been encoded
-        c = self.constraint
-        if c is None:
-            return
-        if c.dim != self.spec.p:
-            raise ParameterError(
-                f"feasible set has dimension {c.dim}, expected {self.spec.p}")
-        if isinstance(c, BoxConstraint):
-            lo, hi = c.lo, c.hi
-        else:
-            centre = np.asarray(c.center_point, dtype=float)
-            lo, hi = centre.min() - c.radius, centre.max() + c.radius
-        if lo < 0.0 or hi > 1.0:
-            raise ParameterError(
-                f"feasible set {c} leaves [0, 1]^{self.spec.p}")
-
-    def feasible_set(self) -> Constraint:
-        if self.constraint is not None:
-            return self.constraint
-        return BoxConstraint(0.0, 1.0, self.spec.p)
 
 
 @dataclass(frozen=True)
@@ -81,16 +50,17 @@ class GridRelease:
     clipped: int
 
 
-def grid_points(k: int, p: int, cap: int = 200_000) -> np.ndarray:
+def grid_points(k: int, p: int) -> np.ndarray:
     """The uniform grid {0, 1/k, ..., 1}^p in lexicographic order, (G, p)."""
+    check_grid_dim(p)
     size = (k + 1) ** p
-    if size > cap:
-        max_k = int(round(cap ** (1.0 / p))) - 1
+    if size > GRID_CAP:
+        max_k = int(round(GRID_CAP ** (1.0 / p))) - 1
         raise ConfigurationError(
-            f"grid needs (k+1)^p = {size} points, above the cap {cap}; at "
-            f"p = {p} the largest supported k is {max_k} — lower k (cost "
+            f"grid needs (k+1)^p = {size} points, above the cap {GRID_CAP}; "
+            f"at p = {p} the largest supported k is {max_k} — lower k (cost "
             f"per player grows with the grid while accuracy needs n to grow "
-            f"like the grid squared) or raise grid_cap"
+            f"like the grid squared)"
         )
     axes = [np.arange(k + 1) / k] * p
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -272,18 +242,17 @@ def _warn_clipped(clipped: int, n_evals: int):
             ClippingWarning, stacklevel=3)
 
 
-def alg2_run(data: CubeDataset, loss: GridLoss, cfg: GridProtocolConfig,
-             rng: np.random.Generator,
+def alg2_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
+             budget: PrivacyBudget, rng: np.random.Generator,
              transcript: Optional[Transcript] = None) -> GridRelease:
-    """Laplace-per-grid-point protocol.
+    """Laplace-per-grid-point protocol over [0, 1]^p.
 
-    Every player reports each grid evaluation through the scalar private
-    mean with per-point budget eps / (k+1)^p, so the per-player total is
-    exactly the configured budget by basic composition.
+    Every player reports each grid evaluation of ``spec``'s grid through
+    the scalar private mean with per-point budget eps / (k+1)^p, so the
+    per-player total is exactly ``budget`` by basic composition.
     """
-    spec = cfg.spec
-    grid = grid_points(spec.k, spec.p, cfg.grid_cap)
-    per_point = cfg.budget.split(len(grid))
+    grid = grid_points(spec.k, spec.p)
+    per_point = budget.split(len(grid))
     estimates = np.empty(len(grid))
     clipped = 0
     for gi in range(len(grid)):
@@ -294,26 +263,22 @@ def alg2_run(data: CubeDataset, loss: GridLoss, cfg: GridProtocolConfig,
         # one message per player holding all grid evaluations
         transcript.add_bulk(data.n, reals_per=float(len(grid)))
     _warn_clipped(clipped, len(grid) * data.n)
-    model = BernsteinModel(spec, estimates.reshape((spec.k + 1,) * spec.p))
-    w_priv = minimize_model(model, cfg.feasible_set())
-    return GridRelease(model=model, w_priv=w_priv,
-                       grid_estimates=estimates, clipped=clipped)
+    return _release(spec, estimates, clipped)
 
 
-def alg3_run(data: CubeDataset, loss: GridLoss, cfg: GridProtocolConfig,
-             seed: int,
+def alg3_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
+             budget: PrivacyBudget, seed: int,
              transcript: Optional[Transcript] = None) -> GridRelease:
-    """One-bit protocol: partition players across grid points.
+    """One-bit protocol over [0, 1]^p: partition players across grid points.
 
-    Takes an integer seed rather than a generator because the run needs
-    named reproducible sub-streams: the partition shuffle, the public
-    Laplace draws (regenerable by anyone from the seed), and the private
-    bit flips. Each player sends exactly one bit.
+    Each player sends one bit at ``budget``'s epsilon for its cell's point
+    of ``spec``'s grid. The integer seed names reproducible sub-streams:
+    the partition shuffle, the public Laplace draws (regenerable by anyone
+    from the seed), and the private bit flips.
     """
-    spec = cfg.spec
-    eps = cfg.budget.epsilon
+    eps = budget.epsilon
     check_onebit_epsilon(eps)
-    grid = grid_points(spec.k, spec.p, cfg.grid_cap)
+    grid = grid_points(spec.k, spec.p)
     n, gsize = data.n, len(grid)
     if n < spec.p * gsize * math.log(spec.k + 1):
         warnings.warn(
@@ -321,22 +286,15 @@ def alg3_run(data: CubeDataset, loss: GridLoss, cfg: GridProtocolConfig,
             f"{spec.p * gsize * math.log(spec.k + 1):.0f}; decoded grid "
             f"values may be dominated by partition noise",
             SampleSizeWarning, stacklevel=2)
-
-    cells = None
-    for attempt in (0, 1):
-        perm = derived_rng(seed, TAG_PARTITION, attempt).permutation(n)
-        parts = np.array_split(perm, gsize)
-        if all(len(c) > 0 for c in parts):
-            cells = parts
-            break
-    if cells is None:
+    if n < gsize:
         raise EstimationError(
-            f"empty decoding cell with n = {n} players over {gsize} grid "
-            f"points, even after re-randomizing (partition seed {seed}); "
-            f"the run needs n >= (k+1)^p")
+            f"{n} players cannot fill {gsize} grid points; the one-bit run "
+            f"needs n >= (k+1)^p")
+    # every cell is non-empty: array_split sizes depend on n and gsize only
+    perm = derived_rng(seed, TAG_PARTITION, 0).permutation(n)
+    cells = np.array_split(perm, gsize)
 
-    public = PublicRandomness(seed=seed, scale=1.0 / eps, n=n)
-    ys = public.materialize()
+    ys = PublicRandomness(seed=seed, scale=1.0 / eps, n=n).materialize()
     values = np.empty(n)
     clipped = 0
     for gi, cell in enumerate(cells):
@@ -349,7 +307,13 @@ def alg3_run(data: CubeDataset, loss: GridLoss, cfg: GridProtocolConfig,
                                  transcript)
     estimates = np.array([onebit_decode(bits[cell], ys[cell])
                           for cell in cells])
+    return _release(spec, estimates, clipped)
+
+
+def _release(spec: BernsteinOperatorSpec, estimates: np.ndarray,
+             clipped: int) -> GridRelease:
+    """Fit the surrogate to the grid estimates and minimise it on the cube."""
     model = BernsteinModel(spec, estimates.reshape((spec.k + 1,) * spec.p))
-    w_priv = minimize_model(model, cfg.feasible_set())
+    w_priv = minimize_model(model, BoxConstraint(0.0, 1.0, spec.p))
     return GridRelease(model=model, w_priv=w_priv,
                        grid_estimates=estimates, clipped=clipped)

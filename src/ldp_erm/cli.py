@@ -11,8 +11,8 @@ error, 3 when some trials failed and were recorded in the report.
 """
 
 import argparse
+import json
 import sys
-from dataclasses import replace
 
 from .errors import ConfigurationError
 from .harness import MECHANISMS, apply_set_overrides, load_config, run_experiment
@@ -29,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--trials", type=int, help="trials per sweep cell")
     parser.add_argument("--workers", type=int,
-                        help="worker processes (default: LDP_ERM_WORKERS or 1)")
+                        help="worker processes (default 1)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
                         help="dotted config override, e.g. params.epsilon=0.5")
     return parser
@@ -39,18 +39,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, mechanism=args.mechanism)
-        cfg = apply_set_overrides(cfg, args.set)
-        updates = {}
-        if args.out is not None:
-            updates["out"] = args.out
-        if args.seed is not None:
-            updates["seed"] = args.seed
-        if args.trials is not None:
-            updates["trials"] = args.trials
-        if args.workers is not None:
-            updates["workers"] = args.workers
-        if updates:
-            cfg = replace(cfg, **updates)
+        # the flags are overrides too, applied last so that they win
+        flags = [f"{name}={json.dumps(getattr(args, name))}"
+                 for name in ("out", "seed", "trials", "workers")
+                 if getattr(args, name) is not None]
+        cfg = apply_set_overrides(cfg, args.set + flags)
         result = run_experiment(cfg)
     except ConfigurationError as exc:
         print(f"ldp-erm: configuration error: {exc}", file=sys.stderr)

@@ -90,7 +90,6 @@ class GradientOracleConfig:
     """Degree and coefficient data of one gradient path."""
 
     d: int
-    flavor: str  # "hinge" or "general-linear"
     coeffs: np.ndarray
     sampler: Optional[SubgradientSampler] = None
     # c_j C(d, j), the weight of product block j; derived from coeffs
@@ -99,16 +98,16 @@ class GradientOracleConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ParameterError(f"degree d must be >= 1, got {self.d}")
-        if self.flavor not in ("hinge", "general-linear"):
-            raise ParameterError(f"unknown flavor {self.flavor!r}")
         if len(self.coeffs) != self.d + 1:
             raise ParameterError(
                 f"need d+1 = {self.d + 1} coefficients, got {len(self.coeffs)}")
-        if self.flavor == "general-linear" and self.sampler is None:
-            raise ParameterError(
-                "general-linear flavor needs a subgradient sampler")
         object.__setattr__(self, "weights", np.asarray(
             self.coeffs, dtype=float) * _binom_row(self.d))
+
+    @property
+    def flavor(self) -> str:
+        """The path's name: the general-linear one carries a kink sampler."""
+        return "hinge" if self.sampler is None else "general-linear"
 
     @property
     def kinked(self) -> bool:
@@ -119,7 +118,7 @@ class GradientOracleConfig:
 def hinge_oracle_config(d: int, beta: float) -> GradientOracleConfig:
     """Coefficients c_j = (smoothed hinge)'(j/d) for the dedicated path."""
     coeffs = bernstein_deriv_coeffs(SmoothedPlus(beta).deriv, d)
-    return GradientOracleConfig(d=d, flavor="hinge", coeffs=coeffs)
+    return GradientOracleConfig(d=d, coeffs=coeffs)
 
 
 def general_linear_oracle_config(d: int, beta: float,
@@ -134,8 +133,7 @@ def general_linear_oracle_config(d: int, beta: float,
     """
     coeffs = bernstein_deriv_coeffs(
         lambda v: hbeta_deriv(beta, v - 0.5), d)
-    return GradientOracleConfig(d=d, flavor="general-linear", coeffs=coeffs,
-                                sampler=sampler)
+    return GradientOracleConfig(d=d, coeffs=coeffs, sampler=sampler)
 
 
 # --- gradient samples ----------------------------------------------------------

@@ -22,17 +22,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .bernstein_erm import (GridLoss, GridProtocolConfig, alg2_run, alg3_run,
-                            check_grid_dim)
+from .bernstein_erm import GridLoss, alg2_run, alg3_run, check_grid_dim
 from .datasets import (DATA_KEYS, FAMILIES, KINDS, BallDataset,
                        BinaryDataset, BoxDataset, CubeDataset, check_range,
                        check_spec, generate_dataset, is_integral,
                        spec_value)
-from .errors import ConfigurationError
-from .geometry import BoxConstraint
+from .errors import ConfigurationError, ParameterError
 from .glm_erm import glm_erm_run, hinge_flavor, hinge_via_general_flavor
 from .polyapprox import BernsteinOperatorSpec
-from .primitives import PrivacyBudget, Transcript, ldp_avg_1d
+from .primitives import (PrivacyBudget, Transcript, check_onebit_epsilon,
+                         ldp_avg_1d)
 from .query_release import (disjunction_truth, marginals_answer,
                             marginals_release, smooth_release_and_answer)
 from .rng import (TAG_TRIAL, TAG_TRIAL_DATASET, TAG_TRIAL_MECHANISM,
@@ -49,7 +48,7 @@ TRANSCRIPT_COLUMNS = ["trial", "mechanism", "n", "messages",
                       "bits_per_player", "reals_per_player"]
 
 # params that count something; a config value must be integral
-INTEGER_PARAMS = frozenset({"k", "h", "t", "d_cap", "grid_cap", "iters"})
+INTEGER_PARAMS = frozenset({"k", "h", "t", "d_cap", "iters"})
 
 # params whose values must lie in a range: name -> (test, what it requires)
 PARAM_RANGES = {
@@ -101,14 +100,15 @@ class ExperimentConfig:
             _check_count("workers", self.workers, 1)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigurationError(f"out must be a path, got {self.out!r}")
-        # a sweep entry that is not a list is rejected on expansion
-        lists = {key: values if isinstance(values, (list, tuple)) else []
-                 for key, values in self.sweep.items()}
+        for key, values in self.sweep.items():
+            if not isinstance(values, (list, tuple)):
+                raise ConfigurationError(f"sweep entry {key!r} must be a list")
         # every dataset spec a trial will generate
         records = MECHANISMS[self.mechanism].records
-        keys = [key for key in sorted(lists) if key in DATA_KEYS]
+        keys = [key for key in sorted(self.sweep) if key in DATA_KEYS]
         specs = [{**self.dataset, **dict(zip(keys, combo))}
-                 for combo in itertools.product(*(lists[key] for key in keys))]
+                 for combo in itertools.product(
+                     *(self.sweep[key] for key in keys))]
         for spec in specs:
             record = check_spec(spec)
             if record not in records:
@@ -118,13 +118,13 @@ class ExperimentConfig:
                     f"{record.__name__}")
         for key, value in self.params.items():
             self._check_param(key, [value])
-        for key, values in lists.items():
+        for key, values in self.sweep.items():
             if key not in DATA_KEYS:
                 self._check_param(key, values)
         mech = MECHANISMS[self.mechanism]
         if mech.check_data is not None:
             # the values each param takes in some trial
-            values = {key: lists.get(key, [self.params.get(key, default)])
+            values = {key: self.sweep.get(key, [self.params.get(key, default)])
                       for key, default in mech.params.items()}
             # a file's dim is known only once it is read, in run_trial
             for spec in specs:
@@ -306,16 +306,13 @@ def _trial_grid(data: CubeDataset, params: dict, seed: int,
     k, h = int(params["k"]), int(params["h"])
     spec = BernsteinOperatorSpec(k=k, h=h, p=data.dim)
     epsilon = float(params["epsilon"])
-    gcfg = GridProtocolConfig(
-        spec=spec, budget=PrivacyBudget(epsilon=epsilon),
-        constraint=BoxConstraint(0.0, 1.0, data.dim),
-        grid_cap=int(params["grid_cap"]))
+    budget = PrivacyBudget(epsilon=epsilon)
     if onebit:
-        release = alg3_run(data, loss, gcfg,
+        release = alg3_run(data, loss, spec, budget,
                            derived_seed(seed, TAG_TRIAL_MECHANISM),
                            transcript=transcript)
     else:
-        release = alg2_run(data, loss, gcfg,
+        release = alg2_run(data, loss, spec, budget,
                            derived_rng(seed, TAG_TRIAL_MECHANISM),
                            transcript=transcript)
     err = grid_loss_excess(params["loss"], data, release.w_priv)
@@ -396,6 +393,15 @@ def _check_grid_data(dim: int, values: dict):
     check_grid_dim(dim)
 
 
+def _check_onebit_data(dim: int, values: dict):
+    check_grid_dim(dim)
+    for epsilon in values["epsilon"]:
+        try:
+            check_onebit_epsilon(epsilon)
+        except ParameterError as exc:
+            raise ConfigurationError(str(exc)) from None
+
+
 def _check_smooth_data(dim: int, values: dict):
     # a kernel centre is a point of the data space, or None for the default
     for center in values["center"]:
@@ -443,8 +449,7 @@ class Mechanism:
     check_data: Optional[Callable] = None
 
 
-_GRID_PARAMS = {"loss": "quadratic", "k": 8, "h": 1, "epsilon": 1.0,
-                "grid_cap": 200_000}
+_GRID_PARAMS = {"loss": "quadratic", "k": 8, "h": 1, "epsilon": 1.0}
 _GLM_PARAMS = {"epsilon": 1.0, "delta": 1e-5, "target_alpha": 1.0,
                "d_cap": 8, "iters": None, "sigma_safety": 4.0}
 
@@ -455,7 +460,7 @@ MECHANISMS = {
     # one-bit messages need epsilon <= ln 2
     "onebit": Mechanism((CubeDataset,), {**_GRID_PARAMS, "epsilon": 0.5},
                         functools.partial(_trial_grid, onebit=True),
-                        _check_grid_data),
+                        _check_onebit_data),
     "hinge": Mechanism((BallDataset,), _GLM_PARAMS,
                        functools.partial(_trial_glm, general=False)),
     "general-linear": Mechanism((BallDataset,), _GLM_PARAMS,
@@ -510,14 +515,8 @@ def run_trial(cfg: ExperimentConfig, cell_params: dict, cell_index: int,
 def _expand_sweep(cfg: ExperimentConfig):
     """Cartesian product of sweep lists merged over params/dataset."""
     keys = sorted(cfg.sweep)
-    grids = []
-    for key in keys:
-        values = cfg.sweep[key]
-        if not isinstance(values, (list, tuple)):
-            raise ConfigurationError(f"sweep entry {key!r} must be a list")
-        grids.append(list(values))
     cells = []
-    for combo in itertools.product(*grids) if keys else [()]:
+    for combo in itertools.product(*(cfg.sweep[key] for key in keys)):
         params = dict(cfg.params)
         dataset = dict(cfg.dataset)
         for key, value in zip(keys, combo):
@@ -565,20 +564,6 @@ class RunResult:
     manifest_path: str
 
 
-def default_workers() -> int:
-    env = os.environ.get("LDP_ERM_WORKERS")
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigurationError(
-            f"LDP_ERM_WORKERS must be an integer >= 1, got {env!r}")
-    return workers
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Execute all sweep cells x trials and write the run artifacts.
 
@@ -587,7 +572,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     are recorded per row and the run keeps going.
     """
     cells = _expand_sweep(cfg)
-    workers = cfg.workers if cfg.workers is not None else default_workers()
+    workers = cfg.workers or 1
     out_dir = cfg.out or os.path.join("runs", cfg.mechanism)
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(cfg, cell, ci, trial)

@@ -90,12 +90,12 @@ class MarginalCoefficientTable:
     bound: float  # per-coordinate magnitude bound used for the noise
 
 
-def _expansion_pieces(p: int, orpoly: OrPolynomial, cap: int = CAP):
+def _expansion_pieces(p: int, orpoly: OrPolynomial):
     dim = math.comb(p + orpoly.degree, orpoly.degree)
-    if dim > cap:
+    if dim > CAP:
         raise ConfigurationError(
             f"marginal expansion needs C({p}+{orpoly.degree},{orpoly.degree}) "
-            f"= {dim} coefficients, above the cap {cap}")
+            f"= {dim} coefficients, above the cap {CAP}")
     alphas = _multi_indices(p, orpoly.degree)
     factors = _multinomial_factors(alphas)
     per_alpha = orpoly.coeffs[alphas.sum(axis=1)] * factors

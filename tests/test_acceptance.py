@@ -16,8 +16,7 @@ import pytest
 from formula_reference import (abs_sampler, bernstein_poly_eval,
                                laplace_logpdf, lemma40_reconstruct)
 from ldp_erm.baselines import glm_baseline
-from ldp_erm.bernstein_erm import (CubeDataset, GridProtocolConfig, alg2_run,
-                                   alg3_run)
+from ldp_erm.bernstein_erm import CubeDataset, alg2_run, alg3_run
 from ldp_erm.datasets import generate_dataset
 from ldp_erm.errors import SampleSizeWarning
 from ldp_erm.geometry import BallConstraint
@@ -156,12 +155,13 @@ def test_criterion_03_bernstein_machinery():
 
 
 def _alg2_errs(n, epsilon, trials, seed_base):
-    cfg = GridProtocolConfig(spec=BernsteinOperatorSpec(p=1, k=8, h=1),
-                             budget=PrivacyBudget(epsilon=epsilon))
+    spec = BernsteinOperatorSpec(p=1, k=8, h=1)
+    budget = PrivacyBudget(epsilon=epsilon)
     errs = []
     for trial in range(trials):
         data = CubeDataset(derived_rng(seed_base, trial).random((n, 1)))
-        rel = alg2_run(data, QUADRATIC, cfg, derived_rng(seed_base + 1, trial))
+        rel = alg2_run(data, QUADRATIC, spec, budget,
+                       derived_rng(seed_base + 1, trial))
         errs.append(grid_loss_excess("quadratic", data, rel.w_priv))
     return errs
 
@@ -181,13 +181,13 @@ def test_criterion_04_alg2_end_to_end():
 def test_criterion_05_alg3_bits_unbiasedness_and_parity():
     finish = _budgeted(300)
     epsilon = 0.5
-    cfg = GridProtocolConfig(spec=BernsteinOperatorSpec(p=1, k=8, h=1),
-                             budget=PrivacyBudget(epsilon=epsilon))
+    spec = BernsteinOperatorSpec(p=1, k=8, h=1)
+    budget = PrivacyBudget(epsilon=epsilon)
 
     # (a) transcript: exactly one bit per player, no reals
     data = CubeDataset(derived_rng(1200).random((5000, 1)))
     transcript = Transcript()
-    alg3_run(data, QUADRATIC, cfg, seed=77, transcript=transcript)
+    alg3_run(data, QUADRATIC, spec, budget, seed=77, transcript=transcript)
     assert transcript.n_messages == 5000
     assert transcript.total_bits == 5000
     assert transcript.bits_per_player() == 1.0
@@ -211,8 +211,8 @@ def test_criterion_05_alg3_bits_unbiasedness_and_parity():
     e2, e3 = [], []
     for trial in range(20):
         big = CubeDataset(derived_rng(1100, trial).random((100_000, 1)))
-        r2 = alg2_run(big, QUADRATIC, cfg, derived_rng(1101, trial))
-        r3 = alg3_run(big, QUADRATIC, cfg,
+        r2 = alg2_run(big, QUADRATIC, spec, budget, derived_rng(1101, trial))
+        r3 = alg3_run(big, QUADRATIC, spec, budget,
                       seed=derived_seed(1102, trial))
         e2.append(grid_loss_excess("quadratic", big, r2.w_priv))
         e3.append(grid_loss_excess("quadratic", big, r3.w_priv))

@@ -8,9 +8,9 @@ import pytest
 from scipy.stats import qmc
 
 from ldp_erm.bernstein_erm import (MAX_DIM, BernsteinModel, CubeDataset,
-                                   GridProtocolConfig, _sobol_starts,
-                                   alg2_run, alg3_run, grid_points,
-                                   minimize_model, recommended_k)
+                                   _sobol_starts, alg2_run, alg3_run,
+                                   grid_points, minimize_model,
+                                   recommended_k)
 from ldp_erm.errors import (ClippingWarning, ConfigurationError,
                             EstimationError, ParameterError,
                             SampleSizeWarning)
@@ -25,8 +25,17 @@ NOISELESS = PrivacyBudget(epsilon=float("inf"))
 
 
 def _cfg(k, h=1, p=1, epsilon=float("inf")):
-    return GridProtocolConfig(spec=BernsteinOperatorSpec(k=k, h=h, p=p),
-                              budget=PrivacyBudget(epsilon=epsilon))
+    """The (spec, budget) pair a grid run takes."""
+    return (BernsteinOperatorSpec(k=k, h=h, p=p),
+            PrivacyBudget(epsilon=epsilon))
+
+
+def _counting_loss(calls):
+    """The quadratic loss, appending each call's theta to ``calls``."""
+    def loss(theta, rows):
+        calls.append(theta)
+        return QUAD(theta, rows)
+    return loss
 
 
 def test_grid_points_enumeration():
@@ -37,9 +46,11 @@ def test_grid_points_enumeration():
 
 
 def test_grid_cap_error_names_tradeoff():
+    assert grid_points(20, 4).shape == (21 ** 4, 4)  # 194 481 points
     with pytest.raises(ConfigurationError) as err:
-        grid_points(100, 4, cap=1000)
-    assert "k" in str(err.value)
+        grid_points(21, 4)  # 234 256 points
+    assert "above the cap 200000" in str(err.value)
+    assert "the largest supported k is 20" in str(err.value)
 
 
 def test_recommended_k_monotone():
@@ -53,19 +64,6 @@ def test_cube_dataset_validation():
         CubeDataset(np.array([[1.2]]))
     d = CubeDataset(np.array([[0.1], [0.9]]))
     assert d.n == 2 and d.dim == 1
-
-
-def test_config_rejects_feasible_set_outside_cube():
-    spec = BernsteinOperatorSpec(k=4, h=1, p=2)
-    budget = PrivacyBudget(epsilon=1.0)
-    for bad in (BallConstraint((0.5, 0.5), 0.8), BoxConstraint(-0.1, 1.0, 2),
-                BoxConstraint(0.0, 1.2, 2), BoxConstraint(0.0, 1.0, 3),
-                BallConstraint((0.5,), 0.2)):
-        with pytest.raises(ParameterError):
-            GridProtocolConfig(spec=spec, budget=budget, constraint=bad)
-    for good in (None, BoxConstraint(0.0, 1.0, 2),
-                 BallConstraint((0.6, 0.45), 0.3)):
-        GridProtocolConfig(spec=spec, budget=budget, constraint=good)
 
 
 # --- the named grid losses ----------------------------------------------------
@@ -101,8 +99,8 @@ def test_grid_runs_equal_with_row_mean_loss(p):
         loss, ref = make_grid_loss(name), _row_mean_loss(power)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SampleSizeWarning)
-            pairs = [(alg2_run(data, f, cfg, derived_rng(16, p)),
-                      alg3_run(data, f, cfg, seed=17 + p))
+            pairs = [(alg2_run(data, f, *cfg, derived_rng(16, p)),
+                      alg3_run(data, f, *cfg, seed=17 + p))
                      for f in (loss, ref)]
         for got, want in zip(*pairs):
             assert np.array_equal(got.grid_estimates, want.grid_estimates)
@@ -113,14 +111,14 @@ def test_grid_runs_equal_with_row_mean_loss(p):
 def test_alg2_noiseless_quadratic_recovers_mean():
     rng = derived_rng(1)
     rows = rng.random((20_000, 1))
-    release = alg2_run(CubeDataset(rows), QUAD, _cfg(k=16), rng)
+    release = alg2_run(CubeDataset(rows), QUAD, *_cfg(k=16), rng)
     assert abs(release.w_priv[0] - rows.mean()) < 0.05
 
 
 def test_alg2_flat_loss_is_flat():
     rng = derived_rng(2)
     data = CubeDataset(rng.random((5_000, 1)))
-    release = alg2_run(data, make_grid_loss("flat"), _cfg(k=4, epsilon=8.0), rng)
+    release = alg2_run(data, make_grid_loss("flat"), *_cfg(k=4, epsilon=8.0), rng)
     assert np.max(np.abs(release.grid_estimates - 0.5)) < 0.2
     assert grid_loss_excess("flat", data, release.w_priv) == 0.0
 
@@ -132,7 +130,7 @@ def test_alg2_quartic_private_excess():
     for trial in range(20):
         rng = derived_rng(3, trial)
         data = CubeDataset(rng.random((1_000_000, 1)))
-        release = alg2_run(data, make_grid_loss("quartic"), _cfg(k=8, epsilon=2.0), rng)
+        release = alg2_run(data, make_grid_loss("quartic"), *_cfg(k=8, epsilon=2.0), rng)
         err = grid_loss_excess("quartic", data, release.w_priv)
         errs.append(err)
         assert err >= -1e-9
@@ -142,9 +140,9 @@ def test_alg2_quartic_private_excess():
 
 
 def test_alg2_budget_split_accounting():
-    cfg = _cfg(k=8, p=1, epsilon=2.0)
-    size = (cfg.spec.k + 1) ** cfg.spec.p
-    per_point = cfg.budget.split(size)
+    spec, budget = _cfg(k=8, p=1, epsilon=2.0)
+    size = (spec.k + 1) ** spec.p
+    per_point = budget.split(size)
     assert abs(per_point.epsilon * size - 2.0) < 1e-12
 
 
@@ -152,7 +150,7 @@ def test_alg2_transcript_one_message_per_player():
     rng = derived_rng(4)
     t = Transcript()
     data = CubeDataset(rng.random((500, 1)))
-    alg2_run(data, QUAD, _cfg(k=8, epsilon=2.0), rng, transcript=t)
+    alg2_run(data, QUAD, *_cfg(k=8, epsilon=2.0), rng, transcript=t)
     assert t.n_messages == 500
     assert t.reals_per_player() == 9.0  # (k+1)^p grid evaluations per message
 
@@ -163,7 +161,7 @@ def test_alg2_noiseless_surrogate_decomposition():
     rng = derived_rng(5)
     rows = rng.random((20_000, 1))
     data = CubeDataset(rows)
-    release = alg2_run(data, QUAD, _cfg(k=8), rng)
+    release = alg2_run(data, QUAD, *_cfg(k=8), rng)
     nodes = np.arange(9) / 8
     emp_grid = np.array([((rows - v) ** 2).mean() for v in nodes])
     assert np.max(np.abs(release.grid_estimates - emp_grid)) == 0.0
@@ -178,7 +176,7 @@ def test_alg2_clipping_warns():
     data = CubeDataset(rng.random((100, 1)))
     hot = lambda theta, rows: np.full(rows.shape[0], 1.5)
     with pytest.warns(ClippingWarning):
-        alg2_run(data, hot, _cfg(k=2, epsilon=4.0), rng)
+        alg2_run(data, hot, *_cfg(k=2, epsilon=4.0), rng)
 
 
 def test_minimize_affine_model_hits_endpoint():
@@ -276,9 +274,19 @@ def test_sobol_starts_match_scipy(p):
 def test_grid_dimension_above_table_rejected_up_front():
     assert MAX_DIM == 40
     with pytest.raises(ConfigurationError, match="p <= 40"):
-        _cfg(k=1, p=MAX_DIM + 1)
+        grid_points(1, MAX_DIM + 1)
     with pytest.raises(ConfigurationError, match="p <= 40"):
         _sobol_starts(MAX_DIM + 1)
+    # both runs check it before any player's loss is evaluated
+    data = CubeDataset(derived_rng(17).random((100, MAX_DIM + 1)))
+    calls = []
+    with pytest.raises(ConfigurationError, match="p <= 40"):
+        alg2_run(data, _counting_loss(calls),
+                 *_cfg(k=1, p=MAX_DIM + 1, epsilon=0.5), derived_rng(18))
+    with pytest.raises(ConfigurationError, match="p <= 40"):
+        alg3_run(data, _counting_loss(calls),
+                 *_cfg(k=1, p=MAX_DIM + 1, epsilon=0.5), seed=19)
+    assert not calls
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -344,14 +352,14 @@ def test_model_rejects_points_outside_cube():
 def test_alg3_requires_small_epsilon():
     data = CubeDataset(derived_rng(8).random((100, 1)))
     with pytest.raises(ParameterError):
-        alg3_run(data, QUAD, _cfg(k=2, epsilon=1.0), seed=0)
+        alg3_run(data, QUAD, *_cfg(k=2, epsilon=1.0), seed=0)
 
 
 def test_alg3_flat_loss_decodes_constant():
     rng = derived_rng(9)
     data = CubeDataset(rng.random((60_000, 1)))
     flat = make_grid_loss("flat")
-    release = alg3_run(data, flat, _cfg(k=2, epsilon=0.5), seed=42)
+    release = alg3_run(data, flat, *_cfg(k=2, epsilon=0.5), seed=42)
     assert np.max(np.abs(release.grid_estimates - 0.5)) < 0.15
 
 
@@ -359,7 +367,7 @@ def test_alg3_transcript_is_one_bit_per_player():
     rng = derived_rng(10)
     data = CubeDataset(rng.random((2_000, 1)))
     t = Transcript()
-    alg3_run(data, QUAD, _cfg(k=2, epsilon=0.5), seed=7, transcript=t)
+    alg3_run(data, QUAD, *_cfg(k=2, epsilon=0.5), seed=7, transcript=t)
     assert t.n_messages == 2_000
     assert t.bits_per_player() == 1.0
     assert t.total_bits == 2_000
@@ -368,20 +376,24 @@ def test_alg3_transcript_is_one_bit_per_player():
 def test_alg3_warns_when_n_small():
     data = CubeDataset(derived_rng(11).random((15, 1)))
     with pytest.warns(SampleSizeWarning):
-        alg3_run(data, QUAD, _cfg(k=8, epsilon=0.5), seed=3)
+        alg3_run(data, QUAD, *_cfg(k=8, epsilon=0.5), seed=3)
 
 
 def test_alg3_empty_cell_fails_with_diagnostic():
     data = CubeDataset(derived_rng(12).random((3, 1)))
+    calls = []
     with pytest.warns(SampleSizeWarning):
         with pytest.raises(EstimationError) as err:
-            alg3_run(data, QUAD, _cfg(k=3, epsilon=0.5), seed=5)
-    assert "partition seed 5" in str(err.value)
+            alg3_run(data, _counting_loss(calls), *_cfg(k=3, epsilon=0.5),
+                     seed=5)
+    assert "3 players cannot fill 4 grid points" in str(err.value)
+    assert "needs n >= (k+1)^p" in str(err.value)
+    assert not calls
 
 
 def test_alg3_deterministic_given_seed():
     data = CubeDataset(derived_rng(13).random((5_000, 1)))
-    a = alg3_run(data, QUAD, _cfg(k=2, epsilon=0.5), seed=11)
-    b = alg3_run(data, QUAD, _cfg(k=2, epsilon=0.5), seed=11)
+    a = alg3_run(data, QUAD, *_cfg(k=2, epsilon=0.5), seed=11)
+    b = alg3_run(data, QUAD, *_cfg(k=2, epsilon=0.5), seed=11)
     assert np.array_equal(a.grid_estimates, b.grid_estimates)
     assert np.array_equal(a.w_priv, b.w_priv)

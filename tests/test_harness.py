@@ -400,7 +400,7 @@ def test_config_rejects_nonintegral_counts():
             ExperimentConfig(mechanism="bernstein", dataset=cube,
                              params=params, sweep=sweep)
     ExperimentConfig(mechanism="bernstein", dataset=cube,
-                     params={"k": 8.0, "grid_cap": 100})
+                     params={"k": 8.0})
     ExperimentConfig(mechanism="hinge",
                      dataset={"family": "separable-two-class", "n": 10},
                      params={"iters": None}, sweep={"d_cap": [2, 3]})
@@ -458,12 +458,11 @@ def test_sweep_expansion():
     assert len(cells) == 4
     combos = {(c["_dataset"]["n"], c["epsilon"]) for c in cells}
     assert combos == {(10, 1.0), (10, 2.0), (20, 1.0), (20, 2.0)}
-    bad = ExperimentConfig(
-        mechanism="avg-bench",
-        dataset={"family": "uniform-cube", "n": 10, "dim": 1},
-        sweep={"epsilon": 3})
-    with pytest.raises(ConfigurationError):
-        _expand_sweep(bad)
+    with pytest.raises(ConfigurationError, match="must be a list"):
+        ExperimentConfig(
+            mechanism="avg-bench",
+            dataset={"family": "uniform-cube", "n": 10, "dim": 1},
+            sweep={"epsilon": 3})
 
 
 # --- experiment runner -----------------------------------------------------------
@@ -705,6 +704,12 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "dataset.dim=41"]),
     ({**_CONFIG, "mechanism": "onebit", "params": {}},
      ["--set", "sweep.dim=[2,41]"]),
+    ({**_CONFIG, "mechanism": "onebit", "params": {}},
+     ["--set", "params.epsilon=1.0"]),
+    ({**_CONFIG, "mechanism": "onebit", "params": {}},
+     ["--set", "sweep.epsilon=[0.5,1.0]"]),
+    ({**_CONFIG, "mechanism": "bernstein", "params": {}},
+     ["--set", "params.grid_cap=100"]),
 ])
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"
@@ -847,20 +852,28 @@ def test_avg_bench_dim_checked_against_file_data(tmp_path):
     assert "the dataset has dim 2" in result.rows[0]["error"]
 
 
-@pytest.mark.parametrize("env", ["0", "-2", "two"])
-def test_cli_rejects_bad_worker_env_with_exit_2(tmp_path, capsys,
-                                                monkeypatch, env):
-    monkeypatch.setenv("LDP_ERM_WORKERS", env)
+def test_cli_flags_override_set_items(tmp_path):
+    # a flag wins over a --set item for the same field
     path = _write_config(tmp_path / "cfg.json")
     out = tmp_path / "run"
-    code = cli.main(["avg-bench", "--config", str(path), "--out", str(out)])
-    assert code == 2
-    assert "LDP_ERM_WORKERS" in capsys.readouterr().err
-    assert not out.exists()
-    # an explicit worker count does not read the variable
-    code = cli.main(["avg-bench", "--config", str(path), "--out", str(out),
-                     "--workers", "1"])
+    code = cli.main(["avg-bench", "--config", str(path), "--seed", "4",
+                     "--set", "seed=3", "--out", str(out)])
     assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 4
+    want = tmp_path / "want"
+    cli.main(["avg-bench", "--config", str(path), "--seed", "4",
+              "--out", str(want)])
+    assert ((out / "report.csv").read_bytes()
+            == (want / "report.csv").read_bytes())
+
+
+def test_cli_out_flag_is_a_path_verbatim(tmp_path, monkeypatch):
+    # a flag value is never parsed as JSON: --out null is the path "null"
+    monkeypatch.chdir(tmp_path)
+    path = _write_config(tmp_path / "cfg.json")
+    assert cli.main(["avg-bench", "--config", str(path),
+                     "--out", "null"]) == 0
+    assert (tmp_path / "null" / "report.csv").exists()
 
 
 def test_cli_failures_are_exit_3(tmp_path, capsys):

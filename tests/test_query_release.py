@@ -59,7 +59,7 @@ def test_expansion_matches_count_polynomial():
     p = 6
     for _ in range(5):
         row = (rng.random(p) < 0.5).astype(int)
-        alphas, per_alpha = _expansion_pieces(p, orpoly, 200_000)
+        alphas, per_alpha = _expansion_pieces(p, orpoly)
         coeffs = _expand_rows(row[None], alphas, per_alpha)[0]
         for _ in range(10):
             y = rng.random(p)
@@ -81,7 +81,7 @@ def test_expansion_linear_class():
     orpoly = build_or_polynomial(1, 0.05)
     assert orpoly.degree == 1
     row = np.array([1, 0, 1])
-    alphas, per_alpha = _expansion_pieces(3, orpoly, 200_000)
+    alphas, per_alpha = _expansion_pieces(3, orpoly)
     coeffs = _expand_rows(row[None], alphas, per_alpha)[0]
     for alpha, c in zip(alphas, coeffs):
         if tuple(alpha) in {(1, 0, 0), (0, 0, 1)}:
