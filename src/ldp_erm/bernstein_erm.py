@@ -52,6 +52,15 @@ class GridRelease:
 
 def grid_points(k: int, p: int) -> np.ndarray:
     """The uniform grid {0, 1/k, ..., 1}^p in lexicographic order, (G, p)."""
+    size = check_grid_size(k, p)
+    axes = [np.arange(k + 1) / k] * p
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(size, p)
+
+
+def check_grid_size(k: int, p: int) -> int:
+    """The grid's (k+1)^p point count; rejects p above ``MAX_DIM`` and a
+    count above ``GRID_CAP``."""
     check_grid_dim(p)
     size = (k + 1) ** p
     if size > GRID_CAP:
@@ -62,9 +71,7 @@ def grid_points(k: int, p: int) -> np.ndarray:
             f"per player grows with the grid while accuracy needs n to grow "
             f"like the grid squared)"
         )
-    axes = [np.arange(k + 1) / k] * p
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(size, p)
+    return size
 
 
 def recommended_k(n: int, p: int, h: int, epsilon: float,

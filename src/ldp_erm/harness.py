@@ -22,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .bernstein_erm import GridLoss, alg2_run, alg3_run, check_grid_dim
+from .bernstein_erm import (GridLoss, alg2_run, alg3_run, check_grid_dim,
+                            check_grid_size)
 from .datasets import (DATA_KEYS, FAMILIES, KINDS, BallDataset,
                        BinaryDataset, BoxDataset, CubeDataset, check_range,
                        check_spec, generate_dataset, is_integral,
@@ -32,8 +33,9 @@ from .glm_erm import glm_erm_run, hinge_flavor, hinge_via_general_flavor
 from .polyapprox import BernsteinOperatorSpec
 from .primitives import (PrivacyBudget, Transcript, check_onebit_epsilon,
                          ldp_avg_1d)
-from .query_release import (disjunction_truth, marginals_answer,
-                            marginals_release, smooth_release_and_answer)
+from .query_release import (check_basis_cap, disjunction_truth,
+                            marginals_answer, marginals_release,
+                            smooth_release_and_answer)
 from .rng import (TAG_TRIAL, TAG_TRIAL_DATASET, TAG_TRIAL_MECHANISM,
                   derived_rng, derived_seed)
 
@@ -391,10 +393,12 @@ def _trial_smooth(data, params: dict, seed: int,
 
 def _check_grid_data(dim: int, values: dict):
     check_grid_dim(dim)
+    for k in values["k"]:
+        check_grid_size(int(k), dim)
 
 
 def _check_onebit_data(dim: int, values: dict):
-    check_grid_dim(dim)
+    _check_grid_data(dim, values)
     for epsilon in values["epsilon"]:
         try:
             check_onebit_epsilon(epsilon)
@@ -403,6 +407,11 @@ def _check_onebit_data(dim: int, values: dict):
 
 
 def _check_smooth_data(dim: int, values: dict):
+    for t in values["t"]:
+        try:
+            check_basis_cap(int(t), dim)
+        except ParameterError as exc:
+            raise ConfigurationError(str(exc)) from None
     # a kernel centre is a point of the data space, or None for the default
     for center in values["center"]:
         if center is not None and len(center) != dim:
@@ -543,9 +552,12 @@ def _write_csv(path: str, columns, rows):
         fh.write("\n".join(lines) + "\n")
 
 
+@functools.cache
 def _git_describe() -> str:
+    """The revision of the checkout this package runs from, once a process."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=os.path.dirname(os.path.abspath(__file__)),
                              capture_output=True, text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()

@@ -26,7 +26,7 @@ from .datasets import BinaryDataset, BoxDataset
 from .errors import (ConfigurationError, ParameterError, QueryClassError,
                      SampleSizeWarning)
 from .polyapprox import OrPolynomial, build_or_polynomial, chebyshev_eval
-from .primitives import PrivacyBudget, Transcript
+from .primitives import PrivacyBudget, Transcript, laplace_noise
 
 CAP = 200_000  # most entries of a coefficient vector or basis (one real each)
 BLOCK = 4096  # players whose vectors a release holds at once
@@ -141,12 +141,13 @@ def _private_column_means(rows_values: Callable[[int, int], np.ndarray],
 
     ``rows_values(lo, hi)`` gives the (hi - lo, dim) vectors of players lo
     to hi - 1. They are encoded, range-checked, noised and summed BLOCK
-    players at a time, so memory stays O(BLOCK * dim) whatever n. The result
-    is bit-identical to one mean over the whole (n, dim) matrix: row-major
-    Laplace draws over consecutive blocks are the same stream as one (n, dim)
-    draw, and keeping the running total as row 0 of the buffer makes
-    ``np.add.reduce`` add the rows one after another in player order, as an
-    axis-0 sum does (adding per-block sums would not).
+    players at a time, so memory stays O(BLOCK * dim) whatever n. The noise
+    comes from ``laplace_noise``, which maps each uniform to its draw on its
+    own, so row-major draws over consecutive blocks are the same stream as
+    one (n, dim) draw. The result is bit-identical to one mean over the
+    whole (n, dim) matrix: keeping the running total as row 0 of the buffer
+    makes ``np.add.reduce`` add the rows one after another in player order,
+    as an axis-0 sum does (adding per-block sums would not).
     """
     buf = np.empty((min(n, BLOCK) + 1, dim))
     for lo in range(0, n, BLOCK):
@@ -157,7 +158,7 @@ def _private_column_means(rows_values: Callable[[int, int], np.ndarray],
             raise ParameterError(
                 f"values outside [0, {bound}] cannot be averaged at this bound")
         if not budget.noiseless:
-            block += rng.laplace(0.0, bound / budget.epsilon, block.shape)
+            block += laplace_noise(rng, bound / budget.epsilon, block.shape)
         # the first block has no running total yet
         buf[0] = np.add.reduce(buf[0 if lo else 1:hi - lo + 1], axis=0)
     return buf[0] / n
@@ -246,7 +247,8 @@ class CosineCoefficientTable:
     t: int
 
 
-def _check_basis_cap(t: int, p: int) -> int:
+def check_basis_cap(t: int, p: int) -> int:
+    """The basis's t^p entry count; rejects t < 1 and a count above ``CAP``."""
     if t < 1:
         raise ParameterError(f"degree bound t must be >= 1, got {t}")
     dim = t ** p
@@ -259,7 +261,7 @@ def _check_basis_cap(t: int, p: int) -> int:
 def _basis_matrix(rows: np.ndarray, t: int) -> np.ndarray:
     """(n, t^p) matrix of products of per-axis Chebyshev values."""
     n, p = rows.shape
-    _check_basis_cap(t, p)
+    check_basis_cap(t, p)
     cur = np.ones((n, 1))
     for j in range(p):
         vj = np.stack([chebyshev_eval(r, rows[:, j]) for r in range(t)],
@@ -279,7 +281,7 @@ def smooth_query_coefficients(f: Callable, t: int, p: int) -> np.ndarray:
     Returns the flattened (C-order) coefficient vector aligned with the
     released basis table.
     """
-    dim = _check_basis_cap(t, p)
+    dim = check_basis_cap(t, p)
     angles = np.pi * (np.arange(t) + 0.5) / t
     nodes = np.cos(angles)
     mesh = np.meshgrid(*([nodes] * p), indexing="ij")
@@ -310,7 +312,7 @@ def smooth_release(data: BoxDataset, t: int, budget: PrivacyBudget,
     The message as a whole is therefore not epsilon-LDP: at epsilon = 2,
     t = 8 and p = 2 a player spends about 73.
     """
-    dim = _check_basis_cap(t, data.dim)
+    dim = check_basis_cap(t, data.dim)
     means01 = _private_column_means(
         lambda lo, hi: (_basis_matrix(data.rows[lo:hi], t) + 1.0) / 2.0,
         data.n, dim, 1.0, budget, rng)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from grid_reference import dense_grid_minimize
-from ldp_erm import baselines
+from ldp_erm import baselines, harness
 from ldp_erm.baselines import glm_baseline, projected_subgradient
-from ldp_erm.bernstein_erm import CubeDataset
+from ldp_erm.bernstein_erm import CubeDataset, check_grid_size
 from ldp_erm.datasets import generate_dataset, separable_two_class
 from ldp_erm.errors import (ConfigurationError, ParameterError,
                             SampleSizeWarning)
@@ -25,7 +25,7 @@ from ldp_erm.harness import (MECHANISMS, REPORT_COLUMNS, TRANSCRIPT_COLUMNS,
                              ExperimentConfig, apply_set_overrides,
                              grid_loss_excess, load_config, make_grid_loss,
                              run_experiment, _expand_sweep)
-from ldp_erm.query_release import BinaryDataset, BoxDataset
+from ldp_erm.query_release import BinaryDataset, BoxDataset, check_basis_cap
 from ldp_erm.rng import derived_rng
 from ldp_erm import cli
 
@@ -619,6 +619,46 @@ def test_manifest_reproduces_run(tmp_path):
     assert open(a.report_path, "rb").read() == open(b.report_path, "rb").read()
 
 
+def test_git_describe_runs_once_in_the_package_directory(tmp_path,
+                                                        monkeypatch):
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(kwargs.get("cwd"))
+        return subprocess.CompletedProcess(cmd, 0, stdout="abc1234\n",
+                                           stderr="")
+
+    harness._git_describe.cache_clear()
+    monkeypatch.setattr(harness.subprocess, "run", fake_run)
+    try:
+        for name in ("a", "b"):
+            result = run_experiment(ExperimentConfig(
+                mechanism="avg-bench", dataset=_CONFIG["dataset"], trials=1,
+                out=str(tmp_path / name)))
+            with open(result.manifest_path, encoding="utf-8") as fh:
+                assert json.load(fh)["git_describe"] == "abc1234"
+    finally:
+        harness._git_describe.cache_clear()
+    assert calls == [os.path.dirname(os.path.abspath(harness.__file__))]
+
+
+@pytest.mark.parametrize("mechanism, dataset, params, cap_check", [
+    ("bernstein", {"family": "uniform-cube", "n": 200, "dim": 3}, {"k": 100},
+     lambda: check_grid_size(100, 3)),
+    ("onebit", {"family": "uniform-cube", "n": 200, "dim": 3}, {"k": 100},
+     lambda: check_grid_size(100, 3)),
+    ("smooth-queries", {"family": "uniform-cube", "n": 200, "dim": 2},
+     {"t": 1000}, lambda: check_basis_cap(1000, 2)),
+])
+def test_size_caps_checked_up_front(mechanism, dataset, params, cap_check):
+    with pytest.raises(ConfigurationError) as err:
+        ExperimentConfig(mechanism, dataset, params)
+    with pytest.raises(ConfigurationError) as expected:
+        cap_check()
+    assert str(err.value) == str(expected.value)
+    assert "above the cap 200000" in str(err.value)
+
+
 # --- CLI -----------------------------------------------------------------------
 
 
@@ -710,6 +750,15 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
      ["--set", "sweep.epsilon=[0.5,1.0]"]),
     ({**_CONFIG, "mechanism": "bernstein", "params": {}},
      ["--set", "params.grid_cap=100"]),
+    ({**_CONFIG, "mechanism": "bernstein", "params": {}},
+     ["--set", "dataset.dim=3", "--set", "params.k=100"]),
+    ({**_CONFIG, "mechanism": "onebit", "params": {}},
+     ["--set", "dataset.dim=3", "--set", "sweep.k=[2,100]"]),
+    ({**_CONFIG, "mechanism": "bernstein", "params": {}},
+     ["--set", "params.k=100", "--set", "sweep.dim=[1,3]"]),
+    (_SMOOTH_CONFIG, ["--set", "params.t=1000"]),
+    (_SMOOTH_CONFIG, ["--set", "sweep.t=[2,1000]"]),
+    (_SMOOTH_CONFIG, ["--set", "params.t=0"]),
 ])
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"

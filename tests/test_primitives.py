@@ -7,9 +7,10 @@ import pytest
 
 from formula_reference import laplace_logpdf
 from ldp_erm.errors import EstimationError, ParameterError
-from ldp_erm.primitives import (BITS_PER_REAL, PrivacyBudget, PublicRandomness,
-                                Transcript, avg_error_bound, ldp_avg_1d,
-                                onebit_decode, onebit_encode_many)
+from ldp_erm.primitives import (_NOISE_CHUNK, BITS_PER_REAL, PrivacyBudget,
+                                PublicRandomness, Transcript, avg_error_bound,
+                                laplace_noise, ldp_avg_1d, onebit_decode,
+                                onebit_encode_many)
 from ldp_erm.rng import derived_rng
 
 
@@ -22,6 +23,44 @@ def test_budget_validation():
     half = b.split(2)
     assert half.epsilon == 1.0 and half.delta == 5e-6
     assert PrivacyBudget(epsilon=math.inf).noiseless
+
+
+# --- Laplace noise ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [
+    (), (1,), (1000,), (_NOISE_CHUNK - 1,), (_NOISE_CHUNK,),
+    (_NOISE_CHUNK + 1,), (3, 5), (7, _NOISE_CHUNK // 4 + 3)])
+def test_laplace_noise_takes_numpys_uniforms(shape):
+    rng, ref = derived_rng(4, len(shape)), derived_rng(4, len(shape))
+    draws = laplace_noise(rng, 2.5, shape)
+    expected = ref.laplace(0.0, 2.5, shape)
+    assert draws.shape == np.shape(expected)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    np.testing.assert_array_max_ulp(draws, expected, maxulp=4)
+
+
+class _Uniforms:
+    """A stub generator serving fixed uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms, self.used = uniforms, 0
+
+    def random(self, out):
+        out[...] = self.uniforms[self.used:self.used + out.size]
+        self.used += out.size
+
+
+@pytest.mark.parametrize("zeros", [
+    (0,), (0, 1), (_NOISE_CHUNK - 1,), (5, _NOISE_CHUNK + 2)])
+def test_laplace_noise_redraws_zero_uniforms(zeros):
+    n = _NOISE_CHUNK + 10
+    stub = _Uniforms(np.insert(derived_rng(8).random(n), zeros, 0.0))
+    draws = laplace_noise(stub, 1.0, n)
+    assert np.all(np.isfinite(draws))
+    # the zeros are skipped and the stream goes on past them
+    assert stub.used == n + len(zeros)
+    assert np.array_equal(draws, laplace_noise(derived_rng(8), 1.0, n))
 
 
 def test_player_value_range():

@@ -13,7 +13,7 @@ from formula_reference import evaluate_expansion
 from ldp_erm.errors import ParameterError, QueryClassError, SampleSizeWarning
 from ldp_erm.harness import _gaussian_kernel
 from ldp_erm.polyapprox import build_or_polynomial
-from ldp_erm.primitives import PrivacyBudget, Transcript
+from ldp_erm.primitives import PrivacyBudget, Transcript, laplace_noise
 from ldp_erm.query_release import (BLOCK, BinaryDataset, BoxDataset,
                                    QueryAnswer, _basis_matrix, _expand_rows,
                                    _expansion_pieces, _private_column_means,
@@ -282,7 +282,7 @@ def _reference_column_means(values, bound, budget, rng):
             f"values outside [0, {bound}] cannot be averaged at this bound")
     if budget.noiseless:
         return values.mean(axis=0)
-    noisy = values + rng.laplace(0.0, bound / budget.epsilon, values.shape)
+    noisy = values + laplace_noise(rng, bound / budget.epsilon, values.shape)
     return noisy.mean(axis=0)
 
 
