@@ -213,26 +213,39 @@ def separable_two_class(n: int, dim: int, margin: float,
     optimum exactly max(0, 1/2 - margin), attained at u: by convexity the
     loss averaged over a pair is at least the loss at the pair's mean
     argument, which the ball constraint keeps at or above 1/2 - margin.
+
+    Draws, in order: u from ``standard_normal(dim)``; one Gaussian zeta per
+    pair from ``standard_normal((n // 2, dim))``; one length per pair from
+    ``uniform(0, sqrt(1 - margin^2), n // 2)``; the n labels from ``choice``.
+    Each zeta is projected off u and scaled to its length, giving the xi of
+    rows 2i (+xi) and 2i + 1 (-xi). A zeta whose projection has norm at most
+    1e-12, which is every one at dim 1, gives xi = 0, and so does the last
+    row of an odd n.
     """
     if not 0.0 < margin < 1.0:
         raise ParameterError(f"margin must lie in (0, 1), got {margin}")
     u = rng.standard_normal(dim)
     u /= np.linalg.norm(u)
     spread = math.sqrt(1.0 - margin ** 2)
-    xi = np.zeros((n, dim))
-    for pair in range(n // 2):
-        zeta = rng.standard_normal(dim)
-        zeta -= (zeta @ u) * u
-        nrm = np.linalg.norm(zeta)
-        if nrm > 1e-12:
-            zeta *= rng.uniform(0.0, spread) / nrm
-        else:
-            zeta[:] = 0.0
-        xi[2 * pair] = zeta
-        xi[2 * pair + 1] = -zeta
+    half = n // 2
+    zeta = rng.standard_normal((half, dim))
+    lengths = rng.uniform(0.0, spread, half)
     labels = rng.choice([-1.0, 1.0], size=n)
-    features = labels[:, None] * (margin * u[None, :] + xi)
-    return BallDataset(features=features, labels=labels)
+    zeta -= np.outer(zeta @ u, u)
+    norms = np.linalg.norm(zeta, axis=1)
+    scale = np.divide(lengths, norms, out=np.zeros(half),
+                      where=norms > 1e-12)
+    zeta *= scale[:, None]
+    # only zeta is still needed once the n-row buffer is allocated
+    del lengths, norms, scale
+    xi = np.zeros((n, dim))
+    xi[0:2 * half:2] = zeta
+    np.negative(zeta, out=xi[1:2 * half:2])
+    del zeta
+    # labels * (margin u + xi), formed in xi's own buffer
+    xi += margin * u
+    xi *= labels[:, None]
+    return BallDataset(features=xi, labels=labels)
 
 
 def generate_dataset(spec: dict, seed: int):

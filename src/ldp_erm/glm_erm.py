@@ -94,6 +94,8 @@ class GradientOracleConfig:
     sampler: Optional[SubgradientSampler] = None
     # c_j C(d, j), the weight of product block j; derived from coeffs
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    # the path's gradient-scalar kernel (see _scalar_kernel); derived
+    scalars: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -103,6 +105,7 @@ class GradientOracleConfig:
                 f"need d+1 = {self.d + 1} coefficients, got {len(self.coeffs)}")
         object.__setattr__(self, "weights", np.asarray(
             self.coeffs, dtype=float) * _binom_row(self.d))
+        object.__setattr__(self, "scalars", _scalar_kernel(self))
 
     @property
     def flavor(self) -> str:
@@ -166,40 +169,56 @@ def _check_replicas(message: ReplicaMessage, d: int):
             f"degree-{d} oracle needs exactly {expect}")
 
 
-def _replica_products(signed_args: np.ndarray, weights: np.ndarray,
-                      d: int) -> np.ndarray:
-    """sum_j weights[j] * prod(first j of block j) * prod(1 - rest of block j).
+def _block_products(weights: np.ndarray, d: int) -> Callable:
+    """The function sum_j weights[j] * prod(first j of block j) * prod(1 -
+    rest of block j) of ``signed_args``.
 
     The last axis of ``signed_args`` holds the d(d+1) product arguments t of
     one sample times their ``_fold`` signs, block j being the slice
     [j*d, (j+1)*d); its first j entries enter the rising product and the
     remaining d-j the falling one, so every replica is consumed by exactly
-    one factor. Leading axes index samples.
+    one factor. Leading axes index samples. The offsets and the block shape
+    are bound once, outside the returned function.
     """
-    factors = _fold(d)[1] + signed_args
-    blocks = factors.reshape(signed_args.shape[:-1] + (d + 1, d))
-    return np.multiply.reduce(blocks, axis=-1) @ weights
+    offsets, shape = _fold(d)[1], (d + 1, d)
+    reduce = np.multiply.reduce
+
+    def products(signed_args):
+        blocks = (offsets + signed_args).reshape(signed_args.shape[:-1] + shape)
+        return reduce(blocks, axis=-1) @ weights
+    return products
 
 
-def _gradient_scalars(margins: np.ndarray, kinks: Optional[np.ndarray],
-                      cfg: GradientOracleConfig) -> np.ndarray:
-    """The factor multiplying y_0 x_0 in each gradient sample.
+def _replica_products(signed_args: np.ndarray, weights: np.ndarray,
+                      d: int) -> np.ndarray:
+    """One call of ``_block_products(weights, d)``."""
+    return _block_products(weights, d)(signed_args)
+
+
+def _scalar_kernel(cfg: GradientOracleConfig) -> Callable:
+    """kernel(margins, kinks) -> the factor multiplying y_0 x_0 per sample.
 
     ``margins`` holds the body replicas' y_k <x_k, w> on its last axis and
     ``kinks`` the matching kink locations (None unless ``cfg.kinked``),
     both times the ``_fold`` signs: the product argument
-    -((u - s) + 1/2) is (-u - (-s)) + (-1/2) exactly.
+    -((u - s) + 1/2) is (-u - (-s)) + (-1/2) exactly. Built once per
+    config, so a call looks up nothing on it: the folded offsets and
+    halves, the weights and block shape, and for the general path the
+    derivative spread f'(1) - f'(-1) and the affine shift are bound here.
+    Every gradient sample, the server's, the pilot's and a message's, is
+    one call of it.
     """
-    if cfg.flavor == "hinge":
-        return _replica_products(margins, cfg.weights, cfg.d)
+    products = _block_products(cfg.weights, cfg.d)
+    if cfg.sampler is None:
+        return lambda margins, kinks: products(margins)
     sampler = cfg.sampler
     spread = sampler.upper - sampler.lower
     midpoint = 0.5 * (sampler.upper + sampler.lower)
     if sampler.degenerate:
-        return np.full(margins.shape[:-1], midpoint)
-    total = _replica_products(margins - kinks + _fold(cfg.d)[2], cfg.weights,
-                              cfg.d)
-    return spread * total + (midpoint - 0.5 * spread)
+        return lambda margins, kinks: np.full(margins.shape[:-1], midpoint)
+    halves, shift = _fold(cfg.d)[2], midpoint - 0.5 * spread
+    return lambda margins, kinks: (
+        spread * products(margins - kinks + halves) + shift)
 
 
 def _message_gradient(w: np.ndarray, message: ReplicaMessage,
@@ -210,7 +229,7 @@ def _message_gradient(w: np.ndarray, message: ReplicaMessage,
                                           @ np.asarray(w, dtype=float))
     if kinks is not None:
         kinks = signs * kinks
-    scalar = _gradient_scalars(margins, kinks, cfg)
+    scalar = cfg.scalars(margins, kinks)
     return scalar * (message.head_y * message.head_x)
 
 
@@ -416,10 +435,11 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     head = head_y[:, None] * head_x
     signs = _fold(d)[0]
     body_y *= signs
+    scalars = cfg.scalars
 
     def gradients(w, rows, kinks):
         margins = body_y[rows] * (body_x[rows] @ w)
-        return _gradient_scalars(margins, kinks, cfg)[..., None] * head[rows]
+        return scalars(margins, kinks)[..., None] * head[rows]
 
     def replay(count):
         rows, kinks = _replay_draws(rng, n, count, m, cfg)
@@ -438,7 +458,7 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     def oracle(w, _rng):
         row, kinks = next(draws)
         margins = body_y[row] * (body_x[row] @ w)
-        return _gradient_scalars(margins, kinks, cfg) * head[row]
+        return scalars(margins, kinks) * head[row]
 
     w_priv = sigm_run(oracle, constraint, schedule, steps, rng)
 

@@ -52,10 +52,16 @@ TRANSCRIPT_COLUMNS = ["trial", "mechanism", "n", "messages",
 # params that count something; a config value must be integral
 INTEGER_PARAMS = frozenset({"k", "h", "t", "d_cap", "iters"})
 
-# params whose values must lie in a range: name -> (test, what it requires)
+# params whose values must lie in a range: name -> (test, what it requires);
+# a param whose default is None also takes None
 PARAM_RANGES = {
     "epsilon": (lambda v: v > 0, "a number > 0"),
     "delta": (lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "target_alpha": (lambda v: 0 < v <= 1, "a number in (0, 1]"),
+    "sigma_safety": (lambda v: math.isfinite(v) and v >= 0,
+                     "a finite number >= 0"),
+    "d_cap": (lambda v: v >= 1, "an integer >= 1"),
+    "iters": (lambda v: v >= 1, "null or an integer >= 1"),
 }
 
 
@@ -145,7 +151,8 @@ class ExperimentConfig:
                     or (value is None and defaults[key] is None)):
                 raise ConfigurationError(
                     f"param {key!r} must be an integer, got {value!r}")
-            if key in PARAM_RANGES:
+            if key in PARAM_RANGES and not (
+                    value is None and defaults[key] is None):
                 check_range(f"param {key!r}", value, *PARAM_RANGES[key])
             if isinstance(defaults[key], bool) and not isinstance(value, bool):
                 raise ConfigurationError(

@@ -20,6 +20,7 @@ same floating-point operations, in the same order, as a step-at-a-time
 loop would.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,13 +53,15 @@ class SigmSchedule:
     smoothness: float = 0.0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ParameterError(
+                f"sigma must be a finite number >= 0, got {self.sigma}")
         if not self.radius > 0:
             raise ParameterError(f"radius must be positive, got {self.radius}")
-        if self.smoothness < 0:
+        if not (math.isfinite(self.smoothness) and self.smoothness >= 0):
             raise ParameterError(
-                f"smoothness must be >= 0, got {self.smoothness}")
+                f"smoothness must be a finite number >= 0, got "
+                f"{self.smoothness}")
         if self.sigma == 0 and self.smoothness == 0:
             raise ParameterError(
                 "schedule needs sigma > 0 or smoothness > 0 to set step sizes")

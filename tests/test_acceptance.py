@@ -20,7 +20,7 @@ from ldp_erm.bernstein_erm import CubeDataset, alg2_run, alg3_run
 from ldp_erm.datasets import generate_dataset
 from ldp_erm.errors import SampleSizeWarning
 from ldp_erm.geometry import BallConstraint
-from ldp_erm.glm_erm import (_encode_population, _fold, _gradient_scalars,
+from ldp_erm.glm_erm import (_encode_population, _fold,
                              general_linear_gradient_sample,
                              general_linear_oracle_config, glm_erm_run,
                              glm_player_encode, hinge_flavor,
@@ -283,7 +283,7 @@ def test_criterion_07_glm_oracles():
         return (signs * body_y) * (body_x @ w), head_y[:, None] * head_x
 
     margins, heads = replayed(derived_rng(2007))
-    samples = _gradient_scalars(margins, None, cfg_h)[:, None] * heads
+    samples = cfg_h.scalars(margins, None)[:, None] * heads
     se_h = samples.std(axis=0) / math.sqrt(reps)
     z_h = float(np.max(np.abs(samples.mean(axis=0) - want_h) / se_h))
     assert z_h <= 3.0
@@ -299,8 +299,7 @@ def test_criterion_07_glm_oracles():
     margins, heads = replayed(rng)
     kinks = kink_locations(ident, rng.uniform(ident.lower, ident.upper,
                                               margins.shape))
-    samples = (_gradient_scalars(margins, signs * kinks, cfg_g)[:, None]
-               * heads)
+    samples = cfg_g.scalars(margins, signs * kinks)[:, None] * heads
     se_g = samples.std(axis=0) / math.sqrt(reps)
     z_g = float(np.max(np.abs(samples.mean(axis=0) - want_g) / se_g))
     assert z_g <= 3.0

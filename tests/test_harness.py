@@ -57,6 +57,86 @@ def test_separable_margin_range():
         separable_two_class(100, 3, 0.0, rng)
 
 
+def _separable_draws(n, dim, margin, seed):
+    """u, the projected and scaled xi of each pair, and the labels, drawn
+    from ``derived_rng(seed)`` in the order separable_two_class documents."""
+    rng = derived_rng(seed)
+    u = rng.standard_normal(dim)
+    u /= np.linalg.norm(u)
+    zeta = rng.standard_normal((n // 2, dim))
+    lengths = rng.uniform(0.0, math.sqrt(1.0 - margin ** 2), n // 2)
+    labels = rng.choice([-1.0, 1.0], size=n)
+    zeta -= np.outer(zeta @ u, u)
+    norms = np.linalg.norm(zeta, axis=1)
+    keep = norms > 1e-12
+    zeta[keep] *= (lengths[keep] / norms[keep])[:, None]
+    zeta[~keep] = 0.0
+    return u, zeta, labels
+
+
+def test_separable_pairs_carry_plus_and_minus_xi():
+    n, dim, margin = 2000, 5, 0.3
+    data = separable_two_class(n, dim, margin, derived_rng(41))
+    u, xi, labels = _separable_draws(n, dim, margin, 41)
+    assert np.array_equal(data.labels, labels)
+    assert np.array_equal(data.features[0::2],
+                          labels[0::2, None] * (margin * u + xi))
+    assert np.array_equal(data.features[1::2],
+                          labels[1::2, None] * (margin * u + -xi))
+
+
+def test_separable_xi_orthogonal_and_bounded():
+    n, dim, margin = 2000, 4, 0.6
+    data = separable_two_class(n, dim, margin, derived_rng(42))
+    u = derived_rng(42).standard_normal(dim)
+    u /= np.linalg.norm(u)
+    xi = data.labels[:, None] * data.features - margin * u
+    assert np.abs(xi @ u).max() <= 1e-12
+    assert (np.linalg.norm(xi, axis=1).max()
+            <= math.sqrt(1.0 - margin ** 2) + 1e-12)
+
+
+def test_separable_xi_lengths_uniform():
+    # each pair's |xi| is a uniform share of sqrt(1 - margin^2): one-sample
+    # Kolmogorov-Smirnov against U(0, 1) at the 1% critical value
+    pairs, dim, margin = 10_000, 5, 0.2
+    data = separable_two_class(2 * pairs, dim, margin, derived_rng(43))
+    u = derived_rng(43).standard_normal(dim)
+    u /= np.linalg.norm(u)
+    xi = data.labels[0::2, None] * data.features[0::2] - margin * u
+    share = np.sort(np.linalg.norm(xi, axis=1) / math.sqrt(1.0 - margin ** 2))
+    grid = np.arange(1, pairs + 1) / pairs
+    ks = max(float(np.max(grid - share)),
+             float(np.max(share - (grid - 1.0 / pairs))))
+    assert ks <= 1.63 / math.sqrt(pairs)
+
+
+def test_separable_odd_n_leaves_last_xi_zero():
+    n, dim, margin = 7, 3, 0.4
+    data = separable_two_class(n, dim, margin, derived_rng(44))
+    u, xi, labels = _separable_draws(n, dim, margin, 44)
+    assert xi.shape == (3, dim)
+    assert np.array_equal(data.features[-1], labels[-1] * (margin * u))
+
+
+def test_separable_dim_one_has_no_xi_and_no_warning():
+    n, margin = 501, 0.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        data = separable_two_class(n, 1, margin, derived_rng(45))
+    u = derived_rng(45).standard_normal(1)
+    u /= np.linalg.norm(u)
+    assert np.array_equal(data.features,
+                          data.labels[:, None] * (margin * u))
+
+
+def test_separable_same_seed_same_arrays():
+    first = separable_two_class(1001, 3, 0.2, derived_rng(46))
+    again = separable_two_class(1001, 3, 0.2, derived_rng(46))
+    assert np.array_equal(first.features, again.features)
+    assert np.array_equal(first.labels, again.labels)
+
+
 def test_uniform_cube_mean():
     data = generate_dataset({"family": "uniform-cube", "n": 4000, "dim": 1}, 13)
     assert isinstance(data, CubeDataset)
@@ -759,6 +839,18 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     (_SMOOTH_CONFIG, ["--set", "params.t=1000"]),
     (_SMOOTH_CONFIG, ["--set", "sweep.t=[2,1000]"]),
     (_SMOOTH_CONFIG, ["--set", "params.t=0"]),
+    (_HINGE_CONFIG, ["--set", "params.sigma_safety=NaN"]),
+    (_HINGE_CONFIG, ["--set", "sweep.sigma_safety=[4.0,NaN]"]),
+    (_HINGE_CONFIG, ["--set", "params.sigma_safety=-1"]),
+    (_HINGE_CONFIG, ["--set", "sweep.sigma_safety=[4.0,-1]"]),
+    (_HINGE_CONFIG, ["--set", "params.iters=0"]),
+    (_HINGE_CONFIG, ["--set", "sweep.iters=[null,0]"]),
+    (_HINGE_CONFIG, ["--set", "params.d_cap=0"]),
+    (_HINGE_CONFIG, ["--set", "sweep.d_cap=[2,0]"]),
+    (_HINGE_CONFIG, ["--set", "params.target_alpha=2.0"]),
+    (_HINGE_CONFIG, ["--set", "sweep.target_alpha=[1.0,2.0]"]),
+    (_HINGE_CONFIG, ["--set", "params.target_alpha=0"]),
+    (_HINGE_CONFIG, ["--set", "sweep.target_alpha=[0.5,0]"]),
 ])
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 """Tests for the averaged dual-averaging solver and its schedule."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,14 @@ def test_schedule_validation():
         SigmSchedule(sigma=1.0, radius=0.0)
     with pytest.raises(ParameterError):
         SigmSchedule(sigma=0.0, radius=1.0, smoothness=0.0)  # no step scale
+
+
+@pytest.mark.parametrize("sigma, smoothness", [
+    (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+def test_schedule_rejects_non_finite_scales(sigma, smoothness):
+    # NaN fails every comparison, so a sign test alone would let it through
+    with pytest.raises(ParameterError):
+        SigmSchedule(sigma=sigma, radius=1.0, smoothness=smoothness)
 
 
 def _general_p_schedule(sch, p):
