@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Smoke-run every mechanism from an install without extras.
+# Smoke-run every mechanism from an install without extras, and check that
+# a bad config value is rejected up front there.
 #
 # usage: runtime_smoke.sh VENV WORKDIR
 #
 # VENV is a virtual environment with the package installed and no extras;
 # each mechanism's console-script run writes its config and artifacts under
-# WORKDIR. Fails if scipy is importable there or if any run exits non-zero.
+# WORKDIR. Fails if scipy is importable there, if any good run exits
+# non-zero, or if a rejected config (one per mechanism and one per synthetic
+# family) does not exit 2 with a configuration error and no traceback.
 set -euo pipefail
 venv="$1"
 mkdir -p "$2"
@@ -24,8 +27,37 @@ run bernstein "$cube" '{"k": 2}'
 run onebit "$cube" '{"k": 2}'
 run hinge "$ball" '{"d_cap": 2}'
 run general-linear "$ball" '{"d_cap": 2}'
-run marginals '{"family": "bernoulli-bits", "n": 2000, "dim": 4}' \
-  '{"k": 1, "gamma": 0.2}'
-run smooth-queries \
-  '{"family": "gaussian-ball-clipped", "n": 2000, "dim": 2}' '{"t": 2}'
+bits='{"family": "bernoulli-bits", "n": 2000, "dim": 4}'
+box='{"family": "gaussian-ball-clipped", "n": 2000, "dim": 2}'
+run marginals "$bits" '{"k": 1, "gamma": 0.2}'
+run smooth-queries "$box" '{"t": 2}'
 run avg-bench "$cube" '{}'
+reject() {  # label, mechanism, dataset, params
+  printf '{"dataset": %s, "params": %s, "trials": 1, "seed": 1}\n' \
+    "$3" "$4" > "$1.json"
+  status=0
+  "$venv/bin/ldp-erm" "$2" --config "$1.json" --out "runtime-runs/$1" \
+    2> "$1.err" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q "configuration error" "$1.err" \
+      || grep -q Traceback "$1.err"; then
+    echo "$1: $2 with $4 on $3 exited $status; wanted 2 and a" \
+      "configuration error" >&2
+    cat "$1.err" >&2
+    exit 1
+  fi
+}
+reject bad-bernstein bernstein "$cube" '{"k": 0}'
+reject bad-onebit onebit "$cube" '{"epsilon": "inf"}'
+reject bad-hinge hinge "$ball" '{"iters": 2.5}'
+reject bad-general-linear general-linear "$ball" '{"delta": 1}'
+reject bad-marginals marginals "$bits" '{"gamma": 1.5}'
+reject bad-smooth-queries smooth-queries "$box" '{"bandwidths": []}'
+reject bad-avg-bench avg-bench "$cube" '{"epsilon": 0}'
+reject bad-uniform-cube avg-bench \
+  '{"family": "uniform-cube", "n": 2000, "dim": 0}' '{}'
+reject bad-gaussian-ball-clipped smooth-queries \
+  '{"family": "gaussian-ball-clipped", "n": 2000, "sigma": -1}' '{}'
+reject bad-separable-two-class hinge \
+  '{"family": "separable-two-class", "n": 2000, "margin": 1}' '{}'
+reject bad-bernoulli-bits marginals \
+  '{"family": "bernoulli-bits", "n": 2000, "q": 2}' '{}'

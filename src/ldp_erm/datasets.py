@@ -1,4 +1,5 @@
-"""Player-record formats, and the dataset families and files that give them.
+"""Player-record formats, the dataset families and files that give them, and
+the vocabulary every config value (data key or mechanism param) is declared in.
 
 Every family is deterministic given its seed and produces data already
 satisfying the constraint-set contracts of its consumer (cube entries in
@@ -8,6 +9,7 @@ satisfying the constraint-set contracts of its consumer (cube entries in
 import math
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -115,44 +117,105 @@ FAMILIES = {
 KINDS = {"cube": CubeDataset, "box": BoxDataset, "binary": BinaryDataset,
          "ball": BallDataset}
 
+# --- config values: one declaration each, and the parsers they use ------------
+
+
+@dataclass(frozen=True)
+class Param:
+    """One config value: its default, what it accepts in words, and a parser
+    from a JSON value to what the value's consumer uses, which raises
+    ``ValueError`` or ``TypeError`` on a value it does not accept."""
+
+    default: object
+    wanted: str
+    parse: Callable
+
+    def parsed(self, name: str, value):
+        """``parse(value)``, or a ``ConfigurationError`` that names ``name``."""
+        try:
+            return self.parse(value)
+        # float() of an int too large for a float overflows
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(
+                f"{name} must be {self.wanted}, got {value!r}") from None
+
+
+def number(test):
+    """A parser of a float passing ``test``; nan fails every test, and a
+    numeric string counts, so ``--set params.epsilon=inf`` gives inf."""
+    def parse(value) -> float:
+        if isinstance(value, bool):
+            raise TypeError(value)
+        value = float(value)
+        if not test(value):
+            raise ValueError(value)
+        return value
+    return parse
+
+
+def count(value) -> int:
+    """Parse an integer >= 1; an integral float such as 50.0 counts too."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    if isinstance(value, float) and not value.is_integer() or value < 1:
+        raise ValueError(value)
+    return int(value)
+
+
+def numbers(test):
+    """A parser of a non-empty list of floats, each passing ``test``."""
+    each = number(test)
+
+    def parse(value) -> list:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(value)
+        return [each(item) for item in value]
+    return parse
+
+
+def flag(value) -> bool:
+    """Parse true or false."""
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
+def optional(parse):
+    """A parser that takes None as itself and anything else to ``parse``."""
+    return lambda value: None if value is None else parse(value)
+
+
+# the data keys each family reads; ``n`` has no default and must be given
+_SIZES = {"n": Param(None, "an integer >= 1", count),
+          "dim": Param(1, "an integer >= 1", count)}
+FAMILY_KEYS = {
+    "uniform-cube": _SIZES,
+    "gaussian-ball-clipped": {**_SIZES, "sigma": Param(
+        0.5, "a finite number > 0",
+        number(lambda sigma: math.isfinite(sigma) and sigma > 0.0))},
+    "separable-two-class": {**_SIZES, "margin": Param(
+        0.2, "a number in (0, 1)", number(lambda margin: 0.0 < margin < 1.0))},
+    "bernoulli-bits": {**_SIZES, "q": Param(
+        0.5, "a number in [0, 1]", number(lambda q: 0.0 <= q <= 1.0))},
+}
 # spec keys that describe generated data; a sweep over one varies the dataset
-DATA_KEYS = ("n", "dim", "margin", "q", "sigma")
-# the data keys each family reads, with their defaults; ``n`` has none
-FAMILY_DEFAULTS = {family: {"n": None, "dim": 1, **own} for family, own in (
-    ("uniform-cube", {}), ("gaussian-ball-clipped", {"sigma": 0.5}),
-    ("separable-two-class", {"margin": 0.2}), ("bernoulli-bits", {"q": 0.5}))}
+DATA_KEYS = tuple(dict.fromkeys(key for keys in FAMILY_KEYS.values()
+                                for key in keys))
 
 
 def spec_value(spec: dict, key: str):
-    """A synthetic spec's value of a data key, or its family's default."""
-    return spec.get(key, FAMILY_DEFAULTS[spec["family"]][key])
-
-
-def is_integral(value) -> bool:
-    return not isinstance(value, bool) and (
-        isinstance(value, int)
-        or isinstance(value, float) and value.is_integer())
-
-
-def check_range(name: str, value, test, wanted: str):
-    """Reject a value that is not a number passing ``test``."""
-    # consumers take float(value), so a string such as "inf" is a number
-    try:
-        ok = not isinstance(value, bool) and test(float(value))
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:  # also catches nan, which fails every comparison
-        raise ConfigurationError(f"{name} must be {wanted}, got {value!r}")
+    """A synthetic spec's parsed value of a data key, or its family's default."""
+    param = FAMILY_KEYS[spec["family"]][key]
+    return param.parsed(f"dataset {key!r}", spec.get(key, param.default))
 
 
 def check_spec(spec: dict) -> type:
     """The record type a dataset spec gives, or ``ConfigurationError``.
 
     Checks all that can be checked without the data: the family, a file's
-    ``path`` and ``kind`` (and that it sets none of ``DATA_KEYS``), that a
-    family's spec sets only the data keys the family reads, the sizes ``n``
-    and ``dim``, a bit probability ``q``, a separation ``margin`` and a
-    Gaussian scale ``sigma``.
+    ``path`` and ``kind`` (and that it sets none of ``DATA_KEYS``), and that
+    a family's spec gives ``n``, sets only the data keys the family reads
+    and gives each a value its ``FAMILY_KEYS`` entry parses.
     """
     family = spec.get("family")
     if family == "file":
@@ -174,30 +237,17 @@ def check_spec(spec: dict) -> type:
         raise ConfigurationError(
             f"unknown dataset family {family!r}; known: "
             f"{', '.join(FAMILIES)}, file")
-    unused = [key for key in DATA_KEYS
-              if key in spec and key not in FAMILY_DEFAULTS[family]]
+    keys = FAMILY_KEYS[family]
+    unused = [key for key in DATA_KEYS if key in spec and key not in keys]
     if unused:
         raise ConfigurationError(
             f"dataset family {family!r} reads only "
-            f"{', '.join(map(repr, FAMILY_DEFAULTS[family]))}; it has no "
+            f"{', '.join(map(repr, keys))}; it has no "
             f"{', '.join(map(repr, unused))} to set or sweep")
     if "n" not in spec:
         raise ConfigurationError("dataset spec is missing 'n'")
-    for key in ("n", "dim"):
-        value = spec_value(spec, key)
-        if not (is_integral(value) and value >= 1):
-            raise ConfigurationError(
-                f"dataset {key!r} must be an integer >= 1, got {value!r}")
-    if family == "bernoulli-bits":
-        check_range("bit probability 'q'", spec_value(spec, "q"),
-                    lambda q: 0.0 <= q <= 1.0, "a number in [0, 1]")
-    if family == "separable-two-class":
-        check_range("separation 'margin'", spec_value(spec, "margin"),
-                    lambda margin: 0.0 < margin < 1.0, "a number in (0, 1)")
-    if family == "gaussian-ball-clipped":
-        check_range("Gaussian scale 'sigma'", spec_value(spec, "sigma"),
-                    lambda sigma: math.isfinite(sigma) and sigma > 0.0,
-                    "a finite number > 0")
+    for key in keys:
+        spec_value(spec, key)
     return FAMILIES[family]
 
 
@@ -262,18 +312,16 @@ def generate_dataset(spec: dict, seed: int):
             raise ConfigurationError(
                 "ball dataset files need feature columns plus a label column")
         return BallDataset(features=rows[:, :-1], labels=rows[:, -1])
-    n, dim = int(spec["n"]), int(spec_value(spec, "dim"))
+    n, dim = spec_value(spec, "n"), spec_value(spec, "dim")
     rng = derived_rng(seed, TAG_DATASET)
     if family == "uniform-cube":
         return CubeDataset(rng.random((n, dim)))
     if family == "gaussian-ball-clipped":
-        sigma = float(spec_value(spec, "sigma"))
-        x = rng.normal(0.0, sigma, (n, dim))
+        x = rng.normal(0.0, spec_value(spec, "sigma"), (n, dim))
         norms = np.linalg.norm(x, axis=1)
         x *= np.minimum(1.0, 1.0 / np.maximum(norms, 1e-300))[:, None]
         return BoxDataset(x)
     if family == "separable-two-class":
-        margin = float(spec_value(spec, "margin"))
-        return separable_two_class(n, dim, margin, rng)
-    q = float(spec_value(spec, "q"))
-    return BinaryDataset((rng.random((n, dim)) < q).astype(np.int64))
+        return separable_two_class(n, dim, spec_value(spec, "margin"), rng)
+    return BinaryDataset(
+        (rng.random((n, dim)) < spec_value(spec, "q")).astype(np.int64))

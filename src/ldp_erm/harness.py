@@ -16,7 +16,7 @@ import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,10 +25,10 @@ from . import __version__
 from .bernstein_erm import (GridLoss, alg2_run, alg3_run, check_grid_dim,
                             check_grid_size)
 from .datasets import (DATA_KEYS, FAMILIES, KINDS, BallDataset,
-                       BinaryDataset, BoxDataset, CubeDataset, check_range,
-                       check_spec, generate_dataset, is_integral,
-                       spec_value)
-from .errors import ConfigurationError, ParameterError
+                       BinaryDataset, BoxDataset, CubeDataset, Param,
+                       check_spec, count, flag, generate_dataset, number,
+                       numbers, optional, spec_value)
+from .errors import ConfigurationError
 from .glm_erm import glm_erm_run, hinge_flavor, hinge_via_general_flavor
 from .polyapprox import BernsteinOperatorSpec
 from .primitives import (PrivacyBudget, Transcript, check_onebit_epsilon,
@@ -48,31 +48,6 @@ REPORT_COLUMNS = [
 
 TRANSCRIPT_COLUMNS = ["trial", "mechanism", "n", "messages",
                       "bits_per_player", "reals_per_player"]
-
-# params that count something; a config value must be integral
-INTEGER_PARAMS = frozenset({"k", "h", "t", "d_cap", "iters"})
-
-# params whose values must lie in a range: name -> (test, what it requires);
-# a param whose default is None also takes None
-PARAM_RANGES = {
-    "epsilon": (lambda v: v > 0, "a number > 0"),
-    "delta": (lambda v: 0 <= v < 1, "a number in [0, 1)"),
-    "target_alpha": (lambda v: 0 < v <= 1, "a number in (0, 1]"),
-    "sigma_safety": (lambda v: math.isfinite(v) and v >= 0,
-                     "a finite number >= 0"),
-    "d_cap": (lambda v: v >= 1, "an integer >= 1"),
-    "iters": (lambda v: v >= 1, "null or an integer >= 1"),
-}
-
-
-def _check_numbers(key: str, value, test, wanted: str):
-    """Reject a param value that is not a non-empty list of such numbers."""
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigurationError(
-            f"param {key!r} must be a non-empty list, got {value!r}")
-    for item in value:
-        check_range(f"each entry of param {key!r}", item, test, wanted)
-
 
 def _check_count(name: str, value, least: int):
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
@@ -125,44 +100,30 @@ class ExperimentConfig:
                     f"{_accepted(records)}; this dataset gives "
                     f"{record.__name__}")
         for key, value in self.params.items():
-            self._check_param(key, [value])
+            self._parsed(key, [value])
         for key, values in self.sweep.items():
             if key not in DATA_KEYS:
-                self._check_param(key, values)
+                self._parsed(key, values)
         mech = MECHANISMS[self.mechanism]
         if mech.check_data is not None:
-            # the values each param takes in some trial
-            values = {key: self.sweep.get(key, [self.params.get(key, default)])
-                      for key, default in mech.params.items()}
+            # the parsed values each param takes in some trial
+            values = {key: self._parsed(key, self.sweep.get(
+                          key, [self.params.get(key, param.default)]))
+                      for key, param in mech.params.items()}
             # a file's dim is known only once it is read, in run_trial
             for spec in specs:
                 if spec["family"] != "file":
-                    mech.check_data(int(spec_value(spec, "dim")), values)
+                    mech.check_data(spec_value(spec, "dim"), values)
 
-    def _check_param(self, key: str, values):
-        defaults = MECHANISMS[self.mechanism].params
-        if key not in defaults:
+    def _parsed(self, key: str, values) -> list:
+        """Each of a param's values parsed by its declaration."""
+        params = MECHANISMS[self.mechanism].params
+        if key not in params:
             raise ConfigurationError(
                 f"mechanism {self.mechanism!r} has no param {key!r}; "
-                f"accepted: {', '.join(sorted(defaults))}")
-        for value in values:
-            if key in INTEGER_PARAMS and not (
-                    is_integral(value)
-                    or (value is None and defaults[key] is None)):
-                raise ConfigurationError(
-                    f"param {key!r} must be an integer, got {value!r}")
-            if key in PARAM_RANGES and not (
-                    value is None and defaults[key] is None):
-                check_range(f"param {key!r}", value, *PARAM_RANGES[key])
-            if isinstance(defaults[key], bool) and not isinstance(value, bool):
-                raise ConfigurationError(
-                    f"param {key!r} must be true or false, got {value!r}")
-            if key == "loss":
-                make_grid_loss(value)  # raises on an unknown name
-            if key == "bandwidths":
-                _check_numbers(key, value, lambda v: v > 0, "a number > 0")
-            if key == "center" and value is not None:
-                _check_numbers(key, value, math.isfinite, "a finite number")
+                f"accepted: {', '.join(sorted(params))}")
+        return [params[key].parsed(f"param {key!r}", value)
+                for value in values]
 
 
 def _accepted(records) -> str:
@@ -185,16 +146,15 @@ def load_config(path: str, mechanism: Optional[str] = None) -> ExperimentConfig:
         raise ConfigurationError(
             f"config {path} must hold a JSON object, got "
             f"{type(raw).__name__}")
-    known = {"mechanism", "dataset", "params", "sweep", "trials", "seed",
-             "out", "workers"}
-    fields = {k: v for k, v in raw.items() if k in known}
+    known = {f.name for f in fields(ExperimentConfig)}
+    given = {k: v for k, v in raw.items() if k in known}
     if mechanism is not None:
-        fields["mechanism"] = mechanism
-    if "mechanism" not in fields:
+        given["mechanism"] = mechanism
+    if "mechanism" not in given:
         raise ConfigurationError("config does not name a mechanism")
-    if "dataset" not in fields:
+    if "dataset" not in given:
         raise ConfigurationError("config does not define a dataset")
-    return ExperimentConfig(**fields)
+    return ExperimentConfig(**given)
 
 
 def apply_set_overrides(cfg: ExperimentConfig, sets) -> ExperimentConfig:
@@ -302,8 +262,8 @@ def grid_loss_excess(name: str, data: CubeDataset, w: np.ndarray) -> float:
 # --- per-trial executors --------------------------------------------------------
 #
 # An executor runs one trial of its mechanism on the trial's dataset, which
-# holds records of a type its table entry consumes. It gets the params merged
-# over the entry's defaults, the trial seed and the trial's transcript, and
+# holds records of a type its table entry consumes. It gets every param the
+# entry declares, parsed, the trial seed and the trial's transcript, and
 # returns the report fields it measured; ``run_trial`` fills in the sizes and
 # the message accounting. Library calls go through this module's globals at
 # call time, so that they can be wrapped from outside (span tracing).
@@ -312,9 +272,8 @@ def grid_loss_excess(name: str, data: CubeDataset, w: np.ndarray) -> float:
 def _trial_grid(data: CubeDataset, params: dict, seed: int,
                 transcript: Transcript, onebit: bool) -> dict:
     loss = make_grid_loss(params["loss"])
-    k, h = int(params["k"]), int(params["h"])
+    k, h, epsilon = params["k"], params["h"], params["epsilon"]
     spec = BernsteinOperatorSpec(k=k, h=h, p=data.dim)
-    epsilon = float(params["epsilon"])
     budget = PrivacyBudget(epsilon=epsilon)
     if onebit:
         release = alg3_run(data, loss, spec, budget,
@@ -332,14 +291,13 @@ def _trial_grid(data: CubeDataset, params: dict, seed: int,
 def _trial_glm(data: BallDataset, params: dict, seed: int,
                transcript: Transcript, general: bool) -> dict:
     flavor = hinge_via_general_flavor() if general else hinge_flavor()
-    epsilon, delta = float(params["epsilon"]), float(params["delta"])
+    epsilon, delta = params["epsilon"], params["delta"]
     report = glm_erm_run(
-        data, flavor,
-        target_alpha=float(params["target_alpha"]),
+        data, flavor, target_alpha=params["target_alpha"],
         budget=PrivacyBudget(epsilon=epsilon, delta=delta),
         rng=derived_rng(seed, TAG_TRIAL_MECHANISM),
-        d_cap=int(params["d_cap"]), iters=params["iters"],
-        sigma_safety=float(params["sigma_safety"]), transcript=transcript)
+        d_cap=params["d_cap"], iters=params["iters"],
+        sigma_safety=params["sigma_safety"], transcript=transcript)
     return {"d": report.d, "beta": report.beta, "epsilon": epsilon,
             "delta": delta, "flavor": report.flavor,
             "err_empirical": report.err_empirical,
@@ -356,8 +314,7 @@ def _all_disjunction_queries(p: int, k: int):
 
 def _trial_marginals(data: BinaryDataset, params: dict, seed: int,
                      transcript: Transcript) -> dict:
-    k, gamma = int(params["k"]), float(params["gamma"])
-    epsilon = float(params["epsilon"])
+    k, gamma, epsilon = params["k"], params["gamma"], params["epsilon"]
     table = marginals_release(
         data, k, gamma, PrivacyBudget(epsilon=epsilon),
         derived_rng(seed, TAG_TRIAL_MECHANISM),
@@ -380,14 +337,11 @@ def _gaussian_kernel(center: np.ndarray, bandwidth: float):
 def _trial_smooth(data, params: dict, seed: int,
                   transcript: Transcript) -> dict:
     data = BoxDataset(data.rows)  # cube entries are inside the box
-    t = int(params["t"])
-    epsilon = float(params["epsilon"])
-    center = params["center"]
+    t, epsilon, center = params["t"], params["epsilon"], params["center"]
     if center is None:  # the default depends on the data's dimension
         center = [0.25] * data.dim
-    center = np.asarray(center, dtype=float)
-    queries = [_gaussian_kernel(center, float(b))
-               for b in params["bandwidths"]]
+    center = np.asarray(center)
+    queries = [_gaussian_kernel(center, b) for b in params["bandwidths"]]
     _, answers = smooth_release_and_answer(
         data, t, PrivacyBudget(epsilon=epsilon), queries,
         derived_rng(seed, TAG_TRIAL_MECHANISM), transcript=transcript)
@@ -401,24 +355,12 @@ def _trial_smooth(data, params: dict, seed: int,
 def _check_grid_data(dim: int, values: dict):
     check_grid_dim(dim)
     for k in values["k"]:
-        check_grid_size(int(k), dim)
-
-
-def _check_onebit_data(dim: int, values: dict):
-    _check_grid_data(dim, values)
-    for epsilon in values["epsilon"]:
-        try:
-            check_onebit_epsilon(epsilon)
-        except ParameterError as exc:
-            raise ConfigurationError(str(exc)) from None
+        check_grid_size(k, dim)
 
 
 def _check_smooth_data(dim: int, values: dict):
     for t in values["t"]:
-        try:
-            check_basis_cap(int(t), dim)
-        except ParameterError as exc:
-            raise ConfigurationError(str(exc)) from None
+        check_basis_cap(t, dim)
     # a kernel centre is a point of the data space, or None for the default
     for center in values["center"]:
         if center is not None and len(center) != dim:
@@ -436,7 +378,7 @@ def _check_avg_bench_data(dim: int, values: dict):
 def _trial_avg_bench(data: CubeDataset, params: dict, seed: int,
                      transcript: Transcript) -> dict:
     values = data.rows[:, 0]
-    epsilon = float(params["epsilon"])
+    epsilon = params["epsilon"]
     a = ldp_avg_1d(values, 1.0, PrivacyBudget(epsilon=epsilon),
                    derived_rng(seed, TAG_TRIAL_MECHANISM),
                    transcript=transcript)
@@ -451,8 +393,9 @@ class Mechanism:
     """Everything the harness knows about one mechanism.
 
     ``records`` are the record types it consumes (the dataset families and
-    file kinds it accepts are those that give one), ``params`` the params a
-    config may set, with their defaults, and ``run`` its executor.
+    file kinds it accepts are those that give one), ``params`` maps each
+    param a config may set to its ``Param`` declaration, and ``run`` is its
+    executor.
     ``check_data``, if set, rejects data the mechanism cannot run on, given
     the data's ``dim`` and, per param, the list of values it takes in some
     trial. It runs up front on every synthetic spec, and in ``run_trial``
@@ -465,31 +408,64 @@ class Mechanism:
     check_data: Optional[Callable] = None
 
 
-_GRID_PARAMS = {"loss": "quadratic", "k": 8, "h": 1, "epsilon": 1.0}
-_GLM_PARAMS = {"epsilon": 1.0, "delta": 1e-5, "target_alpha": 1.0,
-               "d_cap": 8, "iters": None, "sigma_safety": 4.0}
+def _grid_loss(name) -> str:
+    if name not in GRID_LOSSES:
+        raise ValueError(name)
+    return name
+
+
+_EPSILON = Param(1.0, "a number > 0", number(lambda v: v > 0))
+_GRID_PARAMS = {
+    "loss": Param("quadratic", f"one of {', '.join(map(repr, GRID_LOSSES))}",
+                  _grid_loss),
+    "k": Param(8, "an integer >= 1", count),
+    "h": Param(1, "an integer >= 1", count),
+    "epsilon": _EPSILON,
+}
+_GLM_PARAMS = {
+    "epsilon": _EPSILON,
+    "delta": Param(1e-5, "a number in [0, 1)", number(lambda v: 0 <= v < 1)),
+    "target_alpha": Param(1.0, "a number in (0, 1]",
+                          number(lambda v: 0 < v <= 1)),
+    "d_cap": Param(8, "an integer >= 1", count),
+    "iters": Param(None, "null or an integer >= 1", optional(count)),
+    "sigma_safety": Param(4.0, "a finite number >= 0",
+                          number(lambda v: math.isfinite(v) and v >= 0)),
+}
 
 MECHANISMS = {
     "bernstein": Mechanism((CubeDataset,), _GRID_PARAMS,
                            functools.partial(_trial_grid, onebit=False),
                            _check_grid_data),
-    # one-bit messages need epsilon <= ln 2
-    "onebit": Mechanism((CubeDataset,), {**_GRID_PARAMS, "epsilon": 0.5},
-                        functools.partial(_trial_grid, onebit=True),
-                        _check_onebit_data),
+    # one-bit messages need epsilon <= ln 2, a rule the encoder keeps
+    "onebit": Mechanism(
+        (CubeDataset,),
+        {**_GRID_PARAMS, "epsilon": Param(
+            0.5, "a number in (0, ln 2]",
+            lambda v: check_onebit_epsilon(_EPSILON.parse(v)))},
+        functools.partial(_trial_grid, onebit=True), _check_grid_data),
     "hinge": Mechanism((BallDataset,), _GLM_PARAMS,
                        functools.partial(_trial_glm, general=False)),
     "general-linear": Mechanism((BallDataset,), _GLM_PARAMS,
                                 functools.partial(_trial_glm, general=True)),
     "marginals": Mechanism(
         (BinaryDataset,),
-        {"k": 2, "gamma": 0.05, "epsilon": 1.0, "split_budget": False},
+        {"k": Param(2, "an integer >= 1", count),
+         "gamma": Param(0.05, "a number in (0, 1)",
+                        number(lambda v: 0 < v < 1)),
+         "epsilon": _EPSILON,
+         "split_budget": Param(False, "true or false", flag)},
         _trial_marginals),
     "smooth-queries": Mechanism(
         (BoxDataset, CubeDataset),
-        {"t": 8, "epsilon": 1.0, "center": None, "bandwidths": (1.0, 0.5)},
+        {"t": Param(8, "an integer >= 1", count),
+         "epsilon": _EPSILON,
+         "center": Param(None, "null or a non-empty list of finite numbers",
+                         optional(numbers(math.isfinite))),
+         "bandwidths": Param((1.0, 0.5), "a non-empty list of numbers > 0",
+                             numbers(lambda v: v > 0))},
         _trial_smooth, _check_smooth_data),
-    "avg-bench": Mechanism((CubeDataset,), {"epsilon": 1.0},
+    "avg-bench": Mechanism((CubeDataset,), {"epsilon": _EPSILON},
                            _trial_avg_bench, _check_avg_bench_data),
 }
 
@@ -499,14 +475,16 @@ def run_trial(cfg: ExperimentConfig, cell_params: dict, cell_index: int,
     """Execute one (cell, trial) on its own derived stream; never raises."""
     seed = derived_seed(cfg.seed, TAG_TRIAL, cell_index, trial)
     mech = MECHANISMS[cfg.mechanism]
-    params = {**mech.params, **cell_params}
-    dataset = params.pop("_dataset")
+    dataset = cell_params["_dataset"]
     started = time.perf_counter()
     base = {c: "" for c in REPORT_COLUMNS}
     base.update(trial=trial, mechanism=cfg.mechanism,
                 family=dataset.get("family", ""), seed=seed,
                 status="ok", error="")
     try:
+        params = {key: param.parsed(f"param {key!r}",
+                                    cell_params.get(key, param.default))
+                  for key, param in mech.params.items()}
         data = generate_dataset(dataset,
                                 derived_seed(seed, TAG_TRIAL_DATASET))
         if mech.check_data is not None:
@@ -613,12 +591,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     manifest_path = os.path.join(out_dir, "manifest.json")
     _write_csv(report_path, REPORT_COLUMNS, rows)
     _write_csv(transcript_path, TRANSCRIPT_COLUMNS, trows)
-    manifest = {
-        "mechanism": cfg.mechanism, "dataset": cfg.dataset,
-        "params": cfg.params, "sweep": cfg.sweep, "trials": cfg.trials,
-        "seed": cfg.seed, "out": cfg.out, "workers": cfg.workers,
-        "package_version": __version__, "git_describe": _git_describe(),
-    }
+    manifest = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    manifest.update(package_version=__version__, git_describe=_git_describe())
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -207,11 +207,13 @@ def _onebit_probs(values: np.ndarray, ys: np.ndarray, epsilon: float) -> np.ndar
     return 0.5 * np.exp(-epsilon * (np.abs(ys - values) - np.abs(ys)))
 
 
-def check_onebit_epsilon(epsilon: float):
-    """Reject an epsilon the one-bit encoder cannot honour."""
+def check_onebit_epsilon(epsilon: float) -> float:
+    """The epsilon, or ``ParameterError`` if the one-bit encoder cannot
+    honour it."""
     if not 0 < epsilon <= _EPS_MAX + 1e-15:
         raise ParameterError(
             f"one-bit protocol requires 0 < eps <= ln 2, got {epsilon}")
+    return epsilon
 
 
 def onebit_encode_many(values, ys, epsilon: float, rng: np.random.Generator,

@@ -16,7 +16,7 @@ from grid_reference import dense_grid_minimize
 from ldp_erm import baselines, harness
 from ldp_erm.baselines import glm_baseline, projected_subgradient
 from ldp_erm.bernstein_erm import CubeDataset, check_grid_size
-from ldp_erm.datasets import generate_dataset, separable_two_class
+from ldp_erm.datasets import FAMILY_KEYS, generate_dataset, separable_two_class
 from ldp_erm.errors import (ConfigurationError, ParameterError,
                             SampleSizeWarning)
 from ldp_erm.geometry import BallConstraint, BoxConstraint
@@ -851,6 +851,33 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     (_HINGE_CONFIG, ["--set", "sweep.target_alpha=[1.0,2.0]"]),
     (_HINGE_CONFIG, ["--set", "params.target_alpha=0"]),
     (_HINGE_CONFIG, ["--set", "sweep.target_alpha=[0.5,0]"]),
+    # each of these used to pass the check and then fail every trial
+    ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "params.k=0"]),
+    ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "sweep.k=[2,0]"]),
+    ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "params.h=0"]),
+    ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "sweep.h=[1,-1]"]),
+    ({**_CONFIG, "mechanism": "onebit", "params": {}},
+     ["--set", "params.k=-1"]),
+    ({**_CONFIG, "mechanism": "onebit", "params": {}},
+     ["--set", "sweep.k=[0]"]),
+    ({**_CONFIG, "mechanism": "onebit", "params": {}},
+     ["--set", "params.h=0"]),
+    ({**_CONFIG, "mechanism": "onebit", "params": {}},
+     ["--set", "sweep.h=[2,0]"]),
+    (_MARGINALS_CONFIG, ["--set", "params.k=0"]),
+    (_MARGINALS_CONFIG, ["--set", "sweep.k=[1,0]"]),
+    (_MARGINALS_CONFIG, ["--set", "params.gamma=0"]),
+    (_MARGINALS_CONFIG, ["--set", "sweep.gamma=[0.2,0]"]),
+    (_MARGINALS_CONFIG, ["--set", "params.gamma=1.5"]),
+    (_MARGINALS_CONFIG, ["--set", "sweep.gamma=[1.5]"]),
+    (_MARGINALS_CONFIG, ["--set", "params.gamma=NaN"]),
+    (_MARGINALS_CONFIG, ["--set", "sweep.gamma=[0.2,NaN]"]),
+    (_MARGINALS_CONFIG, ["--set", "params.gamma=abc"]),
+    (_MARGINALS_CONFIG, ["--set", "sweep.gamma=[\"abc\"]"]),
+    # a data key's "null" is not its default: n has none
+    (_CONFIG, ["--set", "dataset.n=null"]),
+    # an integer too large for a float
+    (_CONFIG, ["--set", "params.epsilon=1" + "0" * 400]),
 ])
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"
@@ -862,6 +889,78 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()  # rejected before any trial ran
+
+
+@pytest.mark.parametrize("argv", [["--set", "params.epsilon=inf"],
+                                  ["--set", "sweep.epsilon=[\"inf\"]"]])
+def test_onebit_epsilon_inf_is_exit_2(tmp_path, capsys, argv):
+    # the ln 2 rule is part of parsing, so a string "inf" reaches it as inf
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_CONFIG, "mechanism": "onebit",
+                                "params": {}}))
+    out = tmp_path / "run"
+    code = cli.main(["onebit", "--config", str(path), "--out", str(out),
+                     *argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "ln 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, key, given, plain", [
+    ({**_CONFIG, "mechanism": "onebit", "params": {"k": 2}}, "epsilon",
+     "\"0.5\"", "0.5"),
+    ({**_HINGE_CONFIG, "params": {"d_cap": 2}}, "iters", "50.0", "50"),
+])
+def test_accepted_param_runs_as_its_parsed_value(tmp_path, config, key,
+                                                 given, plain):
+    # every trial runs on the value the check parsed, not on the raw value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    reports = []
+    for name, value in (("given", given), ("plain", plain)):
+        out = tmp_path / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SampleSizeWarning)
+            code = cli.main([config["mechanism"], "--config", str(path),
+                             "--out", str(out),
+                             "--set", f"params.{key}={value}"])
+        assert code == 0
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def _value_table(head: str, owners: dict) -> list:
+    # one row per declaration, listing every owner (mechanism or family)
+    # that declares it under that name
+    rows = {}
+    for owner, params in owners.items():
+        for name, param in params.items():
+            rows.setdefault((name, param), []).append(f"`{owner}`")
+    lines = [f"| {head} | default | accepted |", "|---|---|---|---|"]
+    for (name, param), names in rows.items():
+        try:
+            param.parse(param.default)
+            default = f"`{json.dumps(param.default)}`"
+        except (TypeError, ValueError):
+            default = "required"
+        lines.append(f"| `{name}` | {', '.join(names)} | {default} | "
+                     f"{param.wanted} |")
+    return lines
+
+
+def test_readme_tables_match_declarations():
+    # the README's accepted-values tables are the declarations, rendered
+    want = "\n".join([
+        *_value_table("param | mechanisms",
+                      {name: mech.params for name, mech in MECHANISMS.items()}),
+        "", *_value_table("dataset key | families", FAMILY_KEYS)])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    marker = "<!-- params -->"
+    assert readme.count(marker) == 2
+    block = readme.split(marker)[1].strip("\n")
+    assert block == want, f"README block between the markers should be:\n{want}"
 
 
 def test_unused_data_key_rejected_with_family_keys():
