@@ -153,11 +153,12 @@ def number(test):
     return parse
 
 
-def count(value) -> int:
-    """Parse an integer >= 1; an integral float such as 50.0 counts too."""
+def count(value, least: int = 1) -> int:
+    """Parse an integer >= ``least``; an integral float such as 50.0 counts
+    too."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(value)
-    if isinstance(value, float) and not value.is_integer() or value < 1:
+    if isinstance(value, float) and not value.is_integer() or value < least:
         raise ValueError(value)
     return int(value)
 

@@ -49,10 +49,12 @@ REPORT_COLUMNS = [
 TRANSCRIPT_COLUMNS = ["trial", "mechanism", "n", "messages",
                       "bits_per_player", "reals_per_player"]
 
-def _check_count(name: str, value, least: int):
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigurationError(
-            f"{name} must be an integer >= {least}, got {value!r}")
+# the config's own counts, parsed as a mechanism's counts are
+_COUNTS = {
+    "trials": Param(20, "an integer >= 0", lambda value: count(value, 0)),
+    "seed": Param(0, "an integer >= 0", lambda value: count(value, 0)),
+    "workers": Param(None, "an integer >= 1", optional(count)),
+}
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,10 @@ class ExperimentConfig:
     dataset: dict
     params: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
-    trials: int = 20
-    seed: int = 0
+    trials: int = _COUNTS["trials"].default
+    seed: int = _COUNTS["seed"].default
     out: Optional[str] = None
-    workers: Optional[int] = None
+    workers: Optional[int] = _COUNTS["workers"].default
 
     def __post_init__(self):
         if (not isinstance(self.mechanism, str)
@@ -77,10 +79,10 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"{name} must be a JSON object, got "
                     f"{getattr(self, name)!r}")
-        _check_count("trials", self.trials, 0)
-        _check_count("seed", self.seed, 0)
-        if self.workers is not None:
-            _check_count("workers", self.workers, 1)
+        for name, param in _COUNTS.items():
+            # stored parsed, so trials=2.0 runs as 2 and workers is an int
+            object.__setattr__(self, name,
+                               param.parsed(name, getattr(self, name)))
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigurationError(f"out must be a path, got {self.out!r}")
         for key, values in self.sweep.items():
@@ -173,7 +175,7 @@ def apply_set_overrides(cfg: ExperimentConfig, sets) -> ExperimentConfig:
         if head in mut and tail:
             mut[head][tail] = value
         elif head in ("trials", "seed", "workers"):
-            mut[head] = value  # type-checked by ExperimentConfig
+            mut[head] = value  # parsed by ExperimentConfig
         elif head == "out":
             mut[head] = str(value)
         elif head == "mechanism":
@@ -190,22 +192,31 @@ GRID_LOSSES = ("quadratic", "quartic", "flat")
 
 
 def _power_loss(power: int) -> GridLoss:
-    """Per row, the mean over coordinates of (row_j - theta_j) ** power.
+    """Per row, the mean over coordinates of (row_j - theta_j) ** power,
+    for a power of two.
 
-    Accumulates one column at a time, so a call builds no n x p temporary
-    and reduces over no row axis. Up to p = 7 this adds in the order
-    numpy's row mean does and is bit-identical to it; from p = 8 numpy sums
-    rows pairwise and the two differ in the last bits (under 1e-15
-    relative).
+    The power is taken by squaring in place, ``power.bit_length() - 1``
+    times: for negative bases numpy's general power is an order of
+    magnitude slower, and ``** 2`` is already a square, so the quadratic
+    loss keeps its bits. Accumulates one column at a time, so a call builds
+    no n x p temporary and reduces over no row axis. Up to p = 7 this adds
+    in the order numpy's row mean does and is bit-identical to it; from
+    p = 8 numpy sums rows pairwise and the two differ in the last bits
+    (under 1e-15 relative).
     """
+    squarings = power.bit_length() - 1
+
+    def term(theta, rows, j):
+        col = rows[:, j] - theta[j]
+        for _ in range(squarings):
+            col *= col
+        return col
+
     def loss(theta, rows):
         p = rows.shape[1]
-        acc = rows[:, 0] - theta[0]
-        acc **= power
+        acc = term(theta, rows, 0)
         for j in range(1, p):
-            col = rows[:, j] - theta[j]
-            col **= power
-            acc += col
+            acc += term(theta, rows, j)
         acc /= p
         return acc
     return loss

@@ -5,7 +5,14 @@ uses, two local randomizers live here: a private scalar average (each
 player reports her value plus Laplace noise and the server takes the
 mean), and a one-bit randomizer in which players compare their value
 against a shared public Laplace draw and send a single Bernoulli bit.
-Every Laplace draw in the package comes from ``laplace_noise``.
+Every Laplace draw in the package comes from ``laplace_sum``.
+
+Simulation contract: the privacy claim is about each player's report
+``v_i + Lap(b)``. Where the server only ever uses the sum of the n reports
+(``ldp_avg_1d``, the query releases' column means), the simulator draws
+that sum's exact distribution, ``sum_i v_i`` plus one ``laplace_sum`` of
+count n, rather than n separate draws. A one-row call (n = 1) is exactly
+one player's report, so a check of what one player sends makes that call.
 
 API sketch::
 
@@ -26,41 +33,24 @@ from .errors import EstimationError, ParameterError
 from .rng import derived_rng, TAG_PUBLIC
 
 BITS_PER_REAL = 64  # accounting convention for real-valued messages
-_NOISE_CHUNK = 1 << 15  # draws ``laplace_noise`` transforms at once
 
 
-def laplace_noise(rng: np.random.Generator, scale: float, shape) -> np.ndarray:
-    """Laplace(0, scale) draws of the given shape, in row-major order.
+def laplace_sum(rng: np.random.Generator, scale: float, count: int,
+                shape) -> np.ndarray:
+    """Per entry of ``shape``, the sum of ``count`` iid Laplace(0, scale)
+    draws, sampled exactly as ``scale * (G1 - G2)`` with G1, G2 ~
+    Gamma(count, 1).
 
-    The inverse CDF that ``rng.laplace`` applies one draw at a time, run on
-    chunks of ``_NOISE_CHUNK`` uniforms: for U from ``rng.random``, the draw
-    is ``scale * log(min((2 - U) - U, U + U))`` with the sign of ``2U - 1``.
-    It takes the same uniforms, rejecting U = 0 as numpy does, so it leaves
-    the generator in the same state as ``rng.laplace(0, scale, shape)``;
-    the draws agree with it to a few ulp (numpy's vectorised ``log``
-    against the C library's).
+    A Laplace(b) draw is b times the difference of two unit exponentials,
+    and a sum of ``count`` unit exponentials is Gamma(count, 1), so this is
+    the exact distribution of the sum at a cost that does not grow with
+    ``count``. At ``count = 1`` numpy draws Gamma(1, 1) as an exponential,
+    so each entry is one Laplace draw. All first gammas are drawn before
+    all second ones.
     """
-    out = np.empty(shape)
-    flat = out.reshape(-1)
-    work = np.empty(min(flat.size, _NOISE_CHUNK))
-    for lo in range(0, flat.size, _NOISE_CHUNK):
-        u = flat[lo:lo + _NOISE_CHUNK]
-        w = work[:u.size]
-        rng.random(out=u)
-        while not u.all():
-            # log(0) would be an infinite report: keep the nonzero uniforms
-            # in order and top up from the stream, as numpy's redraw does
-            kept = u[u != 0.0]
-            u[:kept.size] = kept
-            rng.random(out=u[kept.size:])
-        np.subtract(2.0, u, out=w)
-        w -= u
-        u += u
-        np.minimum(w, u, out=w)
-        np.log(w, out=w)
-        w *= scale
-        u -= 1.0
-        np.copysign(w, u, out=u)
+    out = rng.standard_gamma(count, shape)
+    out -= rng.standard_gamma(count, shape)
+    out *= scale
     return out
 
 
@@ -97,8 +87,10 @@ class PublicRandomness:
     """Shared Laplace draws, materialized lazily from a seed.
 
     The draws are never stored per player: ``materialize`` regenerates the
-    full array bit-exactly from the seed each time through ``laplace_noise``,
-    so holding one of these objects costs O(1) memory regardless of ``n``.
+    full array bit-exactly from the seed each time, so holding one of these
+    objects costs O(1) memory regardless of ``n``. Unlike the private means,
+    the draws stay one per player (``laplace_sum`` at count 1), because
+    each player's one-bit message depends on their own y_i.
     """
 
     def __init__(self, seed: int, scale: float, n: int):
@@ -112,7 +104,7 @@ class PublicRandomness:
 
     def materialize(self) -> np.ndarray:
         rng = derived_rng(self.seed, TAG_PUBLIC)
-        return laplace_noise(rng, self.scale, self.n)
+        return laplace_sum(rng, self.scale, 1, self.n)
 
 
 @dataclass
@@ -170,8 +162,9 @@ def ldp_avg_1d(values, bound: float, budget: PrivacyBudget, rng: np.random.Gener
     is within ``2 * bound * sqrt(log(2/beta)) / (sqrt(n) * epsilon)`` of the
     true mean.
 
-    The noise comes from ``laplace_noise`` and the values are added into
-    it in place, which gives the same sums as ``values + noise``.
+    The server sees only the sum of the reports, so the simulator draws
+    that sum exactly: the values' sum plus one ``laplace_sum`` of count n.
+    With one value this is exactly that player's report ``v + Lap(b)``.
 
     Budget splitting is the caller's job: pass the per-invocation epsilon,
     not a total to be divided here.
@@ -181,14 +174,12 @@ def ldp_avg_1d(values, bound: float, budget: PrivacyBudget, rng: np.random.Gener
         raise ParameterError("values must be a non-empty 1-d array")
     _check_values(values, bound)
     n = values.size
-    if budget.noiseless:
-        reports = values
-    else:
-        reports = laplace_noise(rng, bound / budget.epsilon, n)
-        reports += values
+    total = values.sum()
+    if not budget.noiseless:
+        total += laplace_sum(rng, bound / budget.epsilon, n, ())
     if transcript is not None:
         transcript.add_bulk(n, reals_per=1.0)
-    return float(reports.mean())
+    return float(total / n)
 
 
 def avg_error_bound(bound: float, n: int, epsilon: float, beta: float) -> float:

@@ -26,7 +26,7 @@ from .datasets import BinaryDataset, BoxDataset
 from .errors import (ConfigurationError, ParameterError, QueryClassError,
                      SampleSizeWarning)
 from .polyapprox import OrPolynomial, build_or_polynomial, chebyshev_eval
-from .primitives import PrivacyBudget, Transcript, laplace_noise
+from .primitives import PrivacyBudget, Transcript, laplace_sum
 
 CAP = 200_000  # most entries of a coefficient vector or basis (one real each)
 BLOCK = 4096  # players whose vectors a release holds at once
@@ -140,14 +140,17 @@ def _private_column_means(rows_values: Callable[[int, int], np.ndarray],
     """Laplace-noised per-column means of n player vectors in [0, bound]^dim.
 
     ``rows_values(lo, hi)`` gives the (hi - lo, dim) vectors of players lo
-    to hi - 1. They are encoded, range-checked, noised and summed BLOCK
-    players at a time, so memory stays O(BLOCK * dim) whatever n. The noise
-    comes from ``laplace_noise``, which maps each uniform to its draw on its
-    own, so row-major draws over consecutive blocks are the same stream as
-    one (n, dim) draw. The result is bit-identical to one mean over the
-    whole (n, dim) matrix: keeping the running total as row 0 of the buffer
-    makes ``np.add.reduce`` add the rows one after another in player order,
-    as an axis-0 sum does (adding per-block sums would not).
+    to hi - 1. They are encoded, range-checked and summed BLOCK players at
+    a time, so memory stays O(BLOCK * dim) whatever n. Keeping the running
+    total as row 0 of the buffer makes ``np.add.reduce`` add the rows one
+    after another in player order, as an axis-0 sum over the whole (n, dim)
+    matrix does (adding per-block sums would not).
+
+    Each player reports their vector plus Lap(bound / epsilon) per
+    coordinate, and the server uses only the column sums of the reports.
+    So the noise is drawn as that sum's exact distribution: one
+    ``laplace_sum`` of count n per column, added to the total before
+    dividing by n. With n = 1 this is exactly one player's report.
     """
     buf = np.empty((min(n, BLOCK) + 1, dim))
     for lo in range(0, n, BLOCK):
@@ -157,10 +160,10 @@ def _private_column_means(rows_values: Callable[[int, int], np.ndarray],
         if block.min() < -1e-9 or block.max() > bound + 1e-9:
             raise ParameterError(
                 f"values outside [0, {bound}] cannot be averaged at this bound")
-        if not budget.noiseless:
-            block += laplace_noise(rng, bound / budget.epsilon, block.shape)
         # the first block has no running total yet
         buf[0] = np.add.reduce(buf[0 if lo else 1:hi - lo + 1], axis=0)
+    if not budget.noiseless:
+        buf[0] += laplace_sum(rng, bound / budget.epsilon, n, dim)
     return buf[0] / n
 
 

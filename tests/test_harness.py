@@ -930,6 +930,23 @@ def test_accepted_param_runs_as_its_parsed_value(tmp_path, config, key,
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("name", ["trials", "seed", "workers"])
+def test_config_count_runs_as_its_parsed_value(tmp_path, name):
+    # the config's own counts parse as a param's count does, and the run
+    # sees the parsed int: 2.0 gives the same run as 2
+    path = _write_config(tmp_path / "cfg.json")
+    reports = []
+    for value in ("2.0", "2"):
+        out = tmp_path / value
+        code = cli.main(["avg-bench", "--config", str(path), "--out",
+                         str(out), "--set", f"{name}={value}"])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert type(manifest[name]) is int and manifest[name] == 2
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def _value_table(head: str, owners: dict) -> list:
     # one row per declaration, listing every owner (mechanism or family)
     # that declares it under that name

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from formula_reference import laplace_logpdf
 from ldp_erm.errors import EstimationError, ParameterError
-from ldp_erm.primitives import (_NOISE_CHUNK, BITS_PER_REAL, PrivacyBudget,
+from ldp_erm.primitives import (BITS_PER_REAL, PrivacyBudget,
                                 PublicRandomness, Transcript, avg_error_bound,
-                                laplace_noise, ldp_avg_1d, onebit_decode,
+                                laplace_sum, ldp_avg_1d, onebit_decode,
                                 onebit_encode_many)
 from ldp_erm.rng import derived_rng
 
@@ -25,42 +26,64 @@ def test_budget_validation():
     assert PrivacyBudget(epsilon=math.inf).noiseless
 
 
-# --- Laplace noise ---------------------------------------------------------------
+# --- Laplace sums -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("shape", [
-    (), (1,), (1000,), (_NOISE_CHUNK - 1,), (_NOISE_CHUNK,),
-    (_NOISE_CHUNK + 1,), (3, 5), (7, _NOISE_CHUNK // 4 + 3)])
-def test_laplace_noise_takes_numpys_uniforms(shape):
-    rng, ref = derived_rng(4, len(shape)), derived_rng(4, len(shape))
-    draws = laplace_noise(rng, 2.5, shape)
-    expected = ref.laplace(0.0, 2.5, shape)
-    assert draws.shape == np.shape(expected)
-    assert rng.bit_generator.state == ref.bit_generator.state
-    np.testing.assert_array_max_ulp(draws, expected, maxulp=4)
+def _ks_distance(sample, cdf):
+    """Largest gap between the sample's empirical CDF and ``cdf``."""
+    x = np.sort(sample)
+    f = cdf(x)
+    i = np.arange(1, x.size + 1)
+    return max(np.max(i / x.size - f), np.max(f - (i - 1) / x.size))
 
 
-class _Uniforms:
-    """A stub generator serving fixed uniforms in order."""
-
-    def __init__(self, uniforms):
-        self.uniforms, self.used = uniforms, 0
-
-    def random(self, out):
-        out[...] = self.uniforms[self.used:self.used + out.size]
-        self.used += out.size
+def _laplace_cdf(scale):
+    return lambda x: np.where(x < 0, 0.5 * np.exp(np.minimum(x, 0) / scale),
+                              1.0 - 0.5 * np.exp(-np.maximum(x, 0) / scale))
 
 
-@pytest.mark.parametrize("zeros", [
-    (0,), (0, 1), (_NOISE_CHUNK - 1,), (5, _NOISE_CHUNK + 2)])
-def test_laplace_noise_redraws_zero_uniforms(zeros):
-    n = _NOISE_CHUNK + 10
-    stub = _Uniforms(np.insert(derived_rng(8).random(n), zeros, 0.0))
-    draws = laplace_noise(stub, 1.0, n)
-    assert np.all(np.isfinite(draws))
-    # the zeros are skipped and the stream goes on past them
-    assert stub.used == n + len(zeros)
-    assert np.array_equal(draws, laplace_noise(derived_rng(8), 1.0, n))
+def test_laplace_sum_of_one_is_laplace():
+    n = 100_000
+    draws = laplace_sum(derived_rng(4), 2.5, 1, n)
+    # one-sample KS at the 1% level
+    assert _ks_distance(draws, _laplace_cdf(2.5)) <= 1.63 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("count", [2, 50])
+def test_laplace_sum_matches_summed_draws(count):
+    n = 20_000
+    sums = laplace_sum(derived_rng(5, count), 0.8, count, n)
+    ref = derived_rng(6, count).laplace(0.0, 0.8, (n, count)).sum(axis=1)
+    # two-sample KS at the 1% level
+    gap = _ks_distance(sums, lambda x: np.searchsorted(
+        np.sort(ref), x, side="right") / n)
+    assert gap <= 1.63 * math.sqrt(2.0 / n)
+
+
+def test_laplace_sum_variance_at_large_count():
+    n, count, scale = 20_000, 200_000, 0.5
+    sums = laplace_sum(derived_rng(7), scale, count, n)
+    # nearly normal at this count, so the scaled sum of squares is
+    # chi-square with n degrees of freedom
+    stat = np.sum(sums ** 2) / (2.0 * count * scale ** 2)
+    assert chi2.ppf(0.0005, n) <= stat <= chi2.ppf(0.9995, n)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+def test_laplace_sum_is_reproducible(shape):
+    rng, again = derived_rng(8, len(shape)), derived_rng(8, len(shape))
+    draws = laplace_sum(rng, 1.5, 7, shape)
+    same = laplace_sum(again, 1.5, 7, shape)
+    assert draws.shape == shape
+    assert draws.tobytes() == same.tobytes()
+    assert rng.bit_generator.state == again.bit_generator.state
+
+
+def test_single_value_average_is_one_report():
+    # with one player the private mean is that player's report v + Lap(b)
+    got = ldp_avg_1d(np.array([0.3]), 1.0, PrivacyBudget(epsilon=2.0),
+                     derived_rng(9))
+    assert got == 0.3 + float(laplace_sum(derived_rng(9), 0.5, 1, ()))
 
 
 def test_player_value_range():

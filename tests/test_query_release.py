@@ -13,7 +13,7 @@ from formula_reference import evaluate_expansion
 from ldp_erm.errors import ParameterError, QueryClassError, SampleSizeWarning
 from ldp_erm.harness import _gaussian_kernel
 from ldp_erm.polyapprox import build_or_polynomial
-from ldp_erm.primitives import PrivacyBudget, Transcript, laplace_noise
+from ldp_erm.primitives import PrivacyBudget, Transcript, laplace_sum
 from ldp_erm.query_release import (BLOCK, BinaryDataset, BoxDataset,
                                    QueryAnswer, _basis_matrix, _expand_rows,
                                    _expansion_pieces, _private_column_means,
@@ -280,10 +280,11 @@ def _reference_column_means(values, bound, budget, rng):
     if values.min() < -1e-9 or values.max() > bound + 1e-9:
         raise ParameterError(
             f"values outside [0, {bound}] cannot be averaged at this bound")
-    if budget.noiseless:
-        return values.mean(axis=0)
-    noisy = values + laplace_noise(rng, bound / budget.epsilon, values.shape)
-    return noisy.mean(axis=0)
+    total = values.sum(axis=0)
+    if not budget.noiseless:
+        total += laplace_sum(rng, bound / budget.epsilon, values.shape[0],
+                             values.shape[1])
+    return total / values.shape[0]
 
 
 STREAM_NS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]
