@@ -7,8 +7,9 @@
 # VENV is a virtual environment with the package installed and no extras;
 # each mechanism's console-script run writes its config and artifacts under
 # WORKDIR. Fails if scipy is importable there, if any good run exits
-# non-zero, or if a rejected config (one per mechanism and one per synthetic
-# family) does not exit 2 with a configuration error and no traceback.
+# non-zero, or if a rejected config (one per mechanism, one per synthetic
+# family, an unknown top-level key and a GLM delta of 0) does not exit 2 with
+# a configuration error and no traceback.
 set -euo pipefail
 venv="$1"
 mkdir -p "$2"
@@ -32,9 +33,9 @@ box='{"family": "gaussian-ball-clipped", "n": 2000, "dim": 2}'
 run marginals "$bits" '{"k": 1, "gamma": 0.2}'
 run smooth-queries "$box" '{"t": 2}'
 run avg-bench "$cube" '{}'
-reject() {  # label, mechanism, dataset, params
-  printf '{"dataset": %s, "params": %s, "trials": 1, "seed": 1}\n' \
-    "$3" "$4" > "$1.json"
+reject() {  # label, mechanism, dataset, params[, extra top-level entries]
+  printf '{"dataset": %s, "params": %s, "trials": 1, "seed": 1%s}\n' \
+    "$3" "$4" "${5:+, $5}" > "$1.json"
   status=0
   "$venv/bin/ldp-erm" "$2" --config "$1.json" --out "runtime-runs/$1" \
     2> "$1.err" || status=$?
@@ -61,3 +62,5 @@ reject bad-separable-two-class hinge \
   '{"family": "separable-two-class", "n": 2000, "margin": 1}' '{}'
 reject bad-bernoulli-bits marginals \
   '{"family": "bernoulli-bits", "n": 2000, "q": 2}' '{}'
+reject bad-top-level-key avg-bench "$cube" '{}' '"trails": 2'
+reject bad-hinge-delta hinge "$ball" '{"delta": 0}'

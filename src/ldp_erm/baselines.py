@@ -2,7 +2,7 @@
 
 These provide the "truth" side of every excess-risk measurement: a
 projected subgradient method with iterate averaging and a certified early
-stop for convex objectives over a ball or box, and a convenience wrapper
+stop for convex objectives over a ball, and a convenience wrapper
 for margin losses on labelled data. Nothing here is privatized.
 """
 

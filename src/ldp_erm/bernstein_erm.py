@@ -15,14 +15,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .datasets import CubeDataset
 from .errors import (ClippingWarning, ConfigurationError, EstimationError,
                      ParameterError, SampleSizeWarning)
-from .geometry import BallConstraint, BoxConstraint
 from .polyapprox import (BernsteinOperatorSpec, contract_grid,
                          iterated_basis_weights, iterated_bernstein_eval)
 from .primitives import (PrivacyBudget, PublicRandomness, Transcript,
@@ -32,8 +31,6 @@ from .rng import TAG_BITS, TAG_PARTITION, derived_rng
 
 # loss(theta, rows) -> per-row loss values in [0, 1]
 GridLoss = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-Constraint = Union[BoxConstraint, BallConstraint]
 
 GRID_CAP = 200_000  # most grid points a protocol evaluates per player
 STARTS = 32  # the surrogate minimiser's low-discrepancy starts
@@ -72,23 +69,6 @@ def check_grid_size(k: int, p: int) -> int:
             f"like the grid squared)"
         )
     return size
-
-
-def recommended_k(n: int, p: int, h: int, epsilon: float,
-                  beta: float = 0.05) -> int:
-    """Heuristic grid order balancing bias and noise.
-
-    Implements the shape k = (sqrt(p n) eps / (2^{(h+1)p} sqrt(log 1/beta)))
-    ^{1/(h+p)} with the derivative constant treated as 1; treat the result
-    as a starting point, not a guarantee.
-    """
-    if n < 1 or p < 1 or h < 1:
-        raise ParameterError("n, p, h must all be >= 1")
-    if not (epsilon > 0 and 0 < beta < 1):
-        raise ParameterError("need epsilon > 0 and beta in (0, 1)")
-    raw = (math.sqrt(p * n) * epsilon
-           / (2.0 ** ((h + 1) * p) * math.sqrt(math.log(1.0 / beta))))
-    return max(1, round(raw ** (1.0 / (h + p))))
 
 
 @dataclass(frozen=True)
@@ -179,14 +159,13 @@ def _sobol_starts(p: int) -> np.ndarray:
     return raw
 
 
-def minimize_model(model: BernsteinModel,
-                   constraint: Constraint) -> np.ndarray:
-    """Minimize the surrogate over a box or ball inside [0,1]^p.
+def minimize_model(model: BernsteinModel) -> np.ndarray:
+    """Minimize the surrogate over the unit cube [0,1]^p.
 
     Projected gradient descent with backtracking from a low-discrepancy set
     of starts plus the centre, followed by coordinate line-search sweeps
     around the best point. The surrogate is generally non-convex, so this
-    is a best-effort global search; it always returns a feasible point.
+    is a best-effort global search; it always returns a point of the cube.
 
     All starts descend in lockstep, each with its own step: per iteration
     one batched gradient and one batched value over the starts still
@@ -195,8 +174,7 @@ def minimize_model(model: BernsteinModel,
     below 1e-7 or after ``GD_ITERS`` iterations.
     """
     p = model.spec.p
-    xs = np.vstack([constraint.project(_sobol_starts(p)),
-                    constraint.center()])
+    xs = np.vstack([_sobol_starts(p), np.full(p, 0.5)])
     fs = model.values(xs)
     step = np.full(len(xs), 0.25)
     running = np.arange(len(xs))
@@ -204,8 +182,7 @@ def minimize_model(model: BernsteinModel,
         if not running.size:
             break
         x = xs[running]
-        x_new = constraint.project(
-            x - step[running, None] * model.grads(x))
+        x_new = np.clip(x - step[running, None] * model.grads(x), 0.0, 1.0)
         f_new = model.values(x_new)
         better = f_new < fs[running] - 1e-15
         won, lost = running[better], running[~better]
@@ -222,7 +199,7 @@ def minimize_model(model: BernsteinModel,
         for axis in range(p):
             cands = np.repeat(best_x[None, :], len(offsets), axis=0)
             cands[:, axis] += offsets
-            cands = constraint.project(cands)
+            cands = np.clip(cands, 0.0, 1.0)
             f_cands = model.values(cands)
             i = int(np.argmin(f_cands))
             if f_cands[i] < best_f:
@@ -321,6 +298,6 @@ def _release(spec: BernsteinOperatorSpec, estimates: np.ndarray,
              clipped: int) -> GridRelease:
     """Fit the surrogate to the grid estimates and minimise it on the cube."""
     model = BernsteinModel(spec, estimates.reshape((spec.k + 1,) * spec.p))
-    w_priv = minimize_model(model, BoxConstraint(0.0, 1.0, spec.p))
+    w_priv = minimize_model(model)
     return GridRelease(model=model, w_priv=w_priv,
                        grid_estimates=estimates, clipped=clipped)

@@ -49,7 +49,8 @@ class CubeDataset(RowDataset):
 
     def _checked(self, rows):
         rows = rows.astype(float, copy=False)
-        if rows.min() < -1e-12 or rows.max() > 1.0 + 1e-12:
+        # written so that NaN, which fails every comparison, fails the check
+        if not (-1e-12 <= rows.min() and rows.max() <= 1.0 + 1e-12):
             raise ParameterError("dataset entries must lie in [0, 1]")
         return rows
 
@@ -59,7 +60,7 @@ class BoxDataset(RowDataset):
 
     def _checked(self, rows):
         rows = rows.astype(float, copy=False)
-        if np.abs(rows).max() > 1.0 + 1e-12:
+        if not (-1.0 - 1e-12 <= rows.min() and rows.max() <= 1.0 + 1e-12):
             raise ParameterError("entries must lie in [-1, 1]")
         return rows
 
@@ -90,10 +91,10 @@ class BallDataset:
             raise ParameterError(
                 f"labels shape {y.shape} does not match {x.shape[0]} rows")
         norms = np.linalg.norm(x, axis=1)
-        if norms.max() > 1.0 + 1e-9:
+        if not norms.max() <= 1.0 + 1e-9:
             raise ParameterError(
                 f"feature norms must be <= 1, max is {norms.max():.6f}")
-        if np.abs(y).max() > 1.0 + 1e-9:
+        if not (-1.0 - 1e-9 <= y.min() and y.max() <= 1.0 + 1e-9):
             raise ParameterError("labels must lie in [-1, 1]")
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y)

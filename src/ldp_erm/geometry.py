@@ -1,4 +1,4 @@
-"""Feasible sets used by the optimizers: boxes and Euclidean balls."""
+"""The Euclidean ball, the feasible set of the GLM solver and its baseline."""
 
 import math
 from dataclasses import dataclass
@@ -6,35 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _FLOAT = np.dtype(float)
-
-
-@dataclass(frozen=True)
-class BoxConstraint:
-    """Axis-aligned box ``[lo, hi]^p``."""
-
-    lo: float
-    hi: float
-    dim: int
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"empty box: lo={self.lo}, hi={self.hi}")
-
-    def project(self, w: np.ndarray) -> np.ndarray:
-        """Clip a point, or each row of an (m, dim) array, into the box."""
-        return np.clip(w, self.lo, self.hi)
-
-    @property
-    def radius(self) -> float:
-        # half-diameter in the Euclidean norm
-        return 0.5 * (self.hi - self.lo) * float(np.sqrt(self.dim))
-
-    def center(self) -> np.ndarray:
-        return np.full(self.dim, 0.5 * (self.lo + self.hi))
-
-    def linear_minimizer(self, g: np.ndarray) -> np.ndarray:
-        """A corner of the box minimising <g, v>; ``hi`` where g_j <= 0."""
-        return np.where(g > 0, self.lo, self.hi)
 
 
 @dataclass(frozen=True)

@@ -189,12 +189,6 @@ def _block_products(weights: np.ndarray, d: int) -> Callable:
     return products
 
 
-def _replica_products(signed_args: np.ndarray, weights: np.ndarray,
-                      d: int) -> np.ndarray:
-    """One call of ``_block_products(weights, d)``."""
-    return _block_products(weights, d)(signed_args)
-
-
 def _scalar_kernel(cfg: GradientOracleConfig) -> Callable:
     """kernel(margins, kinks) -> the factor multiplying y_0 x_0 per sample.
 

@@ -149,6 +149,14 @@ def load_config(path: str, mechanism: Optional[str] = None) -> ExperimentConfig:
             f"config {path} must hold a JSON object, got "
             f"{type(raw).__name__}")
     known = {f.name for f in fields(ExperimentConfig)}
+    # a manifest also records the package that wrote it
+    unknown = sorted(set(raw) - known - {"package_version", "git_describe"})
+    if unknown:
+        raise ConfigurationError(
+            f"config {path} has unknown top-level key(s) "
+            f"{', '.join(map(repr, unknown))}; accepted: "
+            f"{', '.join(sorted(known))}, and a manifest's package_version "
+            f"and git_describe")
     given = {k: v for k, v in raw.items() if k in known}
     if mechanism is not None:
         given["mechanism"] = mechanism
@@ -435,7 +443,8 @@ _GRID_PARAMS = {
 }
 _GLM_PARAMS = {
     "epsilon": _EPSILON,
-    "delta": Param(1e-5, "a number in [0, 1)", number(lambda v: 0 <= v < 1)),
+    # the Gaussian replicas need delta > 0
+    "delta": Param(1e-5, "a number in (0, 1)", number(lambda v: 0 < v < 1)),
     "target_alpha": Param(1.0, "a number in (0, 1]",
                           number(lambda v: 0 < v <= 1)),
     "d_cap": Param(8, "an integer >= 1", count),

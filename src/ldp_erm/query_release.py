@@ -341,9 +341,3 @@ def smooth_release_and_answer(data: BoxDataset, t: int,
     table = smooth_release(data, t, budget, rng, transcript)
     return table, [answer_smooth_query(table, f) for f in queries]
 
-
-def recommended_t(n: int, p: int, h: int, epsilon: float) -> int:
-    """Heuristic per-axis degree bound (sqrt(n) eps)^(2/(5p+2h))."""
-    if n < 1 or p < 1 or h < 1 or not epsilon > 0:
-        raise ParameterError("need n, p, h >= 1 and epsilon > 0")
-    return max(1, round((math.sqrt(n) * epsilon) ** (2.0 / (5 * p + 2 * h))))

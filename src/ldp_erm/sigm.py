@@ -22,7 +22,7 @@ loop would.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -66,26 +66,16 @@ class SigmSchedule:
             raise ParameterError(
                 "schedule needs sigma > 0 or smoothness > 0 to set step sizes")
 
-    def beta(self, i):
-        """beta_i for a scalar index, or the array of them for an index array.
-
-        A scalar runs as a one-element array, so it goes through the same
-        numpy loops and the solver's precomputed array equals the scalar
-        values.
-        """
-        growth = (np.atleast_1d(i) + 2.0) ** 0.5
-        return _like(i, self.smoothness
-                     + 2.0 ** 0.75 * self.sigma / self.radius * growth)
-
-
-def _like(index, values: np.ndarray):
-    """A float for a scalar index, the array for an array of them."""
-    return float(values[0]) if np.ndim(index) == 0 else values
+    def beta(self, ks: np.ndarray) -> np.ndarray:
+        """The array of beta_k for an array of step indices ``ks``."""
+        growth = (ks + 2.0) ** 0.5
+        return (self.smoothness
+                + 2.0 ** 0.75 * self.sigma / self.radius * growth)
 
 
 def sigm_run(oracle: GradientOracle, constraint: BallConstraint,
-             schedule: SigmSchedule, iters: int, rng: np.random.Generator,
-             trace: Optional[list] = None) -> np.ndarray:
+             schedule: SigmSchedule, iters: int,
+             rng: np.random.Generator) -> np.ndarray:
     """Run the solver for ``iters`` gradient queries.
 
     The first query is at the centre of the ball. Step k = 1, 2, ... then
@@ -93,8 +83,7 @@ def sigm_run(oracle: GradientOracle, constraint: BallConstraint,
     queries the oracle at that point z, projects z - g / beta_k, and moves
     the average y a share 1 / A_k of the way to it, with A_k = k + 2: y is
     the mean of the prox points and the centre, the centre counted twice.
-    Every iterate stays feasible. Returns the final average. If ``trace``
-    is a list, the average after each step is appended to it.
+    Every iterate stays feasible. Returns the final average.
 
     The steps run in blocks of ``_CHUNK``. The query loop of a block only
     computes z = project(G / -beta_k), g = oracle(z) and G += g, keeping z
@@ -122,25 +111,20 @@ def sigm_run(oracle: GradientOracle, constraint: BallConstraint,
             grad = grads[i] = oracle(z, rng)
             grad_sum += grad
         x_hat = constraint.project(zs - step[block, None] * grads)
-        path = _averages(y, keep[block].tolist(), take[block, None] * x_hat)
-        y = [column[-1] for column in path]
-        if trace is not None:
-            trace.extend(np.array(path).T.copy())
+        y = _averages(y, keep[block].tolist(), take[block, None] * x_hat)
     return np.array(y)
 
 
 def _averages(y: list, keep: list, pulls: np.ndarray) -> list:
-    """Per coordinate j, the averages y_j = keep_k * y_j + pulls[k, j] in turn.
+    """Per coordinate j, y_j after y_j = keep_k * y_j + pulls[k, j] for each k.
 
     ``pulls`` holds the products take_k * x_hat_k. Python floats run the
     same IEEE operations as the arrays would, without numpy's per-call cost
     on a handful of coordinates.
     """
-    path = []
+    out = []
     for y_j, column in zip(y, pulls.T.tolist()):
-        averages = []
         for keep_k, pull_k in zip(keep, column):
             y_j = keep_k * y_j + pull_k
-            averages.append(y_j)
-        path.append(averages)
-    return path
+        out.append(y_j)
+    return out

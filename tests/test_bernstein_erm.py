@@ -9,12 +9,10 @@ from scipy.stats import qmc
 
 from ldp_erm.bernstein_erm import (MAX_DIM, BernsteinModel, CubeDataset,
                                    _sobol_starts, alg2_run, alg3_run,
-                                   grid_points, minimize_model,
-                                   recommended_k)
+                                   grid_points, minimize_model)
 from ldp_erm.errors import (ClippingWarning, ConfigurationError,
                             EstimationError, ParameterError,
                             SampleSizeWarning)
-from ldp_erm.geometry import BallConstraint, BoxConstraint
 from ldp_erm.harness import grid_loss_excess, make_grid_loss
 from ldp_erm.polyapprox import BernsteinOperatorSpec
 from ldp_erm.primitives import PrivacyBudget, Transcript
@@ -51,12 +49,6 @@ def test_grid_cap_error_names_tradeoff():
         grid_points(21, 4)  # 234 256 points
     assert "above the cap 200000" in str(err.value)
     assert "the largest supported k is 20" in str(err.value)
-
-
-def test_recommended_k_monotone():
-    small = recommended_k(10_000, 1, 1, 1.0)
-    large = recommended_k(1_000_000, 1, 1, 1.0)
-    assert 1 <= small <= large
 
 
 def test_cube_dataset_validation():
@@ -189,10 +181,10 @@ def test_minimize_affine_model_hits_endpoint():
     k = 8
     nodes = np.arange(k + 1) / k
     down = BernsteinModel(BernsteinOperatorSpec(k=k, h=1, p=1), 0.9 - 0.6 * nodes)
-    w = minimize_model(down, BoxConstraint(0.0, 1.0, 1))
+    w = minimize_model(down)
     assert abs(w[0] - 1.0) < 1e-6
     up = BernsteinModel(BernsteinOperatorSpec(k=k, h=1, p=1), 0.1 + 0.6 * nodes)
-    w = minimize_model(up, BoxConstraint(0.0, 1.0, 1))
+    w = minimize_model(up)
     assert abs(w[0]) < 1e-6
 
 
@@ -200,7 +192,7 @@ def test_minimize_quadratic_fit():
     k = 16
     grid = ((np.arange(k + 1) / k) - 0.3) ** 2
     model = BernsteinModel(BernsteinOperatorSpec(k=k, h=1, p=1), grid)
-    w = minimize_model(model, BoxConstraint(0.0, 1.0, 1))
+    w = minimize_model(model)
     dense = np.linspace(0, 1, 1001)
     oracle = dense[np.argmin([model.value(np.array([y])) for y in dense])]
     assert abs(w[0] - 0.3) < 0.02
@@ -212,7 +204,7 @@ def test_minimize_tied_minima_returns_a_minimizer():
     nodes = np.arange(k + 1) / k
     grid = (nodes - 0.25) ** 2 * (nodes - 0.75) ** 2
     model = BernsteinModel(BernsteinOperatorSpec(k=k, h=1, p=1), grid)
-    w = minimize_model(model, BoxConstraint(0.0, 1.0, 1))
+    w = minimize_model(model)
     dense = np.linspace(0, 1, 2001)
     best = min(model.value(np.array([y])) for y in dense)
     assert model.value(w) <= best + 1e-9
@@ -232,20 +224,21 @@ def test_model_gradient_matches_fd():
             assert abs(g[ax] - fd) < 1e-5
 
 
-def _per_start_minimize(model, constraint, starts=32, gd_iters=120):
-    """The minimiser written one start and one point at a time."""
+def _per_start_minimize(model, starts=32, gd_iters=120):
+    """The unit-cube minimiser written one start and one point at a time."""
     p = model.spec.p
+    project = lambda w: np.clip(w, 0.0, 1.0)
     sob = qmc.Sobol(d=p, scramble=False)
     raw = sob.random(max(2, 1 << max(1, (starts - 1).bit_length())))[:starts]
-    cands = [constraint.project(r) for r in raw]
-    cands.append(np.asarray(constraint.center(), dtype=float))
+    cands = [project(r) for r in raw]
+    cands.append(np.full(p, 0.5))
     best_x, best_f = None, math.inf
     for start in cands:
         x = np.asarray(start, dtype=float)
         f = model.value(x)
         step = 0.25
         for _ in range(gd_iters):
-            x_new = constraint.project(x - step * model.grad(x))
+            x_new = project(x - step * model.grad(x))
             f_new = model.value(x_new)
             if f_new < f - 1e-15:
                 x, f = x_new, f_new
@@ -262,7 +255,7 @@ def _per_start_minimize(model, constraint, starts=32, gd_iters=120):
             for t in np.linspace(-width, width, 41):
                 cand = x.copy()
                 cand[axis] += t
-                cand = constraint.project(cand)
+                cand = project(cand)
                 f_cand = model.value(cand)
                 if f_cand < best_f:
                     best_x, best_f = cand, f_cand
@@ -297,8 +290,7 @@ def test_grid_dimension_above_table_rejected_up_front():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("h", [1, 2, 3])
-@pytest.mark.parametrize("shape", ["box", "ball"])
-def test_minimize_matches_per_start_reference(p, h, shape):
+def test_minimize_matches_per_start_reference(p, h):
     k = 6 if p < 3 else 4
     rng = derived_rng(11, p, h)
     # a smooth bowl plus noise, like a released grid: several local minima
@@ -306,10 +298,8 @@ def test_minimize_matches_per_start_reference(p, h, shape):
     bowl = ((nodes - 0.4) ** 2).sum(axis=1)
     grid = (bowl + 0.3 * rng.random(len(nodes))).reshape((k + 1,) * p)
     model = BernsteinModel(BernsteinOperatorSpec(k=k, h=h, p=p), grid)
-    constraint = (BoxConstraint(0.0, 1.0, p) if shape == "box" else
-                  BallConstraint((0.6, 0.45, 0.55)[:p], 0.3))
-    want = _per_start_minimize(model, constraint)
-    got = minimize_model(model, constraint)
+    want = _per_start_minimize(model)
+    got = minimize_model(model)
     assert np.max(np.abs(got - want)) <= 1e-6
     assert model.value(got) <= model.value(want) + 1e-9
     # a row of a batched call is the one-row call, bit for bit, so the
@@ -317,15 +307,13 @@ def test_minimize_matches_per_start_reference(p, h, shape):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("constraint", [
-    BoxConstraint(0.0, 1.0, 2), BallConstraint((0.6, 0.45), 0.3)])
-def test_minimize_flat_model_keeps_first_start(constraint):
+def test_minimize_flat_model_keeps_first_start():
     # every start ties: no step, no refinement candidate improves strictly,
-    # so the first start (the first Sobol point, projected) wins
+    # so the first start (the first Sobol point, the origin) wins
     model = BernsteinModel(BernsteinOperatorSpec(k=4, h=2, p=2),
                            np.zeros((5, 5)))
-    got = minimize_model(model, constraint)
-    assert np.array_equal(got, constraint.project(np.zeros(2)))
+    got = minimize_model(model)
+    assert np.array_equal(got, np.zeros(2))
 
 
 def test_model_rows_equal_one_row_calls():

@@ -13,8 +13,8 @@ from ldp_erm.errors import ParameterError, ProtocolError
 from ldp_erm.geometry import BallConstraint
 from ldp_erm import glm_erm
 from ldp_erm.glm_erm import (BallDataset, LossFlavor, ReplicaMessage,
-                             _binom_row, _encode_population, _fold,
-                             _pilot_sigma, _replica_products, empirical_risk,
+                             _binom_row, _block_products, _encode_population,
+                             _fold, _pilot_sigma, empirical_risk,
                              general_linear_gradient_sample,
                              general_linear_oracle_config, glm_erm_run,
                              glm_player_encode, hinge_flavor,
@@ -135,7 +135,7 @@ def test_replica_products_match_per_block_form():
         weights = coeffs * _binom_row(d)
         for scale in (1.0, 30.0, 1e3):  # noised replicas reach ~1e3
             args = rng.uniform(-scale, scale, (40, m))
-            batch = _replica_products(args * _fold(d)[0], weights, d)
+            batch = _block_products(weights, d)(args * _fold(d)[0])
             assert batch.shape == (40,)
             for row, got in zip(args, batch):
                 want = _per_block_products(row, coeffs, d)

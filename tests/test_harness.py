@@ -19,7 +19,7 @@ from ldp_erm.bernstein_erm import CubeDataset, check_grid_size
 from ldp_erm.datasets import FAMILY_KEYS, generate_dataset, separable_two_class
 from ldp_erm.errors import (ConfigurationError, ParameterError,
                             SampleSizeWarning)
-from ldp_erm.geometry import BallConstraint, BoxConstraint
+from ldp_erm.geometry import BallConstraint
 from ldp_erm.glm_erm import BallDataset, hinge_flavor
 from ldp_erm.harness import (MECHANISMS, REPORT_COLUMNS, TRANSCRIPT_COLUMNS,
                              ExperimentConfig, apply_set_overrides,
@@ -218,7 +218,7 @@ def test_baseline_quadratic_closed_form():
     w, f = projected_subgradient(
         lambda w: float(np.mean((xs - w[0]) ** 2)),
         lambda w: np.array([2.0 * (w[0] - xs.mean())]),
-        BoxConstraint(0.0, 1.0, 1))
+        BallConstraint((0.5,), 0.5))  # the interval [0, 1]
     assert abs(f - fstar) <= 1e-6
 
 
@@ -295,7 +295,7 @@ def _fixed_iters_subgradient(objective, subgrad, constraint):
 
 
 @pytest.mark.parametrize("kink, constraint", [
-    ((0.3,), BoxConstraint(0.0, 1.0, 1)),
+    ((0.3,), BallConstraint((0.5,), 0.5)),
     ((0.31, -0.17), BallConstraint((0.0, 0.0), 1.0)),
 ])
 def test_uncertified_baseline_run_is_unchanged(monkeypatch, kink, constraint):
@@ -337,8 +337,6 @@ _GRID_OBJECTIVES = {
 @pytest.mark.parametrize("constraint, target", [
     (BallConstraint((0.0, 0.0), 1.0), (1.2, -0.9)),
     (BallConstraint((0.0, 0.0), 1.0), (0.3, -0.2)),
-    (BoxConstraint(-1.0, 1.0, 2), (1.4, 0.4)),
-    (BoxConstraint(-1.0, 1.0, 2), (-1.3, 1.6)),
 ])
 def test_certified_lower_bound_is_below_grid_optimum(monkeypatch, constraint,
                                                      target, kind):
@@ -358,8 +356,7 @@ def test_certified_lower_bound_is_below_grid_optimum(monkeypatch, constraint,
     assert f - max(bounds) >= -1e-12
 
 
-@pytest.mark.parametrize("constraint", [
-    BallConstraint((0.2, -0.1, 0.4), 0.7), BoxConstraint(-0.5, 2.0, 3)])
+@pytest.mark.parametrize("constraint", [BallConstraint((0.2, -0.1, 0.4), 0.7)])
 def test_linear_minimizer_minimises_over_the_set(constraint):
     rng = derived_rng(42)
     pts = constraint.project(constraint.center()
@@ -496,8 +493,9 @@ def test_config_rejects_out_of_range_values():
         with pytest.raises(ConfigurationError, match="'epsilon' must be"):
             ExperimentConfig(mechanism="avg-bench", dataset=cube,
                              params=params, sweep=sweep)
+    # the Gaussian replicas need delta > 0, so 0 fails up front too
     for params, sweep in [({"delta": 1.0}, {}), ({"delta": -1e-5}, {}),
-                          ({}, {"delta": [1e-5, 2.0]})]:
+                          ({"delta": 0.0}, {}), ({}, {"delta": [1e-5, 2.0]})]:
         with pytest.raises(ConfigurationError, match="'delta' must be"):
             ExperimentConfig(mechanism="hinge", dataset=two_class,
                              params=params, sweep=sweep)
@@ -512,7 +510,7 @@ def test_config_rejects_out_of_range_values():
         ExperimentConfig(mechanism="bernstein", dataset=cube,
                          params={"epsilon": epsilon})
     ExperimentConfig(mechanism="hinge", dataset=two_class,
-                     params={"delta": 0.0}, sweep={"n": [1, 20.0]})
+                     sweep={"n": [1, 20.0]})
 
 
 def test_set_overrides(tmp_path):
@@ -685,6 +683,15 @@ def test_avg_bench_error_slope(tmp_path):
     medians = [float(np.median(errs[n])) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(medians), 1)[0]
     assert -0.65 <= slope <= -0.35
+
+
+def test_config_rejects_unknown_top_level_keys(tmp_path):
+    path = _write_config(tmp_path / "cfg.json", trails=1,
+                         sweeep={"epsilon": [1.0, 2.0]})
+    with pytest.raises(ConfigurationError) as err:
+        load_config(str(path))
+    assert "'sweeep', 'trails'" in str(err.value)
+    assert "accepted: dataset, mechanism, out, params" in str(err.value)
 
 
 def test_manifest_reproduces_run(tmp_path):
@@ -878,6 +885,13 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     (_CONFIG, ["--set", "dataset.n=null"]),
     # an integer too large for a float
     (_CONFIG, ["--set", "params.epsilon=1" + "0" * 400]),
+    # delta 0 used to pass the check and then fail every trial
+    ({**_HINGE_CONFIG, "params": {"delta": 0}}, []),
+    ({**_HINGE_CONFIG, "mechanism": "general-linear"},
+     ["--set", "sweep.delta=[1e-5,0]"]),
+    # a misspelled top-level key used to be dropped silently
+    ({**_CONFIG, "trails": 1}, []),
+    ({**_CONFIG, "sweeep": {"epsilon": [1.0, 2.0]}}, []),
 ])
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"
@@ -1107,6 +1121,30 @@ def test_avg_bench_dim_checked_against_file_data(tmp_path):
     assert result.failures == 1
     assert result.rows[0]["status"] == "ConfigurationError"
     assert "the dataset has dim 2" in result.rows[0]["error"]
+
+
+@pytest.mark.parametrize("mechanism, kind, text, params", [
+    ("avg-bench", "cube", "0.1\nnan\n0.3\n", {}),
+    ("smooth-queries", "box", "0.1,0.2\nnan,-0.4\n", {"t": 2}),
+    ("hinge", "ball", "0.5,0.1,1\nnan,-0.3,-1\n", {"d_cap": 2}),
+    ("hinge", "ball", "0.5,0.1,1\n0.2,-0.3,nan\n", {"d_cap": 2}),
+], ids=["cube", "box", "ball-features", "ball-labels"])
+def test_nan_in_file_dataset_fails_every_trial(tmp_path, capsys, mechanism,
+                                              kind, text, params):
+    # NaN fails every comparison, so a range check must be written to let
+    # only in-range values through; else the trial reports nan or 0 as ok
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "mechanism": mechanism, "params": params, "trials": 2,
+        "dataset": {"family": "file", "path": str(data), "kind": kind}}))
+    out = tmp_path / "run"
+    assert cli.main([mechanism, "--config", str(path), "--out", str(out)]) == 3
+    assert "0 ok, 2 failed" in capsys.readouterr().out
+    with open(out / "report.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["ParameterError"] * 2
 
 
 def test_cli_flags_override_set_items(tmp_path):

@@ -19,7 +19,7 @@ from ldp_erm.query_release import (BLOCK, BinaryDataset, BoxDataset,
                                    _expansion_pieces, _private_column_means,
                                    answer_smooth_query, coefficient_bound,
                                    disjunction_truth, marginals_answer,
-                                   marginals_release, recommended_t,
+                                   marginals_release,
                                    smooth_query_coefficients, smooth_release,
                                    smooth_release_and_answer)
 from ldp_erm.rng import derived_rng
@@ -263,13 +263,6 @@ def test_private_smooth_answer_reasonable():
     f = _gaussian_kernel(np.array([0.2, -0.1]), 0.5)
     truth = float(np.mean(f(data.rows)))
     assert abs(answer_smooth_query(table, f).value - truth) <= 0.1
-
-
-def test_recommended_t():
-    assert recommended_t(10_000, 2, 3, 2.0) == 2
-    assert recommended_t(10_000, 2, 3, 2.0) <= recommended_t(10 ** 8, 2, 3, 2.0)
-    with pytest.raises(ParameterError):
-        recommended_t(0, 2, 3, 2.0)
 
 
 # --- streamed column means -----------------------------------------------------

@@ -18,14 +18,23 @@ def exact_oracle(x, rng):
     return x - WSTAR
 
 
+def _recorded(oracle):
+    """``oracle``, and the list it appends a copy of each query point to."""
+    queries = []
+
+    def call(x, rng):
+        queries.append(np.array(x))
+        return oracle(x, rng)
+    return call, queries
+
+
 def test_schedule_arrays_equal_scalar_values():
     # the solver evaluates the schedule on an index array up front
     sch = SigmSchedule(sigma=0.7, radius=0.9, smoothness=2.0)
     idx = np.arange(0, 5_000)
     got = sch.beta(idx)
     assert got.shape == idx.shape
-    assert isinstance(sch.beta(3), float)
-    assert np.array_equal(got, [sch.beta(int(i)) for i in idx])
+    assert np.array_equal(got, [sch.beta(idx[i:i + 1])[0] for i in idx])
 
 
 def test_ball_projection_off_origin():
@@ -97,7 +106,7 @@ def _general_p_schedule(sch, p):
     return alpha, beta, big_b
 
 
-def _general_p_loop_run(oracle, constraint, schedule, iters, rng, trace):
+def _general_p_loop_run(oracle, constraint, schedule, iters, rng):
     # the general-exponent SIGM loop at p = 1, with its extrapolation and
     # prox-point blends, every schedule value taken inside the loop
     alpha, beta, big_b = _general_p_schedule(schedule, 1)
@@ -118,7 +127,6 @@ def _general_p_loop_run(oracle, constraint, schedule, iters, rng, trace):
         a_running += alpha_next
         y = ((a_running - b_next) / a_running) * y + (b_next / a_running) * w
         grad_sum += alpha_next * grad
-        trace.append(y.copy())
     return y
 
 
@@ -129,17 +137,19 @@ def _general_p_loop_run(oracle, constraint, schedule, iters, rng, trace):
 def test_run_equals_scalar_schedule_loop(oracle):
     sch = SigmSchedule(sigma=0.4, radius=1.0, smoothness=1.0)
     ball = BallConstraint((0.2, -0.1), 0.8)
-    got, want = [], []
+    oracle_got, got = _recorded(oracle)
+    oracle_want, want = _recorded(oracle)
     rng_got, rng_want = derived_rng(8), derived_rng(8)
-    y_got = sigm_run(oracle, ball, sch, 300, rng_got, trace=got)
-    y_want = _general_p_loop_run(oracle, ball, sch, 300, rng_want, want)
-    assert len(got) == len(want) == 299
+    y_got = sigm_run(oracle_got, ball, sch, 300, rng_got)
+    y_want = _general_p_loop_run(oracle_want, ball, sch, 300, rng_want)
+    # the same point at every query, and the same final average
+    assert len(got) == len(want) == 300
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert np.array_equal(y_got, y_want)
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
-def _step_loop_run(oracle, constraint, schedule, iters, rng, trace):
+def _step_loop_run(oracle, constraint, schedule, iters, rng):
     # one step at a time: query, prox point and average, all in the loop;
     # also counts the dual-averaging points that fell outside the ball
     ks = np.arange(1, iters)
@@ -158,7 +168,6 @@ def _step_loop_run(oracle, constraint, schedule, iters, rng, trace):
         x_hat = constraint.project(z - step_k * grad)
         y = keep_k * y + take_k * x_hat
         grad_sum += grad
-        trace.append(y.copy())
     return y, outside
 
 
@@ -168,11 +177,12 @@ def test_run_equals_step_at_a_time_loop(iters):
     sch = SigmSchedule(sigma=0.6, radius=0.5, smoothness=1.0)
     ball = BallConstraint((0.2, -0.1), 0.5)  # holds WSTAR
     oracle = lambda x, rng: x - WSTAR + rng.normal(0.0, 3.0, x.shape)
-    got, want = [], []
+    oracle_got, got = _recorded(oracle)
+    oracle_want, want = _recorded(oracle)
     rng_got, rng_want = derived_rng(9, iters), derived_rng(9, iters)
-    y_got = sigm_run(oracle, ball, sch, iters, rng_got, trace=got)
-    y_want, outside = _step_loop_run(oracle, ball, sch, iters, rng_want, want)
-    assert len(got) == len(want) == iters - 1
+    y_got = sigm_run(oracle_got, ball, sch, iters, rng_got)
+    y_want, outside = _step_loop_run(oracle_want, ball, sch, iters, rng_want)
+    assert len(got) == len(want) == iters
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert np.array_equal(y_got, y_want)
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
@@ -190,17 +200,18 @@ def test_exact_quadratic_converges():
 def test_iterates_stay_feasible():
     sch = SigmSchedule(sigma=0.5, radius=1.0, smoothness=1.0)
     big_noise = lambda x, rng: x - WSTAR + rng.normal(0.0, 3.0, x.shape)
-    trace = []
-    sigm_run(big_noise, BALL, sch, 400, derived_rng(1), trace=trace)
-    radii = [np.linalg.norm(p) for p in trace]
+    oracle, queries = _recorded(big_noise)
+    y = sigm_run(oracle, BALL, sch, 400, derived_rng(1))
+    radii = [np.linalg.norm(p) for p in [*queries, y]]
     assert max(radii) <= 1.0 + 1e-12
 
 
 def test_min_so_far_envelope_decreases():
     sch = SigmSchedule(sigma=0.0, radius=1.0, smoothness=1.0)
-    trace = []
-    sigm_run(exact_oracle, BALL, sch, 200, derived_rng(2), trace=trace)
-    vals = [0.5 * np.sum((p - WSTAR) ** 2) for p in trace]
+    # the average after each of the 199 steps of a 200-query run
+    path = [sigm_run(exact_oracle, BALL, sch, iters, derived_rng(2))
+            for iters in range(2, 201)]
+    vals = [0.5 * np.sum((p - WSTAR) ** 2) for p in path]
     env = np.minimum.accumulate(vals)
     assert np.all(np.diff(env) <= 0.0 + 1e-18)
     assert env[-1] < vals[0]
@@ -237,10 +248,12 @@ def test_deterministic_given_seed():
     sigma = 0.2
     sch = SigmSchedule(sigma=sigma, radius=1.0, smoothness=1.0)
     noisy = lambda x, rng: x - WSTAR + rng.normal(0.0, sigma, x.shape)
-    t1, t2 = [], []
-    sigm_run(noisy, BALL, sch, 300, derived_rng(7), trace=t1)
-    sigm_run(noisy, BALL, sch, 300, derived_rng(7), trace=t2)
-    assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
+    (oracle1, q1), (oracle2, q2) = _recorded(noisy), _recorded(noisy)
+    y1 = sigm_run(oracle1, BALL, sch, 300, derived_rng(7))
+    y2 = sigm_run(oracle2, BALL, sch, 300, derived_rng(7))
+    assert len(q1) == len(q2) == 300
+    assert all(np.array_equal(a, b) for a, b in zip(q1, q2))
+    assert np.array_equal(y1, y2)
 
 
 def test_rejects_zero_iterations():
