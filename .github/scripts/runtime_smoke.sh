@@ -17,16 +17,19 @@ cd "$2"
 "$venv/bin/python" -c 'import importlib.util, sys
 sys.exit(importlib.util.find_spec("scipy") is not None)'
 "$venv/bin/python" -c 'import numpy, sys; print(sys.version.split()[0], "numpy", numpy.__version__)'
-run() {  # mechanism, dataset, params
+run() {  # mechanism, dataset, params[, label, by default the mechanism]
+  label="${4:-$1}"
   printf '{"dataset": %s, "params": %s, "trials": 1, "seed": 1}\n' \
-    "$2" "$3" > "$1.json"
-  "$venv/bin/ldp-erm" "$1" --config "$1.json" --out "runtime-runs/$1"
+    "$2" "$3" > "$label.json"
+  "$venv/bin/ldp-erm" "$1" --config "$label.json" --out "runtime-runs/$label"
 }
 cube='{"family": "uniform-cube", "n": 2000, "dim": 1}'
 ball='{"family": "separable-two-class", "n": 2000, "dim": 2}'
 run bernstein "$cube" '{"k": 2}'
 run onebit "$cube" '{"k": 2}'
 run hinge "$ball" '{"d_cap": 2}'
+# noiseless, SIGM's dual points mostly leave the unit ball and are projected
+run hinge "$ball" '{"d_cap": 2, "epsilon": "inf"}' hinge-noiseless
 run general-linear "$ball" '{"d_cap": 2}'
 bits='{"family": "bernoulli-bits", "n": 2000, "dim": 4}'
 box='{"family": "gaussian-ball-clipped", "n": 2000, "dim": 2}'

@@ -2,7 +2,7 @@
 
 These provide the "truth" side of every excess-risk measurement: a
 projected subgradient method with iterate averaging and a certified early
-stop for convex objectives over a ball, and a convenience wrapper
+stop for convex objectives over the unit ball, and a convenience wrapper
 for margin losses on labelled data. Nothing here is privatized.
 """
 
@@ -11,27 +11,30 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .geometry import BallConstraint
+from .geometry import project_unit_ball
 
 ITERS = 10_000  # steps of the reference solver
 EVAL_EVERY = 200  # steps between scorings of the averaged and raw iterates
 GAP_TOL = 1e-12  # stop once the best value is certified this close to optimal
 
 
-def certified_lower_bound(value: float, g: np.ndarray, c: np.ndarray,
-                          constraint) -> float:
-    """f(c) + min over the feasible set of <g, v - c>, for g a subgradient at c.
+def certified_lower_bound(value: float, g: np.ndarray, c: np.ndarray) -> float:
+    """f(c) + min over the unit ball of <g, v - c>, for g a subgradient at c.
 
-    By convexity f(v) >= f(c) + <g, v - c> for every feasible v, so this
-    is a lower bound on the constrained minimum (the Frank-Wolfe duality
-    gap certificate, Jaggi, ICML 2013).
+    By convexity f(v) >= f(c) + <g, v - c> for every v in the ball, so
+    this is a lower bound on the constrained minimum (the Frank-Wolfe
+    duality gap certificate, Jaggi, ICML 2013). The minimising v is
+    -g / ||g||, or the origin when g = 0.
     """
-    return value + float(g @ (constraint.linear_minimizer(g) - c))
+    nrm = math.sqrt(g @ g)
+    v = np.zeros_like(g) if nrm == 0.0 else 0.0 - g * (1.0 / nrm)
+    return value + float(g @ (v - c))
 
 
 def projected_subgradient(objective: Callable, subgrad: Callable,
-                          constraint) -> Tuple[np.ndarray, float]:
-    """Classic R/sqrt(t) projected subgradient with iterate averaging.
+                          dim: int) -> Tuple[np.ndarray, float]:
+    """Classic 1/sqrt(t) projected subgradient over the unit ball in ``dim``
+    dimensions, from the origin, with iterate averaging.
 
     Tracks the running average of the iterates and keeps whichever
     evaluated point (average or raw iterate) scored best. At each scoring
@@ -40,17 +43,16 @@ def projected_subgradient(objective: Callable, subgrad: Callable,
     that bound it returns, certified within ``GAP_TOL`` of the constrained
     optimum of a convex objective. Otherwise it takes all ``ITERS`` steps,
     and for 1-Lipschitz convex objectives the returned value is within
-    about R/sqrt(ITERS) of the constrained optimum, i.e. ~1e-2 R, and in
+    about 1/sqrt(ITERS) of the constrained optimum, i.e. ~1e-2, and in
     practice much closer once averaging kicks in.
     """
-    radius = constraint.radius
-    w = np.asarray(constraint.center(), dtype=float)
+    w = np.zeros(dim)
     avg = w.copy()
     best_w, best_f = w.copy(), float(objective(w))
     lower = -math.inf
     for t in range(1, ITERS + 1):
         g = np.asarray(subgrad(w), dtype=float)
-        w = constraint.project(w - (radius / math.sqrt(t)) * g)
+        w = project_unit_ball(w - (1.0 / math.sqrt(t)) * g)
         avg += (w - avg) / (t + 1)
         if t % EVAL_EVERY == 0 or t == ITERS:
             for cand in (avg, w):
@@ -58,8 +60,7 @@ def projected_subgradient(objective: Callable, subgrad: Callable,
                 if f < best_f:
                     best_w, best_f = cand.copy(), f
                 g_cand = np.asarray(subgrad(cand), dtype=float)
-                lower = max(lower, certified_lower_bound(f, g_cand, cand,
-                                                         constraint))
+                lower = max(lower, certified_lower_bound(f, g_cand, cand))
             if best_f - lower <= GAP_TOL:
                 break
     return best_w, best_f
@@ -85,5 +86,4 @@ def glm_baseline(data, flavor) -> Tuple[np.ndarray, float]:
         sg = np.asarray(flavor.scalar_subgrad(w @ yx_t), dtype=float)
         return (yx_t @ sg) / n
 
-    constraint = BallConstraint.origin(x.shape[1], 1.0)
-    return projected_subgradient(objective, subgrad, constraint)
+    return projected_subgradient(objective, subgrad, x.shape[1])

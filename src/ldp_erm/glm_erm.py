@@ -22,7 +22,6 @@ import numpy as np
 
 from .datasets import BallDataset
 from .errors import ParameterError, ProtocolError
-from .geometry import BallConstraint
 from .polyapprox import (SmoothedPlus, SubgradientSampler,
                          bernstein_deriv_coeffs, hbeta_deriv, hinge_sampler,
                          kink_locations, sample_q_many)
@@ -391,7 +390,6 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
                 budget: PrivacyBudget, rng: np.random.Generator,
                 d_cap: int = 8, iters: Optional[int] = None,
                 sigma_safety: float = 4.0,
-                baseline_w: Optional[np.ndarray] = None,
                 transcript: Optional[Transcript] = None) -> GlmRunReport:
     """Full protocol: encode every player once, then optimize.
 
@@ -443,23 +441,22 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
 
     sigma_hat = _pilot_sigma(gradients, replay, dim, rng)
     sigma = sigma_safety * sigma_hat
-    constraint = BallConstraint.origin(dim, 1.0)
-    schedule = SigmSchedule(sigma=sigma, radius=1.0, smoothness=1.0 / beta)
+    schedule = SigmSchedule(sigma=sigma, smoothness=1.0 / beta)
 
     steps = iters if iters is not None else n
     draws = _draw_stream(*replay(steps))
 
-    def oracle(w, _rng):
+    def oracle(w):
         row, kinks = next(draws)
         margins = body_y[row] * (body_x[row] @ w)
         return scalars(margins, kinks) * head[row]
 
-    w_priv = sigm_run(oracle, constraint, schedule, steps, rng)
+    w_priv = sigm_run(oracle, dim, schedule, steps)
 
     err = empirical_risk(data, flavor, w_priv)
-    if baseline_w is None:
-        from .baselines import glm_baseline
-        baseline_w, _ = glm_baseline(data, flavor)
+    # looked up in ``baselines`` at each call, so a wrapper put there sees it
+    from .baselines import glm_baseline
+    baseline_w, _ = glm_baseline(data, flavor)
     base_err = empirical_risk(data, flavor, baseline_w)
     return GlmRunReport(
         w_priv=w_priv, err_empirical=err, baseline_err=base_err,

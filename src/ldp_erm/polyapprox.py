@@ -141,7 +141,8 @@ def iterated_bernstein_eval(grid_values: np.ndarray, spec: BernsteinOperatorSpec
         raise ParameterError(
             f"points have shape {y.shape}, expected ({spec.p},) or "
             f"(m, {spec.p})")
-    outside = np.any((rows < -1e-12) | (rows > 1.0 + 1e-12), axis=1)
+    # NaN fails both comparisons, so a NaN point counts as outside
+    outside = ~np.all((rows >= -1e-12) & (rows <= 1.0 + 1e-12), axis=1)
     if outside.any():
         raise ParameterError(f"evaluation point {rows[outside][0]} is "
                              f"outside [0, 1]^{spec.p}")
@@ -154,13 +155,16 @@ def iterated_bernstein_eval(grid_values: np.ndarray, spec: BernsteinOperatorSpec
 
 
 def chebyshev_eval(n: int, x):
-    """T_n via the trigonometric branches: cos inside [-1,1], cosh outside."""
+    """T_n via the trigonometric branches: cos inside [-1,1], cosh outside.
+
+    A NaN entry, in none of the branches, gives NaN.
+    """
     if n < 0:
         raise ParameterError(f"degree must be >= 0, got {n}")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    out = np.empty_like(x)
+    out = np.full_like(x, np.nan)
     inner = np.abs(x) <= 1.0
     out[inner] = np.cos(n * np.arccos(np.clip(x[inner], -1.0, 1.0)))
     hi = x > 1.0

@@ -146,7 +146,9 @@ class Transcript:
 def _check_values(values: np.ndarray, bound: float):
     if not bound > 0:
         raise ParameterError(f"bound must be positive, got {bound}")
-    if values.size and (values.min() < -1e-12 or values.max() > bound + 1e-12):
+    # written so that a NaN, which fails every comparison, fails the check
+    if values.size and not (-1e-12 <= values.min()
+                            and values.max() <= bound + 1e-12):
         raise ParameterError(
             f"values must lie in [0, {bound}]; saw range "
             f"[{values.min()}, {values.max()}]"

@@ -157,7 +157,7 @@ def _private_column_means(rows_values: Callable[[int, int], np.ndarray],
         hi = min(lo + BLOCK, n)
         block = buf[1:hi - lo + 1]
         block[...] = rows_values(lo, hi)
-        if block.min() < -1e-9 or block.max() > bound + 1e-9:
+        if not (-1e-9 <= block.min() and block.max() <= bound + 1e-9):
             raise ParameterError(
                 f"values outside [0, {bound}] cannot be averaged at this bound")
         # the first block has no running total yet
@@ -207,16 +207,26 @@ def marginals_release(data: BinaryDataset, k: int, gamma: float,
                                     t_k=orpoly.degree, gamma=gamma, bound=b)
 
 
+def _query_bits(y) -> np.ndarray:
+    """``y`` as an array, once every entry is checked to be 0 or 1."""
+    y = np.asarray(y)
+    if not np.all((y == 0) | (y == 1)):
+        raise ParameterError(f"a disjunction query holds only 0s and 1s, "
+                             f"got {y}")
+    return y
+
+
 def marginals_answer(table: MarginalCoefficientTable,
                      y: np.ndarray) -> QueryAnswer:
     """Answer one disjunction query from the released table.
 
     For a bit vector y the monomial y^alpha is 1 exactly when supp(alpha)
-    is inside supp(y), so the answer is a masked coefficient sum. Queries
-    with more than k selected attributes are outside the class the
-    polynomial was built for and are rejected.
+    is inside supp(y), so the answer is a masked coefficient sum. A y with
+    an entry other than 0 or 1 is rejected, and so are queries with more
+    than k selected attributes, which are outside the class the polynomial
+    was built for.
     """
-    y = np.asarray(y)
+    y = _query_bits(y)
     if y.shape != (table.p,):
         raise ParameterError(f"query has shape {y.shape}, expected ({table.p},)")
     support = int(np.count_nonzero(y))
@@ -231,8 +241,7 @@ def marginals_answer(table: MarginalCoefficientTable,
 
 def disjunction_truth(data: BinaryDataset, y: np.ndarray) -> float:
     """Exact fraction of rows with at least one selected bit set."""
-    y = np.asarray(y)
-    sel = np.flatnonzero(y)
+    sel = np.flatnonzero(_query_bits(y))
     if len(sel) == 0:
         return 0.0
     return float(np.mean(data.rows[:, sel].any(axis=1)))

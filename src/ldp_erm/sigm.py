@@ -1,4 +1,4 @@
-"""Averaged dual-averaging steps with a prox step, over a Euclidean ball.
+"""Averaged dual-averaging steps with a prox step, over the unit ball.
 
 The solver consumes one noisy gradient per iteration and nothing else (no
 function values), which is exactly the interface the private gradient
@@ -27,9 +27,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import BallConstraint
+from .geometry import project_unit_ball
 
-GradientOracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
+GradientOracle = Callable[[np.ndarray], np.ndarray]
 
 # steps per block of queries, prox points and averages; a block holds 2 + 2 dim
 # Python floats per step, and larger blocks raise peak RSS without a speed-up
@@ -38,51 +38,44 @@ _CHUNK = 256
 
 @dataclass(frozen=True)
 class SigmSchedule:
-    """Step-size schedule of the solver.
+    """Step-size schedule of the solver over the unit ball (radius R = 1).
 
     sigma       upper bound on the gradient-noise standard deviation
-    radius      radius bound R on the optimum (and prox scale)
-    smoothness  gradient Lipschitz constant of the objective (0 if unknown)
+    smoothness  gradient Lipschitz constant of the objective, > 0
 
     Step k scales its dual-averaging and prox steps by
-    beta_k = smoothness + 2^(3/4) (sigma / R) (k + 2)^(1/2).
+    beta_k = smoothness + 2^(3/4) sigma (k + 2)^(1/2).
     """
 
     sigma: float
-    radius: float
-    smoothness: float = 0.0
+    smoothness: float
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ParameterError(
                 f"sigma must be a finite number >= 0, got {self.sigma}")
-        if not self.radius > 0:
-            raise ParameterError(f"radius must be positive, got {self.radius}")
-        if not (math.isfinite(self.smoothness) and self.smoothness >= 0):
+        if not (math.isfinite(self.smoothness) and self.smoothness > 0):
             raise ParameterError(
-                f"smoothness must be a finite number >= 0, got "
+                f"smoothness must be a finite number > 0, got "
                 f"{self.smoothness}")
-        if self.sigma == 0 and self.smoothness == 0:
-            raise ParameterError(
-                "schedule needs sigma > 0 or smoothness > 0 to set step sizes")
 
     def beta(self, ks: np.ndarray) -> np.ndarray:
         """The array of beta_k for an array of step indices ``ks``."""
         growth = (ks + 2.0) ** 0.5
-        return (self.smoothness
-                + 2.0 ** 0.75 * self.sigma / self.radius * growth)
+        return self.smoothness + 2.0 ** 0.75 * self.sigma * growth
 
 
-def sigm_run(oracle: GradientOracle, constraint: BallConstraint,
-             schedule: SigmSchedule, iters: int,
-             rng: np.random.Generator) -> np.ndarray:
-    """Run the solver for ``iters`` gradient queries.
+def sigm_run(oracle: GradientOracle, dim: int, schedule: SigmSchedule,
+             iters: int) -> np.ndarray:
+    """Run the solver for ``iters`` gradient queries in ``dim`` dimensions.
 
-    The first query is at the centre of the ball. Step k = 1, 2, ... then
+    ``oracle(w)`` returns a gradient estimate at w; an oracle that draws
+    noise holds its own generator. The first query is at the origin. Step
+    k = 1, 2, ... then
     projects -G / beta_k onto the ball (G the sum of all gradients so far),
     queries the oracle at that point z, projects z - g / beta_k, and moves
     the average y a share 1 / A_k of the way to it, with A_k = k + 2: y is
-    the mean of the prox points and the centre, the centre counted twice.
+    the mean of the prox points and the origin, the origin counted twice.
     Every iterate stays feasible. Returns the final average.
 
     The steps run in blocks of ``_CHUNK``. The query loop of a block only
@@ -98,8 +91,8 @@ def sigm_run(oracle: GradientOracle, constraint: BallConstraint,
     a_k = ks + 2.0
     step, keep, take = 1.0 / beta, (a_k - 1.0) / a_k, 1.0 / a_k
 
-    y = constraint.center()
-    grad_sum = np.array(oracle(y, rng), dtype=float)
+    y = np.zeros(dim)
+    grad_sum = np.array(oracle(y), dtype=float)
     y = y.tolist()
     for lo in range(0, iters - 1, _CHUNK):
         block = slice(lo, lo + _CHUNK)
@@ -107,10 +100,10 @@ def sigm_run(oracle: GradientOracle, constraint: BallConstraint,
         zs = np.empty((len(neg_beta), len(y)))
         grads = np.empty_like(zs)
         for i, neg_beta_k in enumerate(neg_beta):
-            z = zs[i] = constraint.project(grad_sum / neg_beta_k)
-            grad = grads[i] = oracle(z, rng)
+            z = zs[i] = project_unit_ball(grad_sum / neg_beta_k)
+            grad = grads[i] = oracle(z)
             grad_sum += grad
-        x_hat = constraint.project(zs - step[block, None] * grads)
+        x_hat = project_unit_ball(zs - step[block, None] * grads)
         y = _averages(y, keep[block].tolist(), take[block, None] * x_hat)
     return np.array(y)
 

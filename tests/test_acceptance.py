@@ -19,7 +19,6 @@ from ldp_erm.baselines import glm_baseline
 from ldp_erm.bernstein_erm import CubeDataset, alg2_run, alg3_run
 from ldp_erm.datasets import generate_dataset
 from ldp_erm.errors import SampleSizeWarning
-from ldp_erm.geometry import BallConstraint
 from ldp_erm.glm_erm import (_encode_population, _fold,
                              general_linear_gradient_sample,
                              general_linear_oracle_config, glm_erm_run,
@@ -226,22 +225,21 @@ def test_criterion_05_alg3_bits_unbiasedness_and_parity():
 def test_criterion_06_sigm():
     finish = _budgeted(60)
     wstar = np.array([0.3, -0.4])
-    ball = BallConstraint((0.0, 0.0), 1.0)
 
-    sch = SigmSchedule(sigma=0.0, radius=1.0, smoothness=1.0)
-    y = sigm_run(lambda x, rng: x - wstar, ball, sch, 500, derived_rng(0))
+    sch = SigmSchedule(sigma=0.0, smoothness=1.0)
+    y = sigm_run(lambda x: x - wstar, 2, sch, 500)
     gap = 0.5 * float(np.sum((y - wstar) ** 2))
     assert gap <= 1e-3
 
     sigma = 0.5
-    noisy_sch = SigmSchedule(sigma=sigma, radius=1.0, smoothness=1.0)
+    noisy_sch = SigmSchedule(sigma=sigma, smoothness=1.0)
 
-    def noisy(x, rng):
-        return x - wstar + rng.normal(0.0, sigma, x.shape)
+    def noisy(rng):
+        return lambda x: x - wstar + rng.normal(0.0, sigma, x.shape)
 
     def mean_dist(iters):
         ds = [np.linalg.norm(
-            sigm_run(noisy, ball, noisy_sch, iters, derived_rng(1, s)) - wstar)
+            sigm_run(noisy(derived_rng(1, s)), 2, noisy_sch, iters) - wstar)
             for s in range(20)]
         return float(np.mean(ds))
 
@@ -250,9 +248,8 @@ def test_criterion_06_sigm():
 
     gamma = 0.05
     bias = gamma * np.array([1.0, 0.0])
-    floor_run = sigm_run(lambda x, rng: x - wstar + bias, ball,
-                         SigmSchedule(sigma=0.0, radius=1.0, smoothness=1.0),
-                         100_000, derived_rng(3))
+    floor_run = sigm_run(lambda x: x - wstar + bias, 2,
+                         SigmSchedule(sigma=0.0, smoothness=1.0), 100_000)
     dist = float(np.linalg.norm(floor_run - wstar))
     assert gamma / 2 <= dist <= gamma + 1e-3
     finish(f"criterion 6 PASS: exact gap {gap:.1e}, T-vs-4T ratio "

@@ -10,7 +10,6 @@ import pytest
 from formula_reference import abs_sampler, bernstein_poly_eval
 from ldp_erm.datasets import generate_dataset
 from ldp_erm.errors import ParameterError, ProtocolError
-from ldp_erm.geometry import BallConstraint
 from ldp_erm import glm_erm
 from ldp_erm.glm_erm import (BallDataset, LossFlavor, ReplicaMessage,
                              _binom_row, _block_products, _encode_population,
@@ -331,9 +330,9 @@ def _replayed_run(data, flavor, budget, rng, d, iters):
         worst = max(worst, float(np.sqrt(np.mean(np.sum(centered ** 2,
                                                         axis=1)))))
     sigma = 4.0 * worst
-    schedule = SigmSchedule(sigma=sigma, radius=1.0, smoothness=1.0 / beta)
-    w_priv = sigm_run(lambda w, r: sample(w, msgs[int(r.integers(n))], cfg, r),
-                      BallConstraint.origin(dim, 1.0), schedule, iters, rng)
+    schedule = SigmSchedule(sigma=sigma, smoothness=1.0 / beta)
+    w_priv = sigm_run(lambda w: sample(w, msgs[int(rng.integers(n))], cfg, rng),
+                      dim, schedule, iters)
     return w_priv, sigma
 
 
@@ -357,7 +356,7 @@ def test_run_matches_per_message_replay(flavor, budget):
                              "dim": 3, "margin": 0.1}, 22)
     rng, ref = derived_rng(23), derived_rng(23)
     rep = glm_erm_run(data, flavor, target_alpha=1.0, budget=budget, rng=rng,
-                      d_cap=2, iters=400, baseline_w=np.zeros(3))
+                      d_cap=2, iters=400)
     want_w, want_sigma = _replayed_run(data, flavor, budget, ref, 2, 400)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert rep.sigma == pytest.approx(want_sigma, rel=1e-12)
@@ -430,11 +429,10 @@ def _unfolded_run(data, flavor, budget, rng, d):
         return _scalar_replay(rng, n, count, m, cfg)
 
     sigma = 4.0 * _pilot_sigma(gradients, replay, dim, rng)
-    schedule = SigmSchedule(sigma=sigma, radius=1.0, smoothness=1.0 / beta)
+    schedule = SigmSchedule(sigma=sigma, smoothness=1.0 / beta)
     rows, kinks = replay(n)
     draws = zip(rows, itertools.repeat(None) if kinks is None else kinks)
-    w_priv = sigm_run(lambda w, _rng: gradients(w, *next(draws)),
-                      BallConstraint.origin(dim, 1.0), schedule, n, rng)
+    w_priv = sigm_run(lambda w: gradients(w, *next(draws)), dim, schedule, n)
     return w_priv, sigma
 
 
@@ -450,7 +448,7 @@ def test_run_equals_unfolded_sample_by_sample_oracle(flavor, d):
     budget = PrivacyBudget(epsilon=2.0, delta=1e-5)
     rng, ref = derived_rng(25, d), derived_rng(25, d)
     rep = glm_erm_run(data, flavor, target_alpha=1.0, budget=budget, rng=rng,
-                      d_cap=d, baseline_w=np.zeros(3))
+                      d_cap=d)
     want_w, want_sigma = _unfolded_run(data, flavor, budget, ref, d)
     assert rep.d == d
     assert rep.sigma == want_sigma
@@ -480,5 +478,5 @@ def test_run_calls_solver_once_through_module_binding(monkeypatch):
                              "dim": 2, "margin": 0.1}, 27)
     glm_erm_run(data, hinge_flavor(), target_alpha=1.0,
                 budget=PrivacyBudget(epsilon=2.0, delta=1e-5),
-                rng=derived_rng(27), d_cap=2, baseline_w=np.zeros(2))
+                rng=derived_rng(27), d_cap=2)
     assert calls == [50]

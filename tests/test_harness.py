@@ -14,12 +14,13 @@ import pytest
 
 from grid_reference import dense_grid_minimize
 from ldp_erm import baselines, harness
-from ldp_erm.baselines import glm_baseline, projected_subgradient
+from ldp_erm.baselines import (certified_lower_bound, glm_baseline,
+                               projected_subgradient)
 from ldp_erm.bernstein_erm import CubeDataset, check_grid_size
 from ldp_erm.datasets import FAMILY_KEYS, generate_dataset, separable_two_class
 from ldp_erm.errors import (ConfigurationError, ParameterError,
                             SampleSizeWarning)
-from ldp_erm.geometry import BallConstraint
+from ldp_erm.geometry import project_unit_ball
 from ldp_erm.glm_erm import BallDataset, hinge_flavor
 from ldp_erm.harness import (MECHANISMS, REPORT_COLUMNS, TRANSCRIPT_COLUMNS,
                              ExperimentConfig, apply_set_overrides,
@@ -213,12 +214,12 @@ def test_file_dataset(tmp_path):
 def test_baseline_quadratic_closed_form():
     rng = derived_rng(40)
     xs = rng.random(500)
-    wstar = float(np.clip(xs.mean(), 0.0, 1.0))
+    wstar = float(np.clip(xs.mean(), -1.0, 1.0))
     fstar = float(np.mean((xs - wstar) ** 2))
     w, f = projected_subgradient(
         lambda w: float(np.mean((xs - w[0]) ** 2)),
         lambda w: np.array([2.0 * (w[0] - xs.mean())]),
-        BallConstraint((0.5,), 0.5))  # the interval [0, 1]
+        1)  # dim 1: the interval [-1, 1]
     assert abs(f - fstar) <= 1e-6
 
 
@@ -242,12 +243,11 @@ def test_baseline_methods_cross_check():
         return (np.sum((block - target) ** 2, axis=1)
                 + 0.1 * np.sum(block ** 4, axis=1))
 
-    constraint = BallConstraint((0.0, 0.0), 1.0)
-    _, f1 = projected_subgradient(objective, subgrad, constraint)
-    _, f2 = dense_grid_minimize(objective_many, constraint, step=2e-3)
+    _, f1 = projected_subgradient(objective, subgrad, 2)
+    _, f2 = dense_grid_minimize(objective_many, 2, step=2e-3)
     assert abs(f1 - f2) <= 1e-3
     with pytest.raises(ParameterError):
-        dense_grid_minimize(objective_many, BallConstraint((0.0,) * 3, 1.0))
+        dense_grid_minimize(objective_many, 3)
 
 
 @pytest.mark.parametrize("n, dim, margin, seed", [
@@ -276,15 +276,14 @@ def _recorded_bounds(monkeypatch, check=lambda *args: None):
     return bounds
 
 
-def _fixed_iters_subgradient(objective, subgrad, constraint):
+def _fixed_iters_subgradient(objective, subgrad, dim):
     # the solver as it was before the certified stop: always ITERS steps
-    radius = constraint.radius
-    w = np.asarray(constraint.center(), dtype=float)
+    w = np.zeros(dim)
     avg = w.copy()
     best_w, best_f = w.copy(), float(objective(w))
     for t in range(1, baselines.ITERS + 1):
         g = np.asarray(subgrad(w), dtype=float)
-        w = constraint.project(w - (radius / math.sqrt(t)) * g)
+        w = project_unit_ball(w - (1.0 / math.sqrt(t)) * g)
         avg += (w - avg) / (t + 1)
         if t % baselines.EVAL_EVERY == 0 or t == baselines.ITERS:
             for cand in (avg, w):
@@ -294,11 +293,8 @@ def _fixed_iters_subgradient(objective, subgrad, constraint):
     return best_w, best_f
 
 
-@pytest.mark.parametrize("kink, constraint", [
-    ((0.3,), BallConstraint((0.5,), 0.5)),
-    ((0.31, -0.17), BallConstraint((0.0, 0.0), 1.0)),
-])
-def test_uncertified_baseline_run_is_unchanged(monkeypatch, kink, constraint):
+@pytest.mark.parametrize("kink", [(0.3,), (0.31, -0.17)])
+def test_uncertified_baseline_run_is_unchanged(monkeypatch, kink):
     # an interior kink, and a subgradient that is never 0 there: every
     # certificate stays below the optimum, so the run takes all ITERS steps
     kink = np.array(kink)
@@ -309,9 +305,9 @@ def test_uncertified_baseline_run_is_unchanged(monkeypatch, kink, constraint):
     def subgrad(w):
         return np.where(w >= kink, 1.0, -1.0)
 
-    w_ref, f_ref = _fixed_iters_subgradient(objective, subgrad, constraint)
+    w_ref, f_ref = _fixed_iters_subgradient(objective, subgrad, len(kink))
     bounds = _recorded_bounds(monkeypatch)
-    w, f = projected_subgradient(objective, subgrad, constraint)
+    w, f = projected_subgradient(objective, subgrad, len(kink))
     assert len(bounds) == 2 * baselines.ITERS // baselines.EVAL_EVERY
     assert f == f_ref
     assert np.array_equal(w, w_ref)
@@ -334,38 +330,37 @@ _GRID_OBJECTIVES = {
 
 
 @pytest.mark.parametrize("kind", sorted(_GRID_OBJECTIVES))
-@pytest.mark.parametrize("constraint, target", [
-    (BallConstraint((0.0, 0.0), 1.0), (1.2, -0.9)),
-    (BallConstraint((0.0, 0.0), 1.0), (0.3, -0.2)),
-])
-def test_certified_lower_bound_is_below_grid_optimum(monkeypatch, constraint,
-                                                     target, kind):
+@pytest.mark.parametrize("target", [(1.2, -0.9), (0.3, -0.2)])
+def test_certified_lower_bound_is_below_grid_optimum(monkeypatch, target,
+                                                     kind):
     objective, subgrad, objective_many = _GRID_OBJECTIVES[kind](
         np.array(target))
 
-    def taken_at_one_point(value, g, c, constraint):
+    def taken_at_one_point(value, g, c):
         assert value == objective(c)
         assert np.array_equal(g, subgrad(c))
 
     bounds = _recorded_bounds(monkeypatch, taken_at_one_point)
-    _, f = projected_subgradient(objective, subgrad, constraint)
-    _, f_grid = dense_grid_minimize(objective_many, constraint, step=2e-3)
+    _, f = projected_subgradient(objective, subgrad, 2)
+    _, f_grid = dense_grid_minimize(objective_many, 2, step=2e-3)
     assert bounds
     # any lower bound on the constrained optimum is below the grid's best
     assert max(bounds) <= f_grid + 1e-12
     assert f - max(bounds) >= -1e-12
 
 
-@pytest.mark.parametrize("constraint", [BallConstraint((0.2, -0.1, 0.4), 0.7)])
-def test_linear_minimizer_minimises_over_the_set(constraint):
+def test_linear_minimizer_minimises_over_the_set():
+    # the bound is f(c) + min over the ball of <g, v - c>; at f(c) = 0 it is
+    # the minimum itself, -||g|| - <g, c>, which sampled points never beat
     rng = derived_rng(42)
-    pts = constraint.project(constraint.center()
-                             + 3.0 * rng.standard_normal((2000, 3)))
+    pts = project_unit_ball(3.0 * rng.standard_normal((2000, 3)))
+    c = np.array([0.2, -0.1, 0.4])
     for g in [*rng.standard_normal((5, 3)), np.array([0.0, 1.0, -2.0]),
               np.zeros(3)]:
-        v = constraint.linear_minimizer(g)
-        assert np.allclose(constraint.project(v), v)  # feasible
-        assert g @ v <= (pts @ g).min() + 1e-12
+        bound = certified_lower_bound(0.0, g, c)
+        assert bound == pytest.approx(-np.linalg.norm(g) - g @ c,
+                                      rel=0.0, abs=1e-12)
+        assert bound <= ((pts - c) @ g).min() + 1e-12
 
 
 def test_glm_baseline_stops_at_first_checkpoint(monkeypatch):
@@ -375,11 +370,11 @@ def test_glm_baseline_stops_at_first_checkpoint(monkeypatch):
     calls = []
     solve = baselines.projected_subgradient
 
-    def counted(objective, subgrad, constraint):
+    def counted(objective, subgrad, dim):
         def counting(w):
             calls.append(1)
             return subgrad(w)
-        return solve(objective, counting, constraint)
+        return solve(objective, counting, dim)
 
     monkeypatch.setattr(baselines, "projected_subgradient", counted)
     glm_baseline(data, hinge_flavor())

@@ -99,6 +99,9 @@ def test_point_validation():
     spec = BernsteinOperatorSpec(k=2, h=1, p=1)
     with pytest.raises(ParameterError):
         iterated_bernstein_eval(np.zeros(3), spec, [1.2])
+    # NaN fails both bound comparisons, so it must count as outside
+    with pytest.raises(ParameterError, match="outside"):
+        iterated_bernstein_eval(np.zeros(3), spec, [math.nan])
     with pytest.raises(ParameterError):
         iterated_bernstein_eval(np.zeros(4), spec, [0.5])
 
@@ -149,6 +152,18 @@ def test_chebyshev_eval_branches():
     for n in range(8):
         assert chebyshev_eval(n, 1.0) == pytest.approx(1.0, abs=1e-12)
         assert chebyshev_eval(n, -1.0) == pytest.approx((-1.0) ** n, abs=1e-12)
+
+
+def test_chebyshev_eval_nan_entries_give_nan():
+    # a NaN lies in none of the three branches; many of them, so that
+    # uninitialised memory cannot pass by chance
+    x = derived_rng(12).uniform(-2.0, 2.0, 400)
+    x[::2] = np.nan
+    for n in (0, 3, 6):
+        got = chebyshev_eval(n, x)
+        assert np.isnan(got[::2]).all()
+        assert np.array_equal(got[1::2], chebyshev_eval(n, x[1::2]))
+    assert math.isnan(chebyshev_eval(3, math.nan))
 
 
 def test_series_fit_recovers_basis_polynomials():

@@ -93,6 +93,18 @@ def test_player_value_range():
                            derived_rng(0))
 
 
+def test_nan_values_are_rejected():
+    # NaN fails every comparison, so a range check written as "below lo or
+    # above hi" let it through to a NaN mean and a bit drawn with probability
+    # NaN
+    values = np.array([0.5, np.nan])
+    for budget in (PrivacyBudget(epsilon=1.0), PrivacyBudget(math.inf)):
+        with pytest.raises(ParameterError):
+            ldp_avg_1d(values, 1.0, budget, derived_rng(0))
+    with pytest.raises(ParameterError):
+        onebit_encode_many(values, np.zeros(2), 0.5, derived_rng(0))
+
+
 def test_avg_zero_signal():
     rng = derived_rng(7)
     budget = PrivacyBudget(epsilon=1.0)

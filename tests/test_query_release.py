@@ -145,6 +145,23 @@ def test_query_outside_class_rejected():
         marginals_release(data, 6, 0.05, NOISELESS, derived_rng(25))
 
 
+@pytest.mark.parametrize("entry", [-1, 2, 0.5])
+def test_non_bit_query_rejected(entry):
+    # count_nonzero and the support masks (> 0) read such an entry
+    # differently, so an answer would be silently wrong
+    data = BinaryDataset((derived_rng(27).random((200, 4)) < 0.3).astype(int))
+    table = _quiet_release(data, 2, 0.05, NOISELESS, derived_rng(28))
+    y = np.array([entry, 0, 0, 0])
+    with pytest.raises(ParameterError):
+        marginals_answer(table, y)
+    with pytest.raises(ParameterError):
+        disjunction_truth(data, y)
+    # float bits are bits
+    y = np.array([1.0, 0.0, 0.0, 0.0])
+    assert marginals_answer(table, y) == marginals_answer(table, y.astype(int))
+    assert disjunction_truth(data, y) == disjunction_truth(data, [1, 0, 0, 0])
+
+
 def test_answers_are_clamped():
     data = BinaryDataset(np.ones((20, 3), dtype=int))
     table = _quiet_release(data, 2, 0.2, PrivacyBudget(epsilon=0.5),
@@ -324,7 +341,7 @@ def test_streamed_smooth_matches_whole_matrix(n, budget):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("bad", [-0.5, 2.5])
+@pytest.mark.parametrize("bad", [-0.5, 2.5, math.nan])
 def test_streamed_range_check_reaches_last_block(bad):
     # the only out-of-range entry sits in the last, partial block
     n, dim, bound = 2 * BLOCK + 5, 3, 2.0

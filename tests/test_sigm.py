@@ -6,77 +6,62 @@ import numpy as np
 import pytest
 
 from ldp_erm.errors import ParameterError
-from ldp_erm.geometry import BallConstraint
+from ldp_erm.geometry import project_unit_ball
 from ldp_erm.rng import derived_rng
 from ldp_erm.sigm import _CHUNK, SigmSchedule, sigm_run
 
 WSTAR = np.array([0.3, -0.4])  # ||w*|| = 0.5
-BALL = BallConstraint((0.0, 0.0), 1.0)
+DIM = 2
 
 
-def exact_oracle(x, rng):
+def exact_oracle(x):
     return x - WSTAR
+
+
+def noisy_oracle(sigma, rng):
+    """The exact gradient plus N(0, sigma^2) noise per coordinate from ``rng``."""
+    return lambda x: x - WSTAR + rng.normal(0.0, sigma, x.shape)
 
 
 def _recorded(oracle):
     """``oracle``, and the list it appends a copy of each query point to."""
     queries = []
 
-    def call(x, rng):
+    def call(x):
         queries.append(np.array(x))
-        return oracle(x, rng)
+        return oracle(x)
     return call, queries
 
 
 def test_schedule_arrays_equal_scalar_values():
     # the solver evaluates the schedule on an index array up front
-    sch = SigmSchedule(sigma=0.7, radius=0.9, smoothness=2.0)
+    sch = SigmSchedule(sigma=0.7, smoothness=2.0)
     idx = np.arange(0, 5_000)
     got = sch.beta(idx)
     assert got.shape == idx.shape
     assert np.array_equal(got, [sch.beta(idx[i:i + 1])[0] for i in idx])
 
 
-def test_ball_projection_off_origin():
-    center = np.array([2.0, -1.0, 0.5])
-    ball = BallConstraint(tuple(center), 0.5)
-    rng = derived_rng(4)
-    for _ in range(200):
-        w = center + rng.normal(0.0, 0.6, 3)
-        got = ball.project(w)
-        offset = w - center
-        if np.linalg.norm(offset) <= 0.5:
-            assert np.array_equal(got, w)
-        else:
-            want = center + 0.5 * offset / np.linalg.norm(offset)
-            assert np.allclose(got, want, rtol=0.0, atol=1e-15)
-            assert abs(np.linalg.norm(got - center) - 0.5) <= 1e-15
-    assert np.array_equal(ball.center(), center)
-    ball.center()[0] = 9.0  # the returned centre is the caller's copy
-    assert np.array_equal(ball.center(), center)
-    assert np.array_equal(ball.project(center + 1e-3), center + 1e-3)
-
-
 def test_ball_projection_rows_equal_one_row_projection():
     rng = derived_rng(5)
+    inside = np.array([0.3, -0.4])
+    assert project_unit_ball(inside) is inside  # a point inside stays put
     for dim in (1, 2, 3, 5, 9):
-        center = rng.normal(0.0, 2.0, dim)
-        ball = BallConstraint(tuple(center), 0.7)
-        rows = center + rng.normal(0.0, 0.6, (50, dim))
-        rows[0] = center  # the centre itself stays put
-        got = ball.project(rows)
+        rows = rng.normal(0.0, 0.6, (50, dim))
+        rows[0] = 0.0  # the origin itself stays put
+        got = project_unit_ball(rows)
         assert got.shape == rows.shape
         for w, row in zip(rows, got):
-            assert np.array_equal(row, ball.project(w))
+            assert np.array_equal(row, project_unit_ball(w))
 
 
 def test_schedule_validation():
     with pytest.raises(ParameterError):
-        SigmSchedule(sigma=-1.0, radius=1.0)
+        SigmSchedule(sigma=-1.0, smoothness=1.0)
     with pytest.raises(ParameterError):
-        SigmSchedule(sigma=1.0, radius=0.0)
+        SigmSchedule(sigma=1.0, smoothness=0.0)  # no smooth part to step by
     with pytest.raises(ParameterError):
-        SigmSchedule(sigma=0.0, radius=1.0, smoothness=0.0)  # no step scale
+        SigmSchedule(sigma=0.0, smoothness=0.0)  # no step scale
 
 
 @pytest.mark.parametrize("sigma, smoothness", [
@@ -84,7 +69,7 @@ def test_schedule_validation():
 def test_schedule_rejects_non_finite_scales(sigma, smoothness):
     # NaN fails every comparison, so a sign test alone would let it through
     with pytest.raises(ParameterError):
-        SigmSchedule(sigma=sigma, radius=1.0, smoothness=smoothness)
+        SigmSchedule(sigma=sigma, smoothness=smoothness)
 
 
 def _general_p_schedule(sch, p):
@@ -98,7 +83,7 @@ def _general_p_schedule(sch, p):
 
     def beta(i):
         growth = (np.atleast_1d(i) + p + 1.0) ** ((2.0 * p - 1.0) / 2.0)
-        return float((sch.smoothness + b * sch.sigma / sch.radius * growth)[0])
+        return float((sch.smoothness + b * sch.sigma * growth)[0])
 
     def big_b(i):
         return a * alpha(i) ** 2
@@ -106,23 +91,23 @@ def _general_p_schedule(sch, p):
     return alpha, beta, big_b
 
 
-def _general_p_loop_run(oracle, constraint, schedule, iters, rng):
+def _general_p_loop_run(oracle, dim, schedule, iters):
     # the general-exponent SIGM loop at p = 1, with its extrapolation and
     # prox-point blends, every schedule value taken inside the loop
     alpha, beta, big_b = _general_p_schedule(schedule, 1)
-    y = constraint.center()
+    y = np.zeros(dim)
     x = y.copy()
-    grad_sum = alpha(1) * np.asarray(oracle(x, rng), dtype=float)
+    grad_sum = alpha(1) * np.asarray(oracle(x), dtype=float)
     a_running = alpha(0) + alpha(1)
     for k in range(1, iters):
         beta_k = beta(k)
         alpha_next = alpha(k + 1)
         b_next = big_b(k + 1)
         eta = alpha_next / b_next
-        z = constraint.project(-grad_sum / beta_k)
+        z = project_unit_ball(-grad_sum / beta_k)
         x = eta * z + (1.0 - eta) * y
-        grad = np.asarray(oracle(x, rng), dtype=float)
-        x_hat = constraint.project(z - (alpha_next / beta_k) * grad)
+        grad = np.asarray(oracle(x), dtype=float)
+        x_hat = project_unit_ball(z - (alpha_next / beta_k) * grad)
         w = eta * x_hat + (1.0 - eta) * y
         a_running += alpha_next
         y = ((a_running - b_next) / a_running) * y + (b_next / a_running) * w
@@ -130,18 +115,17 @@ def _general_p_loop_run(oracle, constraint, schedule, iters, rng):
     return y
 
 
-@pytest.mark.parametrize("oracle", [
-    lambda x, rng: x - WSTAR + rng.normal(0.0, 0.4, x.shape),
-    exact_oracle,
+@pytest.mark.parametrize("make_oracle", [
+    lambda rng: noisy_oracle(0.4, rng),
+    lambda rng: exact_oracle,
 ], ids=["noisy", "exact"])
-def test_run_equals_scalar_schedule_loop(oracle):
-    sch = SigmSchedule(sigma=0.4, radius=1.0, smoothness=1.0)
-    ball = BallConstraint((0.2, -0.1), 0.8)
-    oracle_got, got = _recorded(oracle)
-    oracle_want, want = _recorded(oracle)
+def test_run_equals_scalar_schedule_loop(make_oracle):
+    sch = SigmSchedule(sigma=0.4, smoothness=1.0)
     rng_got, rng_want = derived_rng(8), derived_rng(8)
-    y_got = sigm_run(oracle_got, ball, sch, 300, rng_got)
-    y_want = _general_p_loop_run(oracle_want, ball, sch, 300, rng_want)
+    oracle_got, got = _recorded(make_oracle(rng_got))
+    oracle_want, want = _recorded(make_oracle(rng_want))
+    y_got = sigm_run(oracle_got, DIM, sch, 300)
+    y_want = _general_p_loop_run(oracle_want, DIM, sch, 300)
     # the same point at every query, and the same final average
     assert len(got) == len(want) == 300
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -149,7 +133,7 @@ def test_run_equals_scalar_schedule_loop(oracle):
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
-def _step_loop_run(oracle, constraint, schedule, iters, rng):
+def _step_loop_run(oracle, dim, schedule, iters):
     # one step at a time: query, prox point and average, all in the loop;
     # also counts the dual-averaging points that fell outside the ball
     ks = np.arange(1, iters)
@@ -157,15 +141,15 @@ def _step_loop_run(oracle, constraint, schedule, iters, rng):
     a_k = ks + 2.0
     steps = zip(beta.tolist(), (1.0 / beta).tolist(),
                 ((a_k - 1.0) / a_k).tolist(), (1.0 / a_k).tolist())
-    y = constraint.center()
-    grad_sum = np.array(oracle(y, rng), dtype=float)
+    y = np.zeros(dim)
+    grad_sum = np.array(oracle(y), dtype=float)
     outside = 0
     for beta_k, step_k, keep_k, take_k in steps:
         dual = -grad_sum / beta_k
-        z = constraint.project(dual)
+        z = project_unit_ball(dual)
         outside += not np.array_equal(z, dual)
-        grad = np.asarray(oracle(z, rng), dtype=float)
-        x_hat = constraint.project(z - step_k * grad)
+        grad = np.asarray(oracle(z), dtype=float)
+        x_hat = project_unit_ball(z - step_k * grad)
         y = keep_k * y + take_k * x_hat
         grad_sum += grad
     return y, outside
@@ -174,14 +158,12 @@ def _step_loop_run(oracle, constraint, schedule, iters, rng):
 @pytest.mark.parametrize("iters", [1, 2, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17])
 def test_run_equals_step_at_a_time_loop(iters):
     # the blocked query and prox/average passes compute the same floats
-    sch = SigmSchedule(sigma=0.6, radius=0.5, smoothness=1.0)
-    ball = BallConstraint((0.2, -0.1), 0.5)  # holds WSTAR
-    oracle = lambda x, rng: x - WSTAR + rng.normal(0.0, 3.0, x.shape)
-    oracle_got, got = _recorded(oracle)
-    oracle_want, want = _recorded(oracle)
+    sch = SigmSchedule(sigma=0.6, smoothness=1.0)
     rng_got, rng_want = derived_rng(9, iters), derived_rng(9, iters)
-    y_got = sigm_run(oracle_got, ball, sch, iters, rng_got)
-    y_want, outside = _step_loop_run(oracle_want, ball, sch, iters, rng_want)
+    oracle_got, got = _recorded(noisy_oracle(3.0, rng_got))
+    oracle_want, want = _recorded(noisy_oracle(3.0, rng_want))
+    y_got = sigm_run(oracle_got, DIM, sch, iters)
+    y_want, outside = _step_loop_run(oracle_want, DIM, sch, iters)
     assert len(got) == len(want) == iters
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert np.array_equal(y_got, y_want)
@@ -191,25 +173,24 @@ def test_run_equals_step_at_a_time_loop(iters):
 
 
 def test_exact_quadratic_converges():
-    sch = SigmSchedule(sigma=0.0, radius=1.0, smoothness=1.0)
-    y = sigm_run(exact_oracle, BALL, sch, 500, derived_rng(0))
+    sch = SigmSchedule(sigma=0.0, smoothness=1.0)
+    y = sigm_run(exact_oracle, DIM, sch, 500)
     gap = 0.5 * np.sum((y - WSTAR) ** 2)
     assert gap <= 1e-3
 
 
 def test_iterates_stay_feasible():
-    sch = SigmSchedule(sigma=0.5, radius=1.0, smoothness=1.0)
-    big_noise = lambda x, rng: x - WSTAR + rng.normal(0.0, 3.0, x.shape)
-    oracle, queries = _recorded(big_noise)
-    y = sigm_run(oracle, BALL, sch, 400, derived_rng(1))
+    sch = SigmSchedule(sigma=0.5, smoothness=1.0)
+    oracle, queries = _recorded(noisy_oracle(3.0, derived_rng(1)))
+    y = sigm_run(oracle, DIM, sch, 400)
     radii = [np.linalg.norm(p) for p in [*queries, y]]
     assert max(radii) <= 1.0 + 1e-12
 
 
 def test_min_so_far_envelope_decreases():
-    sch = SigmSchedule(sigma=0.0, radius=1.0, smoothness=1.0)
+    sch = SigmSchedule(sigma=0.0, smoothness=1.0)
     # the average after each of the 199 steps of a 200-query run
-    path = [sigm_run(exact_oracle, BALL, sch, iters, derived_rng(2))
+    path = [sigm_run(exact_oracle, DIM, sch, iters)
             for iters in range(2, 201)]
     vals = [0.5 * np.sum((p - WSTAR) ** 2) for p in path]
     env = np.minimum.accumulate(vals)
@@ -220,13 +201,11 @@ def test_min_so_far_envelope_decreases():
 def test_noise_rate_under_quadrupled_budget():
     # distance to optimum should shrink roughly like 1/sqrt(T)
     sigma = 0.5
-    sch = SigmSchedule(sigma=sigma, radius=1.0, smoothness=1.0)
-
-    def noisy(x, rng):
-        return x - WSTAR + rng.normal(0.0, sigma, x.shape)
+    sch = SigmSchedule(sigma=sigma, smoothness=1.0)
 
     def mean_dist(T):
-        ds = [np.linalg.norm(sigm_run(noisy, BALL, sch, T, derived_rng(1, s)) - WSTAR)
+        ds = [np.linalg.norm(sigm_run(noisy_oracle(sigma, derived_rng(1, s)),
+                                      DIM, sch, T) - WSTAR)
               for s in range(20)]
         return float(np.mean(ds))
 
@@ -237,26 +216,26 @@ def test_noise_rate_under_quadrupled_budget():
 def test_bias_floor():
     gamma = 0.05
     bias = gamma * np.array([1.0, 0.0])
-    oracle = lambda x, rng: x - WSTAR + bias
-    sch = SigmSchedule(sigma=0.0, radius=1.0, smoothness=1.0)
-    y = sigm_run(oracle, BALL, sch, 100_000, derived_rng(3))
+    oracle = lambda x: x - WSTAR + bias
+    sch = SigmSchedule(sigma=0.0, smoothness=1.0)
+    y = sigm_run(oracle, DIM, sch, 100_000)
     dist = np.linalg.norm(y - WSTAR)
     assert gamma / 2 <= dist <= gamma + 1e-3
 
 
 def test_deterministic_given_seed():
     sigma = 0.2
-    sch = SigmSchedule(sigma=sigma, radius=1.0, smoothness=1.0)
-    noisy = lambda x, rng: x - WSTAR + rng.normal(0.0, sigma, x.shape)
-    (oracle1, q1), (oracle2, q2) = _recorded(noisy), _recorded(noisy)
-    y1 = sigm_run(oracle1, BALL, sch, 300, derived_rng(7))
-    y2 = sigm_run(oracle2, BALL, sch, 300, derived_rng(7))
+    sch = SigmSchedule(sigma=sigma, smoothness=1.0)
+    oracle1, q1 = _recorded(noisy_oracle(sigma, derived_rng(7)))
+    oracle2, q2 = _recorded(noisy_oracle(sigma, derived_rng(7)))
+    y1 = sigm_run(oracle1, DIM, sch, 300)
+    y2 = sigm_run(oracle2, DIM, sch, 300)
     assert len(q1) == len(q2) == 300
     assert all(np.array_equal(a, b) for a, b in zip(q1, q2))
     assert np.array_equal(y1, y2)
 
 
 def test_rejects_zero_iterations():
-    sch = SigmSchedule(sigma=0.0, radius=1.0, smoothness=1.0)
+    sch = SigmSchedule(sigma=0.0, smoothness=1.0)
     with pytest.raises(ParameterError):
-        sigm_run(exact_oracle, BALL, sch, 0, derived_rng(0))
+        sigm_run(exact_oracle, DIM, sch, 0)
