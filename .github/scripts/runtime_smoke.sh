@@ -8,8 +8,8 @@
 # each mechanism's console-script run writes its config and artifacts under
 # WORKDIR. Fails if scipy is importable there, if any good run exits
 # non-zero, or if a rejected config (one per mechanism, one per synthetic
-# family, an unknown top-level key and a GLM delta of 0) does not exit 2 with
-# a configuration error and no traceback.
+# family, an unknown top-level key, a GLM delta of 0 and 65-bit marginals
+# records) does not exit 2 with a configuration error and no traceback.
 set -euo pipefail
 venv="$1"
 mkdir -p "$2"
@@ -65,5 +65,8 @@ reject bad-separable-two-class hinge \
   '{"family": "separable-two-class", "n": 2000, "margin": 1}' '{}'
 reject bad-bernoulli-bits marginals \
   '{"family": "bernoulli-bits", "n": 2000, "q": 2}' '{}'
+# a record's bits are packed into one int64, so at most 64 of them
+reject wide-marginals marginals \
+  '{"family": "bernoulli-bits", "n": 2000, "dim": 65}' '{}'
 reject bad-top-level-key avg-bench "$cube" '{}' '"trails": 2'
 reject bad-hinge-delta hinge "$ball" '{"delta": 0}'

@@ -9,6 +9,7 @@ satisfying the constraint-set contracts of its consumer (cube entries in
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -65,13 +66,38 @@ class BoxDataset(RowDataset):
         return rows
 
 
+MAX_BITS = 64  # the most bits one int64 pattern holds
+
+
+def bit_weights(p: int) -> np.ndarray:
+    """The int64 weights 2^j, j < p, that pack p bits into one pattern.
+
+    Bit 63 packs as the sign bit; above 64 bits the shifts wrap to 0, so
+    distinct records would share a pattern, and such a ``p`` is rejected.
+    """
+    if p > MAX_BITS:
+        raise ParameterError(
+            f"{p} bits do not fit in one int64 pattern; at most {MAX_BITS}")
+    return 1 << np.arange(p, dtype=np.int64)
+
+
 class BinaryDataset(RowDataset):
     """Rows of bits, one player per row."""
 
     def _checked(self, rows):
-        if not np.isin(rows, (0, 1)).all():
+        if not ((rows == 0) | (rows == 1)).all():
             raise ParameterError("entries must be bits")
         return rows.astype(np.int64)
+
+    @cached_property
+    def patterns(self):
+        """``(values, index, counts)``: the distinct rows packed as int64
+        patterns by ``bit_weights`` in ascending order, each row's position
+        among them, and how many rows share each. Rows with the same bits
+        give the same pattern, and computing this once lets work that
+        depends only on a row's bits be done once per distinct row."""
+        return np.unique(self.rows @ bit_weights(self.dim),
+                         return_inverse=True, return_counts=True)
 
 
 @dataclass(frozen=True)

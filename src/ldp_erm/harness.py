@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bernstein_erm import (GridLoss, alg2_run, alg3_run, check_grid_dim,
                             check_grid_size)
-from .datasets import (DATA_KEYS, FAMILIES, KINDS, BallDataset,
+from .datasets import (DATA_KEYS, FAMILIES, KINDS, MAX_BITS, BallDataset,
                        BinaryDataset, BoxDataset, CubeDataset, Param,
                        check_spec, count, flag, generate_dataset, number,
                        numbers, optional, spec_value)
@@ -377,6 +377,14 @@ def _check_grid_data(dim: int, values: dict):
         check_grid_size(k, dim)
 
 
+def _check_marginals_data(dim: int, values: dict):
+    # the release packs each record's bits into one int64 pattern
+    if dim > MAX_BITS:
+        raise ConfigurationError(
+            f"marginals take records of at most {MAX_BITS} bits; the dataset "
+            f"has dim {dim}")
+
+
 def _check_smooth_data(dim: int, values: dict):
     for t in values["t"]:
         check_basis_cap(t, dim)
@@ -475,7 +483,7 @@ MECHANISMS = {
                         number(lambda v: 0 < v < 1)),
          "epsilon": _EPSILON,
          "split_budget": Param(False, "true or false", flag)},
-        _trial_marginals),
+        _trial_marginals, _check_marginals_data),
     "smooth-queries": Mechanism(
         (BoxDataset, CubeDataset),
         {"t": Param(8, "an integer >= 1", count),

@@ -154,24 +154,44 @@ def iterated_bernstein_eval(grid_values: np.ndarray, spec: BernsteinOperatorSpec
 # --- Chebyshev ---------------------------------------------------------------
 
 
-def chebyshev_eval(n: int, x):
+def _times_degrees(theta: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    # theta[:, None] * degrees, with degree 0 giving 0 even where theta is
+    # infinite, so that T_0 = cos(0) = cosh(0) = 1
+    return np.multiply(theta[:, None], degrees,
+                       out=np.zeros(theta.shape + degrees.shape),
+                       where=degrees > 0)
+
+
+def chebyshev_eval(n, x):
     """T_n via the trigonometric branches: cos inside [-1,1], cosh outside.
 
-    A NaN entry, in none of the branches, gives NaN.
+    ``n`` is one degree or a 1-d array of degrees, and the result has shape
+    x.shape + n.shape, a float when both are scalars. Each entry takes the
+    operations of the call with its one degree; the angle of each x is
+    taken once for all the degrees, as the smooth-query basis wants. One
+    degree stays a valid ``n`` because T_n itself is what the Chebyshev
+    identities are stated and checked for.
+    A NaN entry, in none of the branches, gives NaN; any other x, infinite
+    ones included, gives T_0 = 1.
     """
-    if n < 0:
-        raise ParameterError(f"degree must be >= 0, got {n}")
+    degrees = np.asarray(n)
+    if degrees.ndim > 1 or np.any(degrees < 0):
+        raise ParameterError(
+            f"need a degree >= 0 or a 1-d array of them, got {n}")
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.full_like(x, np.nan)
+    shape = x.shape + degrees.shape
+    x, degrees = x.reshape(-1), degrees.reshape(-1)
+    out = np.full((len(x), len(degrees)), np.nan)
     inner = np.abs(x) <= 1.0
-    out[inner] = np.cos(n * np.arccos(np.clip(x[inner], -1.0, 1.0)))
+    out[inner] = np.cos(_times_degrees(
+        np.arccos(np.clip(x[inner], -1.0, 1.0)), degrees))
     hi = x > 1.0
-    out[hi] = np.cosh(n * np.arccosh(x[hi]))
+    out[hi] = np.cosh(_times_degrees(np.arccosh(x[hi]), degrees))
     lo = x < -1.0
-    out[lo] = (-1.0) ** n * np.cosh(n * np.arccosh(-x[lo]))
-    return float(out[0]) if scalar else out
+    out[lo] = (-1.0) ** degrees * np.cosh(
+        _times_degrees(np.arccosh(-x[lo]), degrees))
+    out = out.reshape(shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # --- smoothed plus / hinge surrogates ---------------------------------------

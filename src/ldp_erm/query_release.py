@@ -22,14 +22,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .datasets import BinaryDataset, BoxDataset
+from .datasets import BinaryDataset, BoxDataset, bit_weights
 from .errors import (ConfigurationError, ParameterError, QueryClassError,
                      SampleSizeWarning)
 from .polyapprox import OrPolynomial, build_or_polynomial, chebyshev_eval
 from .primitives import PrivacyBudget, Transcript, laplace_sum
 
 CAP = 200_000  # most entries of a coefficient vector or basis (one real each)
-BLOCK = 4096  # players whose vectors a release holds at once
+BLOCK = 2048  # players whose vectors a release holds at once
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,9 @@ def _multinomial_factors(alphas: np.ndarray) -> np.ndarray:
 
 
 def _support_masks(vectors: np.ndarray) -> np.ndarray:
-    """Bitmask of the nonzero entries along the last axis."""
-    weights = 1 << np.arange(vectors.shape[-1], dtype=np.int64)
+    """Bitmask of the nonzero entries along the last axis, packed as a
+    ``BinaryDataset`` packs its rows' bits."""
+    weights = bit_weights(vectors.shape[-1])
     return ((vectors > 0) * weights).sum(axis=-1)
 
 
@@ -102,17 +103,17 @@ def _expansion_pieces(p: int, orpoly: OrPolynomial):
     return alphas, per_alpha
 
 
-def _expand_rows(rows: np.ndarray, alphas: np.ndarray,
-                 per_alpha: np.ndarray) -> np.ndarray:
-    """(n, D) matrix of the rows' coefficient vectors.
+def _expand_patterns(patterns: np.ndarray, alphas: np.ndarray,
+                     per_alpha: np.ndarray) -> np.ndarray:
+    """(m, D) matrix of the coefficient vectors of m records, each given by
+    the bit pattern of its support (as ``_support_masks`` packs it).
 
     By the multinomial theorem the y^alpha coefficient of
     p_k(sum_j y_j row_j) is a_{|alpha|} * |alpha|!/prod(alpha_j!) when
     supp(alpha) is inside the row's support and 0 otherwise, where a_m are
     the monomial coefficients of the count polynomial.
     """
-    inside = (_support_masks(alphas)[None, :]
-              & ~_support_masks(rows)[:, None]) == 0
+    inside = (_support_masks(alphas)[None, :] & ~patterns[:, None]) == 0
     return np.where(inside, per_alpha[None, :], 0.0)
 
 
@@ -133,15 +134,16 @@ def _guarantee_n_floor(p: int, k: int, gamma: float, epsilon: float,
                growth * log_term)
 
 
-def _private_column_means(rows_values: Callable[[int, int], np.ndarray],
+def _private_column_means(rows_values: Callable[[int, int, np.ndarray], None],
                           n: int, dim: int, bound: float,
                           budget: PrivacyBudget,
                           rng: np.random.Generator) -> np.ndarray:
     """Laplace-noised per-column means of n player vectors in [0, bound]^dim.
 
-    ``rows_values(lo, hi)`` gives the (hi - lo, dim) vectors of players lo
-    to hi - 1. They are encoded, range-checked and summed BLOCK players at
-    a time, so memory stays O(BLOCK * dim) whatever n. Keeping the running
+    ``rows_values(lo, hi, out)`` writes the vectors of players lo to hi - 1
+    into the (hi - lo, dim) array ``out``, so no second block-sized array is
+    made. They are encoded, range-checked and summed BLOCK players at a
+    time, so memory stays O(BLOCK * dim) whatever n. Keeping the running
     total as row 0 of the buffer makes ``np.add.reduce`` add the rows one
     after another in player order, as an axis-0 sum over the whole (n, dim)
     matrix does (adding per-block sums would not).
@@ -156,7 +158,7 @@ def _private_column_means(rows_values: Callable[[int, int], np.ndarray],
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         block = buf[1:hi - lo + 1]
-        block[...] = rows_values(lo, hi)
+        rows_values(lo, hi, block)
         if not (-1e-9 <= block.min() and block.max() <= bound + 1e-9):
             raise ParameterError(
                 f"values outside [0, {bound}] cannot be averaged at this bound")
@@ -198,21 +200,34 @@ def marginals_release(data: BinaryDataset, k: int, gamma: float,
 
     b = coefficient_bound(orpoly, p)
     sub_budget = budget.split(dim) if split_budget else budget
-    means = _private_column_means(
-        lambda lo, hi: _expand_rows(data.rows[lo:hi], alphas, per_alpha) + b,
-        data.n, dim, 2.0 * b, sub_budget, rng) - b
+    patterns, index, _ = data.patterns
+
+    def player_vectors(lo, hi, out):
+        # a player's vector depends only on their bits: expand each distinct
+        # pattern of the block once and gather the players' rows from those.
+        # The indices are in range; "clip", unlike the default "raise",
+        # writes into ``out`` without a buffer
+        ids, local = np.unique(index[lo:hi], return_inverse=True)
+        np.take(_expand_patterns(patterns[ids], alphas, per_alpha) + b, local,
+                axis=0, out=out, mode="clip")
+
+    means = _private_column_means(player_vectors, data.n, dim, 2.0 * b,
+                                  sub_budget, rng) - b
     if transcript is not None:
         transcript.add_bulk(data.n, reals_per=dim)
     return MarginalCoefficientTable(values=means, alphas=alphas, p=p, k=k,
                                     t_k=orpoly.degree, gamma=gamma, bound=b)
 
 
-def _query_bits(y) -> np.ndarray:
-    """``y`` as an array, once every entry is checked to be 0 or 1."""
+def _query_bits(y, p: int) -> np.ndarray:
+    """``y`` as an array, once every entry is checked to be 0 or 1 and its
+    shape to be (p,)."""
     y = np.asarray(y)
     if not np.all((y == 0) | (y == 1)):
         raise ParameterError(f"a disjunction query holds only 0s and 1s, "
                              f"got {y}")
+    if y.shape != (p,):
+        raise ParameterError(f"query has shape {y.shape}, expected ({p},)")
     return y
 
 
@@ -226,9 +241,7 @@ def marginals_answer(table: MarginalCoefficientTable,
     than k selected attributes, which are outside the class the polynomial
     was built for.
     """
-    y = _query_bits(y)
-    if y.shape != (table.p,):
-        raise ParameterError(f"query has shape {y.shape}, expected ({table.p},)")
+    y = _query_bits(y, table.p)
     support = int(np.count_nonzero(y))
     if support > table.k:
         raise QueryClassError(
@@ -240,11 +253,16 @@ def marginals_answer(table: MarginalCoefficientTable,
 
 
 def disjunction_truth(data: BinaryDataset, y: np.ndarray) -> float:
-    """Exact fraction of rows with at least one selected bit set."""
-    sel = np.flatnonzero(_query_bits(y))
-    if len(sel) == 0:
-        return 0.0
-    return float(np.mean(data.rows[:, sel].any(axis=1)))
+    """Exact fraction of rows with at least one selected bit set.
+
+    Counted over the distinct rows, each weighted by how many rows share it.
+    The rows are packed into int64 patterns, so data of more than
+    ``MAX_BITS`` = 64 attributes raises ``ParameterError``.
+    """
+    y = _query_bits(y, data.dim)
+    patterns, _, counts = data.patterns
+    hits = counts[(patterns & _support_masks(y)) != 0].sum()
+    return float(hits / data.n)
 
 
 # --- smooth queries ------------------------------------------------------------
@@ -276,8 +294,7 @@ def _basis_matrix(rows: np.ndarray, t: int) -> np.ndarray:
     check_basis_cap(t, p)
     cur = np.ones((n, 1))
     for j in range(p):
-        vj = np.stack([chebyshev_eval(r, rows[:, j]) for r in range(t)],
-                      axis=1)
+        vj = chebyshev_eval(np.arange(t), rows[:, j])
         cur = (cur[:, :, None] * vj[:, None, :]).reshape(n, -1)
     return cur
 
@@ -326,7 +343,8 @@ def smooth_release(data: BoxDataset, t: int, budget: PrivacyBudget,
     """
     dim = check_basis_cap(t, data.dim)
     means01 = _private_column_means(
-        lambda lo, hi: (_basis_matrix(data.rows[lo:hi], t) + 1.0) / 2.0,
+        lambda lo, hi, out: np.divide(
+            _basis_matrix(data.rows[lo:hi], t) + 1.0, 2.0, out=out),
         data.n, dim, 1.0, budget, rng)
     if transcript is not None:
         transcript.add_bulk(data.n, reals_per=dim)

@@ -1,5 +1,6 @@
 """Truncated Chebyshev series fitted by cosine quadrature, the tests'
-reference for one-dimensional Chebyshev approximation."""
+reference for one-dimensional Chebyshev approximation, and T_n at finite
+or NaN points by its trigonometric branches, one degree at a time."""
 
 from dataclasses import dataclass
 from typing import Callable
@@ -43,3 +44,18 @@ def chebyshev_series_fit(f: Callable, n: int) -> ChebyshevSeries:
     c[0] /= 2.0
     c[n] /= 2.0
     return ChebyshevSeries(c)
+
+
+def chebyshev_branches(n: int, x: np.ndarray) -> np.ndarray:
+    """T_n at each finite or NaN entry of x: cos(n arccos x) inside [-1, 1],
+    cosh(n arccosh x) above it, (-1)^n cosh(n arccosh(-x)) below it, NaN at
+    NaN."""
+    x = np.asarray(x, dtype=float)
+    out = np.full_like(x, np.nan)
+    inner = np.abs(x) <= 1.0
+    out[inner] = np.cos(n * np.arccos(np.clip(x[inner], -1.0, 1.0)))
+    hi = x > 1.0
+    out[hi] = np.cosh(n * np.arccosh(x[hi]))
+    lo = x < -1.0
+    out[lo] = (-1.0) ** n * np.cosh(n * np.arccosh(-x[lo]))
+    return out

@@ -66,3 +66,21 @@ def evaluate_expansion(coeffs: np.ndarray, alphas: np.ndarray,
     y = np.asarray(y, dtype=float)
     powers = np.prod(y[None, :] ** alphas, axis=1)
     return float(coeffs @ powers)
+
+
+def expand_rows(rows: np.ndarray, alphas: np.ndarray,
+                per_alpha: np.ndarray) -> np.ndarray:
+    """(n, D) marginal coefficient vectors of bit rows, one row at a time:
+    entry alpha is per_alpha[alpha] when every exponent of alpha sits on a
+    set bit of the row, else 0."""
+    inside = np.all((alphas[None, :, :] == 0) | (rows[:, None, :] > 0),
+                    axis=-1)
+    return np.where(inside, per_alpha[None, :], 0.0)
+
+
+def disjunction_fraction(rows: np.ndarray, y) -> float:
+    """Fraction of bit rows with a set bit among y's selected attributes."""
+    sel = np.flatnonzero(np.asarray(y))
+    if len(sel) == 0:
+        return 0.0
+    return float(np.mean(rows[:, sel].any(axis=1)))

@@ -1015,6 +1015,8 @@ def _data_files(tmp_path):
     ("marginals", {"family": "bernoulli-bits", "n": 100, "dim": 4, "q": 1.5}),
     ("bernstein", {"family": "file", "path": "cube", "n": 2}),
     ("bernstein", {"family": "file", "path": "cube", "dim": 2}),
+    # 65 bits do not pack into one int64 pattern
+    ("marginals", {"family": "bernoulli-bits", "n": 100, "dim": 65}),
 ])
 def test_cli_rejects_unusable_dataset_with_exit_2(tmp_path, capsys,
                                                   mechanism, dataset):

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from chebyshev_reference import ChebyshevSeries, chebyshev_series_fit
+from chebyshev_reference import (ChebyshevSeries, chebyshev_branches,
+                                 chebyshev_series_fit)
 from formula_reference import (abs_sampler, bernstein_poly_eval,
                                lemma40_reconstruct)
 from ldp_erm.errors import ParameterError
@@ -164,6 +165,38 @@ def test_chebyshev_eval_nan_entries_give_nan():
         assert np.isnan(got[::2]).all()
         assert np.array_equal(got[1::2], chebyshev_eval(n, x[1::2]))
     assert math.isnan(chebyshev_eval(3, math.nan))
+
+
+def test_chebyshev_eval_degree_array_matches_one_degree_at_a_time():
+    # the same bits as each degree's own branch formula, NaN included
+    x = np.array([0.0, 0.3, -0.3, 1.0, -1.0, 1.0 + 1e-12, -1.0 - 1e-12,
+                  2.0, -2.0, math.nan])
+    degrees = np.arange(9)
+    want = np.stack([chebyshev_branches(int(r), x) for r in degrees],
+                    axis=-1)
+    got = chebyshev_eval(degrees, x)
+    assert got.shape == (len(x), len(degrees))
+    assert got.tobytes() == want.tobytes()
+    grid = chebyshev_eval(degrees, x.reshape(2, 5))
+    assert grid.shape == (2, 5, len(degrees))
+    assert grid.tobytes() == want.tobytes()
+    assert chebyshev_eval(degrees, 0.3).tobytes() == want[1].tobytes()
+    for r in degrees:
+        assert chebyshev_eval(int(r), x).tobytes() == want[:, r].tobytes()
+    with pytest.raises(ParameterError):
+        chebyshev_eval(np.array([2, -1]), x)
+    with pytest.raises(ParameterError):
+        chebyshev_eval(np.zeros((2, 2), dtype=int), x)
+
+
+def test_chebyshev_eval_degree_zero_is_one_at_infinity():
+    # T_0 = 1 everywhere; 0 * arccosh(inf) must not make it NaN (or warn)
+    assert chebyshev_eval(0, math.inf) == 1.0
+    assert chebyshev_eval(0, -math.inf) == 1.0
+    got = chebyshev_eval(np.arange(3), np.array([math.inf, -math.inf]))
+    assert np.array_equal(got, [[1.0, math.inf, math.inf],
+                                [1.0, -math.inf, math.inf]])
+    assert math.isnan(chebyshev_eval(0, math.nan))
 
 
 def test_series_fit_recovers_basis_polynomials():

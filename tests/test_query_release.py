@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from formula_reference import evaluate_expansion
+from formula_reference import (disjunction_fraction, evaluate_expansion,
+                               expand_rows)
 from ldp_erm.errors import ParameterError, QueryClassError, SampleSizeWarning
 from ldp_erm.harness import _gaussian_kernel
 from ldp_erm.polyapprox import build_or_polynomial
 from ldp_erm.primitives import PrivacyBudget, Transcript, laplace_sum
 from ldp_erm.query_release import (BLOCK, BinaryDataset, BoxDataset,
-                                   QueryAnswer, _basis_matrix, _expand_rows,
-                                   _expansion_pieces, _private_column_means,
+                                   QueryAnswer, _basis_matrix,
+                                   _expand_patterns, _expansion_pieces,
+                                   _private_column_means, _support_masks,
                                    answer_smooth_query, coefficient_bound,
                                    disjunction_truth, marginals_answer,
                                    marginals_release,
@@ -43,9 +45,15 @@ def _quiet_release(*args, **kwargs):
         return marginals_release(*args, **kwargs)
 
 
+def _expand_rows(rows, alphas, per_alpha):
+    return _expand_patterns(_support_masks(rows), alphas, per_alpha)
+
+
 def test_dataset_validation():
     with pytest.raises(ParameterError):
         BinaryDataset(np.array([[0, 2]]))
+    with pytest.raises(ParameterError):
+        BinaryDataset(np.array([[0.0, math.nan]]))
     with pytest.raises(ParameterError):
         BinaryDataset(np.zeros((0, 3), dtype=int))
     with pytest.raises(ParameterError):
@@ -160,6 +168,72 @@ def test_non_bit_query_rejected(entry):
     y = np.array([1.0, 0.0, 0.0, 0.0])
     assert marginals_answer(table, y) == marginals_answer(table, y.astype(int))
     assert disjunction_truth(data, y) == disjunction_truth(data, [1, 0, 0, 0])
+
+
+def test_disjunction_truth_checks_query_shape():
+    data = BinaryDataset((derived_rng(29).random((50, 4)) < 0.3).astype(int))
+    for y in ([1, 0], [0, 0, 0, 0, 1]):
+        with pytest.raises(ParameterError, match="expected"):
+            disjunction_truth(data, y)
+
+
+def test_more_than_64_bits_rejected():
+    # above 64 bits the packed patterns wrap and records would collide
+    assert _support_masks(np.ones(64))[()] == -1
+    with pytest.raises(ParameterError, match="64"):
+        _support_masks(np.ones((2, 65)))
+    data = BinaryDataset(np.ones((3, 65), dtype=int))
+    with pytest.raises(ParameterError, match="64"):
+        data.patterns
+    with pytest.raises(ParameterError, match="64"):
+        _quiet_release(data, 1, 0.05, NOISELESS, derived_rng(30))
+
+
+def _edge_bits():
+    rng = derived_rng(31)
+    wide = (rng.random((300, 64)) < 0.05).astype(int)
+    wide[::3, 63] = 1
+    many = (rng.random((2 * BLOCK + 5, 13)) < 0.5).astype(int)
+    return {
+        "n1": ((rng.random((1, 6)) < 0.5).astype(int), 2),
+        "one-pattern": (np.tile([1, 0, 1, 1, 0, 0], (BLOCK + 3, 1)), 2),
+        "all-zero": (np.zeros((40, 5), dtype=int), 2),
+        "bit63": (wide, 1),
+        "many-distinct-patterns": (many, 2),
+    }
+
+
+@pytest.mark.parametrize("case", list(_edge_bits()))
+def test_marginals_match_row_formulas(case):
+    # the pattern table gives each player the bits of their own row's
+    # expansion, summed in player order, and the pattern counts give the
+    # row scan's disjunction fractions
+    rows, k = _edge_bits()[case]
+    p = rows.shape[1]
+    data = BinaryDataset(rows)
+    budget = PrivacyBudget(epsilon=2.0)
+    rng, ref_rng = derived_rng(32), derived_rng(32)
+    table = _quiet_release(data, k, 0.05, budget, rng)
+
+    orpoly = build_or_polynomial(k, 0.05)
+    alphas, per_alpha = _expansion_pieces(p, orpoly)
+    b = coefficient_bound(orpoly, p)
+    ref = _reference_column_means(
+        expand_rows(rows, alphas, per_alpha) + b, 2.0 * b, budget,
+        ref_rng) - b
+    assert _same_bits(table.values, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    if p < 64:
+        queries = _all_queries(p, 2)
+    else:  # the lowest bit, the two highest, and none or all of them
+        eye = np.eye(p, dtype=int)
+        queries = [eye[0], eye[62], eye[63], eye[62] + eye[63],
+                   np.zeros(p, dtype=int), np.ones(p, dtype=int)]
+    for q in queries:
+        got = disjunction_truth(data, q)
+        assert type(got) is float
+        assert got == disjunction_fraction(rows, q)
 
 
 def test_answers_are_clamped():
@@ -297,7 +371,9 @@ def _reference_column_means(values, bound, budget, rng):
     return total / values.shape[0]
 
 
-STREAM_NS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]
+# one partial block; one short of, at and one past the end of a second
+# block; many blocks and a partial last one
+STREAM_NS = [1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 6 * BLOCK + 17]
 STREAM_BUDGETS = [PrivacyBudget(epsilon=2.0), NOISELESS]
 
 
@@ -320,7 +396,7 @@ def test_streamed_marginals_match_whole_matrix(n, budget, split_budget):
     b = coefficient_bound(orpoly, p)
     sub = budget.split(len(alphas)) if split_budget else budget
     ref = _reference_column_means(
-        _expand_rows(data.rows, alphas, per_alpha) + b, 2.0 * b, sub,
+        expand_rows(data.rows, alphas, per_alpha) + b, 2.0 * b, sub,
         ref_rng) - b
     assert _same_bits(table.values, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -346,11 +422,11 @@ def test_streamed_range_check_reaches_last_block(bad):
     # the only out-of-range entry sits in the last, partial block
     n, dim, bound = 2 * BLOCK + 5, 3, 2.0
 
-    def rows_values(lo, hi):
+    def rows_values(lo, hi, out):
         vals = np.ones((hi - lo, dim))
         if hi == n:
             vals[-1, 1] = bad
-        return vals
+        out[...] = vals
 
     for budget in STREAM_BUDGETS:
         with pytest.raises(ParameterError):
@@ -372,6 +448,16 @@ PEAK_MIB = 48.0  # whole-matrix releases peaked at 378 and 146 MiB at these size
 
 def test_marginals_release_memory_is_per_block():
     n, p = 100_000, 8
+    data = BinaryDataset((derived_rng(55).random((n, p)) < 0.3).astype(int))
+    peak = _traced_peak_mib(lambda: _quiet_release(
+        data, 2, 0.05, PrivacyBudget(epsilon=2.0), derived_rng(56)))
+    assert peak < PEAK_MIB
+
+
+def test_marginals_release_memory_is_per_block_with_many_patterns():
+    # most of the 20k rows are distinct 16-bit patterns: a table of every
+    # distinct pattern's vector would take about 80 MiB
+    n, p = 20_000, 16
     data = BinaryDataset((derived_rng(55).random((n, p)) < 0.3).astype(int))
     peak = _traced_peak_mib(lambda: _quiet_release(
         data, 2, 0.05, PrivacyBudget(epsilon=2.0), derived_rng(56)))
