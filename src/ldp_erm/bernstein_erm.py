@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (ClippingWarning, ConfigurationError, EstimationError,
                      ParameterError, SampleSizeWarning)
 from .polyapprox import (BernsteinOperatorSpec, contract_grid,
                          iterated_basis_weights, iterated_bernstein_eval)
-from .primitives import (PrivacyBudget, PublicRandomness, Transcript,
+from .primitives import (PrivacyBudget, PublicRandomness,
                          check_onebit_epsilon, ldp_avg_1d, onebit_decode,
                          onebit_encode_many)
 from .rng import TAG_BITS, TAG_PARTITION, derived_rng
@@ -227,8 +227,7 @@ def _warn_clipped(clipped: int, n_evals: int):
 
 
 def alg2_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
-             budget: PrivacyBudget, rng: np.random.Generator,
-             transcript: Optional[Transcript] = None) -> GridRelease:
+             budget: PrivacyBudget, rng: np.random.Generator) -> GridRelease:
     """Laplace-per-grid-point protocol over [0, 1]^p.
 
     Every player reports each grid evaluation of ``spec``'s grid through
@@ -243,16 +242,12 @@ def alg2_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
         vals, outside = _clipped_losses(loss, grid[gi], data.rows)
         clipped += outside
         estimates[gi] = ldp_avg_1d(vals, 1.0, per_point, rng)
-    if transcript is not None:
-        # one message per player holding all grid evaluations
-        transcript.add_bulk(data.n, reals_per=float(len(grid)))
     _warn_clipped(clipped, len(grid) * data.n)
     return _release(spec, estimates, clipped)
 
 
 def alg3_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
-             budget: PrivacyBudget, seed: int,
-             transcript: Optional[Transcript] = None) -> GridRelease:
+             budget: PrivacyBudget, seed: int) -> GridRelease:
     """One-bit protocol over [0, 1]^p: partition players across grid points.
 
     Each player sends one bit at ``budget``'s epsilon for its cell's point
@@ -287,8 +282,7 @@ def alg3_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
         clipped += outside
     _warn_clipped(clipped, n)
 
-    bits, _ = onebit_encode_many(values, ys, eps, derived_rng(seed, TAG_BITS),
-                                 transcript)
+    bits, _ = onebit_encode_many(values, ys, eps, derived_rng(seed, TAG_BITS))
     estimates = np.array([onebit_decode(bits[cell], ys[cell])
                           for cell in cells])
     return _release(spec, estimates, clipped)

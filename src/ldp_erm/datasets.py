@@ -351,5 +351,5 @@ def generate_dataset(spec: dict, seed: int):
         return BoxDataset(x)
     if family == "separable-two-class":
         return separable_two_class(n, dim, spec_value(spec, "margin"), rng)
-    return BinaryDataset(
-        (rng.random((n, dim)) < spec_value(spec, "q")).astype(np.int64))
+    # _checked makes the one int64 copy of the boolean rows
+    return BinaryDataset(rng.random((n, dim)) < spec_value(spec, "q"))

@@ -14,7 +14,7 @@ class ConfigurationError(LdpErmError):
 
 
 class ProtocolError(LdpErmError):
-    """A message or transcript violates the protocol's structural rules."""
+    """A message violates the protocol's structural rules."""
 
 
 class EstimationError(LdpErmError):

@@ -22,10 +22,11 @@ import numpy as np
 
 from .datasets import BallDataset
 from .errors import ParameterError, ProtocolError
+from .geometry import project_unit_ball
 from .polyapprox import (SmoothedPlus, SubgradientSampler,
                          bernstein_deriv_coeffs, hbeta_deriv, hinge_sampler,
                          kink_locations, sample_q_many)
-from .primitives import PrivacyBudget, Transcript
+from .primitives import PrivacyBudget
 from .sigm import _CHUNK, SigmSchedule, sigm_run
 
 PILOT_PROBES = 8  # points at which the pilot noise estimate probes
@@ -67,8 +68,7 @@ def replica_noise_stds(budget: PrivacyBudget, d: int) -> tuple:
 
 
 def glm_player_encode(record: tuple, budget: PrivacyBudget, d: int,
-                      rng: np.random.Generator,
-                      transcript: Optional[Transcript] = None) -> ReplicaMessage:
+                      rng: np.random.Generator) -> ReplicaMessage:
     """Encode one record (x, y) into d(d+1)+1 independently noised replicas.
 
     A one-row call of the population encoder, so it draws the same noise in
@@ -79,7 +79,7 @@ def glm_player_encode(record: tuple, budget: PrivacyBudget, d: int,
     x, y = record
     x = np.asarray(x, dtype=float)
     head_x, head_y, body_x, body_y = _encode_population(
-        x[None, :], np.array([float(y)]), budget, d, rng, transcript)
+        x[None, :], np.array([float(y)]), budget, d, rng)
     return ReplicaMessage(head_x=head_x[0], head_y=float(head_y[0]),
                           body_x=body_x[0], body_y=body_y[0])
 
@@ -350,8 +350,7 @@ def empirical_risk(data: BallDataset, flavor: LossFlavor,
 
 def _encode_population(features: np.ndarray, labels: np.ndarray,
                        budget: PrivacyBudget, d: int,
-                       rng: np.random.Generator,
-                       transcript: Optional[Transcript]) -> tuple:
+                       rng: np.random.Generator) -> tuple:
     """Vectorized encoding of every player; one message each."""
     n, dim = features.shape
     m = d * (d + 1)
@@ -367,8 +366,6 @@ def _encode_population(features: np.ndarray, labels: np.ndarray,
         body_x = features[:, None, :] + rng.normal(0.0, body_std,
                                                    (n, m, dim))
         body_y = labels[:, None] + rng.normal(0.0, body_std, (n, m))
-    if transcript is not None:
-        transcript.add_bulk(n, reals_per=(m + 1) * (dim + 1))
     return head_x, head_y, body_x, body_y
 
 
@@ -378,7 +375,7 @@ def _pilot_sigma(gradients: Callable, replay: Callable, dim: int,
     worst = 0.0
     for _ in range(PILOT_PROBES):
         v = rng.standard_normal(dim)
-        w = v / max(1.0, np.linalg.norm(v))
+        w = project_unit_ball(v)
         grads = gradients(w, *replay(PILOT_SAMPLES))
         centered = grads - grads.mean(axis=0)
         worst = max(worst, float(np.sqrt(np.mean(np.sum(centered ** 2,
@@ -386,11 +383,22 @@ def _pilot_sigma(gradients: Callable, replay: Callable, dim: int,
     return worst
 
 
+def glm_degree(target_alpha: float, d_cap: int) -> tuple:
+    """(d, d_theory): the theory's degree d_theory = 2/(beta^2 alpha) at
+    beta = alpha/4, rounded up and at least 1, and d, that degree capped at
+    ``d_cap``."""
+    if not 0.0 < target_alpha <= 1.0:
+        raise ParameterError(
+            f"target_alpha must lie in (0, 1], got {target_alpha}")
+    beta = target_alpha / 4.0
+    d_theory = max(1, math.ceil(2.0 / (beta ** 2 * target_alpha)))
+    return min(d_theory, d_cap), d_theory
+
+
 def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
                 budget: PrivacyBudget, rng: np.random.Generator,
                 d_cap: int = 8, iters: Optional[int] = None,
-                sigma_safety: float = 4.0,
-                transcript: Optional[Transcript] = None) -> GlmRunReport:
+                sigma_safety: float = 4.0) -> GlmRunReport:
     """Full protocol: encode every player once, then optimize.
 
     The smoothing level and degree follow the accuracy target (beta =
@@ -403,12 +411,8 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     conservative scales cost a constant factor in rate but keep early
     iterates from wandering when the replica products are heavy-tailed.
     """
-    if not 0.0 < target_alpha <= 1.0:
-        raise ParameterError(
-            f"target_alpha must lie in (0, 1], got {target_alpha}")
+    d, d_theory = glm_degree(target_alpha, d_cap)
     beta = target_alpha / 4.0
-    d_theory = max(1, math.ceil(2.0 / (beta ** 2 * target_alpha)))
-    d = min(d_theory, d_cap)
 
     if flavor.name == "hinge":
         cfg = hinge_oracle_config(d, beta)
@@ -418,7 +422,7 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
         cfg = general_linear_oracle_config(d, beta, flavor.sampler)
 
     head_x, head_y, body_x, body_y = _encode_population(
-        data.features, data.labels, budget, d, rng, transcript)
+        data.features, data.labels, budget, d, rng)
 
     # The server replays the frozen messages. Its randomness (rows and kink
     # locations) does not depend on the iterate, so it is drawn up front.

@@ -29,13 +29,13 @@ from .datasets import (DATA_KEYS, FAMILIES, KINDS, MAX_BITS, BallDataset,
                        check_spec, count, flag, generate_dataset, number,
                        numbers, optional, spec_value)
 from .errors import ConfigurationError
-from .glm_erm import glm_erm_run, hinge_flavor, hinge_via_general_flavor
-from .polyapprox import BernsteinOperatorSpec
-from .primitives import (PrivacyBudget, Transcript, check_onebit_epsilon,
-                         ldp_avg_1d)
-from .query_release import (check_basis_cap, disjunction_truth,
-                            marginals_answer, marginals_release,
-                            smooth_release_and_answer)
+from .glm_erm import (glm_degree, glm_erm_run, hinge_flavor,
+                      hinge_via_general_flavor)
+from .polyapprox import BernsteinOperatorSpec, build_or_polynomial
+from .primitives import PrivacyBudget, check_onebit_epsilon, ldp_avg_1d
+from .query_release import (check_basis_cap, check_expansion_cap,
+                            disjunction_truth, marginals_answer,
+                            marginals_release, smooth_release_and_answer)
 from .rng import (TAG_TRIAL, TAG_TRIAL_DATASET, TAG_TRIAL_MECHANISM,
                   derived_rng, derived_seed)
 
@@ -48,6 +48,8 @@ REPORT_COLUMNS = [
 
 TRANSCRIPT_COLUMNS = ["trial", "mechanism", "n", "messages",
                       "bits_per_player", "reals_per_player"]
+
+BITS_PER_REAL = 64  # accounting convention for one real-valued entry
 
 # the config's own counts, parsed as a mechanism's counts are
 _COUNTS = {
@@ -282,33 +284,32 @@ def grid_loss_excess(name: str, data: CubeDataset, w: np.ndarray) -> float:
 #
 # An executor runs one trial of its mechanism on the trial's dataset, which
 # holds records of a type its table entry consumes. It gets every param the
-# entry declares, parsed, the trial seed and the trial's transcript, and
-# returns the report fields it measured; ``run_trial`` fills in the sizes and
-# the message accounting. Library calls go through this module's globals at
-# call time, so that they can be wrapped from outside (span tracing).
+# entry declares, parsed, and the trial seed, and returns the report fields
+# it measured; ``run_trial`` fills in the sizes, and the message accounting
+# from the entry's declared message. Library calls go through this module's
+# globals at call time, so that they can be wrapped from outside (span
+# tracing).
 
 
 def _trial_grid(data: CubeDataset, params: dict, seed: int,
-                transcript: Transcript, onebit: bool) -> dict:
+                onebit: bool) -> dict:
     loss = make_grid_loss(params["loss"])
     k, h, epsilon = params["k"], params["h"], params["epsilon"]
     spec = BernsteinOperatorSpec(k=k, h=h, p=data.dim)
     budget = PrivacyBudget(epsilon=epsilon)
     if onebit:
         release = alg3_run(data, loss, spec, budget,
-                           derived_seed(seed, TAG_TRIAL_MECHANISM),
-                           transcript=transcript)
+                           derived_seed(seed, TAG_TRIAL_MECHANISM))
     else:
         release = alg2_run(data, loss, spec, budget,
-                           derived_rng(seed, TAG_TRIAL_MECHANISM),
-                           transcript=transcript)
+                           derived_rng(seed, TAG_TRIAL_MECHANISM))
     err = grid_loss_excess(params["loss"], data, release.w_priv)
     return {"k": k, "h": h, "epsilon": epsilon,
             "mode": "onebit" if onebit else "laplace", "err_empirical": err}
 
 
 def _trial_glm(data: BallDataset, params: dict, seed: int,
-               transcript: Transcript, general: bool) -> dict:
+               general: bool) -> dict:
     flavor = hinge_via_general_flavor() if general else hinge_flavor()
     epsilon, delta = params["epsilon"], params["delta"]
     report = glm_erm_run(
@@ -316,7 +317,7 @@ def _trial_glm(data: BallDataset, params: dict, seed: int,
         budget=PrivacyBudget(epsilon=epsilon, delta=delta),
         rng=derived_rng(seed, TAG_TRIAL_MECHANISM),
         d_cap=params["d_cap"], iters=params["iters"],
-        sigma_safety=params["sigma_safety"], transcript=transcript)
+        sigma_safety=params["sigma_safety"])
     return {"d": report.d, "beta": report.beta, "epsilon": epsilon,
             "delta": delta, "flavor": report.flavor,
             "err_empirical": report.err_empirical,
@@ -331,13 +332,12 @@ def _all_disjunction_queries(p: int, k: int):
             yield y
 
 
-def _trial_marginals(data: BinaryDataset, params: dict, seed: int,
-                     transcript: Transcript) -> dict:
+def _trial_marginals(data: BinaryDataset, params: dict, seed: int) -> dict:
     k, gamma, epsilon = params["k"], params["gamma"], params["epsilon"]
     table = marginals_release(
         data, k, gamma, PrivacyBudget(epsilon=epsilon),
         derived_rng(seed, TAG_TRIAL_MECHANISM),
-        split_budget=params["split_budget"], transcript=transcript)
+        split_budget=params["split_budget"])
     worst = 0.0
     for y in _all_disjunction_queries(data.dim, k):
         ans = marginals_answer(table, y)
@@ -353,8 +353,7 @@ def _gaussian_kernel(center: np.ndarray, bandwidth: float):
     return f
 
 
-def _trial_smooth(data, params: dict, seed: int,
-                  transcript: Transcript) -> dict:
+def _trial_smooth(data, params: dict, seed: int) -> dict:
     data = BoxDataset(data.rows)  # cube entries are inside the box
     t, epsilon, center = params["t"], params["epsilon"], params["center"]
     if center is None:  # the default depends on the data's dimension
@@ -363,7 +362,7 @@ def _trial_smooth(data, params: dict, seed: int,
     queries = [_gaussian_kernel(center, b) for b in params["bandwidths"]]
     _, answers = smooth_release_and_answer(
         data, t, PrivacyBudget(epsilon=epsilon), queries,
-        derived_rng(seed, TAG_TRIAL_MECHANISM), transcript=transcript)
+        derived_rng(seed, TAG_TRIAL_MECHANISM))
     worst = 0.0
     for f, ans in zip(queries, answers):
         truth = float(np.mean(f(data.rows)))
@@ -402,14 +401,37 @@ def _check_avg_bench_data(dim: int, values: dict):
             f"avg-bench needs 1-d cube data; the dataset has dim {dim}")
 
 
-def _trial_avg_bench(data: CubeDataset, params: dict, seed: int,
-                     transcript: Transcript) -> dict:
+def _trial_avg_bench(data: CubeDataset, params: dict, seed: int) -> dict:
     values = data.rows[:, 0]
     epsilon = params["epsilon"]
     a = ldp_avg_1d(values, 1.0, PrivacyBudget(epsilon=epsilon),
-                   derived_rng(seed, TAG_TRIAL_MECHANISM),
-                   transcript=transcript)
+                   derived_rng(seed, TAG_TRIAL_MECHANISM))
     return {"epsilon": epsilon, "err_empirical": abs(a - float(values.mean()))}
+
+
+# --- the messages -------------------------------------------------------------------
+#
+# What one player sends, as (reals, protocol bits), given the parsed params
+# and the data's dim. Each size comes from the rule the library enforces.
+
+
+def _grid_message(params: dict, dim: int) -> tuple:
+    return check_grid_size(params["k"], dim), 0  # one real per grid point
+
+
+def _glm_message(params: dict, dim: int) -> tuple:
+    # a head replica and d(d+1) body ones, each a point and its label
+    d, _ = glm_degree(params["target_alpha"], params["d_cap"])
+    return (d * (d + 1) + 1) * (dim + 1), 0
+
+
+def _marginals_message(params: dict, dim: int) -> tuple:
+    degree = build_or_polynomial(params["k"], params["gamma"]).degree
+    return check_expansion_cap(dim, degree), 0
+
+
+def _smooth_message(params: dict, dim: int) -> tuple:
+    return check_basis_cap(params["t"], dim), 0
 
 
 # --- the mechanism table ----------------------------------------------------------
@@ -422,7 +444,10 @@ class Mechanism:
     ``records`` are the record types it consumes (the dataset families and
     file kinds it accepts are those that give one), ``params`` maps each
     param a config may set to its ``Param`` declaration, and ``run`` is its
-    executor.
+    executor. ``message(params, dim)`` is what one player sends, as (reals,
+    protocol bits): each real counts ``BITS_PER_REAL`` bits, and the
+    protocol bits are those that are not reals (a one-bit report). Every
+    player sends one message, so it is the trial's message accounting.
     ``check_data``, if set, rejects data the mechanism cannot run on, given
     the data's ``dim`` and, per param, the list of values it takes in some
     trial. It runs up front on every synthetic spec, and in ``run_trial``
@@ -432,6 +457,7 @@ class Mechanism:
     records: tuple
     params: dict
     run: Callable
+    message: Callable
     check_data: Optional[Callable] = None
 
 
@@ -464,18 +490,21 @@ _GLM_PARAMS = {
 MECHANISMS = {
     "bernstein": Mechanism((CubeDataset,), _GRID_PARAMS,
                            functools.partial(_trial_grid, onebit=False),
-                           _check_grid_data),
+                           _grid_message, _check_grid_data),
     # one-bit messages need epsilon <= ln 2, a rule the encoder keeps
     "onebit": Mechanism(
         (CubeDataset,),
         {**_GRID_PARAMS, "epsilon": Param(
             0.5, "a number in (0, ln 2]",
             lambda v: check_onebit_epsilon(_EPSILON.parse(v)))},
-        functools.partial(_trial_grid, onebit=True), _check_grid_data),
+        functools.partial(_trial_grid, onebit=True),
+        lambda params, dim: (0, 1), _check_grid_data),
     "hinge": Mechanism((BallDataset,), _GLM_PARAMS,
-                       functools.partial(_trial_glm, general=False)),
+                       functools.partial(_trial_glm, general=False),
+                       _glm_message),
     "general-linear": Mechanism((BallDataset,), _GLM_PARAMS,
-                                functools.partial(_trial_glm, general=True)),
+                                functools.partial(_trial_glm, general=True),
+                                _glm_message),
     "marginals": Mechanism(
         (BinaryDataset,),
         {"k": Param(2, "an integer >= 1", count),
@@ -483,7 +512,7 @@ MECHANISMS = {
                         number(lambda v: 0 < v < 1)),
          "epsilon": _EPSILON,
          "split_budget": Param(False, "true or false", flag)},
-        _trial_marginals, _check_marginals_data),
+        _trial_marginals, _marginals_message, _check_marginals_data),
     "smooth-queries": Mechanism(
         (BoxDataset, CubeDataset),
         {"t": Param(8, "an integer >= 1", count),
@@ -492,9 +521,10 @@ MECHANISMS = {
                          optional(numbers(math.isfinite))),
          "bandwidths": Param((1.0, 0.5), "a non-empty list of numbers > 0",
                              numbers(lambda v: v > 0))},
-        _trial_smooth, _check_smooth_data),
+        _trial_smooth, _smooth_message, _check_smooth_data),
     "avg-bench": Mechanism((CubeDataset,), {"epsilon": _EPSILON},
-                           _trial_avg_bench, _check_avg_bench_data),
+                           _trial_avg_bench, lambda params, dim: (1, 0),
+                           _check_avg_bench_data),
 }
 
 
@@ -518,13 +548,14 @@ def run_trial(cfg: ExperimentConfig, cell_params: dict, cell_index: int,
         if mech.check_data is not None:
             mech.check_data(data.dim,
                             {key: [params[key]] for key in mech.params})
-        transcript = Transcript()
-        measured = mech.run(data, params, seed, transcript)
-        sent = {"bits_per_player": transcript.bits_per_player(),
-                "reals_per_player": transcript.reals_per_player()}
+        measured = mech.run(data, params, seed)
+        reals, protocol_bits = mech.message(params, data.dim)
+        sent = {"bits_per_player": float(protocol_bits
+                                         + BITS_PER_REAL * reals),
+                "reals_per_player": float(reals)}
         base.update(measured, n=data.n, p=data.dim, **sent)
         trow = {"trial": trial, "mechanism": cfg.mechanism, "n": data.n,
-                "messages": transcript.n_messages, **sent}
+                "messages": data.n, **sent}
     except Exception as exc:  # recorded per-row; the sweep continues
         base.update(status=type(exc).__name__,
                     error=str(exc).replace(",", ";").replace("\n", " "))

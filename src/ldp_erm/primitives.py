@@ -1,10 +1,10 @@
 """Local-randomizer building blocks.
 
-Besides the privacy budget and the message accounting every mechanism
-uses, two local randomizers live here: a private scalar average (each
-player reports her value plus Laplace noise and the server takes the
-mean), and a one-bit randomizer in which players compare their value
-against a shared public Laplace draw and send a single Bernoulli bit.
+Besides the privacy budget every mechanism uses, two local randomizers
+live here: a private scalar average (each player reports her value plus
+Laplace noise and the server takes the mean), and a one-bit randomizer in
+which players compare their value against a shared public Laplace draw
+and send a single Bernoulli bit.
 Every Laplace draw in the package comes from ``laplace_sum``.
 
 Simulation contract: the privacy claim is about each player's report
@@ -31,9 +31,6 @@ import numpy as np
 
 from .errors import EstimationError, ParameterError
 from .rng import derived_rng, TAG_PUBLIC
-
-BITS_PER_REAL = 64  # accounting convention for real-valued messages
-
 
 def laplace_sum(rng: np.random.Generator, scale: float, count: int,
                 shape) -> np.ndarray:
@@ -107,42 +104,6 @@ class PublicRandomness:
         return laplace_sum(rng, self.scale, 1, self.n)
 
 
-@dataclass
-class Transcript:
-    """Message accounting for one protocol run."""
-
-    n_messages: int = 0
-    total_bits: float = 0.0
-    total_reals: float = 0.0
-
-    def add_bulk(self, n: int, *, reals_per: float = 0.0,
-                 protocol_bits_per: float = 0.0):
-        """Count ``n`` messages, each of ``reals_per`` reals and
-        ``protocol_bits_per`` further bits.
-
-        Each real is charged BITS_PER_REAL bits here, so ``protocol_bits_per``
-        holds only the bits that are not reals (a coordinate index, a
-        one-bit report).
-        """
-        for name, value in (("n", n), ("reals_per", reals_per),
-                            ("protocol_bits_per", protocol_bits_per)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ParameterError(
-                    f"{name} must be finite and >= 0, got {value}")
-        if n != int(n):
-            raise ParameterError(f"n must be a whole number, got {n}")
-        self.n_messages += int(n)
-        self.total_bits += float(n) * (protocol_bits_per
-                                       + reals_per * BITS_PER_REAL)
-        self.total_reals += float(n) * reals_per
-
-    def bits_per_player(self) -> float:
-        return self.total_bits / self.n_messages if self.n_messages else 0.0
-
-    def reals_per_player(self) -> float:
-        return self.total_reals / self.n_messages if self.n_messages else 0.0
-
-
 def _check_values(values: np.ndarray, bound: float):
     if not bound > 0:
         raise ParameterError(f"bound must be positive, got {bound}")
@@ -155,8 +116,8 @@ def _check_values(values: np.ndarray, bound: float):
         )
 
 
-def ldp_avg_1d(values, bound: float, budget: PrivacyBudget, rng: np.random.Generator,
-               transcript: Transcript | None = None) -> float:
+def ldp_avg_1d(values, bound: float, budget: PrivacyBudget,
+               rng: np.random.Generator) -> float:
     """Private mean of scalars in [0, bound].
 
     Each player reports ``v_i + Lap(bound / epsilon)`` and the server
@@ -179,8 +140,6 @@ def ldp_avg_1d(values, bound: float, budget: PrivacyBudget, rng: np.random.Gener
     total = values.sum()
     if not budget.noiseless:
         total += laplace_sum(rng, bound / budget.epsilon, n, ())
-    if transcript is not None:
-        transcript.add_bulk(n, reals_per=1.0)
     return float(total / n)
 
 
@@ -209,8 +168,8 @@ def check_onebit_epsilon(epsilon: float) -> float:
     return epsilon
 
 
-def onebit_encode_many(values, ys, epsilon: float, rng: np.random.Generator,
-                       transcript: Transcript | None = None) -> tuple[np.ndarray, np.ndarray]:
+def onebit_encode_many(values, ys, epsilon: float,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Encode each player's value in [0, 1] as one bit against its public draw.
 
     Player i sends 1 with probability
@@ -227,8 +186,6 @@ def onebit_encode_many(values, ys, epsilon: float, rng: np.random.Generator,
     _check_values(values, 1.0)
     probs = _onebit_probs(values, ys, epsilon)
     bits = (rng.random(values.shape) < probs).astype(np.int8)
-    if transcript is not None:
-        transcript.add_bulk(values.size, protocol_bits_per=1.0)
     return bits, probs
 
 

@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .datasets import BinaryDataset, BoxDataset, bit_weights
 from .errors import (ConfigurationError, ParameterError, QueryClassError,
                      SampleSizeWarning)
 from .polyapprox import OrPolynomial, build_or_polynomial, chebyshev_eval
-from .primitives import PrivacyBudget, Transcript, laplace_sum
+from .primitives import PrivacyBudget, laplace_sum
 
 CAP = 200_000  # most entries of a coefficient vector or basis (one real each)
 BLOCK = 2048  # players whose vectors a release holds at once
@@ -91,12 +91,19 @@ class MarginalCoefficientTable:
     bound: float  # per-coordinate magnitude bound used for the noise
 
 
-def _expansion_pieces(p: int, orpoly: OrPolynomial):
-    dim = math.comb(p + orpoly.degree, orpoly.degree)
+def check_expansion_cap(p: int, degree: int) -> int:
+    """The expansion's C(p+degree, degree) coefficient count; rejects a
+    count above ``CAP``."""
+    dim = math.comb(p + degree, degree)
     if dim > CAP:
         raise ConfigurationError(
-            f"marginal expansion needs C({p}+{orpoly.degree},{orpoly.degree}) "
-            f"= {dim} coefficients, above the cap {CAP}")
+            f"marginal expansion needs C({p}+{degree},{degree}) = {dim} "
+            f"coefficients, above the cap {CAP}")
+    return dim
+
+
+def _expansion_pieces(p: int, orpoly: OrPolynomial):
+    check_expansion_cap(p, orpoly.degree)
     alphas = _multi_indices(p, orpoly.degree)
     factors = _multinomial_factors(alphas)
     per_alpha = orpoly.coeffs[alphas.sum(axis=1)] * factors
@@ -171,8 +178,7 @@ def _private_column_means(rows_values: Callable[[int, int, np.ndarray], None],
 
 def marginals_release(data: BinaryDataset, k: int, gamma: float,
                       budget: PrivacyBudget, rng: np.random.Generator,
-                      split_budget: bool = False,
-                      transcript: Optional[Transcript] = None) -> MarginalCoefficientTable:
+                      split_budget: bool = False) -> MarginalCoefficientTable:
     """Privately average the players' expansion vectors.
 
     Each player sends their whole coefficient vector once; every coordinate
@@ -213,8 +219,6 @@ def marginals_release(data: BinaryDataset, k: int, gamma: float,
 
     means = _private_column_means(player_vectors, data.n, dim, 2.0 * b,
                                   sub_budget, rng) - b
-    if transcript is not None:
-        transcript.add_bulk(data.n, reals_per=dim)
     return MarginalCoefficientTable(values=means, alphas=alphas, p=p, k=k,
                                     t_k=orpoly.degree, gamma=gamma, bound=b)
 
@@ -331,8 +335,7 @@ def smooth_query_coefficients(f: Callable, t: int, p: int) -> np.ndarray:
 
 
 def smooth_release(data: BoxDataset, t: int, budget: PrivacyBudget,
-                   rng: np.random.Generator,
-                   transcript: Optional[Transcript] = None) -> CosineCoefficientTable:
+                   rng: np.random.Generator) -> CosineCoefficientTable:
     """Privately average every player's basis vector (one message each).
 
     Basis values live in [-1, 1]; they are shifted to [0, 1] for the
@@ -346,8 +349,6 @@ def smooth_release(data: BoxDataset, t: int, budget: PrivacyBudget,
         lambda lo, hi, out: np.divide(
             _basis_matrix(data.rows[lo:hi], t) + 1.0, 2.0, out=out),
         data.n, dim, 1.0, budget, rng)
-    if transcript is not None:
-        transcript.add_bulk(data.n, reals_per=dim)
     return CosineCoefficientTable(values=2.0 * means01 - 1.0, p=data.dim, t=t)
 
 
@@ -362,9 +363,8 @@ def answer_smooth_query(table: CosineCoefficientTable,
 def smooth_release_and_answer(data: BoxDataset, t: int,
                               budget: PrivacyBudget,
                               queries: Sequence[Callable],
-                              rng: np.random.Generator,
-                              transcript: Optional[Transcript] = None):
+                              rng: np.random.Generator):
     """One private release, then every query answered from it."""
-    table = smooth_release(data, t, budget, rng, transcript)
+    table = smooth_release(data, t, budget, rng)
     return table, [answer_smooth_query(table, f) for f in queries]
 

@@ -31,7 +31,7 @@ from ldp_erm.polyapprox import (BernsteinOperatorSpec, SmoothedPlus,
                                 SubgradientSampler, hinge_sampler,
                                 iterated_bernstein_eval, kink_locations,
                                 sample_q_many)
-from ldp_erm.primitives import (PrivacyBudget, PublicRandomness, Transcript,
+from ldp_erm.primitives import (PrivacyBudget, PublicRandomness,
                                 avg_error_bound, ldp_avg_1d, onebit_decode,
                                 onebit_encode_many)
 from ldp_erm.query_release import (BinaryDataset, BoxDataset,
@@ -40,6 +40,7 @@ from ldp_erm.query_release import (BinaryDataset, BoxDataset,
                                    smooth_release, smooth_release_and_answer)
 from ldp_erm.rng import derived_rng, derived_seed
 from ldp_erm.sigm import SigmSchedule, sigm_run
+from trial_messages import trial_messages
 
 QUADRATIC = make_grid_loss("quadratic")
 
@@ -177,20 +178,22 @@ def test_criterion_04_alg2_end_to_end():
            f"{medians[1_000_000]:.2e})")
 
 
-def test_criterion_05_alg3_bits_unbiasedness_and_parity():
+def test_criterion_05_alg3_bits_unbiasedness_and_parity(tmp_path):
     finish = _budgeted(300)
     epsilon = 0.5
     spec = BernsteinOperatorSpec(p=1, k=8, h=1)
     budget = PrivacyBudget(epsilon=epsilon)
 
-    # (a) transcript: exactly one bit per player, no reals
+    # (a) a trial's accounting: one message per player, exactly one bit
+    # and no reals
     data = CubeDataset(derived_rng(1200).random((5000, 1)))
-    transcript = Transcript()
-    alg3_run(data, QUADRATIC, spec, budget, seed=77, transcript=transcript)
-    assert transcript.n_messages == 5000
-    assert transcript.total_bits == 5000
-    assert transcript.bits_per_player() == 1.0
-    assert transcript.total_reals == 0.0
+    sent = trial_messages(tmp_path / "onebit", "onebit", data.rows, "cube",
+                          {"k": spec.k, "h": spec.h, "epsilon": epsilon},
+                          seed=77)
+    assert int(sent["messages"]) == 5000
+    assert int(sent["messages"]) * float(sent["bits_per_player"]) == 5000
+    assert float(sent["bits_per_player"]) == 1.0
+    assert float(sent["reals_per_player"]) == 0.0
 
     # (b) decoded cell means are unbiased (Monte-Carlo, 3 standard errors)
     cell = derived_rng(1201).random(200)
@@ -275,8 +278,7 @@ def test_criterion_07_glm_oracles():
         # reps encodings of the one record: their body margins at w, times
         # the product signs (see glm_erm._fold), and their heads y_0 x_0
         head_x, head_y, body_x, body_y = _encode_population(
-            np.tile(x, (reps, 1)), np.full(reps, y_lab), budget, d, rng,
-            None)
+            np.tile(x, (reps, 1)), np.full(reps, y_lab), budget, d, rng)
         return (signs * body_y) * (body_x @ w), head_y[:, None] * head_x
 
     margins, heads = replayed(derived_rng(2007))
@@ -436,7 +438,7 @@ def test_criterion_10_marginals():
            f"gamma; private {good}/20 trials <= 0.2 (max {max(worsts):.3f})")
 
 
-def test_criterion_11_smooth_queries():
+def test_criterion_11_smooth_queries(tmp_path):
     finish = _budgeted(120)
     rng = derived_rng(101)
     data = BoxDataset(np.clip(rng.normal(0.0, 0.4, size=(10_000, 2)), -1, 1))
@@ -449,16 +451,20 @@ def test_criterion_11_smooth_queries():
         worst = max(worst, abs(answer_smooth_query(table, f).value - truth))
     assert worst <= 1e-2
 
-    transcript = Transcript()
     queries = [_gaussian_kernel(np.array([0.2, -0.1]), bw)
                for bw in (0.5, 0.3)]
-    rel, answers = smooth_release_and_answer(
-        data, 8, PrivacyBudget(epsilon=2.0), queries, derived_rng(103),
-        transcript=transcript)
+    _, answers = smooth_release_and_answer(
+        data, 8, PrivacyBudget(epsilon=2.0), queries, derived_rng(103))
     assert len(answers) == 2
-    messages_after_release = transcript.n_messages
-    answer_smooth_query(rel, queries[0])
-    assert transcript.n_messages == messages_after_release == data.n
+    # a trial answering both bandwidths sends what one answering one
+    # sends: one message per player, the queries are answered offline
+    params = {"t": 8, "epsilon": 2.0, "center": [0.2, -0.1]}
+    one, both = (trial_messages(tmp_path / str(len(bws)), "smooth-queries",
+                                data.rows, "box",
+                                {**params, "bandwidths": bws})
+                 for bws in ([0.5], [0.5, 0.3]))
+    messages_after_release = int(one["messages"])
+    assert both == one and messages_after_release == data.n
     finish(f"criterion 11 PASS: zero-noise worst {worst:.1e}; both "
            f"bandwidths from one release ({messages_after_release} messages)")
 

@@ -15,8 +15,9 @@ from ldp_erm.errors import (ClippingWarning, ConfigurationError,
                             SampleSizeWarning)
 from ldp_erm.harness import grid_loss_excess, make_grid_loss
 from ldp_erm.polyapprox import BernsteinOperatorSpec
-from ldp_erm.primitives import PrivacyBudget, Transcript
+from ldp_erm.primitives import PrivacyBudget
 from ldp_erm.rng import derived_rng
+from trial_messages import trial_messages
 
 QUAD = make_grid_loss("quadratic")
 NOISELESS = PrivacyBudget(epsilon=float("inf"))
@@ -144,13 +145,14 @@ def test_alg2_budget_split_accounting():
     assert abs(per_point.epsilon * size - 2.0) < 1e-12
 
 
-def test_alg2_transcript_one_message_per_player():
+def test_alg2_transcript_one_message_per_player(tmp_path):
     rng = derived_rng(4)
-    t = Transcript()
     data = CubeDataset(rng.random((500, 1)))
-    alg2_run(data, QUAD, *_cfg(k=8, epsilon=2.0), rng, transcript=t)
-    assert t.n_messages == 500
-    assert t.reals_per_player() == 9.0  # (k+1)^p grid evaluations per message
+    sent = trial_messages(tmp_path, "bernstein", data.rows, "cube",
+                          {"k": 8, "epsilon": 2.0})
+    assert int(sent["messages"]) == 500
+    # (k+1)^p grid evaluations per message
+    assert float(sent["reals_per_player"]) == 9.0
 
 
 def test_alg2_noiseless_surrogate_decomposition():
@@ -357,14 +359,14 @@ def test_alg3_flat_loss_decodes_constant():
     assert np.max(np.abs(release.grid_estimates - 0.5)) < 0.15
 
 
-def test_alg3_transcript_is_one_bit_per_player():
+def test_alg3_transcript_is_one_bit_per_player(tmp_path):
     rng = derived_rng(10)
     data = CubeDataset(rng.random((2_000, 1)))
-    t = Transcript()
-    alg3_run(data, QUAD, *_cfg(k=2, epsilon=0.5), seed=7, transcript=t)
-    assert t.n_messages == 2_000
-    assert t.bits_per_player() == 1.0
-    assert t.total_bits == 2_000
+    sent = trial_messages(tmp_path, "onebit", data.rows, "cube",
+                          {"k": 2, "epsilon": 0.5}, seed=7)
+    assert int(sent["messages"]) == 2_000
+    assert float(sent["bits_per_player"]) == 1.0
+    assert int(sent["messages"]) * float(sent["bits_per_player"]) == 2_000
 
 
 def test_alg3_warns_when_n_small():

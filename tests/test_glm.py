@@ -21,9 +21,10 @@ from ldp_erm.glm_erm import (BallDataset, LossFlavor, ReplicaMessage,
                              hinge_via_general_flavor, replica_noise_stds)
 from ldp_erm.polyapprox import (SmoothedPlus, SubgradientSampler,
                                 hbeta_deriv, hinge_sampler, kink_locations)
-from ldp_erm.primitives import PrivacyBudget, Transcript
+from ldp_erm.primitives import PrivacyBudget
 from ldp_erm.rng import derived_rng
 from ldp_erm.sigm import SigmSchedule, sigm_run
+from trial_messages import trial_messages
 
 NOISELESS = PrivacyBudget(epsilon=float("inf"))
 LOG_TERM = math.log(1.25e5)  # log(1.25/delta) at delta = 1e-5
@@ -74,13 +75,20 @@ def test_encode_head_std_empirical():
     assert abs(heads.std() - want) <= 0.02 * want
 
 
-def test_encode_transcript_accounting():
-    t = Transcript()
+def test_encode_transcript_accounting(tmp_path):
     x, y = np.array([0.1, 0.2, 0.3, 0.4]), -0.5
-    glm_player_encode((x, y), PrivacyBudget(epsilon=1.0, delta=1e-5), 3,
-                      derived_rng(2), transcript=t)
-    assert t.reals_per_player() == 13 * 5  # (d(d+1)+1) * (p+1)
-    assert t.bits_per_player() == 64 * 13 * 5
+    msg = glm_player_encode((x, y), PrivacyBudget(epsilon=1.0, delta=1e-5),
+                            3, derived_rng(2))
+    sizes = [np.size(part) for part in (msg.head_x, msg.head_y, msg.body_x,
+                                        msg.body_y)]
+    assert sum(sizes) == 13 * 5  # (d(d+1)+1) * (p+1)
+    # a hinge trial on this one record declares what the encoder sent
+    sent = trial_messages(tmp_path, "hinge", np.append(x, y)[None, :],
+                          "ball", {"epsilon": 1.0, "delta": 1e-5,
+                                   "d_cap": 3})
+    assert int(sent["messages"]) == 1
+    assert float(sent["reals_per_player"]) == 13 * 5
+    assert float(sent["bits_per_player"]) == 64 * 13 * 5
 
 
 def test_encode_player_draw_order():
@@ -417,7 +425,7 @@ def _unfolded_run(data, flavor, budget, rng, d):
     cfg = (hinge_oracle_config(d, beta) if flavor.name == "hinge" else
            general_linear_oracle_config(d, beta, flavor.sampler))
     head_x, head_y, body_x, body_y = _encode_population(
-        data.features, data.labels, budget, d, rng, None)
+        data.features, data.labels, budget, d, rng)
     n, dim, m = data.n, data.dim, d * (d + 1)
     head = head_y[:, None] * head_x
 

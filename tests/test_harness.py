@@ -16,17 +16,22 @@ from grid_reference import dense_grid_minimize
 from ldp_erm import baselines, harness
 from ldp_erm.baselines import (certified_lower_bound, glm_baseline,
                                projected_subgradient)
-from ldp_erm.bernstein_erm import CubeDataset, check_grid_size
+from ldp_erm.bernstein_erm import CubeDataset, check_grid_size, grid_points
 from ldp_erm.datasets import FAMILY_KEYS, generate_dataset, separable_two_class
 from ldp_erm.errors import (ConfigurationError, ParameterError,
                             SampleSizeWarning)
 from ldp_erm.geometry import project_unit_ball
-from ldp_erm.glm_erm import BallDataset, hinge_flavor
+from ldp_erm.glm_erm import (BallDataset, glm_degree, glm_player_encode,
+                             hinge_flavor)
 from ldp_erm.harness import (MECHANISMS, REPORT_COLUMNS, TRANSCRIPT_COLUMNS,
                              ExperimentConfig, apply_set_overrides,
                              grid_loss_excess, load_config, make_grid_loss,
                              run_experiment, _expand_sweep)
-from ldp_erm.query_release import BinaryDataset, BoxDataset, check_basis_cap
+from ldp_erm.polyapprox import build_or_polynomial
+from ldp_erm.primitives import PrivacyBudget, ldp_avg_1d, onebit_encode_many
+from ldp_erm.query_release import (BinaryDataset, BoxDataset, _basis_matrix,
+                                   _expand_patterns, _expansion_pieces,
+                                   check_basis_cap)
 from ldp_erm.rng import derived_rng
 from ldp_erm import cli
 
@@ -660,6 +665,85 @@ def test_real_valued_messages_count_64_bits_per_real(tmp_path, mechanism,
         (report,) = list(csv.DictReader(fh))
     for column in ("bits_per_player", "reals_per_player"):
         assert report[column] == row[column]
+
+
+def _one_player_message(mechanism: str, params: dict, dim: int) -> tuple:
+    """(reals, protocol bits) that a one-row call of the mechanism's encoder
+    produces, at its parsed ``params`` on data of ``dim``."""
+    rng = derived_rng(70)
+    if mechanism == "bernstein":  # one evaluation per grid point
+        return len(grid_points(params["k"], dim)), 0
+    if mechanism == "onebit":
+        bits, _ = onebit_encode_many([0.5], [0.1], params["epsilon"], rng)
+        return 0, bits.size
+    if mechanism in ("hinge", "general-linear"):
+        d, _ = glm_degree(params["target_alpha"], params["d_cap"])
+        budget = PrivacyBudget(params["epsilon"], params["delta"])
+        msg = glm_player_encode((np.full(dim, 0.1), 0.5), budget, d, rng)
+        return sum(np.size(part) for part in (msg.head_x, msg.head_y,
+                                              msg.body_x, msg.body_y)), 0
+    if mechanism == "marginals":
+        alphas, per_alpha = _expansion_pieces(
+            dim, build_or_polynomial(params["k"], params["gamma"]))
+        return _expand_patterns(np.array([1]), alphas, per_alpha).shape[1], 0
+    if mechanism == "smooth-queries":
+        return _basis_matrix(np.full((1, dim), 0.1), params["t"]).shape[1], 0
+    assert mechanism == "avg-bench"
+    return np.size(ldp_avg_1d([0.5], 1.0, PrivacyBudget(params["epsilon"]),
+                              rng)), 0
+
+
+_MESSAGE_DATA = {
+    "bernstein": {"family": "uniform-cube", "n": 200, "dim": 2},
+    "onebit": {"family": "uniform-cube", "n": 200, "dim": 2},
+    "hinge": {"family": "separable-two-class", "n": 40, "dim": 3},
+    "general-linear": {"family": "separable-two-class", "n": 40, "dim": 3},
+    "marginals": {"family": "bernoulli-bits", "n": 200, "dim": 4, "q": 0.3},
+    "smooth-queries": {"family": "gaussian-ball-clipped", "n": 200,
+                       "dim": 2},
+    "avg-bench": {"family": "uniform-cube", "n": 200, "dim": 1},
+}
+# per mechanism, a config other than its defaults; hinge's d_cap lies above
+# the theory degree 32, where its default 8 lies below it (noiseless: at
+# degree 32 the noised replica products overflow)
+_MESSAGE_PARAMS = {
+    "bernstein": {"k": 3},
+    "onebit": {"k": 3, "epsilon": 0.25},
+    "hinge": {"d_cap": 40, "epsilon": math.inf},
+    "general-linear": {"d_cap": 2, "target_alpha": 0.5},
+    "marginals": {"k": 3, "gamma": 0.2},
+    "smooth-queries": {"t": 3},
+    "avg-bench": {"epsilon": 2.0},
+}
+
+
+@pytest.mark.parametrize("mechanism, params", [
+    pytest.param(mechanism, params, id=f"{mechanism}-{label}")
+    for mechanism in MECHANISMS
+    for label, params in (("defaults", {}),
+                          ("other", _MESSAGE_PARAMS[mechanism]))])
+def test_encoder_sends_the_declared_message(tmp_path, mechanism, params):
+    mech, dataset = MECHANISMS[mechanism], _MESSAGE_DATA[mechanism]
+    parsed = {key: param.parsed(key, params.get(key, param.default))
+              for key, param in mech.params.items()}
+    reals, bits = mech.message(parsed, dataset["dim"])
+    assert (reals, bits) == _one_player_message(mechanism, parsed,
+                                                dataset["dim"])
+    # every trial counts one message per player, each the declared one
+    cfg = ExperimentConfig(mechanism=mechanism, dataset=dataset,
+                           params=params, trials=2, seed=4,
+                           out=str(tmp_path / "run"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampleSizeWarning)
+        result = run_experiment(cfg)
+    assert result.failures == 0
+    with open(result.transcript_path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:
+        assert int(row["messages"]) == dataset["n"]
+        assert float(row["reals_per_player"]) == reals
+        assert float(row["bits_per_player"]) == bits + 64 * reals
 
 
 def test_avg_bench_error_slope(tmp_path):

@@ -8,11 +8,11 @@ from scipy.stats import chi2
 
 from formula_reference import laplace_logpdf
 from ldp_erm.errors import EstimationError, ParameterError
-from ldp_erm.primitives import (BITS_PER_REAL, PrivacyBudget,
-                                PublicRandomness, Transcript, avg_error_bound,
-                                laplace_sum, ldp_avg_1d, onebit_decode,
-                                onebit_encode_many)
+from ldp_erm.primitives import (PrivacyBudget, PublicRandomness,
+                                avg_error_bound, laplace_sum, ldp_avg_1d,
+                                onebit_decode, onebit_encode_many)
 from ldp_erm.rng import derived_rng
+from trial_messages import trial_messages
 
 
 def test_budget_validation():
@@ -245,42 +245,16 @@ def test_public_randomness_reproducible():
         PublicRandomness(seed=1, scale=0.0, n=10)
 
 
-def test_transcript_accounting():
-    t = Transcript()
-    t.add_bulk(3, protocol_bits_per=1.0)
-    assert t.n_messages == 3
-    assert t.bits_per_player() == 1.0
+def test_identical_seeds_identical_transcripts(tmp_path):
+    values = np.linspace(0, 1, 64)
 
+    def run(name):
+        est = ldp_avg_1d(values, 1.0, PrivacyBudget(epsilon=1.0),
+                         derived_rng(123, 1))
+        sent = trial_messages(tmp_path / name, "avg-bench", values[:, None],
+                              "cube", {"epsilon": 1.0}, seed=123)
+        return est, sent
 
-def test_transcript_reals_and_protocol_bits_are_separate():
-    t = Transcript()
-    t.add_bulk(2, reals_per=3.0, protocol_bits_per=5.0)
-    assert t.reals_per_player() == 3.0
-    assert t.bits_per_player() == 3.0 * BITS_PER_REAL + 5.0
-    with pytest.raises(TypeError):
-        t.add_bulk(2, 1.0)  # positional counts would hide which is which
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"n": -1}, {"n": 2.5}, {"n": math.inf},
-    {"reals_per": -1.0}, {"reals_per": math.nan}, {"reals_per": math.inf},
-    {"protocol_bits_per": -0.5}, {"protocol_bits_per": math.nan},
-])
-def test_transcript_rejects_bad_counts(kwargs):
-    t = Transcript()
-    with pytest.raises(ParameterError):
-        t.add_bulk(**{"n": 4, **kwargs})
-    assert (t.n_messages, t.total_bits, t.total_reals) == (0, 0.0, 0.0)
-
-
-def test_identical_seeds_identical_transcripts():
-    def run():
-        t = Transcript()
-        est = ldp_avg_1d(np.linspace(0, 1, 64), 1.0,
-                         PrivacyBudget(epsilon=1.0), derived_rng(123, 1),
-                         transcript=t)
-        return est, t
-
-    (a, ta), (b, tb) = run(), run()
+    (a, ta), (b, tb) = run("a"), run("b")
     assert np.float64(a).tobytes() == np.float64(b).tobytes()
-    assert ta == tb and ta.n_messages == 64
+    assert ta == tb and int(ta["messages"]) == 64

@@ -14,7 +14,7 @@ from formula_reference import (disjunction_fraction, evaluate_expansion,
 from ldp_erm.errors import ParameterError, QueryClassError, SampleSizeWarning
 from ldp_erm.harness import _gaussian_kernel
 from ldp_erm.polyapprox import build_or_polynomial
-from ldp_erm.primitives import PrivacyBudget, Transcript, laplace_sum
+from ldp_erm.primitives import PrivacyBudget, laplace_sum
 from ldp_erm.query_release import (BLOCK, BinaryDataset, BoxDataset,
                                    QueryAnswer, _basis_matrix,
                                    _expand_patterns, _expansion_pieces,
@@ -25,6 +25,7 @@ from ldp_erm.query_release import (BLOCK, BinaryDataset, BoxDataset,
                                    smooth_query_coefficients, smooth_release,
                                    smooth_release_and_answer)
 from ldp_erm.rng import derived_rng
+from trial_messages import trial_messages
 
 NOISELESS = PrivacyBudget(epsilon=float("inf"))
 
@@ -246,15 +247,15 @@ def test_answers_are_clamped():
         assert isinstance(ans, QueryAnswer)
 
 
-def test_transcript_counts_marginal_messages():
-    t = Transcript()
+def test_transcript_counts_marginal_messages(tmp_path):
     data = BinaryDataset(np.zeros((7, 4), dtype=int))
-    table = _quiet_release(data, 2, 0.05, NOISELESS, derived_rng(27),
-                           transcript=t)
+    table = _quiet_release(data, 2, 0.05, NOISELESS, derived_rng(27))
     assert table.t_k == 3  # cubic is enough for k=2 at gamma 0.05
     dim = math.comb(4 + 3, 3)
-    assert t.n_messages == 7
-    assert t.reals_per_player() == dim
+    sent = trial_messages(tmp_path, "marginals", data.rows, "binary",
+                          {"k": 2, "gamma": 0.05, "epsilon": float("inf")})
+    assert int(sent["messages"]) == 7
+    assert float(sent["reals_per_player"]) == dim
 
 
 def test_smooth_basis_values():
@@ -327,23 +328,26 @@ def test_zero_noise_smooth_answers():
         assert abs(answer_smooth_query(table, f).value - truth) <= 1e-2
 
 
-def test_two_bandwidths_one_release():
-    # answering more queries must not add messages: the transcript is
-    # whatever the release cost, queries are served offline
+def test_two_bandwidths_one_release(tmp_path):
+    # answering more queries must not add messages: a trial sends whatever
+    # the release cost, queries are served offline
     rng = derived_rng(30)
     data = BoxDataset(rng.uniform(-1, 1, size=(200, 2)))
-    t = Transcript()
     queries = [_gaussian_kernel(np.array([0.2, -0.1]), bw)
                for bw in (0.5, 0.3)]
     table, answers = smooth_release_and_answer(
-        data, 8, PrivacyBudget(epsilon=2.0), queries, derived_rng(31),
-        transcript=t)
+        data, 8, PrivacyBudget(epsilon=2.0), queries, derived_rng(31))
     assert len(answers) == 2
-    assert t.n_messages == 200
-    assert t.reals_per_player() == 64.0  # t^p = 8^2 reals, once
     more = answer_smooth_query(table, queries[0])
-    assert t.n_messages == 200
     assert more.value == pytest.approx(answers[0].value)
+    params = {"t": 8, "epsilon": 2.0, "center": [0.2, -0.1]}
+    one, both = (trial_messages(tmp_path / str(len(bws)), "smooth-queries",
+                                data.rows, "box",
+                                {**params, "bandwidths": bws})
+                 for bws in ([0.5], [0.5, 0.3]))
+    assert int(both["messages"]) == 200
+    assert float(both["reals_per_player"]) == 64.0  # t^p = 8^2 reals, once
+    assert one == both
 
 
 def test_private_smooth_answer_reasonable():
