@@ -7,8 +7,9 @@
 # VENV is a virtual environment with the package installed and no extras;
 # each mechanism's console-script run writes its config and artifacts under
 # WORKDIR. Fails if scipy is importable there, if any good run exits
-# non-zero, if re-running a run from its manifest.json does not reproduce
-# its report.csv and transcript_summary.csv byte for byte, or if a rejected
+# non-zero, if re-running the marginals or smooth-queries run from its
+# manifest.json does not reproduce its report.csv and
+# transcript_summary.csv byte for byte, or if a rejected
 # config (one per mechanism, one per synthetic family, an unknown top-level
 # key, a GLM delta of 0 and 65-bit marginals records) does not exit 2 with
 # a configuration error and no traceback.
@@ -40,10 +41,13 @@ run smooth-queries "$box" '{"t": 2}'
 run avg-bench "$cube" '{}'
 # a manifest re-runs its run: the reports and the message accounting the
 # mechanism declares come out byte-identical
-"$venv/bin/ldp-erm" marginals --config runtime-runs/marginals/manifest.json \
-  --out runtime-runs/marginals-again
-for csv in report.csv transcript_summary.csv; do
-  cmp "runtime-runs/marginals/$csv" "runtime-runs/marginals-again/$csv"
+for mechanism in marginals smooth-queries; do
+  "$venv/bin/ldp-erm" "$mechanism" \
+    --config "runtime-runs/$mechanism/manifest.json" \
+    --out "runtime-runs/$mechanism-again"
+  for csv in report.csv transcript_summary.csv; do
+    cmp "runtime-runs/$mechanism/$csv" "runtime-runs/$mechanism-again/$csv"
+  done
 done
 reject() {  # label, mechanism, dataset, params[, extra top-level entries]
   printf '{"dataset": %s, "params": %s, "trials": 1, "seed": 1%s}\n' \

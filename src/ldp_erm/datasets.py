@@ -91,13 +91,13 @@ class BinaryDataset(RowDataset):
 
     @cached_property
     def patterns(self):
-        """``(values, index, counts)``: the distinct rows packed as int64
-        patterns by ``bit_weights`` in ascending order, each row's position
-        among them, and how many rows share each. Rows with the same bits
-        give the same pattern, and computing this once lets work that
-        depends only on a row's bits be done once per distinct row."""
+        """``(values, counts)``: the distinct rows packed as int64 patterns
+        by ``bit_weights`` in ascending order, and how many rows share each.
+        Rows with the same bits give the same pattern, and computing this
+        once lets work that depends only on a row's bits be done once per
+        distinct row."""
         return np.unique(self.rows @ bit_weights(self.dim),
-                         return_inverse=True, return_counts=True)
+                         return_counts=True)
 
 
 @dataclass(frozen=True)

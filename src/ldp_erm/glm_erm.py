@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .datasets import BallDataset
-from .errors import ParameterError, ProtocolError
+from .errors import ConfigurationError, ParameterError, ProtocolError
 from .geometry import project_unit_ball
 from .polyapprox import (SmoothedPlus, SubgradientSampler,
                          bernstein_deriv_coeffs, hbeta_deriv, hinge_sampler,
@@ -371,16 +371,16 @@ def _encode_population(features: np.ndarray, labels: np.ndarray,
 
 def _pilot_sigma(gradients: Callable, replay: Callable, dim: int,
                  rng: np.random.Generator) -> float:
-    """Crude gradient-noise scale: spread of samples at a few probe points."""
-    worst = 0.0
+    """Crude gradient-noise scale: spread of samples at a few probe points.
+    It is NaN when a sample is, and infinite when a spread overflows."""
+    spreads = []
     for _ in range(PILOT_PROBES):
         v = rng.standard_normal(dim)
         w = project_unit_ball(v)
         grads = gradients(w, *replay(PILOT_SAMPLES))
         centered = grads - grads.mean(axis=0)
-        worst = max(worst, float(np.sqrt(np.mean(np.sum(centered ** 2,
-                                                        axis=1)))))
-    return worst
+        spreads.append(np.sqrt(np.mean(np.sum(centered ** 2, axis=1))))
+    return float(np.max(spreads))
 
 
 def glm_degree(target_alpha: float, d_cap: int) -> tuple:
@@ -443,7 +443,16 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
             kinks *= signs
         return rows, kinks
 
-    sigma_hat = _pilot_sigma(gradients, replay, dim, rng)
+    # products of d noised replicas grow like the noise std to the power d,
+    # and at a high enough degree they or their squares overflow float64
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_hat = _pilot_sigma(gradients, replay, dim, rng)
+    if not math.isfinite(sigma_hat):
+        raise ConfigurationError(
+            f"degree d = {d} is too high at epsilon = {budget.epsilon}: the "
+            f"products of d noised replicas overflow float64, so the "
+            f"gradient-noise scale is not finite; lower d_cap (now {d_cap}) "
+            f"or raise epsilon")
     sigma = sigma_safety * sigma_hat
     schedule = SigmSchedule(sigma=sigma, smoothness=1.0 / beta)
 

@@ -12,6 +12,11 @@ dotting the released table — no further player contact.
 * Smooth queries: records in [-1,1]^p are expanded in a tensor Chebyshev
   basis; each smooth query is answered by its own tensor Chebyshev
   coefficients against the same released table.
+
+The server uses only the column sums of the players' reports, so each
+release computes those sums directly and never forms a player's vector:
+marginals from counts of the players whose bits cover each monomial,
+smooth queries from matrix products of per-axis Chebyshev tables.
 """
 
 import math
@@ -29,7 +34,7 @@ from .polyapprox import OrPolynomial, build_or_polynomial, chebyshev_eval
 from .primitives import PrivacyBudget, laplace_sum
 
 CAP = 200_000  # most entries of a coefficient vector or basis (one real each)
-BLOCK = 2048  # players whose vectors a release holds at once
+BLOCK = 2048  # rows or distinct records a release handles at once
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,15 @@ def check_expansion_cap(p: int, degree: int) -> int:
 
 
 def _expansion_pieces(p: int, orpoly: OrPolynomial):
+    """``(alphas, per_alpha)``: every exponent vector in N^p of total degree
+    at most the polynomial's, and what a record's coefficient on it is.
+
+    By the multinomial theorem the y^alpha coefficient of
+    p_k(sum_j y_j row_j) is per_alpha[alpha] = a_{|alpha|} *
+    |alpha|!/prod(alpha_j!) when supp(alpha) is inside the row's support
+    and 0 otherwise, where a_m are the monomial coefficients of the count
+    polynomial.
+    """
     check_expansion_cap(p, orpoly.degree)
     alphas = _multi_indices(p, orpoly.degree)
     factors = _multinomial_factors(alphas)
@@ -110,18 +124,18 @@ def _expansion_pieces(p: int, orpoly: OrPolynomial):
     return alphas, per_alpha
 
 
-def _expand_patterns(patterns: np.ndarray, alphas: np.ndarray,
-                     per_alpha: np.ndarray) -> np.ndarray:
-    """(m, D) matrix of the coefficient vectors of m records, each given by
-    the bit pattern of its support (as ``_support_masks`` packs it).
-
-    By the multinomial theorem the y^alpha coefficient of
-    p_k(sum_j y_j row_j) is a_{|alpha|} * |alpha|!/prod(alpha_j!) when
-    supp(alpha) is inside the row's support and 0 otherwise, where a_m are
-    the monomial coefficients of the count polynomial.
-    """
-    inside = (_support_masks(alphas)[None, :] & ~patterns[:, None]) == 0
-    return np.where(inside, per_alpha[None, :], 0.0)
+def _cover_counts(patterns: np.ndarray, counts: np.ndarray,
+                  masks: np.ndarray) -> np.ndarray:
+    """Per mask, how many records hold every bit it holds, where
+    ``counts[u]`` records share the bit pattern ``patterns[u]`` (all packed
+    as ``_support_masks`` packs them). The integer counts are exact; the
+    patterns are tested ``BLOCK`` at a time, so memory stays
+    O(BLOCK * len(masks)) however many distinct records there are."""
+    covered = np.zeros(len(masks), dtype=np.int64)
+    for lo in range(0, len(patterns), BLOCK):
+        inside = (masks[None, :] & ~patterns[lo:lo + BLOCK, None]) == 0
+        covered += counts[lo:lo + BLOCK] @ inside
+    return covered
 
 
 def coefficient_bound(orpoly: OrPolynomial, p: int) -> float:
@@ -141,39 +155,27 @@ def _guarantee_n_floor(p: int, k: int, gamma: float, epsilon: float,
                growth * log_term)
 
 
-def _private_column_means(rows_values: Callable[[int, int, np.ndarray], None],
-                          n: int, dim: int, bound: float,
+def _private_column_means(sums: np.ndarray, n: int, bound: float,
                           budget: PrivacyBudget,
                           rng: np.random.Generator) -> np.ndarray:
-    """Laplace-noised per-column means of n player vectors in [0, bound]^dim.
+    """Laplace-noised per-column means of n player vectors in
+    [-bound, bound]^dim, given their column ``sums``.
 
-    ``rows_values(lo, hi, out)`` writes the vectors of players lo to hi - 1
-    into the (hi - lo, dim) array ``out``, so no second block-sized array is
-    made. They are encoded, range-checked and summed BLOCK players at a
-    time, so memory stays O(BLOCK * dim) whatever n. Keeping the running
-    total as row 0 of the buffer makes ``np.add.reduce`` add the rows one
-    after another in player order, as an axis-0 sum over the whole (n, dim)
-    matrix does (adding per-block sums would not).
-
-    Each player reports their vector plus Lap(bound / epsilon) per
+    Each player reports their vector plus Lap(2 * bound / epsilon) per
     coordinate, and the server uses only the column sums of the reports.
     So the noise is drawn as that sum's exact distribution: one
-    ``laplace_sum`` of count n per column, added to the total before
+    ``laplace_sum`` of count n per column, added to the sums before
     dividing by n. With n = 1 this is exactly one player's report.
     """
-    buf = np.empty((min(n, BLOCK) + 1, dim))
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
-        block = buf[1:hi - lo + 1]
-        rows_values(lo, hi, block)
-        if not (-1e-9 <= block.min() and block.max() <= bound + 1e-9):
-            raise ParameterError(
-                f"values outside [0, {bound}] cannot be averaged at this bound")
-        # the first block has no running total yet
-        buf[0] = np.add.reduce(buf[0 if lo else 1:hi - lo + 1], axis=0)
-    if not budget.noiseless:
-        buf[0] += laplace_sum(rng, bound / budget.epsilon, n, dim)
-    return buf[0] / n
+    limit = n * (bound + 1e-9)
+    if not np.all(np.abs(sums) <= limit):
+        raise ParameterError(
+            f"column sums outside [-{limit}, {limit}] are not sums of {n} "
+            f"vectors in [-{bound}, {bound}]")
+    if budget.noiseless:
+        return sums / n
+    return (sums + laplace_sum(rng, 2.0 * bound / budget.epsilon, n,
+                               sums.shape)) / n
 
 
 def marginals_release(data: BinaryDataset, k: int, gamma: float,
@@ -206,19 +208,11 @@ def marginals_release(data: BinaryDataset, k: int, gamma: float,
 
     b = coefficient_bound(orpoly, p)
     sub_budget = budget.split(dim) if split_budget else budget
-    patterns, index, _ = data.patterns
-
-    def player_vectors(lo, hi, out):
-        # a player's vector depends only on their bits: expand each distinct
-        # pattern of the block once and gather the players' rows from those.
-        # The indices are in range; "clip", unlike the default "raise",
-        # writes into ``out`` without a buffer
-        ids, local = np.unique(index[lo:hi], return_inverse=True)
-        np.take(_expand_patterns(patterns[ids], alphas, per_alpha) + b, local,
-                axis=0, out=out, mode="clip")
-
-    means = _private_column_means(player_vectors, data.n, dim, 2.0 * b,
-                                  sub_budget, rng) - b
+    # column alpha sums per_alpha[alpha] over the players whose bits cover
+    # supp(alpha)
+    covered = _cover_counts(*data.patterns, _support_masks(alphas))
+    means = _private_column_means(per_alpha * covered, data.n, b,
+                                  sub_budget, rng)
     return MarginalCoefficientTable(values=means, alphas=alphas, p=p, k=k,
                                     t_k=orpoly.degree, gamma=gamma, bound=b)
 
@@ -264,7 +258,7 @@ def disjunction_truth(data: BinaryDataset, y: np.ndarray) -> float:
     ``MAX_BITS`` = 64 attributes raises ``ParameterError``.
     """
     y = _query_bits(y, data.dim)
-    patterns, _, counts = data.patterns
+    patterns, counts = data.patterns
     hits = counts[(patterns & _support_masks(y)) != 0].sum()
     return float(hits / data.n)
 
@@ -292,15 +286,25 @@ def check_basis_cap(t: int, p: int) -> int:
     return dim
 
 
-def _basis_matrix(rows: np.ndarray, t: int) -> np.ndarray:
-    """(n, t^p) matrix of products of per-axis Chebyshev values."""
+def _basis_column_sums(rows: np.ndarray, t: int) -> np.ndarray:
+    """Column sums of the rows' tensor Chebyshev basis vectors, in the
+    released (C-order) layout, without forming the (n, t^p) basis.
+
+    Per block of ``BLOCK`` rows, the basis entries of the first p - 1 axes
+    are multiplied out row by row, and a matrix product with the last
+    axis's Chebyshev values sums their products over the block.
+    """
     n, p = rows.shape
-    check_basis_cap(t, p)
-    cur = np.ones((n, 1))
-    for j in range(p):
-        vj = chebyshev_eval(np.arange(t), rows[:, j])
-        cur = (cur[:, :, None] * vj[:, None, :]).reshape(n, -1)
-    return cur
+    degrees = np.arange(t)
+    total = np.zeros((t ** (p - 1), t))
+    for lo in range(0, n, BLOCK):
+        block = rows[lo:lo + BLOCK]
+        head = np.ones((len(block), 1))
+        for j in range(p - 1):
+            vj = chebyshev_eval(degrees, block[:, j])
+            head = (head[:, :, None] * vj[:, None, :]).reshape(len(block), -1)
+        total += head.T @ chebyshev_eval(degrees, block[:, p - 1])
+    return total.reshape(-1)
 
 
 def smooth_query_coefficients(f: Callable, t: int, p: int) -> np.ndarray:
@@ -338,18 +342,15 @@ def smooth_release(data: BoxDataset, t: int, budget: PrivacyBudget,
                    rng: np.random.Generator) -> CosineCoefficientTable:
     """Privately average every player's basis vector (one message each).
 
-    Basis values live in [-1, 1]; they are shifted to [0, 1] for the
-    averaging primitive and shifted back, which leaves the noise scale
-    matching a sensitivity-1 release per coordinate at the full budget.
-    The message as a whole is therefore not epsilon-LDP: at epsilon = 2,
-    t = 8 and p = 2 a player spends about 73.
+    Basis values live in [-1, 1], so each coordinate gets Laplace noise of
+    scale 2 / epsilon: the full budget for that coordinate alone. The
+    message as a whole is therefore not epsilon-LDP: at epsilon = 2, t = 8
+    and p = 2 a player spends about 73.
     """
-    dim = check_basis_cap(t, data.dim)
-    means01 = _private_column_means(
-        lambda lo, hi, out: np.divide(
-            _basis_matrix(data.rows[lo:hi], t) + 1.0, 2.0, out=out),
-        data.n, dim, 1.0, budget, rng)
-    return CosineCoefficientTable(values=2.0 * means01 - 1.0, p=data.dim, t=t)
+    check_basis_cap(t, data.dim)
+    values = _private_column_means(_basis_column_sums(data.rows, t), data.n,
+                                   1.0, budget, rng)
+    return CosineCoefficientTable(values=values, p=data.dim, t=t)
 
 
 def answer_smooth_query(table: CosineCoefficientTable,

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from ldp_erm.polyapprox import SubgradientSampler, sample_q_many
+from ldp_erm.polyapprox import (SubgradientSampler, chebyshev_eval,
+                                sample_q_many)
 
 
 def laplace_logpdf(z, loc: float, scale: float):
@@ -68,14 +69,36 @@ def evaluate_expansion(coeffs: np.ndarray, alphas: np.ndarray,
     return float(coeffs @ powers)
 
 
+def covered(rows: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """(n, D) booleans, one row at a time: whether every exponent of alpha
+    sits on a set bit of the row."""
+    return np.all((alphas[None, :, :] == 0) | (rows[:, None, :] > 0),
+                  axis=-1)
+
+
 def expand_rows(rows: np.ndarray, alphas: np.ndarray,
                 per_alpha: np.ndarray) -> np.ndarray:
-    """(n, D) marginal coefficient vectors of bit rows, one row at a time:
-    entry alpha is per_alpha[alpha] when every exponent of alpha sits on a
-    set bit of the row, else 0."""
-    inside = np.all((alphas[None, :, :] == 0) | (rows[:, None, :] > 0),
-                    axis=-1)
-    return np.where(inside, per_alpha[None, :], 0.0)
+    """(n, D) marginal coefficient vectors of bit rows: entry alpha is
+    per_alpha[alpha] when the row covers alpha, else 0."""
+    return np.where(covered(rows, alphas), per_alpha[None, :], 0.0)
+
+
+def covering_counts(rows: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Per exponent vector alpha, how many bit rows cover it, scanning the
+    rows 1024 at a time."""
+    return sum(covered(rows[lo:lo + 1024], alphas).sum(axis=0)
+               for lo in range(0, len(rows), 1024))
+
+
+def basis_matrix(rows: np.ndarray, t: int) -> np.ndarray:
+    """(n, t^p) tensor Chebyshev basis vectors of rows in [-1, 1]^p, in the
+    released C order: one factor per axis, multiplied in axis order."""
+    n, p = rows.shape
+    cur = np.ones((n, 1))
+    for j in range(p):
+        vj = chebyshev_eval(np.arange(t), rows[:, j])
+        cur = (cur[:, :, None] * vj[:, None, :]).reshape(n, -1)
+    return cur
 
 
 def disjunction_fraction(rows: np.ndarray, y) -> float:

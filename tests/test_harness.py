@@ -27,11 +27,9 @@ from ldp_erm.harness import (MECHANISMS, REPORT_COLUMNS, TRANSCRIPT_COLUMNS,
                              ExperimentConfig, apply_set_overrides,
                              grid_loss_excess, load_config, make_grid_loss,
                              run_experiment, _expand_sweep)
-from ldp_erm.polyapprox import build_or_polynomial
 from ldp_erm.primitives import PrivacyBudget, ldp_avg_1d, onebit_encode_many
-from ldp_erm.query_release import (BinaryDataset, BoxDataset, _basis_matrix,
-                                   _expand_patterns, _expansion_pieces,
-                                   check_basis_cap)
+from ldp_erm.query_release import (BinaryDataset, BoxDataset, check_basis_cap,
+                                   marginals_release, smooth_release)
 from ldp_erm.rng import derived_rng
 from ldp_erm import cli
 
@@ -586,14 +584,30 @@ def test_identical_seeds_identical_reports(tmp_path):
             == open(b.transcript_path, "rb").read())
 
 
-def test_worker_count_does_not_change_results(tmp_path):
-    base = dict(mechanism="avg-bench",
-                dataset={"family": "uniform-cube", "n": 300, "dim": 1},
+# the query releases sum through matrix products, whose result must not
+# depend on the process that runs them; p = 3 takes the smooth release's
+# row-wise products too
+@pytest.mark.parametrize("mechanism, dataset, params", [
+    pytest.param("avg-bench", {"family": "uniform-cube", "n": 300, "dim": 1},
+                 {}, id="avg-bench"),
+    pytest.param("marginals", {"family": "bernoulli-bits", "n": 5000,
+                               "dim": 6}, {"k": 2, "gamma": 0.1},
+                 id="marginals"),
+    pytest.param("smooth-queries", {"family": "gaussian-ball-clipped",
+                                    "n": 5000, "dim": 3}, {"t": 4},
+                 id="smooth-queries"),
+])
+def test_worker_count_does_not_change_results(tmp_path, mechanism, dataset,
+                                              params):
+    base = dict(mechanism=mechanism, dataset=dataset, params=params,
                 trials=4, seed=3)
-    a = run_experiment(ExperimentConfig(out=str(tmp_path / "a"), workers=1,
-                                        **base))
-    b = run_experiment(ExperimentConfig(out=str(tmp_path / "b"), workers=3,
-                                        **base))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampleSizeWarning)
+        a = run_experiment(ExperimentConfig(out=str(tmp_path / "a"),
+                                            workers=1, **base))
+        b = run_experiment(ExperimentConfig(out=str(tmp_path / "b"),
+                                            workers=3, **base))
+    assert a.failures == 0
     assert open(a.report_path, "rb").read() == open(b.report_path, "rb").read()
 
 
@@ -618,6 +632,25 @@ def test_partial_failures_recorded(tmp_path):
     assert len(by_status["ok"]) == 2
     assert len(by_status["ParameterError"]) == 2
     assert "k=12" in by_status["ParameterError"][0]["error"]
+
+
+@pytest.mark.parametrize("mechanism", ["hinge", "general-linear"])
+def test_glm_overflow_fails_with_its_cause(tmp_path, mechanism):
+    # at d = 24 and the default epsilon = 1 the squared spreads of the
+    # noised replica products overflow float64: the row names the degree,
+    # epsilon and d_cap, and numpy's overflow warning does not escape
+    cfg = ExperimentConfig(
+        mechanism=mechanism,
+        dataset={"family": "separable-two-class", "n": 40, "dim": 3},
+        params={"d_cap": 24}, trials=1, seed=4, out=str(tmp_path / "run"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_experiment(cfg)
+    assert [str(w.message) for w in caught] == []
+    (row,) = result.rows
+    assert row["status"] == "ConfigurationError"
+    for cause in ("degree d = 24", "epsilon = 1.0", "d_cap (now 24)"):
+        assert cause in row["error"]
 
 
 def test_onebit_default_epsilon_runs(tmp_path):
@@ -682,12 +715,18 @@ def _one_player_message(mechanism: str, params: dict, dim: int) -> tuple:
         msg = glm_player_encode((np.full(dim, 0.1), 0.5), budget, d, rng)
         return sum(np.size(part) for part in (msg.head_x, msg.head_y,
                                               msg.body_x, msg.body_y)), 0
-    if mechanism == "marginals":
-        alphas, per_alpha = _expansion_pieces(
-            dim, build_or_polynomial(params["k"], params["gamma"]))
-        return _expand_patterns(np.array([1]), alphas, per_alpha).shape[1], 0
+    noiseless = PrivacyBudget(math.inf)
+    if mechanism == "marginals":  # a one-row release is one player's report
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SampleSizeWarning)
+            table = marginals_release(BinaryDataset(np.ones((1, dim))),
+                                      params["k"], params["gamma"],
+                                      noiseless, rng)
+        return table.values.size, 0
     if mechanism == "smooth-queries":
-        return _basis_matrix(np.full((1, dim), 0.1), params["t"]).shape[1], 0
+        table = smooth_release(BoxDataset(np.full((1, dim), 0.1)),
+                               params["t"], noiseless, rng)
+        return table.values.size, 0
     assert mechanism == "avg-bench"
     return np.size(ldp_avg_1d([0.5], 1.0, PrivacyBudget(params["epsilon"]),
                               rng)), 0

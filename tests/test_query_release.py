@@ -3,22 +3,24 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from formula_reference import (disjunction_fraction, evaluate_expansion,
+from formula_reference import (basis_matrix, covering_counts,
+                               disjunction_fraction, evaluate_expansion,
                                expand_rows)
 from ldp_erm.errors import ParameterError, QueryClassError, SampleSizeWarning
 from ldp_erm.harness import _gaussian_kernel
 from ldp_erm.polyapprox import build_or_polynomial
 from ldp_erm.primitives import PrivacyBudget, laplace_sum
 from ldp_erm.query_release import (BLOCK, BinaryDataset, BoxDataset,
-                                   QueryAnswer, _basis_matrix,
-                                   _expand_patterns, _expansion_pieces,
-                                   _private_column_means, _support_masks,
+                                   QueryAnswer, _basis_column_sums,
+                                   _expansion_pieces, _private_column_means,
+                                   _support_masks,
                                    answer_smooth_query, coefficient_bound,
                                    disjunction_truth, marginals_answer,
                                    marginals_release,
@@ -46,10 +48,6 @@ def _quiet_release(*args, **kwargs):
         return marginals_release(*args, **kwargs)
 
 
-def _expand_rows(rows, alphas, per_alpha):
-    return _expand_patterns(_support_masks(rows), alphas, per_alpha)
-
-
 def test_dataset_validation():
     with pytest.raises(ParameterError):
         BinaryDataset(np.array([[0, 2]]))
@@ -69,7 +67,7 @@ def test_expansion_matches_count_polynomial():
     for _ in range(5):
         row = (rng.random(p) < 0.5).astype(int)
         alphas, per_alpha = _expansion_pieces(p, orpoly)
-        coeffs = _expand_rows(row[None], alphas, per_alpha)[0]
+        coeffs = expand_rows(row[None], alphas, per_alpha)[0]
         for _ in range(10):
             y = rng.random(p)
             s = float(y @ row)
@@ -80,7 +78,7 @@ def test_expansion_matches_count_polynomial():
 def test_expansion_zero_row_is_zero_vector():
     orpoly = build_or_polynomial(2, 0.05)
     row = np.zeros(4, dtype=int)
-    coeffs = _expand_rows(row[None], *_expansion_pieces(4, orpoly))[0]
+    coeffs = expand_rows(row[None], *_expansion_pieces(4, orpoly))[0]
     assert np.array_equal(coeffs, np.zeros_like(coeffs))
 
 
@@ -91,7 +89,7 @@ def test_expansion_linear_class():
     assert orpoly.degree == 1
     row = np.array([1, 0, 1])
     alphas, per_alpha = _expansion_pieces(3, orpoly)
-    coeffs = _expand_rows(row[None], alphas, per_alpha)[0]
+    coeffs = expand_rows(row[None], alphas, per_alpha)[0]
     for alpha, c in zip(alphas, coeffs):
         if tuple(alpha) in {(1, 0, 0), (0, 0, 1)}:
             assert c == pytest.approx(1.0)
@@ -206,9 +204,9 @@ def _edge_bits():
 
 @pytest.mark.parametrize("case", list(_edge_bits()))
 def test_marginals_match_row_formulas(case):
-    # the pattern table gives each player the bits of their own row's
-    # expansion, summed in player order, and the pattern counts give the
-    # row scan's disjunction fractions
+    # the pattern counts give the row scan's count of the players covering
+    # each monomial, and so its column sums, and the row scan's disjunction
+    # fractions
     rows, k = _edge_bits()[case]
     p = rows.shape[1]
     data = BinaryDataset(rows)
@@ -216,12 +214,7 @@ def test_marginals_match_row_formulas(case):
     rng, ref_rng = derived_rng(32), derived_rng(32)
     table = _quiet_release(data, k, 0.05, budget, rng)
 
-    orpoly = build_or_polynomial(k, 0.05)
-    alphas, per_alpha = _expansion_pieces(p, orpoly)
-    b = coefficient_bound(orpoly, p)
-    ref = _reference_column_means(
-        expand_rows(rows, alphas, per_alpha) + b, 2.0 * b, budget,
-        ref_rng) - b
+    ref = _reference_marginal_means(rows, k, 0.05, budget, ref_rng)
     assert _same_bits(table.values, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -259,8 +252,9 @@ def test_transcript_counts_marginal_messages(tmp_path):
 
 
 def test_smooth_basis_values():
-    assert _basis_matrix(np.array([[0.3]]), 1)[0] == pytest.approx([1.0])
-    v = _basis_matrix(np.array([[0.3, -0.7]]), 3)[0]
+    # a single row's column sums are its basis vector
+    assert _basis_column_sums(np.array([[0.3]]), 1) == pytest.approx([1.0])
+    v = _basis_column_sums(np.array([[0.3, -0.7]]), 3)
     x1, x2 = 0.3, -0.7
     # C-order: index = 3*v1 + v2
     want = [1.0, x2, 2 * x2 ** 2 - 1, x1, x1 * x2, x1 * (2 * x2 ** 2 - 1),
@@ -306,7 +300,7 @@ def test_gaussian_kernel_fit():
     c = smooth_query_coefficients(f, 8, 2)
     rng = derived_rng(100)
     pts = rng.uniform(-1, 1, size=(1000, 2))
-    approx = _basis_matrix(pts, 8) @ c
+    approx = basis_matrix(pts, 8) @ c
     assert np.max(np.abs(approx - f(pts))) <= 1e-3
 
 
@@ -360,19 +354,30 @@ def test_private_smooth_answer_reasonable():
     assert abs(answer_smooth_query(table, f).value - truth) <= 0.1
 
 
-# --- streamed column means -----------------------------------------------------
+# --- column sums and means ----------------------------------------------------
 
 
-def _reference_column_means(values, bound, budget, rng):
-    """The whole-matrix column means the streamed releases must reproduce."""
-    if values.min() < -1e-9 or values.max() > bound + 1e-9:
-        raise ParameterError(
-            f"values outside [0, {bound}] cannot be averaged at this bound")
-    total = values.sum(axis=0)
+def _reference_column_means(sums, n, bound, budget, rng):
+    """What n players' reports average to, given the column sums of their
+    vectors in [-bound, bound]^dim: Lap(2 bound / epsilon) per coordinate
+    of each report, summed as one ``laplace_sum`` per column."""
     if not budget.noiseless:
-        total += laplace_sum(rng, bound / budget.epsilon, values.shape[0],
-                             values.shape[1])
-    return total / values.shape[0]
+        sums = sums + laplace_sum(rng, 2.0 * bound / budget.epsilon, n,
+                                  len(sums))
+    return sums / n
+
+
+def _reference_marginal_means(rows, k, gamma, budget, rng,
+                              split_budget=False):
+    """The marginals release by a row scan: column alpha sums to
+    per_alpha[alpha] times the number of rows covering alpha."""
+    p = rows.shape[1]
+    orpoly = build_or_polynomial(k, gamma)
+    alphas, per_alpha = _expansion_pieces(p, orpoly)
+    sub = budget.split(len(alphas)) if split_budget else budget
+    return _reference_column_means(per_alpha * covering_counts(rows, alphas),
+                                   len(rows), coefficient_bound(orpoly, p),
+                                   sub, rng)
 
 
 # one partial block; one short of, at and one past the end of a second
@@ -395,15 +400,70 @@ def test_streamed_marginals_match_whole_matrix(n, budget, split_budget):
     table = _quiet_release(data, k, gamma, budget, rng,
                            split_budget=split_budget)
 
-    orpoly = build_or_polynomial(k, gamma)
-    alphas, per_alpha = _expansion_pieces(p, orpoly)
-    b = coefficient_bound(orpoly, p)
-    sub = budget.split(len(alphas)) if split_budget else budget
-    ref = _reference_column_means(
-        expand_rows(data.rows, alphas, per_alpha) + b, 2.0 * b, sub,
-        ref_rng) - b
+    ref = _reference_marginal_means(data.rows, k, gamma, budget, ref_rng,
+                                    split_budget=split_budget)
     assert _same_bits(table.values, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_noiseless_marginal_means_within_two_ulp():
+    # the count c of covering players is an exact integer, so a noiseless
+    # mean is fl(fl(per_alpha * c) / n): two roundings, less than 2 ulp of
+    # the exact mean per_alpha * c / n, and exactly 0 where that is 0
+    n, p, k, gamma = 20_000, 8, 2, 0.05
+    rows = (derived_rng(59).random((n, p)) < 0.3).astype(int)
+    rows[:, -1] = 0  # no player covers a monomial that holds the last bit
+    table = _quiet_release(BinaryDataset(rows), k, gamma, NOISELESS,
+                           derived_rng(60))
+    alphas, per_alpha = _expansion_pieces(p, build_or_polynomial(k, gamma))
+    counts = covering_counts(rows, alphas)
+    assert (counts == 0).any()
+    for got, coef, c in zip(table.values, per_alpha, counts):
+        exact = Fraction(coef) * int(c) / n
+        if exact == 0:
+            assert got == 0.0
+        else:
+            assert abs(Fraction(got) - exact) <= 2 * Fraction(
+                np.spacing(abs(float(exact))))
+
+
+def test_one_row_release_is_the_players_report():
+    # at n = 1 the release is one player's vector plus Lap(2 bound /
+    # epsilon) per coordinate, bit for bit
+    budget = PrivacyBudget(epsilon=2.0)
+    row = np.array([[1, 0, 1, 1, 0]])
+    orpoly = build_or_polynomial(2, 0.05)
+    alphas, per_alpha = _expansion_pieces(5, orpoly)
+    rng = derived_rng(61)
+    report = expand_rows(row, alphas, per_alpha)[0] + laplace_sum(
+        rng, 2.0 * coefficient_bound(orpoly, 5) / budget.epsilon, 1,
+        len(alphas))
+    table = _quiet_release(BinaryDataset(row), 2, 0.05, budget,
+                           derived_rng(61))
+    assert _same_bits(table.values, report)
+
+    point = np.array([[0.3, -0.7, 0.9]])
+    rng = derived_rng(62)
+    report = basis_matrix(point, 4)[0] + laplace_sum(
+        rng, 2.0 / budget.epsilon, 1, 4 ** 3)
+    table = smooth_release(BoxDataset(point), 4, budget, derived_rng(62))
+    assert _same_bits(table.values, report)
+
+
+def _summation_bound(terms, p):
+    """Per column, a bound on |a float sum of the exact products behind
+    ``terms`` - the exact sum of ``terms``|, for any summation order.
+
+    Summing n floats in any order errs by at most gamma_{n-1} times the sum
+    of their magnitudes, gamma_m = m u / (1 - m u) with u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 4.4). A
+    basis entry of p axes takes p - 1 rounded products, on the release's
+    side and on the reference's (``terms``) alike, and ``math.fsum``
+    rounds once more; gamma_{n + 2p} covers all of them, with
+    the magnitudes of ``terms`` standing in for the exact products'."""
+    m = (len(terms) + 2 * p) * 2.0 ** -53
+    return m / (1.0 - m) * np.array([math.fsum(col) for col in
+                                     np.abs(terms).T])
 
 
 @pytest.mark.parametrize("budget", STREAM_BUDGETS, ids=["eps2", "noiseless"])
@@ -415,27 +475,29 @@ def test_streamed_smooth_matches_whole_matrix(n, budget):
     rng, ref_rng = derived_rng(53, n), derived_rng(53, n)
     table = smooth_release(data, t, budget, rng)
 
-    ref01 = _reference_column_means((_basis_matrix(data.rows, t) + 1.0) / 2.0,
-                                    1.0, budget, ref_rng)
-    assert _same_bits(table.values, 2.0 * ref01 - 1.0)
+    sums = _basis_column_sums(data.rows, t)
+    terms = basis_matrix(data.rows, t)
+    if n == 1:  # one product per entry, taken in the same order
+        assert _same_bits(sums, terms[0])
+    else:
+        exact = np.array([math.fsum(col) for col in terms.T])
+        assert np.all(np.abs(sums - exact) <= _summation_bound(terms, 2))
+    ref = _reference_column_means(sums, n, 1.0, budget, ref_rng)
+    assert _same_bits(table.values, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("bad", [-0.5, 2.5, math.nan])
 def test_streamed_range_check_reaches_last_block(bad):
-    # the only out-of-range entry sits in the last, partial block
-    n, dim, bound = 2 * BLOCK + 5, 3, 2.0
-
-    def rows_values(lo, hi, out):
-        vals = np.ones((hi - lo, dim))
-        if hi == n:
-            vals[-1, 1] = bad
-        out[...] = vals
-
+    # column sums of n vectors in [-1, 1]^dim, the values of [0, 2] shifted
+    # down by 1; only the last column, where every player holds ``bad``,
+    # sums out of range
+    n, dim = 2 * BLOCK + 5, 3
+    sums = np.zeros(dim)
+    sums[-1] = n * (bad - 1.0)
     for budget in STREAM_BUDGETS:
         with pytest.raises(ParameterError):
-            _private_column_means(rows_values, n, dim, bound, budget,
-                                  derived_rng(54))
+            _private_column_means(sums, n, 1.0, budget, derived_rng(54))
 
 
 def _traced_peak_mib(fn):
