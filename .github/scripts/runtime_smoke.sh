@@ -7,12 +7,11 @@
 # VENV is a virtual environment with the package installed and no extras;
 # each mechanism's console-script run writes its config and artifacts under
 # WORKDIR. Fails if scipy is importable there, if any good run exits
-# non-zero, if re-running the marginals or smooth-queries run from its
-# manifest.json does not reproduce its report.csv and
-# transcript_summary.csv byte for byte, or if a rejected
-# config (one per mechanism, one per synthetic family, an unknown top-level
-# key, a GLM delta of 0 and 65-bit marginals records) does not exit 2 with
-# a configuration error and no traceback.
+# non-zero, if re-running any good run from its manifest.json does not
+# reproduce its report.csv and transcript_summary.csv byte for byte, or if
+# a rejected config (one per mechanism, one per synthetic family, an
+# unknown top-level key, a GLM delta of 0 and 65-bit marginals records)
+# does not exit 2 with a configuration error and no traceback.
 set -euo pipefail
 venv="$1"
 mkdir -p "$2"
@@ -20,11 +19,13 @@ cd "$2"
 "$venv/bin/python" -c 'import importlib.util, sys
 sys.exit(importlib.util.find_spec("scipy") is not None)'
 "$venv/bin/python" -c 'import numpy, sys; print(sys.version.split()[0], "numpy", numpy.__version__)'
+runs=()  # mechanism:label of each good run
 run() {  # mechanism, dataset, params[, label, by default the mechanism]
   label="${4:-$1}"
   printf '{"dataset": %s, "params": %s, "trials": 1, "seed": 1}\n' \
     "$2" "$3" > "$label.json"
   "$venv/bin/ldp-erm" "$1" --config "$label.json" --out "runtime-runs/$label"
+  runs+=("$1:$label")
 }
 cube='{"family": "uniform-cube", "n": 2000, "dim": 1}'
 ball='{"family": "separable-two-class", "n": 2000, "dim": 2}'
@@ -41,12 +42,14 @@ run smooth-queries "$box" '{"t": 2}'
 run avg-bench "$cube" '{}'
 # a manifest re-runs its run: the reports and the message accounting the
 # mechanism declares come out byte-identical
-for mechanism in marginals smooth-queries; do
+for entry in "${runs[@]}"; do
+  mechanism="${entry%%:*}"
+  label="${entry#*:}"
   "$venv/bin/ldp-erm" "$mechanism" \
-    --config "runtime-runs/$mechanism/manifest.json" \
-    --out "runtime-runs/$mechanism-again"
+    --config "runtime-runs/$label/manifest.json" \
+    --out "runtime-runs/$label-again"
   for csv in report.csv transcript_summary.csv; do
-    cmp "runtime-runs/$mechanism/$csv" "runtime-runs/$mechanism-again/$csv"
+    cmp "runtime-runs/$label/$csv" "runtime-runs/$label-again/$csv"
   done
 done
 reject() {  # label, mechanism, dataset, params[, extra top-level entries]

@@ -31,6 +31,7 @@ from .sigm import _CHUNK, SigmSchedule, sigm_run
 
 PILOT_PROBES = 8  # points at which the pilot noise estimate probes
 PILOT_SAMPLES = 8  # gradient samples it draws at each point
+SIGMA_SAFETY = 4.0  # factor the pilot estimate is inflated by
 
 # --- data and configuration ---------------------------------------------------
 
@@ -397,8 +398,7 @@ def glm_degree(target_alpha: float, d_cap: int) -> tuple:
 
 def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
                 budget: PrivacyBudget, rng: np.random.Generator,
-                d_cap: int = 8, iters: Optional[int] = None,
-                sigma_safety: float = 4.0) -> GlmRunReport:
+                d_cap: int = 8, iters: Optional[int] = None) -> GlmRunReport:
     """Full protocol: encode every player once, then optimize.
 
     The smoothing level and degree follow the accuracy target (beta =
@@ -407,7 +407,7 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     both values. The solver runs for n steps (overridable) on uniformly
     resampled player messages; resampling is sound because messages are
     sent exactly once and reused only server-side. The gradient-noise scale
-    fed to the schedule is a pilot estimate inflated by ``sigma_safety``;
+    fed to the schedule is a pilot estimate inflated by ``SIGMA_SAFETY``;
     conservative scales cost a constant factor in rate but keep early
     iterates from wandering when the replica products are heavy-tailed.
     """
@@ -453,7 +453,7 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
             f"products of d noised replicas overflow float64, so the "
             f"gradient-noise scale is not finite; lower d_cap (now {d_cap}) "
             f"or raise epsilon")
-    sigma = sigma_safety * sigma_hat
+    sigma = SIGMA_SAFETY * sigma_hat
     schedule = SigmSchedule(sigma=sigma, smoothness=1.0 / beta)
 
     steps = iters if iters is not None else n

@@ -22,13 +22,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .bernstein_erm import (GridLoss, alg2_run, alg3_run, check_grid_dim,
-                            check_grid_size)
+from .bernstein_erm import GridLoss, alg2_run, alg3_run, check_grid_size
 from .datasets import (DATA_KEYS, FAMILIES, KINDS, MAX_BITS, BallDataset,
                        BinaryDataset, BoxDataset, CubeDataset, Param,
                        check_spec, count, flag, generate_dataset, number,
                        numbers, optional, spec_value)
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EstimationError
 from .glm_erm import (glm_degree, glm_erm_run, hinge_flavor,
                       hinge_via_general_flavor)
 from .polyapprox import BernsteinOperatorSpec, build_or_polynomial
@@ -90,44 +89,53 @@ class ExperimentConfig:
         for key, values in self.sweep.items():
             if not isinstance(values, (list, tuple)):
                 raise ConfigurationError(f"sweep entry {key!r} must be a list")
-        # every dataset spec a trial will generate
-        records = MECHANISMS[self.mechanism].records
-        keys = [key for key in sorted(self.sweep) if key in DATA_KEYS]
-        specs = [{**self.dataset, **dict(zip(keys, combo))}
-                 for combo in itertools.product(
-                     *(self.sweep[key] for key in keys))]
-        for spec in specs:
+        mech = MECHANISMS[self.mechanism]
+        for spec, params in _cells(self):
             record = check_spec(spec)
-            if record not in records:
+            if record not in mech.records:
                 raise ConfigurationError(
                     f"mechanism {self.mechanism!r} consumes "
-                    f"{_accepted(records)}; this dataset gives "
+                    f"{_accepted(mech.records)}; this dataset gives "
                     f"{record.__name__}")
-        for key, value in self.params.items():
-            self._parsed(key, [value])
-        for key, values in self.sweep.items():
-            if key not in DATA_KEYS:
-                self._parsed(key, values)
-        mech = MECHANISMS[self.mechanism]
-        if mech.check_data is not None:
-            # the parsed values each param takes in some trial
-            values = {key: self._parsed(key, self.sweep.get(
-                          key, [self.params.get(key, param.default)]))
-                      for key, param in mech.params.items()}
             # a file's dim is known only once it is read, in run_trial
-            for spec in specs:
-                if spec["family"] != "file":
-                    mech.check_data(spec_value(spec, "dim"), values)
+            if spec["family"] != "file":
+                try:
+                    mech.message(params, spec_value(spec, "dim"))
+                except EstimationError as exc:
+                    # the params fix it, so every trial would fail alike
+                    raise ConfigurationError(str(exc)) from None
 
-    def _parsed(self, key: str, values) -> list:
-        """Each of a param's values parsed by its declaration."""
-        params = MECHANISMS[self.mechanism].params
-        if key not in params:
+
+def _cells(cfg: ExperimentConfig) -> list:
+    """Every sweep cell as (dataset spec, parsed params), in the order of
+    the Cartesian product over the sorted sweep keys.
+
+    Each param value, given or default, is parsed once by its declaration;
+    sweep keys in ``DATA_KEYS`` set the spec, and the others the params.
+    """
+    declared = MECHANISMS[cfg.mechanism].params
+
+    def parsed(key, values) -> list:
+        if key not in declared:
             raise ConfigurationError(
-                f"mechanism {self.mechanism!r} has no param {key!r}; "
-                f"accepted: {', '.join(sorted(params))}")
-        return [params[key].parsed(f"param {key!r}", value)
+                f"mechanism {cfg.mechanism!r} has no param {key!r}; "
+                f"accepted: {', '.join(sorted(declared))}")
+        return [declared[key].parsed(f"param {key!r}", value)
                 for value in values]
+
+    given = {key: param.default for key, param in declared.items()}
+    given.update(cfg.params)
+    params = {key: parsed(key, [value])[0] for key, value in given.items()}
+    swept = {key: values if key in DATA_KEYS else parsed(key, values)
+             for key, values in cfg.sweep.items()}
+    keys = sorted(swept)
+    cells = []
+    for combo in itertools.product(*(swept[key] for key in keys)):
+        spec, cell = dict(cfg.dataset), dict(params)
+        for key, value in zip(keys, combo):
+            (spec if key in DATA_KEYS else cell)[key] = value
+        cells.append((spec, cell))
+    return cells
 
 
 def _accepted(records) -> str:
@@ -184,10 +192,14 @@ def apply_set_overrides(cfg: ExperimentConfig, sets) -> ExperimentConfig:
         head, _, tail = key.partition(".")
         if head in mut and tail:
             mut[head][tail] = value
-        elif head in ("trials", "seed", "workers"):
+        elif head in _COUNTS:
             mut[head] = value  # parsed by ExperimentConfig
         elif head == "out":
-            mut[head] = str(value)
+            # a number names a path too; null is the default, and a list,
+            # an object or a bool fails ExperimentConfig's path check
+            number = (isinstance(value, (int, float))
+                      and not isinstance(value, bool))
+            mut[head] = str(value) if number else value
         elif head == "mechanism":
             raise ConfigurationError(
                 "the mechanism is chosen on the command line, not by --set")
@@ -316,8 +328,7 @@ def _trial_glm(data: BallDataset, params: dict, seed: int,
         data, flavor, target_alpha=params["target_alpha"],
         budget=PrivacyBudget(epsilon=epsilon, delta=delta),
         rng=derived_rng(seed, TAG_TRIAL_MECHANISM),
-        d_cap=params["d_cap"], iters=params["iters"],
-        sigma_safety=params["sigma_safety"])
+        d_cap=params["d_cap"], iters=params["iters"])
     return {"d": report.d, "beta": report.beta, "epsilon": epsilon,
             "delta": delta, "flavor": report.flavor,
             "err_empirical": report.err_empirical,
@@ -370,37 +381,6 @@ def _trial_smooth(data, params: dict, seed: int) -> dict:
     return {"t": t, "epsilon": epsilon, "max_query_error": worst}
 
 
-def _check_grid_data(dim: int, values: dict):
-    check_grid_dim(dim)
-    for k in values["k"]:
-        check_grid_size(k, dim)
-
-
-def _check_marginals_data(dim: int, values: dict):
-    # the release packs each record's bits into one int64 pattern
-    if dim > MAX_BITS:
-        raise ConfigurationError(
-            f"marginals take records of at most {MAX_BITS} bits; the dataset "
-            f"has dim {dim}")
-
-
-def _check_smooth_data(dim: int, values: dict):
-    for t in values["t"]:
-        check_basis_cap(t, dim)
-    # a kernel centre is a point of the data space, or None for the default
-    for center in values["center"]:
-        if center is not None and len(center) != dim:
-            raise ConfigurationError(
-                f"param 'center' has {len(center)} coordinates; the data "
-                f"has dim {dim}")
-
-
-def _check_avg_bench_data(dim: int, values: dict):
-    if dim != 1:
-        raise ConfigurationError(
-            f"avg-bench needs 1-d cube data; the dataset has dim {dim}")
-
-
 def _trial_avg_bench(data: CubeDataset, params: dict, seed: int) -> dict:
     values = data.rows[:, 0]
     epsilon = params["epsilon"]
@@ -412,11 +392,18 @@ def _trial_avg_bench(data: CubeDataset, params: dict, seed: int) -> dict:
 # --- the messages -------------------------------------------------------------------
 #
 # What one player sends, as (reals, protocol bits), given the parsed params
-# and the data's dim. Each size comes from the rule the library enforces.
+# and the data's dim. Each size comes from the rule the library enforces,
+# and a message raises ``ConfigurationError`` on data its mechanism cannot
+# run on: that makes it the one data check.
 
 
 def _grid_message(params: dict, dim: int) -> tuple:
     return check_grid_size(params["k"], dim), 0  # one real per grid point
+
+
+def _onebit_message(params: dict, dim: int) -> tuple:
+    check_grid_size(params["k"], dim)  # the bit reports on one grid point
+    return 0, 1
 
 
 def _glm_message(params: dict, dim: int) -> tuple:
@@ -426,12 +413,31 @@ def _glm_message(params: dict, dim: int) -> tuple:
 
 
 def _marginals_message(params: dict, dim: int) -> tuple:
+    # the release packs each record's bits into one int64 pattern
+    if dim > MAX_BITS:
+        raise ConfigurationError(
+            f"marginals take records of at most {MAX_BITS} bits; the dataset "
+            f"has dim {dim}")
     degree = build_or_polynomial(params["k"], params["gamma"]).degree
     return check_expansion_cap(dim, degree), 0
 
 
 def _smooth_message(params: dict, dim: int) -> tuple:
-    return check_basis_cap(params["t"], dim), 0
+    size = check_basis_cap(params["t"], dim)
+    # a kernel centre is a point of the data space, or None for the default
+    center = params["center"]
+    if center is not None and len(center) != dim:
+        raise ConfigurationError(
+            f"param 'center' has {len(center)} coordinates; the data "
+            f"has dim {dim}")
+    return size, 0
+
+
+def _avg_bench_message(params: dict, dim: int) -> tuple:
+    if dim != 1:
+        raise ConfigurationError(
+            f"avg-bench needs 1-d cube data; the dataset has dim {dim}")
+    return 1, 0
 
 
 # --- the mechanism table ----------------------------------------------------------
@@ -448,17 +454,16 @@ class Mechanism:
     protocol bits): each real counts ``BITS_PER_REAL`` bits, and the
     protocol bits are those that are not reals (a one-bit report). Every
     player sends one message, so it is the trial's message accounting.
-    ``check_data``, if set, rejects data the mechanism cannot run on, given
-    the data's ``dim`` and, per param, the list of values it takes in some
-    trial. It runs up front on every synthetic spec, and in ``run_trial``
-    on each trial's data, which is the one check of file data.
+    It also raises ``ConfigurationError`` on data the mechanism cannot run
+    on, so it is the one data check: up front on every synthetic spec of
+    every sweep cell, and in ``run_trial`` on each trial's data, which is
+    the one check of file data.
     """
 
     records: tuple
     params: dict
     run: Callable
     message: Callable
-    check_data: Optional[Callable] = None
 
 
 def _grid_loss(name) -> str:
@@ -483,14 +488,12 @@ _GLM_PARAMS = {
                           number(lambda v: 0 < v <= 1)),
     "d_cap": Param(8, "an integer >= 1", count),
     "iters": Param(None, "null or an integer >= 1", optional(count)),
-    "sigma_safety": Param(4.0, "a finite number >= 0",
-                          number(lambda v: math.isfinite(v) and v >= 0)),
 }
 
 MECHANISMS = {
     "bernstein": Mechanism((CubeDataset,), _GRID_PARAMS,
                            functools.partial(_trial_grid, onebit=False),
-                           _grid_message, _check_grid_data),
+                           _grid_message),
     # one-bit messages need epsilon <= ln 2, a rule the encoder keeps
     "onebit": Mechanism(
         (CubeDataset,),
@@ -498,7 +501,7 @@ MECHANISMS = {
             0.5, "a number in (0, ln 2]",
             lambda v: check_onebit_epsilon(_EPSILON.parse(v)))},
         functools.partial(_trial_grid, onebit=True),
-        lambda params, dim: (0, 1), _check_grid_data),
+        _onebit_message),
     "hinge": Mechanism((BallDataset,), _GLM_PARAMS,
                        functools.partial(_trial_glm, general=False),
                        _glm_message),
@@ -512,7 +515,7 @@ MECHANISMS = {
                         number(lambda v: 0 < v < 1)),
          "epsilon": _EPSILON,
          "split_budget": Param(False, "true or false", flag)},
-        _trial_marginals, _marginals_message, _check_marginals_data),
+        _trial_marginals, _marginals_message),
     "smooth-queries": Mechanism(
         (BoxDataset, CubeDataset),
         {"t": Param(8, "an integer >= 1", count),
@@ -521,35 +524,31 @@ MECHANISMS = {
                          optional(numbers(math.isfinite))),
          "bandwidths": Param((1.0, 0.5), "a non-empty list of numbers > 0",
                              numbers(lambda v: v > 0))},
-        _trial_smooth, _smooth_message, _check_smooth_data),
+        _trial_smooth, _smooth_message),
     "avg-bench": Mechanism((CubeDataset,), {"epsilon": _EPSILON},
-                           _trial_avg_bench, lambda params, dim: (1, 0),
-                           _check_avg_bench_data),
+                           _trial_avg_bench, _avg_bench_message),
 }
 
 
-def run_trial(cfg: ExperimentConfig, cell_params: dict, cell_index: int,
+def run_trial(cfg: ExperimentConfig, cell: tuple, cell_index: int,
               trial: int) -> tuple:
-    """Execute one (cell, trial) on its own derived stream; never raises."""
+    """Execute one (cell, trial) on its own derived stream; never raises.
+
+    ``cell`` is one ``_cells`` entry: a dataset spec and the parsed params.
+    """
     seed = derived_seed(cfg.seed, TAG_TRIAL, cell_index, trial)
     mech = MECHANISMS[cfg.mechanism]
-    dataset = cell_params["_dataset"]
+    dataset, params = cell
     started = time.perf_counter()
     base = {c: "" for c in REPORT_COLUMNS}
     base.update(trial=trial, mechanism=cfg.mechanism,
                 family=dataset.get("family", ""), seed=seed,
                 status="ok", error="")
     try:
-        params = {key: param.parsed(f"param {key!r}",
-                                    cell_params.get(key, param.default))
-                  for key, param in mech.params.items()}
         data = generate_dataset(dataset,
                                 derived_seed(seed, TAG_TRIAL_DATASET))
-        if mech.check_data is not None:
-            mech.check_data(data.dim,
-                            {key: [params[key]] for key in mech.params})
+        reals, protocol_bits = mech.message(params, data.dim)  # data check
         measured = mech.run(data, params, seed)
-        reals, protocol_bits = mech.message(params, data.dim)
         sent = {"bits_per_player": float(protocol_bits
                                          + BITS_PER_REAL * reals),
                 "reals_per_player": float(reals)}
@@ -563,23 +562,6 @@ def run_trial(cfg: ExperimentConfig, cell_params: dict, cell_index: int,
                 "messages": "", "bits_per_player": "", "reals_per_player": ""}
     elapsed = time.perf_counter() - started
     return cell_index, trial, base, trow, elapsed
-
-
-def _expand_sweep(cfg: ExperimentConfig):
-    """Cartesian product of sweep lists merged over params/dataset."""
-    keys = sorted(cfg.sweep)
-    cells = []
-    for combo in itertools.product(*(cfg.sweep[key] for key in keys)):
-        params = dict(cfg.params)
-        dataset = dict(cfg.dataset)
-        for key, value in zip(keys, combo):
-            if key in DATA_KEYS:
-                dataset[key] = value
-            else:
-                params[key] = value
-        params["_dataset"] = dataset
-        cells.append(params)
-    return cells
 
 
 def _format_cell(value) -> str:
@@ -627,7 +609,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     worker count and scheduling order cannot change any number. Failures
     are recorded per row and the run keeps going.
     """
-    cells = _expand_sweep(cfg)
+    cells = _cells(cfg)
     workers = cfg.workers or 1
     out_dir = cfg.out or os.path.join("runs", cfg.mechanism)
     os.makedirs(out_dir, exist_ok=True)

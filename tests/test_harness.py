@@ -26,10 +26,11 @@ from ldp_erm.glm_erm import (BallDataset, glm_degree, glm_player_encode,
 from ldp_erm.harness import (MECHANISMS, REPORT_COLUMNS, TRANSCRIPT_COLUMNS,
                              ExperimentConfig, apply_set_overrides,
                              grid_loss_excess, load_config, make_grid_loss,
-                             run_experiment, _expand_sweep)
+                             run_experiment, _cells)
 from ldp_erm.primitives import PrivacyBudget, ldp_avg_1d, onebit_encode_many
 from ldp_erm.query_release import (BinaryDataset, BoxDataset, check_basis_cap,
-                                   marginals_release, smooth_release)
+                                   check_expansion_cap, marginals_release,
+                                   smooth_release)
 from ldp_erm.rng import derived_rng
 from ldp_erm import cli
 
@@ -522,6 +523,13 @@ def test_set_overrides(tmp_path):
         apply_set_overrides(cfg, ["nonsense"])
     with pytest.raises(ConfigurationError):
         apply_set_overrides(cfg, ["quux=1"])
+    # null is the default runs/<mechanism>; a string or a number is a path
+    assert apply_set_overrides(cfg, ["out=null"]).out is None
+    assert apply_set_overrides(cfg, ["out=runs/a"]).out == "runs/a"
+    assert apply_set_overrides(cfg, ["out=7"]).out == "7"
+    for value in ("[1,2]", '{"a": 1}', "true"):
+        with pytest.raises(ConfigurationError, match="out must be a path"):
+            apply_set_overrides(cfg, [f"out={value}"])
 
 
 def test_sweep_expansion():
@@ -530,9 +538,9 @@ def test_sweep_expansion():
         dataset={"family": "uniform-cube", "n": 10, "dim": 1},
         params={"epsilon": 1.0},
         sweep={"n": [10, 20], "epsilon": [1.0, 2.0]})
-    cells = _expand_sweep(cfg)
+    cells = _cells(cfg)
     assert len(cells) == 4
-    combos = {(c["_dataset"]["n"], c["epsilon"]) for c in cells}
+    combos = {(spec["n"], params["epsilon"]) for spec, params in cells}
     assert combos == {(10, 1.0), (10, 2.0), (20, 1.0), (20, 2.0)}
     with pytest.raises(ConfigurationError, match="must be a list"):
         ExperimentConfig(
@@ -854,14 +862,31 @@ def test_git_describe_runs_once_in_the_package_directory(tmp_path,
      lambda: check_grid_size(100, 3)),
     ("smooth-queries", {"family": "uniform-cube", "n": 200, "dim": 2},
      {"t": 1000}, lambda: check_basis_cap(1000, 2)),
+    # at the default gamma 0.05 the OR polynomial for k = 8 has degree 5
+    ("marginals", {"family": "bernoulli-bits", "n": 200, "dim": 40},
+     {"k": 8}, lambda: check_expansion_cap(40, 5)),
+    # the data rules that are not size caps
+    ("marginals", {"family": "bernoulli-bits", "n": 200, "dim": 65}, {},
+     None),
+    ("smooth-queries", {"family": "uniform-cube", "n": 200, "dim": 2},
+     {"t": 2, "center": [0.1, 0.2, 0.3]}, None),
+    ("avg-bench", {"family": "uniform-cube", "n": 200, "dim": 2}, {}, None),
 ])
 def test_size_caps_checked_up_front(mechanism, dataset, params, cap_check):
+    # the up-front check is the mechanism's message at each synthetic spec
     with pytest.raises(ConfigurationError) as err:
         ExperimentConfig(mechanism, dataset, params)
-    with pytest.raises(ConfigurationError) as expected:
-        cap_check()
-    assert str(err.value) == str(expected.value)
-    assert "above the cap 200000" in str(err.value)
+    mech = MECHANISMS[mechanism]
+    parsed = {key: param.parsed(key, params.get(key, param.default))
+              for key, param in mech.params.items()}
+    with pytest.raises(ConfigurationError) as declared:
+        mech.message(parsed, dataset["dim"])
+    assert str(err.value) == str(declared.value)
+    if cap_check is not None:
+        with pytest.raises(ConfigurationError) as expected:
+            cap_check()
+        assert str(err.value) == str(expected.value)
+        assert "above the cap 200000" in str(err.value)
 
 
 # --- CLI -----------------------------------------------------------------------
@@ -1010,6 +1035,11 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     # a misspelled top-level key used to be dropped silently
     ({**_CONFIG, "trails": 1}, []),
     ({**_CONFIG, "sweeep": {"epsilon": [1.0, 2.0]}}, []),
+    # the params fix the OR polynomial and its expansion, so each of these
+    # used to fail every trial: a polynomial that misses its gamma, and
+    # C(40+5,5) coefficients, above the cap
+    (_MARGINALS_CONFIG, ["--set", "params.k=10", "--set", "params.gamma=1e-6"]),
+    ({**_MARGINALS_CONFIG, "params": {"k": 8}}, ["--set", "dataset.dim=40"]),
 ])
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"
@@ -1043,12 +1073,14 @@ def test_onebit_epsilon_inf_is_exit_2(tmp_path, capsys, argv):
     ({**_CONFIG, "mechanism": "onebit", "params": {"k": 2}}, "epsilon",
      "\"0.5\"", "0.5"),
     ({**_HINGE_CONFIG, "params": {"d_cap": 2}}, "iters", "50.0", "50"),
+    ({**_CONFIG, "mechanism": "bernstein"}, "sweep.k", "[2.0]", "[2]"),
 ])
 def test_accepted_param_runs_as_its_parsed_value(tmp_path, config, key,
                                                  given, plain):
     # every trial runs on the value the check parsed, not on the raw value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
+    field = key if "." in key else f"params.{key}"  # a bare key is a param
     reports = []
     for name, value in (("given", given), ("plain", plain)):
         out = tmp_path / name
@@ -1056,7 +1088,7 @@ def test_accepted_param_runs_as_its_parsed_value(tmp_path, config, key,
             warnings.simplefilter("ignore", SampleSizeWarning)
             code = cli.main([config["mechanism"], "--config", str(path),
                              "--out", str(out),
-                             "--set", f"params.{key}={value}"])
+                             "--set", f"{field}={value}"])
         assert code == 0
         reports.append((out / "report.csv").read_bytes())
     assert reports[0] == reports[1]
