@@ -22,8 +22,11 @@ import numpy as np
 from .datasets import CubeDataset
 from .errors import (ClippingWarning, ConfigurationError, EstimationError,
                      ParameterError, SampleSizeWarning)
+# iterated_basis_weights stays bound here: perfbench/spans.py traces the
+# name in this module as well as in polyapprox
 from .polyapprox import (BernsteinOperatorSpec, contract_grid,
-                         iterated_basis_weights, iterated_bernstein_eval)
+                         iterated_basis_pair, iterated_basis_weights,
+                         iterated_bernstein_eval)
 from .primitives import (PrivacyBudget, PublicRandomness,
                          check_onebit_epsilon, ldp_avg_1d, onebit_decode,
                          onebit_encode_many)
@@ -89,21 +92,30 @@ class BernsteinModel:
         return iterated_bernstein_eval(self.grid_values, self.spec,
                                        np.asarray(ys, dtype=float))
 
-    def grads(self, ys) -> np.ndarray:
-        """Surrogate gradients at the rows of an (m, p) array, (m, p)."""
+    def values_and_grads(self, ys) -> tuple:
+        """Surrogate values (m,) and gradients (m, p) at the rows of an
+        (m, p) array, each row bit for bit that of ``values`` and ``grads``.
+
+        One run of the basis recurrence gives every weight, and one
+        contraction gives every number: row block 0 holds the value, and
+        row block a + 1 differentiates along axis a.
+        """
         ys = np.asarray(ys, dtype=float)
         k, h, p = self.spec.k, self.spec.h, self.spec.p
         if ys.ndim != 2 or ys.shape[1] != p:
             raise ParameterError(
                 f"points have shape {ys.shape}, expected (m, {p})")
         m = len(ys)
-        ws = iterated_basis_weights(k, h, ys)
-        dws = iterated_basis_weights(k, h, ys, derivative=True)
-        # row block a differentiates along axis a: one contraction for all
-        rows = np.tile(ws, (p, 1, 1))
+        ws, dws = iterated_basis_pair(k, h, ys)
+        rows = np.tile(ws, (p + 1, 1, 1))
         for a in range(p):
-            rows[a * m:(a + 1) * m, a] = dws[:, a]
-        return contract_grid(self.grid_values, rows).reshape(p, m).T
+            rows[(a + 1) * m:(a + 2) * m, a] = dws[:, a]
+        out = contract_grid(self.grid_values, rows).reshape(p + 1, m)
+        return out[0], out[1:].T
+
+    def grads(self, ys) -> np.ndarray:
+        """Surrogate gradients at the rows of an (m, p) array, (m, p)."""
+        return self.values_and_grads(ys)[1]
 
     def value(self, y) -> float:
         return float(self.values(_one_row(y))[0])
@@ -168,25 +180,27 @@ def minimize_model(model: BernsteinModel) -> np.ndarray:
     is a best-effort global search; it always returns a point of the cube.
 
     All starts descend in lockstep, each with its own step: per iteration
-    one batched gradient and one batched value over the starts still
-    running. A step is accepted on a strict decrease (then grown by 1.25,
-    at most 1.0) and halved otherwise; a start stops once its step falls
-    below 1e-7 or after ``GD_ITERS`` iterations.
+    one batched ``values_and_grads`` over the starts still running. Each
+    start keeps the value and gradient at its point: one that accepts its
+    step takes the new point's pair, and one that rejects it keeps the
+    gradient it already has. A step is accepted on a strict decrease (then
+    grown by 1.25, at most 1.0) and halved otherwise; a start stops once
+    its step falls below 1e-7 or after ``GD_ITERS`` iterations.
     """
     p = model.spec.p
     xs = np.vstack([_sobol_starts(p), np.full(p, 0.5)])
-    fs = model.values(xs)
+    fs, gs = model.values_and_grads(xs)
     step = np.full(len(xs), 0.25)
     running = np.arange(len(xs))
     for _ in range(GD_ITERS):
         if not running.size:
             break
-        x = xs[running]
-        x_new = np.clip(x - step[running, None] * model.grads(x), 0.0, 1.0)
-        f_new = model.values(x_new)
+        x_new = np.clip(xs[running] - step[running, None] * gs[running],
+                        0.0, 1.0)
+        f_new, g_new = model.values_and_grads(x_new)
         better = f_new < fs[running] - 1e-15
         won, lost = running[better], running[~better]
-        xs[won], fs[won] = x_new[better], f_new[better]
+        xs[won], fs[won], gs[won] = x_new[better], f_new[better], g_new[better]
         step[won] = np.minimum(step[won] * 1.25, 1.0)
         step[lost] *= 0.5
         running = running[step[running] >= 1e-7]
@@ -213,6 +227,9 @@ def _clipped_losses(loss: GridLoss, theta: np.ndarray,
     if vals.shape != (rows.shape[0],):
         raise ParameterError(
             f"loss returned shape {vals.shape}, expected ({rows.shape[0]},)")
+    # NaN fails both comparisons, so it takes the mask path
+    if 0.0 <= vals.min() and vals.max() <= 1.0:
+        return vals, 0
     outside = int(np.count_nonzero((vals < -1e-9) | (vals > 1.0 + 1e-9)))
     return np.clip(vals, 0.0, 1.0), outside
 

@@ -87,8 +87,10 @@ class ExperimentConfig:
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigurationError(f"out must be a path, got {self.out!r}")
         for key, values in self.sweep.items():
-            if not isinstance(values, (list, tuple)):
-                raise ConfigurationError(f"sweep entry {key!r} must be a list")
+            # an empty entry gives no cells, so nothing below would check
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigurationError(
+                    f"sweep entry {key!r} must be a non-empty list")
         mech = MECHANISMS[self.mechanism]
         for spec, params in _cells(self):
             record = check_spec(spec)

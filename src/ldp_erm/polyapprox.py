@@ -43,16 +43,22 @@ class BernsteinOperatorSpec:
             raise ParameterError(f"dimension p must be >= 1, got {self.p}")
 
 
-def _padded_basis(k: int, x: np.ndarray) -> np.ndarray:
-    # x.shape + (k+3,): a zero, the k+1 basis values at x, a zero
-    b = np.zeros(x.shape + (k + 3,))
-    b[..., 1] = 1.0
+def _raise_degree(b: np.ndarray, x: np.ndarray, degrees: range):
+    # the degree recurrence b_v <- b_v (1-x) + b_{v-1} x, in place, from
+    # degree degrees.start to degrees.stop; each step touches only the
+    # entries already nonzero and the one it reaches, so the rest stay zero
     x = x[..., None]
     omx = 1.0 - x
-    for _ in range(k):
-        # degree recurrence b_v <- b_v (1-x) + b_{v-1} x; the zero pads and
-        # the not yet reached entries stay zero
-        b[..., 1:-1] = b[..., 1:-1] * omx + b[..., :-2] * x
+    for d in degrees:
+        b[..., 1:d + 3] = b[..., 1:d + 3] * omx + b[..., :d + 2] * x
+
+
+def _padded_basis(k: int, x: np.ndarray, degree: int) -> np.ndarray:
+    # x.shape + (k+3,): a zero, the degree+1 basis values of that degree at
+    # x, then zeros
+    b = np.zeros(x.shape + (k + 3,))
+    b[..., 1] = 1.0
+    _raise_degree(b, x, range(degree))
     return b
 
 
@@ -62,16 +68,28 @@ def bernstein_basis_vector(k: int, x) -> np.ndarray:
     A scalar x gives shape (k+1,); an array of x gives x.shape + (k+1,),
     each point by the same elementwise recurrence.
     """
-    return _padded_basis(k, np.asarray(x, dtype=float))[..., 1:-1]
+    return _padded_basis(k, np.asarray(x, dtype=float), k)[..., 1:-1]
 
 
 def bernstein_basis_vector_deriv(k: int, x) -> np.ndarray:
     """Derivatives of all k+1 basis polynomials at x (shaped as above)."""
+    return bernstein_basis_pair(k, x)[1]
+
+
+def bernstein_basis_pair(k: int, x) -> tuple:
+    """``(bernstein_basis_vector(k, x), bernstein_basis_vector_deriv(k, x))``
+    from one run of the degree recurrence.
+
+    The derivative is k times the shifted difference of the degree k-1
+    basis, and one more step of the recurrence gives degree k.
+    """
     x = np.asarray(x, dtype=float)
     if k == 0:
-        return np.zeros(x.shape + (1,))
-    lower = _padded_basis(k - 1, x)
-    return k * (lower[..., :-1] - lower[..., 1:])
+        return np.ones(x.shape + (1,)), np.zeros(x.shape + (1,))
+    b = _padded_basis(k, x, k - 1)
+    deriv = k * (b[..., :-2] - b[..., 1:-1])
+    _raise_degree(b, x, range(k - 1, k))
+    return b[..., 1:-1], deriv
 
 
 @lru_cache(maxsize=64)
@@ -79,6 +97,21 @@ def _node_matrix(k: int) -> np.ndarray:
     # N[u, v] = b_{v,k}(u / k): applying the operator to grid data is N @ data
     nodes = np.arange(k + 1) / k if k else np.zeros(1)
     return bernstein_basis_vector(k, nodes)
+
+
+def _iterate(k: int, h: int, base: np.ndarray) -> np.ndarray:
+    # sum_{i=1}^{h} C(h,i) (-1)^(i-1) base^T N^(i-1), one point at a time
+    if h == 1:
+        return base
+    mat = _node_matrix(k)
+    cur = base
+    acc = math.comb(h, 1) * cur
+    for i in range(2, h + 1):
+        # one vector-matrix product per point, so a point's weights do not
+        # depend on how many points share the call
+        cur = np.matmul(cur[..., None, :], mat)[..., 0, :]
+        acc = acc + (-1) ** (i - 1) * math.comb(h, i) * cur
+    return acc
 
 
 def iterated_basis_weights(k: int, h: int, x,
@@ -93,17 +126,14 @@ def iterated_basis_weights(k: int, h: int, x,
     """
     base = (bernstein_basis_vector_deriv(k, x) if derivative
             else bernstein_basis_vector(k, x))
-    if h == 1:
-        return base
-    mat = _node_matrix(k)
-    cur = base
-    acc = math.comb(h, 1) * cur
-    for i in range(2, h + 1):
-        # one vector-matrix product per point, so a point's weights do not
-        # depend on how many points share the call
-        cur = np.matmul(cur[..., None, :], mat)[..., 0, :]
-        acc = acc + (-1) ** (i - 1) * math.comb(h, i) * cur
-    return acc
+    return _iterate(k, h, base)
+
+
+def iterated_basis_pair(k: int, h: int, x) -> tuple:
+    """``iterated_basis_weights`` at x without and with ``derivative``, bit
+    for bit, from one run of the basis recurrence."""
+    base, deriv = bernstein_basis_pair(k, x)
+    return _iterate(k, h, base), _iterate(k, h, deriv)
 
 
 def contract_grid(grid_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -171,6 +201,9 @@ def chebyshev_eval(n, x):
     taken once for all the degrees, as the smooth-query basis wants. One
     degree stays a valid ``n`` because T_n itself is what the Chebyshev
     identities are stated and checked for.
+    Every entry first takes the cos branch at x clipped to [-1, 1], where
+    an angle times degree 0 is already +0; only the entries above 1, below
+    -1 or NaN, if there are any, are then written again.
     A NaN entry, in none of the branches, gives NaN; any other x, infinite
     ones included, gives T_0 = 1.
     """
@@ -181,15 +214,17 @@ def chebyshev_eval(n, x):
     x = np.asarray(x, dtype=float)
     shape = x.shape + degrees.shape
     x, degrees = x.reshape(-1), degrees.reshape(-1)
-    out = np.full((len(x), len(degrees)), np.nan)
-    inner = np.abs(x) <= 1.0
-    out[inner] = np.cos(_times_degrees(
-        np.arccos(np.clip(x[inner], -1.0, 1.0)), degrees))
+    out = np.cos(np.arccos(np.clip(x, -1.0, 1.0))[:, None] * degrees)
     hi = x > 1.0
-    out[hi] = np.cosh(_times_degrees(np.arccosh(x[hi]), degrees))
+    if hi.any():
+        out[hi] = np.cosh(_times_degrees(np.arccosh(x[hi]), degrees))
     lo = x < -1.0
-    out[lo] = (-1.0) ** degrees * np.cosh(
-        _times_degrees(np.arccosh(-x[lo]), degrees))
+    if lo.any():
+        out[lo] = (-1.0) ** degrees * np.cosh(
+            _times_degrees(np.arccosh(-x[lo]), degrees))
+    nan = np.isnan(x)
+    if nan.any():
+        out[nan] = np.nan  # the positive quiet NaN, not cos(NaN)'s
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 

@@ -290,20 +290,21 @@ def _basis_column_sums(rows: np.ndarray, t: int) -> np.ndarray:
     """Column sums of the rows' tensor Chebyshev basis vectors, in the
     released (C-order) layout, without forming the (n, t^p) basis.
 
-    Per block of ``BLOCK`` rows, the basis entries of the first p - 1 axes
-    are multiplied out row by row, and a matrix product with the last
-    axis's Chebyshev values sums their products over the block.
+    Per block of ``BLOCK`` rows, one call gives every axis's Chebyshev
+    values, the basis entries of the first p - 1 axes are multiplied out
+    row by row, and a matrix product with the last axis's values sums their
+    products over the block.
     """
     n, p = rows.shape
-    degrees = np.arange(t)
     total = np.zeros((t ** (p - 1), t))
     for lo in range(0, n, BLOCK):
         block = rows[lo:lo + BLOCK]
+        # (p, rows, t): axis-major, so each axis's table is C-contiguous
+        tables = chebyshev_eval(np.arange(t), block.T)
         head = np.ones((len(block), 1))
-        for j in range(p - 1):
-            vj = chebyshev_eval(degrees, block[:, j])
+        for vj in tables[:-1]:
             head = (head[:, :, None] * vj[:, None, :]).reshape(len(block), -1)
-        total += head.T @ chebyshev_eval(degrees, block[:, p - 1])
+        total += head.T @ tables[-1]
     return total.reshape(-1)
 
 

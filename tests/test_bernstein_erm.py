@@ -8,13 +8,14 @@ import pytest
 from scipy.stats import qmc
 
 from ldp_erm.bernstein_erm import (MAX_DIM, BernsteinModel, CubeDataset,
-                                   _sobol_starts, alg2_run, alg3_run,
-                                   grid_points, minimize_model)
+                                   _clipped_losses, _sobol_starts, alg2_run,
+                                   alg3_run, grid_points, minimize_model)
 from ldp_erm.errors import (ClippingWarning, ConfigurationError,
                             EstimationError, ParameterError,
                             SampleSizeWarning)
 from ldp_erm.harness import grid_loss_excess, make_grid_loss
-from ldp_erm.polyapprox import BernsteinOperatorSpec
+from ldp_erm.polyapprox import (BernsteinOperatorSpec, contract_grid,
+                                iterated_basis_weights)
 from ldp_erm.primitives import PrivacyBudget
 from ldp_erm.rng import derived_rng
 from trial_messages import trial_messages
@@ -329,6 +330,59 @@ def test_model_rows_equal_one_row_calls():
         for y, v, g in zip(ys, values, grads):
             assert v == model.value(y)
             assert np.array_equal(g, model.grad(y))
+
+
+def _grads_reference(model, ys):
+    """Gradients from separate weight and derivative-weight calls, with one
+    contraction per axis."""
+    k, h, p = model.spec.k, model.spec.h, model.spec.p
+    ws = iterated_basis_weights(k, h, ys)
+    dws = iterated_basis_weights(k, h, ys, derivative=True)
+    cols = []
+    for a in range(p):
+        rows = ws.copy()
+        rows[:, a] = dws[:, a]
+        cols.append(contract_grid(model.grid_values, rows))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_values_and_grads_equal_separate_calls_bit_for_bit(p):
+    rng = derived_rng(14, p)
+    k, h = (8, 2) if p < 3 else (4, 3)
+    model = BernsteinModel(BernsteinOperatorSpec(k=k, h=h, p=p),
+                           rng.random((k + 1,) * p))
+    ys = rng.random((33, p))
+    ys[0], ys[1] = 0.0, 1.0
+    values, grads = model.values_and_grads(ys)
+    assert values.shape == (33,) and grads.shape == (33, p)
+    assert values.tobytes() == model.values(ys).tobytes()
+    assert grads.tobytes() == _grads_reference(model, ys).tobytes()
+    assert grads.tobytes() == model.grads(ys).tobytes()
+    for y, v, g in zip(ys, values, grads):
+        assert v == model.value(y)
+        assert g.tobytes() == model.grad(y).tobytes()
+    with pytest.raises(ParameterError):
+        model.values_and_grads(ys[0])  # one point, not a row of points
+
+
+def test_clipped_losses_in_range_match_mask_path():
+    rows = np.zeros((5, 1))
+    theta = np.zeros(1)
+    for vals, outside in (([0.0, 0.25, 0.5, 1.0, -0.0], 0),
+                          ([0.0, 0.25, -1e-10, 1.0, 0.5], 0),
+                          ([0.0, 0.25, 1.0 + 2e-9, 1.0, 0.5], 1)):
+        vals = np.array(vals)
+        got, n_out = _clipped_losses(lambda t, r: vals, theta, rows)
+        assert got.tobytes() == np.clip(vals, 0.0, 1.0).tobytes()
+        assert n_out == outside
+    # a NaN loss takes the mask path and still reaches the mean's check
+    nan = lambda t, r: np.full(r.shape[0], math.nan)
+    got, n_out = _clipped_losses(nan, theta, rows)
+    assert np.isnan(got).all() and n_out == 0
+    data = CubeDataset(derived_rng(15).random((20, 1)))
+    with pytest.raises(ParameterError, match="values must lie in"):
+        alg2_run(data, nan, *_cfg(k=2, epsilon=1.0), derived_rng(16))
 
 
 def test_model_rejects_points_outside_cube():

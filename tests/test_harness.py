@@ -542,7 +542,7 @@ def test_sweep_expansion():
     assert len(cells) == 4
     combos = {(spec["n"], params["epsilon"]) for spec, params in cells}
     assert combos == {(10, 1.0), (10, 2.0), (20, 1.0), (20, 2.0)}
-    with pytest.raises(ConfigurationError, match="must be a list"):
+    with pytest.raises(ConfigurationError, match="must be a non-empty list"):
         ExperimentConfig(
             mechanism="avg-bench",
             dataset={"family": "uniform-cube", "n": 10, "dim": 1},
@@ -571,14 +571,15 @@ def test_golden_report_header(tmp_path):
     assert first == ",".join(REPORT_COLUMNS)
 
 
-def test_empty_sweep_gives_header_only(tmp_path):
-    cfg = ExperimentConfig(
-        mechanism="avg-bench",
-        dataset={"family": "uniform-cube", "n": 50, "dim": 1},
-        sweep={"epsilon": []}, out=str(tmp_path / "run"))
-    result = run_experiment(cfg)
-    assert open(result.report_path).read() == ",".join(REPORT_COLUMNS) + "\n"
-    assert result.failures == 0 and result.rows == []
+def test_empty_sweep_entry_is_rejected():
+    # an empty entry gives no cells, so no cell would check the dataset:
+    # a spec with no n would pass
+    for dataset in ({"family": "uniform-cube", "n": 50, "dim": 1},
+                    {"family": "uniform-cube", "dim": 1}):
+        with pytest.raises(ConfigurationError,
+                           match="'epsilon' must be a non-empty list"):
+            ExperimentConfig(mechanism="avg-bench", dataset=dataset,
+                             sweep={"epsilon": []})
 
 
 def test_identical_seeds_identical_reports(tmp_path):
@@ -1035,6 +1036,8 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     # a misspelled top-level key used to be dropped silently
     ({**_CONFIG, "trails": 1}, []),
     ({**_CONFIG, "sweeep": {"epsilon": [1.0, 2.0]}}, []),
+    # an empty sweep entry gives no cells, so nothing else was checked
+    (_CONFIG, ["--set", "sweep.epsilon=[]"]),
     # the params fix the OR polynomial and its expansion, so each of these
     # used to fail every trial: a polynomial that misses its gamma, and
     # C(40+5,5) coefficients, above the cap

@@ -13,10 +13,12 @@ from formula_reference import (abs_sampler, bernstein_poly_eval,
                                lemma40_reconstruct)
 from ldp_erm.errors import ParameterError
 from ldp_erm.polyapprox import (BernsteinOperatorSpec, SmoothedPlus,
-                                SubgradientSampler, bernstein_basis_vector,
+                                SubgradientSampler, bernstein_basis_pair,
+                                bernstein_basis_vector,
+                                bernstein_basis_vector_deriv,
                                 bernstein_deriv_coeffs, build_or_polynomial,
                                 chebyshev_eval, hbeta_deriv, hinge_sampler,
-                                iterated_basis_weights,
+                                iterated_basis_pair, iterated_basis_weights,
                                 iterated_bernstein_eval, sample_q_many)
 from ldp_erm.rng import derived_rng
 
@@ -122,6 +124,42 @@ def test_batched_weights_rows_equal_scalar_calls():
         assert grid.shape == (4, 5, 1, k + 1)
         assert np.array_equal(grid.reshape(len(xs), k + 1),
                               iterated_basis_weights(k, 2, xs))
+
+
+def _full_recurrence_basis(k, x):
+    """The padded degree recurrence run over every entry at every step."""
+    b = np.zeros(x.shape + (k + 3,))
+    b[..., 1] = 1.0
+    x = x[..., None]
+    for _ in range(k):
+        b[..., 1:-1] = b[..., 1:-1] * (1.0 - x) + b[..., :-2] * x
+    return b
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 8])
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_basis_pair_equals_separate_calls_bit_for_bit(k, h):
+    xs = np.concatenate([[0.0, 1.0], derived_rng(13, k, h).random(31)])
+    for x in (xs, xs[:30].reshape(10, 3)):
+        # degree k by every entry; the derivative as k times the shifted
+        # difference of the degree k-1 basis
+        want = _full_recurrence_basis(k, x)[..., 1:-1]
+        lower = _full_recurrence_basis(k - 1, x)
+        want_deriv = k * (lower[..., :-1] - lower[..., 1:])
+        base, deriv = bernstein_basis_pair(k, x)
+        assert base.tobytes() == want.tobytes()
+        assert bernstein_basis_vector(k, x).tobytes() == want.tobytes()
+        assert deriv.tobytes() == want_deriv.tobytes()
+        assert (bernstein_basis_vector_deriv(k, x).tobytes()
+                == want_deriv.tobytes())
+        ws, dws = iterated_basis_pair(k, h, x)
+        assert ws.shape == dws.shape == x.shape + (k + 1,)
+        assert ws.tobytes() == iterated_basis_weights(k, h, x).tobytes()
+        assert (dws.tobytes()
+                == iterated_basis_weights(k, h, x, derivative=True).tobytes())
+        if h == 1:
+            assert ws.tobytes() == want.tobytes()
+            assert dws.tobytes() == want_deriv.tobytes()
 
 
 def test_batched_eval_matches_points_and_validates():
