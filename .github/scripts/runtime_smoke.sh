@@ -36,6 +36,8 @@ run hinge "$ball" '{"d_cap": 2}'
 # noiseless, SIGM's dual points mostly leave the unit ball and are projected
 run hinge "$ball" '{"d_cap": 2, "epsilon": "inf"}' hinge-noiseless
 run general-linear "$ball" '{"d_cap": 2}'
+# 10 solver steps over n = 2000 messages: each step averages 200 of them
+run hinge "$ball" '{"d_cap": 2, "iters": 10}' hinge-batched
 bits='{"family": "bernoulli-bits", "n": 2000, "dim": 4}'
 box='{"family": "gaussian-ball-clipped", "n": 2000, "dim": 2}'
 run marginals "$bits" '{"k": 1, "gamma": 0.2}'

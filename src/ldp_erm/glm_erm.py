@@ -3,8 +3,10 @@
 Players Gaussian-noise many replicas of their record and send them once;
 the server turns each message into an unbiased sample of a polynomial
 surrogate gradient (a Bernstein form of the smoothed loss derivative
-evaluated via products over fresh replicas) and feeds the samples to the
-averaged dual-averaging solver of ``sigm``.
+evaluated via products over fresh replicas) and feeds the averaged
+dual-averaging solver of ``sigm`` one mini-batch mean of such samples per
+step, taking only as many steps as the solver's bound can use (see
+``solver_batches``).
 
 Two gradient paths exist: a dedicated hinge path whose coefficients come
 from the smoothed hinge derivative, and a general path for any convex
@@ -27,11 +29,14 @@ from .polyapprox import (SmoothedPlus, SubgradientSampler,
                          bernstein_deriv_coeffs, hbeta_deriv, hinge_sampler,
                          kink_locations, sample_q_many)
 from .primitives import PrivacyBudget
-from .sigm import _CHUNK, SigmSchedule, sigm_run
+from .sigm import SigmSchedule, sigm_run
 
 PILOT_PROBES = 8  # points at which the pilot noise estimate probes
 PILOT_SAMPLES = 8  # gradient samples it draws at each point
 SIGMA_SAFETY = 4.0  # factor the pilot estimate is inflated by
+# rows of a solver step's batch evaluated at once; a block gathers its
+# rows' (m, dim) body replicas, so this bounds the server's scratch memory
+BATCH_BLOCK = 1024
 
 # --- data and configuration ---------------------------------------------------
 
@@ -285,15 +290,36 @@ def _replay_draws(rng: np.random.Generator, n: int, count: int, m: int,
     return rows, kink_locations(cfg.sampler, u)
 
 
-def _draw_stream(rows: np.ndarray, kinks: Optional[np.ndarray]):
-    """Yield (row as a Python int, kink row or None), one per sample.
+def _step_draws(rows: np.ndarray, kinks: Optional[np.ndarray], batch: int):
+    """Iterator of each solver step's (rows, kinks or None).
 
-    Rows are converted ``_CHUNK`` at a time, so no whole-run list is held.
+    The draws are cut into runs of ``batch`` in draw order. With one draw a
+    step, a step's rows are a single row index and its kinks one row of
+    kink locations, as a per-message sample takes them.
     """
-    for lo in range(0, len(rows), _CHUNK):
-        block = rows[lo:lo + _CHUNK].tolist()
-        yield from zip(block, itertools.repeat(None) if kinks is None
-                       else kinks[lo:lo + _CHUNK])
+    if batch > 1:
+        rows = rows.reshape(-1, batch)
+        if kinks is not None:
+            kinks = kinks.reshape(rows.shape + (-1,))
+    return zip(rows, itertools.repeat(None) if kinks is None else kinks)
+
+
+def _batch_mean(sample_scalars: Callable, head: np.ndarray, w: np.ndarray,
+                rows: np.ndarray, kinks: Optional[np.ndarray]) -> np.ndarray:
+    """Mean gradient sample over one step's draws.
+
+    A draw's sample is its gradient scalar times its head row, so a block's
+    sum is one product of the block's scalars with its head rows. Rows are
+    taken ``BATCH_BLOCK`` at a time and the block sums added in order, so no
+    gather of a whole batch's replicas is held.
+    """
+    total = None
+    for lo in range(0, len(rows), BATCH_BLOCK):
+        block = rows[lo:lo + BATCH_BLOCK]
+        part = sample_scalars(w, block, None if kinks is None
+                              else kinks[lo:lo + BATCH_BLOCK]) @ head[block]
+        total = part if total is None else total + part
+    return total / len(rows)
 
 
 # --- full protocol -------------------------------------------------------------
@@ -331,6 +357,10 @@ def hinge_via_general_flavor() -> LossFlavor:
 
 @dataclass(frozen=True)
 class GlmRunReport:
+    """A private fit and its diagnostics. ``sigma`` is the gradient-noise
+    scale of one message's sample; ``iters`` is the solver's step count K,
+    each step averaging n // K messages (one when K >= n)."""
+
     w_priv: np.ndarray
     err_empirical: float
     baseline_err: float
@@ -396,6 +426,28 @@ def glm_degree(target_alpha: float, d_cap: int) -> tuple:
     return min(d_theory, d_cap), d_theory
 
 
+def solver_batches(n: int, sigma: float, smoothness: float,
+                   iters: Optional[int] = None) -> tuple:
+    """(K, B): the solver's step count and the messages each step averages.
+
+    K is ``iters`` when given. Otherwise K = min(n, ceil(L R sqrt(n) /
+    sigma)) at L = ``smoothness`` and R = 1, the unit ball's radius: after
+    K steps that each average B messages the solver's bound is L R^2 / K +
+    sigma R / sqrt(K B), and in one pass (K B = n) the second term is sigma
+    R / sqrt(n) whatever K, so steps beyond L R sqrt(n) / sigma add work and
+    no accuracy. sigma = 0 gives K = n. B = max(1, n // K), so K B <= n,
+    except that an ``iters`` above n takes one message a step.
+    """
+    if iters is None:
+        reach = smoothness * math.sqrt(n)
+        # compared before dividing, which overflows at a subnormal sigma
+        if sigma * n <= reach:
+            iters = n
+        else:
+            iters = max(1, min(n, math.ceil(reach / sigma)))
+    return iters, max(1, n // iters)
+
+
 def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
                 budget: PrivacyBudget, rng: np.random.Generator,
                 d_cap: int = 8, iters: Optional[int] = None) -> GlmRunReport:
@@ -404,12 +456,21 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     The smoothing level and degree follow the accuracy target (beta =
     alpha/4, d = 2/(beta^2 alpha)) except that d is capped — the
     theoretical degree explodes cubically in 1/alpha and the report carries
-    both values. The solver runs for n steps (overridable) on uniformly
-    resampled player messages; resampling is sound because messages are
-    sent exactly once and reused only server-side. The gradient-noise scale
-    fed to the schedule is a pilot estimate inflated by ``SIGMA_SAFETY``;
-    conservative scales cost a constant factor in rate but keep early
-    iterates from wandering when the replica products are heavy-tailed.
+    both values. The server draws uniformly resampled player messages;
+    resampling is sound because messages are sent exactly once and reused
+    only server-side. The gradient-noise scale sigma of one message's
+    sample is a pilot estimate inflated by ``SIGMA_SAFETY``; conservative
+    scales cost a constant factor in rate but keep early iterates from
+    wandering when the replica products are heavy-tailed.
+
+    The solver takes K steps, each on the mean sample of B = max(1, n // K)
+    fresh draws, so its schedule sees the noise scale sigma / sqrt(B). K is
+    ``iters`` when given, and otherwise min(n, ceil(L sqrt(n) / sigma)) at
+    L = 1/beta (``solver_batches``): more steps than that leave the
+    solver's bound where one pass puts it. The K B draws are made in one
+    call, in the order one sample at a time would make them, so an
+    ``iters`` of at least n takes one message a step, draws exactly what a
+    step-per-message run draws and leaves ``rng`` in the same state.
     """
     d, d_theory = glm_degree(target_alpha, d_cap)
     beta = target_alpha / 4.0
@@ -433,9 +494,11 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     body_y *= signs
     scalars = cfg.scalars
 
+    def sample_scalars(w, rows, kinks):
+        return scalars(body_y[rows] * (body_x[rows] @ w), kinks)
+
     def gradients(w, rows, kinks):
-        margins = body_y[rows] * (body_x[rows] @ w)
-        return scalars(margins, kinks)[..., None] * head[rows]
+        return sample_scalars(w, rows, kinks)[..., None] * head[rows]
 
     def replay(count):
         rows, kinks = _replay_draws(rng, n, count, m, cfg)
@@ -454,15 +517,17 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
             f"gradient-noise scale is not finite; lower d_cap (now {d_cap}) "
             f"or raise epsilon")
     sigma = SIGMA_SAFETY * sigma_hat
-    schedule = SigmSchedule(sigma=sigma, smoothness=1.0 / beta)
-
-    steps = iters if iters is not None else n
-    draws = _draw_stream(*replay(steps))
+    smoothness = 1.0 / beta
+    steps, batch = solver_batches(n, sigma, smoothness, iters)
+    schedule = SigmSchedule(sigma=sigma / math.sqrt(batch),
+                            smoothness=smoothness)
+    draws = _step_draws(*replay(steps * batch), batch)
 
     def oracle(w):
-        row, kinks = next(draws)
-        margins = body_y[row] * (body_x[row] @ w)
-        return scalars(margins, kinks) * head[row]
+        rows, kinks = next(draws)
+        if batch == 1:  # one message's own sample: no gather and no sum
+            return sample_scalars(w, rows, kinks) * head[rows]
+        return _batch_mean(sample_scalars, head, w, rows, kinks)
 
     w_priv = sigm_run(oracle, dim, schedule, steps)
 

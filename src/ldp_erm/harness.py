@@ -42,7 +42,8 @@ REPORT_COLUMNS = [
     "trial", "mechanism", "family", "n", "p", "k", "h", "d", "t", "beta",
     "gamma", "epsilon", "delta", "mode", "flavor", "err_empirical",
     "baseline_err", "max_query_error", "bits_per_player",
-    "reals_per_player", "seed", "status", "error",
+    "reals_per_player", "seed", "status", "error", "d_theory", "sigma",
+    "steps",
 ]
 
 TRANSCRIPT_COLUMNS = ["trial", "mechanism", "n", "messages",
@@ -334,7 +335,8 @@ def _trial_glm(data: BallDataset, params: dict, seed: int,
     return {"d": report.d, "beta": report.beta, "epsilon": epsilon,
             "delta": delta, "flavor": report.flavor,
             "err_empirical": report.err_empirical,
-            "baseline_err": report.baseline_err}
+            "baseline_err": report.baseline_err, "d_theory": report.d_theory,
+            "sigma": report.sigma, "steps": report.iters}
 
 
 def _all_disjunction_queries(p: int, k: int):

@@ -1,7 +1,6 @@
 """Tests for the replica-encoding gradient oracles and the full private
 margin-loss fit."""
 
-import itertools
 import math
 
 import numpy as np
@@ -18,7 +17,8 @@ from ldp_erm.glm_erm import (BallDataset, LossFlavor, ReplicaMessage,
                              general_linear_oracle_config, glm_erm_run,
                              glm_player_encode, hinge_flavor,
                              hinge_gradient_sample, hinge_oracle_config,
-                             hinge_via_general_flavor, replica_noise_stds)
+                             hinge_via_general_flavor, replica_noise_stds,
+                             solver_batches)
 from ldp_erm.polyapprox import (SmoothedPlus, SubgradientSampler,
                                 hbeta_deriv, hinge_sampler, kink_locations)
 from ldp_erm.primitives import PrivacyBudget
@@ -306,9 +306,10 @@ def test_run_single_player_is_defined():
     assert rep.d_theory >= rep.d
 
 
-def _replayed_run(data, flavor, budget, rng, d, iters):
+def _replayed_run(data, flavor, budget, rng, d, iters, batch=1):
     # the server side of glm_erm_run, one message and one gradient sample
-    # at a time through the public per-message API (target_alpha = 1)
+    # at a time through the public per-message API (target_alpha = 1); each
+    # step averages the samples of ``batch`` messages
     beta = 0.25
     if flavor.name == "hinge":
         cfg = hinge_oracle_config(d, beta)
@@ -338,9 +339,14 @@ def _replayed_run(data, flavor, budget, rng, d, iters):
         worst = max(worst, float(np.sqrt(np.mean(np.sum(centered ** 2,
                                                         axis=1)))))
     sigma = 4.0 * worst
-    schedule = SigmSchedule(sigma=sigma, smoothness=1.0 / beta)
-    w_priv = sigm_run(lambda w: sample(w, msgs[int(rng.integers(n))], cfg, rng),
-                      dim, schedule, iters)
+    schedule = SigmSchedule(sigma=sigma / math.sqrt(batch),
+                            smoothness=1.0 / beta)
+
+    def step(w):
+        return np.mean([sample(w, msgs[int(rng.integers(n))], cfg, rng)
+                        for _ in range(batch)], axis=0)
+
+    w_priv = sigm_run(step, dim, schedule, iters)
     return w_priv, sigma
 
 
@@ -366,6 +372,29 @@ def test_run_matches_per_message_replay(flavor, budget):
     rep = glm_erm_run(data, flavor, target_alpha=1.0, budget=budget, rng=rng,
                       d_cap=2, iters=400)
     want_w, want_sigma = _replayed_run(data, flavor, budget, ref, 2, 400)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rep.sigma == pytest.approx(want_sigma, rel=1e-12)
+    scale = float(np.max(np.abs(want_w)))
+    assert scale > 0.0
+    assert float(np.max(np.abs(rep.w_priv - want_w))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("flavor", [hinge_flavor(),
+                                    hinge_via_general_flavor(),
+                                    QUADRATIC_FLAVOR],
+                         ids=["hinge", "hinge-via-general", "quadratic"])
+@pytest.mark.parametrize("budget", [PrivacyBudget(epsilon=2.0, delta=1e-5),
+                                    NOISELESS], ids=["noised", "noiseless"])
+def test_batched_run_matches_per_message_replay(flavor, budget):
+    # iters = 6 on n = 60: each step averages the samples of 10 messages
+    data = generate_dataset({"family": "separable-two-class", "n": 60,
+                             "dim": 3, "margin": 0.1}, 22)
+    rng, ref = derived_rng(23), derived_rng(23)
+    rep = glm_erm_run(data, flavor, target_alpha=1.0, budget=budget, rng=rng,
+                      d_cap=2, iters=6)
+    want_w, want_sigma = _replayed_run(data, flavor, budget, ref, 2, 6,
+                                       batch=10)
+    assert rep.iters == 6
     assert rng.bit_generator.state == ref.bit_generator.state
     assert rep.sigma == pytest.approx(want_sigma, rel=1e-12)
     scale = float(np.max(np.abs(want_w)))
@@ -418,9 +447,24 @@ def _scalar_replay(rng, n, count, m, cfg):
     return rows, None if u is None else kink_locations(cfg.sampler, u)
 
 
-def _unfolded_run(data, flavor, budget, rng, d):
-    # glm_erm_run at target_alpha = 1, sample by sample through the scalar
-    # replay and the unsigned gradient scalars
+def _unfolded_mean(scalars_at, head, w, rows, kinks):
+    # one step's mean sample: a single draw's own sample, or the sum of
+    # the draws' scalars times their head rows taken BATCH_BLOCK at a time
+    if rows.ndim == 0:
+        return scalars_at(w, rows, kinks) * head[rows]
+    block = glm_erm.BATCH_BLOCK
+    total = None
+    for lo in range(0, len(rows), block):
+        part = (scalars_at(w, rows[lo:lo + block], None if kinks is None
+                           else kinks[lo:lo + block])
+                @ head[rows[lo:lo + block]])
+        total = part if total is None else total + part
+    return total / len(rows)
+
+
+def _unfolded_run(data, flavor, budget, rng, d, iters):
+    # glm_erm_run at target_alpha = 1 and an explicit iters, step by step
+    # through the scalar replay and the unsigned gradient scalars
     beta = 0.25
     cfg = (hinge_oracle_config(d, beta) if flavor.name == "hinge" else
            general_linear_oracle_config(d, beta, flavor.sampler))
@@ -429,19 +473,30 @@ def _unfolded_run(data, flavor, budget, rng, d):
     n, dim, m = data.n, data.dim, d * (d + 1)
     head = head_y[:, None] * head_x
 
-    def gradients(w, rows, kinks):
+    def scalars_at(w, rows, kinks):
         margins = body_y[rows] * (body_x[rows] @ w)
-        return _unfolded_scalars(margins, kinks, cfg)[..., None] * head[rows]
+        return _unfolded_scalars(margins, kinks, cfg)
+
+    def gradients(w, rows, kinks):
+        return scalars_at(w, rows, kinks)[..., None] * head[rows]
 
     def replay(count):
         return _scalar_replay(rng, n, count, m, cfg)
 
     sigma = 4.0 * _pilot_sigma(gradients, replay, dim, rng)
-    schedule = SigmSchedule(sigma=sigma, smoothness=1.0 / beta)
-    rows, kinks = replay(n)
-    draws = zip(rows, itertools.repeat(None) if kinks is None else kinks)
-    w_priv = sigm_run(lambda w: gradients(w, *next(draws)), dim, schedule, n)
-    return w_priv, sigma
+    batch = max(1, n // iters)
+    schedule = SigmSchedule(sigma=sigma / math.sqrt(batch),
+                            smoothness=1.0 / beta)
+    rows, kinks = replay(iters * batch)
+    steps = iter(range(0, iters * batch, batch))
+
+    def oracle(w):
+        lo = next(steps)
+        pick = lo if batch == 1 else slice(lo, lo + batch)
+        return _unfolded_mean(scalars_at, head, w, rows[pick],
+                              None if kinks is None else kinks[pick])
+
+    return sigm_run(oracle, dim, schedule, iters), sigma
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -450,18 +505,25 @@ def _unfolded_run(data, flavor, budget, rng, d):
                                     QUADRATIC_FLAVOR, AFFINE_FLAVOR],
                          ids=["hinge", "hinge-via-general", "quadratic",
                               "affine"])
-def test_run_equals_unfolded_sample_by_sample_oracle(flavor, d):
+def test_run_equals_unfolded_sample_by_sample_oracle(flavor, d, monkeypatch):
+    # iters = n takes one draw a step; iters = 7 takes 42 draws a step (294
+    # in all), evaluated in one block and then, at a block of 16, in three
     data = generate_dataset({"family": "separable-two-class", "n": 300,
                              "dim": 3, "margin": 0.1}, 24)
     budget = PrivacyBudget(epsilon=2.0, delta=1e-5)
-    rng, ref = derived_rng(25, d), derived_rng(25, d)
-    rep = glm_erm_run(data, flavor, target_alpha=1.0, budget=budget, rng=rng,
-                      d_cap=d)
-    want_w, want_sigma = _unfolded_run(data, flavor, budget, ref, d)
-    assert rep.d == d
-    assert rep.sigma == want_sigma
-    assert np.array_equal(rep.w_priv, want_w)
-    assert rng.bit_generator.state == ref.bit_generator.state
+    for iters, block in ((300, glm_erm.BATCH_BLOCK), (7, glm_erm.BATCH_BLOCK),
+                         (7, 16)):
+        monkeypatch.setattr(glm_erm, "BATCH_BLOCK", block)
+        rng, ref = derived_rng(25, d), derived_rng(25, d)
+        rep = glm_erm_run(data, flavor, target_alpha=1.0, budget=budget,
+                          rng=rng, d_cap=d, iters=iters)
+        want_w, want_sigma = _unfolded_run(data, flavor, budget, ref, d,
+                                           iters)
+        assert rep.d == d and rep.iters == iters
+        assert rep.sigma == want_sigma
+        assert np.any(want_w != 0.0)
+        assert np.array_equal(rep.w_priv, want_w)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [7, 5000, 20000, 2 ** 33])
@@ -478,13 +540,39 @@ def test_run_calls_solver_once_through_module_binding(monkeypatch):
     calls = []
 
     def counting_run(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(args[2:4])
         return sigm_run(*args, **kwargs)
 
     monkeypatch.setattr(glm_erm, "sigm_run", counting_run)
     data = generate_dataset({"family": "separable-two-class", "n": 50,
                              "dim": 2, "margin": 0.1}, 27)
-    glm_erm_run(data, hinge_flavor(), target_alpha=1.0,
-                budget=PrivacyBudget(epsilon=2.0, delta=1e-5),
-                rng=derived_rng(27), d_cap=2)
-    assert calls == [50]
+    rep = glm_erm_run(data, hinge_flavor(), target_alpha=1.0,
+                      budget=PrivacyBudget(epsilon=2.0, delta=1e-5),
+                      rng=derived_rng(27), d_cap=2)
+    steps, batch = solver_batches(50, rep.sigma, 1.0 / rep.beta)
+    assert rep.iters == steps
+    ((schedule, iters),) = calls
+    assert iters == rep.iters
+    # the schedule sees the noise of a mean of batch messages
+    assert schedule.sigma == rep.sigma / math.sqrt(batch)
+    assert schedule.smoothness == 1.0 / rep.beta
+
+
+def test_solver_batches_rule():
+    # no noise, or noise too small to divide by: one message a step
+    assert solver_batches(4000, 0.0, 10.0) == (4000, 1)
+    assert solver_batches(4000, 5e-324, 10.0) == (4000, 1)
+    # K = ceil(L sqrt(n) / sigma): 10 * 100 / 3 = 333.3
+    assert solver_batches(10_000, 3.0, 10.0) == (334, 29)
+    # noise far above L sqrt(n): one step over every message
+    assert solver_batches(20_000, 6.5e14, 4.0) == (1, 20_000)
+    assert solver_batches(20_000, 1.7e308, 4.0) == (1, 20_000)
+    # an explicit iters is the step count, and iters >= n takes one a step
+    assert solver_batches(300, 1e9, 4.0, 7) == (7, 42)
+    assert solver_batches(4000, 1e9, 10.0, 30_000) == (30_000, 1)
+    assert solver_batches(60, 0.0, 4.0, 6) == (6, 10)
+    for n in (1, 2, 3, 50, 999, 20_000):
+        for sigma in (0.0, 1e-3, 0.7, 2.0, 13.0, 1e6):
+            steps, batch = solver_batches(n, sigma, 4.0)
+            assert 1 <= steps <= n and batch == max(1, n // steps)
+            assert steps * batch <= n

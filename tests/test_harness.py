@@ -22,7 +22,7 @@ from ldp_erm.errors import (ConfigurationError, ParameterError,
                             SampleSizeWarning)
 from ldp_erm.geometry import project_unit_ball
 from ldp_erm.glm_erm import (BallDataset, glm_degree, glm_player_encode,
-                             hinge_flavor)
+                             hinge_flavor, solver_batches)
 from ldp_erm.harness import (MECHANISMS, REPORT_COLUMNS, TRANSCRIPT_COLUMNS,
                              ExperimentConfig, apply_set_overrides,
                              grid_loss_excess, load_config, make_grid_loss,
@@ -558,7 +558,8 @@ def test_golden_report_header(tmp_path):
         "trial", "mechanism", "family", "n", "p", "k", "h", "d", "t", "beta",
         "gamma", "epsilon", "delta", "mode", "flavor", "err_empirical",
         "baseline_err", "max_query_error", "bits_per_player",
-        "reals_per_player", "seed", "status", "error",
+        "reals_per_player", "seed", "status", "error", "d_theory", "sigma",
+        "steps",
     ]
     assert TRANSCRIPT_COLUMNS == ["trial", "mechanism", "n", "messages",
                                   "bits_per_player", "reals_per_player"]
@@ -660,6 +661,32 @@ def test_glm_overflow_fails_with_its_cause(tmp_path, mechanism):
     assert row["status"] == "ConfigurationError"
     for cause in ("degree d = 24", "epsilon = 1.0", "d_cap (now 24)"):
         assert cause in row["error"]
+
+
+@pytest.mark.parametrize("params", [{"d_cap": 2}, {"d_cap": 2, "iters": 7}])
+def test_glm_rows_report_the_solver_choice(tmp_path, params):
+    # GLM rows carry the theory degree, the per-message noise scale and the
+    # step count it gives; other mechanisms leave the three columns blank
+    rows = {}
+    for mechanism in ("hinge", "general-linear", "avg-bench"):
+        dataset = ({"family": "uniform-cube", "n": 300, "dim": 1}
+                   if mechanism == "avg-bench" else
+                   {"family": "separable-two-class", "n": 300, "dim": 2})
+        cfg = ExperimentConfig(
+            mechanism=mechanism, dataset=dataset,
+            params={} if mechanism == "avg-bench" else params, trials=1,
+            seed=8, out=str(tmp_path / mechanism))
+        (rows[mechanism],) = run_experiment(cfg).rows
+    for mechanism in ("hinge", "general-linear"):
+        row = rows[mechanism]
+        assert row["status"] == "ok"
+        assert row["d_theory"] == 32 and row["d"] == 2
+        assert row["sigma"] > 0.0
+        assert row["steps"] == solver_batches(
+            300, row["sigma"], 1.0 / row["beta"], params.get("iters"))[0]
+    assert rows["hinge"]["steps"] == params.get("iters", 1)
+    assert all(rows["avg-bench"][c] == ""
+               for c in ("d_theory", "sigma", "steps"))
 
 
 def test_onebit_default_epsilon_runs(tmp_path):
