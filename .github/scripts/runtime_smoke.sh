@@ -38,6 +38,9 @@ run hinge "$ball" '{"d_cap": 2, "epsilon": "inf"}' hinge-noiseless
 run general-linear "$ball" '{"d_cap": 2}'
 # 10 solver steps over n = 2000 messages: each step averages 200 of them
 run hinge "$ball" '{"d_cap": 2, "iters": 10}' hinge-batched
+# the kinked path over the same batches: one permutation pass of rows and
+# one call for all their kink locations
+run general-linear "$ball" '{"d_cap": 2, "iters": 10}' general-linear-batched
 bits='{"family": "bernoulli-bits", "n": 2000, "dim": 4}'
 box='{"family": "gaussian-ball-clipped", "n": 2000, "dim": 2}'
 run marginals "$bits" '{"k": 1, "gamma": 0.2}'

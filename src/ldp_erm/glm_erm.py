@@ -6,7 +6,9 @@ surrogate gradient (a Bernstein form of the smoothed loss derivative
 evaluated via products over fresh replicas) and feeds the averaged
 dual-averaging solver of ``sigm`` one mini-batch mean of such samples per
 step, taking only as many steps as the solver's bound can use (see
-``solver_batches``).
+``solver_batches``). The steps walk one pass over a random permutation of
+the messages, so no message is used twice before every one has been used
+once.
 
 Two gradient paths exist: a dedicated hinge path whose coefficients come
 from the smoothed hinge derivative, and a general path for any convex
@@ -26,7 +28,7 @@ from .datasets import BallDataset
 from .errors import ConfigurationError, ParameterError, ProtocolError
 from .geometry import project_unit_ball
 from .polyapprox import (SmoothedPlus, SubgradientSampler,
-                         bernstein_deriv_coeffs, hbeta_deriv, hinge_sampler,
+                         bernstein_deriv_coeffs, hinge_sampler,
                          kink_locations, sample_q_many)
 from .primitives import PrivacyBudget
 from .sigm import SigmSchedule, sigm_run
@@ -131,16 +133,14 @@ def hinge_oracle_config(d: int, beta: float) -> GradientOracleConfig:
 
 def general_linear_oracle_config(d: int, beta: float,
                                  sampler: SubgradientSampler) -> GradientOracleConfig:
-    """Coefficients c_j = (smoothed step)'(j/d - 1/2) for the general path.
+    """Coefficients c_j = (smoothed hinge)'(j/d) + 1 for the general path.
 
-    The half-shift centers the smoothed indicator so that the product
-    arguments u - s + 1/2 land on the Bernstein domain around the kink; it
-    also makes the hinge-through-this-path collapse onto the dedicated
-    hinge coefficients exactly (the smoothed step at v - 1/2 equals the
-    smoothed hinge derivative at v plus one).
+    That is a smoothed step rising from 0 to 1 around 1/2, so the product
+    arguments u - s + 1/2 put the kink s at the step. Being the hinge
+    path's coefficients plus one, they make the hinge through this path
+    collapse onto the dedicated hinge path up to rounding.
     """
-    coeffs = bernstein_deriv_coeffs(
-        lambda v: hbeta_deriv(beta, v - 0.5), d)
+    coeffs = bernstein_deriv_coeffs(SmoothedPlus(beta).deriv, d) + 1.0
     return GradientOracleConfig(d=d, coeffs=coeffs, sampler=sampler)
 
 
@@ -267,27 +267,18 @@ def general_linear_gradient_sample(w: np.ndarray, message: ReplicaMessage,
     return _message_gradient(w, message, kinks, cfg)
 
 
-def _replay_draws(rng: np.random.Generator, n: int, count: int, m: int,
-                  cfg: GradientOracleConfig) -> tuple:
-    """Rows and kink locations of ``count`` server-side gradient samples.
-
-    Draws in the order one sample at a time would: a row index from an
-    ``integers`` call, then, for a kinked loss, m uniforms. Without kinks
-    the rows are drawn in one batched call, which takes the same values
-    from the generator in the same order as ``count`` scalar calls and
-    leaves it in the same state. With kinks each row needs its own scalar
-    call, or every row would be drawn ahead of the uniforms between them;
-    the kink locations of all samples are then found in one bisection.
-    """
+def _kink_draws(rng: np.random.Generator, cfg: GradientOracleConfig,
+                count: int) -> Optional[np.ndarray]:
+    """Kink locations of ``count`` samples, one row of d(d+1) each, from one
+    uniform call and one bisection, times the product signs (see _fold).
+    None for a loss that draws no kinks."""
     if not cfg.kinked:
-        return rng.integers(n, size=count), None
-    rows = np.empty(count, dtype=np.intp)
-    lower, upper = cfg.sampler.lower, cfg.sampler.upper
-    u = np.empty((count, m))
-    for t in range(count):
-        rows[t] = rng.integers(n)
-        u[t] = rng.uniform(lower, upper, m)
-    return rows, kink_locations(cfg.sampler, u)
+        return None
+    sampler = cfg.sampler
+    kinks = kink_locations(sampler, rng.uniform(
+        sampler.lower, sampler.upper, (count, cfg.d * (cfg.d + 1))))
+    kinks *= _fold(cfg.d)[0]
+    return kinks
 
 
 def _step_draws(rows: np.ndarray, kinks: Optional[np.ndarray], batch: int):
@@ -400,15 +391,18 @@ def _encode_population(features: np.ndarray, labels: np.ndarray,
     return head_x, head_y, body_x, body_y
 
 
-def _pilot_sigma(gradients: Callable, replay: Callable, dim: int,
-                 rng: np.random.Generator) -> float:
+def _pilot_sigma(gradients: Callable, n: int, cfg: GradientOracleConfig,
+                 dim: int, rng: np.random.Generator) -> float:
     """Crude gradient-noise scale: spread of samples at a few probe points.
-    It is NaN when a sample is, and infinite when a spread overflows."""
+
+    Each probe draws its point, then its messages' rows (with replacement),
+    then their kink locations. It is NaN when a sample is, and infinite
+    when a spread overflows."""
     spreads = []
     for _ in range(PILOT_PROBES):
-        v = rng.standard_normal(dim)
-        w = project_unit_ball(v)
-        grads = gradients(w, *replay(PILOT_SAMPLES))
+        w = project_unit_ball(rng.standard_normal(dim))
+        rows = rng.integers(n, size=PILOT_SAMPLES)
+        grads = gradients(w, rows, _kink_draws(rng, cfg, PILOT_SAMPLES))
         centered = grads - grads.mean(axis=0)
         spreads.append(np.sqrt(np.mean(np.sum(centered ** 2, axis=1))))
     return float(np.max(spreads))
@@ -456,21 +450,20 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     The smoothing level and degree follow the accuracy target (beta =
     alpha/4, d = 2/(beta^2 alpha)) except that d is capped — the
     theoretical degree explodes cubically in 1/alpha and the report carries
-    both values. The server draws uniformly resampled player messages;
-    resampling is sound because messages are sent exactly once and reused
-    only server-side. The gradient-noise scale sigma of one message's
-    sample is a pilot estimate inflated by ``SIGMA_SAFETY``; conservative
-    scales cost a constant factor in rate but keep early iterates from
-    wandering when the replica products are heavy-tailed.
+    both values. The gradient-noise scale sigma of one message's sample
+    is a pilot estimate inflated by ``SIGMA_SAFETY``; conservative scales
+    cost a constant factor in rate but keep early iterates from wandering
+    when the replica products are heavy-tailed.
 
     The solver takes K steps, each on the mean sample of B = max(1, n // K)
-    fresh draws, so its schedule sees the noise scale sigma / sqrt(B). K is
+    messages, so its schedule sees the noise scale sigma / sqrt(B). K is
     ``iters`` when given, and otherwise min(n, ceil(L sqrt(n) / sigma)) at
     L = 1/beta (``solver_batches``): more steps than that leave the
-    solver's bound where one pass puts it. The K B draws are made in one
-    call, in the order one sample at a time would make them, so an
-    ``iters`` of at least n takes one message a step, draws exactly what a
-    step-per-message run draws and leaves ``rng`` in the same state.
+    solver's bound where one pass puts it. The K B messages are the first
+    K B of successive random permutations of the n messages, drawn in one
+    pass when K B <= n, so no step sees a message an earlier step used; an
+    ``iters`` above n walks ceil(iters / n) passes. Their kink locations
+    are drawn after the rows, in one uniform call.
     """
     d, d_theory = glm_degree(target_alpha, d_cap)
     beta = target_alpha / 4.0
@@ -485,13 +478,12 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     head_x, head_y, body_x, body_y = _encode_population(
         data.features, data.labels, budget, d, rng)
 
-    # The server replays the frozen messages. Its randomness (rows and kink
-    # locations) does not depend on the iterate, so it is drawn up front.
-    # Labels and kinks carry the product signs (see _fold) from here on.
-    n, dim, m = data.n, data.dim, d * (d + 1)
+    # The server's randomness (rows and kink locations) does not depend on
+    # the iterate, so it is drawn up front. Labels and kinks carry the
+    # product signs (see _fold) from here on.
+    n, dim = data.n, data.dim
     head = head_y[:, None] * head_x
-    signs = _fold(d)[0]
-    body_y *= signs
+    body_y *= _fold(d)[0]
     scalars = cfg.scalars
 
     def sample_scalars(w, rows, kinks):
@@ -500,16 +492,10 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     def gradients(w, rows, kinks):
         return sample_scalars(w, rows, kinks)[..., None] * head[rows]
 
-    def replay(count):
-        rows, kinks = _replay_draws(rng, n, count, m, cfg)
-        if kinks is not None:
-            kinks *= signs
-        return rows, kinks
-
     # products of d noised replicas grow like the noise std to the power d,
     # and at a high enough degree they or their squares overflow float64
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma_hat = _pilot_sigma(gradients, replay, dim, rng)
+        sigma_hat = _pilot_sigma(gradients, n, cfg, dim, rng)
     if not math.isfinite(sigma_hat):
         raise ConfigurationError(
             f"degree d = {d} is too high at epsilon = {budget.epsilon}: the "
@@ -521,7 +507,10 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     steps, batch = solver_batches(n, sigma, smoothness, iters)
     schedule = SigmSchedule(sigma=sigma / math.sqrt(batch),
                             smoothness=smoothness)
-    draws = _step_draws(*replay(steps * batch), batch)
+    # successive passes over random permutations, cut to the K B draws
+    count = steps * batch
+    rows = np.concatenate([rng.permutation(n) for _ in range(-(-count // n))])
+    draws = _step_draws(rows[:count], _kink_draws(rng, cfg, count), batch)
 
     def oracle(w):
         rows, kinks = next(draws)

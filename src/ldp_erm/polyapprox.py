@@ -259,14 +259,6 @@ class SmoothedPlus:
         return float(out) if out.ndim == 0 else out
 
 
-def hbeta_deriv(beta: float, x):
-    if not beta > 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * (1.0 + x / np.sqrt(x * x + beta ** 2))
-    return float(out) if out.ndim == 0 else out
-
-
 def bernstein_deriv_coeffs(deriv: Callable, d: int) -> np.ndarray:
     """Coefficient grid c_j = deriv(j/d), j = 0..d, for the degree-d form."""
     if d < 1:

@@ -9,10 +9,11 @@ import pytest
 from formula_reference import abs_sampler, bernstein_poly_eval
 from ldp_erm.datasets import generate_dataset
 from ldp_erm.errors import ParameterError, ProtocolError
+from ldp_erm.geometry import project_unit_ball
 from ldp_erm import glm_erm
 from ldp_erm.glm_erm import (BallDataset, LossFlavor, ReplicaMessage,
                              _binom_row, _block_products, _encode_population,
-                             _fold, _pilot_sigma, empirical_risk,
+                             _fold, empirical_risk,
                              general_linear_gradient_sample,
                              general_linear_oracle_config, glm_erm_run,
                              glm_player_encode, hinge_flavor,
@@ -20,7 +21,7 @@ from ldp_erm.glm_erm import (BallDataset, LossFlavor, ReplicaMessage,
                              hinge_via_general_flavor, replica_noise_stds,
                              solver_batches)
 from ldp_erm.polyapprox import (SmoothedPlus, SubgradientSampler,
-                                hbeta_deriv, hinge_sampler, kink_locations)
+                                hinge_sampler, kink_locations)
 from ldp_erm.primitives import PrivacyBudget
 from ldp_erm.rng import derived_rng
 from ldp_erm.sigm import SigmSchedule, sigm_run
@@ -216,7 +217,7 @@ def test_general_abs_d1_hand_formula():
         msg = glm_player_encode((x, y), NOISELESS, 1, rng)
         u = y * float(w @ x)
         a = u + 0.5  # the kink draw for |.| is the point mass at 0
-        c0, c1 = hbeta_deriv(beta, -0.5), hbeta_deriv(beta, 0.5)
+        c0, c1 = (SmoothedPlus(beta).deriv(v) + 1.0 for v in (0.0, 1.0))
         want = (2.0 * (c0 * (1 - a) + c1 * a) - 1.0) * y * x
         got = general_linear_gradient_sample(w, msg, cfg, rng)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -306,10 +307,21 @@ def test_run_single_player_is_defined():
     assert rep.d_theory >= rep.d
 
 
+def _permutation_rows(rng, n, count):
+    # the server's rows: passes over random permutations, as many as cover
+    # ``count`` draws
+    rows = []
+    while len(rows) < count:
+        rows.extend(rng.permutation(n).tolist())
+    return rows[:count]
+
+
 def _replayed_run(data, flavor, budget, rng, d, iters, batch=1):
     # the server side of glm_erm_run, one message and one gradient sample
     # at a time through the public per-message API (target_alpha = 1); each
-    # step averages the samples of ``batch`` messages
+    # step averages the samples of ``batch`` messages. A probe's or the
+    # server's rows are drawn before its samples, and each general-linear
+    # sample draws its own kinks
     beta = 0.25
     if flavor.name == "hinge":
         cfg = hinge_oracle_config(d, beta)
@@ -333,8 +345,8 @@ def _replayed_run(data, flavor, budget, rng, d, iters, batch=1):
     for _ in range(8):
         v = rng.standard_normal(dim)
         w = v / max(1.0, np.linalg.norm(v))
-        grads = np.stack([sample(w, msgs[int(rng.integers(n))], cfg, rng)
-                          for _ in range(8)])
+        rows = rng.integers(n, size=8)
+        grads = np.stack([sample(w, msgs[i], cfg, rng) for i in rows])
         centered = grads - grads.mean(axis=0)
         worst = max(worst, float(np.sqrt(np.mean(np.sum(centered ** 2,
                                                         axis=1)))))
@@ -342,8 +354,10 @@ def _replayed_run(data, flavor, budget, rng, d, iters, batch=1):
     schedule = SigmSchedule(sigma=sigma / math.sqrt(batch),
                             smoothness=1.0 / beta)
 
+    rows = iter(_permutation_rows(rng, n, iters * batch))
+
     def step(w):
-        return np.mean([sample(w, msgs[int(rng.integers(n))], cfg, rng)
+        return np.mean([sample(w, msgs[next(rows)], cfg, rng)
                         for _ in range(batch)], axis=0)
 
     w_priv = sigm_run(step, dim, schedule, iters)
@@ -436,15 +450,14 @@ def _unfolded_scalars(margins, kinks, cfg):
     return spread * products(margins - kinks + 0.5) + (midpoint - 0.5 * spread)
 
 
-def _scalar_replay(rng, n, count, m, cfg):
-    # one scalar row draw per sample, each followed by its kink uniforms
-    rows = np.empty(count, dtype=np.intp)
-    u = np.empty((count, m)) if cfg.kinked else None
-    for t in range(count):
-        rows[t] = rng.integers(n)
-        if u is not None:
-            u[t] = rng.uniform(cfg.sampler.lower, cfg.sampler.upper, m)
-    return rows, None if u is None else kink_locations(cfg.sampler, u)
+def _sample_kinks(rng, count, m, cfg):
+    # the kink locations of ``count`` samples, one sample's uniforms at a
+    # time; None for a loss that draws none
+    if not cfg.kinked:
+        return None
+    u = np.stack([rng.uniform(cfg.sampler.lower, cfg.sampler.upper, m)
+                  for _ in range(count)])
+    return kink_locations(cfg.sampler, u)
 
 
 def _unfolded_mean(scalars_at, head, w, rows, kinks):
@@ -464,7 +477,7 @@ def _unfolded_mean(scalars_at, head, w, rows, kinks):
 
 def _unfolded_run(data, flavor, budget, rng, d, iters):
     # glm_erm_run at target_alpha = 1 and an explicit iters, step by step
-    # through the scalar replay and the unsigned gradient scalars
+    # through per-sample kink draws and the unsigned gradient scalars
     beta = 0.25
     cfg = (hinge_oracle_config(d, beta) if flavor.name == "hinge" else
            general_linear_oracle_config(d, beta, flavor.sampler))
@@ -480,14 +493,19 @@ def _unfolded_run(data, flavor, budget, rng, d, iters):
     def gradients(w, rows, kinks):
         return scalars_at(w, rows, kinks)[..., None] * head[rows]
 
-    def replay(count):
-        return _scalar_replay(rng, n, count, m, cfg)
-
-    sigma = 4.0 * _pilot_sigma(gradients, replay, dim, rng)
+    spreads = []
+    for _ in range(8):
+        w = project_unit_ball(rng.standard_normal(dim))
+        rows = rng.integers(n, size=8)
+        grads = gradients(w, rows, _sample_kinks(rng, 8, m, cfg))
+        centered = grads - grads.mean(axis=0)
+        spreads.append(np.sqrt(np.mean(np.sum(centered ** 2, axis=1))))
+    sigma = 4.0 * float(np.max(spreads))
     batch = max(1, n // iters)
     schedule = SigmSchedule(sigma=sigma / math.sqrt(batch),
                             smoothness=1.0 / beta)
-    rows, kinks = replay(iters * batch)
+    rows = np.array(_permutation_rows(rng, n, iters * batch))
+    kinks = _sample_kinks(rng, iters * batch, m, cfg)
     steps = iter(range(0, iters * batch, batch))
 
     def oracle(w):
@@ -526,13 +544,33 @@ def test_run_equals_unfolded_sample_by_sample_oracle(flavor, d, monkeypatch):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-@pytest.mark.parametrize("n", [7, 5000, 20000, 2 ** 33])
-def test_batched_row_draws_equal_scalar_draws(n):
-    # _replay_draws batches the rows of an unkinked loss on this equality
-    rng, ref = derived_rng(26, n % 1000), derived_rng(26, n % 1000)
-    rows = rng.integers(n, size=20_000)
-    assert rows.tolist() == [int(ref.integers(n)) for _ in range(20_000)]
-    assert rng.bit_generator.state == ref.bit_generator.state
+@pytest.mark.parametrize("flavor", [hinge_flavor(), hinge_via_general_flavor()],
+                         ids=["hinge", "hinge-via-general"])
+def test_server_uses_each_message_once_a_pass(flavor, monkeypatch):
+    # K B <= n draws are one pass, so no message twice: iters = 7 averages
+    # 42 messages a step, 294 distinct ones. iters = 700 on n = 300 walks
+    # three passes cut to 700 draws, so each message is used 2 or 3 times
+    seen = []
+    step_draws = glm_erm._step_draws
+
+    def recording(rows, kinks, batch):
+        seen.append(rows)
+        return step_draws(rows, kinks, batch)
+
+    monkeypatch.setattr(glm_erm, "_step_draws", recording)
+    data = generate_dataset({"family": "separable-two-class", "n": 300,
+                             "dim": 3, "margin": 0.1}, 24)
+    for iters, draws, uses in ((1, 300, {1}), (7, 294, {0, 1}),
+                               (300, 300, {1}), (700, 700, {2, 3})):
+        rep = glm_erm_run(data, flavor, target_alpha=1.0,
+                          budget=PrivacyBudget(epsilon=2.0, delta=1e-5),
+                          rng=derived_rng(26, iters), d_cap=2, iters=iters)
+        assert rep.iters == iters
+        (rows,) = seen
+        seen.clear()
+        counts = np.bincount(rows, minlength=300)
+        assert counts.sum() == draws
+        assert set(counts.tolist()) == uses
 
 
 def test_run_calls_solver_once_through_module_binding(monkeypatch):

@@ -17,7 +17,7 @@ from ldp_erm.polyapprox import (BernsteinOperatorSpec, SmoothedPlus,
                                 bernstein_basis_vector,
                                 bernstein_basis_vector_deriv,
                                 bernstein_deriv_coeffs, build_or_polynomial,
-                                chebyshev_eval, hbeta_deriv, hinge_sampler,
+                                chebyshev_eval, hinge_sampler,
                                 iterated_basis_pair, iterated_basis_weights,
                                 iterated_bernstein_eval, sample_q_many)
 from ldp_erm.rng import derived_rng
@@ -291,40 +291,20 @@ def test_smoothed_plus_derivative_fd():
         assert abs(SmoothedPlus(beta).deriv(x) - fd) < 1e-6
 
 
-def test_hbeta_basics():
-    beta = 0.25
-    hbeta_value = lambda x: 0.5 * (x + np.sqrt(x * x + beta ** 2))
-    assert hbeta_value(0.0) == pytest.approx(beta / 2, abs=1e-15)
-    xs = np.linspace(-2, 2, 801)
-    assert np.max(np.abs(2 * hbeta_value(xs) - xs - np.abs(xs))) <= beta + 1e-12
-    d = hbeta_deriv(beta, xs)
-    assert np.all((d >= 0) & (d <= 1))
-    rng = derived_rng(4)
-    for x in rng.uniform(-1.5, 1.5, 100):
-        fd = (hbeta_value(x + 1e-6) - hbeta_value(x - 1e-6)) / 2e-6
-        assert abs(hbeta_deriv(beta, x) - fd) < 1e-6
-
-
-def test_hinge_deriv_is_shifted_hbeta_deriv():
-    # the two surrogate derivative families differ by a half shift and a
-    # constant, which is what lets the hinge ride the general pipeline
-    beta = 0.17
-    xs = derived_rng(5).uniform(-1, 1, 200)
-    lhs = SmoothedPlus(beta).deriv(xs)
-    rhs = hbeta_deriv(beta, xs - 0.5) - 1.0
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
 def test_deriv_coeffs_bounded_and_converging():
     sp = SmoothedPlus(0.25)
     xs = np.linspace(0, 1, 2001)
-    errs = {}
-    for d in (8, 16):
-        coeffs = bernstein_deriv_coeffs(sp.deriv, d)
-        assert np.max(np.abs(coeffs)) <= 1.0
-        errs[d] = np.max(np.abs(bernstein_poly_eval(coeffs, xs) - sp.deriv(xs)))
-    ratio = errs[8] / errs[16]
-    assert 1.5 <= ratio <= 3.0  # O(1/d) rate under doubling
+    # the hinge path's coefficients, and the general path's smoothed step
+    # (the same plus one), whose coefficients lie in [0, 1]
+    for deriv, low in ((sp.deriv, -1.0), (lambda x: sp.deriv(x) + 1.0, 0.0)):
+        errs = {}
+        for d in (8, 16):
+            coeffs = bernstein_deriv_coeffs(deriv, d)
+            assert np.max(np.abs(coeffs)) <= 1.0 and np.all(coeffs >= low)
+            errs[d] = np.max(np.abs(bernstein_poly_eval(coeffs, xs)
+                                    - deriv(xs)))
+        ratio = errs[8] / errs[16]
+        assert 1.5 <= ratio <= 3.0  # O(1/d) rate under doubling
 
 
 def test_constant_coeffs_reproduce_constant():
