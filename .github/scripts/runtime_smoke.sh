@@ -10,9 +10,9 @@
 # non-zero, if re-running any good run from its manifest.json does not
 # reproduce its report.csv and transcript_summary.csv byte for byte, or if
 # a rejected config (one per mechanism, one per synthetic family, an
-# unknown top-level key, an empty sweep entry, a GLM delta of 0 and 65-bit
-# marginals records) does not exit 2 with a configuration error and no
-# traceback.
+# unknown top-level key, an empty sweep entry, a GLM delta of 0, a GLM
+# degree whose replica products overflow and 65-bit marginals records) does
+# not exit 2 with a configuration error and no traceback.
 set -euo pipefail
 venv="$1"
 mkdir -p "$2"
@@ -94,3 +94,5 @@ reject bad-top-level-key avg-bench "$cube" '{}' '"trails": 2'
 # an empty sweep entry gives no cells, so nothing else would check the config
 reject empty-sweep avg-bench "$cube" '{}' '"sweep": {"epsilon": []}'
 reject bad-hinge-delta hinge "$ball" '{"delta": 0}'
+# at d = 24 and the default epsilon = 1 the noise scale overflows float64
+reject glm-overflow hinge "$ball" '{"d_cap": 24}'

@@ -6,9 +6,9 @@ surrogate gradient (a Bernstein form of the smoothed loss derivative
 evaluated via products over fresh replicas) and feeds the averaged
 dual-averaging solver of ``sigm`` one mini-batch mean of such samples per
 step, taking only as many steps as the solver's bound can use (see
-``solver_batches``). The steps walk one pass over a random permutation of
-the messages, so no message is used twice before every one has been used
-once.
+``solver_batches``, at the closed-form ``noise_scale``). The steps walk one
+pass over a random permutation of the messages, so no message is used twice
+before every one has been used once.
 
 Two gradient paths exist: a dedicated hinge path whose coefficients come
 from the smoothed hinge derivative, and a general path for any convex
@@ -26,16 +26,15 @@ import numpy as np
 
 from .datasets import BallDataset
 from .errors import ConfigurationError, ParameterError, ProtocolError
-from .geometry import project_unit_ball
 from .polyapprox import (SmoothedPlus, SubgradientSampler,
                          bernstein_deriv_coeffs, hinge_sampler,
                          kink_locations, sample_q_many)
 from .primitives import PrivacyBudget
 from .sigm import SigmSchedule, sigm_run
 
-PILOT_PROBES = 8  # points at which the pilot noise estimate probes
-PILOT_SAMPLES = 8  # gradient samples it draws at each point
-SIGMA_SAFETY = 4.0  # factor the pilot estimate is inflated by
+# the (y, <x, w>) points, corners included, the noise scale is maximised over
+NOISE_GRID = (np.linspace(0.0, 1.0, 21)[:, None], np.linspace(-1.0, 1.0, 41))
+KINK_POINTS = 512  # midpoint-rule points of the kink-location moments
 # rows of a solver step's batch evaluated at once; a block gathers its
 # rows' (m, dim) body replicas, so this bounds the server's scratch memory
 BATCH_BLOCK = 1024
@@ -204,8 +203,7 @@ def _scalar_kernel(cfg: GradientOracleConfig) -> Callable:
     config, so a call looks up nothing on it: the folded offsets and
     halves, the weights and block shape, and for the general path the
     derivative spread f'(1) - f'(-1) and the affine shift are bound here.
-    Every gradient sample, the server's, the pilot's and a message's, is
-    one call of it.
+    Every gradient sample, the server's and a message's, is one call of it.
     """
     products = _block_products(cfg.weights, cfg.d)
     if cfg.sampler is None:
@@ -313,6 +311,60 @@ def _batch_mean(sample_scalars: Callable, head: np.ndarray, w: np.ndarray,
     return total / len(rows)
 
 
+# --- noise scale -------------------------------------------------------------
+
+
+def _gradient_variance(cfg: GradientOracleConfig, budget: PrivacyBudget,
+                       dim: int, y, v) -> np.ndarray:
+    """Var G of one message's sample G = s head_y head_x, elementwise in the
+    record's label y and v = <x, w>, at ||x|| = ||w|| = 1.
+
+    A body argument t = y_k <x_k, w> has E t = y v and E t^2 = (y^2 + b^2)
+    (v^2 + b^2) at body std b; the general path's t - c adds a kink offset
+    c independent of t. Each replica enters one factor of one block, so E s
+    sums products of first moments, and E s^2 those of second moments plus
+    the cross-block terms (E s)^2 - sum_j (weight_j mean_j)^2. At head std
+    h, Var G = E s^2 (y^2 + h^2)(1 + dim h^2) - (E s)^2 y^2."""
+    head_std, body_std = replica_noise_stds(budget, cfg.d)
+    sampler = cfg.sampler  # s = spread * products + shift; constant if affine
+    spread, shift = ((1.0, 0.0) if sampler is None
+                     else (sampler.upper - sampler.lower, sampler.lower))
+    mean = square = 0.0
+    if sampler is None or not sampler.degenerate:
+        y, v = np.asarray(y, dtype=float), np.asarray(v, dtype=float)
+        first = (y * v)[..., None]
+        second = ((y * y + body_std ** 2) * (v * v + body_std ** 2))[..., None]
+        if cfg.kinked:  # c = s - 1/2 over a midpoint grid of the uniform draw
+            c = kink_locations(sampler, shift + spread * (
+                np.arange(KINK_POINTS) + 0.5) / KINK_POINTS) - 0.5
+            first, second = first - c.mean(), (second - 2.0 * c.mean() * first
+                                               + np.mean(c * c))
+        j = np.arange(cfg.d + 1)
+        means = first ** j * (1.0 - first) ** (cfg.d - j)
+        squares = second ** j * (1.0 - 2.0 * first + second) ** (cfg.d - j)
+        mean = means @ cfg.weights
+        square = (squares - means * means) @ cfg.weights ** 2 + mean * mean
+    mean, square = (spread * mean + shift, spread ** 2 * square
+                    + 2.0 * spread * shift * mean + shift ** 2)
+    return (square * (y * y + head_std ** 2) * (1.0 + dim * head_std ** 2)
+            - mean * mean * y * y)
+
+
+def noise_scale(cfg: GradientOracleConfig, budget: PrivacyBudget,
+                dim: int) -> float:
+    """sigma: the largest std of one message's gradient sample about its
+    record's surrogate gradient over |y|, ||x||, ||w|| <= 1, from the public
+    replica stds alone. The variance grows with ||x||, and (-y, -v) has the
+    moments of (y, v), so it is maximised at ||x|| = 1 over ``NOISE_GRID``.
+    0 for a noiseless budget; inf or NaN when the moments overflow."""
+    if budget.noiseless:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = float(np.max(_gradient_variance(cfg, budget, dim, *NOISE_GRID)))
+    # NaN is checked before the clamp, as max(0.0, nan) is 0.0
+    return top if math.isnan(top) else math.sqrt(max(top, 0.0))
+
+
 # --- full protocol -------------------------------------------------------------
 
 
@@ -349,8 +401,8 @@ def hinge_via_general_flavor() -> LossFlavor:
 @dataclass(frozen=True)
 class GlmRunReport:
     """A private fit and its diagnostics. ``sigma`` is the gradient-noise
-    scale of one message's sample; ``iters`` is the solver's step count K,
-    each step averaging n // K messages (one when K >= n)."""
+    scale of one message's sample (``noise_scale``); ``iters`` is the
+    solver's step count K, each averaging n // K messages (one when K >= n)."""
 
     w_priv: np.ndarray
     err_empirical: float
@@ -391,33 +443,32 @@ def _encode_population(features: np.ndarray, labels: np.ndarray,
     return head_x, head_y, body_x, body_y
 
 
-def _pilot_sigma(gradients: Callable, n: int, cfg: GradientOracleConfig,
-                 dim: int, rng: np.random.Generator) -> float:
-    """Crude gradient-noise scale: spread of samples at a few probe points.
-
-    Each probe draws its point, then its messages' rows (with replacement),
-    then their kink locations. It is NaN when a sample is, and infinite
-    when a spread overflows."""
-    spreads = []
-    for _ in range(PILOT_PROBES):
-        w = project_unit_ball(rng.standard_normal(dim))
-        rows = rng.integers(n, size=PILOT_SAMPLES)
-        grads = gradients(w, rows, _kink_draws(rng, cfg, PILOT_SAMPLES))
-        centered = grads - grads.mean(axis=0)
-        spreads.append(np.sqrt(np.mean(np.sum(centered ** 2, axis=1))))
-    return float(np.max(spreads))
-
-
-def glm_degree(target_alpha: float, d_cap: int) -> tuple:
-    """(d, d_theory): the theory's degree d_theory = 2/(beta^2 alpha) at
-    beta = alpha/4, rounded up and at least 1, and d, that degree capped at
-    ``d_cap``."""
+def glm_oracle(flavor: LossFlavor, target_alpha: float, budget: PrivacyBudget,
+               dim: int, d_cap: int = 8) -> tuple:
+    """(cfg, d_theory, sigma): the gradient path of ``flavor`` at beta =
+    alpha/4 and degree d, the theory's d_theory = 2/(beta^2 alpha) rounded
+    up (at least 1) capped at ``d_cap``, and its finite ``noise_scale`` at
+    ``dim``, or a ``ConfigurationError`` naming d_cap when it overflows."""
     if not 0.0 < target_alpha <= 1.0:
         raise ParameterError(
             f"target_alpha must lie in (0, 1], got {target_alpha}")
     beta = target_alpha / 4.0
     d_theory = max(1, math.ceil(2.0 / (beta ** 2 * target_alpha)))
-    return min(d_theory, d_cap), d_theory
+    d = min(d_theory, d_cap)
+    if flavor.name == "hinge":
+        cfg = hinge_oracle_config(d, beta)
+    else:
+        if flavor.sampler is None:
+            raise ParameterError("general-linear flavor needs a sampler")
+        cfg = general_linear_oracle_config(d, beta, flavor.sampler)
+    sigma = noise_scale(cfg, budget, dim)
+    if not math.isfinite(sigma):
+        raise ConfigurationError(
+            f"degree d = {d} is too high at epsilon = {budget.epsilon}: the "
+            f"products of d noised replicas overflow float64, so the "
+            f"gradient-noise scale is not finite; lower d_cap (now {d_cap}) "
+            f"or raise epsilon")
+    return cfg, d_theory, sigma
 
 
 def solver_batches(n: int, sigma: float, smoothness: float,
@@ -451,9 +502,9 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     alpha/4, d = 2/(beta^2 alpha)) except that d is capped — the
     theoretical degree explodes cubically in 1/alpha and the report carries
     both values. The gradient-noise scale sigma of one message's sample
-    is a pilot estimate inflated by ``SIGMA_SAFETY``; conservative scales
-    cost a constant factor in rate but keep early iterates from wandering
-    when the replica products are heavy-tailed.
+    is ``noise_scale``, data-free, so ``rng`` draws only the encoding, the
+    rows and the kinks. It counts the replicas' noise, not the spread of
+    the surrogate gradient across records: a noiseless run has sigma = 0.
 
     The solver takes K steps, each on the mean sample of B = max(1, n // K)
     messages, so its schedule sees the noise scale sigma / sqrt(B). K is
@@ -465,16 +516,9 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     ``iters`` above n walks ceil(iters / n) passes. Their kink locations
     are drawn after the rows, in one uniform call.
     """
-    d, d_theory = glm_degree(target_alpha, d_cap)
-    beta = target_alpha / 4.0
-
-    if flavor.name == "hinge":
-        cfg = hinge_oracle_config(d, beta)
-    else:
-        if flavor.sampler is None:
-            raise ParameterError("general-linear flavor needs a sampler")
-        cfg = general_linear_oracle_config(d, beta, flavor.sampler)
-
+    cfg, d_theory, sigma = glm_oracle(flavor, target_alpha, budget, data.dim,
+                                      d_cap)
+    d, beta = cfg.d, target_alpha / 4.0
     head_x, head_y, body_x, body_y = _encode_population(
         data.features, data.labels, budget, d, rng)
 
@@ -489,20 +533,6 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     def sample_scalars(w, rows, kinks):
         return scalars(body_y[rows] * (body_x[rows] @ w), kinks)
 
-    def gradients(w, rows, kinks):
-        return sample_scalars(w, rows, kinks)[..., None] * head[rows]
-
-    # products of d noised replicas grow like the noise std to the power d,
-    # and at a high enough degree they or their squares overflow float64
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma_hat = _pilot_sigma(gradients, n, cfg, dim, rng)
-    if not math.isfinite(sigma_hat):
-        raise ConfigurationError(
-            f"degree d = {d} is too high at epsilon = {budget.epsilon}: the "
-            f"products of d noised replicas overflow float64, so the "
-            f"gradient-noise scale is not finite; lower d_cap (now {d_cap}) "
-            f"or raise epsilon")
-    sigma = SIGMA_SAFETY * sigma_hat
     smoothness = 1.0 / beta
     steps, batch = solver_batches(n, sigma, smoothness, iters)
     schedule = SigmSchedule(sigma=sigma / math.sqrt(batch),

@@ -28,7 +28,7 @@ from .datasets import (DATA_KEYS, FAMILIES, KINDS, MAX_BITS, BallDataset,
                        check_spec, count, flag, generate_dataset, number,
                        numbers, optional, spec_value)
 from .errors import ConfigurationError, EstimationError
-from .glm_erm import (glm_degree, glm_erm_run, hinge_flavor,
+from .glm_erm import (glm_erm_run, glm_oracle, hinge_flavor,
                       hinge_via_general_flavor)
 from .polyapprox import BernsteinOperatorSpec, build_or_polynomial
 from .primitives import PrivacyBudget, check_onebit_epsilon, ldp_avg_1d
@@ -324,11 +324,10 @@ def _trial_grid(data: CubeDataset, params: dict, seed: int,
 
 
 def _trial_glm(data: BallDataset, params: dict, seed: int,
-               general: bool) -> dict:
-    flavor = hinge_via_general_flavor() if general else hinge_flavor()
+               flavor: Callable) -> dict:
     epsilon, delta = params["epsilon"], params["delta"]
     report = glm_erm_run(
-        data, flavor, target_alpha=params["target_alpha"],
+        data, flavor(), target_alpha=params["target_alpha"],
         budget=PrivacyBudget(epsilon=epsilon, delta=delta),
         rng=derived_rng(seed, TAG_TRIAL_MECHANISM),
         d_cap=params["d_cap"], iters=params["iters"])
@@ -410,9 +409,10 @@ def _onebit_message(params: dict, dim: int) -> tuple:
     return 0, 1
 
 
-def _glm_message(params: dict, dim: int) -> tuple:
-    # a head replica and d(d+1) body ones, each a point and its label
-    d, _ = glm_degree(params["target_alpha"], params["d_cap"])
+def _glm_message(params: dict, dim: int, flavor: Callable) -> tuple:
+    # a head and d(d+1) body replicas of (x, y), at a degree glm_oracle takes
+    d = glm_oracle(flavor(), params["target_alpha"], PrivacyBudget(
+        params["epsilon"], params["delta"]), dim, params["d_cap"])[0].d
     return (d * (d + 1) + 1) * (dim + 1), 0
 
 
@@ -507,11 +507,12 @@ MECHANISMS = {
         functools.partial(_trial_grid, onebit=True),
         _onebit_message),
     "hinge": Mechanism((BallDataset,), _GLM_PARAMS,
-                       functools.partial(_trial_glm, general=False),
-                       _glm_message),
-    "general-linear": Mechanism((BallDataset,), _GLM_PARAMS,
-                                functools.partial(_trial_glm, general=True),
-                                _glm_message),
+                       functools.partial(_trial_glm, flavor=hinge_flavor),
+                       functools.partial(_glm_message, flavor=hinge_flavor)),
+    "general-linear": Mechanism(
+        (BallDataset,), _GLM_PARAMS,
+        functools.partial(_trial_glm, flavor=hinge_via_general_flavor),
+        functools.partial(_glm_message, flavor=hinge_via_general_flavor)),
     "marginals": Mechanism(
         (BinaryDataset,),
         {"k": Param(2, "an integer >= 1", count),

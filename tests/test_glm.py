@@ -9,17 +9,16 @@ import pytest
 from formula_reference import abs_sampler, bernstein_poly_eval
 from ldp_erm.datasets import generate_dataset
 from ldp_erm.errors import ParameterError, ProtocolError
-from ldp_erm.geometry import project_unit_ball
 from ldp_erm import glm_erm
 from ldp_erm.glm_erm import (BallDataset, LossFlavor, ReplicaMessage,
                              _binom_row, _block_products, _encode_population,
-                             _fold, empirical_risk,
-                             general_linear_gradient_sample,
+                             _fold, _gradient_variance, _kink_draws,
+                             empirical_risk, general_linear_gradient_sample,
                              general_linear_oracle_config, glm_erm_run,
-                             glm_player_encode, hinge_flavor,
+                             glm_oracle, glm_player_encode, hinge_flavor,
                              hinge_gradient_sample, hinge_oracle_config,
-                             hinge_via_general_flavor, replica_noise_stds,
-                             solver_batches)
+                             hinge_via_general_flavor, noise_scale,
+                             replica_noise_stds, solver_batches)
 from ldp_erm.polyapprox import (SmoothedPlus, SubgradientSampler,
                                 hinge_sampler, kink_locations)
 from ldp_erm.primitives import PrivacyBudget
@@ -319,17 +318,13 @@ def _permutation_rows(rng, n, count):
 def _replayed_run(data, flavor, budget, rng, d, iters, batch=1):
     # the server side of glm_erm_run, one message and one gradient sample
     # at a time through the public per-message API (target_alpha = 1); each
-    # step averages the samples of ``batch`` messages. A probe's or the
-    # server's rows are drawn before its samples, and each general-linear
-    # sample draws its own kinks
-    beta = 0.25
-    if flavor.name == "hinge":
-        cfg = hinge_oracle_config(d, beta)
-        sample = hinge_gradient_sample
-    else:
-        cfg = general_linear_oracle_config(d, beta, flavor.sampler)
-        sample = general_linear_gradient_sample
+    # step averages the samples of ``batch`` messages. The server's rows are
+    # drawn before its samples, and each general-linear sample draws its
+    # own kinks
     n, dim, m = data.n, data.dim, d * (d + 1)
+    cfg, _, sigma = glm_oracle(flavor, 1.0, budget, dim, d)
+    sample = (hinge_gradient_sample if flavor.name == "hinge" else
+              general_linear_gradient_sample)
     head_std, body_std = replica_noise_stds(budget, d)
     shapes = ((n, dim), n, (n, m, dim), (n, m))
     stds = (head_std, head_std, body_std, body_std)
@@ -341,18 +336,7 @@ def _replayed_run(data, flavor, budget, rng, d, iters, batch=1):
                            head_y=float(y[i] + noise[1][i]),
                            body_x=x[i] + noise[2][i],
                            body_y=y[i] + noise[3][i]) for i in range(n)]
-    worst = 0.0
-    for _ in range(8):
-        v = rng.standard_normal(dim)
-        w = v / max(1.0, np.linalg.norm(v))
-        rows = rng.integers(n, size=8)
-        grads = np.stack([sample(w, msgs[i], cfg, rng) for i in rows])
-        centered = grads - grads.mean(axis=0)
-        worst = max(worst, float(np.sqrt(np.mean(np.sum(centered ** 2,
-                                                        axis=1)))))
-    sigma = 4.0 * worst
-    schedule = SigmSchedule(sigma=sigma / math.sqrt(batch),
-                            smoothness=1.0 / beta)
+    schedule = SigmSchedule(sigma / math.sqrt(batch), 1 / 0.25)
 
     rows = iter(_permutation_rows(rng, n, iters * batch))
 
@@ -414,6 +398,32 @@ def test_batched_run_matches_per_message_replay(flavor, budget):
     scale = float(np.max(np.abs(want_w)))
     assert scale > 0.0
     assert float(np.max(np.abs(rep.w_priv - want_w))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("eps", [8.0, 50.0])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kinked", [False, True], ids=["hinge", "quadratic"])
+def test_noise_scale_matches_monte_carlo(kinked, d, eps):
+    # the production sample of one record, encoded 200k times, at the grid
+    # point where the closed-form variance peaks: its std is sigma
+    cfg = (general_linear_oracle_config(d, 0.25, QUADRATIC_FLAVOR.sampler)
+           if kinked else hinge_oracle_config(d, 0.25))
+    budget, dim, reps = PrivacyBudget(epsilon=eps, delta=1e-5), 3, 200_000
+    ys, vs = glm_erm.NOISE_GRID
+    variance = _gradient_variance(cfg, budget, dim, ys, vs)
+    peak = np.unravel_index(np.argmax(variance), variance.shape)
+    y, v = ys[peak[0], 0], vs[peak[1]]
+    x, w = np.eye(dim)[0], np.array([v, math.sqrt(1.0 - v * v), 0.0])
+    rng = derived_rng(30, d, int(eps))
+    head_x, head_y, body_x, body_y = _encode_population(
+        np.tile(x, (reps, 1)), np.full(reps, y), budget, d, rng)
+    margins = (_fold(d)[0] * body_y) * (body_x @ w)
+    grads = (cfg.scalars(margins, _kink_draws(rng, cfg, reps))
+             * head_y)[:, None] * head_x
+    spread = math.sqrt(np.mean(np.sum((grads - grads.mean(axis=0)) ** 2,
+                                      axis=1)))
+    assert spread == pytest.approx(noise_scale(cfg, budget, dim), rel=0.03)
+    assert noise_scale(cfg, NOISELESS, dim) == 0.0
 
 
 def test_empirical_risk_matches_direct_mean():
@@ -478,9 +488,7 @@ def _unfolded_mean(scalars_at, head, w, rows, kinks):
 def _unfolded_run(data, flavor, budget, rng, d, iters):
     # glm_erm_run at target_alpha = 1 and an explicit iters, step by step
     # through per-sample kink draws and the unsigned gradient scalars
-    beta = 0.25
-    cfg = (hinge_oracle_config(d, beta) if flavor.name == "hinge" else
-           general_linear_oracle_config(d, beta, flavor.sampler))
+    cfg, _, sigma = glm_oracle(flavor, 1.0, budget, data.dim, d)
     head_x, head_y, body_x, body_y = _encode_population(
         data.features, data.labels, budget, d, rng)
     n, dim, m = data.n, data.dim, d * (d + 1)
@@ -490,20 +498,8 @@ def _unfolded_run(data, flavor, budget, rng, d, iters):
         margins = body_y[rows] * (body_x[rows] @ w)
         return _unfolded_scalars(margins, kinks, cfg)
 
-    def gradients(w, rows, kinks):
-        return scalars_at(w, rows, kinks)[..., None] * head[rows]
-
-    spreads = []
-    for _ in range(8):
-        w = project_unit_ball(rng.standard_normal(dim))
-        rows = rng.integers(n, size=8)
-        grads = gradients(w, rows, _sample_kinks(rng, 8, m, cfg))
-        centered = grads - grads.mean(axis=0)
-        spreads.append(np.sqrt(np.mean(np.sum(centered ** 2, axis=1))))
-    sigma = 4.0 * float(np.max(spreads))
     batch = max(1, n // iters)
-    schedule = SigmSchedule(sigma=sigma / math.sqrt(batch),
-                            smoothness=1.0 / beta)
+    schedule = SigmSchedule(sigma / math.sqrt(batch), 1 / 0.25)
     rows = np.array(_permutation_rows(rng, n, iters * batch))
     kinks = _sample_kinks(rng, iters * batch, m, cfg)
     steps = iter(range(0, iters * batch, batch))

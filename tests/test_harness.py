@@ -21,7 +21,7 @@ from ldp_erm.datasets import FAMILY_KEYS, generate_dataset, separable_two_class
 from ldp_erm.errors import (ConfigurationError, ParameterError,
                             SampleSizeWarning)
 from ldp_erm.geometry import project_unit_ball
-from ldp_erm.glm_erm import (BallDataset, glm_degree, glm_player_encode,
+from ldp_erm.glm_erm import (BallDataset, glm_oracle, glm_player_encode,
                              hinge_flavor, solver_batches)
 from ldp_erm.harness import (MECHANISMS, REPORT_COLUMNS, TRANSCRIPT_COLUMNS,
                              ExperimentConfig, apply_set_overrides,
@@ -645,22 +645,18 @@ def test_partial_failures_recorded(tmp_path):
 
 
 @pytest.mark.parametrize("mechanism", ["hinge", "general-linear"])
-def test_glm_overflow_fails_with_its_cause(tmp_path, mechanism):
-    # at d = 24 and the default epsilon = 1 the squared spreads of the
-    # noised replica products overflow float64: the row names the degree,
-    # epsilon and d_cap, and numpy's overflow warning does not escape
-    cfg = ExperimentConfig(
-        mechanism=mechanism,
-        dataset={"family": "separable-two-class", "n": 40, "dim": 3},
-        params={"d_cap": 24}, trials=1, seed=4, out=str(tmp_path / "run"))
+def test_glm_overflow_fails_with_its_cause(mechanism):
+    # at d = 24 and the default epsilon = 1 the moments of the noised
+    # replica products overflow float64: the config is refused when built,
+    # naming the degree, epsilon and d_cap, and no numpy warning escapes
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = run_experiment(cfg)
+        with pytest.raises(ConfigurationError) as refused:
+            ExperimentConfig(mechanism, {"family": "separable-two-class",
+                                         "n": 40, "dim": 3}, {"d_cap": 24})
     assert [str(w.message) for w in caught] == []
-    (row,) = result.rows
-    assert row["status"] == "ConfigurationError"
     for cause in ("degree d = 24", "epsilon = 1.0", "d_cap (now 24)"):
-        assert cause in row["error"]
+        assert cause in str(refused.value)
 
 
 @pytest.mark.parametrize("params", [{"d_cap": 2}, {"d_cap": 2, "iters": 7}])
@@ -746,8 +742,9 @@ def _one_player_message(mechanism: str, params: dict, dim: int) -> tuple:
         bits, _ = onebit_encode_many([0.5], [0.1], params["epsilon"], rng)
         return 0, bits.size
     if mechanism in ("hinge", "general-linear"):
-        d, _ = glm_degree(params["target_alpha"], params["d_cap"])
         budget = PrivacyBudget(params["epsilon"], params["delta"])
+        d = glm_oracle(hinge_flavor(), params["target_alpha"], budget, dim,
+                       params["d_cap"])[0].d
         msg = glm_player_encode((np.full(dim, 0.1), 0.5), budget, d, rng)
         return sum(np.size(part) for part in (msg.head_x, msg.head_y,
                                               msg.body_x, msg.body_y)), 0
