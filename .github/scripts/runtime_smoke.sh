@@ -7,12 +7,14 @@
 # VENV is a virtual environment with the package installed and no extras;
 # each mechanism's console-script run writes its config and artifacts under
 # WORKDIR. Fails if scipy is importable there, if any good run exits
-# non-zero, if re-running any good run from its manifest.json does not
-# reproduce its report.csv and transcript_summary.csv byte for byte, or if
-# a rejected config (one per mechanism, one per synthetic family, an
-# unknown top-level key, an empty sweep entry, a GLM delta of 0, a GLM
-# degree whose replica products overflow and 65-bit marginals records) does
-# not exit 2 with a configuration error and no traceback.
+# non-zero, if a batched GLM run (epsilon = 50 on n = 2000) does not take
+# more than one solver step and fewer than n, if re-running any good run
+# from its manifest.json does not reproduce its report.csv and
+# transcript_summary.csv byte for byte, or if a rejected config (one per
+# mechanism, one per synthetic family, an unknown top-level key, an empty
+# sweep entry, a GLM delta of 0, a GLM degree whose replica products
+# overflow and 65-bit marginals records) does not exit 2 with a
+# configuration error and no traceback.
 set -euo pipefail
 venv="$1"
 mkdir -p "$2"
@@ -36,11 +38,21 @@ run hinge "$ball" '{"d_cap": 2}'
 # noiseless, SIGM's dual points mostly leave the unit ball and are projected
 run hinge "$ball" '{"d_cap": 2, "epsilon": "inf"}' hinge-noiseless
 run general-linear "$ball" '{"d_cap": 2}'
-# 10 solver steps over n = 2000 messages: each step averages 200 of them
-run hinge "$ball" '{"d_cap": 2, "iters": 10}' hinge-batched
-# the kinked path over the same batches: one permutation pass of rows and
-# one call for all their kink locations
-run general-linear "$ball" '{"d_cap": 2, "iters": 10}' general-linear-batched
+# at epsilon = 50 the noise scale leaves 15 solver steps over n = 2000
+# messages, each averaging 133 of them
+run hinge "$ball" '{"d_cap": 2, "epsilon": 50}' hinge-batched
+# the kinked path, 18 steps of 111: one permutation pass of rows and one
+# call for all their kink locations
+run general-linear "$ball" '{"d_cap": 2, "epsilon": 50}' \
+  general-linear-batched
+for label in hinge-batched general-linear-batched; do
+  "$venv/bin/python" - "runtime-runs/$label/report.csv" <<'EOF'
+import csv, sys
+(row,) = csv.DictReader(open(sys.argv[1]))
+if not 1 < int(row["steps"]) < 2000:
+    sys.exit(f"{sys.argv[1]}: {row['steps']} solver steps, wanted 2 to 1999")
+EOF
+done
 bits='{"family": "bernoulli-bits", "n": 2000, "dim": 4}'
 box='{"family": "gaussian-ball-clipped", "n": 2000, "dim": 2}'
 run marginals "$bits" '{"k": 1, "gamma": 0.2}'
@@ -74,7 +86,7 @@ reject() {  # label, mechanism, dataset, params[, extra top-level entries]
 }
 reject bad-bernstein bernstein "$cube" '{"k": 0}'
 reject bad-onebit onebit "$cube" '{"epsilon": "inf"}'
-reject bad-hinge hinge "$ball" '{"iters": 2.5}'
+reject bad-hinge hinge "$ball" '{"d_cap": 2.5}'
 reject bad-general-linear general-linear "$ball" '{"delta": 1}'
 reject bad-marginals marginals "$bits" '{"gamma": 1.5}'
 reject bad-smooth-queries smooth-queries "$box" '{"bandwidths": []}'

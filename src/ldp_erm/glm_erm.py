@@ -16,7 +16,6 @@ from the smoothed hinge derivative, and a general path for any convex
 loss's subgradient mixture per replica.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -266,31 +265,17 @@ def general_linear_gradient_sample(w: np.ndarray, message: ReplicaMessage,
 
 
 def _kink_draws(rng: np.random.Generator, cfg: GradientOracleConfig,
-                count: int) -> Optional[np.ndarray]:
-    """Kink locations of ``count`` samples, one row of d(d+1) each, from one
-    uniform call and one bisection, times the product signs (see _fold).
-    None for a loss that draws no kinks."""
+                shape: tuple) -> Optional[np.ndarray]:
+    """Kink locations of an array of samples of ``shape``, one row of d(d+1)
+    each on a last axis, from one uniform call and one bisection, times the
+    product signs (see _fold). None for a loss that draws no kinks."""
     if not cfg.kinked:
         return None
     sampler = cfg.sampler
     kinks = kink_locations(sampler, rng.uniform(
-        sampler.lower, sampler.upper, (count, cfg.d * (cfg.d + 1))))
+        sampler.lower, sampler.upper, shape + (cfg.d * (cfg.d + 1),)))
     kinks *= _fold(cfg.d)[0]
     return kinks
-
-
-def _step_draws(rows: np.ndarray, kinks: Optional[np.ndarray], batch: int):
-    """Iterator of each solver step's (rows, kinks or None).
-
-    The draws are cut into runs of ``batch`` in draw order. With one draw a
-    step, a step's rows are a single row index and its kinks one row of
-    kink locations, as a per-message sample takes them.
-    """
-    if batch > 1:
-        rows = rows.reshape(-1, batch)
-        if kinks is not None:
-            kinks = kinks.reshape(rows.shape + (-1,))
-    return zip(rows, itertools.repeat(None) if kinks is None else kinks)
 
 
 def _batch_mean(sample_scalars: Callable, head: np.ndarray, w: np.ndarray,
@@ -401,8 +386,8 @@ def hinge_via_general_flavor() -> LossFlavor:
 @dataclass(frozen=True)
 class GlmRunReport:
     """A private fit and its diagnostics. ``sigma`` is the gradient-noise
-    scale of one message's sample (``noise_scale``); ``iters`` is the
-    solver's step count K, each averaging n // K messages (one when K >= n)."""
+    scale of one message's sample (``noise_scale``); ``steps`` is the
+    solver's step count K, each step averaging n // K messages."""
 
     w_priv: np.ndarray
     err_empirical: float
@@ -412,7 +397,7 @@ class GlmRunReport:
     d_theory: int
     beta: float
     sigma: float
-    iters: int
+    steps: int
     flavor: str
 
 
@@ -471,31 +456,28 @@ def glm_oracle(flavor: LossFlavor, target_alpha: float, budget: PrivacyBudget,
     return cfg, d_theory, sigma
 
 
-def solver_batches(n: int, sigma: float, smoothness: float,
-                   iters: Optional[int] = None) -> tuple:
+def solver_batches(n: int, sigma: float, smoothness: float) -> tuple:
     """(K, B): the solver's step count and the messages each step averages.
 
-    K is ``iters`` when given. Otherwise K = min(n, ceil(L R sqrt(n) /
-    sigma)) at L = ``smoothness`` and R = 1, the unit ball's radius: after
-    K steps that each average B messages the solver's bound is L R^2 / K +
-    sigma R / sqrt(K B), and in one pass (K B = n) the second term is sigma
-    R / sqrt(n) whatever K, so steps beyond L R sqrt(n) / sigma add work and
-    no accuracy. sigma = 0 gives K = n. B = max(1, n // K), so K B <= n,
-    except that an ``iters`` above n takes one message a step.
+    K = min(n, ceil(L R sqrt(n) / sigma)) at L = ``smoothness`` and R = 1,
+    the unit ball's radius: after K steps that each average B messages the
+    solver's bound is L R^2 / K + sigma R / sqrt(K B), and in one pass (K B
+    = n) the second term is sigma R / sqrt(n) whatever K, so steps beyond
+    L R sqrt(n) / sigma add work and no accuracy. sigma = 0 gives K = n.
+    B = n // K, and K is then raised to n // B, so K B <= n and fewer than
+    B messages go unused.
     """
-    if iters is None:
-        reach = smoothness * math.sqrt(n)
-        # compared before dividing, which overflows at a subnormal sigma
-        if sigma * n <= reach:
-            iters = n
-        else:
-            iters = max(1, min(n, math.ceil(reach / sigma)))
-    return iters, max(1, n // iters)
+    reach = smoothness * math.sqrt(n)
+    # compared before dividing, which overflows at a subnormal sigma
+    if sigma * n <= reach:
+        return n, 1
+    batch = n // max(1, math.ceil(reach / sigma))  # here reach / sigma < n
+    return n // batch, batch
 
 
 def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
                 budget: PrivacyBudget, rng: np.random.Generator,
-                d_cap: int = 8, iters: Optional[int] = None) -> GlmRunReport:
+                d_cap: int = 8) -> GlmRunReport:
     """Full protocol: encode every player once, then optimize.
 
     The smoothing level and degree follow the accuracy target (beta =
@@ -506,15 +488,13 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     rows and the kinks. It counts the replicas' noise, not the spread of
     the surrogate gradient across records: a noiseless run has sigma = 0.
 
-    The solver takes K steps, each on the mean sample of B = max(1, n // K)
-    messages, so its schedule sees the noise scale sigma / sqrt(B). K is
-    ``iters`` when given, and otherwise min(n, ceil(L sqrt(n) / sigma)) at
-    L = 1/beta (``solver_batches``): more steps than that leave the
-    solver's bound where one pass puts it. The K B messages are the first
-    K B of successive random permutations of the n messages, drawn in one
-    pass when K B <= n, so no step sees a message an earlier step used; an
-    ``iters`` above n walks ceil(iters / n) passes. Their kink locations
-    are drawn after the rows, in one uniform call.
+    The solver takes K steps, each on the mean sample of B messages, so its
+    schedule sees the noise scale sigma / sqrt(B). (K, B) come from
+    ``solver_batches`` at L = 1/beta: more steps than min(n, ceil(L sqrt(n)
+    / sigma)) leave the solver's bound where one pass puts it. The K B
+    messages are the first K B of one random permutation of the n
+    messages, so no step sees a message an earlier step used. Their kink
+    locations are drawn after the rows, in one uniform call.
     """
     cfg, d_theory, sigma = glm_oracle(flavor, target_alpha, budget, data.dim,
                                       d_cap)
@@ -534,19 +514,16 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
         return scalars(body_y[rows] * (body_x[rows] @ w), kinks)
 
     smoothness = 1.0 / beta
-    steps, batch = solver_batches(n, sigma, smoothness, iters)
+    steps, batch = solver_batches(n, sigma, smoothness)
     schedule = SigmSchedule(sigma=sigma / math.sqrt(batch),
                             smoothness=smoothness)
-    # successive passes over random permutations, cut to the K B draws
-    count = steps * batch
-    rows = np.concatenate([rng.permutation(n) for _ in range(-(-count // n))])
-    draws = _step_draws(rows[:count], _kink_draws(rng, cfg, count), batch)
+    # one pass over a random permutation, cut to K steps of B rows
+    rows = rng.permutation(n)[:steps * batch].reshape(steps, batch)
+    kinks = _kink_draws(rng, cfg, rows.shape)
+    draws = zip(rows, [None] * steps if kinks is None else kinks)
 
     def oracle(w):
-        rows, kinks = next(draws)
-        if batch == 1:  # one message's own sample: no gather and no sum
-            return sample_scalars(w, rows, kinks) * head[rows]
-        return _batch_mean(sample_scalars, head, w, rows, kinks)
+        return _batch_mean(sample_scalars, head, w, *next(draws))
 
     w_priv = sigm_run(oracle, dim, schedule, steps)
 
@@ -558,4 +535,4 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     return GlmRunReport(
         w_priv=w_priv, err_empirical=err, baseline_err=base_err,
         excess=err - base_err, d=d, d_theory=d_theory, beta=beta,
-        sigma=sigma, iters=steps, flavor=flavor.name)
+        sigma=sigma, steps=steps, flavor=flavor.name)

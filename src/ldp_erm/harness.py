@@ -330,12 +330,12 @@ def _trial_glm(data: BallDataset, params: dict, seed: int,
         data, flavor(), target_alpha=params["target_alpha"],
         budget=PrivacyBudget(epsilon=epsilon, delta=delta),
         rng=derived_rng(seed, TAG_TRIAL_MECHANISM),
-        d_cap=params["d_cap"], iters=params["iters"])
+        d_cap=params["d_cap"])
     return {"d": report.d, "beta": report.beta, "epsilon": epsilon,
             "delta": delta, "flavor": report.flavor,
             "err_empirical": report.err_empirical,
             "baseline_err": report.baseline_err, "d_theory": report.d_theory,
-            "sigma": report.sigma, "steps": report.iters}
+            "sigma": report.sigma, "steps": report.steps}
 
 
 def _all_disjunction_queries(p: int, k: int):
@@ -491,7 +491,6 @@ _GLM_PARAMS = {
     "target_alpha": Param(1.0, "a number in (0, 1]",
                           number(lambda v: 0 < v <= 1)),
     "d_cap": Param(8, "an integer >= 1", count),
-    "iters": Param(None, "null or an integer >= 1", optional(count)),
 }
 
 MECHANISMS = {

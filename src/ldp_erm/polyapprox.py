@@ -71,14 +71,9 @@ def bernstein_basis_vector(k: int, x) -> np.ndarray:
     return _padded_basis(k, np.asarray(x, dtype=float), k)[..., 1:-1]
 
 
-def bernstein_basis_vector_deriv(k: int, x) -> np.ndarray:
-    """Derivatives of all k+1 basis polynomials at x (shaped as above)."""
-    return bernstein_basis_pair(k, x)[1]
-
-
 def bernstein_basis_pair(k: int, x) -> tuple:
-    """``(bernstein_basis_vector(k, x), bernstein_basis_vector_deriv(k, x))``
-    from one run of the degree recurrence.
+    """``bernstein_basis_vector(k, x)`` and the derivatives of the k+1 basis
+    polynomials at x (shaped alike), from one run of the degree recurrence.
 
     The derivative is k times the shifted difference of the degree k-1
     basis, and one more step of the recurrence gives degree k.
@@ -114,24 +109,21 @@ def _iterate(k: int, h: int, base: np.ndarray) -> np.ndarray:
     return acc
 
 
-def iterated_basis_weights(k: int, h: int, x,
-                           derivative: bool = False) -> np.ndarray:
+def iterated_basis_weights(k: int, h: int, x) -> np.ndarray:
     """Grid weights of the iterated operator along one axis.
 
     Returns w with ``B^(h)(f; x) = sum_v w[v] f(v/k)``. The weights follow
     from expanding ``I - (I - B_k)^h`` into powers of the one-step operator:
-    ``w(x) = sum_{i=1}^{h} C(h,i) (-1)^(i-1) b(x)^T N^(i-1)``.
-    With ``derivative=True`` the basis vector is replaced by its derivative,
-    giving d/dx of the same weights. An array of x gives x.shape + (k+1,).
+    ``w(x) = sum_{i=1}^{h} C(h,i) (-1)^(i-1) b(x)^T N^(i-1)``. An array of
+    x gives x.shape + (k+1,).
     """
-    base = (bernstein_basis_vector_deriv(k, x) if derivative
-            else bernstein_basis_vector(k, x))
-    return _iterate(k, h, base)
+    return _iterate(k, h, bernstein_basis_vector(k, x))
 
 
 def iterated_basis_pair(k: int, h: int, x) -> tuple:
-    """``iterated_basis_weights`` at x without and with ``derivative``, bit
-    for bit, from one run of the basis recurrence."""
+    """``iterated_basis_weights`` at x, bit for bit, and their derivative in
+    x, the same expansion with the basis vector replaced by its derivative,
+    from one run of the basis recurrence."""
     base, deriv = bernstein_basis_pair(k, x)
     return _iterate(k, h, base), _iterate(k, h, deriv)
 

@@ -66,8 +66,8 @@ class SigmSchedule:
 
 
 def sigm_run(oracle: GradientOracle, dim: int, schedule: SigmSchedule,
-             iters: int) -> np.ndarray:
-    """Run the solver for ``iters`` gradient queries in ``dim`` dimensions.
+             steps: int) -> np.ndarray:
+    """Run the solver for ``steps`` gradient queries in ``dim`` dimensions.
 
     ``oracle(w)`` returns a gradient estimate at w; an oracle that draws
     noise holds its own generator. The first query is at the origin. Step
@@ -84,9 +84,9 @@ def sigm_run(oracle: GradientOracle, dim: int, schedule: SigmSchedule,
     one batched call (bit-identical to one row at a time) and updates y
     one coordinate at a time over Python floats.
     """
-    if iters < 1:
-        raise ParameterError(f"need at least one iteration, got {iters}")
-    ks = np.arange(1, iters)
+    if steps < 1:
+        raise ParameterError(f"need at least one step, got {steps}")
+    ks = np.arange(1, steps)
     beta = schedule.beta(ks)
     a_k = ks + 2.0
     step, keep, take = 1.0 / beta, (a_k - 1.0) / a_k, 1.0 / a_k
@@ -94,7 +94,7 @@ def sigm_run(oracle: GradientOracle, dim: int, schedule: SigmSchedule,
     y = np.zeros(dim)
     grad_sum = np.array(oracle(y), dtype=float)
     y = y.tolist()
-    for lo in range(0, iters - 1, _CHUNK):
+    for lo in range(0, steps - 1, _CHUNK):
         block = slice(lo, lo + _CHUNK)
         neg_beta = (-beta[block]).tolist()
         zs = np.empty((len(neg_beta), len(y)))

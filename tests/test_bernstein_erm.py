@@ -15,7 +15,7 @@ from ldp_erm.errors import (ClippingWarning, ConfigurationError,
                             SampleSizeWarning)
 from ldp_erm.harness import grid_loss_excess, make_grid_loss
 from ldp_erm.polyapprox import (BernsteinOperatorSpec, contract_grid,
-                                iterated_basis_weights)
+                                iterated_basis_pair, iterated_basis_weights)
 from ldp_erm.primitives import PrivacyBudget
 from ldp_erm.rng import derived_rng
 from trial_messages import trial_messages
@@ -333,11 +333,11 @@ def test_model_rows_equal_one_row_calls():
 
 
 def _grads_reference(model, ys):
-    """Gradients from separate weight and derivative-weight calls, with one
+    """Gradients from the weights and the pair's derivative weights, with one
     contraction per axis."""
     k, h, p = model.spec.k, model.spec.h, model.spec.p
     ws = iterated_basis_weights(k, h, ys)
-    dws = iterated_basis_weights(k, h, ys, derivative=True)
+    dws = iterated_basis_pair(k, h, ys)[1]
     cols = []
     for a in range(p):
         rows = ws.copy()

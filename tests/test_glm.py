@@ -290,9 +290,9 @@ def test_zero_noise_run_excess():
     data = generate_dataset({"family": "separable-two-class", "n": 4000,
                              "dim": 3, "margin": 0.1}, 17)
     rep = glm_erm_run(data, hinge_flavor(), target_alpha=0.4,
-                      budget=NOISELESS, rng=derived_rng(18, 2), d_cap=8,
-                      iters=30_000)
+                      budget=NOISELESS, rng=derived_rng(18, 2), d_cap=8)
     assert rep.d == 8 and rep.beta == pytest.approx(0.1)
+    assert rep.steps == 4000  # sigma = 0: one message a step
     assert rep.excess <= 0.08
 
 
@@ -302,27 +302,19 @@ def test_run_single_player_is_defined():
                       budget=PrivacyBudget(epsilon=1.0, delta=1e-5),
                       rng=derived_rng(19), d_cap=2)
     assert np.linalg.norm(rep.w_priv) <= 1.0 + 1e-9
-    assert rep.iters == 1
+    assert rep.steps == 1
     assert rep.d_theory >= rep.d
 
 
-def _permutation_rows(rng, n, count):
-    # the server's rows: passes over random permutations, as many as cover
-    # ``count`` draws
-    rows = []
-    while len(rows) < count:
-        rows.extend(rng.permutation(n).tolist())
-    return rows[:count]
-
-
-def _replayed_run(data, flavor, budget, rng, d, iters, batch=1):
+def _replayed_run(data, flavor, budget, rng, d):
     # the server side of glm_erm_run, one message and one gradient sample
     # at a time through the public per-message API (target_alpha = 1); each
-    # step averages the samples of ``batch`` messages. The server's rows are
-    # drawn before its samples, and each general-linear sample draws its
-    # own kinks
+    # of the K steps averages the samples of B messages. The server's rows
+    # are drawn before its samples, and each general-linear sample draws its
+    # own kinks. Returns the fit, sigma and K
     n, dim, m = data.n, data.dim, d * (d + 1)
     cfg, _, sigma = glm_oracle(flavor, 1.0, budget, dim, d)
+    steps, batch = solver_batches(n, sigma, 1 / 0.25)
     sample = (hinge_gradient_sample if flavor.name == "hinge" else
               general_linear_gradient_sample)
     head_std, body_std = replica_noise_stds(budget, d)
@@ -338,14 +330,13 @@ def _replayed_run(data, flavor, budget, rng, d, iters, batch=1):
                            body_y=y[i] + noise[3][i]) for i in range(n)]
     schedule = SigmSchedule(sigma / math.sqrt(batch), 1 / 0.25)
 
-    rows = iter(_permutation_rows(rng, n, iters * batch))
+    rows = iter(rng.permutation(n)[:steps * batch].tolist())
 
     def step(w):
         return np.mean([sample(w, msgs[next(rows)], cfg, rng)
                         for _ in range(batch)], axis=0)
 
-    w_priv = sigm_run(step, dim, schedule, iters)
-    return w_priv, sigma
+    return sigm_run(step, dim, schedule, steps), sigma, steps
 
 
 # x^2/2: its kink locations are spread over [-1, 1], unlike the point
@@ -361,15 +352,19 @@ QUADRATIC_FLAVOR = LossFlavor(
                                     hinge_via_general_flavor(),
                                     QUADRATIC_FLAVOR],
                          ids=["hinge", "hinge-via-general", "quadratic"])
-@pytest.mark.parametrize("budget", [PrivacyBudget(epsilon=2.0, delta=1e-5),
+@pytest.mark.parametrize("budget", [PrivacyBudget(epsilon=300.0, delta=1e-5),
                                     NOISELESS], ids=["noised", "noiseless"])
 def test_run_matches_per_message_replay(flavor, budget):
+    # K = n = 60 steps of one message each, but for x^2/2 under noise,
+    # whose kinks keep sigma up: 10 steps of 6
     data = generate_dataset({"family": "separable-two-class", "n": 60,
                              "dim": 3, "margin": 0.1}, 22)
     rng, ref = derived_rng(23), derived_rng(23)
     rep = glm_erm_run(data, flavor, target_alpha=1.0, budget=budget, rng=rng,
-                      d_cap=2, iters=400)
-    want_w, want_sigma = _replayed_run(data, flavor, budget, ref, 2, 400)
+                      d_cap=2)
+    want_w, want_sigma, steps = _replayed_run(data, flavor, budget, ref, 2)
+    kink_noise = flavor is QUADRATIC_FLAVOR and budget is not NOISELESS
+    assert rep.steps == steps == (10 if kink_noise else 60)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert rep.sigma == pytest.approx(want_sigma, rel=1e-12)
     scale = float(np.max(np.abs(want_w)))
@@ -381,18 +376,20 @@ def test_run_matches_per_message_replay(flavor, budget):
                                     hinge_via_general_flavor(),
                                     QUADRATIC_FLAVOR],
                          ids=["hinge", "hinge-via-general", "quadratic"])
-@pytest.mark.parametrize("budget", [PrivacyBudget(epsilon=2.0, delta=1e-5),
+@pytest.mark.parametrize("budget", [PrivacyBudget(epsilon=100.0, delta=1e-5),
                                     NOISELESS], ids=["noised", "noiseless"])
 def test_batched_run_matches_per_message_replay(flavor, budget):
-    # iters = 6 on n = 60: each step averages the samples of 10 messages
+    # at epsilon = 100 on n = 60, K = 10, 12 and 5 steps average the
+    # samples of B = 6, 5 and 12 messages; noiseless, sigma = 0 takes
+    # K = n steps of one
     data = generate_dataset({"family": "separable-two-class", "n": 60,
                              "dim": 3, "margin": 0.1}, 22)
     rng, ref = derived_rng(23), derived_rng(23)
     rep = glm_erm_run(data, flavor, target_alpha=1.0, budget=budget, rng=rng,
-                      d_cap=2, iters=6)
-    want_w, want_sigma = _replayed_run(data, flavor, budget, ref, 2, 6,
-                                       batch=10)
-    assert rep.iters == 6
+                      d_cap=2)
+    want_w, want_sigma, steps = _replayed_run(data, flavor, budget, ref, 2)
+    assert rep.steps == steps
+    assert (1 < steps < 60) == (budget is not NOISELESS)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert rep.sigma == pytest.approx(want_sigma, rel=1e-12)
     scale = float(np.max(np.abs(want_w)))
@@ -418,7 +415,7 @@ def test_noise_scale_matches_monte_carlo(kinked, d, eps):
     head_x, head_y, body_x, body_y = _encode_population(
         np.tile(x, (reps, 1)), np.full(reps, y), budget, d, rng)
     margins = (_fold(d)[0] * body_y) * (body_x @ w)
-    grads = (cfg.scalars(margins, _kink_draws(rng, cfg, reps))
+    grads = (cfg.scalars(margins, _kink_draws(rng, cfg, (reps,)))
              * head_y)[:, None] * head_x
     spread = math.sqrt(np.mean(np.sum((grads - grads.mean(axis=0)) ** 2,
                                       axis=1)))
@@ -485,9 +482,9 @@ def _unfolded_mean(scalars_at, head, w, rows, kinks):
     return total / len(rows)
 
 
-def _unfolded_run(data, flavor, budget, rng, d, iters):
-    # glm_erm_run at target_alpha = 1 and an explicit iters, step by step
-    # through per-sample kink draws and the unsigned gradient scalars
+def _unfolded_run(data, flavor, budget, rng, d):
+    # glm_erm_run at target_alpha = 1, step by step through per-sample kink
+    # draws and the unsigned gradient scalars; returns the fit, sigma and K
     cfg, _, sigma = glm_oracle(flavor, 1.0, budget, data.dim, d)
     head_x, head_y, body_x, body_y = _encode_population(
         data.features, data.labels, budget, d, rng)
@@ -498,19 +495,24 @@ def _unfolded_run(data, flavor, budget, rng, d, iters):
         margins = body_y[rows] * (body_x[rows] @ w)
         return _unfolded_scalars(margins, kinks, cfg)
 
-    batch = max(1, n // iters)
+    steps, batch = solver_batches(n, sigma, 1 / 0.25)
     schedule = SigmSchedule(sigma / math.sqrt(batch), 1 / 0.25)
-    rows = np.array(_permutation_rows(rng, n, iters * batch))
-    kinks = _sample_kinks(rng, iters * batch, m, cfg)
-    steps = iter(range(0, iters * batch, batch))
+    rows = rng.permutation(n)[:steps * batch]
+    kinks = _sample_kinks(rng, steps * batch, m, cfg)
+    starts = iter(range(0, steps * batch, batch))
 
     def oracle(w):
-        lo = next(steps)
+        lo = next(starts)
         pick = lo if batch == 1 else slice(lo, lo + batch)
         return _unfolded_mean(scalars_at, head, w, rows[pick],
                               None if kinks is None else kinks[pick])
 
-    return sigm_run(oracle, dim, schedule, iters), sigma
+    return sigm_run(oracle, dim, schedule, steps), sigma, steps
+
+
+# the epsilon at which every non-affine path of degree d takes a few steps
+# of at least 37 draws on n = 300; the affine path does at epsilon = 2
+BATCHED_EPSILON = {1: 10.0, 2: 50.0, 3: 200.0}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -520,20 +522,23 @@ def _unfolded_run(data, flavor, budget, rng, d, iters):
                          ids=["hinge", "hinge-via-general", "quadratic",
                               "affine"])
 def test_run_equals_unfolded_sample_by_sample_oracle(flavor, d, monkeypatch):
-    # iters = n takes one draw a step; iters = 7 takes 42 draws a step (294
-    # in all), evaluated in one block and then, at a block of 16, in three
+    # noiseless, K = n takes one draw a step; at the batched epsilon K is
+    # 2 to 8 steps of 37 to 150 draws, evaluated in one block and then, at
+    # a block of 16, in three or more
     data = generate_dataset({"family": "separable-two-class", "n": 300,
                              "dim": 3, "margin": 0.1}, 24)
-    budget = PrivacyBudget(epsilon=2.0, delta=1e-5)
-    for iters, block in ((300, glm_erm.BATCH_BLOCK), (7, glm_erm.BATCH_BLOCK),
-                         (7, 16)):
+    batched = PrivacyBudget(epsilon=2.0 if flavor is AFFINE_FLAVOR
+                            else BATCHED_EPSILON[d], delta=1e-5)
+    for budget, block in ((NOISELESS, glm_erm.BATCH_BLOCK),
+                          (batched, glm_erm.BATCH_BLOCK), (batched, 16)):
         monkeypatch.setattr(glm_erm, "BATCH_BLOCK", block)
         rng, ref = derived_rng(25, d), derived_rng(25, d)
         rep = glm_erm_run(data, flavor, target_alpha=1.0, budget=budget,
-                          rng=rng, d_cap=d, iters=iters)
-        want_w, want_sigma = _unfolded_run(data, flavor, budget, ref, d,
-                                           iters)
-        assert rep.d == d and rep.iters == iters
+                          rng=rng, d_cap=d)
+        want_w, want_sigma, steps = _unfolded_run(data, flavor, budget, ref,
+                                                  d)
+        assert rep.d == d and rep.steps == steps
+        assert (steps == 300 if budget is NOISELESS else 1 < steps <= 8)
         assert rep.sigma == want_sigma
         assert np.any(want_w != 0.0)
         assert np.array_equal(rep.w_priv, want_w)
@@ -543,30 +548,30 @@ def test_run_equals_unfolded_sample_by_sample_oracle(flavor, d, monkeypatch):
 @pytest.mark.parametrize("flavor", [hinge_flavor(), hinge_via_general_flavor()],
                          ids=["hinge", "hinge-via-general"])
 def test_server_uses_each_message_once_a_pass(flavor, monkeypatch):
-    # K B <= n draws are one pass, so no message twice: iters = 7 averages
-    # 42 messages a step, 294 distinct ones. iters = 700 on n = 300 walks
-    # three passes cut to 700 draws, so each message is used 2 or 3 times
+    # the K steps of B rows come from one permutation: no message twice,
+    # and fewer than B unused. On n = 300, epsilon = 2 gives one step over
+    # every message and epsilon = 1000 n steps of one; at epsilon = 50 the
+    # hinge takes 6 steps of 50 and the general path 7 of 42, 294 messages
     seen = []
-    step_draws = glm_erm._step_draws
+    batch_mean = glm_erm._batch_mean
 
-    def recording(rows, kinks, batch):
+    def recording(sample_scalars, head, w, rows, kinks):
         seen.append(rows)
-        return step_draws(rows, kinks, batch)
+        return batch_mean(sample_scalars, head, w, rows, kinks)
 
-    monkeypatch.setattr(glm_erm, "_step_draws", recording)
+    monkeypatch.setattr(glm_erm, "_batch_mean", recording)
     data = generate_dataset({"family": "separable-two-class", "n": 300,
                              "dim": 3, "margin": 0.1}, 24)
-    for iters, draws, uses in ((1, 300, {1}), (7, 294, {0, 1}),
-                               (300, 300, {1}), (700, 700, {2, 3})):
+    for epsilon, seed in ((2.0, 1), (50.0, 7), (1000.0, 300)):
         rep = glm_erm_run(data, flavor, target_alpha=1.0,
-                          budget=PrivacyBudget(epsilon=2.0, delta=1e-5),
-                          rng=derived_rng(26, iters), d_cap=2, iters=iters)
-        assert rep.iters == iters
-        (rows,) = seen
+                          budget=PrivacyBudget(epsilon=epsilon, delta=1e-5),
+                          rng=derived_rng(26, seed), d_cap=2)
+        batch = 300 // rep.steps
+        assert len(seen) == rep.steps
+        assert all(len(rows) == batch for rows in seen)
+        counts = np.bincount(np.concatenate(seen), minlength=300)
         seen.clear()
-        counts = np.bincount(rows, minlength=300)
-        assert counts.sum() == draws
-        assert set(counts.tolist()) == uses
+        assert counts.max() == 1 and 300 - counts.sum() < batch
 
 
 def test_run_calls_solver_once_through_module_binding(monkeypatch):
@@ -584,9 +589,9 @@ def test_run_calls_solver_once_through_module_binding(monkeypatch):
                       budget=PrivacyBudget(epsilon=2.0, delta=1e-5),
                       rng=derived_rng(27), d_cap=2)
     steps, batch = solver_batches(50, rep.sigma, 1.0 / rep.beta)
-    assert rep.iters == steps
-    ((schedule, iters),) = calls
-    assert iters == rep.iters
+    assert rep.steps == steps
+    ((schedule, run_steps),) = calls
+    assert run_steps == rep.steps
     # the schedule sees the noise of a mean of batch messages
     assert schedule.sigma == rep.sigma / math.sqrt(batch)
     assert schedule.smoothness == 1.0 / rep.beta
@@ -596,17 +601,14 @@ def test_solver_batches_rule():
     # no noise, or noise too small to divide by: one message a step
     assert solver_batches(4000, 0.0, 10.0) == (4000, 1)
     assert solver_batches(4000, 5e-324, 10.0) == (4000, 1)
-    # K = ceil(L sqrt(n) / sigma): 10 * 100 / 3 = 333.3
-    assert solver_batches(10_000, 3.0, 10.0) == (334, 29)
+    # K = ceil(L sqrt(n) / sigma): 10 * 100 / 3 = 333.3, so B = 29, and
+    # K = n // B = 344 steps leave 24 messages unused (334 would leave 314)
+    assert solver_batches(10_000, 3.0, 10.0) == (344, 29)
     # noise far above L sqrt(n): one step over every message
     assert solver_batches(20_000, 6.5e14, 4.0) == (1, 20_000)
     assert solver_batches(20_000, 1.7e308, 4.0) == (1, 20_000)
-    # an explicit iters is the step count, and iters >= n takes one a step
-    assert solver_batches(300, 1e9, 4.0, 7) == (7, 42)
-    assert solver_batches(4000, 1e9, 10.0, 30_000) == (30_000, 1)
-    assert solver_batches(60, 0.0, 4.0, 6) == (6, 10)
     for n in (1, 2, 3, 50, 999, 20_000):
         for sigma in (0.0, 1e-3, 0.7, 2.0, 13.0, 1e6):
             steps, batch = solver_batches(n, sigma, 4.0)
-            assert 1 <= steps <= n and batch == max(1, n // steps)
-            assert steps * batch <= n
+            assert 1 <= steps <= n and batch == n // steps
+            assert steps * batch <= n and n - steps * batch < batch

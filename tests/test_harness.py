@@ -479,7 +479,7 @@ def test_config_rejects_nonintegral_counts():
                      params={"k": 8.0})
     ExperimentConfig(mechanism="hinge",
                      dataset={"family": "separable-two-class", "n": 10},
-                     params={"iters": None}, sweep={"d_cap": [2, 3]})
+                     params={"d_cap": 4.0}, sweep={"d_cap": [2, 3]})
 
 
 def test_config_rejects_out_of_range_values():
@@ -659,10 +659,11 @@ def test_glm_overflow_fails_with_its_cause(mechanism):
         assert cause in str(refused.value)
 
 
-@pytest.mark.parametrize("params", [{"d_cap": 2}, {"d_cap": 2, "iters": 7}])
+@pytest.mark.parametrize("params", [{"d_cap": 2}, {"d_cap": 2, "epsilon": 50}])
 def test_glm_rows_report_the_solver_choice(tmp_path, params):
     # GLM rows carry the theory degree, the per-message noise scale and the
-    # step count it gives; other mechanisms leave the three columns blank
+    # step count it gives; other mechanisms leave the three columns blank.
+    # At epsilon = 1 the noise leaves one step; at 50 the hinge takes 6
     rows = {}
     for mechanism in ("hinge", "general-linear", "avg-bench"):
         dataset = ({"family": "uniform-cube", "n": 300, "dim": 1}
@@ -679,8 +680,8 @@ def test_glm_rows_report_the_solver_choice(tmp_path, params):
         assert row["d_theory"] == 32 and row["d"] == 2
         assert row["sigma"] > 0.0
         assert row["steps"] == solver_batches(
-            300, row["sigma"], 1.0 / row["beta"], params.get("iters"))[0]
-    assert rows["hinge"]["steps"] == params.get("iters", 1)
+            300, row["sigma"], 1.0 / row["beta"])[0]
+    assert rows["hinge"]["steps"] == (6 if "epsilon" in params else 1)
     assert all(rows["avg-bench"][c] == ""
                for c in ("d_theory", "sigma", "steps"))
 
@@ -1014,12 +1015,14 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     (_SMOOTH_CONFIG, ["--set", "params.t=1000"]),
     (_SMOOTH_CONFIG, ["--set", "sweep.t=[2,1000]"]),
     (_SMOOTH_CONFIG, ["--set", "params.t=0"]),
-    (_HINGE_CONFIG, ["--set", "params.sigma_safety=NaN"]),
-    (_HINGE_CONFIG, ["--set", "sweep.sigma_safety=[4.0,NaN]"]),
-    (_HINGE_CONFIG, ["--set", "params.sigma_safety=-1"]),
-    (_HINGE_CONFIG, ["--set", "sweep.sigma_safety=[4.0,-1]"]),
-    (_HINGE_CONFIG, ["--set", "params.iters=0"]),
-    (_HINGE_CONFIG, ["--set", "sweep.iters=[null,0]"]),
+    # removed GLM params, with values they once accepted: in the config
+    # file, as a --set param and as a --set sweep
+    ({**_HINGE_CONFIG, "params": {"sigma_safety": 4.0}}, []),
+    (_HINGE_CONFIG, ["--set", "params.sigma_safety=4.0"]),
+    (_HINGE_CONFIG, ["--set", "sweep.sigma_safety=[4.0]"]),
+    ({**_HINGE_CONFIG, "params": {"iters": 10}}, []),
+    (_HINGE_CONFIG, ["--set", "params.iters=10"]),
+    (_HINGE_CONFIG, ["--set", "sweep.iters=[10]"]),
     (_HINGE_CONFIG, ["--set", "params.d_cap=0"]),
     (_HINGE_CONFIG, ["--set", "sweep.d_cap=[2,0]"]),
     (_HINGE_CONFIG, ["--set", "params.target_alpha=2.0"]),
@@ -1080,6 +1083,20 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     assert not out.exists()  # rejected before any trial ran
 
 
+@pytest.mark.parametrize("name", ["sigma_safety", "iters"])
+def test_removed_glm_param_names_the_accepted_ones(tmp_path, capsys, name):
+    # sigma is in closed form and the step count comes from it, so neither
+    # is a param any more; a config that still sets one is refused by name
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_HINGE_CONFIG, "params": {name: 4}}))
+    out = tmp_path / "run"
+    assert cli.main(["hinge", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{name}'" in err
+    assert "accepted: d_cap, delta, epsilon, target_alpha" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["--set", "params.epsilon=inf"],
                                   ["--set", "sweep.epsilon=[\"inf\"]"]])
 def test_onebit_epsilon_inf_is_exit_2(tmp_path, capsys, argv):
@@ -1099,7 +1116,7 @@ def test_onebit_epsilon_inf_is_exit_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("config, key, given, plain", [
     ({**_CONFIG, "mechanism": "onebit", "params": {"k": 2}}, "epsilon",
      "\"0.5\"", "0.5"),
-    ({**_HINGE_CONFIG, "params": {"d_cap": 2}}, "iters", "50.0", "50"),
+    ({**_HINGE_CONFIG, "params": {"d_cap": 2}}, "d_cap", "3.0", "3"),
     ({**_CONFIG, "mechanism": "bernstein"}, "sweep.k", "[2.0]", "[2]"),
 ])
 def test_accepted_param_runs_as_its_parsed_value(tmp_path, config, key,

@@ -13,9 +13,8 @@ from formula_reference import (abs_sampler, bernstein_poly_eval,
                                lemma40_reconstruct)
 from ldp_erm.errors import ParameterError
 from ldp_erm.polyapprox import (BernsteinOperatorSpec, SmoothedPlus,
-                                SubgradientSampler, bernstein_basis_pair,
-                                bernstein_basis_vector,
-                                bernstein_basis_vector_deriv,
+                                SubgradientSampler, _iterate,
+                                bernstein_basis_pair, bernstein_basis_vector,
                                 bernstein_deriv_coeffs, build_or_polynomial,
                                 chebyshev_eval, hinge_sampler,
                                 iterated_basis_pair, iterated_basis_weights,
@@ -113,12 +112,11 @@ def test_batched_weights_rows_equal_scalar_calls():
     xs = np.concatenate([[0.0, 1.0, 0.5], derived_rng(8).random(17)])
     for k in (1, 4, 8):
         for h in (1, 2, 3):
-            for derivative in (False, True):
-                rows = iterated_basis_weights(k, h, xs, derivative=derivative)
+            for half in (0, 1):  # the weights, then their derivative
+                rows = iterated_basis_pair(k, h, xs)[half]
                 assert rows.shape == (len(xs), k + 1)
                 for x, row in zip(xs, rows):
-                    want = iterated_basis_weights(k, h, float(x),
-                                                  derivative=derivative)
+                    want = iterated_basis_pair(k, h, float(x))[half]
                     assert np.array_equal(row, want)
         grid = iterated_basis_weights(k, 2, xs.reshape(4, 5, 1))
         assert grid.shape == (4, 5, 1, k + 1)
@@ -150,13 +148,11 @@ def test_basis_pair_equals_separate_calls_bit_for_bit(k, h):
         assert base.tobytes() == want.tobytes()
         assert bernstein_basis_vector(k, x).tobytes() == want.tobytes()
         assert deriv.tobytes() == want_deriv.tobytes()
-        assert (bernstein_basis_vector_deriv(k, x).tobytes()
-                == want_deriv.tobytes())
         ws, dws = iterated_basis_pair(k, h, x)
         assert ws.shape == dws.shape == x.shape + (k + 1,)
         assert ws.tobytes() == iterated_basis_weights(k, h, x).tobytes()
-        assert (dws.tobytes()
-                == iterated_basis_weights(k, h, x, derivative=True).tobytes())
+        # the weights' expansion of the reference derivative basis
+        assert dws.tobytes() == _iterate(k, h, want_deriv).tobytes()
         if h == 1:
             assert ws.tobytes() == want.tobytes()
             assert dws.tobytes() == want_deriv.tobytes()
