@@ -8,7 +8,9 @@
 # each mechanism's console-script run writes its config and artifacts under
 # WORKDIR. Fails if scipy is importable there, if any good run exits
 # non-zero, if a batched GLM run (epsilon = 50 on n = 2000) does not take
-# more than one solver step and fewer than n, if re-running any good run
+# more than one solver step and fewer than n, if the batched general-linear
+# run (the hinge through its kink measure) does not take the hinge's steps
+# at its noise scale within 1e-9 relative, if re-running any good run
 # from its manifest.json does not reproduce its report.csv and
 # transcript_summary.csv byte for byte, or if a rejected config (one per
 # mechanism, one per synthetic family, an unknown top-level key, an empty
@@ -41,8 +43,7 @@ run general-linear "$ball" '{"d_cap": 2}'
 # at epsilon = 50 the noise scale leaves 15 solver steps over n = 2000
 # messages, each averaging 133 of them
 run hinge "$ball" '{"d_cap": 2, "epsilon": 50}' hinge-batched
-# the kinked path, 18 steps of 111: one permutation pass of rows and one
-# call for all their kink locations
+# the hinge's kink measure gives the hinge's coefficients: the same steps
 run general-linear "$ball" '{"d_cap": 2, "epsilon": 50}' \
   general-linear-batched
 for label in hinge-batched general-linear-batched; do
@@ -53,6 +54,16 @@ if not 1 < int(row["steps"]) < 2000:
     sys.exit(f"{sys.argv[1]}: {row['steps']} solver steps, wanted 2 to 1999")
 EOF
 done
+"$venv/bin/python" - runtime-runs/hinge-batched/report.csv \
+  runtime-runs/general-linear-batched/report.csv <<'EOF'
+import csv, math, sys
+hinge, general = (next(csv.DictReader(open(path))) for path in sys.argv[1:])
+if general["steps"] != hinge["steps"] or not math.isclose(
+        float(general["sigma"]), float(hinge["sigma"]), rel_tol=1e-9):
+    sys.exit(f"general-linear took {general['steps']} steps at sigma "
+             f"{general['sigma']}, the hinge {hinge['steps']} at "
+             f"{hinge['sigma']}")
+EOF
 bits='{"family": "bernoulli-bits", "n": 2000, "dim": 4}'
 box='{"family": "gaussian-ball-clipped", "n": 2000, "dim": 2}'
 run marginals "$bits" '{"k": 1, "gamma": 0.2}'

@@ -10,10 +10,10 @@ step, taking only as many steps as the solver's bound can use (see
 pass over a random permutation of the messages, so no message is used twice
 before every one has been used once.
 
-Two gradient paths exist: a dedicated hinge path whose coefficients come
-from the smoothed hinge derivative, and a general path for any convex
-1-Lipschitz scalar loss, which additionally draws kink locations from the
-loss's subgradient mixture per replica.
+Every loss runs one gradient path; only its Bernstein coefficients differ.
+The hinge's come from the smoothed hinge derivative, and those of any other
+convex 1-Lipschitz scalar loss from the smoothed step averaged over the
+loss's kink-location measure (``general_linear_oracle_config``).
 """
 
 import math
@@ -25,6 +25,7 @@ import numpy as np
 
 from .datasets import BallDataset
 from .errors import ConfigurationError, ParameterError, ProtocolError
+# sample_q_many is unused here: perfbench/spans.py wraps glm_erm.sample_q_many
 from .polyapprox import (SmoothedPlus, SubgradientSampler,
                          bernstein_deriv_coeffs, hinge_sampler,
                          kink_locations, sample_q_many)
@@ -33,7 +34,7 @@ from .sigm import SigmSchedule, sigm_run
 
 # the (y, <x, w>) points, corners included, the noise scale is maximised over
 NOISE_GRID = (np.linspace(0.0, 1.0, 21)[:, None], np.linspace(-1.0, 1.0, 41))
-KINK_POINTS = 512  # midpoint-rule points of the kink-location moments
+KINK_POINTS = 512  # midpoint-rule points of the kink-location average
 # rows of a solver step's batch evaluated at once; a block gathers its
 # rows' (m, dim) body replicas, so this bounds the server's scratch memory
 BATCH_BLOCK = 1024
@@ -92,14 +93,13 @@ def glm_player_encode(record: tuple, budget: PrivacyBudget, d: int,
 
 @dataclass(frozen=True)
 class GradientOracleConfig:
-    """Degree and coefficient data of one gradient path."""
+    """Degree and Bernstein coefficients of a loss's gradient samples."""
 
     d: int
     coeffs: np.ndarray
-    sampler: Optional[SubgradientSampler] = None
     # c_j C(d, j), the weight of product block j; derived from coeffs
     weights: np.ndarray = field(init=False, repr=False, compare=False)
-    # the path's gradient-scalar kernel (see _scalar_kernel); derived
+    # the gradient-scalar kernel (see _block_products); derived
     scalars: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -110,36 +110,42 @@ class GradientOracleConfig:
                 f"need d+1 = {self.d + 1} coefficients, got {len(self.coeffs)}")
         object.__setattr__(self, "weights", np.asarray(
             self.coeffs, dtype=float) * _binom_row(self.d))
-        object.__setattr__(self, "scalars", _scalar_kernel(self))
-
-    @property
-    def flavor(self) -> str:
-        """The path's name: the general-linear one carries a kink sampler."""
-        return "hinge" if self.sampler is None else "general-linear"
-
-    @property
-    def kinked(self) -> bool:
-        """Whether a gradient sample draws kink locations."""
-        return self.flavor == "general-linear" and not self.sampler.degenerate
+        object.__setattr__(self, "scalars",
+                           _block_products(self.weights, self.d))
 
 
 def hinge_oracle_config(d: int, beta: float) -> GradientOracleConfig:
-    """Coefficients c_j = (smoothed hinge)'(j/d) for the dedicated path."""
+    """Coefficients c_j = (smoothed hinge)'(j/d)."""
     coeffs = bernstein_deriv_coeffs(SmoothedPlus(beta).deriv, d)
     return GradientOracleConfig(d=d, coeffs=coeffs)
 
 
 def general_linear_oracle_config(d: int, beta: float,
                                  sampler: SubgradientSampler) -> GradientOracleConfig:
-    """Coefficients c_j = (smoothed hinge)'(j/d) + 1 for the general path.
+    """Coefficients c_j = f'(-1) + (f'(1) - f'(-1)) E_s[step(j/d - s + 1/2)]
+    for a convex 1-Lipschitz loss with derivative f' on [-1, 1].
 
-    That is a smoothed step rising from 0 to 1 around 1/2, so the product
-    arguments u - s + 1/2 put the kink s at the step. Being the hinge
-    path's coefficients plus one, they make the hinge through this path
-    collapse onto the dedicated hinge path up to rounding.
+    step is the smoothed hinge derivative plus one, a smoothed step rising
+    from 0 to 1 around 1/2, and s is the loss's kink location: s =
+    ``kink_locations(sampler, u)`` with u uniform on [f'(-1), f'(1)], so
+    f' is f'(-1) plus the spread times the s-average of the unit step at s.
+    The expectation is the ``KINK_POINTS`` midpoint rule over u.
+
+    The paper's construction draws one kink per replica and shifts that
+    replica's product argument by it. Averaging the kink into the
+    coefficients instead is a Rao-Blackwell step on that draw: no sample
+    draws a kink, and the sample is unbiased for B_d[c](y<x, w>) y x, the
+    kink-average of the Bernstein forms of the shifted steps. For the
+    hinge's point mass at 1/2 these are ``hinge_oracle_config``'s
+    coefficients up to rounding, and for an affine loss the constant slope.
     """
-    coeffs = bernstein_deriv_coeffs(SmoothedPlus(beta).deriv, d) + 1.0
-    return GradientOracleConfig(d=d, coeffs=coeffs, sampler=sampler)
+    spread = sampler.upper - sampler.lower
+    kinks = kink_locations(sampler, sampler.lower + spread * (
+        np.arange(KINK_POINTS) + 0.5) / KINK_POINTS)
+    steps = SmoothedPlus(beta).deriv(
+        np.arange(d + 1)[:, None] / d - kinks + 0.5) + 1.0
+    coeffs = sampler.lower + spread * steps.mean(axis=1)
+    return GradientOracleConfig(d=d, coeffs=coeffs)
 
 
 # --- gradient samples ----------------------------------------------------------
@@ -152,16 +158,15 @@ def _binom_row(d: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _fold(d: int) -> tuple:
-    """(signs, offsets, halves) of the d(d+1) product arguments of a sample.
+    """(signs, offsets) of the d(d+1) product arguments of a sample.
 
     Entry l of block j enters the rising product, as t, when l < j and the
     falling one, as 1 - t, otherwise. Folding the sign into the argument
     makes every factor offset + (sign * t): -0.0 + t is t and 1 + (-t) is
-    1 - t, bit for bit, signed zeros included. ``halves`` is sign * 1/2.
+    1 - t, bit for bit, signed zeros included.
     """
     rising = (np.arange(d)[None, :] < np.arange(d + 1)[:, None]).ravel()
-    signs = np.where(rising, 1.0, -1.0)
-    return signs, np.where(rising, -0.0, 1.0), 0.5 * signs
+    return np.where(rising, 1.0, -1.0), np.where(rising, -0.0, 1.0)
 
 
 def _check_replicas(message: ReplicaMessage, d: int):
@@ -174,14 +179,17 @@ def _check_replicas(message: ReplicaMessage, d: int):
 
 def _block_products(weights: np.ndarray, d: int) -> Callable:
     """The function sum_j weights[j] * prod(first j of block j) * prod(1 -
-    rest of block j) of ``signed_args``.
+    rest of block j) of ``signed_args``: the factor multiplying y_0 x_0 in
+    a gradient sample.
 
-    The last axis of ``signed_args`` holds the d(d+1) product arguments t of
-    one sample times their ``_fold`` signs, block j being the slice
-    [j*d, (j+1)*d); its first j entries enter the rising product and the
-    remaining d-j the falling one, so every replica is consumed by exactly
-    one factor. Leading axes index samples. The offsets and the block shape
-    are bound once, outside the returned function.
+    The last axis of ``signed_args`` holds the d(d+1) product arguments t =
+    y_k <x_k, w> of one sample's body replicas times their ``_fold`` signs,
+    block j being the slice [j*d, (j+1)*d); its first j entries enter the
+    rising product and the remaining d-j the falling one, so every replica
+    is consumed by exactly one factor. Leading axes index samples. The
+    offsets and the block shape are bound once, outside the returned
+    function, so every gradient sample, the server's and a message's, is
+    one call of it.
     """
     offsets, shape = _fold(d)[1], (d + 1, d)
     reduce = np.multiply.reduce
@@ -192,94 +200,26 @@ def _block_products(weights: np.ndarray, d: int) -> Callable:
     return products
 
 
-def _scalar_kernel(cfg: GradientOracleConfig) -> Callable:
-    """kernel(margins, kinks) -> the factor multiplying y_0 x_0 per sample.
-
-    ``margins`` holds the body replicas' y_k <x_k, w> on its last axis and
-    ``kinks`` the matching kink locations (None unless ``cfg.kinked``),
-    both times the ``_fold`` signs: the product argument
-    -((u - s) + 1/2) is (-u - (-s)) + (-1/2) exactly. Built once per
-    config, so a call looks up nothing on it: the folded offsets and
-    halves, the weights and block shape, and for the general path the
-    derivative spread f'(1) - f'(-1) and the affine shift are bound here.
-    Every gradient sample, the server's and a message's, is one call of it.
-    """
-    products = _block_products(cfg.weights, cfg.d)
-    if cfg.sampler is None:
-        return lambda margins, kinks: products(margins)
-    sampler = cfg.sampler
-    spread = sampler.upper - sampler.lower
-    midpoint = 0.5 * (sampler.upper + sampler.lower)
-    if sampler.degenerate:
-        return lambda margins, kinks: np.full(margins.shape[:-1], midpoint)
-    halves, shift = _fold(cfg.d)[2], midpoint - 0.5 * spread
-    return lambda margins, kinks: (
-        spread * products(margins - kinks + halves) + shift)
-
-
-def _message_gradient(w: np.ndarray, message: ReplicaMessage,
-                      kinks: Optional[np.ndarray],
-                      cfg: GradientOracleConfig) -> np.ndarray:
-    signs = _fold(cfg.d)[0]
-    margins = (signs * message.body_y) * (message.body_x
-                                          @ np.asarray(w, dtype=float))
-    if kinks is not None:
-        kinks = signs * kinks
-    scalar = cfg.scalars(margins, kinks)
-    return scalar * (message.head_y * message.head_x)
-
-
 def hinge_gradient_sample(w: np.ndarray, message: ReplicaMessage,
-                          cfg: GradientOracleConfig,
-                          rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """One gradient sample for the hinge surrogate; consumes no randomness.
+                          cfg: GradientOracleConfig) -> np.ndarray:
+    """One gradient sample of any loss's config; consumes no randomness.
 
     Because every replica carries independent noise and appears in exactly
     one product factor, the expectation over the noise of the returned
-    vector is the Bernstein-form surrogate gradient P_d(y<w,x>) * y * x.
+    vector is the Bernstein-form surrogate gradient B_d[c](y<w,x>) * y * x.
     """
-    if cfg.flavor != "hinge":
-        raise ParameterError("config is not for the hinge path")
     _check_replicas(message, cfg.d)
-    return _message_gradient(w, message, None, cfg)
+    margins = (_fold(cfg.d)[0] * message.body_y) * (
+        message.body_x @ np.asarray(w, dtype=float))
+    return cfg.scalars(margins) * (message.head_y * message.head_x)
 
 
-def general_linear_gradient_sample(w: np.ndarray, message: ReplicaMessage,
-                                   cfg: GradientOracleConfig,
-                                   rng: np.random.Generator) -> np.ndarray:
-    """One gradient sample for an arbitrary convex 1-Lipschitz scalar loss.
-
-    Draws one kink location per replica from the loss's subgradient
-    mixture, forms shifted product arguments u_k - s_k + 1/2, and scales by
-    the derivative range: G = [(f'(1)-f'(-1)) * sum_j c_j C(d,j) t_j r_j +
-    (f'(1)+f'(-1))/2 - (f'(1)-f'(-1))/2] * y_0 * x_0. For an affine loss
-    (degenerate mixture) the product term drops, no kinks are drawn, and the
-    midpoint slope multiplies the head direction alone.
-    """
-    if cfg.flavor != "general-linear":
-        raise ParameterError("config is not for the general-linear path")
-    _check_replicas(message, cfg.d)
-    kinks = (sample_q_many(cfg.sampler, message.body_count, rng)
-             if cfg.kinked else None)
-    return _message_gradient(w, message, kinks, cfg)
-
-
-def _kink_draws(rng: np.random.Generator, cfg: GradientOracleConfig,
-                shape: tuple) -> Optional[np.ndarray]:
-    """Kink locations of an array of samples of ``shape``, one row of d(d+1)
-    each on a last axis, from one uniform call and one bisection, times the
-    product signs (see _fold). None for a loss that draws no kinks."""
-    if not cfg.kinked:
-        return None
-    sampler = cfg.sampler
-    kinks = kink_locations(sampler, rng.uniform(
-        sampler.lower, sampler.upper, shape + (cfg.d * (cfg.d + 1),)))
-    kinks *= _fold(cfg.d)[0]
-    return kinks
+# every loss's sample; the second name stays for perfbench/spans.py's binding
+general_linear_gradient_sample = hinge_gradient_sample
 
 
 def _batch_mean(sample_scalars: Callable, head: np.ndarray, w: np.ndarray,
-                rows: np.ndarray, kinks: Optional[np.ndarray]) -> np.ndarray:
+                rows: np.ndarray) -> np.ndarray:
     """Mean gradient sample over one step's draws.
 
     A draw's sample is its gradient scalar times its head row, so a block's
@@ -290,8 +230,7 @@ def _batch_mean(sample_scalars: Callable, head: np.ndarray, w: np.ndarray,
     total = None
     for lo in range(0, len(rows), BATCH_BLOCK):
         block = rows[lo:lo + BATCH_BLOCK]
-        part = sample_scalars(w, block, None if kinks is None
-                              else kinks[lo:lo + BATCH_BLOCK]) @ head[block]
+        part = sample_scalars(w, block) @ head[block]
         total = part if total is None else total + part
     return total / len(rows)
 
@@ -305,32 +244,19 @@ def _gradient_variance(cfg: GradientOracleConfig, budget: PrivacyBudget,
     record's label y and v = <x, w>, at ||x|| = ||w|| = 1.
 
     A body argument t = y_k <x_k, w> has E t = y v and E t^2 = (y^2 + b^2)
-    (v^2 + b^2) at body std b; the general path's t - c adds a kink offset
-    c independent of t. Each replica enters one factor of one block, so E s
-    sums products of first moments, and E s^2 those of second moments plus
-    the cross-block terms (E s)^2 - sum_j (weight_j mean_j)^2. At head std
-    h, Var G = E s^2 (y^2 + h^2)(1 + dim h^2) - (E s)^2 y^2."""
+    (v^2 + b^2) at body std b. Each replica enters one factor of one block,
+    so E s sums products of first moments, and E s^2 those of second
+    moments plus the cross-block terms (E s)^2 - sum_j (weight_j mean_j)^2.
+    At head std h, Var G = E s^2 (y^2 + h^2)(1 + dim h^2) - (E s)^2 y^2."""
     head_std, body_std = replica_noise_stds(budget, cfg.d)
-    sampler = cfg.sampler  # s = spread * products + shift; constant if affine
-    spread, shift = ((1.0, 0.0) if sampler is None
-                     else (sampler.upper - sampler.lower, sampler.lower))
-    mean = square = 0.0
-    if sampler is None or not sampler.degenerate:
-        y, v = np.asarray(y, dtype=float), np.asarray(v, dtype=float)
-        first = (y * v)[..., None]
-        second = ((y * y + body_std ** 2) * (v * v + body_std ** 2))[..., None]
-        if cfg.kinked:  # c = s - 1/2 over a midpoint grid of the uniform draw
-            c = kink_locations(sampler, shift + spread * (
-                np.arange(KINK_POINTS) + 0.5) / KINK_POINTS) - 0.5
-            first, second = first - c.mean(), (second - 2.0 * c.mean() * first
-                                               + np.mean(c * c))
-        j = np.arange(cfg.d + 1)
-        means = first ** j * (1.0 - first) ** (cfg.d - j)
-        squares = second ** j * (1.0 - 2.0 * first + second) ** (cfg.d - j)
-        mean = means @ cfg.weights
-        square = (squares - means * means) @ cfg.weights ** 2 + mean * mean
-    mean, square = (spread * mean + shift, spread ** 2 * square
-                    + 2.0 * spread * shift * mean + shift ** 2)
+    y, v = np.asarray(y, dtype=float), np.asarray(v, dtype=float)
+    first = (y * v)[..., None]
+    second = ((y * y + body_std ** 2) * (v * v + body_std ** 2))[..., None]
+    j = np.arange(cfg.d + 1)
+    means = first ** j * (1.0 - first) ** (cfg.d - j)
+    squares = second ** j * (1.0 - 2.0 * first + second) ** (cfg.d - j)
+    mean = means @ cfg.weights
+    square = (squares - means * means) @ cfg.weights ** 2 + mean * mean
     return (square * (y * y + head_std ** 2) * (1.0 + dim * head_std ** 2)
             - mean * mean * y * y)
 
@@ -358,7 +284,8 @@ class LossFlavor:
     """A scalar loss with the pieces both the oracle and reporting need.
 
     ``scalar_loss`` and ``scalar_subgrad`` act on the margin y<w,x> and
-    must be vectorized; ``sampler`` is required for the general path only.
+    must be vectorized; ``sampler``, the loss's kink-location measure, sets
+    the coefficients of every loss but the hinge (see ``glm_oracle``).
     """
 
     name: str
@@ -430,7 +357,7 @@ def _encode_population(features: np.ndarray, labels: np.ndarray,
 
 def glm_oracle(flavor: LossFlavor, target_alpha: float, budget: PrivacyBudget,
                dim: int, d_cap: int = 8) -> tuple:
-    """(cfg, d_theory, sigma): the gradient path of ``flavor`` at beta =
+    """(cfg, d_theory, sigma): the gradient config of ``flavor`` at beta =
     alpha/4 and degree d, the theory's d_theory = 2/(beta^2 alpha) rounded
     up (at least 1) capped at ``d_cap``, and its finite ``noise_scale`` at
     ``dim``, or a ``ConfigurationError`` naming d_cap when it overflows."""
@@ -484,8 +411,8 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     alpha/4, d = 2/(beta^2 alpha)) except that d is capped — the
     theoretical degree explodes cubically in 1/alpha and the report carries
     both values. The gradient-noise scale sigma of one message's sample
-    is ``noise_scale``, data-free, so ``rng`` draws only the encoding, the
-    rows and the kinks. It counts the replicas' noise, not the spread of
+    is ``noise_scale``, data-free, so ``rng`` draws only the encoding and
+    the rows. It counts the replicas' noise, not the spread of
     the surrogate gradient across records: a noiseless run has sigma = 0.
 
     The solver takes K steps, each on the mean sample of B messages, so its
@@ -493,8 +420,7 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     ``solver_batches`` at L = 1/beta: more steps than min(n, ceil(L sqrt(n)
     / sigma)) leave the solver's bound where one pass puts it. The K B
     messages are the first K B of one random permutation of the n
-    messages, so no step sees a message an earlier step used. Their kink
-    locations are drawn after the rows, in one uniform call.
+    messages, so no step sees a message an earlier step used.
     """
     cfg, d_theory, sigma = glm_oracle(flavor, target_alpha, budget, data.dim,
                                       d_cap)
@@ -502,28 +428,25 @@ def glm_erm_run(data: BallDataset, flavor: LossFlavor, target_alpha: float,
     head_x, head_y, body_x, body_y = _encode_population(
         data.features, data.labels, budget, d, rng)
 
-    # The server's randomness (rows and kink locations) does not depend on
-    # the iterate, so it is drawn up front. Labels and kinks carry the
-    # product signs (see _fold) from here on.
+    # The server's rows do not depend on the iterate, so they are drawn up
+    # front. Labels carry the product signs (see _fold) from here on.
     n, dim = data.n, data.dim
     head = head_y[:, None] * head_x
     body_y *= _fold(d)[0]
     scalars = cfg.scalars
 
-    def sample_scalars(w, rows, kinks):
-        return scalars(body_y[rows] * (body_x[rows] @ w), kinks)
+    def sample_scalars(w, rows):
+        return scalars(body_y[rows] * (body_x[rows] @ w))
 
     smoothness = 1.0 / beta
     steps, batch = solver_batches(n, sigma, smoothness)
     schedule = SigmSchedule(sigma=sigma / math.sqrt(batch),
                             smoothness=smoothness)
     # one pass over a random permutation, cut to K steps of B rows
-    rows = rng.permutation(n)[:steps * batch].reshape(steps, batch)
-    kinks = _kink_draws(rng, cfg, rows.shape)
-    draws = zip(rows, [None] * steps if kinks is None else kinks)
+    rows = iter(rng.permutation(n)[:steps * batch].reshape(steps, batch))
 
     def oracle(w):
-        return _batch_mean(sample_scalars, head, w, *next(draws))
+        return _batch_mean(sample_scalars, head, w, next(rows))
 
     w_priv = sigm_run(oracle, dim, schedule, steps)
 

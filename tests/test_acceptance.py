@@ -20,7 +20,6 @@ from ldp_erm.bernstein_erm import CubeDataset, alg2_run, alg3_run
 from ldp_erm.datasets import generate_dataset
 from ldp_erm.errors import SampleSizeWarning
 from ldp_erm.glm_erm import (_encode_population, _fold,
-                             general_linear_gradient_sample,
                              general_linear_oracle_config, glm_erm_run,
                              glm_player_encode, hinge_flavor,
                              hinge_gradient_sample, hinge_oracle_config,
@@ -29,8 +28,7 @@ from ldp_erm.harness import (ExperimentConfig, grid_loss_excess, load_config,
                              make_grid_loss, run_experiment, _gaussian_kernel)
 from ldp_erm.polyapprox import (BernsteinOperatorSpec, SmoothedPlus,
                                 SubgradientSampler, hinge_sampler,
-                                iterated_bernstein_eval, kink_locations,
-                                sample_q_many)
+                                iterated_bernstein_eval, sample_q_many)
 from ldp_erm.primitives import (PrivacyBudget, PublicRandomness,
                                 avg_error_bound, ldp_avg_1d, onebit_decode,
                                 onebit_encode_many)
@@ -282,23 +280,18 @@ def test_criterion_07_glm_oracles():
         return (signs * body_y) * (body_x @ w), head_y[:, None] * head_x
 
     margins, heads = replayed(derived_rng(2007))
-    samples = cfg_h.scalars(margins, None)[:, None] * heads
+    samples = cfg_h.scalars(margins)[:, None] * heads
     se_h = samples.std(axis=0) / math.sqrt(reps)
     z_h = float(np.max(np.abs(samples.mean(axis=0) - want_h) / se_h))
     assert z_h <= 3.0
 
-    # general path unbiasedness (x^2/2 loss; kink distribution averaged
-    # by quadrature) at 1e5 replays
+    # general-loss unbiasedness (x^2/2 loss; kink distribution averaged
+    # into the coefficients) at 1e5 replays
     ident = SubgradientSampler(lambda t: np.asarray(t, dtype=float), -1.0, 1.0)
     cfg_g = general_linear_oracle_config(d, beta, ident)
-    sgrid = np.linspace(-1.0, 1.0, 4001)
-    pbar = np.mean(bernstein_poly_eval(cfg_g.coeffs, u - sgrid + 0.5))
-    want_g = (2.0 * pbar - 1.0) * y_lab * x
-    rng = derived_rng(2008)
-    margins, heads = replayed(rng)
-    kinks = kink_locations(ident, rng.uniform(ident.lower, ident.upper,
-                                              margins.shape))
-    samples = cfg_g.scalars(margins, signs * kinks)[:, None] * heads
+    want_g = bernstein_poly_eval(cfg_g.coeffs, u) * y_lab * x
+    margins, heads = replayed(derived_rng(2008))
+    samples = cfg_g.scalars(margins)[:, None] * heads
     se_g = samples.std(axis=0) / math.sqrt(reps)
     z_g = float(np.max(np.abs(samples.mean(axis=0) - want_g) / se_g))
     assert z_g <= 3.0
@@ -321,7 +314,7 @@ def test_criterion_07_glm_oracles():
         worst_bias = max(worst_bias, bias * abs(yb) * np.linalg.norm(xb))
     assert worst_bias <= bound
 
-    # general path reproduces the dedicated hinge path at zero noise
+    # the hinge's kink measure reproduces the hinge config at zero noise
     noiseless = PrivacyBudget(epsilon=float("inf"))
     gen_h = general_linear_oracle_config(3, beta, hinge_sampler())
     ded_h = hinge_oracle_config(3, beta)
@@ -335,7 +328,7 @@ def test_criterion_07_glm_oracles():
         wa /= max(1.0, np.linalg.norm(wa))
         msg = glm_player_encode((xa, ya), noiseless, 3, rng)
         a = hinge_gradient_sample(wa, msg, ded_h)
-        b = general_linear_gradient_sample(wa, msg, gen_h, rng)
+        b = hinge_gradient_sample(wa, msg, gen_h)
         worst_agree = max(worst_agree, float(np.max(np.abs(a - b))))
     assert worst_agree <= 1e-8
     finish(f"criterion 7 PASS: MC z-scores hinge {z_h:.2f}, general "

@@ -941,136 +941,166 @@ def test_cli_configuration_error_is_exit_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config, argv", [
-    (_CONFIG, ["--seed", "-1"]),
-    (_CONFIG, ["--workers", "0"]),
-    (_CONFIG, ["--set", "trials=abc"]),
-    (_CONFIG, ["--set", "trials=2.5"]),
-    (_CONFIG, ["--set", "seed=1.5"]),
-    (_CONFIG, ["--set", "workers=2.5"]),
-    (_CONFIG, ["--set", "params.epsilonn=5"]),
-    (_CONFIG, ["--set", "sweep.epsilom=[1,2]"]),
-    (_CONFIG, ["--set", "sweep.epsilon=2"]),
-    (_CONFIG, ["--set", "mechanism=bernstein", "--set", "params.k=8.7"]),
-    (_CONFIG, ["--set", "mechanism=bernstein"]),
-    (_CONFIG, ["--set", "mechanism=avg-bench"]),
-    ({**_CONFIG, "seed": -3}, []),
-    ({**_CONFIG, "trials": "2"}, []),
-    ({**_CONFIG, "dataset": "uniform-cube"}, []),
-    ({**_CONFIG, "params": [1.0]}, []),
-    ({**_CONFIG, "sweep": "epsilon"}, []),
-    ([_CONFIG], []),
-    (_CONFIG, ["--set", "params.epsilon=-1"]),
-    (_CONFIG, ["--set", "params.epsilon=0"]),
-    (_CONFIG, ["--set", "sweep.epsilon=[1,-1]"]),
-    (_CONFIG, ["--set", "dataset.n=0"]),
-    (_CONFIG, ["--set", "dataset.dim=0"]),
-    (_CONFIG, ["--set", "sweep.n=[200,0]"]),
-    (_CONFIG, ["--set", "sweep.dim=[0]"]),
-    ({**_HINGE_CONFIG, "params": {"delta": 1.0}}, []),
-    ({**_HINGE_CONFIG, "params": {"delta": -0.1}}, []),
-    ({**_HINGE_CONFIG, "sweep": {"delta": [1e-5, 1.5]}}, []),
-    ({**_MARGINALS_CONFIG, "params": {"split_budget": "no"}}, []),
-    (_MARGINALS_CONFIG, ["--set", "params.split_budget=no"]),
-    (_MARGINALS_CONFIG, ["--set", "sweep.split_budget=[false,1]"]),
-    ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "params.loss=cubic"]),
-    ({**_CONFIG, "mechanism": "onebit"}, ["--set", "sweep.loss=[\"flat\",3]"]),
-    (_SMOOTH_CONFIG, ["--set", "params.center=[0.1]"]),
-    (_SMOOTH_CONFIG, ["--set", "sweep.center=[[0.1,0.2],[0.1]]"]),
-    (_SMOOTH_CONFIG, ["--set", "params.center=[0.1,0.2]",
-                      "--set", "sweep.dim=[2,3]"]),
-    (_SMOOTH_CONFIG, ["--set", "params.center=0.1"]),
-    (_SMOOTH_CONFIG, ["--set", "params.center=[0.1,\"a\"]"]),
-    (_SMOOTH_CONFIG, ["--set", "params.bandwidths=[0]"]),
-    (_SMOOTH_CONFIG, ["--set", "params.bandwidths=[0.5,-1]"]),
-    (_SMOOTH_CONFIG, ["--set", "sweep.bandwidths=[[0.5],[0]]"]),
-    (_SMOOTH_CONFIG, ["--set", "params.bandwidths=0.5"]),
-    (_SMOOTH_CONFIG, ["--set", "params.bandwidths=[]"]),
-    (_CONFIG, ["--set", "dataset.dim=2"]),
-    (_CONFIG, ["--set", "sweep.dim=[1,2]"]),
-    (_HINGE_CONFIG, ["--set", "dataset.margin=0"]),
-    (_HINGE_CONFIG, ["--set", "sweep.margin=[0.2,1]"]),
-    (_SMOOTH_CONFIG, ["--set", "dataset.sigma=0"]),
-    (_SMOOTH_CONFIG, ["--set", "sweep.sigma=[0.4,\"inf\"]"]),
-    (_CONFIG, ["--set", "dataset.margin=5", "--set", "dataset.q=7"]),
-    (_CONFIG, ["--set", "sweep.sigma=[0.5]"]),
-    (_HINGE_CONFIG, ["--set", "dataset.q=0.5"]),
-    (_MARGINALS_CONFIG, ["--set", "sweep.margin=[0.2]"]),
-    (_SMOOTH_CONFIG, ["--set", "dataset.margin=0.2"]),
-    ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "dataset.dim=41"]),
-    ({**_CONFIG, "mechanism": "onebit", "params": {}},
-     ["--set", "sweep.dim=[2,41]"]),
-    ({**_CONFIG, "mechanism": "onebit", "params": {}},
-     ["--set", "params.epsilon=1.0"]),
-    ({**_CONFIG, "mechanism": "onebit", "params": {}},
-     ["--set", "sweep.epsilon=[0.5,1.0]"]),
-    ({**_CONFIG, "mechanism": "bernstein", "params": {}},
-     ["--set", "params.grid_cap=100"]),
-    ({**_CONFIG, "mechanism": "bernstein", "params": {}},
-     ["--set", "dataset.dim=3", "--set", "params.k=100"]),
-    ({**_CONFIG, "mechanism": "onebit", "params": {}},
-     ["--set", "dataset.dim=3", "--set", "sweep.k=[2,100]"]),
-    ({**_CONFIG, "mechanism": "bernstein", "params": {}},
-     ["--set", "params.k=100", "--set", "sweep.dim=[1,3]"]),
-    (_SMOOTH_CONFIG, ["--set", "params.t=1000"]),
-    (_SMOOTH_CONFIG, ["--set", "sweep.t=[2,1000]"]),
-    (_SMOOTH_CONFIG, ["--set", "params.t=0"]),
+# rejected (config, argv) pairs by test ID; an explicit ID, not the list
+# index, so removing one case renames no other
+_BAD_INPUT = {
+    "config0-argv0": (_CONFIG, ["--seed", "-1"]),
+    "config1-argv1": (_CONFIG, ["--workers", "0"]),
+    "config2-argv2": (_CONFIG, ["--set", "trials=abc"]),
+    "config3-argv3": (_CONFIG, ["--set", "trials=2.5"]),
+    "config4-argv4": (_CONFIG, ["--set", "seed=1.5"]),
+    "config5-argv5": (_CONFIG, ["--set", "workers=2.5"]),
+    "config6-argv6": (_CONFIG, ["--set", "params.epsilonn=5"]),
+    "config7-argv7": (_CONFIG, ["--set", "sweep.epsilom=[1,2]"]),
+    "config8-argv8": (_CONFIG, ["--set", "sweep.epsilon=2"]),
+    "config9-argv9":
+        (_CONFIG, ["--set", "mechanism=bernstein", "--set", "params.k=8.7"]),
+    "config10-argv10": (_CONFIG, ["--set", "mechanism=bernstein"]),
+    "config11-argv11": (_CONFIG, ["--set", "mechanism=avg-bench"]),
+    "config12-argv12": ({**_CONFIG, "seed": -3}, []),
+    "config13-argv13": ({**_CONFIG, "trials": "2"}, []),
+    "config14-argv14": ({**_CONFIG, "dataset": "uniform-cube"}, []),
+    "config15-argv15": ({**_CONFIG, "params": [1.0]}, []),
+    "config16-argv16": ({**_CONFIG, "sweep": "epsilon"}, []),
+    "config17-argv17": ([_CONFIG], []),
+    "config18-argv18": (_CONFIG, ["--set", "params.epsilon=-1"]),
+    "config19-argv19": (_CONFIG, ["--set", "params.epsilon=0"]),
+    "config20-argv20": (_CONFIG, ["--set", "sweep.epsilon=[1,-1]"]),
+    "config21-argv21": (_CONFIG, ["--set", "dataset.n=0"]),
+    "config22-argv22": (_CONFIG, ["--set", "dataset.dim=0"]),
+    "config23-argv23": (_CONFIG, ["--set", "sweep.n=[200,0]"]),
+    "config24-argv24": (_CONFIG, ["--set", "sweep.dim=[0]"]),
+    "config25-argv25": ({**_HINGE_CONFIG, "params": {"delta": 1.0}}, []),
+    "config26-argv26": ({**_HINGE_CONFIG, "params": {"delta": -0.1}}, []),
+    "config27-argv27":
+        ({**_HINGE_CONFIG, "sweep": {"delta": [1e-5, 1.5]}}, []),
+    "config28-argv28":
+        ({**_MARGINALS_CONFIG, "params": {"split_budget": "no"}}, []),
+    "config29-argv29":
+        (_MARGINALS_CONFIG, ["--set", "params.split_budget=no"]),
+    "config30-argv30":
+        (_MARGINALS_CONFIG, ["--set", "sweep.split_budget=[false,1]"]),
+    "config31-argv31": ({**_CONFIG, "mechanism": "bernstein"},
+                        ["--set", "params.loss=cubic"]),
+    "config32-argv32": ({**_CONFIG, "mechanism": "onebit"},
+                        ["--set", "sweep.loss=[\"flat\",3]"]),
+    "config33-argv33": (_SMOOTH_CONFIG, ["--set", "params.center=[0.1]"]),
+    "config34-argv34":
+        (_SMOOTH_CONFIG, ["--set", "sweep.center=[[0.1,0.2],[0.1]]"]),
+    "config35-argv35": (_SMOOTH_CONFIG, ["--set", "params.center=[0.1,0.2]",
+                                         "--set", "sweep.dim=[2,3]"]),
+    "config36-argv36": (_SMOOTH_CONFIG, ["--set", "params.center=0.1"]),
+    "config37-argv37":
+        (_SMOOTH_CONFIG, ["--set", "params.center=[0.1,\"a\"]"]),
+    "config38-argv38": (_SMOOTH_CONFIG, ["--set", "params.bandwidths=[0]"]),
+    "config39-argv39":
+        (_SMOOTH_CONFIG, ["--set", "params.bandwidths=[0.5,-1]"]),
+    "config40-argv40":
+        (_SMOOTH_CONFIG, ["--set", "sweep.bandwidths=[[0.5],[0]]"]),
+    "config41-argv41": (_SMOOTH_CONFIG, ["--set", "params.bandwidths=0.5"]),
+    "config42-argv42": (_SMOOTH_CONFIG, ["--set", "params.bandwidths=[]"]),
+    "config43-argv43": (_CONFIG, ["--set", "dataset.dim=2"]),
+    "config44-argv44": (_CONFIG, ["--set", "sweep.dim=[1,2]"]),
+    "config45-argv45": (_HINGE_CONFIG, ["--set", "dataset.margin=0"]),
+    "config46-argv46": (_HINGE_CONFIG, ["--set", "sweep.margin=[0.2,1]"]),
+    "config47-argv47": (_SMOOTH_CONFIG, ["--set", "dataset.sigma=0"]),
+    "config48-argv48":
+        (_SMOOTH_CONFIG, ["--set", "sweep.sigma=[0.4,\"inf\"]"]),
+    "config49-argv49": (_CONFIG, ["--set", "dataset.margin=5",
+                                  "--set", "dataset.q=7"]),
+    "config50-argv50": (_CONFIG, ["--set", "sweep.sigma=[0.5]"]),
+    "config51-argv51": (_HINGE_CONFIG, ["--set", "dataset.q=0.5"]),
+    "config52-argv52": (_MARGINALS_CONFIG, ["--set", "sweep.margin=[0.2]"]),
+    "config53-argv53": (_SMOOTH_CONFIG, ["--set", "dataset.margin=0.2"]),
+    "config54-argv54":
+        ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "dataset.dim=41"]),
+    "config55-argv55": ({**_CONFIG, "mechanism": "onebit", "params": {}},
+                        ["--set", "sweep.dim=[2,41]"]),
+    "config56-argv56": ({**_CONFIG, "mechanism": "onebit", "params": {}},
+                        ["--set", "params.epsilon=1.0"]),
+    "config57-argv57": ({**_CONFIG, "mechanism": "onebit", "params": {}},
+                        ["--set", "sweep.epsilon=[0.5,1.0]"]),
+    "config58-argv58": ({**_CONFIG, "mechanism": "bernstein", "params": {}},
+                        ["--set", "params.grid_cap=100"]),
+    "config59-argv59": ({**_CONFIG, "mechanism": "bernstein", "params": {}},
+                        ["--set", "dataset.dim=3", "--set", "params.k=100"]),
+    "config60-argv60": ({**_CONFIG, "mechanism": "onebit", "params": {}},
+                        ["--set", "dataset.dim=3",
+                         "--set", "sweep.k=[2,100]"]),
+    "config61-argv61": ({**_CONFIG, "mechanism": "bernstein", "params": {}},
+                        ["--set", "params.k=100", "--set", "sweep.dim=[1,3]"]),
+    "config62-argv62": (_SMOOTH_CONFIG, ["--set", "params.t=1000"]),
+    "config63-argv63": (_SMOOTH_CONFIG, ["--set", "sweep.t=[2,1000]"]),
+    "config64-argv64": (_SMOOTH_CONFIG, ["--set", "params.t=0"]),
     # removed GLM params, with values they once accepted: in the config
     # file, as a --set param and as a --set sweep
-    ({**_HINGE_CONFIG, "params": {"sigma_safety": 4.0}}, []),
-    (_HINGE_CONFIG, ["--set", "params.sigma_safety=4.0"]),
-    (_HINGE_CONFIG, ["--set", "sweep.sigma_safety=[4.0]"]),
-    ({**_HINGE_CONFIG, "params": {"iters": 10}}, []),
-    (_HINGE_CONFIG, ["--set", "params.iters=10"]),
-    (_HINGE_CONFIG, ["--set", "sweep.iters=[10]"]),
-    (_HINGE_CONFIG, ["--set", "params.d_cap=0"]),
-    (_HINGE_CONFIG, ["--set", "sweep.d_cap=[2,0]"]),
-    (_HINGE_CONFIG, ["--set", "params.target_alpha=2.0"]),
-    (_HINGE_CONFIG, ["--set", "sweep.target_alpha=[1.0,2.0]"]),
-    (_HINGE_CONFIG, ["--set", "params.target_alpha=0"]),
-    (_HINGE_CONFIG, ["--set", "sweep.target_alpha=[0.5,0]"]),
+    "config65-argv65":
+        ({**_HINGE_CONFIG, "params": {"sigma_safety": 4.0}}, []),
+    "config66-argv66": (_HINGE_CONFIG, ["--set", "params.sigma_safety=4.0"]),
+    "config67-argv67": (_HINGE_CONFIG, ["--set", "sweep.sigma_safety=[4.0]"]),
+    "config68-argv68": ({**_HINGE_CONFIG, "params": {"iters": 10}}, []),
+    "config69-argv69": (_HINGE_CONFIG, ["--set", "params.iters=10"]),
+    "config70-argv70": (_HINGE_CONFIG, ["--set", "sweep.iters=[10]"]),
+    "config71-argv71": (_HINGE_CONFIG, ["--set", "params.d_cap=0"]),
+    "config72-argv72": (_HINGE_CONFIG, ["--set", "sweep.d_cap=[2,0]"]),
+    "config73-argv73": (_HINGE_CONFIG, ["--set", "params.target_alpha=2.0"]),
+    "config74-argv74":
+        (_HINGE_CONFIG, ["--set", "sweep.target_alpha=[1.0,2.0]"]),
+    "config75-argv75": (_HINGE_CONFIG, ["--set", "params.target_alpha=0"]),
+    "config76-argv76":
+        (_HINGE_CONFIG, ["--set", "sweep.target_alpha=[0.5,0]"]),
     # each of these used to pass the check and then fail every trial
-    ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "params.k=0"]),
-    ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "sweep.k=[2,0]"]),
-    ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "params.h=0"]),
-    ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "sweep.h=[1,-1]"]),
-    ({**_CONFIG, "mechanism": "onebit", "params": {}},
-     ["--set", "params.k=-1"]),
-    ({**_CONFIG, "mechanism": "onebit", "params": {}},
-     ["--set", "sweep.k=[0]"]),
-    ({**_CONFIG, "mechanism": "onebit", "params": {}},
-     ["--set", "params.h=0"]),
-    ({**_CONFIG, "mechanism": "onebit", "params": {}},
-     ["--set", "sweep.h=[2,0]"]),
-    (_MARGINALS_CONFIG, ["--set", "params.k=0"]),
-    (_MARGINALS_CONFIG, ["--set", "sweep.k=[1,0]"]),
-    (_MARGINALS_CONFIG, ["--set", "params.gamma=0"]),
-    (_MARGINALS_CONFIG, ["--set", "sweep.gamma=[0.2,0]"]),
-    (_MARGINALS_CONFIG, ["--set", "params.gamma=1.5"]),
-    (_MARGINALS_CONFIG, ["--set", "sweep.gamma=[1.5]"]),
-    (_MARGINALS_CONFIG, ["--set", "params.gamma=NaN"]),
-    (_MARGINALS_CONFIG, ["--set", "sweep.gamma=[0.2,NaN]"]),
-    (_MARGINALS_CONFIG, ["--set", "params.gamma=abc"]),
-    (_MARGINALS_CONFIG, ["--set", "sweep.gamma=[\"abc\"]"]),
+    "config77-argv77":
+        ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "params.k=0"]),
+    "config78-argv78":
+        ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "sweep.k=[2,0]"]),
+    "config79-argv79":
+        ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "params.h=0"]),
+    "config80-argv80":
+        ({**_CONFIG, "mechanism": "bernstein"}, ["--set", "sweep.h=[1,-1]"]),
+    "config81-argv81": ({**_CONFIG, "mechanism": "onebit", "params": {}},
+                        ["--set", "params.k=-1"]),
+    "config82-argv82": ({**_CONFIG, "mechanism": "onebit", "params": {}},
+                        ["--set", "sweep.k=[0]"]),
+    "config83-argv83": ({**_CONFIG, "mechanism": "onebit", "params": {}},
+                        ["--set", "params.h=0"]),
+    "config84-argv84": ({**_CONFIG, "mechanism": "onebit", "params": {}},
+                        ["--set", "sweep.h=[2,0]"]),
+    "config85-argv85": (_MARGINALS_CONFIG, ["--set", "params.k=0"]),
+    "config86-argv86": (_MARGINALS_CONFIG, ["--set", "sweep.k=[1,0]"]),
+    "config87-argv87": (_MARGINALS_CONFIG, ["--set", "params.gamma=0"]),
+    "config88-argv88": (_MARGINALS_CONFIG, ["--set", "sweep.gamma=[0.2,0]"]),
+    "config89-argv89": (_MARGINALS_CONFIG, ["--set", "params.gamma=1.5"]),
+    "config90-argv90": (_MARGINALS_CONFIG, ["--set", "sweep.gamma=[1.5]"]),
+    "config91-argv91": (_MARGINALS_CONFIG, ["--set", "params.gamma=NaN"]),
+    "config92-argv92": (_MARGINALS_CONFIG, ["--set", "sweep.gamma=[0.2,NaN]"]),
+    "config93-argv93": (_MARGINALS_CONFIG, ["--set", "params.gamma=abc"]),
+    "config94-argv94": (_MARGINALS_CONFIG, ["--set", "sweep.gamma=[\"abc\"]"]),
     # a data key's "null" is not its default: n has none
-    (_CONFIG, ["--set", "dataset.n=null"]),
+    "config95-argv95": (_CONFIG, ["--set", "dataset.n=null"]),
     # an integer too large for a float
-    (_CONFIG, ["--set", "params.epsilon=1" + "0" * 400]),
+    "config96-argv96": (_CONFIG, ["--set", "params.epsilon=1" + "0" * 400]),
     # delta 0 used to pass the check and then fail every trial
-    ({**_HINGE_CONFIG, "params": {"delta": 0}}, []),
-    ({**_HINGE_CONFIG, "mechanism": "general-linear"},
-     ["--set", "sweep.delta=[1e-5,0]"]),
+    "config97-argv97": ({**_HINGE_CONFIG, "params": {"delta": 0}}, []),
+    "config98-argv98": ({**_HINGE_CONFIG, "mechanism": "general-linear"},
+                        ["--set", "sweep.delta=[1e-5,0]"]),
     # a misspelled top-level key used to be dropped silently
-    ({**_CONFIG, "trails": 1}, []),
-    ({**_CONFIG, "sweeep": {"epsilon": [1.0, 2.0]}}, []),
+    "config99-argv99": ({**_CONFIG, "trails": 1}, []),
+    "config100-argv100": ({**_CONFIG, "sweeep": {"epsilon": [1.0, 2.0]}}, []),
     # an empty sweep entry gives no cells, so nothing else was checked
-    (_CONFIG, ["--set", "sweep.epsilon=[]"]),
+    "config101-argv101": (_CONFIG, ["--set", "sweep.epsilon=[]"]),
     # the params fix the OR polynomial and its expansion, so each of these
     # used to fail every trial: a polynomial that misses its gamma, and
     # C(40+5,5) coefficients, above the cap
-    (_MARGINALS_CONFIG, ["--set", "params.k=10", "--set", "params.gamma=1e-6"]),
-    ({**_MARGINALS_CONFIG, "params": {"k": 8}}, ["--set", "dataset.dim=40"]),
-])
+    "config102-argv102": (_MARGINALS_CONFIG, ["--set", "params.k=10",
+                                              "--set", "params.gamma=1e-6"]),
+    "config103-argv103": ({**_MARGINALS_CONFIG, "params": {"k": 8}},
+                          ["--set", "dataset.dim=40"]),
+}
+
+
+@pytest.mark.parametrize("config, argv", list(_BAD_INPUT.values()),
+                         ids=list(_BAD_INPUT))
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, config, argv):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
