@@ -7,7 +7,9 @@
 # VENV is a virtual environment with the package installed and no extras;
 # each mechanism's console-script run writes its config and artifacts under
 # WORKDIR. Fails if scipy is importable there, if any good run exits
-# non-zero, if a batched GLM run (epsilon = 50 on n = 2000) does not take
+# non-zero (a smooth-queries run at dim 17, t = 2, the largest basis the
+# cap admits at t = 2, runs under a 1.5 GB address-space limit), if a
+# batched GLM run (epsilon = 50 on n = 2000) does not take
 # more than one solver step and fewer than n, if the batched general-linear
 # run (the hinge through its kink measure) does not take the hinge's steps
 # at its noise scale within 1e-9 relative, if re-running any good run
@@ -15,7 +17,8 @@
 # transcript_summary.csv byte for byte, or if a rejected config (one per
 # mechanism, one per synthetic family, an unknown top-level key, an empty
 # sweep entry, a GLM delta of 0, a GLM degree whose replica products
-# overflow and 65-bit marginals records) does not exit 2 with a
+# overflow, 65-bit marginals records and a smooth-query t whose t x t
+# coefficient transform is above the cap) does not exit 2 with a
 # configuration error and no traceback.
 set -euo pipefail
 venv="$1"
@@ -69,6 +72,10 @@ box='{"family": "gaussian-ball-clipped", "n": 2000, "dim": 2}'
 run marginals "$bits" '{"k": 1, "gamma": 0.2}'
 run smooth-queries "$box" '{"t": 2}'
 run avg-bench "$cube" '{}'
+# 2^17 basis entries; each block of the release holds a bounded number of
+# them, where 2000-row blocks would need 1000 MiB for one product
+wide='{"family": "gaussian-ball-clipped", "n": 2000, "dim": 17}'
+(ulimit -v 1500000; run smooth-queries "$wide" '{"t": 2}' smooth-queries-wide)
 # a manifest re-runs its run: the reports and the message accounting the
 # mechanism declares come out byte-identical
 for entry in "${runs[@]}"; do
@@ -119,3 +126,6 @@ reject empty-sweep avg-bench "$cube" '{}' '"sweep": {"epsilon": []}'
 reject bad-hinge-delta hinge "$ball" '{"delta": 0}'
 # at d = 24 and the default epsilon = 1 the noise scale overflows float64
 reject glm-overflow hinge "$ball" '{"d_cap": 24}'
+# at p = 1 the t x t coefficient transform is the larger table
+reject smooth-transform smooth-queries \
+  '{"family": "gaussian-ball-clipped", "n": 2000, "dim": 1}' '{"t": 448}'

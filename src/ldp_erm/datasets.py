@@ -326,6 +326,9 @@ def separable_two_class(n: int, dim: int, margin: float,
     return BallDataset(features=xi, labels=labels)
 
 
+DRAW_ROWS = 4096  # rows of bernoulli-bits uniforms drawn at once
+
+
 def generate_dataset(spec: dict, seed: int):
     """Build the dataset a spec names; a spec ``check_spec`` rejects raises."""
     record = check_spec(spec)
@@ -351,5 +354,12 @@ def generate_dataset(spec: dict, seed: int):
         return BoxDataset(x)
     if family == "separable-two-class":
         return separable_two_class(n, dim, spec_value(spec, "margin"), rng)
-    # _checked makes the one int64 copy of the boolean rows
-    return BinaryDataset(rng.random((n, dim)) < spec_value(spec, "q"))
+    # the uniforms are drawn DRAW_ROWS rows at a time, the same stream as
+    # one (n, dim) draw without its float64 temporary; _checked makes the
+    # one int64 copy of the boolean rows
+    q = spec_value(spec, "q")
+    bits = np.empty((n, dim), dtype=bool)
+    for lo in range(0, n, DRAW_ROWS):
+        hi = min(lo + DRAW_ROWS, n)
+        np.less(rng.random((hi - lo, dim)), q, out=bits[lo:hi])
+    return BinaryDataset(bits)

@@ -32,7 +32,7 @@ from .glm_erm import (glm_erm_run, glm_oracle, hinge_flavor,
                       hinge_via_general_flavor)
 from .polyapprox import BernsteinOperatorSpec, build_or_polynomial
 from .primitives import PrivacyBudget, check_onebit_epsilon, ldp_avg_1d
-from .query_release import (check_basis_cap, check_expansion_cap,
+from .query_release import (CAP, check_basis_cap, check_expansion_cap,
                             disjunction_truth, marginals_answer,
                             marginals_release, smooth_release_and_answer)
 from .rng import (TAG_TRIAL, TAG_TRIAL_DATASET, TAG_TRIAL_MECHANISM,
@@ -522,7 +522,8 @@ MECHANISMS = {
         _trial_marginals, _marginals_message),
     "smooth-queries": Mechanism(
         (BoxDataset, CubeDataset),
-        {"t": Param(8, "an integer >= 1", count),
+        {"t": Param(8, f"an integer >= 1 with t^dim and t^2 at most {CAP} "
+                       f"(so t <= {math.isqrt(CAP)} at dim 1)", count),
          "epsilon": _EPSILON,
          "center": Param(None, "null or a non-empty list of finite numbers",
                          optional(numbers(math.isfinite))),

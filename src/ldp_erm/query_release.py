@@ -35,6 +35,7 @@ from .primitives import PrivacyBudget, laplace_sum
 
 CAP = 200_000  # most entries of a coefficient vector or basis (one real each)
 BLOCK = 2048  # rows or distinct records a release handles at once
+BLOCK_ENTRIES = 2 ** 19  # most basis entries one smooth-query block holds
 
 
 @dataclass(frozen=True)
@@ -276,13 +277,19 @@ class CosineCoefficientTable:
 
 
 def check_basis_cap(t: int, p: int) -> int:
-    """The basis's t^p entry count; rejects t < 1 and a count above ``CAP``."""
+    """The basis's t^p entry count; rejects t < 1, a count above ``CAP``,
+    and a t x t coefficient transform above ``CAP``, which at p = 1 is
+    larger than the basis."""
     if t < 1:
         raise ParameterError(f"degree bound t must be >= 1, got {t}")
     dim = t ** p
     if dim > CAP:
         raise ConfigurationError(
             f"basis needs t^p = {dim} entries, above the cap {CAP}")
+    if t * t > CAP:
+        raise ConfigurationError(
+            f"coefficient transform needs t^2 = {t * t} entries, above the "
+            f"cap {CAP}: t is at most {math.isqrt(CAP)}")
     return dim
 
 
@@ -290,16 +297,20 @@ def _basis_column_sums(rows: np.ndarray, t: int) -> np.ndarray:
     """Column sums of the rows' tensor Chebyshev basis vectors, in the
     released (C-order) layout, without forming the (n, t^p) basis.
 
-    Per block of ``BLOCK`` rows, one call gives every axis's Chebyshev
-    values, the basis entries of the first p - 1 axes are multiplied out
-    row by row, and a matrix product with the last axis's values sums their
-    products over the block.
+    Per block of rows, one call gives every axis's Chebyshev values, the
+    basis entries of the first p - 1 axes are multiplied out row by row,
+    and a matrix product with the last axis's values sums their products
+    over the block. A block is ``BLOCK`` rows, or fewer where a row's
+    t^(p-1) head entries and p * t Chebyshev values would make the block
+    hold more than ``BLOCK_ENTRIES``, so memory stays bounded at any t and
+    p the cap admits.
     """
     n, p = rows.shape
+    size = max(1, min(BLOCK, BLOCK_ENTRIES // (t ** (p - 1) + p * t)))
     total = np.zeros((t ** (p - 1), t))
-    for lo in range(0, n, BLOCK):
-        block = rows[lo:lo + BLOCK]
-        # (p, rows, t): axis-major, so each axis's table is C-contiguous
+    for lo in range(0, n, size):
+        block = rows[lo:lo + size]
+        # (p, rows, t): one (rows, t) table per axis
         tables = chebyshev_eval(np.arange(t), block.T)
         head = np.ones((len(block), 1))
         for vj in tables[:-1]:

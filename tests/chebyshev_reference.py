@@ -1,6 +1,7 @@
 """Truncated Chebyshev series fitted by cosine quadrature, the tests'
-reference for one-dimensional Chebyshev approximation, and T_n at finite
-or NaN points by its trigonometric branches, one degree at a time."""
+reference for one-dimensional Chebyshev approximation, and T_n one degree
+at a time: by its three-term recurrence inside [-1, 1], and at finite or
+NaN points by its trigonometric branches."""
 
 from dataclasses import dataclass
 from typing import Callable
@@ -44,6 +45,20 @@ def chebyshev_series_fit(f: Callable, n: int) -> ChebyshevSeries:
     c[0] /= 2.0
     c[n] /= 2.0
     return ChebyshevSeries(c)
+
+
+def chebyshev_recurrence(n: int, x: np.ndarray) -> np.ndarray:
+    """T_n at each entry of x in [-1, 1] by T_0 = 1, T_1 = x and
+    T_{r+1} = 2x T_r - T_{r-1}, with 2x formed once, keeping only the last
+    two degrees."""
+    x = np.asarray(x, dtype=float)
+    if n == 0:
+        return np.ones_like(x)
+    twice = 2.0 * x
+    prev, cur = np.ones_like(x), x
+    for _ in range(n - 1):
+        prev, cur = cur, twice * cur - prev
+    return cur
 
 
 def chebyshev_branches(n: int, x: np.ndarray) -> np.ndarray:

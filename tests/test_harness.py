@@ -17,7 +17,8 @@ from ldp_erm import baselines, harness
 from ldp_erm.baselines import (certified_lower_bound, glm_baseline,
                                projected_subgradient)
 from ldp_erm.bernstein_erm import CubeDataset, check_grid_size, grid_points
-from ldp_erm.datasets import FAMILY_KEYS, generate_dataset, separable_two_class
+from ldp_erm.datasets import (DRAW_ROWS, FAMILY_KEYS, generate_dataset,
+                              separable_two_class)
 from ldp_erm.errors import (ConfigurationError, ParameterError,
                             SampleSizeWarning)
 from ldp_erm.geometry import project_unit_ball
@@ -31,7 +32,7 @@ from ldp_erm.primitives import PrivacyBudget, ldp_avg_1d, onebit_encode_many
 from ldp_erm.query_release import (BinaryDataset, BoxDataset, check_basis_cap,
                                    check_expansion_cap, marginals_release,
                                    smooth_release)
-from ldp_erm.rng import derived_rng
+from ldp_erm.rng import TAG_DATASET, derived_rng
 from ldp_erm import cli
 
 
@@ -156,6 +157,16 @@ def test_bernoulli_bits_frequency():
     sigma = np.sqrt(0.3 * 0.7 / 5000)
     freqs = data.rows.mean(axis=0)
     assert np.all(np.abs(freqs - 0.3) <= 3 * sigma)
+
+
+@pytest.mark.parametrize("n", [1, DRAW_ROWS - 1, DRAW_ROWS, DRAW_ROWS + 1,
+                               10_000])
+def test_bernoulli_bits_blocks_are_one_draw(n):
+    # rows drawn a block at a time are the bits of one (n, dim) draw
+    data = generate_dataset({"family": "bernoulli-bits", "n": n, "dim": 8,
+                             "q": 0.3}, 5)
+    want = derived_rng(5, TAG_DATASET).random((n, 8)) < 0.3
+    assert np.array_equal(data.rows, want)
 
 
 def test_gaussian_ball_clipped_norms():
@@ -1096,6 +1107,10 @@ _BAD_INPUT = {
                                               "--set", "params.gamma=1e-6"]),
     "config103-argv103": ({**_MARGINALS_CONFIG, "params": {"k": 8}},
                           ["--set", "dataset.dim=40"]),
+    # at p = 1 the t x t coefficient transform is larger than the basis, and
+    # at t = 448 it is above the cap
+    "config104-argv104": (_SMOOTH_CONFIG, ["--set", "dataset.dim=1",
+                                           "--set", "params.t=448"]),
 }
 
 

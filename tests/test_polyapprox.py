@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chebyshev_reference import (ChebyshevSeries, chebyshev_branches,
-                                 chebyshev_series_fit)
+                                 chebyshev_recurrence, chebyshev_series_fit)
 from formula_reference import (abs_sampler, bernstein_poly_eval,
                                lemma40_reconstruct)
 from ldp_erm.errors import ParameterError
@@ -202,12 +202,15 @@ def test_chebyshev_eval_nan_entries_give_nan():
 
 
 def test_chebyshev_eval_degree_array_matches_one_degree_at_a_time():
-    # the same bits as each degree's own branch formula, NaN included
+    # the same bits as each degree's own recurrence inside [-1, 1], and as
+    # its own branch formula outside and at NaN
     x = np.array([0.0, 0.3, -0.3, 1.0, -1.0, 1.0 + 1e-12, -1.0 - 1e-12,
                   2.0, -2.0, math.nan])
+    inner = np.abs(x) <= 1.0
     degrees = np.arange(9)
-    want = np.stack([chebyshev_branches(int(r), x) for r in degrees],
-                    axis=-1)
+    want = np.stack([np.where(inner, chebyshev_recurrence(int(r), x),
+                              chebyshev_branches(int(r), x))
+                     for r in degrees], axis=-1)
     got = chebyshev_eval(degrees, x)
     assert got.shape == (len(x), len(degrees))
     assert got.tobytes() == want.tobytes()
@@ -221,6 +224,25 @@ def test_chebyshev_eval_degree_array_matches_one_degree_at_a_time():
         chebyshev_eval(np.array([2, -1]), x)
     with pytest.raises(ParameterError):
         chebyshev_eval(np.zeros((2, 2), dtype=int), x)
+
+
+def test_chebyshev_eval_recurrence_accuracy():
+    # against the trigonometric form in long double, on a grid and next to
+    # +-1, where the recurrence's rounding grows like (r+1)^2 eps
+    near = np.array([1e-16, 1e-14, 1e-13, 1e-12])
+    x = np.concatenate([np.linspace(-1.0, 1.0, 2001), 1.0 - near,
+                        -1.0 + near])
+    degrees = np.arange(1001)
+    want = np.cos(degrees * np.arccos(x.astype(np.longdouble))[:, None])
+    err = np.abs(chebyshev_eval(degrees, x) - want).astype(float)
+    assert np.all(err <= (degrees + 1.0) ** 2 * np.finfo(float).eps)
+
+
+def test_chebyshev_eval_rejects_a_non_integer_degree():
+    # cos(2.5 arccos 0.3) is a number, but no polynomial's value
+    for n in (2.5, 2.0, np.array([1.0, 2.0]), np.array([1, 2.5])):
+        with pytest.raises(ParameterError, match="integer degree"):
+            chebyshev_eval(n, 0.3)
 
 
 def test_chebyshev_eval_degree_zero_is_one_at_infinity():

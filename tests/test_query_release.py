@@ -17,8 +17,8 @@ from ldp_erm.errors import ParameterError, QueryClassError, SampleSizeWarning
 from ldp_erm.harness import _gaussian_kernel
 from ldp_erm.polyapprox import build_or_polynomial
 from ldp_erm.primitives import PrivacyBudget, laplace_sum
-from ldp_erm.query_release import (BLOCK, BinaryDataset, BoxDataset,
-                                   QueryAnswer, _basis_column_sums,
+from ldp_erm.query_release import (BLOCK, BLOCK_ENTRIES, BinaryDataset,
+                                   BoxDataset, QueryAnswer, _basis_column_sums,
                                    _expansion_pieces, _private_column_means,
                                    _support_masks,
                                    answer_smooth_query, coefficient_bound,
@@ -537,3 +537,26 @@ def test_smooth_release_memory_is_per_block():
     peak = _traced_peak_mib(lambda: smooth_release(
         data, 8, PrivacyBudget(epsilon=2.0), derived_rng(58)))
     assert peak < PEAK_MIB
+
+
+def test_smooth_release_memory_is_bounded_at_high_dimension():
+    # at p = 14, t = 2 a block of BLOCK rows holds 2048 x 2^13 head entries:
+    # 2048-row blocks peaked at 193 MiB here
+    n, p = 4096, 14
+    data = BoxDataset(np.clip(derived_rng(59).normal(0.0, 0.4, (n, p)),
+                              -1.0, 1.0))
+    peak = _traced_peak_mib(lambda: smooth_release(
+        data, 2, PrivacyBudget(epsilon=2.0), derived_rng(60)))
+    assert peak < PEAK_MIB
+
+
+def test_short_smooth_blocks_meet_the_summation_bound():
+    # at p = 12, t = 2 a block holds fewer than BLOCK rows, so 600 rows take
+    # several blocks and a partial last one
+    n, p, t = 600, 12, 2
+    assert BLOCK_ENTRIES // t ** (p - 1) < n
+    rows = np.clip(derived_rng(61).normal(0.0, 0.4, (n, p)), -1.0, 1.0)
+    sums = _basis_column_sums(rows, t)
+    terms = basis_matrix(rows, t)
+    exact = np.array([math.fsum(col) for col in terms.T])
+    assert np.all(np.abs(sums - exact) <= _summation_bound(terms, p))
