@@ -9,6 +9,11 @@ and minimizes it over [0, 1]^p.
   with the budget split evenly across the grid (basic composition).
 * ``alg3_run``: players are partitioned across grid points by a seeded
   shuffle and each sends a single bit against shared public randomness.
+
+Both take coordinate-separable losses: a ``GridLoss`` is the per-coordinate
+term, and a record's loss at theta is the mean over coordinates of
+``term(x_j, theta_j)`` (``row_loss``). That is what lets ``alg2_run`` form
+the server's per-point sums from (k+1)·p column sums.
 """
 
 import math
@@ -32,7 +37,8 @@ from .primitives import (PrivacyBudget, PublicRandomness,
                          onebit_encode_many)
 from .rng import TAG_BITS, TAG_PARTITION, derived_rng
 
-# loss(theta, rows) -> per-row loss values in [0, 1]
+# term(x, theta) -> the loss term of coordinate values x at parameter
+# values theta, elementwise over the broadcast arrays, in [0, 1]
 GridLoss = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 GRID_CAP = 200_000  # most grid points a protocol evaluates per player
@@ -221,25 +227,49 @@ def minimize_model(model: BernsteinModel) -> np.ndarray:
     return best_x
 
 
-def _clipped_losses(loss: GridLoss, theta: np.ndarray,
-                    rows: np.ndarray) -> tuple:
-    vals = np.asarray(loss(theta, rows), dtype=float)
-    if vals.shape != (rows.shape[0],):
+def row_loss(term: GridLoss, theta: np.ndarray,
+             rows: np.ndarray) -> np.ndarray:
+    """Per row of ``rows``, the loss at ``theta``: the mean over coordinates
+    of ``term(row_j, theta_j)``, added one coordinate at a time in order."""
+    p = rows.shape[1]
+    # a copy, so that the sum never writes into what the term returned
+    acc = np.array(term(rows[:, 0], theta[0]), dtype=float)
+    for j in range(1, p):
+        acc += term(rows[:, j], theta[j])
+    acc /= p
+    return acc
+
+
+def _clipped(vals, size: int) -> tuple:
+    """``size`` loss values clipped into [0, 1], and how many lay outside it
+    by more than 1e-9; a NaN is rejected."""
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != (size,):
         raise ParameterError(
-            f"loss returned shape {vals.shape}, expected ({rows.shape[0]},)")
+            f"loss returned shape {vals.shape}, expected ({size},)")
     # NaN fails both comparisons, so it takes the mask path
     if 0.0 <= vals.min() and vals.max() <= 1.0:
         return vals, 0
+    if np.isnan(vals).any():
+        raise ParameterError("values must lie in [0, 1]; the loss gave NaN")
     outside = int(np.count_nonzero((vals < -1e-9) | (vals > 1.0 + 1e-9)))
     return np.clip(vals, 0.0, 1.0), outside
 
 
-def _warn_clipped(clipped: int, n_evals: int):
+def _term_sum(loss: GridLoss, col: np.ndarray, theta: float) -> tuple:
+    """The sum of ``loss(col, theta)`` over the column, each term clipped
+    into [0, 1], and how many were clipped. The terms are freed on return,
+    so a caller's loop holds one column of them at a time."""
+    vals, outside = _clipped(loss(col, theta), len(col))
+    return vals.sum(), outside
+
+
+def _warn_clipped(clipped: int, n_evals: int, what: str):
     if clipped:
         warnings.warn(
-            f"{clipped} of {n_evals} loss evaluations fell outside [0, 1] "
-            f"and were clipped; the privacy guarantee still holds but the "
-            f"loss violates its range contract",
+            f"{clipped} of {n_evals} {what} fell outside [0, 1] and were "
+            f"clipped; the privacy guarantee still holds but the loss "
+            f"violates its range contract",
             ClippingWarning, stacklevel=3)
 
 
@@ -250,16 +280,33 @@ def alg2_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
     Every player reports each grid evaluation of ``spec``'s grid through
     the scalar private mean with per-point budget eps / (k+1)^p, so the
     per-player total is exactly ``budget`` by basic composition.
+
+    The server uses only each grid point's sum of the n reports, and the
+    loss is separable, so that sum is (1/p)·Σ_j S_j[a_j] with S_j[a] the
+    column sum of ``loss(x_j, a/k)``: (k+1)·p column passes give every
+    point's total. Each term is checked and clipped into [0, 1], so
+    ``clipped`` counts term evaluations, and a NaN is rejected before any
+    noise is drawn. The totals are noised one ``ldp_avg_1d`` call per point
+    in grid order.
     """
-    grid = grid_points(spec.k, spec.p)
-    per_point = budget.split(len(grid))
-    estimates = np.empty(len(grid))
+    k, p, n = spec.k, spec.p, data.n
+    size = check_grid_size(k, p)
+    per_point = budget.split(size)
+    axis = np.arange(k + 1) / k  # the grid's values along every axis
+    sums = np.empty((p, k + 1))
     clipped = 0
-    for gi in range(len(grid)):
-        vals, outside = _clipped_losses(loss, grid[gi], data.rows)
-        clipped += outside
-        estimates[gi] = ldp_avg_1d(vals, 1.0, per_point, rng)
-    _warn_clipped(clipped, len(grid) * data.n)
+    for j in range(p):
+        for a, theta in enumerate(axis):
+            sums[j, a], outside = _term_sum(loss, data.rows[:, j], theta)
+            clipped += outside
+    _warn_clipped(clipped, n * p * (k + 1), "loss term evaluations")
+    # the totals in grid_points order, the last axis varying fastest
+    totals = sums[0]
+    for j in range(1, p):
+        totals = np.add.outer(totals, sums[j]).ravel()
+    totals /= p
+    estimates = np.array([ldp_avg_1d(total, n, 1.0, per_point, rng)
+                          for total in totals])
     return _release(spec, estimates, clipped)
 
 
@@ -270,7 +317,9 @@ def alg3_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
     Each player sends one bit at ``budget``'s epsilon for its cell's point
     of ``spec``'s grid. The integer seed names reproducible sub-streams:
     the partition shuffle, the public Laplace draws (regenerable by anyone
-    from the seed), and the private bit flips.
+    from the seed), and the private bit flips. Each player's loss
+    (``row_loss``) is checked and clipped into [0, 1], so ``clipped``
+    counts players.
     """
     eps = budget.epsilon
     check_onebit_epsilon(eps)
@@ -294,10 +343,11 @@ def alg3_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
     values = np.empty(n)
     clipped = 0
     for gi, cell in enumerate(cells):
-        vals, outside = _clipped_losses(loss, grid[gi], data.rows[cell])
+        vals, outside = _clipped(row_loss(loss, grid[gi], data.rows[cell]),
+                                 len(cell))
         values[cell] = vals
         clipped += outside
-    _warn_clipped(clipped, n)
+    _warn_clipped(clipped, n, "loss evaluations")
 
     bits, _ = onebit_encode_many(values, ys, eps, derived_rng(seed, TAG_BITS))
     estimates = np.array([onebit_decode(bits[cell], ys[cell])

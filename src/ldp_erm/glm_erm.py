@@ -347,12 +347,21 @@ def _encode_population(features: np.ndarray, labels: np.ndarray,
         body_x = np.repeat(features[:, None, :], m, axis=1)
         body_y = np.repeat(labels[:, None], m, axis=1)
     else:
-        head_x = features + rng.normal(0.0, head_std, (n, dim))
-        head_y = labels + rng.normal(0.0, head_std, n)
-        body_x = features[:, None, :] + rng.normal(0.0, body_std,
-                                                   (n, m, dim))
-        body_y = labels[:, None] + rng.normal(0.0, body_std, (n, m))
+        # each replica is its std times a standard normal draw, plus the
+        # true value, formed in place in the draw's own array
+        head_x = _noised(features, head_std, (n, dim), rng)
+        head_y = _noised(labels, head_std, (n,), rng)
+        body_x = _noised(features[:, None, :], body_std, (n, m, dim), rng)
+        body_y = _noised(labels[:, None], body_std, (n, m), rng)
     return head_x, head_y, body_x, body_y
+
+
+def _noised(values: np.ndarray, std: float, shape: tuple,
+            rng: np.random.Generator) -> np.ndarray:
+    out = rng.standard_normal(shape)
+    out *= std
+    out += values
+    return out
 
 
 def glm_oracle(flavor: LossFlavor, target_alpha: float, budget: PrivacyBudget,

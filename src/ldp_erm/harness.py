@@ -31,7 +31,8 @@ from .errors import ConfigurationError, EstimationError
 from .glm_erm import (glm_erm_run, glm_oracle, hinge_flavor,
                       hinge_via_general_flavor)
 from .polyapprox import BernsteinOperatorSpec, build_or_polynomial
-from .primitives import PrivacyBudget, check_onebit_epsilon, ldp_avg_1d
+from .primitives import (PrivacyBudget, check_onebit_epsilon, check_values,
+                         ldp_avg_1d)
 from .query_release import (CAP, check_basis_cap, check_expansion_cap,
                             disjunction_truth, marginals_answer,
                             marginals_release, smooth_release_and_answer)
@@ -216,46 +217,47 @@ def apply_set_overrides(cfg: ExperimentConfig, sets) -> ExperimentConfig:
 GRID_LOSSES = ("quadratic", "quartic", "flat")
 
 
-def _power_loss(power: int) -> GridLoss:
-    """Per row, the mean over coordinates of (row_j - theta_j) ** power,
-    for a power of two.
+def _power_term(power: int) -> GridLoss:
+    """The loss term (x - theta) ** power, for a power of two.
 
     The power is taken by squaring in place, ``power.bit_length() - 1``
     times: for negative bases numpy's general power is an order of
     magnitude slower, and ``** 2`` is already a square, so the quadratic
-    loss keeps its bits. Accumulates one column at a time, so a call builds
-    no n x p temporary and reduces over no row axis. Up to p = 7 this adds
-    in the order numpy's row mean does and is bit-identical to it; from
-    p = 8 numpy sums rows pairwise and the two differ in the last bits
-    (under 1e-15 relative).
+    term keeps its bits.
     """
     squarings = power.bit_length() - 1
 
-    def term(theta, rows, j):
-        col = rows[:, j] - theta[j]
+    def term(x, theta):
+        d = x - theta
         for _ in range(squarings):
-            col *= col
-        return col
+            d *= d
+        return d
+    return term
 
-    def loss(theta, rows):
-        p = rows.shape[1]
-        acc = term(theta, rows, 0)
-        for j in range(1, p):
-            acc += term(theta, rows, j)
-        acc /= p
-        return acc
-    return loss
+
+def _flat_term(x, theta):
+    return np.full(np.broadcast_shapes(np.shape(x), np.shape(theta)), 0.5)
 
 
 def make_grid_loss(name: str) -> GridLoss:
+    """The named grid loss as its per-coordinate term; a record's loss is
+    the mean of the terms over its coordinates (``row_loss``)."""
     if name == "quadratic":
-        return _power_loss(2)
+        return _power_term(2)
     if name == "quartic":
-        return _power_loss(4)
+        return _power_term(4)
     if name == "flat":
-        return lambda theta, rows: np.full(rows.shape[0], 0.5)
+        return _flat_term
     raise ConfigurationError(
         f"unknown grid loss {name!r}; known: {', '.join(GRID_LOSSES)}")
+
+
+def _column_moments(col: np.ndarray, top: int) -> list:
+    """The means of col, col^2, ..., col^top, for top 2 or 4."""
+    sq = col * col
+    if top == 2:
+        return [col.mean(), sq.mean()]
+    return [col.mean(), sq.mean(), (sq * col).mean(), (sq * sq).mean()]
 
 
 def _coordinate_objectives(name: str, rows: np.ndarray):
@@ -263,16 +265,19 @@ def _coordinate_objectives(name: str, rows: np.ndarray):
 
     Both named losses are separable across coordinates and polynomial in
     theta, so the empirical objective is exact in the coordinate-wise
-    moments and costs O(1) per evaluation afterwards.
+    moments and costs O(1) per evaluation afterwards. The moments are
+    taken one column at a time, so no n x p power is formed.
     """
-    m1 = rows.mean(axis=0)
-    m2 = (rows ** 2).mean(axis=0)
+    top = 2 if name == "quadratic" else 4
+    m = np.array([_column_moments(rows[:, j], top)
+                  for j in range(rows.shape[1])]).T
     if name == "quadratic":
+        m1, m2 = m
+
         def gj(theta_j, j):
             return theta_j ** 2 - 2.0 * theta_j * m1[j] + m2[j]
         return gj
-    m3 = (rows ** 3).mean(axis=0)
-    m4 = (rows ** 4).mean(axis=0)
+    m1, m2, m3, m4 = m
 
     def gj(theta_j, j):
         return (theta_j ** 4 - 4.0 * theta_j ** 3 * m1[j]
@@ -359,11 +364,19 @@ def _trial_marginals(data: BinaryDataset, params: dict, seed: int) -> dict:
     return {"k": k, "gamma": gamma, "epsilon": epsilon, "max_query_error": worst}
 
 
+def _gaussian(sq_dist, bandwidth: float):
+    """The Gaussian kernel at squared distances ``sq_dist``."""
+    return np.exp(-sq_dist / (2.0 * bandwidth ** 2))
+
+
+def _sq_dist(pts, center: np.ndarray) -> np.ndarray:
+    diff = np.asarray(pts, dtype=float) - center
+    return np.sum(diff * diff, axis=-1)
+
+
 def _gaussian_kernel(center: np.ndarray, bandwidth: float):
     def f(pts):
-        pts = np.asarray(pts, dtype=float)
-        diff = pts - center
-        return np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * bandwidth ** 2))
+        return _gaussian(_sq_dist(pts, center), bandwidth)
     return f
 
 
@@ -373,21 +386,25 @@ def _trial_smooth(data, params: dict, seed: int) -> dict:
     if center is None:  # the default depends on the data's dimension
         center = [0.25] * data.dim
     center = np.asarray(center)
-    queries = [_gaussian_kernel(center, b) for b in params["bandwidths"]]
+    bandwidths = params["bandwidths"]
+    queries = [_gaussian_kernel(center, b) for b in bandwidths]
     _, answers = smooth_release_and_answer(
         data, t, PrivacyBudget(epsilon=epsilon), queries,
         derived_rng(seed, TAG_TRIAL_MECHANISM))
+    # every kernel shares the centre: one pass of squared distances
+    sq_dist = _sq_dist(data.rows, center)
     worst = 0.0
-    for f, ans in zip(queries, answers):
-        truth = float(np.mean(f(data.rows)))
+    for b, ans in zip(bandwidths, answers):
+        truth = float(np.mean(_gaussian(sq_dist, b)))
         worst = max(worst, abs(ans.value - truth))
     return {"t": t, "epsilon": epsilon, "max_query_error": worst}
 
 
 def _trial_avg_bench(data: CubeDataset, params: dict, seed: int) -> dict:
     values = data.rows[:, 0]
+    check_values(values, 1.0)
     epsilon = params["epsilon"]
-    a = ldp_avg_1d(values, 1.0, PrivacyBudget(epsilon=epsilon),
+    a = ldp_avg_1d(values.sum(), data.n, 1.0, PrivacyBudget(epsilon=epsilon),
                    derived_rng(seed, TAG_TRIAL_MECHANISM))
     return {"epsilon": epsilon, "err_empirical": abs(a - float(values.mean()))}
 

@@ -11,13 +11,17 @@ Simulation contract: the privacy claim is about each player's report
 ``v_i + Lap(b)``. Where the server only ever uses the sum of the n reports
 (``ldp_avg_1d``, the query releases' column means), the simulator draws
 that sum's exact distribution, ``sum_i v_i`` plus one ``laplace_sum`` of
-count n, rather than n separate draws. A one-row call (n = 1) is exactly
-one player's report, so a check of what one player sends makes that call.
+count n, rather than n separate draws. So ``ldp_avg_1d`` takes what the
+server holds, the values' total and their count. A one-player call
+(n = 1) is exactly that player's report, so a check of what one player
+sends makes that call.
 
 API sketch::
 
     budget = PrivacyBudget(epsilon=1.0)
-    a = ldp_avg_1d(values, bound=1.0, budget=budget, rng=rng)
+    check_values(values, 1.0)
+    a = ldp_avg_1d(values.sum(), values.size, bound=1.0, budget=budget,
+                   rng=rng)
 
     pub = PublicRandomness(seed=7, scale=2.0, n=1000)
     bits, probs = onebit_encode_many(values, pub.materialize(), 0.5, rng)
@@ -104,7 +108,8 @@ class PublicRandomness:
         return laplace_sum(rng, self.scale, 1, self.n)
 
 
-def _check_values(values: np.ndarray, bound: float):
+def check_values(values: np.ndarray, bound: float):
+    """Reject values outside [0, bound] (up to 1e-12), NaN included."""
     if not bound > 0:
         raise ParameterError(f"bound must be positive, got {bound}")
     # written so that a NaN, which fails every comparison, fails the check
@@ -116,9 +121,9 @@ def _check_values(values: np.ndarray, bound: float):
         )
 
 
-def ldp_avg_1d(values, bound: float, budget: PrivacyBudget,
+def ldp_avg_1d(total: float, n: int, bound: float, budget: PrivacyBudget,
                rng: np.random.Generator) -> float:
-    """Private mean of scalars in [0, bound].
+    """Private mean of n scalars in [0, bound], from their total.
 
     Each player reports ``v_i + Lap(bound / epsilon)`` and the server
     averages the reports. With probability at least ``1 - beta`` the result
@@ -126,18 +131,24 @@ def ldp_avg_1d(values, bound: float, budget: PrivacyBudget,
     true mean.
 
     The server sees only the sum of the reports, so the simulator draws
-    that sum exactly: the values' sum plus one ``laplace_sum`` of count n.
-    With one value this is exactly that player's report ``v + Lap(b)``.
+    that sum exactly: the values' ``total`` plus one ``laplace_sum`` of
+    count n. With n = 1 this is exactly that player's report ``v + Lap(b)``.
+    The total must lie in [0, n * bound]; a caller that holds the values
+    checks each of them itself (``check_values``).
 
     Budget splitting is the caller's job: pass the per-invocation epsilon,
     not a total to be divided here.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ParameterError("values must be a non-empty 1-d array")
-    _check_values(values, bound)
-    n = values.size
-    total = values.sum()
+    if not bound > 0:
+        raise ParameterError(f"bound must be positive, got {bound}")
+    if not n >= 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    total = float(total)
+    # written so that a NaN, which fails every comparison, fails the check
+    if not -1e-12 * n <= total <= (bound + 1e-12) * n:
+        raise ParameterError(
+            f"values must lie in [0, {bound}]; the total of {n} of them is "
+            f"{total}, outside [0, {n * bound}]")
     if not budget.noiseless:
         total += laplace_sum(rng, bound / budget.epsilon, n, ())
     return float(total / n)
@@ -151,6 +162,7 @@ def avg_error_bound(bound: float, n: int, epsilon: float, beta: float) -> float:
 # --- one-bit protocol -------------------------------------------------------
 
 _EPS_MAX = math.log(2.0)
+ENCODE_BLOCK = 1 << 13  # players per block of the one-bit encoder
 
 
 def _onebit_probs(values: np.ndarray, ys: np.ndarray, epsilon: float) -> np.ndarray:
@@ -177,15 +189,25 @@ def onebit_encode_many(values, ys, epsilon: float,
     [exp(-epsilon)/2, exp(epsilon)/2] and so stays inside [0, 1] because
     epsilon <= ln 2. A single player is a one-element block. Returns the
     bits and the probabilities they were drawn with.
+
+    Players are encoded ``ENCODE_BLOCK`` at a time, in order, so the
+    temporaries do not grow with the number of players. The uniforms of
+    consecutive blocks are consecutive draws of one stream, so the bits do
+    not depend on the block size.
     """
     check_onebit_epsilon(epsilon)
     values = np.asarray(values, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if values.shape != ys.shape:
         raise ParameterError("values and public draws must align")
-    _check_values(values, 1.0)
-    probs = _onebit_probs(values, ys, epsilon)
-    bits = (rng.random(values.shape) < probs).astype(np.int8)
+    check_values(values, 1.0)
+    probs = np.empty(values.shape)
+    bits = np.empty(values.shape, dtype=np.int8)
+    flat = [a.reshape(-1) for a in (values, ys, probs, bits)]
+    for lo in range(0, values.size, ENCODE_BLOCK):
+        v, y, p, b = (a[lo:lo + ENCODE_BLOCK] for a in flat)
+        p[:] = _onebit_probs(v, y, epsilon)
+        np.less(rng.random(p.size), p, out=b)
     return bits, probs
 
 

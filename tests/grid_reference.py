@@ -1,12 +1,17 @@
-"""Exhaustive grid minimiser, the tests' independent cross-check for the
-gradient-based solvers in ``ldp_erm``."""
+"""Reference computations the tests check ``ldp_erm`` against: the
+exhaustive grid minimiser, the cross-check for the gradient-based solvers,
+and the grid protocols' estimates from each player's full loss vector."""
 
 import math
 from typing import Callable, Tuple
 
 import numpy as np
 
+from ldp_erm.bernstein_erm import grid_points
 from ldp_erm.errors import ParameterError
+from ldp_erm.primitives import (PublicRandomness, laplace_sum,
+                                onebit_decode, onebit_encode_many)
+from ldp_erm.rng import TAG_BITS, TAG_PARTITION, derived_rng
 
 
 def dense_grid_minimize(objective_many: Callable, dim: int,
@@ -35,3 +40,47 @@ def dense_grid_minimize(objective_many: Callable, dim: int,
         if vals[i] < best_f:
             best_w, best_f = block[i].copy(), float(vals[i])
     return best_w, best_f
+
+
+def player_losses(term: Callable, spec, rows: np.ndarray) -> np.ndarray:
+    """Every player's loss at every point of ``spec``'s grid, (G, n): per
+    player and point, the mean over coordinates of the term, each term
+    clipped into [0, 1] first."""
+    grid = grid_points(spec.k, spec.p)
+    terms = np.clip(term(rows[None, :, :], grid[:, None, :]), 0.0, 1.0)
+    return terms.mean(axis=-1)
+
+
+def per_player_grid_means(losses: np.ndarray, budget,
+                          rng: np.random.Generator) -> np.ndarray:
+    """The Laplace protocol's grid estimates from the (G, n) player losses:
+    each point's n reports summed, plus the summed Laplace noise of n
+    reports at the per-point budget, drawn one point at a time in grid
+    order, over n."""
+    per_point = budget.split(len(losses))
+    n = losses.shape[1]
+    estimates = np.empty(len(losses))
+    for g, row in enumerate(losses):
+        total = row.sum()
+        if not per_point.noiseless:
+            total += laplace_sum(rng, 1.0 / per_point.epsilon, n, ())
+        estimates[g] = total / n
+    return estimates
+
+
+def per_cell_onebit_means(losses: np.ndarray, epsilon: float,
+                          seed: int) -> np.ndarray:
+    """The one-bit protocol's grid estimates from the (G, n) player losses:
+    the seed's partition of the players into one cell per point, each
+    player encoding their loss at their cell's point against the seed's
+    public draws, and each cell's bits decoded."""
+    size, n = losses.shape
+    perm = derived_rng(seed, TAG_PARTITION, 0).permutation(n)
+    cells = np.array_split(perm, size)
+    values = np.empty(n)
+    for g, cell in enumerate(cells):
+        values[cell] = losses[g, cell]
+    ys = PublicRandomness(seed=seed, scale=1.0 / epsilon, n=n).materialize()
+    bits, _ = onebit_encode_many(values, ys, epsilon,
+                                 derived_rng(seed, TAG_BITS))
+    return np.array([onebit_decode(bits[cell], ys[cell]) for cell in cells])

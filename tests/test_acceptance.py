@@ -62,7 +62,8 @@ def test_criterion_01_avg_coverage():
     for trial in range(200):
         rng = derived_rng(2001, trial)
         values = rng.random(n)
-        a = ldp_avg_1d(values, 1.0, PrivacyBudget(epsilon=epsilon), rng)
+        a = ldp_avg_1d(values.sum(), n, 1.0, PrivacyBudget(epsilon=epsilon),
+                       rng)
         exceed += abs(a - values.mean()) > bound
     assert exceed <= 20
     finish(f"criterion 1 PASS: {exceed}/200 deviations above {bound:.4f} "

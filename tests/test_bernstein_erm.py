@@ -8,12 +8,15 @@ import pytest
 from scipy.stats import qmc
 
 from ldp_erm.bernstein_erm import (MAX_DIM, BernsteinModel, CubeDataset,
-                                   _clipped_losses, _sobol_starts, alg2_run,
-                                   alg3_run, grid_points, minimize_model)
+                                   _clipped, _sobol_starts, alg2_run,
+                                   alg3_run, grid_points, minimize_model,
+                                   row_loss)
 from ldp_erm.errors import (ClippingWarning, ConfigurationError,
                             EstimationError, ParameterError,
                             SampleSizeWarning)
-from ldp_erm.harness import grid_loss_excess, make_grid_loss
+from grid_reference import (per_cell_onebit_means, per_player_grid_means,
+                            player_losses)
+from ldp_erm.harness import GRID_LOSSES, grid_loss_excess, make_grid_loss
 from ldp_erm.polyapprox import (BernsteinOperatorSpec, contract_grid,
                                 iterated_basis_pair, iterated_basis_weights)
 from ldp_erm.primitives import PrivacyBudget
@@ -31,11 +34,11 @@ def _cfg(k, h=1, p=1, epsilon=float("inf")):
 
 
 def _counting_loss(calls):
-    """The quadratic loss, appending each call's theta to ``calls``."""
-    def loss(theta, rows):
+    """The quadratic term, appending each call's theta to ``calls``."""
+    def term(x, theta):
         calls.append(theta)
-        return QUAD(theta, rows)
-    return loss
+        return QUAD(x, theta)
+    return term
 
 
 def test_grid_points_enumeration():
@@ -81,9 +84,9 @@ def test_grid_loss_matches_row_mean(name, power, p):
     rows = rng.random((500, p))
     k = 4 if p <= 3 else 2 if p <= 6 else 1
     thetas = np.vstack([rng.random((20, p)), grid_points(k, p)])
-    loss, ref = make_grid_loss(name), _row_mean_loss(power)
+    term, ref = make_grid_loss(name), _row_mean_loss(power)
     for theta in thetas:
-        got, want = loss(theta, rows), ref(theta, rows)
+        got, want = row_loss(term, theta, rows), ref(theta, rows)
         if p <= 7:  # numpy's row mean adds up to 7 terms in order
             assert np.array_equal(got, want)
         else:  # and pairwise from 8 on: the last bits may differ
@@ -92,20 +95,40 @@ def test_grid_loss_matches_row_mean(name, power, p):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_grid_runs_equal_with_row_mean_loss(p):
+    # alg2 against each player's full (k+1)^p loss vector summed per point,
+    # and alg3 against each player's row-mean loss at their cell's point
     k = 8 if p == 1 else 4
     data = CubeDataset(derived_rng(15, p).random((3_000, p)))
-    cfg = _cfg(k=k, h=2, p=p, epsilon=0.5)
-    for name, power in (("quadratic", 2), ("quartic", 4)):
-        loss, ref = make_grid_loss(name), _row_mean_loss(power)
+    spec, budget = _cfg(k=k, h=2, p=p, epsilon=0.5)
+    for name in GRID_LOSSES:
+        term = make_grid_loss(name)
+        losses = player_losses(term, spec, data.rows)
+        for run_budget in (budget, NOISELESS):
+            rng, ref_rng = derived_rng(16, p), derived_rng(16, p)
+            got = alg2_run(data, term, spec, run_budget, rng)
+            want = per_player_grid_means(losses, run_budget, ref_rng)
+            assert got.clipped == 0
+            # the same Laplace draws, one per point in grid order
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if p == 1:
+                assert got.grid_estimates.tobytes() == want.tobytes()
+                model = BernsteinModel(spec, want.reshape((k + 1,) * p))
+                assert (got.w_priv.tobytes()
+                        == minimize_model(model).tobytes())
+            elif run_budget.noiseless:
+                # the axis sums add each player's terms in another order
+                assert np.all(np.abs(got.grid_estimates - want)
+                              <= 4 * np.spacing(want))
+            else:  # and the same draws on those totals move no more
+                assert np.max(np.abs(got.grid_estimates - want)) <= 1e-12
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SampleSizeWarning)
-            pairs = [(alg2_run(data, f, *cfg, derived_rng(16, p)),
-                      alg3_run(data, f, *cfg, seed=17 + p))
-                     for f in (loss, ref)]
-        for got, want in zip(*pairs):
-            assert np.array_equal(got.grid_estimates, want.grid_estimates)
-            assert got.clipped == want.clipped
-            assert np.array_equal(got.w_priv, want.w_priv)
+            got = alg3_run(data, term, spec, budget, seed=17 + p)
+        want = per_cell_onebit_means(losses, budget.epsilon, 17 + p)
+        assert got.grid_estimates.tobytes() == want.tobytes()
+        assert got.clipped == 0
+        model = BernsteinModel(spec, want.reshape((k + 1,) * p))
+        assert got.w_priv.tobytes() == minimize_model(model).tobytes()
 
 
 def test_alg2_noiseless_quadratic_recovers_mean():
@@ -175,9 +198,10 @@ def test_alg2_noiseless_surrogate_decomposition():
 def test_alg2_clipping_warns():
     rng = derived_rng(6)
     data = CubeDataset(rng.random((100, 1)))
-    hot = lambda theta, rows: np.full(rows.shape[0], 1.5)
-    with pytest.warns(ClippingWarning):
-        alg2_run(data, hot, *_cfg(k=2, epsilon=4.0), rng)
+    hot = lambda x, theta: np.full(np.shape(x), 1.5)
+    with pytest.warns(ClippingWarning, match="300 of 300 loss term"):
+        release = alg2_run(data, hot, *_cfg(k=2, epsilon=4.0), rng)
+    assert release.clipped == 300  # each player's three terms
 
 
 def test_minimize_affine_model_hits_endpoint():
@@ -367,22 +391,24 @@ def test_values_and_grads_equal_separate_calls_bit_for_bit(p):
 
 
 def test_clipped_losses_in_range_match_mask_path():
-    rows = np.zeros((5, 1))
-    theta = np.zeros(1)
     for vals, outside in (([0.0, 0.25, 0.5, 1.0, -0.0], 0),
                           ([0.0, 0.25, -1e-10, 1.0, 0.5], 0),
                           ([0.0, 0.25, 1.0 + 2e-9, 1.0, 0.5], 1)):
         vals = np.array(vals)
-        got, n_out = _clipped_losses(lambda t, r: vals, theta, rows)
+        got, n_out = _clipped(vals, 5)
         assert got.tobytes() == np.clip(vals, 0.0, 1.0).tobytes()
         assert n_out == outside
-    # a NaN loss takes the mask path and still reaches the mean's check
-    nan = lambda t, r: np.full(r.shape[0], math.nan)
-    got, n_out = _clipped_losses(nan, theta, rows)
-    assert np.isnan(got).all() and n_out == 0
-    data = CubeDataset(derived_rng(15).random((20, 1)))
+    # a NaN takes the mask path, where the check rejects it
     with pytest.raises(ParameterError, match="values must lie in"):
-        alg2_run(data, nan, *_cfg(k=2, epsilon=1.0), derived_rng(16))
+        _clipped(np.array([0.5, math.nan, 0.5, 0.5, 0.5]), 5)
+    # so the Laplace run rejects a NaN term before it draws any noise
+    nan = lambda x, theta: np.full(np.shape(x), math.nan)
+    data = CubeDataset(derived_rng(15).random((20, 1)))
+    rng = derived_rng(16)
+    before = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="values must lie in"):
+        alg2_run(data, nan, *_cfg(k=2, epsilon=1.0), rng)
+    assert rng.bit_generator.state == before
 
 
 def test_model_rejects_points_outside_cube():

@@ -773,7 +773,7 @@ def _one_player_message(mechanism: str, params: dict, dim: int) -> tuple:
                                params["t"], noiseless, rng)
         return table.values.size, 0
     assert mechanism == "avg-bench"
-    return np.size(ldp_avg_1d([0.5], 1.0, PrivacyBudget(params["epsilon"]),
+    return np.size(ldp_avg_1d(0.5, 1, 1.0, PrivacyBudget(params["epsilon"]),
                               rng)), 0
 
 

@@ -7,10 +7,12 @@ import pytest
 from scipy.stats import chi2
 
 from formula_reference import laplace_logpdf
+from ldp_erm import primitives
 from ldp_erm.errors import EstimationError, ParameterError
 from ldp_erm.primitives import (PrivacyBudget, PublicRandomness,
-                                avg_error_bound, laplace_sum, ldp_avg_1d,
-                                onebit_decode, onebit_encode_many)
+                                avg_error_bound, check_values, laplace_sum,
+                                ldp_avg_1d, onebit_decode,
+                                onebit_encode_many)
 from ldp_erm.rng import derived_rng
 from trial_messages import trial_messages
 
@@ -81,7 +83,7 @@ def test_laplace_sum_is_reproducible(shape):
 
 def test_single_value_average_is_one_report():
     # with one player the private mean is that player's report v + Lap(b)
-    got = ldp_avg_1d(np.array([0.3]), 1.0, PrivacyBudget(epsilon=2.0),
+    got = ldp_avg_1d(0.3, 1, 1.0, PrivacyBudget(epsilon=2.0),
                      derived_rng(9))
     assert got == 0.3 + float(laplace_sum(derived_rng(9), 0.5, 1, ()))
 
@@ -100,7 +102,10 @@ def test_nan_values_are_rejected():
     values = np.array([0.5, np.nan])
     for budget in (PrivacyBudget(epsilon=1.0), PrivacyBudget(math.inf)):
         with pytest.raises(ParameterError):
-            ldp_avg_1d(values, 1.0, budget, derived_rng(0))
+            ldp_avg_1d(values.sum(), values.size, 1.0, budget,
+                       derived_rng(0))
+    with pytest.raises(ParameterError):
+        check_values(values, 1.0)
     with pytest.raises(ParameterError):
         onebit_encode_many(values, np.zeros(2), 0.5, derived_rng(0))
 
@@ -108,7 +113,7 @@ def test_nan_values_are_rejected():
 def test_avg_zero_signal():
     rng = derived_rng(7)
     budget = PrivacyBudget(epsilon=1.0)
-    outs = [ldp_avg_1d(np.zeros(500), 1.0, budget, rng) for _ in range(200)]
+    outs = [ldp_avg_1d(0.0, 500, 1.0, budget, rng) for _ in range(200)]
     assert abs(np.mean(outs)) < 0.02
 
 
@@ -120,13 +125,14 @@ def test_avg_coverage_bound():
     bound = avg_error_bound(1.0, 10_000, 1.0, 0.05)
     assert abs(bound - 0.0384) < 0.001
     rng = derived_rng(11)
-    hits = sum(abs(ldp_avg_1d(values, 1.0, budget, rng) - 0.5) <= bound
+    hits = sum(abs(ldp_avg_1d(values.sum(), values.size, 1.0, budget, rng)
+                   - 0.5) <= bound
                for _ in range(200))
     assert hits >= 0.95 * 200 - 8
 
 
 def test_avg_vanishing_noise():
-    out = ldp_avg_1d(np.array([0.37]), 1.0, PrivacyBudget(epsilon=1e9),
+    out = ldp_avg_1d(0.37, 1, 1.0, PrivacyBudget(epsilon=1e9),
                      derived_rng(1))
     assert abs(out - 0.37) <= 1e-6
 
@@ -134,16 +140,19 @@ def test_avg_vanishing_noise():
 def test_avg_rejects_bad_input():
     budget = PrivacyBudget(epsilon=1.0)
     with pytest.raises(ParameterError):
-        ldp_avg_1d(np.array([]), 1.0, budget, derived_rng(0))
+        ldp_avg_1d(0.0, 0, 1.0, budget, derived_rng(0))  # no values
     with pytest.raises(ParameterError):
-        ldp_avg_1d(np.array([1.5]), 1.0, budget, derived_rng(0))
+        ldp_avg_1d(1.5, 1, 1.0, budget, derived_rng(0))
+    with pytest.raises(ParameterError):
+        check_values(np.array([1.5]), 1.0)
 
 
 def test_avg_unbiased_replay():
     values = derived_rng(21).random(50)
     budget = PrivacyBudget(epsilon=1.0)
     rng = derived_rng(22)
-    reps = np.array([ldp_avg_1d(values, 1.0, budget, rng) for _ in range(10_000)])
+    reps = np.array([ldp_avg_1d(values.sum(), values.size, 1.0, budget, rng)
+                     for _ in range(10_000)])
     # noise std per replay is sqrt(2)/(eps*sqrt(n)) = 0.2; mean of 10^4
     # replays should sit within ~4 standard errors of the truth
     assert abs(reps.mean() - values.mean()) <= 4 * 0.2 / 100
@@ -206,6 +215,26 @@ def test_onebit_decode_cell_mean():
     assert hits >= 90
 
 
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10_000])
+def test_onebit_encode_blocks_are_one_draw(monkeypatch, n):
+    # the blocked encoder gives the bits and probabilities of one
+    # vectorised pass with one draw of n uniforms, whatever the block size
+    rng = derived_rng(46, n)
+    values, ys = rng.random(n), rng.laplace(0.0, 2.0, n)
+    want_probs = 0.5 * np.exp(-0.5 * (np.abs(ys - values) - np.abs(ys)))
+    want_bits = (derived_rng(47).random(n) < want_probs).astype(np.int8)
+    for block in (1, 7, 4096, 1 << 20):
+        monkeypatch.setattr(primitives, "ENCODE_BLOCK", block)
+        draw = derived_rng(47)
+        bits, probs = onebit_encode_many(values, ys, 0.5, draw)
+        assert probs.tobytes() == want_probs.tobytes()
+        assert bits.dtype == np.int8
+        assert bits.tobytes() == want_bits.tobytes()
+    spent = derived_rng(47)
+    spent.random(n)  # and it draws exactly the n uniforms
+    assert draw.bit_generator.state == spent.bit_generator.state
+
+
 def test_onebit_single_player_cell():
     rng = derived_rng(45)
     ys = np.array([1.7])
@@ -249,7 +278,8 @@ def test_identical_seeds_identical_transcripts(tmp_path):
     values = np.linspace(0, 1, 64)
 
     def run(name):
-        est = ldp_avg_1d(values, 1.0, PrivacyBudget(epsilon=1.0),
+        est = ldp_avg_1d(values.sum(), values.size, 1.0,
+                         PrivacyBudget(epsilon=1.0),
                          derived_rng(123, 1))
         sent = trial_messages(tmp_path / name, "avg-bench", values[:, None],
                               "cube", {"epsilon": 1.0}, seed=123)
