@@ -8,9 +8,11 @@
 # each mechanism's console-script run writes its config and artifacts under
 # WORKDIR. Fails if scipy is importable there, if any good run exits
 # non-zero (the grid mechanisms run at dim 1 and at dim 2, where the
-# Laplace run combines its per-axis loss sums into the grid's totals; a
-# smooth-queries run at dim 17, t = 2, the largest basis the cap admits at
-# t = 2, runs under a 1.5 GB address-space limit), if a
+# Laplace run combines its per-axis loss sums into the grid's totals; the
+# one-bit run also at dim 2 with n = (k+1)^p, one player per cell, and at
+# h = 3, whose surrogate folds a two-step operator expansion into its
+# coefficients; a smooth-queries run at dim 17, t = 2, the largest basis
+# the cap admits at t = 2, runs under a 1.5 GB address-space limit), if a
 # batched GLM run (epsilon = 50 on n = 2000) does not take
 # more than one solver step and fewer than n, if the batched general-linear
 # run (the hinge through its kink measure) does not take the hinge's steps
@@ -44,6 +46,9 @@ run onebit "$cube" '{"k": 2}'
 cube2='{"family": "uniform-cube", "n": 2000, "dim": 2}'
 run bernstein "$cube2" '{"k": 2, "h": 2}' bernstein-dim2
 run onebit "$cube2" '{"k": 2, "h": 2}' onebit-dim2
+run onebit '{"family": "uniform-cube", "n": 9, "dim": 2}' '{"k": 2, "h": 2}' \
+  onebit-one-per-cell
+run onebit "$cube2" '{"k": 3, "h": 3}' onebit-h3
 run hinge "$ball" '{"d_cap": 2}'
 # noiseless, SIGM's dual points mostly leave the unit ball and are projected
 run hinge "$ball" '{"d_cap": 2, "epsilon": "inf"}' hinge-noiseless

@@ -18,7 +18,7 @@ the server's per-point sums from (k+1)·p column sums.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -30,9 +30,9 @@ from .errors import (ClippingWarning, ConfigurationError, EstimationError,
 # iterated_basis_weights stays bound here: perfbench/spans.py traces the
 # name in this module as well as in polyapprox
 from .polyapprox import (BernsteinOperatorSpec, contract_grid,
-                         iterated_basis_pair, iterated_basis_weights,
-                         iterated_bernstein_eval)
-from .primitives import (PrivacyBudget, PublicRandomness,
+                         fold_iterated, iterated_basis_pair,
+                         iterated_basis_weights, iterated_bernstein_eval)
+from .primitives import (ENCODE_BLOCK, PrivacyBudget, PublicRandomness,
                          check_onebit_epsilon, ldp_avg_1d, onebit_decode,
                          onebit_encode_many)
 from .rng import TAG_BITS, TAG_PARTITION, derived_rng
@@ -82,41 +82,51 @@ def check_grid_size(k: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class BernsteinModel:
-    """Iterated Bernstein surrogate fitted to released grid values."""
+    """Iterated Bernstein surrogate fitted to released grid values.
+
+    ``B^(h)`` of the grid is the plain degree-k Bernstein form of
+    ``coeffs``: the grid contracted once, on each axis, with the iterated
+    operator's matrix (``fold_iterated``). Every evaluation then runs the
+    h = 1 basis recurrence on ``coeffs``; at h = 1 they are the grid.
+    """
 
     spec: BernsteinOperatorSpec
     grid_values: np.ndarray
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expect = (self.spec.k + 1,) * self.spec.p
         if self.grid_values.shape != expect:
             raise ParameterError(
                 f"grid shape {self.grid_values.shape}, expected {expect}")
+        object.__setattr__(self, "coeffs", fold_iterated(
+            self.grid_values, self.spec.k, self.spec.h))
 
     def values(self, ys) -> np.ndarray:
         """Surrogate values at the rows of an (m, p) array, shape (m,)."""
-        return iterated_bernstein_eval(self.grid_values, self.spec,
+        return iterated_bernstein_eval(self.coeffs, replace(self.spec, h=1),
                                        np.asarray(ys, dtype=float))
 
     def values_and_grads(self, ys) -> tuple:
         """Surrogate values (m,) and gradients (m, p) at the rows of an
         (m, p) array, each row bit for bit that of ``values`` and ``grads``.
 
-        One run of the basis recurrence gives every weight, and one
-        contraction gives every number: row block 0 holds the value, and
-        row block a + 1 differentiates along axis a.
+        One run of the plain basis recurrence gives every basis value and
+        derivative, and one contraction of ``coeffs`` gives every number:
+        row block 0 holds the value, and row block a + 1 differentiates
+        along axis a.
         """
         ys = np.asarray(ys, dtype=float)
-        k, h, p = self.spec.k, self.spec.h, self.spec.p
+        k, p = self.spec.k, self.spec.p
         if ys.ndim != 2 or ys.shape[1] != p:
             raise ParameterError(
                 f"points have shape {ys.shape}, expected (m, {p})")
         m = len(ys)
-        ws, dws = iterated_basis_pair(k, h, ys)
+        ws, dws = iterated_basis_pair(k, 1, ys)
         rows = np.tile(ws, (p + 1, 1, 1))
         for a in range(p):
             rows[(a + 1) * m:(a + 2) * m, a] = dws[:, a]
-        out = contract_grid(self.grid_values, rows).reshape(p + 1, m)
+        out = contract_grid(self.coeffs, rows).reshape(p + 1, m)
         return out[0], out[1:].T
 
     def grads(self, ys) -> np.ndarray:
@@ -310,6 +320,30 @@ def alg2_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
     return _release(spec, estimates, clipped)
 
 
+def _cell_losses(rows: np.ndarray, loss: GridLoss, grid: np.ndarray,
+                 perm: np.ndarray, sizes: np.ndarray) -> tuple:
+    """Each player's loss (``row_loss``) at their cell's grid point, in
+    player order and clipped into [0, 1], and how many were clipped.
+
+    Cell g holds the next ``sizes[g]`` players of ``perm``. The players are
+    taken ``ENCODE_BLOCK`` at a time, each looking up its point per
+    coordinate, so the temporaries do not grow with n; they are freed on
+    return, with the per-player cell index.
+    """
+    n = len(rows)
+    cell_of = np.empty(n, dtype=np.int32)
+    cell_of[perm] = np.repeat(np.arange(len(grid), dtype=np.int32), sizes)
+    values = np.empty(n)
+    clipped = 0
+    for lo in range(0, n, ENCODE_BLOCK):
+        cells = cell_of[lo:lo + ENCODE_BLOCK]
+        theta = [np.take(grid[:, j], cells) for j in range(grid.shape[1])]
+        values[lo:lo + len(cells)], outside = _clipped(
+            row_loss(loss, theta, rows[lo:lo + ENCODE_BLOCK]), len(cells))
+        clipped += outside
+    return values, clipped
+
+
 def alg3_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
              budget: PrivacyBudget, seed: int) -> GridRelease:
     """One-bit protocol over [0, 1]^p: partition players across grid points.
@@ -320,6 +354,11 @@ def alg3_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
     from the seed), and the private bit flips. Each player's loss
     (``row_loss``) is checked and clipped into [0, 1], so ``clipped``
     counts players.
+
+    The losses are evaluated in one pass in player order
+    (``_cell_losses``) and encoded in that order. In partition order each cell is one contiguous run
+    of players, so each is decoded from a slice of the bits and public
+    draws gathered once in that order.
     """
     eps = budget.epsilon
     check_onebit_epsilon(eps)
@@ -335,23 +374,24 @@ def alg3_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
         raise EstimationError(
             f"{n} players cannot fill {gsize} grid points; the one-bit run "
             f"needs n >= (k+1)^p")
-    # every cell is non-empty: array_split sizes depend on n and gsize only
+    # np.array_split's cell sizes, which depend on n and gsize only; every
+    # cell is non-empty since n >= gsize
     perm = derived_rng(seed, TAG_PARTITION, 0).permutation(n)
-    cells = np.array_split(perm, gsize)
-
-    ys = PublicRandomness(seed=seed, scale=1.0 / eps, n=n).materialize()
-    values = np.empty(n)
-    clipped = 0
-    for gi, cell in enumerate(cells):
-        vals, outside = _clipped(row_loss(loss, grid[gi], data.rows[cell]),
-                                 len(cell))
-        values[cell] = vals
-        clipped += outside
+    sizes = np.full(gsize, n // gsize)
+    sizes[:n % gsize] += 1
+    values, clipped = _cell_losses(data.rows, loss, grid, perm, sizes)
     _warn_clipped(clipped, n, "loss evaluations")
 
-    bits, _ = onebit_encode_many(values, ys, eps, derived_rng(seed, TAG_BITS))
-    estimates = np.array([onebit_decode(bits[cell], ys[cell])
-                          for cell in cells])
+    ys = PublicRandomness(seed=seed, scale=1.0 / eps, n=n).materialize()
+    bits = onebit_encode_many(values, ys, eps,
+                              derived_rng(seed, TAG_BITS))[0]
+    # the values and the probabilities go before the cells are gathered,
+    # so that the gather's arrays do not add to the encode's peak
+    del values
+    bounds = np.cumsum(sizes[:-1])
+    estimates = np.array([
+        onebit_decode(cell_bits, cell_ys) for cell_bits, cell_ys in
+        zip(np.split(bits[perm], bounds), np.split(ys[perm], bounds))])
     return _release(spec, estimates, clipped)
 
 

@@ -4,7 +4,8 @@ Four families live here:
 
 * Bernstein operators on [0, 1]^p, including the iterated (higher-order)
   variant ``B^(h) = I - (I - B_k)^h`` whose grid weights the private ERM
-  protocols release.
+  protocols release, and the fold of that expansion into plain Bernstein
+  coefficients.
 * Chebyshev polynomials T_n, by the three-term recurrence (cosh outside
   [-1, 1]), and the low-degree polynomial approximating OR on counts,
   which is built from the monomial coefficients of one T_d.
@@ -118,6 +119,35 @@ def iterated_basis_weights(k: int, h: int, x) -> np.ndarray:
     x gives x.shape + (k+1,).
     """
     return _iterate(k, h, bernstein_basis_vector(k, x))
+
+
+@lru_cache(maxsize=64)
+def _iterate_matrix(k: int, h: int) -> np.ndarray:
+    # A = sum_{i=1}^{h} C(h,i) (-1)^(i-1) N^(i-1), the expansion applied to
+    # the identity, so that the iterated weights are w(x) = b(x)^T A
+    mat = _iterate(k, h, np.eye(k + 1))
+    mat.setflags(write=False)
+    return mat
+
+
+def fold_iterated(grid_values: np.ndarray, k: int, h: int) -> np.ndarray:
+    """Plain degree-k Bernstein coefficients of the iterated operator
+    applied to a grid.
+
+    Since ``w(x) = b(x)^T A``, ``B^(h)`` of the (k+1,) * p grid equals the
+    plain (h = 1) Bernstein form of the grid contracted on each axis with
+    A: ``c[u] = sum_v prod_j A[u_j, v_j] grid[v]``. At h = 1, A is the
+    identity and the grid itself is returned.
+    """
+    if h == 1:
+        return grid_values
+    mat = _iterate_matrix(k, h)
+    coeffs = grid_values
+    # each contraction moves the axis it contracts to the end, so after p
+    # of them the axes are back in order
+    for _ in range(grid_values.ndim):
+        coeffs = np.tensordot(coeffs, mat, axes=([0], [1]))
+    return coeffs
 
 
 def iterated_basis_pair(k: int, h: int, x) -> tuple:

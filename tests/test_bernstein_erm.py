@@ -1,6 +1,7 @@
 """Tests for the grid-release protocols (Laplace-per-point and one-bit)."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from grid_reference import (per_cell_onebit_means, per_player_grid_means,
                             player_losses)
 from ldp_erm.harness import GRID_LOSSES, grid_loss_excess, make_grid_loss
 from ldp_erm.polyapprox import (BernsteinOperatorSpec, contract_grid,
-                                iterated_basis_pair, iterated_basis_weights)
+                                iterated_basis_pair)
 from ldp_erm.primitives import PrivacyBudget
 from ldp_erm.rng import derived_rng
 from trial_messages import trial_messages
@@ -356,18 +357,16 @@ def test_model_rows_equal_one_row_calls():
             assert np.array_equal(g, model.grad(y))
 
 
-def _grads_reference(model, ys):
-    """Gradients from the weights and the pair's derivative weights, with one
-    contraction per axis."""
-    k, h, p = model.spec.k, model.spec.h, model.spec.p
-    ws = iterated_basis_weights(k, h, ys)
-    dws = iterated_basis_pair(k, h, ys)[1]
+def _contracted(grid, k, h, ys):
+    """Values and gradients from the iterated weights and their derivatives
+    on ``grid``, with one contraction per number."""
+    ws, dws = iterated_basis_pair(k, h, ys)
     cols = []
-    for a in range(p):
+    for a in range(ws.shape[1]):
         rows = ws.copy()
         rows[:, a] = dws[:, a]
-        cols.append(contract_grid(model.grid_values, rows))
-    return np.stack(cols, axis=1)
+        cols.append(contract_grid(grid, rows))
+    return contract_grid(grid, ws), np.stack(cols, axis=1)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -381,13 +380,36 @@ def test_values_and_grads_equal_separate_calls_bit_for_bit(p):
     values, grads = model.values_and_grads(ys)
     assert values.shape == (33,) and grads.shape == (33, p)
     assert values.tobytes() == model.values(ys).tobytes()
-    assert grads.tobytes() == _grads_reference(model, ys).tobytes()
+    # the plain weights on the folded coefficients
+    want = _contracted(model.coeffs, k, 1, ys)[1]
+    assert grads.tobytes() == want.tobytes()
     assert grads.tobytes() == model.grads(ys).tobytes()
     for y, v, g in zip(ys, values, grads):
         assert v == model.value(y)
         assert g.tobytes() == model.grad(y).tobytes()
     with pytest.raises(ParameterError):
         model.values_and_grads(ys[0])  # one point, not a row of points
+
+
+@pytest.mark.parametrize("k, h, p", [(8, 2, 2), (4, 3, 3), (12, 2, 1),
+                                     (3, 2, 4)])
+def test_folded_coefficients_match_iterated_weights(k, h, p):
+    rng = derived_rng(19, k, h, p)
+    grid = rng.random((k + 1,) * p)
+    ys = rng.random((40, p))
+    ys[0], ys[1] = 0.0, 1.0
+    model = BernsteinModel(BernsteinOperatorSpec(k=k, h=h, p=p), grid)
+    values, grads = model.values_and_grads(ys)
+    want_values, want_grads = _contracted(grid, k, h, ys)
+    assert np.max(np.abs(values - want_values)) <= 1e-13
+    assert np.max(np.abs(grads - want_grads)) <= 1e-13
+    # at h = 1 the fold is the identity: the same numbers, bit for bit
+    plain = BernsteinModel(BernsteinOperatorSpec(k=k, h=1, p=p), grid)
+    assert plain.coeffs is grid
+    values, grads = plain.values_and_grads(ys)
+    want_values, want_grads = _contracted(grid, k, 1, ys)
+    assert values.tobytes() == want_values.tobytes()
+    assert grads.tobytes() == want_grads.tobytes()
 
 
 def test_clipped_losses_in_range_match_mask_path():
@@ -465,6 +487,22 @@ def test_alg3_empty_cell_fails_with_diagnostic():
     assert "3 players cannot fill 4 grid points" in str(err.value)
     assert "needs n >= (k+1)^p" in str(err.value)
     assert not calls
+
+
+def test_alg3_peak_memory_per_player():
+    # the one-bit run holds a few arrays of n at once (the values, the
+    # public draws with their probabilities, the partition); at the
+    # benchmark's grid config its traced peak stays at 36 bytes a player
+    n = 200_000
+    data = CubeDataset(derived_rng(20).random((n, 2)))
+    spec, budget = _cfg(k=8, h=2, p=2, epsilon=0.5)
+    tracemalloc.start()
+    try:
+        alg3_run(data, QUAD, spec, budget, seed=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * n
 
 
 def test_alg3_deterministic_given_seed():
