@@ -11,18 +11,19 @@
 # Laplace run combines its per-axis loss sums into the grid's totals; the
 # one-bit run also at dim 2 with n = (k+1)^p, one player per cell, and at
 # h = 3, whose surrogate folds a two-step operator expansion into its
-# coefficients; a smooth-queries run at dim 17, t = 2, the largest basis
-# the cap admits at t = 2, runs under a 1.5 GB address-space limit), if a
-# batched GLM run (epsilon = 50 on n = 2000) does not take
+# coefficients; a marginals run also with split_budget, each coordinate at
+# its share of the budget; a smooth-queries run at dim 17, t = 2, the
+# largest basis the cap admits at t = 2, runs under a 1.5 GB address-space
+# limit), if a batched GLM run (epsilon = 50 on n = 2000) does not take
 # more than one solver step and fewer than n, if the batched general-linear
 # run (the hinge through its kink measure) does not take the hinge's steps
-# at its noise scale within 1e-9 relative, if re-running any good run
-# from its manifest.json does not reproduce its report.csv and
-# transcript_summary.csv byte for byte, or if a rejected config (one per
-# mechanism, one per synthetic family, an unknown top-level key, an empty
-# sweep entry, a GLM delta of 0, a GLM degree whose replica products
-# overflow, 65-bit marginals records and a smooth-query t whose t x t
-# coefficient transform is above the cap) does not exit 2 with a
+# at its noise scale within 1e-9 relative, if re-running any good run (the
+# dim-17 one included) from its manifest.json does not reproduce its
+# report.csv and transcript_summary.csv byte for byte, or if a rejected
+# config (one per mechanism, one per synthetic family, an unknown top-level
+# key, an empty sweep entry, a GLM delta of 0, a GLM degree whose replica
+# products overflow, 65-bit marginals records and a smooth-query t whose
+# t x t coefficient transform is above the cap) does not exit 2 with a
 # configuration error and no traceback.
 set -euo pipefail
 venv="$1"
@@ -80,12 +81,16 @@ EOF
 bits='{"family": "bernoulli-bits", "n": 2000, "dim": 4}'
 box='{"family": "gaussian-ball-clipped", "n": 2000, "dim": 2}'
 run marginals "$bits" '{"k": 1, "gamma": 0.2}'
+run marginals "$bits" '{"k": 1, "gamma": 0.2, "split_budget": true}' \
+  marginals-split
 run smooth-queries "$box" '{"t": 2}'
 run avg-bench "$cube" '{}'
 # 2^17 basis entries; each block of the release holds a bounded number of
 # them, where 2000-row blocks would need 1000 MiB for one product
 wide='{"family": "gaussian-ball-clipped", "n": 2000, "dim": 17}'
 (ulimit -v 1500000; run smooth-queries "$wide" '{"t": 2}' smooth-queries-wide)
+# the subshell's own runs+= is lost with it
+runs+=("smooth-queries:smooth-queries-wide")
 # a manifest re-runs its run: the reports and the message accounting the
 # mechanism declares come out byte-identical
 for entry in "${runs[@]}"; do

@@ -29,8 +29,8 @@ from .errors import (ClippingWarning, ConfigurationError, EstimationError,
                      ParameterError, SampleSizeWarning)
 # iterated_basis_weights stays bound here: perfbench/spans.py traces the
 # name in this module as well as in polyapprox
-from .polyapprox import (BernsteinOperatorSpec, contract_grid,
-                         fold_iterated, iterated_basis_pair,
+from .polyapprox import (BernsteinOperatorSpec, check_cube_points,
+                         contract_grid, fold_iterated, iterated_basis_pair,
                          iterated_basis_weights, iterated_bernstein_eval)
 from .primitives import (ENCODE_BLOCK, PrivacyBudget, PublicRandomness,
                          check_onebit_epsilon, ldp_avg_1d, onebit_decode,
@@ -114,13 +114,15 @@ class BernsteinModel:
         One run of the plain basis recurrence gives every basis value and
         derivative, and one contraction of ``coeffs`` gives every number:
         row block 0 holds the value, and row block a + 1 differentiates
-        along axis a.
+        along axis a. A point outside [0, 1]^p is rejected, as ``values``
+        rejects it.
         """
         ys = np.asarray(ys, dtype=float)
         k, p = self.spec.k, self.spec.p
         if ys.ndim != 2 or ys.shape[1] != p:
             raise ParameterError(
                 f"points have shape {ys.shape}, expected (m, {p})")
+        check_cube_points(ys)
         m = len(ys)
         ws, dws = iterated_basis_pair(k, 1, ys)
         rows = np.tile(ws, (p + 1, 1, 1))
@@ -288,7 +290,7 @@ def alg2_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
     """Laplace-per-grid-point protocol over [0, 1]^p.
 
     Every player reports each grid evaluation of ``spec``'s grid through
-    the scalar private mean with per-point budget eps / (k+1)^p, so the
+    the private mean with per-point budget eps / (k+1)^p, so the
     per-player total is exactly ``budget`` by basic composition.
 
     The server uses only each grid point's sum of the n reports, and the
@@ -296,8 +298,7 @@ def alg2_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
     column sum of ``loss(x_j, a/k)``: (k+1)·p column passes give every
     point's total. Each term is checked and clipped into [0, 1], so
     ``clipped`` counts term evaluations, and a NaN is rejected before any
-    noise is drawn. The totals are noised one ``ldp_avg_1d`` call per point
-    in grid order.
+    noise is drawn. One ``ldp_avg_1d`` call noises every point's total.
     """
     k, p, n = spec.k, spec.p, data.n
     size = check_grid_size(k, p)
@@ -315,9 +316,8 @@ def alg2_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
     for j in range(1, p):
         totals = np.add.outer(totals, sums[j]).ravel()
     totals /= p
-    estimates = np.array([ldp_avg_1d(total, n, 1.0, per_point, rng)
-                          for total in totals])
-    return _release(spec, estimates, clipped)
+    return _release(spec, ldp_avg_1d(totals, n, 1.0, per_point, rng),
+                    clipped)
 
 
 def _cell_losses(rows: np.ndarray, loss: GridLoss, grid: np.ndarray,

@@ -174,6 +174,15 @@ def contract_grid(grid_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return cur[:, 0]
 
 
+def check_cube_points(rows: np.ndarray):
+    """Reject a row of an (m, p) array outside [0, 1]^p (up to 1e-12)."""
+    # NaN fails both comparisons, so a NaN point counts as outside
+    outside = ~np.all((rows >= -1e-12) & (rows <= 1.0 + 1e-12), axis=1)
+    if outside.any():
+        raise ParameterError(f"evaluation point {rows[outside][0]} is "
+                             f"outside [0, 1]^{rows.shape[1]}")
+
+
 def iterated_bernstein_eval(grid_values: np.ndarray, spec: BernsteinOperatorSpec,
                             y):
     """Evaluate the iterated operator of gridded data at points in [0,1]^p.
@@ -193,11 +202,7 @@ def iterated_bernstein_eval(grid_values: np.ndarray, spec: BernsteinOperatorSpec
         raise ParameterError(
             f"points have shape {y.shape}, expected ({spec.p},) or "
             f"(m, {spec.p})")
-    # NaN fails both comparisons, so a NaN point counts as outside
-    outside = ~np.all((rows >= -1e-12) & (rows <= 1.0 + 1e-12), axis=1)
-    if outside.any():
-        raise ParameterError(f"evaluation point {rows[outside][0]} is "
-                             f"outside [0, 1]^{spec.p}")
+    check_cube_points(rows)
     vals = contract_grid(grid_values,
                          iterated_basis_weights(spec.k, spec.h, rows))
     return float(vals[0]) if y.ndim <= 1 else vals

@@ -1,20 +1,21 @@
 """Local-randomizer building blocks.
 
 Besides the privacy budget every mechanism uses, two local randomizers
-live here: a private scalar average (each player reports her value plus
-Laplace noise and the server takes the mean), and a one-bit randomizer in
-which players compare their value against a shared public Laplace draw
-and send a single Bernoulli bit.
-Every Laplace draw in the package comes from ``laplace_sum``.
+live here: a private mean of bounded reals (each player reports their
+values plus Laplace noise and the server averages the reports), and a
+one-bit randomizer in which players compare their value against a shared
+public Laplace draw and send a single Bernoulli bit.
+Every Laplace draw in the package comes from ``laplace_sum``, and every
+real-valued release is one ``ldp_avg_1d`` call.
 
 Simulation contract: the privacy claim is about each player's report
-``v_i + Lap(b)``. Where the server only ever uses the sum of the n reports
-(``ldp_avg_1d``, the query releases' column means), the simulator draws
-that sum's exact distribution, ``sum_i v_i`` plus one ``laplace_sum`` of
-count n, rather than n separate draws. So ``ldp_avg_1d`` takes what the
-server holds, the values' total and their count. A one-player call
-(n = 1) is exactly that player's report, so a check of what one player
-sends makes that call.
+``v_i + Lap(b)``. The server only ever uses the sum of the n reports, so
+``ldp_avg_1d`` draws that sum's exact distribution, ``sum_i v_i`` plus
+one ``laplace_sum`` of count n per entry, rather than n separate draws.
+It takes what the server holds: the values' total, or an array of
+per-entry totals, and their count. A one-player call (n = 1) is exactly
+that player's report, so a check of what one player sends makes that
+call.
 
 API sketch::
 
@@ -121,37 +122,44 @@ def check_values(values: np.ndarray, bound: float):
         )
 
 
-def ldp_avg_1d(total: float, n: int, bound: float, budget: PrivacyBudget,
-               rng: np.random.Generator) -> float:
-    """Private mean of n scalars in [0, bound], from their total.
+def ldp_avg_1d(total, n: int, bound: float, budget: PrivacyBudget,
+               rng: np.random.Generator, low: float = 0.0):
+    """Private mean of n values in [low, bound], from their total; or, for
+    an array of totals, one private mean per entry.
 
-    Each player reports ``v_i + Lap(bound / epsilon)`` and the server
-    averages the reports. With probability at least ``1 - beta`` the result
-    is within ``2 * bound * sqrt(log(2/beta)) / (sqrt(n) * epsilon)`` of the
+    Each player reports ``v_i + Lap((bound - low) / epsilon)`` per entry
+    and the server averages the reports. With probability at least
+    ``1 - beta`` an entry is within
+    ``2 * (bound - low) * sqrt(log(2/beta)) / (sqrt(n) * epsilon)`` of its
     true mean.
 
-    The server sees only the sum of the reports, so the simulator draws
-    that sum exactly: the values' ``total`` plus one ``laplace_sum`` of
-    count n. With n = 1 this is exactly that player's report ``v + Lap(b)``.
-    The total must lie in [0, n * bound]; a caller that holds the values
-    checks each of them itself (``check_values``).
+    The server sees only the sums of the reports, so the simulator draws
+    those sums exactly: the values' totals plus one ``laplace_sum`` of
+    count n over all entries together. With n = 1 this is exactly that
+    player's report. Every total must lie in [n * low, n * bound], up to
+    1e-9 per value; a caller that holds the values checks each of them
+    itself (``check_values``). A scalar total gives a float, an array of
+    totals an array of the same shape.
 
-    Budget splitting is the caller's job: pass the per-invocation epsilon,
-    not a total to be divided here.
+    Budget splitting is the caller's job: pass the per-entry epsilon, not a
+    total to be divided here.
     """
-    if not bound > 0:
-        raise ParameterError(f"bound must be positive, got {bound}")
+    if not low < bound:
+        raise ParameterError(f"need low < bound, got [{low}, {bound}]")
     if not n >= 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    total = float(total)
+    totals = np.asarray(total, dtype=float)
     # written so that a NaN, which fails every comparison, fails the check
-    if not -1e-12 * n <= total <= (bound + 1e-12) * n:
+    inside = ((low - 1e-9) * n <= totals) & (totals <= (bound + 1e-9) * n)
+    if not inside.all():
         raise ParameterError(
-            f"values must lie in [0, {bound}]; the total of {n} of them is "
-            f"{total}, outside [0, {n * bound}]")
+            f"values must lie in [{low}, {bound}]; a total of {n} of them is "
+            f"{totals[~inside].flat[0]}, outside [{n * low}, {n * bound}]")
     if not budget.noiseless:
-        total += laplace_sum(rng, bound / budget.epsilon, n, ())
-    return float(total / n)
+        totals = totals + laplace_sum(rng, (bound - low) / budget.epsilon, n,
+                                      totals.shape)
+    means = totals / n
+    return float(means) if means.ndim == 0 else means
 
 
 def avg_error_bound(bound: float, n: int, epsilon: float, beta: float) -> float:

@@ -16,7 +16,9 @@ dotting the released table — no further player contact.
 The server uses only the column sums of the players' reports, so each
 release computes those sums directly and never forms a player's vector:
 marginals from counts of the players whose bits cover each monomial,
-smooth queries from matrix products of per-axis Chebyshev tables.
+smooth queries from matrix products of per-axis Chebyshev tables. Both
+then noise every column in one ``primitives.ldp_avg_1d`` call over
+[-b, b], b the public bound on a coordinate.
 """
 
 import math
@@ -31,7 +33,7 @@ from .datasets import BinaryDataset, BoxDataset, bit_weights
 from .errors import (ConfigurationError, ParameterError, QueryClassError,
                      SampleSizeWarning)
 from .polyapprox import OrPolynomial, build_or_polynomial, chebyshev_eval
-from .primitives import PrivacyBudget, laplace_sum
+from .primitives import PrivacyBudget, ldp_avg_1d
 
 CAP = 200_000  # most entries of a coefficient vector or basis (one real each)
 BLOCK = 2048  # rows or distinct records a release handles at once
@@ -156,29 +158,6 @@ def _guarantee_n_floor(p: int, k: int, gamma: float, epsilon: float,
                growth * log_term)
 
 
-def _private_column_means(sums: np.ndarray, n: int, bound: float,
-                          budget: PrivacyBudget,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Laplace-noised per-column means of n player vectors in
-    [-bound, bound]^dim, given their column ``sums``.
-
-    Each player reports their vector plus Lap(2 * bound / epsilon) per
-    coordinate, and the server uses only the column sums of the reports.
-    So the noise is drawn as that sum's exact distribution: one
-    ``laplace_sum`` of count n per column, added to the sums before
-    dividing by n. With n = 1 this is exactly one player's report.
-    """
-    limit = n * (bound + 1e-9)
-    if not np.all(np.abs(sums) <= limit):
-        raise ParameterError(
-            f"column sums outside [-{limit}, {limit}] are not sums of {n} "
-            f"vectors in [-{bound}, {bound}]")
-    if budget.noiseless:
-        return sums / n
-    return (sums + laplace_sum(rng, 2.0 * bound / budget.epsilon, n,
-                               sums.shape)) / n
-
-
 def marginals_release(data: BinaryDataset, k: int, gamma: float,
                       budget: PrivacyBudget, rng: np.random.Generator,
                       split_budget: bool = False) -> MarginalCoefficientTable:
@@ -186,13 +165,14 @@ def marginals_release(data: BinaryDataset, k: int, gamma: float,
 
     Each player sends their whole coefficient vector once; every coordinate
     is averaged with Laplace noise calibrated to the constructed
-    polynomial's true maximum coefficient magnitude (a public quantity),
-    not the loose asymptotic bound. By default each coordinate is noised at
-    the full budget, and then the message as a whole is not epsilon-LDP: a
-    player spends epsilon times the largest L1 change of their vector over
-    the noise bound, about 94.7 at epsilon = 2 (p = 8, k = 2, gamma =
-    0.05). ``split_budget=True`` divides the budget across the D
-    coordinates and is epsilon-LDP by basic composition.
+    polynomial's true maximum coefficient magnitude b (a public quantity),
+    not the loose asymptotic bound: one ``ldp_avg_1d`` call over [-b, b]
+    noises every column sum at scale 2b / epsilon. By default each
+    coordinate is noised at the full budget, and then the message as a
+    whole is not epsilon-LDP: a player spends epsilon times the largest L1
+    change of their vector over the noise bound, about 94.7 at epsilon = 2
+    (p = 8, k = 2, gamma = 0.05). ``split_budget=True`` divides the budget
+    across the D coordinates and is epsilon-LDP by basic composition.
     """
     if not 1 <= k <= data.dim:
         raise ParameterError(f"need 1 <= k <= p, got k={k}, p={data.dim}")
@@ -212,8 +192,8 @@ def marginals_release(data: BinaryDataset, k: int, gamma: float,
     # column alpha sums per_alpha[alpha] over the players whose bits cover
     # supp(alpha)
     covered = _cover_counts(*data.patterns, _support_masks(alphas))
-    means = _private_column_means(per_alpha * covered, data.n, b,
-                                  sub_budget, rng)
+    means = ldp_avg_1d(per_alpha * covered, data.n, b, sub_budget, rng,
+                       low=-b)
     return MarginalCoefficientTable(values=means, alphas=alphas, p=p, k=k,
                                     t_k=orpoly.degree, gamma=gamma, bound=b)
 
@@ -354,14 +334,15 @@ def smooth_release(data: BoxDataset, t: int, budget: PrivacyBudget,
                    rng: np.random.Generator) -> CosineCoefficientTable:
     """Privately average every player's basis vector (one message each).
 
-    Basis values live in [-1, 1], so each coordinate gets Laplace noise of
-    scale 2 / epsilon: the full budget for that coordinate alone. The
-    message as a whole is therefore not epsilon-LDP: at epsilon = 2, t = 8
-    and p = 2 a player spends about 73.
+    Basis values live in [-1, 1], so one ``ldp_avg_1d`` call over [-1, 1]
+    gives each coordinate Laplace noise of scale 2 / epsilon: the full
+    budget for that coordinate alone. The message as a whole is therefore
+    not epsilon-LDP: at epsilon = 2, t = 8 and p = 2 a player spends about
+    73.
     """
     check_basis_cap(t, data.dim)
-    values = _private_column_means(_basis_column_sums(data.rows, t), data.n,
-                                   1.0, budget, rng)
+    values = ldp_avg_1d(_basis_column_sums(data.rows, t), data.n, 1.0,
+                        budget, rng, low=-1.0)
     return CosineCoefficientTable(values=values, p=data.dim, t=t)
 
 

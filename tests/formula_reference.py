@@ -7,12 +7,24 @@ import numpy as np
 
 from ldp_erm.polyapprox import (SubgradientSampler, chebyshev_eval,
                                 sample_q_many)
+from ldp_erm.primitives import laplace_sum
 
 
 def laplace_logpdf(z, loc: float, scale: float):
     """Log density of Laplace(loc, scale) at z."""
     z = np.asarray(z, dtype=float)
     return -np.abs(z - loc) / scale - np.log(2.0 * scale)
+
+
+def laplace_means(sums, n: int, width: float, budget, rng):
+    """What n players' reports average to, per entry of ``sums``, the sums
+    of their values over a range ``width`` wide: each report adds
+    Lap(width / epsilon) to each value, and an entry's n noises are summed
+    as that entry of one ``laplace_sum`` of count n over every entry."""
+    sums = np.asarray(sums, dtype=float)
+    if not budget.noiseless:
+        sums = sums + laplace_sum(rng, width / budget.epsilon, n, sums.shape)
+    return sums / n
 
 
 def bernstein_poly_eval(coeffs: np.ndarray, x):

@@ -7,10 +7,11 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from formula_reference import laplace_means
 from ldp_erm.bernstein_erm import grid_points
 from ldp_erm.errors import ParameterError
-from ldp_erm.primitives import (PublicRandomness, laplace_sum,
-                                onebit_decode, onebit_encode_many)
+from ldp_erm.primitives import (PublicRandomness, onebit_decode,
+                                onebit_encode_many)
 from ldp_erm.rng import TAG_BITS, TAG_PARTITION, derived_rng
 
 
@@ -55,17 +56,10 @@ def per_player_grid_means(losses: np.ndarray, budget,
                           rng: np.random.Generator) -> np.ndarray:
     """The Laplace protocol's grid estimates from the (G, n) player losses:
     each point's n reports summed, plus the summed Laplace noise of n
-    reports at the per-point budget, drawn one point at a time in grid
-    order, over n."""
-    per_point = budget.split(len(losses))
-    n = losses.shape[1]
-    estimates = np.empty(len(losses))
-    for g, row in enumerate(losses):
-        total = row.sum()
-        if not per_point.noiseless:
-            total += laplace_sum(rng, 1.0 / per_point.epsilon, n, ())
-        estimates[g] = total / n
-    return estimates
+    reports at the per-point budget, drawn for every point at once, over
+    n."""
+    return laplace_means(losses.sum(axis=1), losses.shape[1], 1.0,
+                         budget.split(len(losses)), rng)
 
 
 def per_cell_onebit_means(losses: np.ndarray, epsilon: float,

@@ -109,7 +109,7 @@ def test_grid_runs_equal_with_row_mean_loss(p):
             got = alg2_run(data, term, spec, run_budget, rng)
             want = per_player_grid_means(losses, run_budget, ref_rng)
             assert got.clipped == 0
-            # the same Laplace draws, one per point in grid order
+            # the same Laplace draws, every point's in one call
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             if p == 1:
                 assert got.grid_estimates.tobytes() == want.tobytes()
@@ -442,6 +442,18 @@ def test_model_rejects_points_outside_cube():
         model.values(np.array([[0.5, 0.5], [-0.01, 0.5]]))
     with pytest.raises(ParameterError):
         model.grads(np.array([0.5, 0.5]))  # one point, not a row of points
+    # the gradients check their points as the values do, NaN included
+    for bad in ([[1.5, 0.5]], [[0.5, 0.5], [0.5, -0.01]], [[np.nan, 0.5]]):
+        with pytest.raises(ParameterError):
+            model.values_and_grads(np.array(bad))
+        with pytest.raises(ParameterError):
+            model.grads(np.array(bad))
+        with pytest.raises(ParameterError):
+            model.grad(bad[-1])
+    # and accept the cube's faces up to the same 1e-12
+    edge = np.array([[1.0 + 1e-12, -1e-12]])
+    assert (model.values_and_grads(edge)[0].tobytes()
+            == model.values(edge).tobytes())
 
 
 # --- one-bit protocol -------------------------------------------------------------

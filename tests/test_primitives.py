@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from formula_reference import laplace_logpdf
+from formula_reference import laplace_logpdf, laplace_means
 from ldp_erm import primitives
 from ldp_erm.errors import EstimationError, ParameterError
 from ldp_erm.primitives import (PrivacyBudget, PublicRandomness,
                                 avg_error_bound, check_values, laplace_sum,
                                 ldp_avg_1d, onebit_decode,
                                 onebit_encode_many)
+from ldp_erm.query_release import BoxDataset, smooth_release
 from ldp_erm.rng import derived_rng
 from trial_messages import trial_messages
 
@@ -145,6 +146,65 @@ def test_avg_rejects_bad_input():
         ldp_avg_1d(1.5, 1, 1.0, budget, derived_rng(0))
     with pytest.raises(ParameterError):
         check_values(np.array([1.5]), 1.0)
+
+
+MEAN_BUDGETS = [PrivacyBudget(epsilon=2.0), PrivacyBudget(math.inf)]
+
+
+@pytest.mark.parametrize("budget", MEAN_BUDGETS, ids=["eps2", "noiseless"])
+def test_array_mean_matches_per_entry_reference(budget):
+    # per column, the total of n values in [-3, 1.5]; the first column sits
+    # on the lower end and the last on the upper one
+    n, low, bound = 40, -3.0, 1.5
+    values = derived_rng(23).uniform(low, bound, (n, 7))
+    values[:, 0], values[:, -1] = low, bound
+    totals = values.sum(axis=0)
+    rng, ref_rng = derived_rng(24), derived_rng(24)
+    got = ldp_avg_1d(totals, n, bound, budget, rng, low=low)
+    noise = (np.zeros(7) if budget.noiseless else
+             laplace_sum(ref_rng, (bound - low) / budget.epsilon, n, 7))
+    want = np.array([(float(t) + float(z)) / n
+                     for t, z in zip(totals, noise)])
+    assert got.shape == (7,) and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # a scalar total is the one-entry case, as a float
+    one = ldp_avg_1d(totals[3], n, bound, budget, derived_rng(24), low=low)
+    assert type(one) is float
+    assert one == float(laplace_means(totals[3:4], n, bound - low, budget,
+                                      derived_rng(24))[0])
+
+
+@pytest.mark.parametrize("where", [0, 3, -1])
+@pytest.mark.parametrize("bad", [math.nan, -3.5, 2.0])
+def test_array_mean_rejects_any_bad_entry(bad, where):
+    # one total of n values in [-3, 1.5] is NaN, or below or above its range
+    n = 10
+    totals = np.zeros(7)
+    totals[where] = n * bad
+    for budget in MEAN_BUDGETS:
+        with pytest.raises(ParameterError, match="values must lie in"):
+            ldp_avg_1d(totals, n, 1.5, budget, derived_rng(0), low=-3.0)
+
+
+@pytest.mark.parametrize("low", [1.0, 2.0, math.nan])
+def test_mean_rejects_low_at_or_above_bound(low):
+    for budget in MEAN_BUDGETS:
+        with pytest.raises(ParameterError, match="low < bound"):
+            ldp_avg_1d(1.0, 1, 1.0, budget, derived_rng(0), low=low)
+
+
+def test_box_edge_smooth_release_accepted():
+    # rows on the box's faces up to BoxDataset's 1e-12 slack put t = 8 basis
+    # values near 1 + 5e-11 (chebyshev_eval's cosh branch), which the
+    # mean's slack of 1e-9 per value accepts
+    edge = 1.0 + 1e-12
+    rows = np.array([[edge, -edge], [-edge, edge], [edge, edge]])
+    for budget in MEAN_BUDGETS:
+        table = smooth_release(BoxDataset(rows), 8, budget, derived_rng(25))
+        assert table.values.shape == (64,)
+        assert np.all(np.isfinite(table.values))
+    # the last table's means are noiseless, and some lie past 1 + 1e-12
+    assert np.max(np.abs(table.values)) > 1.0 + 1e-12
 
 
 def test_avg_unbiased_replay():

@@ -12,15 +12,14 @@ import scipy.fft
 
 from formula_reference import (basis_matrix, covering_counts,
                                disjunction_fraction, evaluate_expansion,
-                               expand_rows)
+                               expand_rows, laplace_means)
 from ldp_erm.errors import ParameterError, QueryClassError, SampleSizeWarning
 from ldp_erm.harness import _gaussian_kernel
 from ldp_erm.polyapprox import build_or_polynomial
-from ldp_erm.primitives import PrivacyBudget, laplace_sum
+from ldp_erm.primitives import PrivacyBudget, laplace_sum, ldp_avg_1d
 from ldp_erm.query_release import (BLOCK, BLOCK_ENTRIES, BinaryDataset,
                                    BoxDataset, QueryAnswer, _basis_column_sums,
-                                   _expansion_pieces, _private_column_means,
-                                   _support_masks,
+                                   _expansion_pieces, _support_masks,
                                    answer_smooth_query, coefficient_bound,
                                    disjunction_truth, marginals_answer,
                                    marginals_release,
@@ -357,16 +356,6 @@ def test_private_smooth_answer_reasonable():
 # --- column sums and means ----------------------------------------------------
 
 
-def _reference_column_means(sums, n, bound, budget, rng):
-    """What n players' reports average to, given the column sums of their
-    vectors in [-bound, bound]^dim: Lap(2 bound / epsilon) per coordinate
-    of each report, summed as one ``laplace_sum`` per column."""
-    if not budget.noiseless:
-        sums = sums + laplace_sum(rng, 2.0 * bound / budget.epsilon, n,
-                                  len(sums))
-    return sums / n
-
-
 def _reference_marginal_means(rows, k, gamma, budget, rng,
                               split_budget=False):
     """The marginals release by a row scan: column alpha sums to
@@ -375,9 +364,8 @@ def _reference_marginal_means(rows, k, gamma, budget, rng,
     orpoly = build_or_polynomial(k, gamma)
     alphas, per_alpha = _expansion_pieces(p, orpoly)
     sub = budget.split(len(alphas)) if split_budget else budget
-    return _reference_column_means(per_alpha * covering_counts(rows, alphas),
-                                   len(rows), coefficient_bound(orpoly, p),
-                                   sub, rng)
+    return laplace_means(per_alpha * covering_counts(rows, alphas), len(rows),
+                         2.0 * coefficient_bound(orpoly, p), sub, rng)
 
 
 # one partial block; one short of, at and one past the end of a second
@@ -482,7 +470,7 @@ def test_streamed_smooth_matches_whole_matrix(n, budget):
     else:
         exact = np.array([math.fsum(col) for col in terms.T])
         assert np.all(np.abs(sums - exact) <= _summation_bound(terms, 2))
-    ref = _reference_column_means(sums, n, 1.0, budget, ref_rng)
+    ref = laplace_means(sums, n, 2.0, budget, ref_rng)
     assert _same_bits(table.values, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -497,7 +485,7 @@ def test_streamed_range_check_reaches_last_block(bad):
     sums[-1] = n * (bad - 1.0)
     for budget in STREAM_BUDGETS:
         with pytest.raises(ParameterError):
-            _private_column_means(sums, n, 1.0, budget, derived_rng(54))
+            ldp_avg_1d(sums, n, 1.0, budget, derived_rng(54), low=-1.0)
 
 
 def _traced_peak_mib(fn):
