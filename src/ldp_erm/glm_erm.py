@@ -27,8 +27,8 @@ from .datasets import BallDataset
 from .errors import ConfigurationError, ParameterError, ProtocolError
 # sample_q_many is unused here: perfbench/spans.py wraps glm_erm.sample_q_many
 from .polyapprox import (SmoothedPlus, SubgradientSampler,
-                         bernstein_deriv_coeffs, hinge_sampler,
-                         kink_locations, sample_q_many)
+                         bernstein_deriv_coeffs, hinge_prime,
+                         hinge_sampler, kink_locations, sample_q_many)
 from .primitives import PrivacyBudget
 from .sigm import SigmSchedule, sigm_run
 
@@ -93,7 +93,12 @@ def glm_player_encode(record: tuple, budget: PrivacyBudget, d: int,
 
 @dataclass(frozen=True)
 class GradientOracleConfig:
-    """Degree and Bernstein coefficients of a loss's gradient samples."""
+    """Degree and Bernstein coefficients of a loss's gradient samples.
+
+    ``coeffs`` is kept as a read-only float copy, and ``weights`` is
+    read-only too, so a config ``glm_oracle`` hands to several callers
+    cannot be changed under them.
+    """
 
     d: int
     coeffs: np.ndarray
@@ -108,8 +113,11 @@ class GradientOracleConfig:
         if len(self.coeffs) != self.d + 1:
             raise ParameterError(
                 f"need d+1 = {self.d + 1} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "weights", np.asarray(
-            self.coeffs, dtype=float) * _binom_row(self.d))
+        coeffs = np.array(self.coeffs, dtype=float)
+        weights = coeffs * _binom_row(self.d)
+        coeffs.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "scalars",
                            _block_products(self.weights, self.d))
 
@@ -294,20 +302,20 @@ class LossFlavor:
     sampler: Optional[SubgradientSampler] = None
 
 
+def _hinge_loss(t):
+    return np.maximum(0.0, 0.5 - np.asarray(t, dtype=float))
+
+
+# The flavors are built from module-level functions, so equal calls give
+# equal, equally hashed flavors, and ``glm_oracle``'s memo finds them.
 def hinge_flavor() -> LossFlavor:
-    return LossFlavor(
-        name="hinge",
-        scalar_loss=lambda t: np.maximum(0.0, 0.5 - np.asarray(t, dtype=float)),
-        scalar_subgrad=lambda t: np.where(np.asarray(t, dtype=float) < 0.5,
-                                          -1.0, 0.0),
-    )
+    return LossFlavor(name="hinge", scalar_loss=_hinge_loss,
+                      scalar_subgrad=hinge_prime)
 
 
 def hinge_via_general_flavor() -> LossFlavor:
-    base = hinge_flavor()
-    return LossFlavor(name="general-linear", scalar_loss=base.scalar_loss,
-                      scalar_subgrad=base.scalar_subgrad,
-                      sampler=hinge_sampler())
+    return LossFlavor(name="general-linear", scalar_loss=_hinge_loss,
+                      scalar_subgrad=hinge_prime, sampler=hinge_sampler())
 
 
 @dataclass(frozen=True)
@@ -364,12 +372,18 @@ def _noised(values: np.ndarray, std: float, shape: tuple,
     return out
 
 
+@lru_cache(maxsize=32)
 def glm_oracle(flavor: LossFlavor, target_alpha: float, budget: PrivacyBudget,
                dim: int, d_cap: int = 8) -> tuple:
     """(cfg, d_theory, sigma): the gradient config of ``flavor`` at beta =
     alpha/4 and degree d, the theory's d_theory = 2/(beta^2 alpha) rounded
     up (at least 1) capped at ``d_cap``, and its finite ``noise_scale`` at
-    ``dim``, or a ``ConfigurationError`` naming d_cap when it overflows."""
+    ``dim``, or a ``ConfigurationError`` naming d_cap when it overflows.
+
+    Memoised: a config check, a trial's message declaration and its run
+    ask for the same oracle, and equal arguments get the one tuple built
+    first (the config's arrays are read-only, so it can be shared). A
+    failure is not memoised and is raised again on each call."""
     if not 0.0 < target_alpha <= 1.0:
         raise ParameterError(
             f"target_alpha must lie in (0, 1], got {target_alpha}")

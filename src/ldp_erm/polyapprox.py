@@ -342,9 +342,17 @@ class SubgradientSampler:
         return self.upper - self.lower <= 1e-15 * max(1.0, abs(self.upper))
 
 
+def hinge_prime(x):
+    """The hinge max(0, 1/2 - x)'s subgradient: -1 below its kink at 1/2,
+    else 0."""
+    return np.where(np.asarray(x, dtype=float) < 0.5, -1.0, 0.0)
+
+
 def hinge_sampler() -> SubgradientSampler:
-    fp = lambda x: np.where(np.asarray(x, dtype=float) < 0.5, -1.0, 0.0)
-    return SubgradientSampler(fp, -1.0, 0.0)
+    """The hinge's kink measure, a point mass at 1/2. Built from one
+    module-level derivative, so every call gives an equal, equally hashed
+    sampler."""
+    return SubgradientSampler(hinge_prime, -1.0, 0.0)
 
 
 def sample_q_many(sampler: SubgradientSampler, size: int,

@@ -196,6 +196,23 @@ def test_alg2_noiseless_surrogate_decomposition():
     assert np.max(np.abs(fit - emp)) <= 0.04  # ~ sup|f''|/(4k) for k=8
 
 
+def test_alg2_noiseless_bias_falls_with_order():
+    # rows u^3 put the quadratic's optimum off the cube's centre, where the
+    # Bernstein operator is biased; the iterated operator (h = 2) cuts
+    # that bias far below h = 1's, which falls with the grid order k
+    data = CubeDataset(derived_rng(21).random((20_000, 2)) ** 3)
+    excess = {}
+    for k in (2, 4, 8):
+        for h in (1, 2):
+            release = alg2_run(data, QUAD, *_cfg(k=k, h=h, p=2),
+                               derived_rng(22, k, h))
+            excess[k, h] = grid_loss_excess("quadratic", data,
+                                            release.w_priv)
+    for k in (2, 4, 8):
+        assert excess[k, 2] * 4 <= excess[k, 1], excess
+    assert excess[2, 1] > excess[4, 1] > excess[8, 1], excess
+
+
 def test_alg2_clipping_warns():
     rng = derived_rng(6)
     data = CubeDataset(rng.random((100, 1)))

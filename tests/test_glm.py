@@ -267,6 +267,33 @@ def test_hinge_via_general_collapses_onto_hinge():
         assert np.max(np.abs(a - b)) < 1e-8
 
 
+def test_flavors_compare_equal_across_calls():
+    # built from module-level functions, so glm_oracle's memo finds them
+    assert hinge_flavor() == hinge_flavor()
+    assert hash(hinge_flavor()) == hash(hinge_flavor())
+    assert hinge_via_general_flavor() == hinge_via_general_flavor()
+    assert hinge_sampler() == hinge_sampler()
+    assert hinge_flavor() != hinge_via_general_flavor()
+
+
+def test_glm_oracle_is_memoised_and_read_only():
+    budget = PrivacyBudget(epsilon=2.0, delta=1e-5)
+    for flavor in (hinge_flavor, hinge_via_general_flavor):
+        first = glm_oracle(flavor(), 1.0, budget, 5, 3)
+        assert glm_oracle(flavor(), 1.0, PrivacyBudget(2.0, 1e-5), 5,
+                          3) is first
+        cfg = first[0]
+        with pytest.raises(ValueError):
+            cfg.coeffs[0] = 1.0
+        with pytest.raises(ValueError):
+            cfg.weights[0] = 1.0
+    # a read-only copy: the caller's array stays writable and unshared
+    coeffs = np.array([0.1, 0.2])
+    cfg = glm_erm.GradientOracleConfig(d=1, coeffs=coeffs)
+    coeffs[0] = 5.0
+    assert cfg.coeffs[0] == 0.1
+
+
 def test_general_linear_coefficients():
     # c_j = f'(-1) + (f'(1) - f'(-1)) E_s[step(j/d - s + 1/2)], checked
     # against references that find no kink locations

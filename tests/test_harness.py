@@ -268,6 +268,8 @@ def test_baseline_methods_cross_check():
 @pytest.mark.parametrize("n, dim, margin, seed", [
     (300, 2, 0.05, 1), (2001, 3, 0.2, 4), (5000, 5, 0.05, 3),
     (2000, 5, 0.45, 2), (1000, 5, 0.7, 6), (1000, 2, 0.9, 7),
+    # at margin exactly 1/2 the optimum sits on the hinge's kink
+    (1000, 5, 0.5, 5), (5000, 5, 0.5, 3),
 ])
 def test_baseline_reaches_separable_optimum(n, dim, margin, seed):
     # separable_two_class's docstring proves this optimum
@@ -323,7 +325,8 @@ def test_uncertified_baseline_run_is_unchanged(monkeypatch, kink):
     w_ref, f_ref = _fixed_iters_subgradient(objective, subgrad, len(kink))
     bounds = _recorded_bounds(monkeypatch)
     w, f = projected_subgradient(objective, subgrad, len(kink))
-    assert len(bounds) == 2 * baselines.ITERS // baselines.EVAL_EVERY
+    # the origin's checkpoint, then two bounds at each later one
+    assert len(bounds) == 2 * baselines.ITERS // baselines.EVAL_EVERY + 1
     assert f == f_ref
     assert np.array_equal(w, w_ref)
 
@@ -393,7 +396,24 @@ def test_glm_baseline_stops_at_first_checkpoint(monkeypatch):
 
     monkeypatch.setattr(baselines, "projected_subgradient", counted)
     glm_baseline(data, hinge_flavor())
-    assert len(calls) <= baselines.EVAL_EVERY + 3
+    # the origin's checkpoint certifies its own vertex
+    assert len(calls) <= 2
+
+
+def test_affine_objective_certified_at_origin():
+    # f(w) = <a, w> + 1 has its ball minimum 1 - ||a|| at -a/||a||, the
+    # vertex of the origin's subgradient, and the minorant there is exact
+    a = np.array([0.3, -0.4, 1.2])
+    calls = []
+
+    def subgrad(w):
+        calls.append(w.copy())
+        return a
+
+    w, f = projected_subgradient(lambda w: float(a @ w) + 1.0, subgrad, 3)
+    assert np.max(np.abs(w + a / np.linalg.norm(a))) <= 1e-15
+    assert abs(f - (1.0 - np.linalg.norm(a))) <= baselines.GAP_TOL
+    assert len(calls) == 1 and not calls[0].any()
 
 
 def test_grid_loss_excess_oracle():
