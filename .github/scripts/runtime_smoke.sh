@@ -16,15 +16,16 @@
 # largest basis the cap admits at t = 2, runs under a 1.5 GB address-space
 # limit), if a batched GLM run (epsilon = 50 on n = 2000) does not take
 # more than one solver step and fewer than n, if the batched general-linear
-# run (the hinge through its kink measure) does not take the hinge's steps
-# at its noise scale within 1e-9 relative, if re-running any good run (the
-# dim-17 one included) from its manifest.json does not reproduce its
-# report.csv and transcript_summary.csv byte for byte, or if a rejected
-# config (one per mechanism, one per synthetic family, an unknown top-level
-# key, an empty sweep entry, a GLM delta of 0, a GLM degree whose replica
-# products overflow, 65-bit marginals records and a smooth-query t whose
-# t x t coefficient transform is above the cap) does not exit 2 with a
-# configuration error and no traceback.
+# run (the hinge through its kink measure) does not report the hinge's
+# sigma, steps, err_empirical and baseline_err, character for character,
+# if re-running any good run (the dim-17 one included) from its
+# manifest.json does not reproduce its report.csv and
+# transcript_summary.csv byte for byte, or if a rejected config (one per
+# mechanism, one per synthetic family, an unknown top-level key, an empty
+# sweep entry, a GLM delta of 0, a GLM degree whose replica products
+# overflow, 65-bit marginals records, a marginals k above the records'
+# dim and a smooth-query t whose t x t coefficient transform is above the
+# cap) does not exit 2 with a configuration error and no traceback.
 set -euo pipefail
 venv="$1"
 mkdir -p "$2"
@@ -57,7 +58,7 @@ run general-linear "$ball" '{"d_cap": 2}'
 # at epsilon = 50 the noise scale leaves 15 solver steps over n = 2000
 # messages, each averaging 133 of them
 run hinge "$ball" '{"d_cap": 2, "epsilon": 50}' hinge-batched
-# the hinge's kink measure gives the hinge's coefficients: the same steps
+# the hinge's kink measure is the hinge's one coefficient rule: the same run
 run general-linear "$ball" '{"d_cap": 2, "epsilon": 50}' \
   general-linear-batched
 for label in hinge-batched general-linear-batched; do
@@ -70,13 +71,12 @@ EOF
 done
 "$venv/bin/python" - runtime-runs/hinge-batched/report.csv \
   runtime-runs/general-linear-batched/report.csv <<'EOF'
-import csv, math, sys
+import csv, sys
 hinge, general = (next(csv.DictReader(open(path))) for path in sys.argv[1:])
-if general["steps"] != hinge["steps"] or not math.isclose(
-        float(general["sigma"]), float(hinge["sigma"]), rel_tol=1e-9):
-    sys.exit(f"general-linear took {general['steps']} steps at sigma "
-             f"{general['sigma']}, the hinge {hinge['steps']} at "
-             f"{hinge['sigma']}")
+for key in ("sigma", "steps", "err_empirical", "baseline_err"):
+    if general[key] != hinge[key]:
+        sys.exit(f"general-linear reports {key} {general[key]}, the hinge "
+                 f"{hinge[key]}")
 EOF
 bits='{"family": "bernoulli-bits", "n": 2000, "dim": 4}'
 box='{"family": "gaussian-ball-clipped", "n": 2000, "dim": 2}'
@@ -135,6 +135,9 @@ reject bad-bernoulli-bits marginals \
 # a record's bits are packed into one int64, so at most 64 of them
 reject wide-marginals marginals \
   '{"family": "bernoulli-bits", "n": 2000, "dim": 65}' '{}'
+# a query selects k of a record's dim attributes
+reject marginals-k-above-dim marginals \
+  '{"family": "bernoulli-bits", "n": 2000, "dim": 3}' '{"k": 4}'
 reject bad-top-level-key avg-bench "$cube" '{}' '"trails": 2'
 # an empty sweep entry gives no cells, so nothing else would check the config
 reject empty-sweep avg-bench "$cube" '{}' '"sweep": {"epsilon": []}'

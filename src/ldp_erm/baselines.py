@@ -112,7 +112,7 @@ def glm_baseline(data, flavor) -> Tuple[np.ndarray, float]:
         return float(np.mean(flavor.scalar_loss(w @ yx_t)))
 
     def subgrad(w):
-        sg = np.asarray(flavor.scalar_subgrad(w @ yx_t), dtype=float)
+        sg = np.asarray(flavor.sampler.f_prime(w @ yx_t), dtype=float)
         return (yx_t @ sg) / n
 
     return projected_subgradient(objective, subgrad, x.shape[1])

@@ -29,8 +29,8 @@ from .errors import (ClippingWarning, ConfigurationError, EstimationError,
                      ParameterError, SampleSizeWarning)
 # iterated_basis_weights stays bound here: perfbench/spans.py traces the
 # name in this module as well as in polyapprox
-from .polyapprox import (BernsteinOperatorSpec, check_cube_points,
-                         contract_grid, fold_iterated, iterated_basis_pair,
+from .polyapprox import (BernsteinOperatorSpec, bernstein_basis_pair,
+                         check_cube_points, contract_grid, fold_iterated,
                          iterated_basis_weights, iterated_bernstein_eval)
 from .primitives import (ENCODE_BLOCK, PrivacyBudget, PublicRandomness,
                          check_onebit_epsilon, ldp_avg_1d, onebit_decode,
@@ -124,7 +124,7 @@ class BernsteinModel:
                 f"points have shape {ys.shape}, expected (m, {p})")
         check_cube_points(ys)
         m = len(ys)
-        ws, dws = iterated_basis_pair(k, 1, ys)
+        ws, dws = bernstein_basis_pair(k, ys)
         rows = np.tile(ws, (p + 1, 1, 1))
         for a in range(p):
             rows[(a + 1) * m:(a + 2) * m, a] = dws[:, a]

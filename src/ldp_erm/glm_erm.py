@@ -10,25 +10,24 @@ step, taking only as many steps as the solver's bound can use (see
 pass over a random permutation of the messages, so no message is used twice
 before every one has been used once.
 
-Every loss runs one gradient path; only its Bernstein coefficients differ.
-The hinge's come from the smoothed hinge derivative, and those of any other
-convex 1-Lipschitz scalar loss from the smoothed step averaged over the
-loss's kink-location measure (``general_linear_oracle_config``).
+Every loss runs one gradient path and one coefficient rule. A loss is its
+name, its value f and its derivative f' (``LossFlavor``), and its Bernstein
+coefficients are the smoothed step averaged over the kink-location measure
+of f' (``general_linear_oracle_config``); the hinge is the point-mass case.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .datasets import BallDataset
 from .errors import ConfigurationError, ParameterError, ProtocolError
 # sample_q_many is unused here: perfbench/spans.py wraps glm_erm.sample_q_many
-from .polyapprox import (SmoothedPlus, SubgradientSampler,
-                         bernstein_deriv_coeffs, hinge_prime,
-                         hinge_sampler, kink_locations, sample_q_many)
+from .polyapprox import (SmoothedPlus, SubgradientSampler, hinge_sampler,
+                         kink_locations, sample_q_many)
 from .primitives import PrivacyBudget
 from .sigm import SigmSchedule, sigm_run
 
@@ -91,21 +90,22 @@ def glm_player_encode(record: tuple, budget: PrivacyBudget, d: int,
                           body_x=body_x[0], body_y=body_y[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientOracleConfig:
     """Degree and Bernstein coefficients of a loss's gradient samples.
 
     ``coeffs`` is kept as a read-only float copy, and ``weights`` is
     read-only too, so a config ``glm_oracle`` hands to several callers
-    cannot be changed under them.
+    cannot be changed under them. Configs compare and hash by identity:
+    their fields are arrays.
     """
 
     d: int
     coeffs: np.ndarray
     # c_j C(d, j), the weight of product block j; derived from coeffs
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False)
     # the gradient-scalar kernel (see _block_products); derived
-    scalars: Callable = field(init=False, repr=False, compare=False)
+    scalars: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -120,12 +120,6 @@ class GradientOracleConfig:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "scalars",
                            _block_products(self.weights, self.d))
-
-
-def hinge_oracle_config(d: int, beta: float) -> GradientOracleConfig:
-    """Coefficients c_j = (smoothed hinge)'(j/d)."""
-    coeffs = bernstein_deriv_coeffs(SmoothedPlus(beta).deriv, d)
-    return GradientOracleConfig(d=d, coeffs=coeffs)
 
 
 def general_linear_oracle_config(d: int, beta: float,
@@ -144,8 +138,8 @@ def general_linear_oracle_config(d: int, beta: float,
     coefficients instead is a Rao-Blackwell step on that draw: no sample
     draws a kink, and the sample is unbiased for B_d[c](y<x, w>) y x, the
     kink-average of the Bernstein forms of the shifted steps. For the
-    hinge's point mass at 1/2 these are ``hinge_oracle_config``'s
-    coefficients up to rounding, and for an affine loss the constant slope.
+    hinge's point mass at 1/2 these are the smoothed hinge derivative at
+    j/d up to rounding, and for an affine loss the constant slope.
     """
     spread = sampler.upper - sampler.lower
     kinks = kink_locations(sampler, sampler.lower + spread * (
@@ -289,17 +283,18 @@ def noise_scale(cfg: GradientOracleConfig, budget: PrivacyBudget,
 
 @dataclass(frozen=True)
 class LossFlavor:
-    """A scalar loss with the pieces both the oracle and reporting need.
+    """A scalar loss f with the pieces both the oracle and reporting need.
 
-    ``scalar_loss`` and ``scalar_subgrad`` act on the margin y<w,x> and
-    must be vectorized; ``sampler``, the loss's kink-location measure, sets
-    the coefficients of every loss but the hinge (see ``glm_oracle``).
+    ``scalar_loss`` is f, acting on the margin y<w,x>, and must be
+    vectorized; ``sampler`` holds its derivative f' (``sampler.f_prime``,
+    vectorized too), whose kink-location measure sets the loss's
+    coefficients (see ``glm_oracle``) and which the non-private baseline
+    steps along.
     """
 
     name: str
     scalar_loss: Callable
-    scalar_subgrad: Callable
-    sampler: Optional[SubgradientSampler] = None
+    sampler: SubgradientSampler
 
 
 def _hinge_loss(t):
@@ -310,12 +305,12 @@ def _hinge_loss(t):
 # equal, equally hashed flavors, and ``glm_oracle``'s memo finds them.
 def hinge_flavor() -> LossFlavor:
     return LossFlavor(name="hinge", scalar_loss=_hinge_loss,
-                      scalar_subgrad=hinge_prime)
+                      sampler=hinge_sampler())
 
 
 def hinge_via_general_flavor() -> LossFlavor:
     return LossFlavor(name="general-linear", scalar_loss=_hinge_loss,
-                      scalar_subgrad=hinge_prime, sampler=hinge_sampler())
+                      sampler=hinge_sampler())
 
 
 @dataclass(frozen=True)
@@ -390,12 +385,7 @@ def glm_oracle(flavor: LossFlavor, target_alpha: float, budget: PrivacyBudget,
     beta = target_alpha / 4.0
     d_theory = max(1, math.ceil(2.0 / (beta ** 2 * target_alpha)))
     d = min(d_theory, d_cap)
-    if flavor.name == "hinge":
-        cfg = hinge_oracle_config(d, beta)
-    else:
-        if flavor.sampler is None:
-            raise ParameterError("general-linear flavor needs a sampler")
-        cfg = general_linear_oracle_config(d, beta, flavor.sampler)
+    cfg = general_linear_oracle_config(d, beta, flavor.sampler)
     sigma = noise_scale(cfg, budget, dim)
     if not math.isfinite(sigma):
         raise ConfigurationError(

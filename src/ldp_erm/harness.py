@@ -448,6 +448,10 @@ def _marginals_message(params: dict, dim: int) -> tuple:
         raise ConfigurationError(
             f"marginals take records of at most {MAX_BITS} bits; the dataset "
             f"has dim {dim}")
+    if params["k"] > dim:
+        raise ConfigurationError(
+            f"param 'k' = {params['k']} is above the dataset's dim {dim}: a "
+            f"marginal query selects k of the record's attributes")
     degree = build_or_polynomial(params["k"], params["gamma"]).degree
     return check_expansion_cap(dim, degree), 0
 

@@ -9,14 +9,14 @@ Four families live here:
 * Chebyshev polynomials T_n, by the three-term recurrence (cosh outside
   [-1, 1]), and the low-degree polynomial approximating OR on counts,
   which is built from the monomial coefficients of one T_d.
-* Smoothed surrogates for the hinge and plus functions and the Bernstein
-  coefficient grids of their derivatives.
+* The smoothed surrogate of the hinge, whose derivative, averaged over a
+  loss's kink locations, gives every GLM loss's Bernstein coefficients.
 * A sampler for the measure that writes a 1-Lipschitz convex loss as a
   mixture of absolute-value kinks plus an affine part.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -95,39 +95,35 @@ def _node_matrix(k: int) -> np.ndarray:
     return bernstein_basis_vector(k, nodes)
 
 
-def _iterate(k: int, h: int, base: np.ndarray) -> np.ndarray:
-    # sum_{i=1}^{h} C(h,i) (-1)^(i-1) base^T N^(i-1), one point at a time
-    if h == 1:
-        return base
-    mat = _node_matrix(k)
-    cur = base
-    acc = math.comb(h, 1) * cur
-    for i in range(2, h + 1):
-        # one vector-matrix product per point, so a point's weights do not
-        # depend on how many points share the call
-        cur = np.matmul(cur[..., None, :], mat)[..., 0, :]
-        acc = acc + (-1) ** (i - 1) * math.comb(h, i) * cur
-    return acc
-
-
 def iterated_basis_weights(k: int, h: int, x) -> np.ndarray:
     """Grid weights of the iterated operator along one axis.
 
-    Returns w with ``B^(h)(f; x) = sum_v w[v] f(v/k)``. The weights follow
-    from expanding ``I - (I - B_k)^h`` into powers of the one-step operator:
-    ``w(x) = sum_{i=1}^{h} C(h,i) (-1)^(i-1) b(x)^T N^(i-1)``. An array of
-    x gives x.shape + (k+1,).
+    Returns w with ``B^(h)(f; x) = sum_v w[v] f(v/k)``: w(x) = b(x)^T A,
+    the basis vector times the fold matrix A of ``_iterate_matrix``, by one
+    vector-matrix product per point, so a point's weights do not depend on
+    how many points share the call. At h = 1 they are the basis itself. An
+    array of x gives x.shape + (k+1,).
     """
-    return _iterate(k, h, bernstein_basis_vector(k, x))
+    base = bernstein_basis_vector(k, x)
+    if h == 1:
+        return base
+    return np.matmul(base[..., None, :], _iterate_matrix(k, h))[..., 0, :]
 
 
 @lru_cache(maxsize=64)
 def _iterate_matrix(k: int, h: int) -> np.ndarray:
-    # A = sum_{i=1}^{h} C(h,i) (-1)^(i-1) N^(i-1), the expansion applied to
-    # the identity, so that the iterated weights are w(x) = b(x)^T A
-    mat = _iterate(k, h, np.eye(k + 1))
-    mat.setflags(write=False)
-    return mat
+    """A = sum_{i=1}^{h} C(h,i) (-1)^(i-1) N^(i-1), the expansion of ``I -
+    (I - B_k)^h`` into powers of the one-step operator, whose node matrix
+    is N; read-only. Each power is formed row by row, one vector-matrix
+    product per row of the identity."""
+    mat = _node_matrix(k)
+    cur = np.eye(k + 1)
+    acc = h * cur
+    for i in range(2, h + 1):
+        cur = np.matmul(cur[:, None, :], mat)[:, 0, :]
+        acc = acc + (-1) ** (i - 1) * math.comb(h, i) * cur
+    acc.setflags(write=False)
+    return acc
 
 
 def fold_iterated(grid_values: np.ndarray, k: int, h: int) -> np.ndarray:
@@ -148,14 +144,6 @@ def fold_iterated(grid_values: np.ndarray, k: int, h: int) -> np.ndarray:
     for _ in range(grid_values.ndim):
         coeffs = np.tensordot(coeffs, mat, axes=([0], [1]))
     return coeffs
-
-
-def iterated_basis_pair(k: int, h: int, x) -> tuple:
-    """``iterated_basis_weights`` at x, bit for bit, and their derivative in
-    x, the same expansion with the basis vector replaced by its derivative,
-    from one run of the basis recurrence."""
-    base, deriv = bernstein_basis_pair(k, x)
-    return _iterate(k, h, base), _iterate(k, h, deriv)
 
 
 def contract_grid(grid_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -310,13 +298,6 @@ class SmoothedPlus:
         return float(out) if out.ndim == 0 else out
 
 
-def bernstein_deriv_coeffs(deriv: Callable, d: int) -> np.ndarray:
-    """Coefficient grid c_j = deriv(j/d), j = 0..d, for the degree-d form."""
-    if d < 1:
-        raise ParameterError(f"degree d must be >= 1, got {d}")
-    return np.asarray([float(deriv(j / d)) for j in range(d + 1)])
-
-
 # --- subgradient mixture sampler ---------------------------------------------
 
 
@@ -325,15 +306,17 @@ class SubgradientSampler:
     """Loss-derivative data for sampling the kink-location measure.
 
     ``f_prime`` is a non-decreasing (sub)derivative of a convex 1-Lipschitz
-    loss on [-1, 1]; ``lower`` and ``upper`` are its endpoint values
-    f'(-1) and f'(1).
+    loss on [-1, 1]; ``lower`` and ``upper`` are derived from it, its
+    endpoint values f'(-1) and f'(1).
     """
 
     f_prime: Callable
-    lower: float
-    upper: float
+    lower: float = field(init=False)
+    upper: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "lower", float(self.f_prime(-1.0)))
+        object.__setattr__(self, "upper", float(self.f_prime(1.0)))
         if self.upper < self.lower:
             raise ParameterError("endpoint derivatives must satisfy lower <= upper")
 
@@ -352,7 +335,7 @@ def hinge_sampler() -> SubgradientSampler:
     """The hinge's kink measure, a point mass at 1/2. Built from one
     module-level derivative, so every call gives an equal, equally hashed
     sampler."""
-    return SubgradientSampler(hinge_prime, -1.0, 0.0)
+    return SubgradientSampler(hinge_prime)
 
 
 def sample_q_many(sampler: SubgradientSampler, size: int,
@@ -371,7 +354,7 @@ def kink_locations(sampler: SubgradientSampler, u: np.ndarray) -> np.ndarray:
     """The maximal s in [-1, 1] with f'(s) <= u, elementwise, for uniform
     draws u of any shape; vectorized bisection to ~1e-14."""
     u = np.asarray(u, dtype=float)
-    at_top = u >= np.asarray(sampler.f_prime(1.0), dtype=float)
+    at_top = u >= sampler.upper
     lo = np.full(u.shape, -1.0)
     hi = np.ones(u.shape)
     for _ in range(48):

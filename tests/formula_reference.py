@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 
-from ldp_erm.polyapprox import (SubgradientSampler, chebyshev_eval,
-                                sample_q_many)
+from ldp_erm.polyapprox import (SmoothedPlus, SubgradientSampler,
+                                chebyshev_eval, sample_q_many)
 from ldp_erm.primitives import laplace_sum
 
 
@@ -49,7 +49,14 @@ def bernstein_poly_eval(coeffs: np.ndarray, x):
 def abs_sampler() -> SubgradientSampler:
     """Kink-measure data of |x|: a point mass at 0."""
     fp = lambda x: np.where(np.asarray(x, dtype=float) < 0.0, -1.0, 1.0)
-    return SubgradientSampler(fp, -1.0, 1.0)
+    return SubgradientSampler(fp)
+
+
+def hinge_coeffs(d: int, beta: float) -> np.ndarray:
+    """The hinge's closed-form degree-d Bernstein coefficients c_j =
+    (smoothed hinge)'(j/d), j = 0..d: the point mass at 1/2 of the
+    kink-measure rule, taken exactly."""
+    return SmoothedPlus(beta).deriv(np.arange(d + 1) / d)
 
 
 def lemma40_reconstruct(sampler: SubgradientSampler, theta: float, m: int,

@@ -1,6 +1,7 @@
 """Reference computations the tests check ``ldp_erm`` against: the
 exhaustive grid minimiser, the cross-check for the gradient-based solvers,
-and the grid protocols' estimates from each player's full loss vector."""
+the pointwise expansion of the iterated Bernstein operator, and the grid
+protocols' estimates from each player's full loss vector."""
 
 import math
 from typing import Callable, Tuple
@@ -10,6 +11,7 @@ import numpy as np
 from formula_reference import laplace_means
 from ldp_erm.bernstein_erm import grid_points
 from ldp_erm.errors import ParameterError
+from ldp_erm.polyapprox import bernstein_basis_pair, bernstein_basis_vector
 from ldp_erm.primitives import (PublicRandomness, onebit_decode,
                                 onebit_encode_many)
 from ldp_erm.rng import TAG_BITS, TAG_PARTITION, derived_rng
@@ -41,6 +43,23 @@ def dense_grid_minimize(objective_many: Callable, dim: int,
         if vals[i] < best_f:
             best_w, best_f = block[i].copy(), float(vals[i])
     return best_w, best_f
+
+
+def pointwise_iterated_pair(k: int, h: int, x) -> tuple:
+    """The iterated operator's grid weights at x and their derivative in x,
+    each by expanding ``I - (I - B_k)^h`` at the point: sum_{i=1}^{h}
+    C(h,i) (-1)^(i-1) v^T N^(i-1), for v the basis vector and then its
+    derivative, with N[u, v] = b_v(u/k). The fold identity w(x) = b(x)^T A
+    is checked against this; at h = 1 it is the basis pair, bit for bit."""
+    nodes = bernstein_basis_vector(k, np.arange(k + 1) / k)
+
+    def expand(base):
+        cur, acc = base, h * base
+        for i in range(2, h + 1):
+            cur = cur @ nodes
+            acc = acc + (-1) ** (i - 1) * math.comb(h, i) * cur
+        return acc
+    return tuple(expand(v) for v in bernstein_basis_pair(k, x))
 
 
 def player_losses(term: Callable, spec, rows: np.ndarray) -> np.ndarray:

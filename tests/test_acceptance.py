@@ -14,16 +14,16 @@ import numpy as np
 import pytest
 
 from formula_reference import (abs_sampler, bernstein_poly_eval,
-                               laplace_logpdf, lemma40_reconstruct)
+                               hinge_coeffs, laplace_logpdf,
+                               lemma40_reconstruct)
 from ldp_erm.baselines import glm_baseline
 from ldp_erm.bernstein_erm import CubeDataset, alg2_run, alg3_run
 from ldp_erm.datasets import generate_dataset
 from ldp_erm.errors import SampleSizeWarning
-from ldp_erm.glm_erm import (_encode_population, _fold,
+from ldp_erm.glm_erm import (GradientOracleConfig, _encode_population, _fold,
                              general_linear_oracle_config, glm_erm_run,
-                             glm_player_encode, hinge_flavor,
-                             hinge_gradient_sample, hinge_oracle_config,
-                             hinge_via_general_flavor)
+                             glm_oracle, glm_player_encode, hinge_flavor,
+                             hinge_gradient_sample, hinge_via_general_flavor)
 from ldp_erm.harness import (ExperimentConfig, grid_loss_excess, load_config,
                              make_grid_loss, run_experiment, _gaussian_kernel)
 from ldp_erm.polyapprox import (BernsteinOperatorSpec, SmoothedPlus,
@@ -264,8 +264,9 @@ def test_criterion_07_glm_oracles():
     d, beta = 2, 0.25
     reps = 100_000
 
-    # hinge path unbiasedness at 1e5 replays
-    cfg_h = hinge_oracle_config(d, beta)
+    # hinge path unbiasedness at 1e5 replays, at the hinge's own oracle
+    # (beta = alpha/4 at alpha = 1, degree capped at d)
+    cfg_h = glm_oracle(hinge_flavor(), 4.0 * beta, budget, 3, d)[0]
     x = np.array([0.6, -0.3, 0.2])
     y_lab = 0.8
     w = np.array([0.4, 0.4, -0.1])
@@ -288,7 +289,7 @@ def test_criterion_07_glm_oracles():
 
     # general-loss unbiasedness (x^2/2 loss; kink distribution averaged
     # into the coefficients) at 1e5 replays
-    ident = SubgradientSampler(lambda t: np.asarray(t, dtype=float), -1.0, 1.0)
+    ident = SubgradientSampler(lambda t: np.asarray(t, dtype=float))
     cfg_g = general_linear_oracle_config(d, beta, ident)
     want_g = bernstein_poly_eval(cfg_g.coeffs, u) * y_lab * x
     margins, heads = replayed(derived_rng(2008))
@@ -300,7 +301,7 @@ def test_criterion_07_glm_oracles():
     # zero-noise Bernstein-gradient bias bound 1/(beta^2 d) at 100 points
     bias_beta, bias_d = 0.25, 4
     sp = SmoothedPlus(bias_beta)
-    cfg_b = hinge_oracle_config(bias_d, bias_beta)
+    cfg_b = GradientOracleConfig(bias_d, hinge_coeffs(bias_d, bias_beta))
     bound = 1.0 / (bias_beta ** 2 * bias_d)
     rng = derived_rng(2009)
     worst_bias = 0.0
@@ -315,10 +316,11 @@ def test_criterion_07_glm_oracles():
         worst_bias = max(worst_bias, bias * abs(yb) * np.linalg.norm(xb))
     assert worst_bias <= bound
 
-    # the hinge's kink measure reproduces the hinge config at zero noise
+    # the hinge's kink measure reproduces its closed-form coefficients at
+    # zero noise
     noiseless = PrivacyBudget(epsilon=float("inf"))
     gen_h = general_linear_oracle_config(3, beta, hinge_sampler())
-    ded_h = hinge_oracle_config(3, beta)
+    ded_h = GradientOracleConfig(3, hinge_coeffs(3, beta))
     rng = derived_rng(2010)
     worst_agree = 0.0
     for _ in range(20):
@@ -341,7 +343,7 @@ def test_criterion_08_kink_mixture_reconstruction():
     finish = _budgeted(60)
     rng = derived_rng(2011)
     thetas = np.linspace(-1.0, 1.0, 11)
-    ident = SubgradientSampler(lambda t: np.asarray(t, dtype=float), -1.0, 1.0)
+    ident = SubgradientSampler(lambda t: np.asarray(t, dtype=float))
     cases = [
         (hinge_sampler(), lambda t: max(0.0, 0.5 - t), 0.5),
         (abs_sampler(), abs, 0.0),

@@ -16,10 +16,9 @@ from ldp_erm.errors import (ClippingWarning, ConfigurationError,
                             EstimationError, ParameterError,
                             SampleSizeWarning)
 from grid_reference import (per_cell_onebit_means, per_player_grid_means,
-                            player_losses)
+                            player_losses, pointwise_iterated_pair)
 from ldp_erm.harness import GRID_LOSSES, grid_loss_excess, make_grid_loss
-from ldp_erm.polyapprox import (BernsteinOperatorSpec, contract_grid,
-                                iterated_basis_pair)
+from ldp_erm.polyapprox import BernsteinOperatorSpec, contract_grid
 from ldp_erm.primitives import PrivacyBudget
 from ldp_erm.rng import derived_rng
 from trial_messages import trial_messages
@@ -375,9 +374,9 @@ def test_model_rows_equal_one_row_calls():
 
 
 def _contracted(grid, k, h, ys):
-    """Values and gradients from the iterated weights and their derivatives
-    on ``grid``, with one contraction per number."""
-    ws, dws = iterated_basis_pair(k, h, ys)
+    """Values and gradients from the pointwise iterated weights and their
+    derivatives on ``grid``, with one contraction per number."""
+    ws, dws = pointwise_iterated_pair(k, h, ys)
     cols = []
     for a in range(ws.shape[1]):
         rows = ws.copy()

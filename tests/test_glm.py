@@ -6,16 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from formula_reference import abs_sampler, bernstein_poly_eval
+from formula_reference import abs_sampler, bernstein_poly_eval, hinge_coeffs
 from ldp_erm.datasets import generate_dataset
 from ldp_erm.errors import ParameterError, ProtocolError
 from ldp_erm import glm_erm
-from ldp_erm.glm_erm import (BallDataset, LossFlavor, ReplicaMessage,
-                             _binom_row, _block_products, _encode_population,
-                             _fold, _gradient_variance, empirical_risk,
-                             general_linear_oracle_config, glm_erm_run,
-                             glm_oracle, glm_player_encode, hinge_flavor,
-                             hinge_gradient_sample, hinge_oracle_config,
+from ldp_erm.glm_erm import (BallDataset, GradientOracleConfig, LossFlavor,
+                             ReplicaMessage, _binom_row, _block_products,
+                             _encode_population, _fold, _gradient_variance,
+                             empirical_risk, general_linear_oracle_config,
+                             glm_erm_run, glm_oracle, glm_player_encode,
+                             hinge_flavor, hinge_gradient_sample,
                              hinge_via_general_flavor, noise_scale,
                              replica_noise_stds, solver_batches)
 from ldp_erm.polyapprox import SmoothedPlus, SubgradientSampler, hinge_sampler
@@ -28,14 +28,13 @@ NOISELESS = PrivacyBudget(epsilon=float("inf"))
 LOG_TERM = math.log(1.25e5)  # log(1.25/delta) at delta = 1e-5
 # the kink data of x^2/2: f' = t, so its kink locations are spread
 # uniformly over [-1, 1], unlike the point masses of the hinge and |.|
-IDENTITY = SubgradientSampler(lambda t: np.asarray(t, dtype=float), -1.0, 1.0)
+IDENTITY = SubgradientSampler(lambda t: np.asarray(t, dtype=float))
 # (1 - t)^2/4 has the same uniform kink locations, but unlike x^2/2, whose
 # surrogate gradient vanishes at w = 0 where the solver starts, it moves
 QUADRATIC_FLAVOR = LossFlavor(
     name="general-linear", scalar_loss=lambda t: 0.25 * np.square(1.0 - t),
-    scalar_subgrad=lambda t: 0.5 * (np.asarray(t, dtype=float) - 1.0),
     sampler=SubgradientSampler(
-        lambda t: 0.5 * (np.asarray(t, dtype=float) - 1.0), -1.0, 0.0))
+        lambda t: 0.5 * (np.asarray(t, dtype=float) - 1.0)))
 # the mean over 4001 points, ends included, is within 2/4001 of the
 # kink-location integral, and the midpoint rule closer still
 TOL_QUADRATIC = 1e-3
@@ -120,7 +119,7 @@ def test_encode_player_draw_order():
 
 def test_hinge_sample_d1_expansion():
     beta = 0.3
-    cfg = hinge_oracle_config(1, beta)
+    cfg = GradientOracleConfig(1, hinge_coeffs(1, beta))
     rng = derived_rng(3)
     for _ in range(10):
         x, y = _record(rng)
@@ -161,7 +160,7 @@ def test_replica_products_match_per_block_form():
 
 
 def test_hinge_sample_zero_label():
-    cfg = hinge_oracle_config(2, 0.25)
+    cfg = GradientOracleConfig(2, hinge_coeffs(2, 0.25))
     msg = glm_player_encode((np.array([0.5, 0.1]), 0.0), NOISELESS, 2,
                             derived_rng(4))
     assert np.array_equal(hinge_gradient_sample(np.array([0.3, 0.3]), msg, cfg),
@@ -169,7 +168,7 @@ def test_hinge_sample_zero_label():
 
 
 def test_replica_count_mismatch_rejected():
-    cfg = hinge_oracle_config(3, 0.25)
+    cfg = GradientOracleConfig(3, hinge_coeffs(3, 0.25))
     msg = glm_player_encode((np.array([0.5]), 0.5), NOISELESS, 2, derived_rng(5))
     with pytest.raises(ProtocolError):
         hinge_gradient_sample(np.array([0.5]), msg, cfg)
@@ -179,7 +178,7 @@ def test_gradient_affine_in_each_replica():
     # freshness: every body replica enters exactly one product factor, so
     # the sample is affine in any single replica's contribution
     d = 3
-    cfg = hinge_oracle_config(d, 0.25)
+    cfg = GradientOracleConfig(d, hinge_coeffs(d, 0.25))
     rng = derived_rng(6)
     x, y = _record(rng)
     w = rng.normal(size=3)
@@ -200,7 +199,7 @@ def test_gradient_affine_in_each_replica():
 def test_hinge_unbiased_monte_carlo():
     budget = PrivacyBudget(epsilon=1.0, delta=1e-5)
     d, beta = 2, 0.25
-    cfg = hinge_oracle_config(d, beta)
+    cfg = GradientOracleConfig(d, hinge_coeffs(d, beta))
     rng = derived_rng(7)
     x = np.array([0.6, -0.3, 0.2])
     y = 0.8
@@ -243,7 +242,7 @@ def test_general_affine_loss_degenerate():
     # f'(-1) == f'(1): every coefficient is the slope, and the Bernstein
     # basis sums to one
     cfg = general_linear_oracle_config(
-        2, 0.25, SubgradientSampler(lambda x: 0.3, 0.3, 0.3))
+        2, 0.25, SubgradientSampler(lambda x: 0.3))
     assert np.array_equal(cfg.coeffs, np.full(3, 0.3))
     rng = derived_rng(9)
     x, y = np.array([0.5, -0.5]), 0.9
@@ -254,7 +253,7 @@ def test_general_affine_loss_degenerate():
 
 def test_hinge_via_general_collapses_onto_hinge():
     beta, d = 0.25, 3
-    hinge_cfg = hinge_oracle_config(d, beta)
+    hinge_cfg = GradientOracleConfig(d, hinge_coeffs(d, beta))
     gen_cfg = general_linear_oracle_config(d, beta, hinge_sampler())
     rng = derived_rng(10)
     for _ in range(20):
@@ -294,6 +293,23 @@ def test_glm_oracle_is_memoised_and_read_only():
     assert cfg.coeffs[0] == 0.1
 
 
+@pytest.mark.parametrize("eps, d_cap", [(1.0, 2), (50.0, 2), (2.0, 8)])
+def test_hinge_and_general_linear_oracles_agree_bitwise(eps, d_cap):
+    # one coefficient rule: the hinge is its kink measure's point mass
+    budget = PrivacyBudget(epsilon=eps, delta=1e-5)
+    hinge = glm_oracle(hinge_flavor(), 1.0, budget, 5, d_cap)
+    general = glm_oracle(hinge_via_general_flavor(), 1.0, budget, 5, d_cap)
+    assert hinge[0].coeffs.tobytes() == general[0].coeffs.tobytes()
+    assert hinge[1:] == general[1:]
+
+
+def test_oracle_configs_compare_and_hash_by_identity():
+    cfg = GradientOracleConfig(3, hinge_coeffs(3, 0.25))
+    twin = GradientOracleConfig(3, hinge_coeffs(3, 0.25))
+    assert cfg == cfg and cfg != twin
+    assert len({cfg, twin, cfg}) == 2  # hashable
+
+
 def test_general_linear_coefficients():
     # c_j = f'(-1) + (f'(1) - f'(-1)) E_s[step(j/d - s + 1/2)], checked
     # against references that find no kink locations
@@ -301,8 +317,8 @@ def test_general_linear_coefficients():
         for d in range(1, 9):
             j = np.arange(d + 1) / d
             hinge = general_linear_oracle_config(d, beta, hinge_sampler())
-            assert np.max(np.abs(hinge.coeffs - hinge_oracle_config(
-                d, beta).coeffs)) <= 1e-12
+            assert np.max(np.abs(hinge.coeffs
+                                 - hinge_coeffs(d, beta))) <= 1e-12
             # |.|: the point mass at 0
             absolute = general_linear_oracle_config(d, beta, abs_sampler())
             assert np.max(np.abs(absolute.coeffs - (
@@ -338,7 +354,7 @@ def test_general_unbiased_monte_carlo():
 def test_zero_noise_gradient_bias_bound():
     beta, d = 0.25, 4
     sp = SmoothedPlus(beta)
-    cfg = hinge_oracle_config(d, beta)
+    cfg = GradientOracleConfig(d, hinge_coeffs(d, beta))
     rng = derived_rng(12)
     bound = 1.0 / (beta ** 2 * d)
     for _ in range(100):
@@ -471,7 +487,7 @@ def test_noise_scale_matches_monte_carlo(quadratic, d, eps):
     # the production sample of one record, encoded 200k times, at the grid
     # point where the closed-form variance peaks: its std is sigma
     cfg = (general_linear_oracle_config(d, 0.25, IDENTITY) if quadratic
-           else hinge_oracle_config(d, 0.25))
+           else GradientOracleConfig(d, hinge_coeffs(d, 0.25)))
     budget, dim, reps = PrivacyBudget(epsilon=eps, delta=1e-5), 3, 200_000
     ys, vs = glm_erm.NOISE_GRID
     variance = _gradient_variance(cfg, budget, dim, ys, vs)
@@ -500,8 +516,7 @@ def test_empirical_risk_matches_direct_mean():
 # 0.3 t: f'(-1) == f'(1), so every coefficient is the slope 0.3
 AFFINE_FLAVOR = LossFlavor(
     name="general-linear", scalar_loss=lambda t: 0.3 * np.asarray(t),
-    scalar_subgrad=lambda t: np.full(np.shape(t), 0.3),
-    sampler=SubgradientSampler(lambda t: np.full(np.shape(t), 0.3), 0.3, 0.3))
+    sampler=SubgradientSampler(lambda t: np.full(np.shape(t), 0.3)))
 
 
 def _unfolded_scalars(margins, cfg):

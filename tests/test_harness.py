@@ -670,12 +670,22 @@ def test_worker_count_does_not_change_results(tmp_path, mechanism, dataset,
     assert open(a.report_path, "rb").read() == open(b.report_path, "rb").read()
 
 
+def _bits_file(tmp_path, n, dim):
+    # a file's dim is known only when it is read, so a marginal order k
+    # above it passes the config check and fails each trial
+    path = tmp_path / "bits.csv"
+    rows = (derived_rng(1).random((n, dim)) < 0.3).astype(int)
+    np.savetxt(path, rows, fmt="%d", delimiter=",")
+    return str(path)
+
+
 def test_partial_failures_recorded(tmp_path):
-    # k=12 > p=8 passes config validation but fails inside the release;
-    # the sweep must keep going and record the error per row
+    # k=12 > p=8 in a file passes config validation but fails the trial's
+    # data check; the sweep must keep going and record the error per row
     cfg = ExperimentConfig(
         mechanism="marginals",
-        dataset={"family": "bernoulli-bits", "n": 500, "dim": 8, "q": 0.3},
+        dataset={"family": "file", "path": _bits_file(tmp_path, 500, 8),
+                 "kind": "binary"},
         params={"gamma": 0.2, "epsilon": 2.0},
         sweep={"k": [2, 12]}, trials=2, seed=1, out=str(tmp_path / "run"))
     with warnings.catch_warnings():
@@ -689,8 +699,8 @@ def test_partial_failures_recorded(tmp_path):
     for row in rows:
         by_status.setdefault(row["status"], []).append(row)
     assert len(by_status["ok"]) == 2
-    assert len(by_status["ParameterError"]) == 2
-    assert "k=12" in by_status["ParameterError"][0]["error"]
+    assert len(by_status["ConfigurationError"]) == 2
+    assert "'k' = 12" in by_status["ConfigurationError"][0]["error"]
 
 
 @pytest.mark.parametrize("mechanism", ["hinge", "general-linear"])
@@ -1149,6 +1159,9 @@ _BAD_INPUT = {
     # at t = 448 it is above the cap
     "config104-argv104": (_SMOOTH_CONFIG, ["--set", "dataset.dim=1",
                                            "--set", "params.t=448"]),
+    # a query selects k of the dim attributes, so k = 4 at dim 3 is refused
+    "config105-argv105": (_MARGINALS_CONFIG, ["--set", "dataset.dim=3",
+                                              "--set", "params.k=4"]),
 }
 
 
@@ -1344,7 +1357,8 @@ def test_dataset_sweep_checks_every_spec():
                      sweep={"n": [10, 20]})
     with pytest.raises(ConfigurationError, match="'q'"):
         ExperimentConfig(mechanism="marginals",
-                         dataset={"family": "bernoulli-bits", "n": 10},
+                         dataset={"family": "bernoulli-bits", "n": 10,
+                                  "dim": 2},
                          sweep={"q": [0.3, 1.5]})
     with pytest.raises(ConfigurationError, match="missing 'n'"):
         ExperimentConfig(mechanism="avg-bench",
@@ -1454,7 +1468,8 @@ def test_cli_failures_are_exit_3(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "mechanism": "marginals",
-        "dataset": {"family": "bernoulli-bits", "n": 100, "dim": 4, "q": 0.3},
+        "dataset": {"family": "file", "path": _bits_file(tmp_path, 100, 4),
+                    "kind": "binary"},
         "params": {"k": 9, "gamma": 0.2, "epsilon": 1.0},
         "trials": 1, "seed": 0}))
     code = cli.main(["marginals", "--config", str(path),

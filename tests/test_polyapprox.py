@@ -11,13 +11,14 @@ from chebyshev_reference import (ChebyshevSeries, chebyshev_branches,
                                  chebyshev_recurrence, chebyshev_series_fit)
 from formula_reference import (abs_sampler, bernstein_poly_eval,
                                lemma40_reconstruct)
+from grid_reference import pointwise_iterated_pair
 from ldp_erm.errors import ParameterError
 from ldp_erm.polyapprox import (BernsteinOperatorSpec, SmoothedPlus,
-                                SubgradientSampler, _iterate,
+                                SubgradientSampler, _iterate_matrix,
                                 bernstein_basis_pair, bernstein_basis_vector,
-                                bernstein_deriv_coeffs, build_or_polynomial,
-                                chebyshev_eval, hinge_sampler,
-                                iterated_basis_pair, iterated_basis_weights,
+                                build_or_polynomial, chebyshev_eval,
+                                hinge_prime, hinge_sampler,
+                                iterated_basis_weights,
                                 iterated_bernstein_eval, sample_q_many)
 from ldp_erm.rng import derived_rng
 
@@ -112,12 +113,13 @@ def test_batched_weights_rows_equal_scalar_calls():
     xs = np.concatenate([[0.0, 1.0, 0.5], derived_rng(8).random(17)])
     for k in (1, 4, 8):
         for h in (1, 2, 3):
-            for half in (0, 1):  # the weights, then their derivative
-                rows = iterated_basis_pair(k, h, xs)[half]
+            # the weights, then the basis derivative
+            for at in (lambda x: iterated_basis_weights(k, h, x),
+                       lambda x: bernstein_basis_pair(k, x)[1]):
+                rows = at(xs)
                 assert rows.shape == (len(xs), k + 1)
                 for x, row in zip(xs, rows):
-                    want = iterated_basis_pair(k, h, float(x))[half]
-                    assert np.array_equal(row, want)
+                    assert np.array_equal(row, at(float(x)))
         grid = iterated_basis_weights(k, 2, xs.reshape(4, 5, 1))
         assert grid.shape == (4, 5, 1, k + 1)
         assert np.array_equal(grid.reshape(len(xs), k + 1),
@@ -148,14 +150,17 @@ def test_basis_pair_equals_separate_calls_bit_for_bit(k, h):
         assert base.tobytes() == want.tobytes()
         assert bernstein_basis_vector(k, x).tobytes() == want.tobytes()
         assert deriv.tobytes() == want_deriv.tobytes()
-        ws, dws = iterated_basis_pair(k, h, x)
-        assert ws.shape == dws.shape == x.shape + (k + 1,)
-        assert ws.tobytes() == iterated_basis_weights(k, h, x).tobytes()
-        # the weights' expansion of the reference derivative basis
-        assert dws.tobytes() == _iterate(k, h, want_deriv).tobytes()
+        ws = iterated_basis_weights(k, h, x)
+        assert ws.shape == x.shape + (k + 1,)
         if h == 1:
             assert ws.tobytes() == want.tobytes()
-            assert dws.tobytes() == want_deriv.tobytes()
+            continue
+        # b(x)^T A by one vector-matrix product per point, and the
+        # pointwise expansion of I - (I - B_k)^h up to rounding
+        folded = np.matmul(want[..., None, :], _iterate_matrix(k, h))
+        assert ws.tobytes() == folded[..., 0, :].tobytes()
+        pointwise = pointwise_iterated_pair(k, h, x)[0]
+        assert np.max(np.abs(ws - pointwise)) <= 1e-13
 
 
 def test_batched_eval_matches_points_and_validates():
@@ -312,12 +317,12 @@ def test_smoothed_plus_derivative_fd():
 def test_deriv_coeffs_bounded_and_converging():
     sp = SmoothedPlus(0.25)
     xs = np.linspace(0, 1, 2001)
-    # the hinge path's coefficients, and the general path's smoothed step
-    # (the same plus one), whose coefficients lie in [0, 1]
+    # the hinge's closed-form coefficients, and those of the smoothed step
+    # (the same plus one) the kink measure averages, which lie in [0, 1]
     for deriv, low in ((sp.deriv, -1.0), (lambda x: sp.deriv(x) + 1.0, 0.0)):
         errs = {}
         for d in (8, 16):
-            coeffs = bernstein_deriv_coeffs(deriv, d)
+            coeffs = deriv(np.arange(d + 1) / d)
             assert np.max(np.abs(coeffs)) <= 1.0 and np.all(coeffs >= low)
             errs[d] = np.max(np.abs(bernstein_poly_eval(coeffs, xs)
                                     - deriv(xs)))
@@ -326,12 +331,26 @@ def test_deriv_coeffs_bounded_and_converging():
 
 
 def test_constant_coeffs_reproduce_constant():
-    coeffs = bernstein_deriv_coeffs(lambda x: np.full_like(np.asarray(x, dtype=float), -0.5), 6)
+    coeffs = np.full(7, -0.5)
     xs = np.linspace(0, 1, 101)
     assert np.max(np.abs(bernstein_poly_eval(coeffs, xs) + 0.5)) < 1e-12
 
 
 # --- kink sampling ---------------------------------------------------------------
+
+
+def test_sampler_endpoints_come_from_the_derivative():
+    # lower and upper are f'(-1) and f'(1), not inputs
+    for fp, lower, upper in ((hinge_prime, -1.0, 0.0),
+                             (lambda x: 0.5 * (np.asarray(x) - 1.0),
+                              -1.0, 0.0),
+                             (lambda x: 0.3, 0.3, 0.3)):
+        sampler = SubgradientSampler(fp)
+        assert (sampler.lower, sampler.upper) == (lower, upper)
+        assert sampler.degenerate == (lower == upper)
+    # a decreasing f' is not the derivative of a convex loss
+    with pytest.raises(ParameterError, match="lower <= upper"):
+        SubgradientSampler(lambda x: -np.asarray(x, dtype=float))
 
 
 def test_sampler_point_masses():
@@ -343,7 +362,7 @@ def test_sampler_point_masses():
 
 
 def test_sampler_identity_derivative_uniform():
-    ident = SubgradientSampler(lambda x: np.asarray(x, dtype=float), -1.0, 1.0)
+    ident = SubgradientSampler(lambda x: np.asarray(x, dtype=float))
     draws = np.sort(sample_q_many(ident, 100_000, derived_rng(7)))
     cdf = (draws + 1.0) / 2.0
     ks = np.max(np.abs(cdf - (np.arange(1, draws.size + 1) / draws.size)))
@@ -353,13 +372,13 @@ def test_sampler_identity_derivative_uniform():
 def test_sampler_piecewise_linear_pushforward():
     # f'(x) = clip(2x, -1, 1): kink measure is uniform on [-1/2, 1/2]
     fp = lambda x: np.clip(2.0 * np.asarray(x, dtype=float), -1.0, 1.0)
-    sampler = SubgradientSampler(fp, -1.0, 1.0)
+    sampler = SubgradientSampler(fp)
     draws = sample_q_many(sampler, 100_000, derived_rng(8))
     hist, edges = np.histogram(draws, bins=20, range=(-0.5, 0.5))
     tv = 0.5 * np.sum(np.abs(hist / draws.size - 1.0 / 20))
     assert tv <= 0.02
     with pytest.raises(ParameterError):
-        sample_q_many(SubgradientSampler(lambda x: 0.3, 0.3, 0.3), 5, derived_rng(0))
+        sample_q_many(SubgradientSampler(lambda x: 0.3), 5, derived_rng(0))
 
 
 def test_lemma40_reconstruction():
@@ -373,7 +392,7 @@ def test_lemma40_reconstruction():
         got = lemma40_reconstruct(abs_sampler(), theta, 100_000, rng,
                                   anchor_value=0.0, anchor_point=0.0)
         assert abs(got - abs(theta)) < 0.01
-    ident = SubgradientSampler(lambda x: np.asarray(x, dtype=float), -1.0, 1.0)
+    ident = SubgradientSampler(lambda x: np.asarray(x, dtype=float))
     for theta in thetas:
         got = lemma40_reconstruct(ident, theta, 100_000, rng,
                                   anchor_value=0.0, anchor_point=0.0)
@@ -381,7 +400,7 @@ def test_lemma40_reconstruction():
 
 
 def test_lemma40_affine_exact():
-    aff = SubgradientSampler(lambda x: 0.3, 0.3, 0.3)
+    aff = SubgradientSampler(lambda x: 0.3)
     for theta in (-1.0, 0.2, 1.0):
         got = lemma40_reconstruct(aff, theta, 1, derived_rng(0),
                                   anchor_value=1.0, anchor_point=0.0)
