@@ -24,8 +24,11 @@
 # mechanism, one per synthetic family, an unknown top-level key, an empty
 # sweep entry, a GLM delta of 0, a GLM degree whose replica products
 # overflow, 65-bit marginals records, a marginals k above the records'
-# dim and a smooth-query t whose t x t coefficient transform is above the
-# cap) does not exit 2 with a configuration error and no traceback.
+# dim, a smooth-query t whose t x t coefficient transform is above the
+# cap, a one-bit grid with more points than players and a grid at dim 18,
+# where even k = 1 is above the cap) does not exit 2 with a configuration
+# error and no traceback, or if the dim-18 error does not say that no k
+# fits there.
 set -euo pipefail
 venv="$1"
 mkdir -p "$2"
@@ -147,3 +150,15 @@ reject glm-overflow hinge "$ball" '{"d_cap": 24}'
 # at p = 1 the t x t coefficient transform is the larger table
 reject smooth-transform smooth-queries \
   '{"family": "gaussian-ball-clipped", "n": 2000, "dim": 1}' '{"t": 448}'
+# 8 players cannot fill the 9 cells of the one-bit grid
+reject onebit-too-few-players onebit \
+  '{"family": "uniform-cube", "n": 8, "dim": 2}' '{"k": 2}'
+# 2^18 grid points are above the cap, so the grid protocols stop at dim 17
+reject bernstein-dim18 bernstein \
+  '{"family": "uniform-cube", "n": 2000, "dim": 18}' '{"k": 1}'
+if ! grep -q "no k fits at p = 18; the grid protocols run at p <= 17" \
+    bernstein-dim18.err; then
+  echo "bernstein-dim18: the cap's message does not say that no k fits" >&2
+  cat bernstein-dim18.err >&2
+  exit 1
+fi

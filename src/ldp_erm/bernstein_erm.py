@@ -30,18 +30,17 @@ from .errors import (ClippingWarning, ConfigurationError, EstimationError,
 # iterated_basis_weights stays bound here: perfbench/spans.py traces the
 # name in this module as well as in polyapprox
 from .polyapprox import (BernsteinOperatorSpec, bernstein_basis_pair,
-                         check_cube_points, contract_grid, fold_iterated,
-                         iterated_basis_weights, iterated_bernstein_eval)
-from .primitives import (ENCODE_BLOCK, PrivacyBudget, PublicRandomness,
-                         check_onebit_epsilon, ldp_avg_1d, onebit_decode,
-                         onebit_encode_many)
+                         contract_grid, fold_iterated, iterated_basis_weights,
+                         iterated_bernstein_eval)
+from .primitives import (CAP, ENCODE_BLOCK, PrivacyBudget, PublicRandomness,
+                         check_onebit_epsilon, check_values, ldp_avg_1d,
+                         onebit_decode, onebit_encode_many)
 from .rng import TAG_BITS, TAG_PARTITION, derived_rng
 
 # term(x, theta) -> the loss term of coordinate values x at parameter
 # values theta, elementwise over the broadcast arrays, in [0, 1]
 GridLoss = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-GRID_CAP = 200_000  # most grid points a protocol evaluates per player
 STARTS = 32  # the surrogate minimiser's low-discrepancy starts
 GD_ITERS = 120  # its descent iterations per start
 
@@ -65,18 +64,34 @@ def grid_points(k: int, p: int) -> np.ndarray:
 
 
 def check_grid_size(k: int, p: int) -> int:
-    """The grid's (k+1)^p point count; rejects p above ``MAX_DIM`` and a
-    count above ``GRID_CAP``."""
-    check_grid_dim(p)
+    """The grid's (k+1)^p point count; rejects a count above ``CAP``, which
+    is also the grid protocols' only dimension limit: above p = 17 even
+    k = 1 is over it."""
     size = (k + 1) ** p
-    if size > GRID_CAP:
-        max_k = int(round(GRID_CAP ** (1.0 / p))) - 1
+    if size > CAP:
+        # the largest side r with r^p <= CAP, walked down in integers from
+        # the rounded float root, which is at least r
+        side = round(CAP ** (1.0 / p))
+        while side ** p > CAP:
+            side -= 1
+        fits = (f"at p = {p} the largest supported k is {side - 1} — lower k "
+                f"(cost per player grows with the grid while accuracy needs "
+                f"n to grow like the grid squared)" if side > 1 else
+                f"no k fits at p = {p}; the grid protocols run at "
+                f"p <= {CAP.bit_length() - 1}")
         raise ConfigurationError(
-            f"grid needs (k+1)^p = {size} points, above the cap {GRID_CAP}; "
-            f"at p = {p} the largest supported k is {max_k} — lower k (cost "
-            f"per player grows with the grid while accuracy needs n to grow "
-            f"like the grid squared)"
-        )
+            f"grid needs (k+1)^p = {size} points, above the cap {CAP}; {fits}")
+    return size
+
+
+def check_cells_filled(n: int, k: int, p: int) -> int:
+    """The grid's point count; ``EstimationError`` if n players cannot give
+    every point a cell, as the one-bit run needs n >= (k+1)^p."""
+    size = check_grid_size(k, p)
+    if n < size:
+        raise EstimationError(
+            f"{n} players cannot fill {size} grid points; the one-bit run "
+            f"needs n >= (k+1)^p")
     return size
 
 
@@ -95,6 +110,7 @@ class BernsteinModel:
     coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_grid_size(self.spec.k, self.spec.p)
         expect = (self.spec.k + 1,) * self.spec.p
         if self.grid_values.shape != expect:
             raise ParameterError(
@@ -122,7 +138,7 @@ class BernsteinModel:
         if ys.ndim != 2 or ys.shape[1] != p:
             raise ParameterError(
                 f"points have shape {ys.shape}, expected (m, {p})")
-        check_cube_points(ys)
+        check_values(ys, 1.0)
         m = len(ys)
         ws, dws = bernstein_basis_pair(k, ys)
         rows = np.tile(ws, (p + 1, 1, 1))
@@ -146,28 +162,16 @@ def _one_row(y) -> np.ndarray:
     return np.atleast_1d(np.asarray(y, dtype=float))[None, :]
 
 
-# Direction integers m_1..m_5 of the first 40 Sobol dimensions (Joe & Kuo
-# 2008, new-joe-kuo-6.21201); the first 2^5 = STARTS points use no others
+# Direction integers m_1..m_5 of the first 17 Sobol dimensions (Joe & Kuo
+# 2008, new-joe-kuo-6.21201); the first 2^5 = STARTS points use no others.
+# 17 because 2^17 <= CAP < 2^18: no grid, so no model, has a larger p
 _SOBOL_M = (
     (1, 1, 1, 1, 1), (1, 3, 5, 15, 17), (1, 3, 3, 9, 29), (1, 3, 1, 5, 31),
     (1, 1, 1, 11, 31), (1, 1, 3, 3, 25), (1, 3, 5, 13, 11), (1, 1, 5, 5, 17),
     (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1), (1, 1, 1, 3, 11),
     (1, 3, 5, 5, 31), (1, 3, 3, 9, 7), (1, 1, 1, 15, 21), (1, 3, 1, 13, 27),
-    (1, 1, 1, 15, 7), (1, 3, 1, 15, 13), (1, 1, 5, 5, 19), (1, 3, 7, 11, 23),
-    (1, 3, 7, 13, 13), (1, 1, 3, 13, 7), (1, 3, 5, 9, 1), (1, 3, 1, 13, 9),
-    (1, 3, 1, 5, 27), (1, 1, 5, 11, 19), (1, 3, 5, 3, 3), (1, 1, 7, 13, 1),
-    (1, 3, 7, 5, 13), (1, 1, 3, 9, 25), (1, 3, 5, 13, 23), (1, 3, 7, 3, 13),
-    (1, 3, 1, 3, 5), (1, 1, 5, 5, 23), (1, 1, 7, 7, 1), (1, 1, 7, 9, 13),
-    (1, 3, 3, 5, 3), (1, 3, 1, 15, 31), (1, 3, 5, 15, 31), (1, 3, 1, 11, 11),
+    (1, 1, 1, 15, 7),
 )
-MAX_DIM = len(_SOBOL_M)  # the largest p the grid protocols run
-
-
-def check_grid_dim(p: int):
-    """Reject a grid protocol dimension the minimiser has no starts for."""
-    if p > MAX_DIM:
-        raise ConfigurationError(
-            f"grid protocols run at dimension p <= {MAX_DIM}, got p = {p}")
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +181,6 @@ def _sobol_starts(p: int) -> np.ndarray:
     Point i XORs the direction numbers m_j / 2^j of the bits set in the
     Gray code of i, so every coordinate is a multiple of 1/32.
     """
-    check_grid_dim(p)
     bits = STARTS.bit_length() - 1
     # direction numbers as numerators over 2^bits, one row per bit
     v = np.array(_SOBOL_M[:p]).T << np.arange(bits - 1, -1, -1)[:, None]
@@ -370,10 +373,7 @@ def alg3_run(data: CubeDataset, loss: GridLoss, spec: BernsteinOperatorSpec,
             f"{spec.p * gsize * math.log(spec.k + 1):.0f}; decoded grid "
             f"values may be dominated by partition noise",
             SampleSizeWarning, stacklevel=2)
-    if n < gsize:
-        raise EstimationError(
-            f"{n} players cannot fill {gsize} grid points; the one-bit run "
-            f"needs n >= (k+1)^p")
+    check_cells_filled(n, spec.k, spec.p)
     # np.array_split's cell sizes, which depend on n and gsize only; every
     # cell is non-empty since n >= gsize
     perm = derived_rng(seed, TAG_PARTITION, 0).permutation(n)

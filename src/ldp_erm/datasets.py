@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
+from .primitives import check_values
 from .rng import TAG_DATASET, derived_rng
 
 # --- record formats -------------------------------------------------------------
@@ -50,9 +51,7 @@ class CubeDataset(RowDataset):
 
     def _checked(self, rows):
         rows = rows.astype(float, copy=False)
-        # written so that NaN, which fails every comparison, fails the check
-        if not (-1e-12 <= rows.min() and rows.max() <= 1.0 + 1e-12):
-            raise ParameterError("dataset entries must lie in [0, 1]")
+        check_values(rows, 1.0)
         return rows
 
 
@@ -61,8 +60,7 @@ class BoxDataset(RowDataset):
 
     def _checked(self, rows):
         rows = rows.astype(float, copy=False)
-        if not (-1.0 - 1e-12 <= rows.min() and rows.max() <= 1.0 + 1e-12):
-            raise ParameterError("entries must lie in [-1, 1]")
+        check_values(rows, 1.0, low=-1.0)
         return rows
 
 

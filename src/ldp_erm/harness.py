@@ -22,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .bernstein_erm import GridLoss, alg2_run, alg3_run, check_grid_size
+from .bernstein_erm import (GridLoss, alg2_run, alg3_run, check_cells_filled,
+                            check_grid_size)
 from .datasets import (DATA_KEYS, FAMILIES, KINDS, MAX_BITS, BallDataset,
                        BinaryDataset, BoxDataset, CubeDataset, Param,
                        check_spec, count, flag, generate_dataset, number,
@@ -31,9 +32,9 @@ from .errors import ConfigurationError, EstimationError
 from .glm_erm import (glm_erm_run, glm_oracle, hinge_flavor,
                       hinge_via_general_flavor)
 from .polyapprox import BernsteinOperatorSpec, build_or_polynomial
-from .primitives import (PrivacyBudget, check_onebit_epsilon, check_values,
-                         ldp_avg_1d)
-from .query_release import (CAP, check_basis_cap, check_expansion_cap,
+from .primitives import (CAP, PrivacyBudget, check_onebit_epsilon,
+                         check_values, ldp_avg_1d)
+from .query_release import (check_basis_cap, check_expansion_cap,
                             disjunction_truth, marginals_answer,
                             marginals_release, smooth_release_and_answer)
 from .rng import (TAG_TRIAL, TAG_TRIAL_DATASET, TAG_TRIAL_MECHANISM,
@@ -104,9 +105,10 @@ class ExperimentConfig:
             # a file's dim is known only once it is read, in run_trial
             if spec["family"] != "file":
                 try:
-                    mech.message(params, spec_value(spec, "dim"))
+                    mech.message(params, spec_value(spec, "n"),
+                                 spec_value(spec, "dim"))
                 except EstimationError as exc:
-                    # the params fix it, so every trial would fail alike
+                    # the config fixes it, so every trial would fail alike
                     raise ConfigurationError(str(exc)) from None
 
 
@@ -421,28 +423,28 @@ def _trial_avg_bench(data: CubeDataset, params: dict, seed: int) -> dict:
 # --- the messages -------------------------------------------------------------------
 #
 # What one player sends, as (reals, protocol bits), given the parsed params
-# and the data's dim. Each size comes from the rule the library enforces,
-# and a message raises ``ConfigurationError`` on data its mechanism cannot
-# run on: that makes it the one data check.
+# and the data's n and dim. Each size comes from the rule the library
+# enforces, and a message raises ``ConfigurationError`` on data its
+# mechanism cannot run on: that makes it the one data check.
 
 
-def _grid_message(params: dict, dim: int) -> tuple:
+def _grid_message(params: dict, n: int, dim: int) -> tuple:
     return check_grid_size(params["k"], dim), 0  # one real per grid point
 
 
-def _onebit_message(params: dict, dim: int) -> tuple:
-    check_grid_size(params["k"], dim)  # the bit reports on one grid point
+def _onebit_message(params: dict, n: int, dim: int) -> tuple:
+    check_cells_filled(n, params["k"], dim)  # the bit reports on one cell
     return 0, 1
 
 
-def _glm_message(params: dict, dim: int, flavor: Callable) -> tuple:
+def _glm_message(params: dict, n: int, dim: int, flavor: Callable) -> tuple:
     # a head and d(d+1) body replicas of (x, y), at a degree glm_oracle takes
     d = glm_oracle(flavor(), params["target_alpha"], PrivacyBudget(
         params["epsilon"], params["delta"]), dim, params["d_cap"])[0].d
     return (d * (d + 1) + 1) * (dim + 1), 0
 
 
-def _marginals_message(params: dict, dim: int) -> tuple:
+def _marginals_message(params: dict, n: int, dim: int) -> tuple:
     # the release packs each record's bits into one int64 pattern
     if dim > MAX_BITS:
         raise ConfigurationError(
@@ -456,7 +458,7 @@ def _marginals_message(params: dict, dim: int) -> tuple:
     return check_expansion_cap(dim, degree), 0
 
 
-def _smooth_message(params: dict, dim: int) -> tuple:
+def _smooth_message(params: dict, n: int, dim: int) -> tuple:
     size = check_basis_cap(params["t"], dim)
     # a kernel centre is a point of the data space, or None for the default
     center = params["center"]
@@ -467,7 +469,7 @@ def _smooth_message(params: dict, dim: int) -> tuple:
     return size, 0
 
 
-def _avg_bench_message(params: dict, dim: int) -> tuple:
+def _avg_bench_message(params: dict, n: int, dim: int) -> tuple:
     if dim != 1:
         raise ConfigurationError(
             f"avg-bench needs 1-d cube data; the dataset has dim {dim}")
@@ -484,14 +486,14 @@ class Mechanism:
     ``records`` are the record types it consumes (the dataset families and
     file kinds it accepts are those that give one), ``params`` maps each
     param a config may set to its ``Param`` declaration, and ``run`` is its
-    executor. ``message(params, dim)`` is what one player sends, as (reals,
-    protocol bits): each real counts ``BITS_PER_REAL`` bits, and the
-    protocol bits are those that are not reals (a one-bit report). Every
-    player sends one message, so it is the trial's message accounting.
-    It also raises ``ConfigurationError`` on data the mechanism cannot run
-    on, so it is the one data check: up front on every synthetic spec of
-    every sweep cell, and in ``run_trial`` on each trial's data, which is
-    the one check of file data.
+    executor. ``message(params, n, dim)`` is what one player sends, as
+    (reals, protocol bits): each real counts ``BITS_PER_REAL`` bits, and
+    the protocol bits are those that are not reals (a one-bit report).
+    Every player sends one message, so it is the trial's message
+    accounting. It also raises on data the mechanism cannot run on, so it
+    is the one data check: up front on every synthetic spec of every sweep
+    cell, and in ``run_trial`` on each trial's data, which is the one check
+    of file data.
     """
 
     records: tuple
@@ -582,7 +584,7 @@ def run_trial(cfg: ExperimentConfig, cell: tuple, cell_index: int,
     try:
         data = generate_dataset(dataset,
                                 derived_seed(seed, TAG_TRIAL_DATASET))
-        reals, protocol_bits = mech.message(params, data.dim)  # data check
+        reals, protocol_bits = mech.message(params, data.n, data.dim)
         measured = mech.run(data, params, seed)
         sent = {"bits_per_player": float(protocol_bits
                                          + BITS_PER_REAL * reals),

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EstimationError, ParameterError
+from .primitives import check_values
 
 # --- Bernstein operator -----------------------------------------------------
 
@@ -162,15 +163,6 @@ def contract_grid(grid_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return cur[:, 0]
 
 
-def check_cube_points(rows: np.ndarray):
-    """Reject a row of an (m, p) array outside [0, 1]^p (up to 1e-12)."""
-    # NaN fails both comparisons, so a NaN point counts as outside
-    outside = ~np.all((rows >= -1e-12) & (rows <= 1.0 + 1e-12), axis=1)
-    if outside.any():
-        raise ParameterError(f"evaluation point {rows[outside][0]} is "
-                             f"outside [0, 1]^{rows.shape[1]}")
-
-
 def iterated_bernstein_eval(grid_values: np.ndarray, spec: BernsteinOperatorSpec,
                             y):
     """Evaluate the iterated operator of gridded data at points in [0,1]^p.
@@ -190,7 +182,7 @@ def iterated_bernstein_eval(grid_values: np.ndarray, spec: BernsteinOperatorSpec
         raise ParameterError(
             f"points have shape {y.shape}, expected ({spec.p},) or "
             f"(m, {spec.p})")
-    check_cube_points(rows)
+    check_values(rows, 1.0)
     vals = contract_grid(grid_values,
                          iterated_basis_weights(spec.k, spec.h, rows))
     return float(vals[0]) if y.ndim <= 1 else vals

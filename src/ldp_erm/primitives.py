@@ -37,6 +37,9 @@ import numpy as np
 from .errors import EstimationError, ParameterError
 from .rng import derived_rng, TAG_PUBLIC
 
+CAP = 200_000  # most entries one player's message or evaluation grid holds
+
+
 def laplace_sum(rng: np.random.Generator, scale: float, count: int,
                 shape) -> np.ndarray:
     """Per entry of ``shape``, the sum of ``count`` iid Laplace(0, scale)
@@ -109,17 +112,20 @@ class PublicRandomness:
         return laplace_sum(rng, self.scale, 1, self.n)
 
 
-def check_values(values: np.ndarray, bound: float):
-    """Reject values outside [0, bound] (up to 1e-12), NaN included."""
-    if not bound > 0:
-        raise ParameterError(f"bound must be positive, got {bound}")
-    # written so that a NaN, which fails every comparison, fails the check
-    if values.size and not (-1e-12 <= values.min()
+def check_values(values: np.ndarray, bound: float, low: float = 0.0):
+    """Reject values outside [low, bound] (up to 1e-12), NaN included, and
+    a range with ``low >= bound``."""
+    if not low < bound:
+        raise ParameterError(f"need low < bound, got [{low}, {bound}]")
+    # written so that a NaN, which fails every comparison, fails the check;
+    # the mask is built only to name the first entry outside
+    if values.size and not (low - 1e-12 <= values.min()
                             and values.max() <= bound + 1e-12):
+        inside = (low - 1e-12 <= values) & (values <= bound + 1e-12)
+        first = np.unravel_index(np.argmin(inside), values.shape)
         raise ParameterError(
-            f"values must lie in [0, {bound}]; saw range "
-            f"[{values.min()}, {values.max()}]"
-        )
+            f"values must lie in [{low}, {bound}]; entry "
+            f"{tuple(map(int, first))} is {values[first]}, outside it")
 
 
 def ldp_avg_1d(total, n: int, bound: float, budget: PrivacyBudget,

@@ -33,9 +33,8 @@ from .datasets import BinaryDataset, BoxDataset, bit_weights
 from .errors import (ConfigurationError, ParameterError, QueryClassError,
                      SampleSizeWarning)
 from .polyapprox import OrPolynomial, build_or_polynomial, chebyshev_eval
-from .primitives import PrivacyBudget, ldp_avg_1d
+from .primitives import CAP, PrivacyBudget, ldp_avg_1d
 
-CAP = 200_000  # most entries of a coefficient vector or basis (one real each)
 BLOCK = 2048  # rows or distinct records a release handles at once
 BLOCK_ENTRIES = 2 ** 19  # most basis entries one smooth-query block holds
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from ldp_erm.bernstein_erm import (MAX_DIM, BernsteinModel, CubeDataset,
+from ldp_erm.bernstein_erm import (_SOBOL_M, BernsteinModel, CubeDataset,
                                    _clipped, _sobol_starts, alg2_run,
-                                   alg3_run, grid_points, minimize_model,
-                                   row_loss)
+                                   alg3_run, check_grid_size, grid_points,
+                                   minimize_model, row_loss)
 from ldp_erm.errors import (ClippingWarning, ConfigurationError,
                             EstimationError, ParameterError,
                             SampleSizeWarning)
@@ -19,7 +19,7 @@ from grid_reference import (per_cell_onebit_means, per_player_grid_means,
                             player_losses, pointwise_iterated_pair)
 from ldp_erm.harness import GRID_LOSSES, grid_loss_excess, make_grid_loss
 from ldp_erm.polyapprox import BernsteinOperatorSpec, contract_grid
-from ldp_erm.primitives import PrivacyBudget
+from ldp_erm.primitives import CAP, PrivacyBudget
 from ldp_erm.rng import derived_rng
 from trial_messages import trial_messages
 
@@ -56,9 +56,31 @@ def test_grid_cap_error_names_tradeoff():
     assert "the largest supported k is 20" in str(err.value)
 
 
+@pytest.mark.parametrize("p", range(1, 19))
+def test_grid_cap_error_names_a_k_that_fits(p):
+    # one past the cap at every p: the named k is accepted and k + 1 is not
+    k = 1
+    while (k + 2) ** p <= CAP:
+        k += 1
+    with pytest.raises(ConfigurationError, match="above the cap 200000") \
+            as err:
+        check_grid_size(k + 1, p)
+    words = str(err.value)
+    if 2 ** p > CAP:
+        assert f"no k fits at p = {p}" in words
+        assert "the grid protocols run at p <= 17" in words
+        return
+    named = int(words.split("the largest supported k is ")[1].split()[0])
+    assert named == k and check_grid_size(named, p) == (named + 1) ** p
+    with pytest.raises(ConfigurationError):
+        check_grid_size(named + 1, p)
+
+
 def test_cube_dataset_validation():
     with pytest.raises(ParameterError):
         CubeDataset(np.array([[1.2]]))
+    with pytest.raises(ParameterError, match=r"entry \(1, 0\) is nan"):
+        CubeDataset(np.array([[0.5], [np.nan]]))
     d = CubeDataset(np.array([[0.1], [0.9]]))
     assert d.n == 2 and d.dim == 1
 
@@ -307,28 +329,43 @@ def _per_start_minimize(model, starts=32, gd_iters=120):
     return best_x
 
 
-@pytest.mark.parametrize("p", range(1, MAX_DIM + 1))
+def test_sobol_table_reaches_the_grid_cap():
+    # the table has a row for every p the cap admits a grid at, and no more
+    assert 2 ** len(_SOBOL_M) <= CAP < 2 ** (len(_SOBOL_M) + 1)
+
+
+@pytest.mark.parametrize("p", range(1, 41))
 def test_sobol_starts_match_scipy(p):
+    # the minimiser has starts at every p a grid exists at: scipy's, where
+    # the table has a row; past its end the cap refuses even k = 1
+    if p > len(_SOBOL_M):
+        with pytest.raises(ConfigurationError, match="no k fits"):
+            check_grid_size(1, p)
+        return
     want = qmc.Sobol(d=p, scramble=False).random(32)
     got = _sobol_starts(p)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_grid_dimension_above_table_rejected_up_front():
-    assert MAX_DIM == 40
-    with pytest.raises(ConfigurationError, match="p <= 40"):
-        grid_points(1, MAX_DIM + 1)
-    with pytest.raises(ConfigurationError, match="p <= 40"):
-        _sobol_starts(MAX_DIM + 1)
+    # the cap rejects every grid, and so every model, the table has no
+    # starts for
+    p = len(_SOBOL_M) + 1
+    words = "above the cap 200000; no k fits at p = 18"
+    with pytest.raises(ConfigurationError, match=words):
+        grid_points(1, p)
+    with pytest.raises(ConfigurationError, match=words):
+        BernsteinModel(BernsteinOperatorSpec(k=1, h=1, p=p),
+                       np.zeros((2,) * p))
     # both runs check it before any player's loss is evaluated
-    data = CubeDataset(derived_rng(17).random((100, MAX_DIM + 1)))
+    data = CubeDataset(derived_rng(17).random((100, p)))
     calls = []
-    with pytest.raises(ConfigurationError, match="p <= 40"):
+    with pytest.raises(ConfigurationError, match=words):
         alg2_run(data, _counting_loss(calls),
-                 *_cfg(k=1, p=MAX_DIM + 1, epsilon=0.5), derived_rng(18))
-    with pytest.raises(ConfigurationError, match="p <= 40"):
+                 *_cfg(k=1, p=p, epsilon=0.5), derived_rng(18))
+    with pytest.raises(ConfigurationError, match=words):
         alg3_run(data, _counting_loss(calls),
-                 *_cfg(k=1, p=MAX_DIM + 1, epsilon=0.5), seed=19)
+                 *_cfg(k=1, p=p, epsilon=0.5), seed=19)
     assert not calls
 
 

@@ -858,7 +858,7 @@ def test_encoder_sends_the_declared_message(tmp_path, mechanism, params):
     mech, dataset = MECHANISMS[mechanism], _MESSAGE_DATA[mechanism]
     parsed = {key: param.parsed(key, params.get(key, param.default))
               for key, param in mech.params.items()}
-    reals, bits = mech.message(parsed, dataset["dim"])
+    reals, bits = mech.message(parsed, dataset["n"], dataset["dim"])
     assert (reals, bits) == _one_player_message(mechanism, parsed,
                                                 dataset["dim"])
     # every trial counts one message per player, each the declared one
@@ -965,7 +965,7 @@ def test_size_caps_checked_up_front(mechanism, dataset, params, cap_check):
     parsed = {key: param.parsed(key, params.get(key, param.default))
               for key, param in mech.params.items()}
     with pytest.raises(ConfigurationError) as declared:
-        mech.message(parsed, dataset["dim"])
+        mech.message(parsed, dataset["n"], dataset["dim"])
     assert str(err.value) == str(declared.value)
     if cap_check is not None:
         with pytest.raises(ConfigurationError) as expected:
@@ -1162,6 +1162,10 @@ _BAD_INPUT = {
     # a query selects k of the dim attributes, so k = 4 at dim 3 is refused
     "config105-argv105": (_MARGINALS_CONFIG, ["--set", "dataset.dim=3",
                                               "--set", "params.k=4"]),
+    # 8 players cannot fill the 9 cells of a one-bit grid at k = 2, dim 2
+    "config106-argv106": ({**_CONFIG, "mechanism": "onebit",
+                           "params": {"k": 2}},
+                          ["--set", "dataset.n=8", "--set", "dataset.dim=2"]),
 }
 
 

@@ -111,6 +111,26 @@ def test_nan_values_are_rejected():
         onebit_encode_many(values, np.zeros(2), 0.5, derived_rng(0))
 
 
+def test_check_values_names_the_first_entry_outside():
+    values = np.array([[0.5, -2.0], [0.0, 3.0]])
+    check_values(values, 3.0, low=-2.0)
+    # each end is kept up to 1e-12, and a NaN is outside any range
+    check_values(values + 1e-12, 3.0, low=-2.0)
+    check_values(values - 1e-12, 3.0, low=-2.0)
+    for bad, row, col in ((-2.1, 0, 1), (3.1, 0, 1), (math.nan, 1, 0)):
+        out = values.copy()
+        out[row, col] = bad
+        out[1, 1] = 5.0  # a later entry outside is not the one named
+        with pytest.raises(ParameterError,
+                           match=rf"must lie in \[-2.0, 3.0\]; entry "
+                                 rf"\({row}, {col}\) is {bad}, outside"):
+            check_values(out, 3.0, low=-2.0)
+    # an empty range, or a NaN end, is rejected before any entry is read
+    for low in (3.0, 4.0, math.nan):
+        with pytest.raises(ParameterError, match="low < bound"):
+            check_values(np.zeros(0), 3.0, low=low)
+
+
 def test_avg_zero_signal():
     rng = derived_rng(7)
     budget = PrivacyBudget(epsilon=1.0)

@@ -56,6 +56,10 @@ def test_dataset_validation():
         BinaryDataset(np.zeros((0, 3), dtype=int))
     with pytest.raises(ParameterError):
         BoxDataset(np.array([[0.0, 1.5]]))
+    # the box's lower end is -1, up to the same 1e-12 as its upper one
+    with pytest.raises(ParameterError, match=r"entry \(0, 1\) is -1.01"):
+        BoxDataset(np.array([[0.0, -1.01]]))
+    assert BoxDataset(np.array([[-1.0 - 1e-12, 1.0 + 1e-12]])).n == 1
 
 
 def test_expansion_matches_count_polynomial():
